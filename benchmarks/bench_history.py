@@ -68,7 +68,7 @@ def test_history_replay_campaign(benchmark, bench_report):
     # -- replay fidelity: every task, from the durable log ------------
     replays = campaign.replay_all()   # raises on the first divergence
     assert len(replays) == TASKS
-    divergences = env.cluster.metrics.counter("history.divergences").value
+    divergences = env.cluster.metrics.get("history.divergences")
     assert divergences == 0
     windows = sum(r.windows for r in replays)
     instructions = sum(r.instructions for r in replays)

@@ -168,7 +168,7 @@ def test_crash_recovery_campaign(benchmark, bench_report):
     for key, value in live.items():
         assert store.read(key) == value
     # recovery is observable as spans
-    recovery_spans = campaign.env.cluster.tracer.of_kind("recovery")
+    recovery_spans = campaign.env.cluster.tracer.spans_of_kind("recovery")
     assert len(recovery_spans) == 1
 
     payload = {

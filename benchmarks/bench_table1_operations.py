@@ -71,11 +71,11 @@ def test_table1_all_operations(benchmark, bench_report):
 
     env = fresh_env()
     run_all_operations(env)
-    counts = {op: env.cluster.counters.get(f"op.WF.{op}")
+    counts = {op: env.cluster.metrics.get(f"op.WF.{op}")
               for op in ("Start", "Run", "Call", "Terminate", "RunFiber",
                          "AwakeFiber", "ResumeFromCall", "JoinProcess")}
-    counts["Terminate"] = env.cluster.counters.get("op.Slow.Terminate")
-    counts["Start"] += env.cluster.counters.get("op.Slow.Start")
+    counts["Terminate"] = env.cluster.metrics.get("op.Slow.Terminate")
+    counts["Start"] += env.cluster.metrics.get("op.Slow.Start")
 
     wsdl = env.cluster.get_wsdl("WF")
     rows = []

@@ -58,7 +58,7 @@ def main() -> None:
 
     # let the transform stage get going, then start killing nodes
     env.cluster.run_until(
-        lambda: sum(1 for e in env.cluster.trace.events
+        lambda: sum(1 for e in env.cluster.tracer.events
                     if e.kind == "fiber-fork") >= 4)
     for victim in ["node-1", "node-2"]:
         requeued = env.fail_node(victim)
@@ -79,7 +79,7 @@ def main() -> None:
           "failures; no state was lost (checkpoints + redelivery).")
 
     print("\n-- lifetime trace (Figure 1 style), first 25 events --")
-    events = env.cluster.trace.for_task(task_id)
+    events = env.cluster.tracer.for_task(task_id)
     for event in events[:25]:
         print("  " + repr(event))
     print(f"  ... {max(0, len(events) - 25)} more events")

@@ -89,7 +89,7 @@ def distributed() -> None:
     print(f"  virtual time: {summary['virtual_time']:.4f}s, "
           f"messages delivered: {summary['queue']['delivered']}")
     nodes_used = {e.detail['node']
-                  for e in env.cluster.trace.of_kind('fiber-run')}
+                  for e in env.cluster.tracer.of_kind('fiber-run')}
     print(f"  fibers ran on nodes: {sorted(nodes_used)}")
 
 

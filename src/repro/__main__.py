@@ -96,7 +96,8 @@ def cmd_trace(args) -> int:
 
         params = read_string(args.params)
     task_id = env.run("Main", params)
-    print(env.cluster.trace.render(env.cluster.trace.for_task(task_id)))
+    tracer = env.cluster.tracer
+    print(tracer.render(tracer.for_task(task_id)))
     task = env.registry.tasks[task_id]
     print(f"\ntask {task_id}: {task.status}, result "
           f"{print_form(task.result)}")

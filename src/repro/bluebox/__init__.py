@@ -24,7 +24,6 @@ from .locks import CoordinatorLockManager, FileLockManager, LockManager
 from .wsdl import WsdlDocument, WsdlOperation, WsdlParameter
 from .xmlmsg import ServiceMessage, XmlElement, element_to_value, value_to_element
 from .executor import LoadBalancingExecutor
-from .monitoring import ConcurrencySampler, Counters, TraceEvent, TraceLog
 
 __all__ = [
     "RealClock", "SimKernel", "VirtualClock",
@@ -38,5 +37,4 @@ __all__ = [
     "WsdlDocument", "WsdlOperation", "WsdlParameter",
     "ServiceMessage", "XmlElement", "element_to_value", "value_to_element",
     "LoadBalancingExecutor",
-    "ConcurrencySampler", "Counters", "TraceEvent", "TraceLog",
 ]

@@ -23,7 +23,12 @@ import random
 from typing import Any, Callable, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy
-from ..observe import MetricsRegistry, SpanTracer
+from ..observe import MetricsRegistry, Tracer
+from ..observe.tracer import (
+    DEADLETTER_ENQUEUED,
+    OPERATION_FAULT,
+    RETRY_SCHEDULED,
+)
 from ..sched.admission import (
     DELAY as ADMIT_DELAY,
     SERVER_BUSY_QNAME,
@@ -38,13 +43,6 @@ from .messagequeue import (
     PRIORITY_NORMAL,
     ReplyTo,
     _trace_ids,
-)
-from .monitoring import (
-    Counters,
-    DEADLETTER_ENQUEUED,
-    OPERATION_FAULT,
-    RETRY_SCHEDULED,
-    TraceLog,
 )
 from .store import StoreError
 from .services import (
@@ -140,11 +138,14 @@ class Cluster:
         #: door.  None (the default) accepts everything, as the paper's
         #: production system does.
         self.admission = make_admission(admission)
-        #: causal span tracing (repro.observe); follows ``trace`` unless
-        #: set explicitly.  Hot paths guard on the single ``enabled``
-        #: flag, so a disabled tracer allocates nothing.
-        self.tracer = SpanTracer(enabled=trace if spans is None else spans)
-        self.metrics = MetricsRegistry(enabled=self.tracer.enabled)
+        #: the one observability path (repro.observe).  ``trace``
+        #: switches the flat Figure-1 event stream; the span tree (and
+        #: with it the registry's histograms and gauges) follows
+        #: ``trace`` unless ``spans`` is set.  Call sites guard on the
+        #: tracer's single ``enabled`` flag, so a disabled run builds
+        #: nothing; the registry's counters always count.
+        self.tracer = Tracer(events=trace, spans=spans)
+        self.metrics = MetricsRegistry(enabled=self.tracer.record_spans)
         self.queue.tracer = self.tracer
         self.queue.metrics = self.metrics
         self.queue.now_fn = lambda: self.kernel.now
@@ -177,8 +178,6 @@ class Cluster:
         self.dead_letter_listeners: List[Callable[[Message], None]] = []
         self.nodes: Dict[str, Node] = {}
         self.services: Dict[str, Service] = {}
-        self.trace = TraceLog(enabled=trace)
-        self.counters = Counters()
         self._in_flight: List[_InFlight] = []
         self._node_seq = itertools.count(1)
 
@@ -253,9 +252,11 @@ class Cluster:
         if self.admission is not None and not self._admit(message):
             return message
         self.queue.enqueue(message, self.kernel.now)
-        self.trace.record(self.kernel.now, "enqueue", service=service,
-                          operation=operation, msg=message.id,
-                          priority=priority, **_trace_ids(body))
+        if self.tracer.enabled:
+            self.tracer.event(self.kernel.now, "enqueue", message.span_id,
+                              service=service, operation=operation,
+                              msg=message.id, priority=priority,
+                              **_trace_ids(body))
         self.kernel.schedule(self.delivery_latency,
                              lambda: self._kick(service))
         return message
@@ -300,18 +301,16 @@ class Cluster:
 
     def _record_admission(self, message: Message, verdict: str,
                           backlog: int, delay: float) -> None:
-        self.counters.incr(f"admission.{verdict}")
-        self.trace.record(self.kernel.now, f"admission-{verdict}",
-                          service=message.service,
-                          operation=message.operation, msg=message.id,
-                          backlog=backlog, delay=delay)
+        self.metrics.incr("sched.admission.shed" if verdict == ADMIT_SHED
+                          else "sched.admission.delayed")
         if self.metrics.enabled:
-            self.metrics.counter(
-                "sched.admission.shed" if verdict == ADMIT_SHED
-                else "sched.admission.delayed").inc()
             self.metrics.gauge(
                 f"sched.backlog.{message.service}").set(backlog)
         if self.tracer.enabled:
+            self.tracer.event(self.kernel.now, f"admission-{verdict}",
+                              message.parent_span, service=message.service,
+                              operation=message.operation, msg=message.id,
+                              backlog=backlog, delay=delay)
             span = self.tracer.begin(
                 f"sched:{verdict}:{message.service}", kind="sched",
                 start=self.kernel.now,
@@ -368,7 +367,7 @@ class Cluster:
         message = self.queue.make_message(service_name, operation, body,
                                           now=self.kernel.now)
         context = OperationContext(self, instance, message)
-        self.counters.incr(f"sync.{service_name}.{operation}")
+        self.metrics.incr(f"sync.{service_name}.{operation}")
         try:
             value = service.handle(context, operation, body)
             envelope = ResponseEnvelope(value=value)
@@ -439,9 +438,9 @@ class Cluster:
                     self.queue.push_back(message)
         if message.affinity is not None:
             if instance.node.id == message.affinity:
-                self.counters.incr("placement.affinity-hit")
+                self.metrics.incr("placement.affinity-hit")
             else:
-                self.counters.incr("placement.affinity-miss")
+                self.metrics.incr("placement.affinity-miss")
         self._process(instance, message, hop_span=hop_span)
         return True
 
@@ -498,17 +497,18 @@ class Cluster:
         started = self.kernel.now
         record = _InFlight(message, instance, started)
         self._in_flight.append(record)
-        self.trace.record(started, "deliver", service=message.service,
-                          operation=message.operation, msg=message.id,
-                          node=node.id, **_trace_ids(message.body))
         context = OperationContext(self, instance, message)
         record.context = context
         if self.tracer.enabled:
-            record.span_id = self.tracer.begin(
+            ids = _trace_ids(message.body)
+            record.span_id = context.span_id = self.tracer.begin(
                 f"op:{message.service}.{message.operation}", kind="operation",
                 start=started, parent_id=hop_span or None, node=node.id,
-                msg=message.id, **_trace_ids(message.body))
-            context.span_id = record.span_id
+                msg=message.id, **ids)
+            self.tracer.event(started, "deliver", record.span_id,
+                              service=message.service,
+                              operation=message.operation, msg=message.id,
+                              node=node.id, **ids)
         if self.durable_store is not None:
             self.durable_store.begin_window()
         try:
@@ -580,7 +580,7 @@ class Cluster:
             if not record.valid or not record.instance.node.alive:
                 return  # dead window / dead node: the lease must lapse
             if lm.renew_owner(owner):
-                self.counters.incr("lease.renewed")
+                self.metrics.incr("lease.renewed")
             if self.kernel.now + interval < deadline:
                 self.kernel.schedule(interval, beat)
 
@@ -594,10 +594,11 @@ class Cluster:
         """
         for record in list(self._in_flight):
             if record.valid and self._window_owner(record) == owner:
-                self.counters.incr("lease.window-broken")
-                self.trace.record(self.kernel.now, "lease-broken",
-                                  key=key, owner=owner, reason=reason,
-                                  msg=record.message.id)
+                self.metrics.incr("lease.window-broken")
+                if self.tracer.enabled:
+                    self.tracer.event(self.kernel.now, "lease-broken",
+                                      record.span_id, key=key, owner=owner,
+                                      reason=reason, msg=record.message.id)
                 self._abort_window(record,
                                    f"lease on {key} broken: {reason}")
                 return True
@@ -618,7 +619,7 @@ class Cluster:
             if fence is not None \
                     and not self.lock_manager.fence_valid(*fence):
                 self.lock_manager.fence_rejections += 1
-                self.counters.incr("lease.fence-rejected")
+                self.metrics.incr("lease.fence-rejected")
                 self._abort_window(record, "fencing token superseded")
                 return
         if self.durable_store is not None and record.batch is not None:
@@ -638,8 +639,8 @@ class Cluster:
         node.processed += 1
         node.busy_time += duration
         record.instance.processed += 1
-        self.counters.incr(f"op.{record.message.service}.{record.message.operation}")
-        self.counters.add("busy_time", duration)
+        self.metrics.incr(f"op.{record.message.service}.{record.message.operation}")
+        self.metrics.add("busy_time", duration)
         if self.metrics.enabled:
             # the spawn governor's operation-latency signal
             self.metrics.histogram("op.duration").observe(duration)
@@ -657,11 +658,11 @@ class Cluster:
         if isinstance(envelope.value, Requeue):
             # the handler backed off (e.g. AwakeFiber lock patience):
             # the message goes back on the queue, keeping its reply_to
-            self.trace.record(self.kernel.now, "requeue",
-                              service=message.service,
-                              operation=message.operation, msg=message.id,
-                              node=node.id)
-            if record.span_id:
+            if self.tracer.enabled:
+                self.tracer.event(self.kernel.now, "requeue", record.span_id,
+                                  service=message.service,
+                                  operation=message.operation,
+                                  msg=message.id, node=node.id)
                 self.tracer.end(record.span_id, end=self.kernel.now,
                                 requeued=True)
             delay = envelope.value.delay
@@ -672,10 +673,11 @@ class Cluster:
                 self._on_dead_letter(message, "voluntary requeues exhausted")
             self._kick_node(node)
             return
-        self.trace.record(self.kernel.now, "complete", service=message.service,
-                          operation=message.operation, msg=message.id,
-                          node=node.id, ok=envelope.ok)
-        if record.span_id:
+        if self.tracer.enabled:
+            self.tracer.event(self.kernel.now, "complete", record.span_id,
+                              service=message.service,
+                              operation=message.operation, msg=message.id,
+                              node=node.id, ok=envelope.ok)
             self.tracer.end(record.span_id, end=self.kernel.now,
                             ok=envelope.ok)
         if isinstance(envelope.value, Deferred):
@@ -722,15 +724,16 @@ class Cluster:
         if record.context is not None:
             for hook in record.context.abort_hooks:
                 hook()
-        if record.span_id:
+        if self.tracer.enabled:
             self.tracer.end(record.span_id, end=self.kernel.now,
                             aborted=True, error=reason)
-        self.trace.record(self.kernel.now, OPERATION_FAULT,
-                          service=record.message.service,
-                          operation=record.message.operation,
-                          msg=record.message.id, node=node.id,
-                          reason=reason)
-        self.counters.incr("operation.faults")
+            self.tracer.event(self.kernel.now, OPERATION_FAULT,
+                              record.span_id,
+                              service=record.message.service,
+                              operation=record.message.operation,
+                              msg=record.message.id, node=node.id,
+                              reason=reason)
+        self.metrics.incr("operation.faults")
         self._retry_or_dead_letter(record.message, reason)
         self._kick_node(node)
 
@@ -751,12 +754,13 @@ class Cluster:
             self._on_dead_letter(message, f"{reason}; attempts exhausted")
             return False
         delay = policy.backoff_delay(message.attempts, self.rng)
-        self.trace.record(now, RETRY_SCHEDULED, msg=message.id,
-                          service=message.service,
-                          operation=message.operation,
-                          attempt=message.attempts, delay=delay,
-                          reason=reason)
-        self.counters.incr("retry.scheduled")
+        if self.tracer.enabled:
+            self.tracer.event(now, RETRY_SCHEDULED, message.span_id,
+                              msg=message.id, service=message.service,
+                              operation=message.operation,
+                              attempt=message.attempts, delay=delay,
+                              reason=reason)
+        self.metrics.incr("retry.scheduled")
         self.kernel.schedule(
             delay, lambda m=message: (self.queue.push_back(m),
                                       self._kick(m.service)))
@@ -768,11 +772,13 @@ class Cluster:
         callers and suspended fibers get a signalable condition instead
         of hanging), and tell the listeners (Vinz fails the owning
         fiber/task through the normal error path)."""
-        self.trace.record(self.kernel.now, DEADLETTER_ENQUEUED,
-                          msg=message.id, service=message.service,
-                          operation=message.operation,
-                          attempts=message.attempts, reason=reason)
-        self.counters.incr("deadletter.enqueued")
+        if self.tracer.enabled:
+            self.tracer.event(self.kernel.now, DEADLETTER_ENQUEUED,
+                              message.origin_span_id, msg=message.id,
+                              service=message.service,
+                              operation=message.operation,
+                              attempts=message.attempts, reason=reason)
+        self.metrics.incr("deadletter.enqueued")
         if message.reply_to is not None:
             self._route_reply(message.reply_to, ResponseEnvelope(
                 fault_qname="{urn:bluebox}DeadLettered",
@@ -813,10 +819,11 @@ class Cluster:
                     for hook in record.context.abort_hooks:
                         hook()
                 message = record.message
-                self.trace.record(self.kernel.now, "instance-failure",
-                                  node=node.id, msg=message.id,
-                                  operation=message.operation)
-                if record.span_id:
+                if self.tracer.enabled:
+                    self.tracer.event(self.kernel.now, "instance-failure",
+                                      record.span_id, node=node.id,
+                                      msg=message.id,
+                                      operation=message.operation)
                     self.tracer.end(record.span_id, end=self.kernel.now,
                                     aborted=True, error="node-failure")
                 if self.queue.requeue(message, self.kernel.now):

@@ -126,18 +126,16 @@ class LockManager:
     # -- lease configuration ----------------------------------------------
 
     def configure_leases(self, ttl: float,
-                         clock_now: Optional[Callable[[], float]] = None,
-                         heartbeat_interval: Optional[float] = None) -> None:
+                         clock_now: Optional[Callable[[], float]] = None
+                         ) -> None:
         """Switch on lease expiry: locks lapse ``ttl`` virtual seconds
-        after their last grant or heartbeat.  ``heartbeat_interval``
-        defaults to ``ttl / 4`` so a healthy holder renews with margin.
+        after their last grant or heartbeat.  Holders heartbeat every
+        ``ttl / 4``, so a healthy one renews with margin.
         """
         self.lease_ttl = max(0.0, ttl)
         if clock_now is not None:
             self.clock_now = clock_now
-        if heartbeat_interval is not None:
-            self.heartbeat_interval = heartbeat_interval
-        elif self.lease_ttl > 0:
+        if self.lease_ttl > 0:
             self.heartbeat_interval = self.lease_ttl / 4.0
 
     # -- lease bookkeeping (called by backends) ---------------------------

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..observe import MetricsRegistry, Tracer
 from ..sched.fair import SchedulingPolicy, StrictPriorityPolicy
 
 # Priorities: lower value = delivered first.  The paper (Section 5)
@@ -117,12 +118,13 @@ class MessageQueue:
         #: messages whose retry policy is exhausted, kept for
         #: inspection and operator replay (never silently discarded)
         self.dead_letters: List[Message] = []
-        #: observability wiring (set by the owning Cluster): the causal
-        #: span tracer, the metrics registry, and a virtual-clock read.
-        #: The queue owns the queue-hop span lifecycle: a hop opens at
-        #: enqueue/push-back and closes at delivery.
-        self.tracer = None
-        self.metrics = None
+        #: observability wiring (replaced by the owning Cluster's; a
+        #: standalone queue observes nothing): the tracer, the metrics
+        #: registry, and a virtual-clock read.  The queue owns the
+        #: queue-hop span lifecycle: a hop opens at enqueue/push-back
+        #: and closes at delivery.
+        self.tracer = Tracer(events=False)
+        self.metrics = MetricsRegistry(enabled=False)
         self.now_fn: Optional[Callable[[], float]] = None
         # statistics
         self.enqueued = 0
@@ -186,7 +188,7 @@ class MessageQueue:
         message.enqueued_at = now
         self.policy.push(message.service, message, next(self._seq), now)
         self.enqueued += 1
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self._begin_hop(message, now)
 
     def requeue(self, message: Message, now: float,
@@ -223,7 +225,7 @@ class MessageQueue:
         now = self._now(message.enqueued_at) if now is None else now
         message.enqueued_at = now
         self.policy.push(message.service, message, next(self._seq), now)
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             self._begin_hop(message, now, retry=True)
 
     def dead_letter(self, message: Message) -> None:
@@ -236,12 +238,6 @@ class MessageQueue:
         self.dropped += 1
         self.dead_lettered += 1
         self.dead_letters.append(message)
-        if self.tracer is not None and self.tracer.enabled \
-                and message.origin_span_id:
-            self.tracer.annotate(message.origin_span_id,
-                                 self._now(message.enqueued_at),
-                                 "dead-letter", msg=message.id,
-                                 attempts=message.attempts)
 
     def dead_letter_ids(self) -> List[int]:
         return [m.id for m in self.dead_letters]
@@ -254,10 +250,9 @@ class MessageQueue:
         self.delivered += 1
         wait = now - message.enqueued_at
         self._record_wait(wait)
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics.enabled:
             self.metrics.histogram("queue.wait").observe(wait)
-        if self.tracer is not None and self.tracer.enabled \
-                and message.span_id:
+        if self.tracer.enabled:
             self.tracer.end(message.span_id, end=now, wait=wait)
         return message
 

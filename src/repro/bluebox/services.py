@@ -53,6 +53,8 @@ class OperationContext:
         #: context parent their queue-hop spans here; 0 when tracing
         #: is disabled.
         self.span_id = 0
+        #: the flag to check before building a :meth:`trace` call
+        self.tracing = cluster.tracer.enabled
         #: buffered outgoing messages: (extra_delay, send kwargs).
         #: Flushed when the simulated window ends — message sends are
         #: transactional with the operation, so a node failure
@@ -136,8 +138,9 @@ class OperationContext:
         return Deferred(self.cluster, self.message.reply_to)
 
     def trace(self, kind: str, **detail: Any) -> None:
-        self.cluster.trace.record(self.now, kind, node=self.instance.node.id,
-                                  **detail)
+        """Record one event on this node, inside this operation's span."""
+        self.cluster.tracer.event(self.now, kind, self.span_id,
+                                  node=self.instance.node.id, **detail)
 
 
 class Deferred:

@@ -8,8 +8,8 @@ can reproduce the paper's finding that compressing before writing is a
 net win: smaller payloads save more simulated IO time than the
 compression costs.
 
-``DirectoryStore`` additionally mirrors the data onto a real directory,
-for tests that want to survive process boundaries.
+``DirectoryStore`` keeps the data in a real directory instead, for
+tests that want to survive process boundaries.
 
 Subclasses override the ``_get``/``_put``/``_remove``/``_contains``/
 ``_key_list`` storage primitives (the durable sharded store in
@@ -19,7 +19,6 @@ cost model, statistics, fault-injection consultation — lives here once.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 
@@ -239,44 +238,35 @@ class SharedStore:
 
 
 class DirectoryStore(SharedStore):
-    """A shared store additionally backed by a real directory.
+    """A shared store kept in a real directory.
 
     Used by the persistence integration tests to prove a fiber written
     by one process can be resumed by another — the property the paper's
-    NFS setup provides between JVMs.
+    NFS setup provides between JVMs.  The bytes live in a
+    :class:`~repro.durastore.backend.DirectoryBackend` (file naming,
+    atomic writes, hydration from disk); this class adds the cost
+    model, statistics and fault hooks every ``SharedStore`` has.
     """
 
     def __init__(self, root: str, **kwargs):
         super().__init__(**kwargs)
+        # imported here: repro.durastore's package init imports this
+        # module for StoreError
+        from ..durastore.backend import DirectoryBackend
         self.root = root
-        os.makedirs(root, exist_ok=True)
-        # hydrate the in-memory view from whatever is on disk
-        for name in os.listdir(root):
-            path = os.path.join(root, name)
-            if os.path.isfile(path):
-                with open(path, "rb") as fh:
-                    self._data[self._decode_name(name)] = fh.read()
+        self._plane = DirectoryBackend("directory", root)
 
-    @staticmethod
-    def _encode_name(key: str) -> str:
-        # escape the escape character first: a key literally containing
-        # "%2F" must not collide with a key containing "/"
-        return key.replace("%", "%25").replace("/", "%2F")
-
-    @staticmethod
-    def _decode_name(name: str) -> str:
-        return name.replace("%2F", "/").replace("%25", "%")
+    def _get(self, key: str) -> Optional[bytes]:
+        return self._plane.get(key)
 
     def _put(self, key: str, data: bytes) -> None:
-        super()._put(key, data)
-        path = os.path.join(self.root, self._encode_name(key))
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        self._plane.put(key, data)
 
     def _remove(self, key: str) -> None:
-        super()._remove(key)
-        path = os.path.join(self.root, self._encode_name(key))
-        if os.path.exists(path):
-            os.unlink(path)
+        self._plane.remove(key)
+
+    def _contains(self, key: str) -> bool:
+        return self._plane.contains(key)
+
+    def _key_list(self) -> List[str]:
+        return self._plane.keys()

@@ -140,4 +140,4 @@ class DifferentialExecutor:
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+            self.metrics.incr(name, amount)

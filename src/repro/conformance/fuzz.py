@@ -168,7 +168,7 @@ def _shrink_and_save(divergence: Divergence, repro_dir: Optional[str],
     shrunk.note = (f"diverged on {divergence.oracle}: baseline "
                    f"{divergence.baseline.describe()} vs "
                    f"{divergence.observed.describe()}")
-    metrics.counter("conformance.shrinks").inc()
+    metrics.incr("conformance.shrinks")
     metrics.histogram("conformance.shrink_checks").observe(result.checks)
     entry = ShrunkDivergence(divergence=divergence, shrink=result)
     if repro_dir:

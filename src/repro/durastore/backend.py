@@ -72,11 +72,12 @@ class MemoryBackend:
 class DirectoryBackend:
     """A storage plane mirrored onto a real directory.
 
-    File naming reuses the escaped encoding of
-    :class:`~repro.bluebox.store.DirectoryStore` (``%`` escaped first so
-    the encoding inverts).  An in-memory view is hydrated from disk at
+    Keys become file names by escaping ``%`` first, then ``/``, so the
+    encoding inverts.  An in-memory view is hydrated from disk at
     construction, so a process that crashed mid-run can be picked up by
-    a fresh backend over the same directory.
+    a fresh backend over the same directory; a ``*.tmp`` file left by a
+    crash between write and rename is not a key.
+    :class:`~repro.bluebox.store.DirectoryStore` is built on this class.
     """
 
     def __init__(self, name: str, root: str):
@@ -90,10 +91,10 @@ class DirectoryBackend:
                 with open(path, "rb") as fh:
                     self._data[self._decode_name(fname)] = fh.read()
 
-    # same escaping as DirectoryStore — see the encode/decode inversion
-    # property test
     @staticmethod
     def _encode_name(key: str) -> str:
+        # escape the escape character first: a key literally containing
+        # "%2F" must not collide with a key containing "/"
         return key.replace("%", "%25").replace("/", "%2F")
 
     @staticmethod

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..bluebox.store import StoreError
+from ..observe import MetricsRegistry, Tracer
 from .backend import StoreBackend
 from .journal import (
     OP_DELETE,
@@ -84,10 +85,11 @@ class DurableStore(ShardedStore):
         self.shared_flushes = 0
         self.recoveries = 0
         self.checkpoint_seconds = 0.0
-        #: optional observability wiring (set by VinzEnvironment):
-        #: recovery emits spans/metrics when these are attached
-        self.tracer = None
-        self.metrics = None
+        #: observability wiring (VinzEnvironment points these at the
+        #: cluster's; a standalone store traces nothing): recovery
+        #: emits a span and ``store.recovery.*`` counters
+        self.tracer = Tracer(events=False)
+        self.metrics = MetricsRegistry(enabled=False)
         self.now_fn = None
 
     # the injector consults both store IO and journal appends; mirror
@@ -270,8 +272,8 @@ class DurableStore(ShardedStore):
         """Rebuild backend state from the journal: exactly the
         committed batches, never a torn tail.
 
-        Emits a ``recovery``-kind span and ``store.recovery.*`` metrics
-        when a tracer/metrics registry is attached.  Returns a report::
+        Emits a ``recovery``-kind span and ``store.recovery.*``
+        counters.  Returns a report::
 
             {"recovered_keys", "deleted_keys", "checkpoint_keys",
              "batches", "records", "tail_error", "tail_bytes_dropped",
@@ -279,7 +281,7 @@ class DurableStore(ShardedStore):
         """
         now = self.now_fn() if self.now_fn is not None else 0.0
         span_id = 0
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer.enabled:
             span_id = self.tracer.begin("store.recover", "recovery", now,
                                         journal_bytes=self.journal.storage.size())
         replay = self.journal.replay()
@@ -308,20 +310,18 @@ class DurableStore(ShardedStore):
             "tail_bytes_dropped": replay["tail_bytes_dropped"],
             "replay_cost_s": cost,
         }
-        if span_id:
+        if self.tracer.enabled:
             if replay["tail_error"]:
-                self.tracer.annotate(span_id, now, "journal.torn-tail",
-                                     error=replay["tail_error"],
-                                     bytes_dropped=replay["tail_bytes_dropped"])
+                self.tracer.event(now, "journal.torn-tail", span_id,
+                                  error=replay["tail_error"],
+                                  bytes_dropped=replay["tail_bytes_dropped"])
             self.tracer.end(span_id, now + cost, **{
                 k: v for k, v in report.items() if k != "replay_cost_s"})
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("store.recovery.runs").inc()
-            self.metrics.counter("store.recovery.keys").inc(recovered)
-            self.metrics.counter("store.recovery.batches").inc(
-                replay["batches"])
-            if replay["tail_error"]:
-                self.metrics.counter("store.recovery.torn_tails").inc()
+        self.metrics.incr("store.recovery.runs")
+        self.metrics.incr("store.recovery.keys", recovered)
+        self.metrics.incr("store.recovery.batches", replay["batches"])
+        if replay["tail_error"]:
+            self.metrics.incr("store.recovery.torn_tails")
         return report
 
     # ------------------------------------------------------------------

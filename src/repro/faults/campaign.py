@@ -144,7 +144,7 @@ class CampaignReport:
 
     def signature(self, *kinds: str):
         """Hashable trace signature for replay-determinism assertions."""
-        return self.env.cluster.trace.signature(*kinds)
+        return self.env.cluster.tracer.signature(*kinds)
 
     # -- recovery invariants (the lease-recovery campaign's verdict) -------
 

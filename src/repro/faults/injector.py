@@ -26,6 +26,7 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreCorruptionError, StoreReadError, StoreWriteError
+from ..observe.tracer import FAULT_INJECTED
 from .plan import (
     CORRUPT_CHUNK,
     CORRUPT_FRAME,
@@ -122,15 +123,12 @@ class FaultInjector:
         self.injected[action] = self.injected.get(action, 0) + 1
         if self.env is not None:
             cluster = self.env.cluster
-            cluster.trace.record(cluster.kernel.now, "fault.injected",
-                                 action=action, **detail)
-            cluster.counters.incr("fault.injected")
-            cluster.counters.incr(f"fault.injected.{action}")
-            if span and cluster.tracer.enabled:
-                # faults become annotations on the span they hit, so a
+            cluster.metrics.incr(FAULT_INJECTED)
+            if cluster.tracer.enabled:
+                # the event lands on the span the fault hit, so a
                 # rendered task tree shows exactly where chaos struck
-                cluster.tracer.annotate(span, cluster.kernel.now,
-                                        f"fault.{action}", **detail)
+                cluster.tracer.event(cluster.kernel.now, FAULT_INJECTED,
+                                     span, action=action, **detail)
 
     def total_injected(self) -> int:
         return sum(self.injected.values())

@@ -61,9 +61,8 @@ class HistoryLog:
     #: retry it, so the append must absorb transient faults itself)
     WRITE_ATTEMPTS = 3
 
-    def __init__(self, store, metrics=None):
+    def __init__(self, store):
         self.store = store
-        self.metrics = metrics
         #: optional FaultInjector (set by ``FaultInjector.install``):
         #: consulted before every batch write for HistoryFault damage
         self.injector = None
@@ -112,15 +111,10 @@ class HistoryLog:
                 break
             except StoreError:
                 self.write_retries += 1
-                if self.metrics is not None and self.metrics.enabled:
-                    self.metrics.counter("history.write_retries").inc()
                 if attempt == self.WRITE_ATTEMPTS - 1:
                     raise
         self.batches_written += 1
         self.bytes_written += len(blob)
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("history.batches").inc()
-            self.metrics.counter("history.bytes").inc(len(blob))
 
     # -- read side ------------------------------------------------------
 

@@ -131,7 +131,6 @@ class HistoryRecorder:
             self.histories.setdefault(task_id, []).append(event)
             by_task.setdefault(task_id, []).append(event)
         registry = self.env.registry
-        metrics = self.env.cluster.metrics
         for task_id, events in by_task.items():
             task = registry.tasks.get(task_id)
             workflow = self.env.workflows.get(task.workflow) \
@@ -139,8 +138,6 @@ class HistoryRecorder:
             if workflow is None:  # pragma: no cover - task swept mid-commit
                 continue
             self.log.append_batch(task_id, events, workflow.codec)
-            if metrics.enabled:
-                metrics.counter("history.events").inc(len(events))
 
     # -- introspection --------------------------------------------------
 

@@ -511,9 +511,8 @@ class ReplayEngine:
             raise ReplayError(
                 f"rebuild of {fiber.id} reached {kind} before version "
                 f"{target_version}")
-        if metrics.enabled:
-            metrics.counter("history.rebuilds").inc()
-            metrics.counter("history.rebuild_instructions").inc(instructions)
+        metrics.incr("history.rebuilds")
+        metrics.incr("history.rebuild_instructions", instructions)
         return value, instructions
 
     # -- verification: replay a whole task -------------------------------
@@ -554,12 +553,10 @@ class ReplayEngine:
                                   report=report)
                 report.fibers_replayed += 1
         except ReplayDivergenceError:
-            if metrics.enabled:
-                metrics.counter("history.divergences").inc()
+            metrics.incr("history.divergences")
             raise
         finally:
             if span:
                 tracer.end(span, end=self.env.cluster.kernel.now)
-            if metrics.enabled:
-                metrics.counter("history.replays").inc()
+            metrics.incr("history.replays")
         return report

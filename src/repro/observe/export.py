@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from .spans import SpanTracer
+from .tracer import Tracer
 
 #: virtual seconds -> trace_event microseconds
 _US = 1e6
@@ -28,8 +28,9 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def chrome_trace_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
-    """Every span (and annotation) as a ``trace_event`` record."""
+def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
+    """Every span (and the events inside it) as a ``trace_event``
+    record."""
     events: List[Dict[str, Any]] = []
     pids: Dict[str, int] = {}
     tids: Dict[str, int] = {}
@@ -87,13 +88,13 @@ def chrome_trace_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
     return events
 
 
-def chrome_trace(tracer: SpanTracer) -> Dict[str, Any]:
+def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
     """The full Perfetto-loadable document."""
     return {"traceEvents": chrome_trace_events(tracer),
             "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer: SpanTracer, path: str) -> str:
+def write_chrome_trace(tracer: Tracer, path: str) -> str:
     """Serialize to ``path``; returns the path for convenience."""
     with open(path, "w") as fh:
         json.dump(chrome_trace(tracer), fh, indent=1)
@@ -111,17 +112,17 @@ def span_tree_from_events(events: List[Dict[str, Any]]) -> Dict[int, int]:
 
 def json_report(env) -> Dict[str, Any]:
     """The plain-JSON observability report for a VinzEnvironment:
-    metrics snapshot (with percentiles), span summary, trace-log health
+    metrics snapshot (counters, percentiles), span summary, event count
     and cache hit rates — everything the harness needs to publish."""
     cluster = env.cluster
     return {
         "virtual_time": cluster.kernel.now,
         "metrics": cluster.metrics.snapshot(),
         "spans": cluster.tracer.summary(),
-        "trace_log": cluster.trace.snapshot(),
+        "trace_log": {"events": len(cluster.tracer.events)},
         "cache_hit_rates": env.cache_hit_rates(),
-        "counters": env.counters.snapshot(),
         "store": env.store.stats_snapshot(),
+        "snapshots": env.snapshot_stats(),
         "history": (env.history.summary()
                     if getattr(env, "history", None) is not None else None),
     }

@@ -1,8 +1,10 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters, levels, gauges, fixed-bucket
+histograms.
 
-The platform observes a standard set on every run (cheap enough to
-leave always-on; ``enabled=False`` turns the whole registry into
-no-ops for pure-speed benchmarks):
+Counters, sums and concurrency levels always count — they are what
+``VinzEnvironment.summary()`` and the benchmarks report.  Histograms
+and gauges are the detailed set; ``enabled=False`` turns them into
+no-ops for pure-speed runs:
 
 * ``queue.wait`` — seconds a message spent queued before delivery;
 * ``fiber.resume_latency`` — queue wait of the message that resumed a
@@ -15,9 +17,9 @@ Histograms are fixed-bucket: ``observe`` is a bisect plus two adds, and
 bucket — no per-sample storage, so a million-message run costs a few
 hundred bytes per histogram.
 
-All mutation is lock-guarded, so counters stay exact when the cluster
-runs in real-threaded mode (see also
-:class:`repro.bluebox.monitoring.Counters`).
+All mutation is lock-guarded: the read-modify-write on a plain dict
+races in real-threaded cluster mode, and fault-campaign summary
+counters must be exact, not approximately right.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ def exponential_buckets(start: float, factor: float,
 DEFAULT_TIME_BUCKETS = exponential_buckets(1e-5, 2.0, 24)
 #: default size buckets: 16 bytes .. 8 MiB
 DEFAULT_SIZE_BUCKETS = exponential_buckets(16, 2.0, 20)
-
-
-class Counter:
-    """A monotonically increasing counter."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str, lock: threading.Lock):
-        self.name = name
-        self.value = 0
-        self._lock = lock
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self.value += amount
 
 
 class Gauge:
@@ -157,13 +144,46 @@ class Histogram:
         }
 
 
+class Level:
+    """A time-weighted level (tasks or fibers in flight): peak and mean.
+
+    The mean is taken over the elapsed time since the *first sample*,
+    not since absolute t=0 — a clock that doesn't start at zero
+    (``VirtualClock(start=...)``, real-clock mode) must not dilute the
+    average.
+    """
+
+    __slots__ = ("name", "level", "peak", "_start", "_last_time", "_area")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.level = 0
+        self.peak = 0
+        self._start: Optional[float] = None
+        self._last_time = 0.0
+        self._area = 0.0
+
+    def change(self, now: float, delta: int) -> None:
+        if self._start is None:
+            self._start = now
+            self._last_time = now
+        self._area += self.level * (now - self._last_time)
+        self._last_time = now
+        self.level += delta
+        self.peak = max(self.peak, self.level)
+
+    def mean_until(self, now: float) -> float:
+        if self._start is None:
+            return 0.0
+        area = self._area + self.level * (now - self._last_time)
+        elapsed = now - self._start
+        return area / elapsed if elapsed > 0 else 0.0
+
+
 class _Noop:
-    """Shared do-nothing instrument for a disabled registry."""
+    """Shared do-nothing gauge/histogram for a disabled registry."""
 
     __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
 
     def set(self, value: float) -> None:
         pass
@@ -179,28 +199,47 @@ _NOOP = _Noop()
 
 
 class MetricsRegistry:
-    """Named instruments, created on first use.
+    """Named instruments, created on first use; one per cluster.
 
-    One registry per cluster; a disabled registry hands out a shared
-    no-op instrument so call sites need no guards of their own.
+    ``enabled`` gates gauges and histograms only (a disabled registry
+    hands out a shared no-op instrument); counters, sums and levels
+    always count.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
+        self._counts: Dict[str, int] = {}
+        self._sums: Dict[str, float] = {}
+        self._levels: Dict[str, Level] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
-        counter = self._counters.get(name)
-        if counter is None:
-            with self._lock:
-                counter = self._counters.setdefault(
-                    name, Counter(name, self._lock))
-        return counter
+    # -- always on ----------------------------------------------------------
+
+    def incr(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + amount
+
+    def add(self, name: str, amount: float) -> None:
+        with self._lock:
+            self._sums[name] = self._sums.get(name, 0.0) + amount
+
+    def get(self, name: str) -> int:
+        return self._counts.get(name, 0)
+
+    def get_sum(self, name: str) -> float:
+        return self._sums.get(name, 0.0)
+
+    def mean(self, sum_name: str, count_name: str) -> float:
+        n = self._counts.get(count_name, 0)
+        return self._sums.get(sum_name, 0.0) / n if n else 0.0
+
+    def level(self, name: str) -> Level:
+        with self._lock:
+            return self._levels.setdefault(name, Level(name))
+
+    # -- behind ``enabled`` -------------------------------------------------
 
     def gauge(self, name: str) -> Gauge:
         if not self.enabled:
@@ -227,8 +266,14 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """A plain-data dump of every instrument (the JSON report)."""
+        with self._lock:
+            counters = dict(sorted(self._counts.items()))
+            sums = dict(sorted(self._sums.items()))
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": counters,
+            "sums": sums,
+            "levels": {n: {"level": lv.level, "peak": lv.peak}
+                       for n, lv in sorted(self._levels.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {n: h.snapshot()
                            for n, h in sorted(self._histograms.items())},

@@ -1,8 +1,20 @@
-"""Causal spans: the tree-shaped upgrade of the flat TraceLog.
+"""The tracer: one ordered event stream plus the causal span tree.
 
-A :class:`Span` is a named interval of virtual (or real) time with a
-parent link; a :class:`SpanTracer` owns them.  The span kinds the
-platform emits, and how they nest for one task:
+"The underlying BlueBox platform provides monitoring and management
+features" (paper Section 1), and the paper's Figure 1 *is* a trace.
+The :class:`Tracer` is the one place the platform writes what happened:
+
+* a flat, ordered stream of :class:`Event` records — every queue,
+  instance, fiber, persistence, fault and recovery event with its
+  virtual timestamp (the Figure-1 format, and the stream replay
+  assertions fingerprint with :meth:`Tracer.signature`);
+* a tree of :class:`Span` intervals with parent links.
+
+:meth:`Tracer.event` is the single write for an observed fact: it
+appends the flat event and attaches the same record to the span it
+happened in, so a rendered task tree shows where chaos struck.
+
+The span kinds the platform emits, and how they nest for one task:
 
 .. code-block:: text
 
@@ -25,16 +37,47 @@ queue-hop span whose parent is the message's **original** hop span
 (``retry_of`` attribute), so retries stay attached to the lifetime they
 belong to instead of dangling.
 
-Zero-cost-when-disabled contract: when ``enabled`` is False,
-:meth:`SpanTracer.begin` returns 0 without allocating a Span, and every
-call site in the platform guards on the single ``enabled`` flag before
-building keyword arguments.  ``spans_created`` stays 0 for a disabled
-run — tests assert exactly that.
+Zero-cost-when-disabled contract: every call site in the platform
+guards on the single ``enabled`` flag before building keyword
+arguments; a tracer with nothing switched on records no event and
+allocates no span (``begin`` returns 0).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+#: Fault-injection / robustness event kinds (written by the cluster
+#: and the FaultInjector).  Every injected fault and every recovery
+#: decision is observable in the trace:
+#:
+#: * ``fault.injected`` — the injector fired (action=drop/duplicate/
+#:   delay/fail-write/fail-read/corrupt-read/crash/crash-on-persist);
+#: * ``retry.scheduled`` — a failed delivery was re-scheduled with its
+#:   backoff delay and attempt number;
+#: * ``deadletter.enqueued`` — a message exhausted its RetryPolicy and
+#:   moved to the dead-letter queue;
+#: * ``operation-fault`` — an operation aborted mid-window (store
+#:   fault) and its state was rolled back.
+FAULT_INJECTED = "fault.injected"
+RETRY_SCHEDULED = "retry.scheduled"
+DEADLETTER_ENQUEUED = "deadletter.enqueued"
+OPERATION_FAULT = "operation-fault"
+
+FAULT_EVENT_KINDS = (FAULT_INJECTED, RETRY_SCHEDULED, DEADLETTER_ENQUEUED,
+                     OPERATION_FAULT)
+
+
+class Event(NamedTuple):
+    """One timestamped fact: ``(time, kind, detail)``."""
+
+    time: float
+    kind: str
+    detail: Dict[str, Any]
+
+    def __repr__(self) -> str:
+        bits = " ".join(f"{k}={v}" for k, v in self.detail.items())
+        return f"[{self.time:10.3f}] {self.kind} {bits}"
 
 
 class Span:
@@ -52,8 +95,8 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
-        #: point-in-time marks inside the span: (time, name, attrs)
-        self.annotations: List[Tuple[float, str, Dict[str, Any]]] = []
+        #: the events that happened inside the span
+        self.annotations: List[Event] = []
 
     @property
     def duration(self) -> Optional[float]:
@@ -69,15 +112,21 @@ class Span:
                 f"[{self.start:.3f}, {end}] parent={self.parent_id}>")
 
 
-class SpanTracer:
-    """Owns every span of one simulated platform run.
+class Tracer:
+    """Owns every event and span of one simulated platform run.
 
-    Span ids are positive integers; 0 means "no span" everywhere (the
-    value hot paths carry when tracing is disabled).
+    ``events`` switches the flat stream, ``spans`` the tree (following
+    ``events`` unless set).  Span ids are positive integers; 0 means
+    "no span" everywhere (the value hot paths carry when spans are
+    off).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self, events: bool = True, spans: Optional[bool] = None):
+        self.record_events = events
+        self.record_spans = events if spans is None else spans
+        #: the one flag call sites guard on
+        self.enabled = self.record_events or self.record_spans
+        self.events: List[Event] = []
         self._spans: Dict[int, Span] = {}
         self._next_id = 1
         #: total Span objects allocated — the zero-cost guard metric
@@ -87,10 +136,24 @@ class SpanTracer:
     # recording
     # ------------------------------------------------------------------
 
+    def event(self, time: float, kind: str, span: int = 0,
+              **detail: Any) -> None:
+        """Record one fact: append it to the flat stream and attach it
+        to ``span`` (the span it happened in; 0 for none)."""
+        if not self.enabled:
+            return
+        event = Event(time, kind, detail)
+        if self.record_events:
+            self.events.append(event)
+        if span:
+            owner = self._spans.get(span)
+            if owner is not None:
+                owner.annotations.append(event)
+
     def begin(self, name: str, kind: str, start: float,
               parent_id: Optional[int] = None, **attrs: Any) -> int:
-        """Open a span; returns its id (0 when tracing is disabled)."""
-        if not self.enabled:
+        """Open a span; returns its id (0 when spans are off)."""
+        if not self.record_spans:
             return 0
         span_id = self._next_id
         self._next_id += 1
@@ -101,8 +164,6 @@ class SpanTracer:
 
     def end(self, span_id: int, end: float, **attrs: Any) -> None:
         """Close a span; extra attrs are merged in."""
-        if not self.enabled or not span_id:
-            return
         span = self._spans.get(span_id)
         if span is None:
             return
@@ -110,17 +171,35 @@ class SpanTracer:
         if attrs:
             span.attrs.update(attrs)
 
-    def annotate(self, span_id: int, time: float, name: str,
-                 **attrs: Any) -> None:
-        """Attach a point-in-time mark (e.g. an injected fault)."""
-        if not self.enabled or not span_id:
-            return
-        span = self._spans.get(span_id)
-        if span is not None:
-            span.annotations.append((time, name, attrs))
+    # ------------------------------------------------------------------
+    # querying the event stream
+    # ------------------------------------------------------------------
+
+    def of_kind(self, *kinds: str) -> List[Event]:
+        wanted = set(kinds)
+        return [e for e in self.events if e.kind in wanted]
+
+    def for_task(self, task_id: str) -> List[Event]:
+        return [e for e in self.events if e.detail.get("task") == task_id]
+
+    def signature(self, *kinds: str) -> Tuple[Tuple[Any, ...], ...]:
+        """A hashable, order-preserving fingerprint of the event
+        sequence, for bit-identical replay assertions: two runs of the
+        same seeded fault campaign must produce equal signatures.
+        Restrict to specific ``kinds`` to compare a sub-stream."""
+        events = self.events if not kinds else self.of_kind(*kinds)
+        return tuple(
+            (e.time, e.kind, tuple(sorted((k, repr(v))
+                                          for k, v in e.detail.items())))
+            for e in events)
+
+    def render(self, events: Optional[Iterable[Event]] = None) -> str:
+        """Human-readable lifetime rendering (the Figure 1 format)."""
+        return "\n".join(repr(e) for e in (events if events is not None
+                                           else self.events))
 
     # ------------------------------------------------------------------
-    # querying
+    # querying the span tree
     # ------------------------------------------------------------------
 
     def get(self, span_id: int) -> Optional[Span]:
@@ -129,7 +208,7 @@ class SpanTracer:
     def spans(self) -> List[Span]:
         return list(self._spans.values())
 
-    def of_kind(self, *kinds: str) -> List[Span]:
+    def spans_of_kind(self, *kinds: str) -> List[Span]:
         wanted = set(kinds)
         return [s for s in self._spans.values() if s.kind in wanted]
 
@@ -193,14 +272,11 @@ class SpanTracer:
         for span in self._spans.values():
             by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
         return {
-            "enabled": self.enabled,
+            "enabled": self.record_spans,
             "created": self.spans_created,
             "open": sum(1 for s in self._spans.values() if s.end is None),
             "by_kind": by_kind,
         }
-
-    def clear(self) -> None:
-        self._spans.clear()
 
     # ------------------------------------------------------------------
     # rendering (the Figure-1 tree)

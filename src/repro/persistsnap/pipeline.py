@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
+from ..observe.metrics import MetricsRegistry
 from .chunker import (DEFAULT_AVG_BITS, DEFAULT_MAX_SIZE, DEFAULT_MIN_SIZE,
                       chunk_spans)
 from .chunkstore import ChunkStore
@@ -81,7 +82,10 @@ class SnapshotPipeline:
         self.codec = codec
         self.store = store
         self.chunks = ChunkStore.for_store(store)
-        self.metrics = metrics
+        #: where the ``snap.*`` gauges go (counts live in the stats
+        #: below and reach reports through :meth:`stats_snapshot`)
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry(enabled=False)
         self.min_size = min_size
         self.avg_bits = avg_bits
         self.max_size = max_size
@@ -185,8 +189,7 @@ class SnapshotPipeline:
         self.written_bytes += written + len(blob)
         self.chunks_new_total += chunks_new
         self.chunks_reused_total += chunks_reused
-        self._publish_encode_metrics(written + len(blob), chunks_new,
-                                     chunks_reused)
+        self._publish_gauges()
         return SnapshotWrite(blob=blob, manifest=manifest, raw_len=len(raw),
                              chunk_bytes_written=written,
                              chunks_new=chunks_new,
@@ -275,8 +278,6 @@ class SnapshotPipeline:
                 "reassembled state does not match the manifest's "
                 "whole-state digest", fiber_id=fiber_id)
         self.decodes += 1
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("snap.restores").inc()
         return raw, cost
 
     def load(self, blob: bytes, fiber_id: Optional[str] = None):
@@ -313,22 +314,15 @@ class SnapshotPipeline:
                     self.chunks.release(hexd)
                 except StoreError:
                     self.release_skipped += 1
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.gauge("snap.chunkstore_bytes").set(
-                self.chunks.bytes_stored)
+        self._publish_gauges()
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
 
-    def _publish_encode_metrics(self, written: int, new: int,
-                                reused: int) -> None:
-        if self.metrics is None or not self.metrics.enabled:
+    def _publish_gauges(self) -> None:
+        if not self.metrics.enabled:
             return
-        self.metrics.counter("snap.encodes").inc()
-        self.metrics.counter("snap.bytes_written").inc(written)
-        self.metrics.counter("snap.chunks_new").inc(new)
-        self.metrics.counter("snap.chunks_reused").inc(reused)
         self.metrics.gauge("snap.chunkstore_bytes").set(
             self.chunks.bytes_stored)
         if self.written_bytes:

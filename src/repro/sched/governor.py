@@ -106,9 +106,8 @@ class SpawnGovernor:
         return queue.wait_count(), queue.wait_sum()
 
     def _op_totals(self) -> Tuple[int, float]:
-        counters = self.cluster.counters
         processed = sum(n.processed for n in self.cluster.nodes.values())
-        return processed, counters.get_sum("busy_time")
+        return processed, self.cluster.metrics.get_sum("busy_time")
 
     # -- the control loop ----------------------------------------------------
 
@@ -187,18 +186,16 @@ class SpawnGovernor:
 
     def _publish_gauge(self) -> None:
         metrics = self.cluster.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics.enabled:
             metrics.gauge("sched.spawn_limit").set(self.limit)
 
     def _record(self, now: float, old: int, new: int, reason: str,
                 **signals: Any) -> None:
         self._publish_gauge()
-        metrics = self.cluster.metrics
-        if metrics is not None and metrics.enabled:
-            direction = "increase" if new > old else "decrease"
-            metrics.counter(f"sched.governor.{direction}").inc()
+        direction = "increase" if new > old else "decrease"
+        self.cluster.metrics.incr(f"sched.governor.{direction}")
         tracer = self.cluster.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer.enabled:
             span = tracer.begin(
                 f"sched:governor:{reason}", kind="sched", start=now,
                 old_limit=old, new_limit=new,

@@ -16,7 +16,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..bluebox.cluster import Cluster
 from ..bluebox.locks import (
@@ -24,9 +24,7 @@ from ..bluebox.locks import (
     FileLockManager,
     LockManager,
 )
-from ..bluebox.monitoring import ConcurrencySampler, Counters
 from ..bluebox.store import SharedStore
-from ..gvm.futures import FutureExecutor, SynchronousFutureExecutor
 from ..sched.governor import GovernorConfig, SpawnGovernor
 from .service import WorkflowService
 from .task import COMPLETED, ProcessRegistry, TaskRecord
@@ -55,7 +53,6 @@ class VinzEnvironment:
                  store: Optional[SharedStore] = None,
                  locks: str = "coordinator",
                  lock_quirk_delay: float = 0.0,
-                 taskvar_lock_overhead: float = 0.002,
                  trace: bool = True,
                  spans: Optional[bool] = None,
                  placement: str = "balanced",
@@ -64,12 +61,9 @@ class VinzEnvironment:
                  admission: Any = None,
                  governor: Optional[GovernorConfig] = None,
                  lease_ttl: float = 2.0,
-                 lease_heartbeat: Optional[float] = None,
-                 recovery_interval: Optional[float] = None,
                  history: str = "off",
                  snapshot_interval: int = 1,
-                 recovery: str = "snapshot",
-                 future_executor_factory: Optional[Callable[[], FutureExecutor]] = None):
+                 recovery: str = "snapshot"):
         #: ``scheduler`` picks the queue's message-ordering policy
         #: (None/"strict" = the paper's priority heap, "fair" = deficit
         #: round-robin with priority aging); ``admission`` switches on
@@ -89,7 +83,7 @@ class VinzEnvironment:
         if hasattr(self.store, "begin_window"):
             # a window-capable durable store (repro.durastore): the
             # cluster drives its group-commit lifecycle, and recovery
-            # gets spans/metrics/virtual-time wiring
+            # gets tracer/metrics/virtual-time wiring
             self.cluster.durable_store = self.store
             self.store.tracer = self.cluster.tracer
             self.store.metrics = self.cluster.metrics
@@ -119,8 +113,7 @@ class VinzEnvironment:
         #: (locks are held until released — the pre-lease behaviour)
         self.locks.configure_leases(
             ttl=lease_ttl,
-            clock_now=lambda: self.cluster.kernel.now,
-            heartbeat_interval=lease_heartbeat)
+            clock_now=lambda: self.cluster.kernel.now)
         #: the cluster fences commits and heartbeats in-flight windows
         self.cluster.lock_manager = self.locks
         #: every lease expiry/steal aborts the zombie's window *before*
@@ -129,12 +122,11 @@ class VinzEnvironment:
         self.locks.lease_breaker = self.cluster.break_window_for
         from .recovery import RecoveryScanner
         #: detects lapsed leases / dead owners and re-awakens orphans
-        self.recovery = RecoveryScanner(self, interval=recovery_interval)
+        self.recovery = RecoveryScanner(self)
         #: committed advancement windows ``(fiber_id, message_id,
         #: start, end)`` — the raw material of the single-runner audit
         self.runner_audit: List[tuple] = []
         self.registry = ProcessRegistry()
-        self.counters = Counters()
         # ------- event-sourced task history (docs/history_replay.md) --
         if history not in ("off", "on"):
             raise ValueError(f"unknown history mode {history!r}")
@@ -155,8 +147,7 @@ class VinzEnvironment:
         self.replayer = None
         if history == "on":
             from ..history import HistoryLog, HistoryRecorder, ReplayEngine
-            self.history_log = HistoryLog(self.store,
-                                          metrics=self.cluster.metrics)
+            self.history_log = HistoryLog(self.store)
             self.history = HistoryRecorder(self, self.history_log)
             self.replayer = ReplayEngine(self)
         if placement not in ("balanced", "affinity"):
@@ -187,24 +178,24 @@ class VinzEnvironment:
         #: slack (seconds) mapped linearly onto the priority range:
         #: slack <= 0 -> most urgent; slack >= edf_horizon -> normal
         self.edf_horizon = 60.0
-        self.taskvar_lock_overhead = taskvar_lock_overhead
-        #: deterministic futures by default: right for the simulation
-        self.future_executor_factory = (future_executor_factory
-                                        or SynchronousFutureExecutor)
         self.workflows: Dict[str, WorkflowService] = {}
         # concurrency profiling for the production bench
-        self.task_concurrency = ConcurrencySampler()
-        self.fiber_concurrency = ConcurrencySampler()
+        self.task_concurrency = self.metrics.level("tasks.in_flight")
+        self.fiber_concurrency = self.metrics.level("fibers.in_flight")
 
     @property
     def tracer(self):
-        """The cluster's causal span tracer (repro.observe)."""
+        """The cluster's tracer: event stream + span tree
+        (repro.observe)."""
         return self.cluster.tracer
 
     @property
     def metrics(self):
         """The cluster's metrics registry (repro.observe)."""
         return self.cluster.metrics
+
+    #: the platform's counters are the registry's always-on counters
+    counters = metrics
 
     # ------------------------------------------------------------------
     # deployment
@@ -337,7 +328,7 @@ class VinzEnvironment:
             alpha = self.migration_ewma_alpha
             self.service_latency[soap_action] = \
                 alpha * seconds + (1 - alpha) * previous
-        self.counters.incr("migration.observations")
+        self.metrics.incr("migration.observations")
 
     def should_migrate(self, soap_action: str) -> bool:
         """Should a request to ``soap_action`` migrate the fiber?
@@ -355,7 +346,7 @@ class VinzEnvironment:
         if expected is None:
             return True  # explore: measure it the expensive-safe way
         migrate = expected >= self.migration_threshold
-        self.counters.incr("migration.decisions."
+        self.metrics.incr("migration.decisions."
                            + ("async" if migrate else "sync"))
         return migrate
 
@@ -414,25 +405,25 @@ class VinzEnvironment:
     def monitor_task_started(self, task: TaskRecord, now: float) -> None:
         self.task_concurrency.change(now, +1)
         self.fiber_concurrency.change(now, +1)  # the initial fiber
-        self.counters.incr("tasks.started")
-        self.counters.incr("fibers.started")
+        self.metrics.incr("tasks.started")
+        self.metrics.incr("fibers.started")
 
     def monitor_task_finished(self, task: TaskRecord, now: float) -> None:
         self.task_concurrency.change(now, -1)
-        self.counters.incr(f"tasks.{task.status}")
+        self.metrics.incr(f"tasks.{task.status}")
         if task.duration is not None:
-            self.counters.add("tasks.total_duration", task.duration)
+            self.metrics.add("tasks.total_duration", task.duration)
         if task.span_id:
             self.cluster.tracer.end(task.span_id, end=now,
                                     status=task.status)
 
     def monitor_fiber_started(self, fiber, now: float) -> None:
         self.fiber_concurrency.change(now, +1)
-        self.counters.incr("fibers.started")
+        self.metrics.incr("fibers.started")
 
     def monitor_fiber_finished(self, fiber, now: float) -> None:
         self.fiber_concurrency.change(now, -1)
-        self.counters.incr(f"fibers.{fiber.status}")
+        self.metrics.incr(f"fibers.{fiber.status}")
         if fiber.span_id:
             self.cluster.tracer.end(fiber.span_id, end=now,
                                     status=fiber.status)
@@ -442,11 +433,11 @@ class VinzEnvironment:
         operation window discarded the freshly created task."""
         self.task_concurrency.change(now, -1)
         self.fiber_concurrency.change(now, -1)  # the initial fiber
-        self.counters.incr("tasks.discarded")
+        self.metrics.incr("tasks.discarded")
 
     def monitor_fiber_discarded(self, fiber, now: float) -> None:
         self.fiber_concurrency.change(now, -1)
-        self.counters.incr("fibers.discarded")
+        self.metrics.incr("fibers.discarded")
 
     # ------------------------------------------------------------------
     # metrics summary
@@ -457,8 +448,8 @@ class VinzEnvironment:
         (the paper's Section 4.2 measurement)."""
         out = {}
         for kind in ("mutable", "immutable"):
-            hits = self.counters.get(f"cache.{kind}.hit")
-            misses = self.counters.get(f"cache.{kind}.miss")
+            hits = self.metrics.get(f"cache.{kind}.hit")
+            misses = self.metrics.get(f"cache.{kind}.miss")
             total = hits + misses
             out[kind] = hits / total if total else 0.0
         return out
@@ -480,8 +471,8 @@ class VinzEnvironment:
         written = stats.get("written_bytes", 0)
         stats["dedup_ratio"] = (round(stats.get("raw_bytes", 0) / written, 3)
                                 if written else 1.0)
-        hits = self.counters.get("cache.digest.hit")
-        misses = self.counters.get("cache.digest.miss")
+        hits = self.metrics.get("cache.digest.hit")
+        misses = self.metrics.get("cache.digest.miss")
         total = hits + misses
         stats["digest_cache_hit_rate"] = hits / total if total else 0.0
         return stats
@@ -501,9 +492,9 @@ class VinzEnvironment:
             },
             "store": self.store.stats_snapshot(),
             "faults": {
-                "injected": self.cluster.counters.get("fault.injected"),
-                "retries_scheduled": self.cluster.counters.get("retry.scheduled"),
-                "operation_faults": self.cluster.counters.get("operation.faults"),
+                "injected": self.metrics.get("fault.injected"),
+                "retries_scheduled": self.metrics.get("retry.scheduled"),
+                "operation_faults": self.metrics.get("operation.faults"),
             },
             "sched": {
                 "policy": self.cluster.queue.policy.name,
@@ -524,12 +515,12 @@ class VinzEnvironment:
             "utilization": self.cluster.utilization(),
             "peak_task_concurrency": self.task_concurrency.peak,
             "peak_fiber_concurrency": self.fiber_concurrency.peak,
-            "trace": self.cluster.trace.snapshot(),
+            "trace": {"events": len(self.cluster.tracer.events)},
             "spans": self.cluster.tracer.summary(),
         }
 
     def observability_report(self) -> Dict[str, Any]:
-        """The plain-JSON observability report: metrics percentiles,
-        span summary, trace-log health, cache hit rates."""
+        """The plain-JSON observability report: counters and metrics
+        percentiles, span summary, event count, cache hit rates."""
         from ..observe.export import json_report
         return json_report(self)

@@ -34,6 +34,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
+from ..observe.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..lang.bytecode import CodeObject
 
 MAGIC = b"GZR1"
@@ -232,9 +233,9 @@ class FiberCodec:
         self.decoded = 0
         self.raw_bytes = 0
         self.stored_bytes = 0
-        #: optional MetricsRegistry (repro.observe) for blob-size
-        #: histograms; set by the owning WorkflowService
-        self.metrics = None
+        #: where blob-size histograms go; the owning WorkflowService
+        #: points this at the cluster's registry
+        self.metrics = MetricsRegistry(enabled=False)
 
     # -- encode ---------------------------------------------------------
 
@@ -252,8 +253,7 @@ class FiberCodec:
         self.raw_bytes += len(raw)
         blob = MAGIC + self.NAMES[self.codec] + payload
         self.stored_bytes += len(blob)
-        if self.metrics is not None and self.metrics.enabled:
-            from ..observe.metrics import DEFAULT_SIZE_BUCKETS
+        if self.metrics.enabled:
             self.metrics.histogram(
                 "codec.encode_bytes",
                 buckets=DEFAULT_SIZE_BUCKETS).observe(len(blob))
@@ -295,8 +295,7 @@ class FiberCodec:
         state = self.deserialize_state(raw, fiber_id=fiber_id,
                                        codec_name=codec_name)
         self.decoded += 1
-        if self.metrics is not None and self.metrics.enabled:
-            from ..observe.metrics import DEFAULT_SIZE_BUCKETS
+        if self.metrics.enabled:
             self.metrics.histogram(
                 "codec.decode_bytes",
                 buckets=DEFAULT_SIZE_BUCKETS).observe(len(blob))

@@ -46,20 +46,18 @@ class RecoveryScanner:
     — the scanner never keeps the simulation alive on its own.
     """
 
-    def __init__(self, vinz, interval: Optional[float] = None):
+    def __init__(self, vinz):
         self.vinz = vinz
         self.locks = vinz.locks
-        ttl = self.locks.lease_ttl
-        #: scan cadence while leases are outstanding; default half the
-        #: TTL, so recovery latency is bounded by ``ttl + interval``
-        self.interval = interval if interval is not None else \
-            (ttl / 2.0 if ttl > 0 else 0.0)
+        #: scan cadence while leases are outstanding: half the TTL, so
+        #: recovery latency is bounded by ``ttl + interval`` (0 = leases
+        #: never lapse, nothing to scan for)
+        self.interval = self.locks.lease_ttl / 2.0
         self.locks.lease_listener = self._on_lease_granted
         self._armed = False
-        # statistics
+        # statistics (expiries and re-awakens are registry counters:
+        # ``recovery.locks_expired`` / ``recovery.reawakened``)
         self.scans = 0
-        self.locks_expired = 0
-        self.fibers_reawakened = 0
         self.reawakens_skipped = 0
         self.max_recovery_latency = 0.0
         self.total_recovery_latency = 0.0
@@ -119,21 +117,21 @@ class RecoveryScanner:
             evicted = self.locks.expire_lock(lease.key, reason=reason)
             if evicted is None:
                 continue
-            self.locks_expired += 1
             latency = now - lease.renewed_at
             self.max_recovery_latency = max(self.max_recovery_latency,
                                             latency)
             self.total_recovery_latency += latency
-            self.vinz.counters.incr("recovery.locks-expired")
-            self.vinz.metrics.counter("recovery.locks_expired").inc()
-            self.vinz.metrics.histogram("recovery.latency").observe(latency)
-            cluster.trace.record(now, "lease-expired", key=lease.key,
-                                 owner=evicted, reason=reason)
+            metrics = self.vinz.metrics
+            metrics.incr("recovery.locks_expired")
+            if metrics.enabled:
+                metrics.histogram("recovery.latency").observe(latency)
             tracer = cluster.tracer
             if tracer.enabled:
                 span = tracer.begin("recovery.expire", kind="recovery",
                                     start=lease.renewed_at, key=lease.key,
                                     owner=evicted, reason=reason)
+                tracer.event(now, "lease-expired", span, key=lease.key,
+                             owner=evicted, reason=reason)
                 tracer.end(span, end=now)
             if lease.key.startswith("fiber/"):
                 self._reawaken(lease.key[len("fiber/"):], reason)
@@ -157,11 +155,11 @@ class RecoveryScanner:
         cluster.queue.push_back(message, now=cluster.kernel.now)
         cluster.kernel.schedule(cluster.delivery_latency,
                                 lambda s=message.service: cluster._kick(s))
-        self.fibers_reawakened += 1
-        self.vinz.counters.incr("recovery.reawakened")
-        self.vinz.metrics.counter("recovery.reawakened").inc()
-        cluster.trace.record(cluster.kernel.now, "fiber-reawakened",
-                             fiber=fiber_id, msg=message.id, reason=reason)
+        self.vinz.metrics.incr("recovery.reawakened")
+        if cluster.tracer.enabled:
+            cluster.tracer.event(cluster.kernel.now, "fiber-reawakened",
+                                 message.span_id, fiber=fiber_id,
+                                 msg=message.id, reason=reason)
 
     # ------------------------------------------------------------------
     # reporting
@@ -171,8 +169,8 @@ class RecoveryScanner:
         return {
             "interval": self.interval,
             "scans": self.scans,
-            "locks_expired": self.locks_expired,
-            "fibers_reawakened": self.fibers_reawakened,
+            "locks_expired": self.vinz.metrics.get("recovery.locks_expired"),
+            "fibers_reawakened": self.vinz.metrics.get("recovery.reawakened"),
             "reawakens_skipped": self.reawakens_skipped,
             "max_recovery_latency": self.max_recovery_latency,
             "total_recovery_latency": self.total_recovery_latency,

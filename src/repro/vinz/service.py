@@ -75,6 +75,14 @@ _S = Symbol
 #: histogram buckets for per-advancement GVM instruction counts
 INSTRUCTION_BUCKETS = exponential_buckets(1, 2.0, 24)
 
+#: re-delivery delay of an AwakeFiber that gave up waiting for the
+#: fiber's lock and put itself back on the queue (Section 5)
+REQUEUE_DELAY = 0.02
+
+#: seconds a task-variable write pays for its lock round trip, on top
+#: of the store write
+TASKVAR_LOCK_OVERHEAD = 0.002
+
 
 class WorkflowService(Service):
     """One Gozer workflow program deployed as a BlueBox service.
@@ -102,7 +110,6 @@ class WorkflowService(Service):
                  main: str = "main",
                  spawn_limit: Any = 4,
                  awake_patience: float = 0.02,
-                 requeue_delay: float = 0.02,
                  instruction_cost: float = 2e-6,
                  codec: str = "custom",
                  cache: bool = True,
@@ -116,7 +123,6 @@ class WorkflowService(Service):
         self.main_name = main
         self.default_spawn_limit = spawn_limit
         self.awake_patience = awake_patience
-        self.requeue_delay = requeue_delay
         self.instruction_cost = instruction_cost
         self.cache_enabled = cache
         self.cache_capacity = cache_capacity
@@ -124,8 +130,7 @@ class WorkflowService(Service):
         self.auto_chunk_target = auto_chunk_target
         self.codec = FiberCodec(codec)
         # blob-size histograms flow into the cluster's metrics registry
-        self.codec.metrics = getattr(
-            getattr(vinz_env, "cluster", None), "metrics", None)
+        self.codec.metrics = vinz_env.metrics
         if snapshots not in ("v1", "v2"):
             raise ValueError(f"unknown snapshot format {snapshots!r}")
         self.snapshot_format = snapshots
@@ -142,7 +147,7 @@ class WorkflowService(Service):
             from ..persistsnap import SnapshotPipeline
 
             self.snapper = SnapshotPipeline(
-                self.codec, vinz_env.store, metrics=self.codec.metrics)
+                self.codec, vinz_env.store, metrics=vinz_env.metrics)
         self.runtime: Optional[Runtime] = None
         self.task_var_defaults: Dict[str, Any] = {}
         self.task_var_docs: Dict[str, str] = {}
@@ -166,7 +171,8 @@ class WorkflowService(Service):
         # (sleep n) outside a fiber advances simulated time, never the
         # host's, and (get-universal-time) reads virtual time
         self.runtime = Runtime(
-            executor=self.vinz.future_executor_factory(),
+            # deterministic futures: right for the simulation
+            executor=SynchronousFutureExecutor(),
             clock=VirtualClock(
                 now_fn=lambda: self.vinz.cluster.kernel.now))
         # a scoped gensym counter makes compilation deterministic: the
@@ -257,8 +263,9 @@ class WorkflowService(Service):
             if existing is not None:
                 # duplicate delivery of the same creation message:
                 # idempotently return the task it already created
-                ctx.trace("task-start-duplicate", task=existing.id,
-                          msg=msg_id)
+                if ctx.tracing:
+                    ctx.trace("task-start-duplicate", task=existing.id,
+                              msg=msg_id)
                 return existing
         task = registry.new_task(self.name, params, ctx.now)
         task.deadline = deadline
@@ -305,7 +312,8 @@ class WorkflowService(Service):
         # immutable data: parameters + workflow identity)
         env_blob = self.codec.dumps({"workflow": self.name, "params": params})
         ctx.charge(self.vinz.store.write(self._task_env_key(task.id), env_blob))
-        ctx.trace("task-start", task=task.id, fiber=fiber.id)
+        if ctx.tracing:
+            ctx.trace("task-start", task=task.id, fiber=fiber.id)
         self.vinz.monitor_task_started(task, ctx.now)
         monitored[0] = True
         recorder = self.vinz.history
@@ -365,7 +373,8 @@ class WorkflowService(Service):
         if not task.finished:
             self._finish_task(ctx, task, TERMINATED,
                               error="terminated by management operation")
-            ctx.trace("task-terminate", task=task.id)
+            if ctx.tracing:
+                ctx.trace("task-terminate", task=task.id)
         return True
 
     def _finish_task(self, ctx: OperationContext, task: TaskRecord,
@@ -441,7 +450,7 @@ class WorkflowService(Service):
         if ctx.message.id not in fiber.seen_deliveries:
             fiber.seen_deliveries.add(ctx.message.id)
             fiber.mailbox.append(body.get("value"))
-            self.vinz.counters.incr("mailbox.delivered")
+            self.vinz.metrics.incr("mailbox.delivered")
             recorder = self.vinz.history
             if recorder is not None:
                 # audit flavour: the fiber *consumes* the value via a
@@ -472,7 +481,9 @@ class WorkflowService(Service):
             if not fiber.finished:
                 registry.finish_fiber(fiber, TERMINATED, ctx.now)
                 self.vinz.monitor_fiber_finished(fiber, ctx.now)
-            ctx.trace("fiber-skip-terminated", task=task.id, fiber=fiber.id)
+            if ctx.tracing:
+                ctx.trace("fiber-skip-terminated", task=task.id,
+                          fiber=fiber.id)
             return None
         if fiber.finished:
             return None
@@ -482,8 +493,9 @@ class WorkflowService(Service):
         # crash redeliveries still replay)
         msg_id = ctx.message.id
         if msg_id in fiber.processed_deliveries:
-            ctx.trace("fiber-skip-duplicate", task=task.id, fiber=fiber.id,
-                      msg=msg_id)
+            if ctx.tracing:
+                ctx.trace("fiber-skip-duplicate", task=task.id, fiber=fiber.id,
+                          msg=msg_id)
             return None
 
         # single-runner guarantee (Section 4.2): one node at a time.
@@ -498,8 +510,8 @@ class WorkflowService(Service):
             # hold the slot for the patience window, then give up and
             # requeue (the Section 5 burstiness behaviour)
             ctx.charge(patience)
-            self.vinz.counters.incr("awake.lock-wait")
-            return Requeue(delay=self.requeue_delay)
+            self.vinz.metrics.incr("awake.lock-wait")
+            return Requeue(delay=REQUEUE_DELAY)
         #: the message that advances a fiber is its recovery handle: if
         #: this window's node dies holding the lock, the scanner
         #: re-enqueues exactly this Message (same id), so the
@@ -590,8 +602,6 @@ class WorkflowService(Service):
             # the event replay re-delivers at this suspension point
             recorder.record(ctx, task.id, hist.resume_kind_for(waited),
                             fiber=fiber.id, value=value)
-        ctx.trace("fiber-run", task=task.id, fiber=fiber.id,
-                  resume=resume, version=fiber.version)
         charged_before = ctx.charged
         instructions_before = vm.instruction_count
         tracer = ctx.cluster.tracer
@@ -608,6 +618,8 @@ class WorkflowService(Service):
                 version=fiber.version, node=ctx.node.id)
             # sends and persistence during this advancement parent here
             ctx.span_id = run_span
+            ctx.trace("fiber-run", task=task.id, fiber=fiber.id,
+                      resume=resume, version=fiber.version)
         try:
             if not resume:
                 outcome = self._start_fresh(ctx, vm, task, fiber)
@@ -758,7 +770,8 @@ class WorkflowService(Service):
         registry.finish_fiber(fiber, COMPLETED, ctx.now, result=result)
         self._reclaim(ctx, self._state_key(fiber.id),
                       self._thunk_key(fiber.id))
-        ctx.trace("fiber-complete", task=task.id, fiber=fiber.id)
+        if ctx.tracing:
+            ctx.trace("fiber-complete", task=task.id, fiber=fiber.id)
         self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_fiber_waiters(ctx, fiber)
         if fiber.chain_group is not None:
@@ -774,7 +787,8 @@ class WorkflowService(Service):
                      affinity=self._affinity_for(parent) if parent else None)
         if fiber.parent_id is None and not task.finished:
             self._finish_task(ctx, task, COMPLETED, result=result)
-            ctx.trace("task-complete", task=task.id)
+            if ctx.tracing:
+                ctx.trace("task-complete", task=task.id)
 
     def _advance_chain(self, ctx: OperationContext, task: TaskRecord,
                        fiber: FiberRecord) -> None:
@@ -793,8 +807,9 @@ class WorkflowService(Service):
                      max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
                      parent_span=(next_record.span_id if next_record
                                   else None))
-            ctx.trace("chain-next", task=task.id, fiber=fiber.id,
-                      child=next_child)
+            if ctx.tracing:
+                ctx.trace("chain-next", task=task.id, fiber=fiber.id,
+                          child=next_child)
         group["remaining"] -= 1
         if group["remaining"] <= 0:
             parent = self.vinz.registry.fibers.get(group["parent"])
@@ -816,7 +831,8 @@ class WorkflowService(Service):
                             fiber=fiber.id, error=error)
         registry.finish_fiber(fiber, ERROR, ctx.now, error=error)
         self._reclaim(ctx, self._state_key(fiber.id))
-        ctx.trace("fiber-error", task=task.id, fiber=fiber.id, error=error)
+        if ctx.tracing:
+            ctx.trace("fiber-error", task=task.id, fiber=fiber.id, error=error)
         self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_fiber_waiters(ctx, fiber)
         if fiber.chain_group is not None:
@@ -830,7 +846,8 @@ class WorkflowService(Service):
                      affinity=self._affinity_for(parent) if parent else None)
         if terminate_task and not task.finished:
             self._finish_task(ctx, task, ERROR, error=error)
-            ctx.trace("task-error", task=task.id, error=error)
+            if ctx.tracing:
+                ctx.trace("task-error", task=task.id, error=error)
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
                          fiber: FiberRecord, outcome: Yielded) -> None:
@@ -839,8 +856,9 @@ class WorkflowService(Service):
         kind = descriptor.get("kind", "await")
         fiber.waiting_on = kind
         self._persist_continuation(ctx, cache, fiber, outcome.continuation)
-        ctx.trace("fiber-suspend", task=task.id, fiber=fiber.id, why=kind,
-                  version=fiber.version)
+        if ctx.tracing:
+            ctx.trace("fiber-suspend", task=task.id, fiber=fiber.id, why=kind,
+                      version=fiber.version)
         recorder = self.vinz.history
         if recorder is not None:
             recorder.record(
@@ -881,8 +899,9 @@ class WorkflowService(Service):
                               descriptor: Dict[str, Any]) -> None:
         service_name, operation = self.vinz.resolve_soap_action(
             descriptor["soap_action"])
-        ctx.trace("service-request", task=fiber.task_id, fiber=fiber.id,
-                  service=service_name, operation=operation)
+        if ctx.tracing:
+            ctx.trace("service-request", task=fiber.task_id, fiber=fiber.id,
+                      service=service_name, operation=operation)
         ctx.send(service_name, operation, dict(descriptor.get("values") or {}),
                  reply_to=ReplyTo(service=self.name,
                                   operation="ResumeFromCall",
@@ -948,9 +967,9 @@ class WorkflowService(Service):
             # as a hit, not force a store re-read on every delivery
             env = cache.get_task_env(task.id, FiberCache.MISS)
             if env is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.immutable.hit")
+                self.vinz.metrics.incr("cache.immutable.hit")
                 return
-            self.vinz.counters.incr("cache.immutable.miss")
+            self.vinz.metrics.incr("cache.immutable.miss")
         key = self._task_env_key(task.id)
         if self.vinz.store.exists(key):
             tracer = ctx.cluster.tracer
@@ -980,7 +999,7 @@ class WorkflowService(Service):
             return
         if not self.vinz.locks.fence_valid(*fence):
             self.vinz.locks.fence_rejections += 1
-            self.vinz.counters.incr("persist.fence-rejected")
+            self.vinz.metrics.incr("persist.fence-rejected")
             key, owner, token = fence
             raise FencedWriteError(
                 f"stale fencing token {token} for {key} (owner {owner})")
@@ -1001,7 +1020,7 @@ class WorkflowService(Service):
             return False
         self._check_fence(ctx)
         fiber.version += 1
-        self.vinz.counters.incr("persist.skipped")
+        self.vinz.metrics.incr("persist.skipped")
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return True
@@ -1035,8 +1054,8 @@ class WorkflowService(Service):
                 parent_id=ctx.span_id or None, fiber=fiber.id,
                 version=fiber.version, bytes=len(blob))
             tracer.end(span, end=ctx.now + ctx.charged)
-        self.vinz.counters.incr("persist.writes")
-        self.vinz.counters.add("persist.bytes", len(blob))
+        self.vinz.metrics.incr("persist.writes")
+        self.vinz.metrics.add("persist.bytes", len(blob))
         self._record_snapshot(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
@@ -1081,8 +1100,8 @@ class WorkflowService(Service):
                 version=fiber.version, raw=result.raw_len, bytes=physical,
                 new_chunks=result.chunks_new, reused=result.chunks_reused)
             tracer.end(span, end=ctx.now + ctx.charged)
-        self.vinz.counters.incr("persist.writes")
-        self.vinz.counters.add("persist.bytes", physical)
+        self.vinz.metrics.incr("persist.writes")
+        self.vinz.metrics.add("persist.bytes", physical)
         self._record_snapshot(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
@@ -1117,9 +1136,9 @@ class WorkflowService(Service):
             cached = cache.get_continuation(fiber.id, fiber.version,
                                             FiberCache.MISS)
             if cached is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.mutable.hit")
+                self.vinz.metrics.incr("cache.mutable.hit")
                 return cached
-            self.vinz.counters.incr("cache.mutable.miss")
+            self.vinz.metrics.incr("cache.mutable.miss")
         recorder = self.vinz.history
         if recorder is not None and (
                 self.vinz.recovery_mode == "replay"
@@ -1177,10 +1196,10 @@ class WorkflowService(Service):
         continuation, instructions = self.vinz.replayer.rebuild(
             self, fiber, fiber.version, base=base)
         ctx.charge(instructions * self.instruction_cost)
-        self.vinz.counters.incr("history.rebuilds")
-        ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
-                  version=fiber.version,
-                  base=(base[1] if base is not None else None))
+        if ctx.tracing:
+            ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
+                      version=fiber.version,
+                      base=(base[1] if base is not None else None))
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return continuation
@@ -1199,9 +1218,9 @@ class WorkflowService(Service):
         if cache is not None:
             hit = cache.get_digest(manifest.hex_digest, FiberCache.MISS)
             if hit is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.digest.hit")
+                self.vinz.metrics.incr("cache.digest.hit")
                 return hit
-            self.vinz.counters.incr("cache.digest.miss")
+            self.vinz.metrics.incr("cache.digest.miss")
         raw, fetch_cost = self.snapper.fetch_state(manifest,
                                                    fiber_id=fiber.id)
         ctx.charge(fetch_cost)
@@ -1268,8 +1287,9 @@ class WorkflowService(Service):
             try:
                 ctx.charge(store.delete(key))
             except StoreError:
-                ctx.trace("reclaim-skipped", key=key)
-                self.vinz.cluster.counters.incr("store.reclaim-skipped")
+                if ctx.tracing:
+                    ctx.trace("reclaim-skipped", key=key)
+                self.vinz.metrics.incr("store.reclaim-skipped")
 
     @staticmethod
     def _state_key(fiber_id: str) -> str:
@@ -1296,6 +1316,7 @@ class _OutOfBandContext:
 
     def __init__(self, cluster):
         self.cluster = cluster
+        self.tracing = cluster.tracer.enabled
 
     @property
     def now(self) -> float:
@@ -1309,7 +1330,7 @@ class _OutOfBandContext:
         (the store's own io_seconds still count it)."""
 
     def trace(self, kind: str, **detail) -> None:
-        self.cluster.trace.record(self.now, kind, **detail)
+        self.cluster.tracer.event(self.now, kind, **detail)
 
 
 def deliver_collected(vm, child_ids: List[str], triples) -> List[Any]:
@@ -1425,8 +1446,9 @@ class FiberExecution:
         blob = self.service.codec.dumps((fn, list(args)))
         self.ctx.charge(vinz.store.write(
             self.service._thunk_key(child.id), blob))
-        self.ctx.trace("fiber-fork", task=self.task.id,
-                       fiber=self.fiber.id, child=child.id)
+        if self.ctx.tracing:
+            self.ctx.trace("fiber-fork", task=self.task.id,
+                           fiber=self.fiber.id, child=child.id)
         vinz.monitor_fiber_started(child, self.ctx.now)
         monitored[0] = True
         self.ctx.send(self.service.name, "RunFiber",
@@ -1509,9 +1531,10 @@ class FiberExecution:
                               self.task, PRIORITY_NORMAL),
                           max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS,
                           parent_span=vinz.registry.fibers[child_id].span_id)
-        self.ctx.trace("chain-fork", task=self.task.id,
-                       fiber=self.fiber.id, children=len(children),
-                       launched=min(limit, len(children)))
+        if self.ctx.tracing:
+            self.ctx.trace("chain-fork", task=self.task.id,
+                           fiber=self.fiber.id, children=len(children),
+                           launched=min(limit, len(children)))
         if not children:
             # empty chain: awaken the parent immediately
             self.ctx.send(self.service.name, "AwakeFiber",
@@ -1584,7 +1607,7 @@ class FiberExecution:
         self.ctx.send(self.service.name, "DeliverMessage",
                       {"fiber": pid, "value": value},
                       max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS)
-        self.service.vinz.counters.incr("mailbox.sent")
+        self.service.vinz.metrics.incr("mailbox.sent")
         self._mark("send-message")
 
     def auto_chunk_size(self) -> int:
@@ -1612,10 +1635,11 @@ class FiberExecution:
             avg = max(sum(recent) / len(recent), 1e-6)
             size = int(self.service.auto_chunk_target / avg)
             chosen = max(1, min(size, 64))
-            self.service.vinz.counters.incr("autochunk.decisions")
-            self.ctx.trace("auto-chunk", task=self.task.id,
-                           fiber=self.fiber.id, avg_item=round(avg, 4),
-                           size=chosen)
+            self.service.vinz.metrics.incr("autochunk.decisions")
+            if self.ctx.tracing:
+                self.ctx.trace("auto-chunk", task=self.task.id,
+                               fiber=self.fiber.id, avg_item=round(avg, 4),
+                               size=chosen)
             return chosen
 
         return self.nondet("auto-chunk", decide)
@@ -1675,7 +1699,7 @@ class FiberExecution:
 
         def read():
             key = self.service._task_var_key(self.task.id, name)
-            vinz.counters.incr("taskvar.reads")
+            vinz.metrics.incr("taskvar.reads")
             if vinz.store.exists(key):
                 blob = vinz.store.read(key)
                 self.ctx.charge(vinz.store.cost(len(blob)))
@@ -1717,8 +1741,8 @@ class FiberExecution:
         try:
             blob = pickle.dumps(value)
             self.ctx.charge(vinz.store.write(key, blob)
-                            + vinz.taskvar_lock_overhead)
-            vinz.counters.incr("taskvar.writes")
+                            + TASKVAR_LOCK_OVERHEAD)
+            vinz.metrics.incr("taskvar.writes")
         finally:
             vinz.locks.release(lock_key, owner)
         return value

@@ -153,8 +153,8 @@ class TestFailureInjection:
         cluster.send("S", "Slow", {},
                      reply_to=ReplyTo(callback=responses.append))
         cluster.run_until(
-            lambda: any(e.kind == "deliver" for e in cluster.trace.events))
-        victim = [e for e in cluster.trace.events
+            lambda: any(e.kind == "deliver" for e in cluster.tracer.events))
+        victim = [e for e in cluster.tracer.events
                   if e.kind == "deliver"][0].detail["node"]
         assert cluster.fail_node(victim) == 1
         cluster.run_until_idle()

@@ -81,7 +81,7 @@ class TestFaultMatrix:
         assert report.redelivered >= 3
         # retries were traced with their backoff
         assert any(e.kind == "retry.scheduled"
-                   for e in report.env.cluster.trace.events)
+                   for e in report.env.cluster.tracer.events)
 
     def test_duplicate_fault_is_idempotent(self):
         plan = FaultPlan([MessageFault(DUPLICATE, nth=1, count=4)],
@@ -145,7 +145,7 @@ class TestDeadLetterLiveness:
         assert report.dead_lettered == 2
         for task in report.env.registry.tasks.values():
             assert "dead-lettered" in (task.error or "")
-        trace_kinds = [e.kind for e in report.env.cluster.trace.events]
+        trace_kinds = [e.kind for e in report.env.cluster.tracer.events]
         assert trace_kinds.count("deadletter.enqueued") == 2
 
     def test_dead_letters_are_retained_for_inspection(self):
@@ -163,7 +163,7 @@ class TestDeadLetterLiveness:
                          name="heavy-drops")
         report = run_campaign(plan, seed=77, tasks=2, nodes=2,
                               retry_policy=self.TIGHT.with_max_attempts(2))
-        completed = {d["msg"] for e in report.env.cluster.trace.events
+        completed = {d["msg"] for e in report.env.cluster.tracer.events
                      if e.kind == "complete"
                      for d in (e.detail,) if "msg" in d}
         assert completed.isdisjoint(report.env.cluster.queue.dead_letter_ids())

@@ -83,7 +83,7 @@ class TestFigure1Lifetime:
 
     def test_lifetime_phases_in_order(self):
         env, task_id = self._run_sample_workflow()
-        events = env.cluster.trace.for_task(task_id)
+        events = env.cluster.tracer.for_task(task_id)
         kinds = [e.kind for e in events]
         # the canonical phases of Figure 1:
         assert "task-start" in kinds
@@ -106,7 +106,7 @@ class TestFigure1Lifetime:
 
     def test_suspensions_match_resumes(self):
         env, task_id = self._run_sample_workflow()
-        events = env.cluster.trace.for_task(task_id)
+        events = env.cluster.tracer.for_task(task_id)
         suspends = sum(1 for e in events if e.kind == "fiber-suspend")
         resumes = sum(1 for e in events
                       if e.kind == "fiber-run" and e.detail.get("resume"))
@@ -114,6 +114,6 @@ class TestFigure1Lifetime:
 
     def test_trace_renders(self):
         env, task_id = self._run_sample_workflow()
-        text = env.cluster.trace.render(env.cluster.trace.for_task(task_id))
+        text = env.cluster.tracer.render(env.cluster.tracer.for_task(task_id))
         assert "task-start" in text
         assert "task-complete" in text

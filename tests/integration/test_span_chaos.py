@@ -59,7 +59,7 @@ class TestSpanTreeUnderChaos:
 
         assert tracer.verify_parents() == [], \
             "chaos produced spans with dangling parent ids"
-        retries = [span for span in tracer.of_kind("queue-hop")
+        retries = [span for span in tracer.spans_of_kind("queue-hop")
                    if "retry_of" in span.attrs]
         for hop in retries:
             origin = tracer.get(hop.attrs["retry_of"])
@@ -75,7 +75,7 @@ class TestSpanTreeUnderChaos:
         for seed in (101, 202, 303, 505, 777):
             env = run_traced_campaign(seed=seed, kills=6)
             total_retry_spans += sum(
-                1 for span in env.tracer.of_kind("queue-hop")
+                1 for span in env.tracer.spans_of_kind("queue-hop")
                 if "retry_of" in span.attrs)
         assert total_retry_spans > 0
 

@@ -27,8 +27,8 @@ class TestNodeFailureDuringWorkflow:
         task_id = env.start("W", [1, 2, 3, 4])
         # let the workflow get going, then kill a node that has run fibers
         env.cluster.run_until(
-            lambda: any(e.kind == "fiber-run" for e in env.cluster.trace.events))
-        ran_on = [e.detail["node"] for e in env.cluster.trace.events
+            lambda: any(e.kind == "fiber-run" for e in env.cluster.tracer.events))
+        ran_on = [e.detail["node"] for e in env.cluster.tracer.events
                   if e.kind == "fiber-run"]
         env.fail_node(ran_on[0])
         task = env.wait_for_task(task_id)
@@ -41,7 +41,7 @@ class TestNodeFailureDuringWorkflow:
         task_id = env.start("W", [1, 2, 3])
         env.cluster.run_until(
             lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+                        for e in env.cluster.tracer.events))
         nodes = list(env.cluster.nodes)
         env.fail_node(nodes[0])
         env.fail_node(nodes[1])
@@ -60,8 +60,8 @@ class TestNodeFailureDuringWorkflow:
         task_id = env.start("W", None)
         env.cluster.run_until(
             lambda: any(e.kind == "fiber-run"
-                        for e in env.cluster.trace.events))
-        victim = [e for e in env.cluster.trace.events
+                        for e in env.cluster.tracer.events))
+        victim = [e for e in env.cluster.tracer.events
                   if e.kind == "fiber-run"][0].detail["node"]
         env.fail_node(victim)
         task = env.wait_for_task(task_id)

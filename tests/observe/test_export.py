@@ -2,7 +2,7 @@
 
 import json
 
-from repro.observe import SpanTracer
+from repro.observe import Tracer
 from repro.observe.export import (
     chrome_trace,
     chrome_trace_events,
@@ -14,13 +14,13 @@ from repro.vinz.api import VinzEnvironment
 
 
 def sample_tracer():
-    tracer = SpanTracer()
+    tracer = Tracer()
     task = tracer.begin("task:t1", kind="task", start=0.0, task="t1")
     hop = tracer.begin("hop:Run", kind="queue-hop", start=0.1,
                        parent_id=task, msg=1)
     op = tracer.begin("op:Run", kind="operation", start=0.2,
                       parent_id=hop, node="node-0", task="t1")
-    tracer.annotate(hop, 0.15, "fault.delay", delay=0.5)
+    tracer.event(0.15, "fault.injected", hop, action="delay", delay=0.5)
     tracer.end(op, end=0.4)
     tracer.end(hop, end=0.4)
     tracer.end(task, end=0.4)
@@ -55,7 +55,8 @@ def test_annotations_become_instant_events():
     tracer, _task, hop, _op = sample_tracer()
     instants = [e for e in chrome_trace_events(tracer) if e["ph"] == "i"]
     assert len(instants) == 1
-    assert instants[0]["name"] == "fault.delay"
+    assert instants[0]["name"] == "fault.injected"
+    assert instants[0]["args"]["action"] == "delay"
     assert instants[0]["args"]["span"] == hop
     assert instants[0]["args"]["delay"] == 0.5
 
@@ -72,7 +73,7 @@ def test_round_trip_through_file(tmp_path):
 
 
 def test_non_jsonable_attrs_are_stringified():
-    tracer = SpanTracer()
+    tracer = Tracer()
     span = tracer.begin("x", kind="operation", start=0.0, payload={"a": 1})
     tracer.end(span, end=1.0)
     doc = json.dumps(chrome_trace(tracer))  # must not raise
@@ -90,7 +91,8 @@ def test_json_report_covers_the_whole_environment():
     assert report["spans"]["created"] > 0
     assert report["spans"]["by_kind"].get("task") == 1
     assert report["trace_log"]["events"] > 0
-    assert report["trace_log"]["dropped"] == 0
+    assert report["metrics"]["counters"]["tasks.completed"] == 1
+    assert "counters" not in report   # one registry, one block
     assert "queue.wait" in report["metrics"]["histograms"]
     assert report["metrics"]["histograms"]["queue.wait"]["count"] > 0
     assert "mutable" in report["cache_hit_rates"]

@@ -8,8 +8,8 @@ from repro.observe.metrics import exponential_buckets
 
 def test_counter_and_gauge():
     metrics = MetricsRegistry()
-    metrics.counter("tasks").inc()
-    metrics.counter("tasks").inc(4)
+    metrics.incr("tasks")
+    metrics.incr("tasks", 4)
     metrics.gauge("depth").set(7.0)
     metrics.gauge("depth").add(-2.0)
     snapshot = metrics.snapshot()
@@ -54,23 +54,21 @@ def test_buckets_apply_on_first_creation_only():
     assert first.buckets == [1.0, 2.0]
 
 
-def test_disabled_registry_hands_out_noops():
+def test_disabled_registry_hands_out_noop_gauges_and_histograms():
     metrics = MetricsRegistry(enabled=False)
-    metrics.counter("c").inc()
     metrics.gauge("g").set(1.0)
     metrics.histogram("h").observe(3.0)
-    assert metrics.snapshot() == {"counters": {}, "gauges": {},
-                                  "histograms": {}}
+    assert metrics.snapshot() == {"counters": {}, "sums": {}, "levels": {},
+                                  "gauges": {}, "histograms": {}}
 
 
 def test_threaded_observations_are_exact():
     metrics = MetricsRegistry()
     hist = metrics.histogram("lat")
-    counter = metrics.counter("n")
 
     def work():
         for _ in range(1000):
-            counter.inc()
+            metrics.incr("n")
             hist.observe(0.01)
 
     threads = [threading.Thread(target=work) for _ in range(8)]
@@ -78,5 +76,5 @@ def test_threaded_observations_are_exact():
         t.start()
     for t in threads:
         t.join()
-    assert counter.value == 8000
+    assert metrics.get("n") == 8000
     assert hist.count == 8000

@@ -1,10 +1,10 @@
-"""Unit tests for the causal span tracer (repro.observe.spans)."""
+"""Unit tests for the tracer's span tree (repro.observe.tracer)."""
 
-from repro.observe import SpanTracer
+from repro.observe import Tracer
 
 
 def test_begin_end_and_duration():
-    tracer = SpanTracer()
+    tracer = Tracer()
     span_id = tracer.begin("work", kind="operation", start=1.0, node="n1")
     assert span_id == 1
     span = tracer.get(span_id)
@@ -18,7 +18,7 @@ def test_begin_end_and_duration():
 
 
 def test_parent_links_and_queries():
-    tracer = SpanTracer()
+    tracer = Tracer()
     root = tracer.begin("task:t1", kind="task", start=0.0, task="t1")
     fiber = tracer.begin("fiber:f1", kind="fiber", start=0.0,
                          parent_id=root, task="t1", fiber="f1")
@@ -31,41 +31,42 @@ def test_parent_links_and_queries():
 
 
 def test_verify_parents_flags_dangling_ids():
-    tracer = SpanTracer()
+    tracer = Tracer()
     orphan = tracer.begin("x", kind="operation", start=0.0, parent_id=999)
     assert [s.id for s in tracer.verify_parents()] == [orphan]
 
 
 def test_annotations_attach_in_order():
-    tracer = SpanTracer()
+    tracer = Tracer()
     span_id = tracer.begin("hop", kind="queue-hop", start=0.0)
-    tracer.annotate(span_id, 0.5, "fault.drop", msg=7)
-    tracer.annotate(span_id, 0.9, "dead-letter")
+    tracer.event(0.5, "fault.drop", span_id, msg=7)
+    tracer.event(0.9, "dead-letter", span_id)
     span = tracer.get(span_id)
     assert [(t, n) for t, n, _ in span.annotations] == \
         [(0.5, "fault.drop"), (0.9, "dead-letter")]
 
 
 def test_disabled_tracer_allocates_nothing():
-    tracer = SpanTracer(enabled=False)
+    tracer = Tracer(events=False)
     span_id = tracer.begin("work", kind="operation", start=0.0)
     assert span_id == 0
-    # end/annotate on the 0 sentinel are harmless no-ops
+    # end/event on the 0 sentinel are harmless no-ops
     tracer.end(span_id, end=1.0)
-    tracer.annotate(span_id, 0.5, "mark")
+    tracer.event(0.5, "mark", span_id)
+    assert tracer.events == []
     assert tracer.spans_created == 0
     assert tracer.spans() == []
 
 
 def test_end_unknown_span_is_noop():
-    tracer = SpanTracer()
+    tracer = Tracer()
     tracer.end(42, end=1.0)
-    tracer.annotate(42, 1.0, "x")
+    tracer.event(1.0, "x", 42)
     assert tracer.spans() == []
 
 
 def test_summary_and_open_spans():
-    tracer = SpanTracer()
+    tracer = Tracer()
     a = tracer.begin("a", kind="task", start=0.0)
     tracer.begin("b", kind="queue-hop", start=0.0, parent_id=a)
     tracer.end(a, end=1.0)
@@ -77,11 +78,11 @@ def test_summary_and_open_spans():
 
 
 def test_render_tree_shows_nesting_and_annotations():
-    tracer = SpanTracer()
+    tracer = Tracer()
     root = tracer.begin("task:t1", kind="task", start=0.0, task="t1")
     hop = tracer.begin("hop:Run", kind="queue-hop", start=0.1,
                        parent_id=root, msg=3)
-    tracer.annotate(hop, 0.2, "fault.drop")
+    tracer.event(0.2, "fault.drop", hop)
     tracer.end(hop, end=0.3)
     tracer.end(root, end=1.0)
     text = tracer.render_tree(tracer.get(root))

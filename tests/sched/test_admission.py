@@ -146,13 +146,11 @@ class TestEndToEndBackpressure:
                    for t in tasks)
         # sched.* metrics
         metrics = env.cluster.metrics
-        assert metrics.counter("sched.admission.shed").value > 0
+        assert metrics.get("sched.admission.shed") == \
+            env.cluster.admission.shed > 0
         assert metrics.gauge("sched.backlog.Svc").value >= 0
-        # monitoring counters mirror the controller's tallies
-        counters = env.cluster.counters
-        assert counters.get("admission.shed") == env.cluster.admission.shed
         # sched-kind spans, present in the Chrome trace export
-        shed_spans = [s for s in env.cluster.tracer.of_kind("sched")
+        shed_spans = [s for s in env.cluster.tracer.spans_of_kind("sched")
                       if s.name.startswith("sched:shed")]
         assert shed_spans
         names = {e.get("name") for e in

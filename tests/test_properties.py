@@ -272,7 +272,7 @@ class TestFaultPlanProperties:
                              for t in tasks.values()), report.statuses
         assert report.wrong_results() == []
         completed_msgs = {e.detail["msg"]
-                          for e in report.env.cluster.trace.events
+                          for e in report.env.cluster.tracer.events
                           if e.kind == "complete" and "msg" in e.detail}
         dead = set(report.env.cluster.queue.dead_letter_ids())
         assert completed_msgs.isdisjoint(dead)

@@ -45,7 +45,7 @@ class TestForEach:
             spawn_limit=8)
         env.run("W", list(range(8)))
         busy_nodes = {e.detail["node"]
-                      for e in env.cluster.trace.events
+                      for e in env.cluster.tracer.events
                       if e.kind == "fiber-run"}
         assert len(busy_nodes) > 1
 
@@ -124,7 +124,7 @@ class TestSpawnLimit:
             spawn_limit=2)
         env.run("W", list(range(6)))
         # reconstruct in-flight children over time from the trace
-        events = [e for e in env.cluster.trace.events
+        events = [e for e in env.cluster.tracer.events
                   if e.kind in ("fiber-fork", "fiber-complete")]
         in_flight = 0
         peak = 0
@@ -144,7 +144,7 @@ class TestSpawnLimit:
             (defun main (params) (for-each (x in params) x))""",
             spawn_limit=3)
         env.run("W", list(range(7)))
-        awakes = env.cluster.counters.get("op.W.AwakeFiber")
+        awakes = env.cluster.metrics.get("op.W.AwakeFiber")
         assert awakes >= 7
 
     def test_dynamic_spawn_limit_adjustment(self, env):
@@ -261,7 +261,7 @@ class TestForkAndExec:
               (workflow-sleep 5)
               :done)""")
         env.call("W", None)
-        assert env.cluster.counters.get("op.W.AwakeFiber") == 0
+        assert env.cluster.metrics.get("op.W.AwakeFiber") == 0
 
     def test_task_ids_shared_across_fibers(self, env):
         env.deploy_workflow("W", """
@@ -288,7 +288,7 @@ class TestWorkflowSleep:
         task_id = env.start("W", None)
         env.cluster.run_until(
             lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+                        for e in env.cluster.tracer.events))
         env.cluster.run_until(lambda: not env.cluster._in_flight)
         assert all(n.busy == 0 for n in env.cluster.nodes.values())
         env.wait_for_task(task_id)

@@ -50,7 +50,7 @@ class TestAffinityPlacement:
         env = VinzEnvironment(nodes=4, seed=3, placement="affinity")
         env.deploy_workflow("W", MULTI_HOP)
         env.run("W", None)
-        hits = env.cluster.counters.get("placement.affinity-hit")
+        hits = env.cluster.metrics.get("placement.affinity-hit")
         assert hits > 0
 
     def test_affinity_is_soft_busy_node_falls_back(self):
@@ -62,7 +62,7 @@ class TestAffinityPlacement:
               (for-each (x in params) (compute 1.0) x))""",
             spawn_limit=8)
         assert env.call("W", [1, 2, 3, 4, 5, 6]) == [1, 2, 3, 4, 5, 6]
-        misses = env.cluster.counters.get("placement.affinity-miss")
+        misses = env.cluster.metrics.get("placement.affinity-miss")
         assert misses >= 0  # fallback path exists and is harmless
 
     def test_affinity_survives_node_failure(self):
@@ -72,7 +72,7 @@ class TestAffinityPlacement:
         task = env.start("W", None)
         env.cluster.run_until(
             lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+                        for e in env.cluster.tracer.events))
         fiber = env.registry.fibers_of(task)[0]
         env.fail_node(fiber.last_node)
         assert env.wait_for_task(task).status == "completed"
@@ -108,7 +108,7 @@ class TestAdaptiveMigration:
         env = self._env("programmer")
         env.call("W", None)
         # every service call migrated: 5 ResumeFromCalls
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 5
+        assert env.cluster.metrics.get("op.W.ResumeFromCall") == 5
 
     def test_adaptive_learns_to_skip_migration_for_fast_ops(self):
         env = self._env("adaptive")
@@ -117,8 +117,8 @@ class TestAdaptiveMigration:
         env.call("W", None)
         # fast ops stopped migrating after the first observation;
         # the slow op still migrates every time
-        resumes = env.cluster.counters.get("op.W.ResumeFromCall")
-        sync_fast = env.cluster.counters.get("sync.Mixed.Fast")
+        resumes = env.cluster.metrics.get("op.W.ResumeFromCall")
+        sync_fast = env.cluster.metrics.get("sync.Mixed.Fast")
         assert sync_fast >= 8   # most fast calls went synchronous
         assert resumes < 15     # far fewer migrations than programmer mode
         # the learner's table has both operations
@@ -166,16 +166,16 @@ class TestSiblingChaining:
     def test_chain_single_parent_wakeup(self):
         """N children cost 1 AwakeFiber instead of N."""
         env, _ = self._run("chain", list(range(8)))
-        assert env.cluster.counters.get("op.W.AwakeFiber") == 1
+        assert env.cluster.metrics.get("op.W.AwakeFiber") == 1
 
     def test_awake_strategy_wakes_parent_per_child(self):
         env, _ = self._run("awake", list(range(8)))
-        assert env.cluster.counters.get("op.W.AwakeFiber") >= 8
+        assert env.cluster.metrics.get("op.W.AwakeFiber") >= 8
 
     def test_chain_respects_spawn_limit(self):
         """At most `limit` chain children run concurrently."""
         env, _ = self._run("chain", list(range(6)), spawn_limit=2)
-        events = [e for e in env.cluster.trace.events
+        events = [e for e in env.cluster.tracer.events
                   if e.kind in ("fiber-run", "fiber-complete")
                   and e.detail.get("fiber") != "fiber-1"]
         running = 0
@@ -190,7 +190,7 @@ class TestSiblingChaining:
 
     def test_chain_parent_suspends_once(self):
         env, _ = self._run("chain", list(range(6)))
-        parent_suspends = [e for e in env.cluster.trace.events
+        parent_suspends = [e for e in env.cluster.tracer.events
                            if e.kind == "fiber-suspend"
                            and e.detail.get("fiber") == "fiber-1"]
         assert len(parent_suspends) == 1
@@ -423,7 +423,7 @@ class TestAutoChunkSizing:
                 (* x 2)))""", spawn_limit=8, auto_chunk_target=target)
         result = env.call("W", items)
         task = list(env.registry.tasks.values())[0]
-        decisions = env.cluster.trace.of_kind("auto-chunk")
+        decisions = env.cluster.tracer.of_kind("auto-chunk")
         return env, result, task, decisions
 
     def test_results_correct_and_ordered(self):
@@ -462,5 +462,5 @@ class TestAutoChunkSizing:
         result = env.call("W", list(range(10)))
         assert result == list(range(10))
         sizes = [e.detail["size"]
-                 for e in env.cluster.trace.of_kind("auto-chunk")]
+                 for e in env.cluster.tracer.of_kind("auto-chunk")]
         assert all(1 <= s <= 64 for s in sizes)

@@ -116,7 +116,7 @@ class TestRunFiber:
     def test_runfiber_executes_workflow_code(self, env):
         env.deploy_workflow("W", SIMPLE)
         env.call("W", 1)
-        runs = env.cluster.counters.get("op.W.RunFiber")
+        runs = env.cluster.metrics.get("op.W.RunFiber")
         assert runs >= 1
 
     def test_missing_main_is_fault(self, env):
@@ -135,7 +135,7 @@ class TestAwakeFiber:
     def test_children_awaken_parent(self, env):
         env.deploy_workflow("W", CHILD_SPAWNING)
         env.call("W", [1, 2, 3])
-        awakes = env.cluster.counters.get("op.W.AwakeFiber")
+        awakes = env.cluster.metrics.get("op.W.AwakeFiber")
         assert awakes >= 3  # one per child
 
     def test_explicit_awake_from_prelude(self, env):
@@ -167,7 +167,7 @@ class TestResumeFromCall:
             (defun main (params)
               (M-Double-Method :X params))""")
         assert env.call("W", 21) == 42
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 1
+        assert env.cluster.metrics.get("op.W.ResumeFromCall") == 1
 
     def test_fiber_suspended_while_service_runs(self, env):
         """Section 3.2: the fiber consumes no slot while the service
@@ -188,11 +188,11 @@ class TestResumeFromCall:
         # and not occupying any node slot
         env.cluster.run_until(
             lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+                        for e in env.cluster.tracer.events))
         busy = sum(n.busy for n in env.cluster.nodes.values()
                    if "W" in n.services)
         # the only busy slot (if any) is the Ext service's, not the fiber
-        suspended = [e for e in env.cluster.trace.events
+        suspended = [e for e in env.cluster.tracer.events
                      if e.kind == "fiber-suspend"]
         assert suspended
         env.wait_for_task(task_id)
