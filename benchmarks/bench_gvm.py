@@ -103,10 +103,11 @@ def test_bytecode_vs_tree(benchmark, bench_report):
         "ContinuationsUnsupported).")
     bench_report("gvm_vs_tree", "\n".join(lines))
 
-    # the bytecode engine wins on every program
-    assert all(s > 1.0 for s in speedups), points
+    # the bytecode engine wins clearly on every program (a ratio of two
+    # timings taken in one process, so host speed cancels)
+    assert all(s >= 1.5 for s in speedups), points
     # and decisively overall
-    assert sum(speedups) / len(speedups) > 1.25, points
+    assert sum(speedups) / len(speedups) >= 2.2, points
 
     tree_rt = make_runtime(deterministic=True)
     interp = TreeInterpreter(tree_rt.global_env, apply_fn=tree_rt.apply)

@@ -97,38 +97,41 @@ class DynamicBindings:
     one; conventionally ``*earmuffed*``).  Dynamic bindings are
     per-flow-of-control: each fiber (and each future's background
     thread) carries its own stack.
+
+    ``stacks`` maps a name to its live bindings, innermost last, and
+    holds no empty list; the VM's dispatch loop reads it directly.
     """
 
-    __slots__ = ("_stacks",)
+    __slots__ = ("stacks",)
 
     def __init__(self):
-        self._stacks: Dict[Symbol, list] = {}
+        self.stacks: Dict[Symbol, list] = {}
 
     def push(self, name: Symbol, value: Any) -> None:
-        self._stacks.setdefault(name, []).append(value)
+        self.stacks.setdefault(name, []).append(value)
 
     def pop(self, name: Symbol) -> None:
-        stack = self._stacks.get(name)
+        stack = self.stacks.get(name)
         if stack:
             stack.pop()
             if not stack:
-                del self._stacks[name]
+                del self.stacks[name]
 
     def get(self, name: Symbol) -> Any:
-        stack = self._stacks.get(name)
+        stack = self.stacks.get(name)
         if stack:
             return stack[-1]
         return _MISSING
 
     def set(self, name: Symbol, value: Any) -> bool:
-        stack = self._stacks.get(name)
+        stack = self.stacks.get(name)
         if stack:
             stack[-1] = value
             return True
         return False
 
     def snapshot(self) -> Dict[Symbol, Any]:
-        return {name: stack[-1] for name, stack in self._stacks.items()}
+        return {name: stack[-1] for name, stack in self.stacks.items()}
 
 
 class GlobalEnvironment:

@@ -188,7 +188,9 @@ class Runtime:
             *defs, last = forms
             for form in defs:
                 self.eval_form(form)
-            code = self.compile(last, name="fiber-main")
+            # with an outer scope supplied, no name is provably global
+            code = self.compiler.compile_toplevel(last, name="fiber-main",
+                                                  closed=env is None)
         else:
             code = code_or_text
         enter_fiber_thread()

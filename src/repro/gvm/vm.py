@@ -51,7 +51,7 @@ from .frames import (
     UnwindRecord,
     bind_parameters,
 )
-from .futures import GozerFuture, force, force_all
+from .futures import GozerFuture, force_all
 
 _CONTINUE = object()
 
@@ -149,7 +149,11 @@ class VM:
     # ------------------------------------------------------------------
 
     def run_code(self, code: CodeObject, env: Optional[Env] = None):
-        """Run a zero-argument code object to completion or first yield."""
+        """Run a zero-argument code object to completion or first yield.
+
+        Code that is to see the bindings of ``env`` must have been
+        compiled with ``compile_toplevel(form, closed=False)``.
+        """
         if self.frames:
             raise GozerRuntimeError("VM is already running")
         frame = Frame(code, env if env is not None else Env())
@@ -215,9 +219,9 @@ class VM:
         try:
             while len(self.frames) > base:
                 try:
-                    result = self._run_fast(self.frames[-1])
-                    if result is not _CONTINUE and len(self.frames) == base:
-                        return result
+                    # comes back only with the base frame's value; a
+                    # transfer or a condition restarts it on the new top
+                    return self._run_fast(self.frames[-1])
                 except _Transfer as transfer:
                     if transfer.frame_index >= base:
                         self._perform_transfer(transfer)
@@ -251,16 +255,28 @@ class VM:
             self._loop_bases.discard(base)
 
     def _run_fast(self, frame: Frame):
-        """The hot dispatch loop.
+        """The hot dispatch loop: runs until this loop's base frame returns.
 
-        Executes straight-line instructions of ``frame`` with
-        method-local state (no repeated ``frames[-1]`` lookups — the
-        classic bytecode-interpreter optimization); delegates to
-        :meth:`_step_rare` for anything that changes the frame stack or
-        the condition system, then returns to the driving loop.
+        Ordinary execution stays in here.  Interpreter state is held in
+        method locals (no repeated ``frames[-1]`` lookups — the classic
+        bytecode-interpreter optimization) and re-pointed when a Gozer
+        call, tail call or return switches frames; host functions are
+        called in place; ``load``/``store`` walk the scope chain inline.
+        The ``elif`` order is the measured opcode frequency of the
+        ``perf/`` probe programs.  Everything else — condition system,
+        blocks, continuations, and a ``return`` out of a frame that has
+        cleanups to run — goes through :meth:`_step`, the one fallback.
+
+        ``frame.pc`` is written back before anything that can observe
+        or unwind the frame stack (every call, every fallback) and on
+        the way out; ``instruction_count`` on the way out.
         """
         if self.instruction_hook is not None:
             return self._run_traced(frame)
+        frames = self.frames
+        loop_bases = self._loop_bases
+        dynamic_stacks = self.dynamics.stacks
+        global_variables = self.global_env.variables
         stack = frame.stack
         instructions = frame.code.instructions
         pc = frame.pc
@@ -270,52 +286,129 @@ class VM:
                 op, arg = instructions[pc]
                 pc += 1
                 count += 1
-                if op == "const":
+                if op == "load":
+                    env = frame.env
+                    while env is not None:
+                        bindings = env.bindings
+                        if arg in bindings:
+                            stack.append(bindings[arg])
+                            break
+                        env = env.parent
+                    else:
+                        stack.append(self._load_free(arg))
+                elif op == "load-global":
+                    if dynamic_stacks and arg in dynamic_stacks:
+                        stack.append(dynamic_stacks[arg][-1])
+                    else:
+                        try:
+                            stack.append(global_variables[arg])
+                        except KeyError:
+                            raise UnboundVariableError(arg) from None
+                elif op == "call" or op == "tail-call":
+                    if arg:
+                        args = stack[-arg:]
+                        del stack[-arg:]
+                    else:
+                        args = []
+                    callee = stack.pop()
+                    frame.pc = pc
+                    if type(callee) is GozerFunction:
+                        callee_frame = self._frame_for_call(callee, args)
+                        if op == "tail-call" and not (
+                                frame.unwinds or frame.dynamic_bound
+                                or frame.blocks):
+                            # Proper tail call: replace the caller's
+                            # frame (keeps recursive Gozer code O(1) in
+                            # frame-stack depth).
+                            frames[-1] = callee_frame
+                        else:
+                            frames.append(callee_frame)
+                        frame = callee_frame
+                        stack = frame.stack
+                        instructions = frame.code.instructions
+                        pc = 0
+                    elif callable(callee):
+                        # a host function, in place (see _call_host)
+                        if getattr(callee, "needs_vm", False):
+                            stack.append(callee(self, *args))
+                        else:
+                            for value in args:
+                                if type(value) is GozerFuture:
+                                    args = force_all(args)
+                                    break
+                            stack.append(callee(*args))
+                    else:
+                        # a future in callee position, or not callable
+                        self._apply(frame, callee, args, op == "tail-call")
+                        frame = frames[-1]
+                        stack = frame.stack
+                        instructions = frame.code.instructions
+                        pc = frame.pc
+                elif op == "const":
                     stack.append(copy.deepcopy(arg)
                                  if type(arg) is list else arg)
-                elif op == "load":
-                    stack.append(self._load(frame, arg))
-                elif op == "jump":
-                    pc = arg
-                elif op == "jump-if-false":
-                    value = stack.pop()
-                    if value is None or value is False:
-                        pc = arg
-                elif op == "jump-if-true":
-                    value = stack.pop()
-                    if value is not None and value is not False:
-                        pc = arg
-                elif op == "store":
-                    self._store(frame, arg, stack.pop())
-                elif op == "bind":
-                    frame.env.bindings[arg] = stack.pop()
                 elif op == "pop":
                     stack.pop()
                 elif op == "dup":
                     stack.append(stack[-1])
+                elif op == "store":
+                    env = frame.env
+                    while env is not None:
+                        if arg in env.bindings:
+                            env.bindings[arg] = stack.pop()
+                            break
+                        env = env.parent
+                    else:
+                        self._store_free(arg, stack.pop())
+                elif op == "jump-if-false":
+                    value = stack.pop()
+                    if value is None or value is False:
+                        pc = arg
+                elif op == "jump":
+                    pc = arg
+                elif op == "return" and not (
+                        frame.unwinds or frame.dynamic_bound
+                        or self.handlers or self.restarts):
+                    # nothing to tear down: pop the frame in place
+                    value = stack.pop()
+                    frames.pop()
+                    if len(frames) in loop_bases:
+                        return value
+                    frame = frames[-1]
+                    stack = frame.stack
+                    instructions = frame.code.instructions
+                    pc = frame.pc
+                    stack.append(value)
+                elif op == "bind":
+                    frame.env.bindings[arg] = stack.pop()
                 elif op == "push-scope":
                     frame.env = Env(parent=frame.env)
                     frame.scopes += 1
                 elif op == "pop-scope":
                     frame.env = frame.env.parent
                     frame.scopes -= 1
+                elif op == "jump-if-true":
+                    value = stack.pop()
+                    if value is not None and value is not False:
+                        pc = arg
                 elif op == "closure":
                     stack.append(GozerFunction(arg, frame.env))
                 elif op == "make-list":
                     if arg:
-                        values = stack[len(stack) - arg:]
-                        del stack[len(stack) - arg:]
+                        values = stack[-arg:]
+                        del stack[-arg:]
                         stack.append(values)
                     else:
                         stack.append([])
-                elif op == "load-global":
-                    stack.append(self.global_env.lookup(arg))
-                elif op == "store-global":
-                    self.global_env.define(arg, stack.pop())
                 else:
-                    # rare/control instruction: hand off with pc synced
                     frame.pc = pc
-                    return self._step_rare(frame, op, arg)
+                    result = self._step(frame, op, arg)
+                    if result is not _CONTINUE:
+                        return result
+                    frame = frames[-1]
+                    stack = frame.stack
+                    instructions = frame.code.instructions
+                    pc = frame.pc
         finally:
             frame.pc = pc
             self.instruction_count += count
@@ -323,65 +416,70 @@ class VM:
     def _run_traced(self, frame: Frame):
         """Instruction-hooked variant of the dispatch loop (debugger).
 
-        Executes exactly one instruction per iteration so the hook sees
-        every step; used only while ``instruction_hook`` is set.
+        One :meth:`_step` per iteration so the hook sees every
+        instruction; used only while ``instruction_hook`` is set.
         """
         while True:
             op, arg = frame.code.instructions[frame.pc]
             self.instruction_hook(frame, op, arg)
             frame.pc += 1
             self.instruction_count += 1
-            if op == "const":
-                frame.push(copy.deepcopy(arg) if type(arg) is list else arg)
-            elif op == "load":
-                frame.push(self._load(frame, arg))
-            elif op == "jump":
-                frame.pc = arg
-            elif op == "jump-if-false":
-                if not truthy(frame.pop()):
-                    frame.pc = arg
-            elif op == "jump-if-true":
-                if truthy(frame.pop()):
-                    frame.pc = arg
-            elif op == "store":
-                self._store(frame, arg, frame.pop())
-            elif op == "bind":
-                frame.env.bindings[arg] = frame.pop()
-            elif op == "pop":
-                frame.pop()
-            elif op == "dup":
-                frame.push(frame.top())
-            elif op == "push-scope":
-                frame.env = Env(parent=frame.env)
-                frame.scopes += 1
-            elif op == "pop-scope":
-                frame.env = frame.env.parent
-                frame.scopes -= 1
-            elif op == "closure":
-                frame.push(GozerFunction(arg, frame.env))
-            elif op == "make-list":
-                stack = frame.stack
-                if arg:
-                    values = stack[len(stack) - arg:]
-                    del stack[len(stack) - arg:]
-                    stack.append(values)
-                else:
-                    stack.append([])
-            elif op == "load-global":
-                frame.push(self.global_env.lookup(arg))
-            elif op == "store-global":
-                self.global_env.define(arg, frame.pop())
-            else:
-                return self._step_rare(frame, op, arg)
+            result = self._step(frame, op, arg)
+            if result is not _CONTINUE:
+                return result
+            frame = self.frames[-1]
 
-    def _step_rare(self, frame: Frame, op: str, arg):
-        """Frame-stack-changing and condition-system instructions."""
+    def _step(self, frame: Frame, op: str, arg):
+        """Execute one fetched instruction of the top frame (``frame.pc``
+        already past it): the whole instruction set, one general path
+        per opcode.  The traced loop runs everything through here; the
+        fast loop only what it does not inline.  Returns the base
+        frame's value when a ``return`` ends the running loop, else
+        ``_CONTINUE``.
+        """
         if op == "call":
             self._op_call(frame, arg, tail=False)
         elif op == "tail-call":
             self._op_call(frame, arg, tail=True)
         elif op == "return":
             return self._op_return(frame.pop())
+        elif op == "const":
+            frame.push(copy.deepcopy(arg) if type(arg) is list else arg)
+        elif op == "load":
+            frame.push(self._load(frame, arg))
+        elif op == "load-global":
+            frame.push(self._load_free(arg))
+        elif op == "store":
+            self._store(frame, arg, frame.pop())
+        elif op == "store-global":
+            self.global_env.define(arg, frame.pop())
+        elif op == "bind":
+            frame.env.bindings[arg] = frame.pop()
+        elif op == "pop":
+            frame.pop()
+        elif op == "dup":
+            frame.push(frame.top())
+        elif op == "jump":
+            frame.pc = arg
+        elif op == "jump-if-false":
+            if not truthy(frame.pop()):
+                frame.pc = arg
+        elif op == "jump-if-true":
+            if truthy(frame.pop()):
+                frame.pc = arg
+        elif op == "push-scope":
+            frame.env = Env(parent=frame.env)
+            frame.scopes += 1
+        elif op == "pop-scope":
+            frame.env = frame.env.parent
+            frame.scopes -= 1
+        elif op == "closure":
+            frame.push(GozerFunction(arg, frame.env))
+        elif op == "make-list":
+            stack = frame.stack
+            values = stack[len(stack) - arg:]
+            del stack[len(stack) - arg:]
+            stack.append(values)
         elif op == "push-block":
             name, exit_pc = arg
             frame.blocks.append(BlockRecord(
@@ -452,17 +550,22 @@ class VM:
         value = frame.env.lookup_or(name, _MISSING)
         if value is not _MISSING:
             return value
-        dyn = self.dynamics.get(name)
-        if dyn is not _MISSING:
-            return dyn
-        value = self.global_env.lookup_or(name, _MISSING)
-        if value is not _MISSING:
-            return value
-        raise UnboundVariableError(name)
+        return self._load_free(name)
+
+    def _load_free(self, name: Symbol) -> Any:
+        """A name with no lexical binding: dynamic, then global."""
+        value = self.dynamics.get(name)
+        if value is _MISSING:
+            value = self.global_env.variables.get(name, _MISSING)
+            if value is _MISSING:
+                raise UnboundVariableError(name)
+        return value
 
     def _store(self, frame: Frame, name: Symbol, value: Any) -> None:
-        if frame.env.assign(name, value):
-            return
+        if not frame.env.assign(name, value):
+            self._store_free(name, value)
+
+    def _store_free(self, name: Symbol, value: Any) -> None:
         if self.dynamics.set(name, value):
             return
         # Scripting-language behaviour: setq on an unbound name creates
@@ -478,7 +581,13 @@ class VM:
             del stack[-nargs:]
         else:
             args = []
-        callee = stack.pop()
+        self._apply(frame, stack.pop(), args, tail)
+
+    def _apply(self, frame: Frame, callee: Any, args: List[Any],
+               tail: bool) -> None:
+        """Call any callee from ``frame``: push (or, for a proper tail
+        call, substitute) a Gozer function's frame, or push a host
+        function's result."""
         if type(callee) is GozerFunction:
             new_frame = self._frame_for_call(callee, args)
             if tail and not frame.unwinds and not frame.dynamic_bound \
@@ -495,7 +604,7 @@ class VM:
                 self.frames.append(self._frame_for_call(callee, args))
                 return
         if callable(callee):
-            stack.append(self._call_host(callee, args))
+            frame.stack.append(self._call_host(callee, args))
             return
         raise GozerRuntimeError(f"not callable: {callee!r}")
 
@@ -504,10 +613,7 @@ class VM:
             return fn(self, *args)
         # Rule from Section 4.1: passing a future to a host library
         # determines it first.
-        for i, value in enumerate(args):
-            if type(value) is GozerFuture:
-                args[i] = value.touch()
-        return fn(*args)
+        return fn(*force_all(args))
 
     def _frame_for_call(self, fn: GozerFunction, args: List[Any]) -> Frame:
         if self.call_hook is not None:

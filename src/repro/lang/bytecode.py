@@ -24,21 +24,24 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
-# (and picklability) choice; dispatch cost is dominated by the work each
-# opcode does.
+# (and picklability) choice, and not a free one — most opcodes do less
+# work than the VM spends finding their branch (the perf ledger has the
+# GVM at a few million instructions a second), which is why the VM's
+# hot loop tests them in order of measured frequency.
 Instruction = Tuple[str, Any]
 
-#: The complete GVM instruction set.  Documented here as the canonical
-#: reference; the VM and the disassembler both consult this table.
+#: The complete GVM instruction set: exactly what ``VM._step`` executes
+#: (``tests/gvm/test_opcode_table.py`` holds the two together) and all
+#: that ``CodeObject.emit`` accepts.
 OPCODES = {
     # -- data movement -------------------------------------------------
     "const": "push the inline constant",
     "pop": "discard the top of stack",
     "dup": "duplicate the top of stack",
-    "load": "push the value of a lexical/global variable (arg: Symbol)",
+    "load": "push a variable: scope chain, then dynamic, then global (arg: Symbol)",
     "store": "pop and assign an existing variable binding (arg: Symbol)",
     "bind": "pop and create a binding in the innermost scope (arg: Symbol)",
-    "load-global": "push the value of a global variable (arg: Symbol)",
+    "load-global": "push a name the compiler proved free: dynamic, then global (arg: Symbol)",
     "store-global": "pop and set a global variable (arg: Symbol)",
     "make-list": "pop N values, push them as a list (arg: N)",
     # -- scopes and closures -------------------------------------------
@@ -50,7 +53,6 @@ OPCODES = {
     "jump-if-false": "pop; jump when falsy (arg: target pc)",
     "jump-if-true": "pop; jump when truthy (arg: target pc)",
     "call": "pop N args then the callee; invoke (arg: N)",
-    "call-kw": "like call, but arg is (nargs, kwnames) for keyword calls",
     "tail-call": "call in tail position, reusing the frame (arg: N)",
     "return": "pop and return the top of stack from this frame",
     "push-block": "establish a return-from target (arg: (name, exit pc))",

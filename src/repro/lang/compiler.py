@@ -5,7 +5,9 @@ introduced as an optimization for Vinz persistence": a flat instruction
 stream plus a small frame is far cheaper to serialize than a tree
 interpreter's host stack (which could not be serialized at all).  This
 compiler is a single pass over macro-expanded forms, emitting the
-instruction set defined in :mod:`repro.lang.bytecode`.
+instruction set defined in :mod:`repro.lang.bytecode`, followed by one
+walk over the finished unit that turns the ``load`` of every name the
+unit never binds lexically into ``load-global``.
 
 The compiler is parameterized by a :class:`GlobalEnvironment` (for macro
 lookup and special-variable declarations) and an ``apply_fn`` callback
@@ -15,7 +17,7 @@ Gozer functions and therefore need the runtime).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from .bytecode import CodeObject, ParamSpec
 from .errors import CompileError
@@ -78,11 +80,21 @@ class Compiler:
     # entry points
     # ------------------------------------------------------------------
 
-    def compile_toplevel(self, form: Any, name: str = "top-level") -> CodeObject:
-        """Compile one form into a zero-argument code object."""
+    def compile_toplevel(self, form: Any, name: str = "top-level",
+                         closed: bool = True) -> CodeObject:
+        """Compile one form into a zero-argument code object.
+
+        A ``closed`` unit runs in an empty outer scope, so every lexical
+        binding its code can see is one the unit itself makes and the
+        references to any other name become ``load-global``.  Pass
+        ``closed=False`` for code that will run inside a scope supplied
+        at run time (``VM.run_code(code, env)``, default-value thunks).
+        """
         code = CodeObject(name=name, source=form)
         self.compile_form(form, code, tail=False)
         code.emit("return")
+        if closed:
+            _globalize_free_loads(code, ())
         return code
 
     def compile_function(self, name: str, lambda_list: List[Any],
@@ -192,8 +204,9 @@ class Compiler:
             default_form = item[1] if len(item) > 1 else None
             if default_form is None:
                 return (item[0], None)
-            default_code = self.compile_toplevel(default_form,
-                                                 name=f"default:{item[0].name}")
+            # runs in the scope of the parameters bound before it
+            default_code = self.compile_toplevel(
+                default_form, name=f"default:{item[0].name}", closed=False)
             return (item[0], default_code)
         raise CompileError(f"bad defaulted parameter {item!r}")
 
@@ -515,6 +528,33 @@ class Compiler:
             raise CompileError("% needs an intrinsic name", form)
         call = [_S("%" + form[1].name), *form[2:]]
         self.compile_form(call, code, tail=tail)
+
+
+def _globalize_free_loads(code: CodeObject, enclosing: Iterable[Symbol]) -> None:
+    """Rewrite the ``load`` of every provably free name to ``load-global``.
+
+    ``load`` searches the frame's scope chain, which holds only what
+    this code object's parameters and ``bind`` instructions, and those
+    of the code objects it is nested in, put there.  A name none of
+    them binds anywhere (position is ignored: a ``let*`` closure sees
+    bindings made after it was created) cannot be found on the chain,
+    so its lookup may start at the dynamic bindings.  Default-value
+    thunks are separate, open units and are left alone.
+    """
+    params = code.params
+    bound = set(enclosing)
+    bound.update(params.required)
+    bound.update(name for name, _ in params.optional + params.keys)
+    if params.rest is not None:
+        bound.add(params.rest)
+    instructions = code.instructions
+    bound.update(arg for op, arg in instructions if op == "bind")
+    for pc, (op, arg) in enumerate(instructions):
+        if op == "load":
+            if arg not in bound:
+                instructions[pc] = ("load-global", arg)
+        elif isinstance(arg, CodeObject):
+            _globalize_free_loads(arg, bound)
 
 
 # ---------------------------------------------------------------------------

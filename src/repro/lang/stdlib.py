@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random as _host_random
 import sys
 import time
@@ -79,8 +80,14 @@ def install(runtime) -> None:
 # arithmetic
 # ===========================================================================
 
+# The two-argument branches below are the variadic loops unrolled (same
+# operations in the same order): nearly every call site passes two, and
+# the GVM spends most of a tight loop's time in these few functions.
+
 @builtin("+")
 def _add(*args):
+    if len(args) == 2:
+        return 0 + args[0] + args[1]
     total = 0
     for a in args:
         total = total + a
@@ -89,6 +96,8 @@ def _add(*args):
 
 @builtin("-")
 def _sub(first, *rest):
+    if len(rest) == 1:
+        return first - rest[0]
     if not rest:
         return -first
     for r in rest:
@@ -98,6 +107,8 @@ def _sub(first, *rest):
 
 @builtin("*")
 def _mul(*args):
+    if len(args) == 2:
+        return 1 * args[0] * args[1]
     total = 1
     for a in args:
         total = total * a
@@ -138,14 +149,18 @@ def _rem(a, b):
 
 
 def _chain_compare(op, args):
-    if len(args) < 2:
-        return True
-    return all(op(args[i], args[i + 1]) for i in range(len(args) - 1))
+    """CL's ``(< a b c)``: every adjacent pair satisfies ``op``."""
+    for i in range(len(args) - 1):
+        if not op(args[i], args[i + 1]):
+            return False
+    return True
 
 
 @builtin("=")
 def _num_eq(*args):
-    return _chain_compare(lambda a, b: a == b, args)
+    if len(args) == 2:
+        return True if args[0] == args[1] else False
+    return _chain_compare(operator.eq, args)
 
 
 @builtin("/=")
@@ -156,22 +171,30 @@ def _num_neq(*args):
 
 @builtin("<")
 def _lt(*args):
-    return _chain_compare(lambda a, b: a < b, args)
+    if len(args) == 2:
+        return True if args[0] < args[1] else False
+    return _chain_compare(operator.lt, args)
 
 
 @builtin("<=")
 def _le(*args):
-    return _chain_compare(lambda a, b: a <= b, args)
+    if len(args) == 2:
+        return True if args[0] <= args[1] else False
+    return _chain_compare(operator.le, args)
 
 
 @builtin(">")
 def _gt(*args):
-    return _chain_compare(lambda a, b: a > b, args)
+    if len(args) == 2:
+        return True if args[0] > args[1] else False
+    return _chain_compare(operator.gt, args)
 
 
 @builtin(">=")
 def _ge(*args):
-    return _chain_compare(lambda a, b: a >= b, args)
+    if len(args) == 2:
+        return True if args[0] >= args[1] else False
+    return _chain_compare(operator.ge, args)
 
 
 @builtin("abs")

@@ -1,10 +1,16 @@
 """VM edge cases: re-entrancy guards, control-flow corners, interop."""
 
+import os
+
 import pytest
 
+from repro.conformance import load_dir
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.frames import GozerFunction
+from repro.gvm.futures import enter_fiber_thread
+from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import Done, Yielded
+from repro.lang.printer import print_form
 from repro.lang.errors import GozerRuntimeError
 from repro.lang.symbols import Keyword, Symbol
 
@@ -205,19 +211,6 @@ class TestTracingHooks:
         assert ops.count("call") == 2
         assert ops[-1] == "return"
 
-    def test_traced_loop_matches_fast_loop(self, rt):
-        """Same program, hooked and unhooked: identical results and
-        instruction counts."""
-        program = "(let ((acc 0)) (dotimes (i 10) (incf acc i)) acc)"
-        code = rt.compile(rt.read(program))
-        fast = rt.new_vm()
-        fast_result = fast.run_code(code)
-        traced = rt.new_vm()
-        traced.instruction_hook = lambda f, op, a: None
-        traced_result = traced.run_code(code)
-        assert fast_result.value == traced_result.value == 45
-        assert fast.instruction_count == traced.instruction_count
-
     def test_traced_loop_supports_yield(self, rt):
         from repro.gvm.vm import Yielded
 
@@ -238,3 +231,86 @@ class TestTracingHooks:
             capture_output=True, text=True, timeout=120)
         assert "(d 21)" in proc.stdout and ";;" in proc.stdout
         assert "42" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the fast loop against the traced loop, over everything we have
+# ---------------------------------------------------------------------------
+
+_CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "conformance", "corpus")
+
+#: the perf ledger's four dispatch probes (perf/probes.py), shortened
+_PROBE_PROGRAMS = {
+    "probe-call-heavy": """
+        (defun bfib (n) (if (< n 2) n (+ (bfib (- n 1)) (bfib (- n 2)))))
+        (bfib 11)""",
+    "probe-branch-heavy": """
+        (defun bsum (n) (let ((acc 0) (i 0))
+          (while (< i n) (setq acc (+ acc i)) (setq i (+ i 1))) acc))
+        (bsum 300)""",
+    "probe-macro-heavy": """
+        (defun process (items) (let ((acc 0))
+          (dolist (x items) (when (evenp x) (incf acc (* x x)))) acc))
+        (dotimes (rep 5 (process (list 1 2 3 4 5 6 7 8)))
+          (process (list 1 2 3 4 5 6 7 8)))""",
+    "probe-closure-hof": """
+        (defun make-scaler (k) (lambda (x) (* k x)))
+        (defun scaled-sum (items) (let ((f (make-scaler 3)) (acc 0))
+          (dolist (x items) (setq acc (+ acc (f x)))) acc))
+        (dotimes (rep 5 (scaled-sum (list 1 2 3 4 5 6 7 8)))
+          (scaled-sum (list 1 2 3 4 5 6 7 8)))""",
+}
+
+_LOOP_PROGRAMS = [(p.name, p.sequential_source, p.feeds or (1,))
+                  for p in load_dir(_CORPUS_DIR)] \
+    + [(name, source, (1,)) for name, source in _PROBE_PROGRAMS.items()]
+
+
+def _observe(source, feeds, traced):
+    """Run ``source`` (yields answered from ``feeds``) and return what a
+    caller can see: the outcome, the instructions executed, and every
+    ``call_hook`` firing."""
+    rt = make_runtime(deterministic=True)
+    *definitions, body = rt.read_all(source)
+    for form in definitions:
+        rt.eval_form(form)
+    code = rt.compile(body)
+    calls = []
+    vms = []
+
+    def hooked_vm():
+        vm = rt.new_vm(allow_yield=True)
+        vm.call_hook = lambda depth, name, args: calls.append(
+            (depth, name, print_form(list(args))))
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        vms.append(vm)
+        return vm
+
+    enter_fiber_thread()
+    try:
+        result = hooked_vm().run_code(code)
+        while isinstance(result, Yielded) and len(vms) <= 64:
+            result = hooked_vm().resume(result.continuation,
+                                        feeds[(len(vms) - 2) % len(feeds)])
+        outcome = print_form(result.value)
+    except Exception as exc:  # noqa: BLE001 - an outcome like any other
+        outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, sum(vm.instruction_count for vm in vms), calls
+
+
+@pytest.mark.parametrize("name,source,feeds", _LOOP_PROGRAMS,
+                         ids=[p[0] for p in _LOOP_PROGRAMS])
+def test_traced_loop_matches_fast_loop(name, source, feeds):
+    """Hooked and unhooked runs of every corpus program and dispatch
+    probe agree on the value, the instruction count and the sequence of
+    ``call_hook`` firings (calls made inside the fast loop still fire
+    it)."""
+    fast_outcome, fast_count, fast_calls = _observe(source, feeds, False)
+    traced_outcome, traced_count, traced_calls = _observe(source, feeds, True)
+    assert fast_outcome == traced_outcome
+    assert fast_count == traced_count > 0
+    assert fast_calls == traced_calls
+    if name.startswith("probe-"):
+        assert fast_calls, "in-loop calls must fire call_hook"

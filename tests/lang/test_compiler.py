@@ -28,7 +28,7 @@ class TestBasicCompilation:
 
     def test_symbol_load(self, compiler):
         code = compile_text(compiler, "x")
-        assert code.instructions[0] == ("load", S("x"))
+        assert code.instructions[0] == ("load-global", S("x"))
 
     def test_call(self, compiler):
         code = compile_text(compiler, "(f 1 2)")
@@ -156,13 +156,11 @@ class TestSetfPlaces:
 
     def test_setf_gethash(self, compiler):
         code = compile_text(compiler, '(setf (gethash "k" h) 2)')
-        loads = [arg for op, arg in code.instructions if op == "load"]
-        assert S("%sethash") in loads
+        assert ("load-global", S("%sethash")) in code.instructions
 
     def test_setf_car(self, compiler):
         code = compile_text(compiler, "(setf (car x) 2)")
-        loads = [arg for op, arg in code.instructions if op == "load"]
-        assert S("set-car!") in loads
+        assert ("load-global", S("set-car!")) in code.instructions
 
     def test_setf_pairs(self, compiler):
         code = compile_text(compiler, "(setf a 1 b 2)")
@@ -171,8 +169,7 @@ class TestSetfPlaces:
 
     def test_setf_task_var(self, compiler):
         code = compile_text(compiler, "(setf (%get-task-var 'f^) t)")
-        loads = [arg for op, arg in code.instructions if op == "load"]
-        assert S("%set-task-var") in loads
+        assert ("load-global", S("%set-task-var")) in code.instructions
 
 
 class TestTailCalls:
@@ -205,3 +202,75 @@ class TestDisassembler:
     def test_nested_code_objects_found(self, compiler):
         code = compile_text(compiler, "(lambda (x) (lambda (y) (+ x y)))")
         assert len(nested_code_objects(code)) == 3
+
+
+class TestFreeNameClassification:
+    """A reference is ``load-global`` only when no code object around
+    it binds the name lexically; everything else stays ``load``."""
+
+    @staticmethod
+    def refs(code, name):
+        """The opcodes that reference ``name`` in ``code`` and every
+        code object nested in it (default thunks included)."""
+        return sorted(op for unit in nested_code_objects(code)
+                      for op, arg in unit.instructions
+                      if arg is S(name) and op.startswith("load"))
+
+    def test_parameter_and_let_names_stay_lexical(self, compiler):
+        code = compile_text(
+            compiler, "(defun f (a &rest more) (let ((b 1)) (g a b more)))")
+        for name in ("a", "b", "more"):
+            assert self.refs(code, name) == ["load"]
+        assert self.refs(code, "g") == ["load-global"]
+
+    def test_closure_sees_enclosing_bindings(self, compiler):
+        code = compile_text(
+            compiler, "(let ((k 3)) (lambda (x) (lambda () (* k x y))))")
+        assert self.refs(code, "k") == ["load"]
+        assert self.refs(code, "x") == ["load"]
+        assert self.refs(code, "y") == ["load-global"]
+        assert self.refs(code, "*") == ["load-global"]
+
+    def test_inner_binding_does_not_capture_outer_reference(self, compiler):
+        # the lambda's own `n` is not on the scope chain of the code
+        # that creates the lambda
+        code = compile_text(compiler, "(progn n (lambda (n) n))")
+        assert self.refs(code, "n") == ["load", "load-global"]
+
+    def test_shadowed_builtin_stays_lexical_everywhere_in_the_unit(
+            self, compiler):
+        code = compile_text(compiler, "(progn (+ 1 2) (let ((+ 5)) +))")
+        assert self.refs(code, "+") == ["load", "load"]
+
+    def test_let_star_closure_sees_later_binding(self, compiler):
+        # position is ignored: the closure captures the scope `b` is
+        # later bound in
+        code = compile_text(compiler, "(let* ((f (lambda () b)) (b 2)) (f))")
+        assert self.refs(code, "b") == ["load"]
+
+    def test_default_thunks_keep_plain_load(self, compiler):
+        code = compile_text(
+            compiler, "(defun f (a &optional (b (g a)) &key (c (h b))) c)")
+        for name in ("a", "b", "g", "h"):
+            assert "load-global" not in self.refs(code, name)
+
+    def test_open_unit_keeps_plain_load(self, compiler):
+        code = compiler.compile_toplevel(read_string("(+ x 1)"), closed=False)
+        assert self.refs(code, "x") == self.refs(code, "+") == ["load"]
+
+    def test_special_variable_is_free(self):
+        from repro.gvm.runtime import make_runtime
+
+        rt = make_runtime(deterministic=True)
+        rt.eval_string("(defvar *depth* 0)")
+        code = rt.compile(rt.read("(let ((*depth* 1)) *depth*)"))
+        assert ("dyn-bind", S("*depth*")) in code.instructions
+        assert ("load-global", S("*depth*")) in code.instructions
+        assert rt.new_vm().run_code(code).value == 1
+
+    def test_instruction_count_is_unchanged(self, compiler):
+        text = "(defun f (a) (let ((b (g a))) (lambda () (+ a b c))))"
+        closed = compile_text(compiler, text)
+        opened = compiler.compile_toplevel(read_string(text), closed=False)
+        assert [len(c.instructions) for c in nested_code_objects(closed)] \
+            == [len(c.instructions) for c in nested_code_objects(opened)]
