@@ -221,9 +221,6 @@ class Service:
             bridgeable=bridgeable,
         ))
 
-    def operation_names(self):
-        return list(self._handlers)
-
     def handle(self, context: OperationContext, operation: str,
                body: Dict[str, Any]) -> Any:
         handler = self._handlers.get(operation)

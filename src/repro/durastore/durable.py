@@ -114,9 +114,6 @@ class DurableStore(ShardedStore):
             raise RuntimeError("operation window already open")
         self._window = []
 
-    def in_window(self) -> bool:
-        return self._window is not None
-
     def seal_window(self) -> Optional[SealedBatch]:
         """Frame the open window's mutations and price the group IO.
 

@@ -130,9 +130,6 @@ class FaultInjector:
                 cluster.tracer.event(cluster.kernel.now, FAULT_INJECTED,
                                      span, action=action, **detail)
 
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     # ------------------------------------------------------------------
     # match bookkeeping
     # ------------------------------------------------------------------
@@ -251,8 +248,8 @@ class FaultInjector:
         return None
 
     # ------------------------------------------------------------------
-    # incremental-snapshot hooks (WorkflowService._persist_continuation_v2
-    # / SnapshotPipeline.fetch_state)
+    # incremental-snapshot hooks (FiberStateStore.persist /
+    # SnapshotPipeline.fetch_state)
     # ------------------------------------------------------------------
 
     def on_manifest_write(self, key: str, blob: bytes) -> bytes:

@@ -311,18 +311,6 @@ class FaultPlan:
     def node_faults(self) -> List[NodeFault]:
         return [f for f in self.faults if isinstance(f, NodeFault)]
 
-    def shard_faults(self) -> List[ShardFault]:
-        return [f for f in self.faults if isinstance(f, ShardFault)]
-
-    def journal_faults(self) -> List[JournalFault]:
-        return [f for f in self.faults if isinstance(f, JournalFault)]
-
-    def snapshot_faults(self) -> List[SnapshotFault]:
-        return [f for f in self.faults if isinstance(f, SnapshotFault)]
-
-    def history_faults(self) -> List[HistoryFault]:
-        return [f for f in self.faults if isinstance(f, HistoryFault)]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,

@@ -53,12 +53,6 @@ class GozerCondition(Exception):
         return f"#<condition {' '.join(bits)}>"
 
 
-class GozerWarning(GozerCondition):
-    def __init__(self, message: str = "", **kw):
-        kw.setdefault("condition_type", "warning")
-        super().__init__(message, **kw)
-
-
 class UnhandledConditionError(GozerCondition):
     """Raised to the host when ``error`` finds no handler and no debugger."""
 

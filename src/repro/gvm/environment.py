@@ -182,9 +182,6 @@ class GlobalEnvironment:
         # Intrinsics are also visible as ordinary %-prefixed functions.
         self.variables[Symbol("%" + name)] = fn
 
-    def get_intrinsic(self, name: str) -> Optional[Callable]:
-        return self.intrinsics.get(name)
-
     def declare_special(self, name: Symbol) -> None:
         self.special_names.add(name)
 

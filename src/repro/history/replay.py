@@ -1,14 +1,16 @@
 """Deterministic replay: rebuild any fiber from its event history.
 
 The GVM is deterministic; everything nondeterministic a fiber ever
-observes flows through its :class:`~repro.vinz.service.FiberExecution`
+observes flows through its :class:`~repro.vinz.execution.FiberExecution`
 (fork targets, service responses, mailbox pops, clock reads, RNG
 draws) and is recorded by the history plane.  Replay therefore
 re-executes the fiber's *actual bytecode* window by window — a fresh VM
-per advancement, exactly like the live service — with a
-:class:`ReplayExecution` standing in for the live bridge: every
-intrinsic that would touch the outside world instead consumes the next
-recorded event and returns the recorded value.
+per advancement, through the same
+:func:`~repro.vinz.execution.run_window` as the live service — under a
+:class:`ReplayExecution`: the same bridge with its primitives
+overridden, so every intrinsic that would touch the outside world
+instead consumes the next recorded event and returns the recorded
+value.
 
 Two consumers:
 
@@ -32,14 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..bluebox.services import ServiceFault
-from ..gvm.conditions import UnhandledConditionError
 from ..gvm.futures import enter_fiber_thread
-from ..gvm.vm import Done, Yielded
-from ..lang.errors import GozerRuntimeError
-from ..lang.symbols import Symbol
 from ..vinz import distribution
-from ..vinz.service import deliver_collected
+from ..vinz.execution import (
+    FiberExecution,
+    WINDOW_COMPLETED,
+    WINDOW_SUSPENDED,
+    run_window,
+)
 from .recorder import (
     FIBER_COMPLETED,
     FIBER_FAILED,
@@ -51,8 +53,6 @@ from .recorder import (
     RESUME_KINDS,
     TASK_STARTED,
 )
-
-_S = Symbol
 
 #: kinds the per-fiber cursor consumes (everything else is audit)
 _CONSUMABLE = set((NONDET_RECORDED, FIBER_FORKED, FIBER_SUSPENDED,
@@ -133,6 +133,46 @@ class _Cursor:
         self.pos += 1
         return event
 
+    def check_suspension(self, yielded) -> Optional[int]:
+        """The replayed fiber suspended: consume the recorded
+        suspension, which must be on the same thing; returns the
+        version it recorded."""
+        descriptor = yielded.value if isinstance(yielded.value, dict) \
+            else {"kind": "await"}
+        event = self.next(FIBER_SUSPENDED)
+        recorded_why = event.payload.get("why")
+        if recorded_why != descriptor.get("kind", "await"):
+            raise ReplayDivergenceError(
+                self.task_id, self.fiber_id, event.seq,
+                f"suspend on {recorded_why!r}",
+                f"suspend on {descriptor.get('kind')!r}")
+        return event.payload.get("version")
+
+    def check_terminal(self, codec, state: str, value: Any) -> None:
+        """The replayed fiber finished: the recorded terminal event
+        must be of the same kind, carry the same result or error, and
+        be the stream's last."""
+        recorded = self.next(FIBER_COMPLETED, FIBER_FAILED)
+        expected_kind = FIBER_COMPLETED if state == WINDOW_COMPLETED \
+            else FIBER_FAILED
+        if recorded.kind != expected_kind:
+            raise ReplayDivergenceError(self.task_id, self.fiber_id,
+                                        recorded.seq, recorded.kind,
+                                        expected_kind)
+        if state == WINDOW_COMPLETED:
+            label, expected = "result", recorded.payload.get("result")
+            matches = _values_equal(codec, expected, value)
+        else:
+            label, expected = "error", recorded.payload.get("error")
+            matches = expected == value
+        if not matches:
+            raise ReplayDivergenceError(
+                self.task_id, self.fiber_id, recorded.seq,
+                f"{label} {expected!r}", f"{label} {value!r}")
+        if not self.exhausted():
+            raise self.diverge("<further events>",
+                               f"terminal {expected_kind} already reached")
+
 
 def _values_equal(codec, recorded: Any, replayed: Any) -> bool:
     """Structural equality through the codec: recorded values already
@@ -152,35 +192,29 @@ def _values_equal(codec, recorded: Any, replayed: Any) -> bool:
 
 
 class _Stub:
-    """Minimal ``.id``-bearing stand-in for task/fiber records."""
+    """Minimal stand-in for the task/fiber records the bridge reads."""
 
-    __slots__ = ("id", "spawn_limit")
+    __slots__ = ("id", "spawn_limit", "chain_groups")
 
     def __init__(self, id: str):
         self.id = id
         self.spawn_limit = None
+        #: rebuilt from FiberForked(chain) events as they are consumed
+        self.chain_groups: Dict[str, Dict[str, List[str]]] = {}
 
 
-class ReplayExecution:
-    """The replay-side twin of :class:`FiberExecution`.
+class ReplayExecution(FiberExecution):
+    """The bridge with its data flow reversed.
 
-    Same surface, opposite data flow: where the live bridge performs an
-    effect and records the outcome, this one consumes the recorded
-    outcome and performs nothing.  Any call the history cannot satisfy
-    is a divergence.
+    Where the live primitives perform and record, these consume the
+    record and perform nothing; every intrinsic built on them is
+    inherited.  Any call the history cannot satisfy is a divergence.
     """
 
     def __init__(self, service, cursor: _Cursor):
-        self.service = service
+        super().__init__(service, None, _Stub(cursor.task_id),
+                         _Stub(cursor.fiber_id))
         self.cursor = cursor
-        self.task = _Stub(cursor.task_id)
-        self.fiber = _Stub(cursor.fiber_id)
-        self.vm = None
-        self.charged = 0.0
-        #: chain groups reconstructed from FiberForked(chain) events
-        self.chain_groups: Dict[str, List[str]] = {}
-
-    # -- recorded nondeterminism ---------------------------------------
 
     def nondet(self, op: str, thunk=None) -> Any:
         event = self.cursor.next(NONDET_RECORDED)
@@ -191,13 +225,11 @@ class ReplayExecution:
                 f"nondet {recorded_op!r}", f"nondet {op!r}")
         return event.payload.get("value")
 
-    def clock_now(self) -> float:  # pragma: no cover - never called
-        raise ReplayError("replay must read the clock from history")
+    effect = nondet
 
-    def random_draw(self, n):  # pragma: no cover - never called
-        raise ReplayError("replay must draw randomness from history")
-
-    # -- fiber management ----------------------------------------------
+    def charge(self, seconds: float) -> None:
+        """Modelled compute bills no window here; a rebuild charges
+        its re-executed instructions instead."""
 
     def fork(self, fn, args, notify_parent: bool) -> str:
         event = self.cursor.next(FIBER_FORKED)
@@ -210,67 +242,9 @@ class ReplayExecution:
         if "chain" not in event.payload:
             raise self.cursor.diverge("fork", "fork-chain")
         group_id = event.payload["chain"]
-        self.chain_groups[group_id] = list(event.payload["children"])
+        self.task.chain_groups[group_id] = {
+            "children": list(event.payload["children"])}
         return group_id
-
-    def collect_chain(self, vm, group_id: str) -> List[Any]:
-        children = self.chain_groups.get(group_id)
-        if children is None:
-            raise GozerRuntimeError(f"no chain group {group_id}")
-        return self.collect_results(vm, children)
-
-    def collect_results(self, vm, child_ids: List[str]) -> List[Any]:
-        triples = self.nondet("collect")
-        return deliver_collected(vm, child_ids, triples)
-
-    def join_sync(self, pid: str) -> Any:
-        return self.nondet("join-sync")
-
-    def awake(self, pid: str, payload: Any) -> None:
-        self.nondet("awake")
-
-    def send_fiber_message(self, pid: str, value: Any) -> None:
-        self.nondet("send-message")
-
-    def auto_chunk_size(self) -> int:
-        return self.nondet("auto-chunk")
-
-    def try_receive(self) -> Any:
-        return self.nondet("try-receive")
-
-    # -- spawn limit ----------------------------------------------------
-
-    def spawn_limit(self) -> int:
-        return self.nondet("spawn-limit")
-
-    def set_spawn_limit(self, n: int) -> int:
-        # pure given its input: mirrors the live clamp, mutates nothing
-        self.task.spawn_limit = max(1, n)
-        return self.task.spawn_limit
-
-    def auto_spawn_limit(self) -> int:
-        return self.nondet("auto-spawn-limit")
-
-    # -- task variables --------------------------------------------------
-
-    def get_task_var(self, name: str) -> Any:
-        return self.nondet(f"taskvar-get/{name}")
-
-    def set_task_var(self, name: str, value: Any) -> Any:
-        if name not in self.service.task_var_defaults:
-            raise GozerRuntimeError(f"undeclared task variable ^{name}^")
-        self.nondet(f"taskvar-set/{name}")
-        return value
-
-    # -- service calls ---------------------------------------------------
-
-    def call_sync(self, soap_action: str, values) -> Any:
-        return self.nondet(f"call-sync/{soap_action}")
-
-    # -- misc ------------------------------------------------------------
-
-    def charge(self, seconds: float) -> None:
-        self.charged += float(seconds)
 
 
 class ReplayEngine:
@@ -327,24 +301,6 @@ class ReplayEngine:
 
     # -- one fiber --------------------------------------------------------
 
-    def _run_window(self, service, execution: ReplayExecution, thunk):
-        """Execute one advancement window exactly as ``_advance_locked``
-        does, mapping the same exception set to the same outcomes."""
-        try:
-            outcome = thunk()
-        except distribution.VinzBreak:
-            return "completed", None
-        except distribution.VinzTerminateTask as term:
-            return "failed", term.reason
-        except UnhandledConditionError as exc:
-            return "failed", str(exc.condition)
-        except ServiceFault as fault:
-            return "failed", f"{fault.qname}: {fault.message}"
-        if isinstance(outcome, Done):
-            return "completed", outcome.value
-        assert isinstance(outcome, Yielded)
-        return "suspended", outcome
-
     def replay_fiber(self, service, task_id: str,
                      task_events: List[HistoryEvent],
                      fiber_id: str, stop_version: Optional[int] = None,
@@ -369,11 +325,17 @@ class ReplayEngine:
         execution = ReplayExecution(service, cursor)
         instructions = 0
 
-        def fresh_vm():
+        def window(start):
+            """One advancement window on a fresh VM, like the live
+            service's; ``start(vm)`` starts or resumes the fiber."""
+            nonlocal instructions
             vm = service.runtime.new_vm(allow_yield=True)
             vm.vinz = execution
-            execution.vm = vm
-            return vm
+            outcome = run_window(lambda: start(vm))
+            instructions += vm.instruction_count
+            if report is not None:
+                report.windows += 1
+            return outcome
 
         cv_token = distribution.CURRENT_EXECUTION.set(execution)
         enter_fiber_thread()
@@ -387,74 +349,30 @@ class ReplayEngine:
                     if event.kind == FIBER_SUSPENDED \
                             and event.payload.get("version") == base_version:
                         break
-                state, value = "suspended", None
-                outcome = None
+                outcome = None  # suspended at the base, nothing to check
             else:
                 fn, args, is_root = self._start_of(task_events, fiber_id)
                 if is_root:
-                    main = service.runtime.global_env.lookup_or(
-                        _S(service.main_name))
                     started = [e for e in task_events
                                if e.kind == TASK_STARTED]
                     params = started[0].payload.get("params") \
                         if started else None
-                    fn, args = main, [params]
-                vm = fresh_vm()
-                state, value = self._run_window(
-                    service, execution,
-                    lambda: service._run_top_call(vm, fn, list(args)))
-                instructions += vm.instruction_count
-                outcome = value if state == "suspended" else None
-                if report is not None:
-                    report.windows += 1
+                    outcome = window(lambda vm: service.run_top_call(
+                        vm, service.main_function(), [params]))
+                else:
+                    outcome = window(lambda vm: service.run_top_call(
+                        vm, fn, list(args)))
 
             while True:
-                if state == "suspended" and outcome is not None:
-                    descriptor = outcome.value \
-                        if isinstance(outcome.value, dict) else \
-                        {"kind": "await"}
-                    event = cursor.next(FIBER_SUSPENDED)
-                    recorded_why = event.payload.get("why")
-                    if recorded_why != descriptor.get("kind", "await"):
-                        raise ReplayDivergenceError(
-                            cursor.task_id, fiber_id, event.seq,
-                            f"suspend on {recorded_why!r}",
-                            f"suspend on {descriptor.get('kind')!r}")
-                    if stop_version is not None \
-                            and event.payload.get("version") == stop_version:
-                        return "continuation", outcome.continuation, \
-                            instructions
-                    continuation = outcome.continuation
-                elif state == "suspended":
-                    continuation = base[0]  # first window after a base
-                else:
-                    # terminal: verify against the recorded terminal
-                    recorded = cursor.next(FIBER_COMPLETED, FIBER_FAILED)
-                    expected_kind = FIBER_COMPLETED \
-                        if state == "completed" else FIBER_FAILED
-                    if recorded.kind != expected_kind:
-                        raise ReplayDivergenceError(
-                            cursor.task_id, fiber_id, recorded.seq,
-                            recorded.kind, expected_kind)
-                    if state == "completed":
-                        if not _values_equal(service.codec,
-                                             recorded.payload.get("result"),
-                                             value):
-                            raise ReplayDivergenceError(
-                                cursor.task_id, fiber_id, recorded.seq,
-                                f"result {recorded.payload.get('result')!r}",
-                                f"result {value!r}")
-                    else:
-                        if recorded.payload.get("error") != value:
-                            raise ReplayDivergenceError(
-                                cursor.task_id, fiber_id, recorded.seq,
-                                f"error {recorded.payload.get('error')!r}",
-                                f"error {value!r}")
-                    if not cursor.exhausted():
-                        raise cursor.diverge(
-                            "<further events>",
-                            f"terminal {expected_kind} already reached")
-                    return state, value, instructions
+                if outcome is not None:
+                    state, value, _ = outcome
+                    if state != WINDOW_SUSPENDED:
+                        cursor.check_terminal(service.codec, state, value)
+                        return state, value, instructions
+                    version = cursor.check_suspension(value)
+                    continuation = value.continuation
+                    if stop_version is not None and version == stop_version:
+                        return "continuation", continuation, instructions
 
                 # the fiber is suspended: the next event resumes it —
                 # unless the stream ends here (swept by termination)
@@ -467,15 +385,8 @@ class ReplayEngine:
                         report.partial_fibers.append(fiber_id)
                     return "partial", None, instructions
                 resume = cursor.next(*RESUME_KINDS)
-                vm = fresh_vm()
-                state, value = self._run_window(
-                    service, execution,
-                    lambda: vm.resume(continuation,
-                                      resume.payload.get("value")))
-                instructions += vm.instruction_count
-                outcome = value if state == "suspended" else None
-                if report is not None:
-                    report.windows += 1
+                outcome = window(lambda vm: vm.resume(
+                    continuation, resume.payload.get("value")))
         finally:
             if report is not None:
                 report.events_consumed += cursor.pos

@@ -115,11 +115,6 @@ def intern_symbol(name: str) -> Symbol:
     return Symbol(name)
 
 
-def intern_keyword(name: str) -> Keyword:
-    """Return the unique :class:`Keyword` named ``name``."""
-    return Keyword(name)
-
-
 _gensym_counter = itertools.count(1)
 
 

@@ -307,7 +307,7 @@ class SnapshotPipeline:
     def _release_counts(self, counts: Counter) -> None:
         """Best-effort decrefs, GC at zero.  A vetoed store op (fault
         injection) orphans the chunk rather than failing the completion
-        path — exactly the `_reclaim` trade."""
+        path — exactly the `FiberStateStore.reclaim` trade."""
         for hexd, occurrences in counts.items():
             for _ in range(occurrences):
                 try:

@@ -1,7 +1,8 @@
 """Vinz: Gozer's distribution module (tasks, fibers, workflow services)."""
 
 from .api import VinzEnvironment, WorkflowError
-from .service import FiberExecution, WorkflowService
+from .execution import FiberExecution
+from .service import WorkflowService
 from .task import (
     COMPLETED,
     ERROR,

@@ -26,8 +26,16 @@ from ..bluebox.locks import (
 )
 from ..bluebox.store import SharedStore
 from ..sched.governor import GovernorConfig, SpawnGovernor
+from .recovery import RecoveryScanner
 from .service import WorkflowService
-from .task import COMPLETED, ProcessRegistry, TaskRecord
+from .task import ProcessRegistry, TaskRecord
+
+#: adaptive migration: migrate only when the expected service time
+#: exceeds this — roughly the cost of one persist + one restore + queue
+#: trip
+MIGRATION_THRESHOLD = 0.05
+#: weight of the newest observation in the per-operation latency EWMA
+MIGRATION_EWMA_ALPHA = 0.3
 
 
 class WorkflowError(RuntimeError):
@@ -94,9 +102,6 @@ class VinzEnvironment:
         self.governor = SpawnGovernor(self.cluster, governor)
         #: optional FaultInjector (set by FaultInjector.install(env))
         self.injector = None
-        # dead-lettered fiber messages must fail their task/fiber
-        # through the condition system instead of hanging it
-        self.cluster.dead_letter_listeners.append(self._on_dead_letter)
         self.locks: LockManager
         if locks == "coordinator":
             self.locks = CoordinatorLockManager()
@@ -120,9 +125,12 @@ class VinzEnvironment:
         #: the lock changes hands (the single ordering invariant that
         #: makes steals safe)
         self.locks.lease_breaker = self.cluster.break_window_for
-        from .recovery import RecoveryScanner
         #: detects lapsed leases / dead owners and re-awakens orphans
         self.recovery = RecoveryScanner(self)
+        # dead-lettered fiber messages must fail their task/fiber
+        # through the condition system instead of hanging it
+        self.cluster.dead_letter_listeners.append(
+            self.recovery.on_message_dead_lettered)
         #: committed advancement windows ``(fiber_id, message_id,
         #: start, end)`` — the raw material of the single-runner audit
         self.runner_audit: List[tuple] = []
@@ -165,10 +173,6 @@ class VinzEnvironment:
         self.migration_policy = "programmer"
         #: per-soap-action EWMA of observed service latency (seconds)
         self.service_latency: Dict[str, float] = {}
-        #: migrate only when the expected service time exceeds this —
-        #: roughly the cost of one persist + one restore + queue trip
-        self.migration_threshold = 0.05
-        self.migration_ewma_alpha = 0.3
         # ------- deadline-aware scheduling (Section 5 / refs [7][8]) --
         #: "fcfs" = the paper's production behaviour ("task scheduling
         #: is first-come-first-serve, which has been shown to be
@@ -288,13 +292,6 @@ class VinzEnvironment:
                 'replay_task requires VinzEnvironment(history="on")')
         return self.replayer.replay_task(task_id, source=source)
 
-    def result_of(self, task_id: str) -> Any:
-        task = self.registry.tasks[task_id]
-        if task.status != COMPLETED:
-            raise WorkflowError("{urn:vinz}WorkflowFailed",
-                                task.error or task.status)
-        return task.result
-
     # ------------------------------------------------------------------
     # service resolution (deflink support)
     # ------------------------------------------------------------------
@@ -325,9 +322,9 @@ class VinzEnvironment:
         if previous is None:
             self.service_latency[soap_action] = seconds
         else:
-            alpha = self.migration_ewma_alpha
             self.service_latency[soap_action] = \
-                alpha * seconds + (1 - alpha) * previous
+                MIGRATION_EWMA_ALPHA * seconds \
+                + (1 - MIGRATION_EWMA_ALPHA) * previous
         self.metrics.incr("migration.observations")
 
     def should_migrate(self, soap_action: str) -> bool:
@@ -345,7 +342,7 @@ class VinzEnvironment:
         expected = self.service_latency.get(soap_action)
         if expected is None:
             return True  # explore: measure it the expensive-safe way
-        migrate = expected >= self.migration_threshold
+        migrate = expected >= MIGRATION_THRESHOLD
         self.metrics.incr("migration.decisions."
                            + ("async" if migrate else "sync"))
         return migrate
@@ -371,13 +368,6 @@ class VinzEnvironment:
     # ------------------------------------------------------------------
     # failure injection / operations
     # ------------------------------------------------------------------
-
-    def _on_dead_letter(self, message) -> None:
-        """A queue message exhausted its retries: if it drove a fiber,
-        fail that fiber (and possibly its task) so nothing hangs."""
-        workflow = self.workflows.get(message.service)
-        if workflow is not None:
-            workflow.on_message_dead_lettered(message)
 
     def fail_node(self, node_id: str) -> int:
         """Kill a node and reclaim its locks.

@@ -145,7 +145,7 @@ def install(runtime, workflow_service) -> None:
         execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
         if execution is None:
             return True
-        return execution.service.vinz.should_migrate(str(soap_action))
+        return execution.should_migrate(str(soap_action))
 
     should_migrate.needs_vm = True
     env.define_intrinsic("vinz-should-migrate", should_migrate)

@@ -1,0 +1,386 @@
+"""Fiber state on the shared store: keys, persist, load, rollback.
+
+"Persist, resume anywhere" (paper Section 4.2).  Everything that knows
+where a fiber's state lives and how it gets there is here: the store
+keys, the fencing check guarding every state write, snapshot-interval
+elision, the abort-undo that rolls a window's writes back, reclamation,
+and the interplay with the per-node fiber cache.
+
+There is one :meth:`FiberStateStore.persist` and one
+:meth:`FiberStateStore.load`.  The whole-blob format (v1) and the
+chunked manifest format (v2, :mod:`repro.persistsnap`) differ only in
+the encode and decode steps.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional, Tuple
+
+from ..bluebox.services import OperationContext, ServiceFault
+from ..bluebox.store import FencedWriteError, StoreError
+from ..history import recorder as hist
+from ..persistsnap.manifest import is_manifest
+from .cache import FiberCache
+from .task import FiberRecord, TaskRecord
+
+
+def state_key(fiber_id: str) -> str:
+    return f"fiber-state/{fiber_id}"
+
+
+def thunk_key(fiber_id: str) -> str:
+    return f"fiber-thunk/{fiber_id}"
+
+
+def task_env_key(task_id: str) -> str:
+    return f"task-env/{task_id}"
+
+
+def task_var_key(task_id: str, name: str) -> str:
+    return f"taskvar/{task_id}/{name}"
+
+
+#: what an operation window may change on the records it advances, and
+#: an aborted window must put back
+_FIBER_ROLLBACK = ("version", "last_persisted_version", "status",
+                   "waiting_on", "finished_at", "result", "error")
+_TASK_ROLLBACK = ("status", "finished_at", "result")
+
+
+class FiberStateStore:
+    """One workflow service's view of its fibers' persisted state."""
+
+    def __init__(self, service):
+        self.service = service
+        self.vinz = service.vinz
+
+    # -- the per-node cache ----------------------------------------------------
+
+    def node_cache(self, ctx: OperationContext) -> Optional[FiberCache]:
+        service = self.service
+        if not service.cache_enabled:
+            return None
+        return FiberCache.for_node(
+            ctx.node, mutable_capacity=service.cache_capacity,
+            immutable_capacity=4 * service.cache_capacity)
+
+    def touch_task_env(self, ctx: OperationContext,
+                       cache: Optional[FiberCache],
+                       task: TaskRecord) -> None:
+        """Load the task's immutable environment (cached per node)."""
+        if cache is not None:
+            # MISS sentinel: a legitimately-None environment must count
+            # as a hit, not force a store re-read on every delivery
+            env = cache.get_task_env(task.id, FiberCache.MISS)
+            if env is not FiberCache.MISS:
+                self.vinz.metrics.incr("cache.immutable.hit")
+                return
+            self.vinz.metrics.incr("cache.immutable.miss")
+        key = task_env_key(task.id)
+        if self.vinz.store.exists(key):
+            env = self._read(ctx, key, self.service.codec.loads,
+                             task=task.id, what="task-env")
+        else:  # pragma: no cover - Start always writes it
+            env = {"workflow": self.service.name, "params": task.params}
+        if cache is not None:
+            cache.put_task_env(task.id, env)
+
+    # -- reading ------------------------------------------------------------------
+
+    def _read(self, ctx: OperationContext, key: str,
+              decode: Callable[[bytes], Any], **detail: Any) -> Any:
+        """Read and decode one blob, charged to the window, under a
+        ``persist.decode`` span."""
+        store = self.vinz.store
+        tracer = ctx.cluster.tracer
+        vstart = ctx.now + ctx.charged
+        blob = store.read(key)
+        ctx.charge(store.cost(len(blob)))
+        value = decode(blob)
+        if tracer.enabled:
+            span = tracer.begin(
+                "persist.decode", kind="persistence", start=vstart,
+                parent_id=ctx.span_id or None, **detail, bytes=len(blob))
+            tracer.end(span, end=ctx.now + ctx.charged)
+        return value
+
+    def load_thunk(self, ctx: OperationContext,
+                   fiber: FiberRecord) -> Tuple[Any, list]:
+        """A child fiber's start thunk ``(fn, args)``: the cloned state."""
+        return self._read(
+            ctx, thunk_key(fiber.id),
+            lambda blob: self.service.codec.loads(blob, fiber_id=fiber.id),
+            fiber=fiber.id, what="thunk")
+
+    def load(self, ctx: OperationContext, cache: Optional[FiberCache],
+             fiber: FiberRecord):
+        """The continuation at ``fiber.version``: from this node's
+        cache, from the persisted snapshot, or rebuilt by replay."""
+        vinz = self.vinz
+        if cache is not None:
+            cached = cache.get_continuation(fiber.id, fiber.version,
+                                            FiberCache.MISS)
+            if cached is not FiberCache.MISS:
+                vinz.metrics.incr("cache.mutable.hit")
+                return cached
+            vinz.metrics.incr("cache.mutable.miss")
+        from_start = vinz.recovery_mode == "replay"
+        if vinz.history is not None and (
+                from_start or fiber.last_persisted_version != fiber.version):
+            # either the platform recovers by replay (never reads
+            # continuation snapshots), or the wanted version was never
+            # persisted (snapshot-interval elision): re-execute the
+            # fiber against its recorded history, forward from the
+            # latest snapshot when one may be read
+            base = None
+            if not from_start and fiber.last_persisted_version > 0:
+                base = (self._read_snapshot(ctx, cache, fiber),
+                        fiber.last_persisted_version)
+            continuation = self._rebuild(ctx, fiber, base)
+        else:
+            continuation = self._read_snapshot(ctx, cache, fiber)
+        if cache is not None:
+            cache.put_continuation(fiber.id, fiber.version, continuation)
+        return continuation
+
+    def _read_snapshot(self, ctx: OperationContext,
+                       cache: Optional[FiberCache], fiber: FiberRecord):
+        return self._read(
+            ctx, state_key(fiber.id),
+            lambda blob: self._decode(ctx, cache, fiber, blob),
+            fiber=fiber.id, version=fiber.version)
+
+    def _decode(self, ctx: OperationContext, cache: Optional[FiberCache],
+                fiber: FiberRecord, blob: bytes):
+        """The decode step.  v1 blobs — written in v1 mode or by a
+        pre-upgrade deployment — go through the codec (a *manifest*
+        reaching a v1 service trips the downgrade guard inside loads).
+        v2 manifests try the digest cache first (an unchanged state
+        skips chunk fetch *and* deserialization), else fetch + verify
+        every chunk; corruption surfaces as a typed
+        :class:`~repro.persistsnap.SnapshotError` that aborts the window
+        for a policy-driven retry — never a wrong-value restore."""
+        service = self.service
+        snapper = service.snapper
+        if snapper is None or not is_manifest(blob):
+            return service.codec.loads(blob, fiber_id=fiber.id)
+        snapper.injector = self.vinz.injector
+        manifest = snapper.read_manifest(blob, fiber_id=fiber.id)
+        if cache is not None:
+            hit = cache.get_digest(manifest.hex_digest, FiberCache.MISS)
+            if hit is not FiberCache.MISS:
+                self.vinz.metrics.incr("cache.digest.hit")
+                return hit
+            self.vinz.metrics.incr("cache.digest.miss")
+        raw, fetch_cost = snapper.fetch_state(manifest, fiber_id=fiber.id)
+        ctx.charge(fetch_cost)
+        continuation = service.codec.deserialize_state(
+            raw, fiber_id=fiber.id, fmt="v2")
+        if cache is not None:
+            cache.put_digest(manifest.hex_digest, continuation)
+        return continuation
+
+    def _rebuild(self, ctx: OperationContext, fiber: FiberRecord, base):
+        """Reconstruct the continuation at ``fiber.version`` by replay,
+        from the task's start or forward from ``base``.  The re-executed
+        instructions are charged at the service's instruction cost —
+        replay is compute traded for persistence IO."""
+        from ..history.replay import ReplayError
+
+        try:
+            continuation, instructions = self.vinz.replayer.rebuild(
+                self.service, fiber, fiber.version, base=base)
+        except ReplayError as err:
+            # the recorded history cannot reproduce this fiber: that is
+            # this task's problem, not the platform's — fail it through
+            # the window runner instead of taking the event loop down
+            self.vinz.metrics.incr("history.divergences")
+            raise ServiceFault(
+                self.service.wsdl.fault_qname("ReplayDiverged"),
+                str(err)) from err
+        ctx.charge(instructions * self.service.instruction_cost)
+        if ctx.tracing:
+            ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
+                      version=fiber.version,
+                      base=(base[1] if base is not None else None))
+        return continuation
+
+    # -- writing ------------------------------------------------------------------
+
+    def _check_fence(self, ctx: OperationContext) -> None:
+        """Fencing check guarding every fiber-state write: if this
+        window's lock lease was expired or stolen, a newer owner may
+        already be running — the write must not land.  Raising tunnels
+        through the GVM, aborts the window (rolling back everything it
+        already wrote) and lets the message retry."""
+        fence = getattr(ctx, "fence", None)
+        if fence is None:
+            return
+        if not self.vinz.locks.fence_valid(*fence):
+            self.vinz.locks.fence_rejections += 1
+            self.vinz.metrics.incr("persist.fence-rejected")
+            key, owner, token = fence
+            raise FencedWriteError(
+                f"stale fencing token {token} for {key} (owner {owner})")
+
+    def persist(self, ctx: OperationContext, cache: Optional[FiberCache],
+                fiber: FiberRecord, continuation) -> None:
+        """Persist the next version of ``fiber``'s continuation."""
+        vinz = self.vinz
+        # a zombie must not even bump the version
+        self._check_fence(ctx)
+        fiber.version += 1
+        if vinz.history is not None \
+                and fiber.version % self.service.snapshot_interval:
+            # snapshot-interval elision: with history on, only every
+            # Nth suspension persists — the versions between snapshots
+            # live in the node cache and are rebuilt by replay after a
+            # crash or cache miss
+            vinz.metrics.incr("persist.skipped")
+            if cache is not None:
+                cache.put_continuation(fiber.id, fiber.version, continuation)
+            return
+        tracer = ctx.cluster.tracer
+        vstart = ctx.now + ctx.charged
+        key = state_key(fiber.id)
+        blob, chunk_cost, span_name, detail, digest = self._encode(
+            ctx, key, fiber, continuation)
+        ctx.charge(chunk_cost + vinz.store.write(key, blob))
+        if tracer.enabled:
+            span = tracer.begin(
+                span_name, kind="persistence", start=vstart,
+                parent_id=ctx.span_id or None, fiber=fiber.id,
+                version=fiber.version, **detail)
+            tracer.end(span, end=ctx.now + ctx.charged)
+        vinz.metrics.incr("persist.writes")
+        vinz.metrics.add("persist.bytes", detail["bytes"])
+        fiber.last_persisted_version = fiber.version
+        if vinz.history is not None:
+            vinz.history.record(ctx, fiber.task_id, hist.SNAPSHOT_TAKEN,
+                                fiber=fiber.id, version=fiber.version)
+        if cache is not None:
+            cache.put_continuation(fiber.id, fiber.version, continuation)
+            if digest is not None:
+                cache.put_digest(digest, continuation)
+        if vinz.injector is not None:
+            # crash-during-persistence faults fire here: the node dies
+            # with the window open, the abort hooks roll the fiber (and
+            # the just-written blob) back, and the message is requeued
+            vinz.injector.on_persist(ctx, fiber)
+
+    def _encode(self, ctx: OperationContext, key: str, fiber: FiberRecord,
+                continuation) -> Tuple[bytes, float, str, dict, Optional[str]]:
+        """The encode step: ``(blob for the state key, IO cost already
+        incurred, span name, span detail, digest-cache key)``.  v1 is
+        the whole compressed blob; v2 chunk-dedups against the fiber's
+        prior manifest and writes only new chunks plus a small
+        manifest."""
+        snapper = self.service.snapper
+        if snapper is None:
+            blob = self.service.codec.dumps(continuation)
+            return blob, 0.0, "persist.encode", {"bytes": len(blob)}, None
+        injector = self.vinz.injector
+        snapper.injector = injector
+        result = snapper.encode(key, continuation, fiber_id=fiber.id)
+        # hooks go in *before* the manifest write: if that write faults,
+        # the window abort must already know how to roll the chunk and
+        # refcount writes back
+        self._register_snapshot_hooks(ctx, result)
+        blob = result.blob
+        if injector is not None:
+            # a torn-manifest fault truncates the blob we are about to
+            # write — the tear is silent here and detected on restore
+            blob = injector.on_manifest_write(key, blob)
+        detail = {"raw": result.raw_len,
+                  "bytes": result.chunk_bytes_written + len(blob),
+                  "new_chunks": result.chunks_new,
+                  "reused": result.chunks_reused}
+        return (blob, result.cost, "snap.encode", detail,
+                result.manifest.hex_digest)
+
+    @staticmethod
+    def _register_snapshot_hooks(ctx: OperationContext, result) -> None:
+        """Tie one incremental persist to its window's lifecycle: chunk
+        and refcount writes roll back on abort; the *prior* manifest's
+        stale references are dropped only after the window commits (a
+        retry replaying against the rolled-back manifest must still
+        find every chunk it names).  Undos run newest-first so repeated
+        persists in one window unwind exactly."""
+        undos = getattr(ctx, "_snap_undos", None)
+        if undos is None:
+            undos = []
+            ctx._snap_undos = undos
+
+            def run_undos():
+                for fn in reversed(undos):
+                    fn()
+
+            ctx.on_abort(run_undos)
+        undos.append(result.undo)
+        ctx.on_complete(result.release)
+
+    # -- rollback and reclamation -----------------------------------------------
+
+    def abort_undo(self, ctx: OperationContext, task: TaskRecord,
+                   fiber: FiberRecord) -> Callable[[], None]:
+        """Build the state-rollback hook for node death mid-window."""
+        store = self.vinz.store
+        fiber_was = {name: getattr(fiber, name) for name in _FIBER_ROLLBACK}
+        task_was = {name: getattr(task, name) for name in _TASK_ROLLBACK}
+        blob = store.snapshot_value(state_key(fiber.id))
+        thunk = store.snapshot_value(thunk_key(fiber.id))
+
+        def undo():
+            # versions persisted inside the aborted window may sit in
+            # this node's fiber cache; a retry re-reaching the same
+            # version number must not resume from the aborted state
+            # (the group-commit abort path aborts *after* the handler
+            # finished, so the cache insert has already happened)
+            cache = self.node_cache(ctx)
+            if cache is not None:
+                for version in range(fiber_was["version"] + 1,
+                                     fiber.version + 1):
+                    cache.evict_continuation(fiber.id, version)
+            for name, value in fiber_was.items():
+                setattr(fiber, name, value)
+            for name, value in task_was.items():
+                setattr(task, name, value)
+            # rollback_value (not restore_value): a journaled store
+            # also scrubs the key from its uncommitted batch, so the
+            # rolled-back write can never be replayed after a crash
+            store.rollback_value(state_key(fiber.id), blob)
+            store.rollback_value(thunk_key(fiber.id), thunk)
+
+        return undo
+
+    def reclaim(self, ctx, *keys: str) -> None:
+        """Best-effort reclamation of persisted fiber state.
+
+        Deletes are real store IO: charged to the window, counted, and
+        subject to fault injection.  But a vetoed delete must not take
+        down the platform path that happens to be sweeping (finishing a
+        task, dead-letter handling) — the blob is merely orphaned, for
+        a later sweep to reclaim, so a write-storm campaign degrades
+        cleanup without costing liveness.
+        """
+        store = self.vinz.store
+        snapper = self.service.snapper
+        for key in keys:
+            if snapper is not None:
+                # a v2 state key holds a manifest: drop its chunk
+                # references (GC rides the window's journal batch via
+                # the commit hook; out-of-band contexts release now)
+                blob = store.snapshot_value(key)
+                if blob is not None and is_manifest(blob):
+                    release = (lambda b=blob: snapper.release_blob(b))
+                    on_complete = getattr(ctx, "on_complete", None)
+                    if on_complete is not None:
+                        on_complete(release)
+                    else:
+                        release()
+            try:
+                ctx.charge(store.delete(key))
+            except StoreError:
+                if ctx.tracing:
+                    ctx.trace("reclaim-skipped", key=key)
+                self.vinz.metrics.incr("store.reclaim-skipped")

@@ -336,11 +336,6 @@ class FiberCodec:
                                   self.hosts).load()
 
 
-class CrcFrameError(ValueError):
-    """A CRC frame failed its integrity check mid-stream (not at the
-    tail) — the storage is corrupt beyond a torn write."""
-
-
 #: CRC frame layout: magic + u32 payload length + u32 crc32(payload)
 _FRAME_HEADER = struct.Struct("<II")
 

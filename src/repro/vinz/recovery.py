@@ -24,6 +24,11 @@ Together with the fencing check on fiber-state writes this yields the
 two invariants the chaos campaign asserts jointly: **no fiber stays
 stuck** (every orphaned lock is reclaimed within one lease TTL plus
 one scan interval) and **no fiber is ever double-run**.
+
+The other way a fiber can be stranded — its lifecycle message
+exhausting the retry policy — ends here too:
+:meth:`RecoveryScanner.on_message_dead_lettered` fails the fiber
+through the normal error path so nothing hangs.
 """
 
 from __future__ import annotations
@@ -162,6 +167,36 @@ class RecoveryScanner:
                                  msg=message.id, reason=reason)
 
     # ------------------------------------------------------------------
+    # dead letters
+    # ------------------------------------------------------------------
+
+    def on_message_dead_lettered(self, message) -> None:
+        """A fiber-lifecycle message exhausted its retry policy.
+
+        The fiber it addressed can never advance again, so fail it
+        through the normal error path: the parent sees a
+        ``child-fiber-error`` condition when collecting (its handlers
+        get their say, Section 3.7), a main fiber fails the whole task
+        (waking synchronous callers with a fault) — nothing hangs.
+        """
+        workflow = self.vinz.workflows.get(message.service)
+        fiber_id = (message.body or {}).get("fiber")
+        if workflow is None or fiber_id is None:
+            return  # Start/management traffic: the reply fault suffices
+        registry = self.vinz.registry
+        fiber = registry.fibers.get(fiber_id)
+        if fiber is None or fiber.finished:
+            return
+        task = registry.tasks.get(fiber.task_id)
+        if task is None or task.finished:
+            return
+        error = (f"{message.operation} message #{message.id} dead-lettered "
+                 f"after {message.attempts} attempts")
+        workflow._fiber_failed(_OutOfBandContext(self.vinz.cluster), task,
+                               fiber, error,
+                               terminate_task=(fiber.parent_id is None))
+
+    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
 
@@ -175,3 +210,28 @@ class RecoveryScanner:
             "max_recovery_latency": self.max_recovery_latency,
             "total_recovery_latency": self.total_recovery_latency,
         }
+
+
+class _OutOfBandContext:
+    """A minimal OperationContext stand-in for platform-initiated work
+    that happens outside any message window (dead-letter handling).
+    Sends are immediate — there is no operation window to make them
+    transactional with."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.tracing = cluster.tracer.enabled
+
+    @property
+    def now(self) -> float:
+        return self.cluster.kernel.now
+
+    def send(self, service, operation, body, **kwargs) -> None:
+        self.cluster.send(service, operation, body, **kwargs)
+
+    def charge(self, seconds: float) -> None:
+        """Out-of-band IO has no window to bill — the cost is absorbed
+        (the store's own io_seconds still count it)."""
+
+    def trace(self, kind: str, **detail) -> None:
+        self.cluster.tracer.event(self.now, kind, **detail)

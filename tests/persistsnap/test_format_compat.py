@@ -3,7 +3,7 @@
 Three guarantees under test:
 
 * **upgrade** — v1 blobs written by a v1 service restore under a v2
-  service (the magic sniff in ``_load_continuation`` falls back to the
+  service (the magic sniff in ``FiberStateStore._decode`` falls back to the
   v1 codec path);
 * **downgrade guard** — a v2 manifest reaching a v1 reader fails with a
   clear, actionable :class:`SnapshotFormatError`, never a pickle error;

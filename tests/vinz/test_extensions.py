@@ -20,7 +20,7 @@ behaviour) and switchable:
 import pytest
 
 from repro.bluebox.services import simple_service
-from repro.vinz.api import VinzEnvironment
+from repro.vinz.api import MIGRATION_THRESHOLD, VinzEnvironment
 
 MULTI_HOP = """
 (defun main (params)
@@ -37,14 +37,18 @@ FANOUT = """
 class TestAffinityPlacement:
     def test_affinity_improves_mutable_hit_rate(self):
         rates = {}
+        reads = {}
         for placement in ("balanced", "affinity"):
             env = VinzEnvironment(nodes=6, seed=2, placement=placement)
             env.deploy_workflow("W", MULTI_HOP)
             for _ in range(4):
                 env.run("W", None)
             rates[placement] = env.cache_hit_rates()["mutable"]
+            reads[placement] = env.store.reads
         assert rates["affinity"] > rates["balanced"]
         assert rates["affinity"] > 0.9  # nearly every resume is local
+        # a local resume is a store read that never happens
+        assert reads["affinity"] < reads["balanced"]
 
     def test_affinity_hint_counted(self):
         env = VinzEnvironment(nodes=4, seed=3, placement="affinity")
@@ -125,13 +129,24 @@ class TestAdaptiveMigration:
         assert any(a.endswith(":Fast") for a in env.service_latency)
         assert any(a.endswith(":Slow") for a in env.service_latency)
 
+    def test_adaptive_persists_less_than_programmer(self):
+        """A call that does not migrate does not suspend, so it does
+        not persist either."""
+        writes = {}
+        for policy in ("programmer", "adaptive"):
+            env = self._env(policy)
+            for _ in range(3):
+                env.call("W", None)
+            writes[policy] = env.counters.get("persist.writes")
+        assert writes["adaptive"] < writes["programmer"]
+
     def test_adaptive_keeps_migrating_slow_ops(self):
         env = self._env("adaptive")
         for _ in range(3):
             env.call("W", None)
         slow_latency = [v for k, v in env.service_latency.items()
                         if k.endswith(":Slow")][0]
-        assert slow_latency > env.migration_threshold
+        assert slow_latency > MIGRATION_THRESHOLD
         assert env.should_migrate("urn:mixed:Slow") is True
         assert env.should_migrate("urn:mixed:Fast") is False
 
@@ -171,6 +186,11 @@ class TestSiblingChaining:
     def test_awake_strategy_wakes_parent_per_child(self):
         env, _ = self._run("awake", list(range(8)))
         assert env.cluster.metrics.get("op.W.AwakeFiber") >= 8
+
+    def test_chain_delivers_fewer_messages(self):
+        chain, _ = self._run("chain", list(range(8)))
+        awake, _ = self._run("awake", list(range(8)))
+        assert chain.cluster.queue.delivered < awake.cluster.queue.delivered
 
     def test_chain_respects_spawn_limit(self):
         """At most `limit` chain children run concurrently."""

@@ -1,0 +1,40 @@
+"""The platform's surface is pinned: options do not creep back in, and
+the live and replay bridges cannot drift apart."""
+
+import inspect
+
+from repro.history.replay import ReplayExecution
+from repro.vinz.api import VinzEnvironment
+from repro.vinz.execution import FiberExecution
+from repro.vinz.service import WorkflowService
+
+
+def _options(cls):
+    """Constructor parameters a caller may leave out."""
+    return [p.name for p in inspect.signature(cls).parameters.values()
+            if p.default is not p.empty]
+
+
+def _public(cls):
+    return {name for name, value in inspect.getmembers(cls, callable)
+            if not name.startswith("_")}
+
+
+def test_constructor_options_do_not_grow():
+    assert len(_options(VinzEnvironment)) <= 18
+    assert len(_options(WorkflowService)) <= 10
+
+
+def test_live_and_replay_bridges_have_the_same_intrinsics():
+    """An intrinsic added to one side only fails here, not at the
+    first crash rebuild."""
+    assert _public(ReplayExecution) == _public(FiberExecution)
+
+
+def test_replay_overrides_only_the_primitives():
+    """Replay reverses the data flow of the primitives; every
+    intrinsic built on them is inherited, so there is nothing to keep
+    in step by hand."""
+    overridden = {name for name in vars(ReplayExecution)
+                  if not name.startswith("__")}
+    assert overridden == {"nondet", "effect", "fork", "fork_chain", "charge"}
