@@ -44,9 +44,11 @@ from .messagequeue import (
     ReplyTo,
     _trace_ids,
 )
-from .store import StoreError
+from .store import SharedStore, StoreError
 from .services import (
+    Deferred,
     OperationContext,
+    Requeue,
     ResponseEnvelope,
     Service,
     ServiceFault,
@@ -91,23 +93,6 @@ class ServiceInstance:
 
     def __repr__(self) -> str:
         return f"<Instance {self.id}>"
-
-
-class _InFlight:
-    """A request being processed; ``valid`` is cleared on node failure."""
-
-    def __init__(self, message: Message, instance: ServiceInstance,
-                 started: float):
-        self.message = message
-        self.instance = instance
-        self.started = started
-        self.valid = True
-        self.context: Optional[OperationContext] = None
-        #: the operation-window span (0 when tracing is disabled)
-        self.span_id = 0
-        #: the window's sealed journal batch (durable store only),
-        #: committed when the window completes, discarded if it dies
-        self.batch = None
 
 
 class Cluster:
@@ -163,22 +148,21 @@ class Cluster:
         self.injector = None
         #: the distributed lock manager (repro.bluebox.locks), wired by
         #: VinzEnvironment.  When it has leases enabled the cluster
-        #: heartbeats long operation windows, validates fencing tokens
-        #: at window completion, and — as the lock manager's
-        #: ``lease_breaker`` — aborts a zombie holder's in-flight
-        #: window before an expiry/steal hands the lock to a new owner
+        #: heartbeats long operation windows and — as the lock
+        #: manager's ``lease_breaker`` — aborts a zombie holder's window
+        #: before an expiry/steal hands the lock to a new owner
         self.lock_manager = None
-        #: a window-capable store (repro.durastore.DurableStore), wired
-        #: by VinzEnvironment when the shared store supports group
-        #: commit: each operation window's mutations seal into one
-        #: journal batch, committed as the window completes
-        self.durable_store = None
+        #: the shared store (VinzEnvironment points this at its own):
+        #: every operation window is bracketed on it, and a journaled
+        #: one (repro.durastore) commits the window as one batch
+        self.store = SharedStore()
         #: called with each dead-lettered Message (Vinz fails the
         #: owning task/fiber so nothing hangs silently)
         self.dead_letter_listeners: List[Callable[[Message], None]] = []
         self.nodes: Dict[str, Node] = {}
         self.services: Dict[str, Service] = {}
-        self._in_flight: List[_InFlight] = []
+        #: the windows between handler start and commit/abort
+        self._in_flight: List[OperationContext] = []
         self._node_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -374,7 +358,7 @@ class Cluster:
         except ServiceFault as fault:
             envelope = ResponseEnvelope(fault_qname=fault.qname,
                                         fault_message=fault.message)
-        context.flush_outbox()  # synchronous call: effects are immediate
+        context.commit()  # synchronous call: effects are immediate
         envelope.duration = context.charged + 2 * self.delivery_latency
         if parent_context is not None:
             # the synchronous caller pays for the whole round trip
@@ -495,22 +479,28 @@ class Cluster:
         node = instance.node
         node.busy += 1
         started = self.kernel.now
-        record = _InFlight(message, instance, started)
-        self._in_flight.append(record)
         context = OperationContext(self, instance, message)
-        record.context = context
+        self._in_flight.append(context)
+
+        def free_slot() -> None:
+            self._in_flight.remove(context)
+            node.busy -= 1
+
+        # the slot is held like a lock: either exit gives it back
+        context.on_complete(free_slot)
+        context.on_abort(free_slot)
         if self.tracer.enabled:
             ids = _trace_ids(message.body)
-            record.span_id = context.span_id = self.tracer.begin(
+            context.span_id = context.window_span = self.tracer.begin(
                 f"op:{message.service}.{message.operation}", kind="operation",
                 start=started, parent_id=hop_span or None, node=node.id,
                 msg=message.id, **ids)
-            self.tracer.event(started, "deliver", record.span_id,
+            self.tracer.event(started, "deliver", context.span_id,
                               service=message.service,
                               operation=message.operation, msg=message.id,
                               node=node.id, **ids)
-        if self.durable_store is not None:
-            self.durable_store.begin_window()
+        self.store.begin_window()
+        context.owns_window = True
         try:
             value = instance.service.handle(context, message.operation,
                                             message.body)
@@ -522,41 +512,35 @@ class Cluster:
             # a store IO fault (or injected corruption) surfaced while
             # processing: abort the window — roll back state, free the
             # slot — and retry the message per its policy
-            if self.durable_store is not None:
-                self.durable_store.abort_window()
-            self._abort_window(record, f"store fault: {err}")
+            self.store.abort_window()
+            self._abort_window(context, f"store fault: {err}")
             return
-        if self.durable_store is not None:
-            if record.valid:
-                # group commit: the window's writes become one journal
-                # batch; its IO cost lands inside the window duration
-                record.batch = self.durable_store.seal_window()
-                if record.batch is not None:
-                    context.charge(record.batch.cost)
-            else:
-                # the node died mid-handler (crash-on-persist): the
-                # abort hooks already rolled state back; the buffered
-                # records must never reach the journal
-                self.durable_store.abort_window()
+        if not context.valid:
+            # the node died (or was crashed by the injector) while the
+            # handler ran: fail_node already rolled back and requeued,
+            # and the buffered records must never reach the journal
+            self.store.abort_window()
+            self._kick_node(node)
+            return
+        # group commit: the window's writes become one journal batch;
+        # its IO cost lands inside the window duration
+        context.batch = self.store.seal_window()
+        if context.batch is not None:
+            context.charge(context.batch.cost)
         duration = max(context.charged, 1e-6)
         if self.injector is not None:
             duration *= self.injector.slow_factor(node.id, started)
-        if not record.valid:
-            # the node died (or was crashed by the injector) while the
-            # handler ran: fail_node already rolled back and requeued
-            self._kick_node(node)
-            return
-        self._schedule_heartbeats(record, duration)
+        self._schedule_heartbeats(context, duration)
         self.kernel.schedule(
-            duration, lambda: self._complete(record, envelope, duration))
+            duration, lambda: self._complete(context, envelope, duration))
 
     @staticmethod
-    def _window_owner(record: "_InFlight") -> str:
+    def _window_owner(record: OperationContext) -> str:
         """The lock-owner identity this window's handler used
         (one place: LockManager.owner_node parses it back)."""
         return f"{record.instance.id}#{record.message.id}"
 
-    def _schedule_heartbeats(self, record: "_InFlight",
+    def _schedule_heartbeats(self, record: OperationContext,
                              duration: float) -> None:
         """Keep a long window's lock leases alive while its node is.
 
@@ -604,57 +588,29 @@ class Cluster:
                 return True
         return False
 
-    def _complete(self, record: _InFlight, envelope: ResponseEnvelope,
-                  duration: float) -> None:
+    def _complete(self, record: OperationContext,
+                  envelope: ResponseEnvelope, duration: float) -> None:
         if not record.valid:
             return  # the node died while processing; message was requeued
-        if self.lock_manager is not None and record.context is not None:
-            # fencing: a window whose lock grant was superseded while it
-            # ran (lease expired, lock stolen by a new owner) must not
-            # commit — its effects roll back and the message retries.
-            # Normally the lease breaker already aborted such windows
-            # synchronously at steal time; this is the last line of
-            # defense for expiries that bypassed it.
-            fence = getattr(record.context, "fence", None)
-            if fence is not None \
-                    and not self.lock_manager.fence_valid(*fence):
-                self.lock_manager.fence_rejections += 1
-                self.metrics.incr("lease.fence-rejected")
-                self._abort_window(record, "fencing token superseded")
-                return
-        if self.durable_store is not None and record.batch is not None:
-            # the group commit: one journal append for the whole
-            # window.  A torn-commit fault aborts the window — state
-            # rolls back via the undo hooks, the partial record is
-            # dropped by the next replay, and the message retries.
-            batch, record.batch = record.batch, None
-            try:
-                self.durable_store.commit_batch(batch)
-            except StoreError as err:
-                self._abort_window(record, f"journal fault: {err}")
-                return
-        self._in_flight.remove(record)
+        # state writes, history and chunk GC in one journal append,
+        # then lock release, then the transactional sends
+        try:
+            record.commit()
+        except StoreError as err:
+            if record.valid:
+                raise  # from a post-commit hook: the window did commit
+            self._abort_window(record, f"commit refused: {err}")
+            return
         node = record.instance.node
-        node.busy -= 1
         node.processed += 1
         node.busy_time += duration
         record.instance.processed += 1
-        self.metrics.incr(f"op.{record.message.service}.{record.message.operation}")
+        message = record.message
+        self.metrics.incr(f"op.{message.service}.{message.operation}")
         self.metrics.add("busy_time", duration)
         if self.metrics.enabled:
             # the spawn governor's operation-latency signal
             self.metrics.histogram("op.duration").observe(duration)
-        message = record.message
-        if record.context is not None:
-            for hook in record.context.completion_hooks:
-                hook()
-        from .services import Deferred, Requeue
-
-        if record.context is not None and \
-                not isinstance(envelope.value, Requeue):
-            # transactional sends: the operation's outgoing messages hit
-            # the queue now, at the end of its simulated window
-            record.context.flush_outbox()
         if isinstance(envelope.value, Requeue):
             # the handler backed off (e.g. AwakeFiber lock patience):
             # the message goes back on the queue, keeping its reply_to
@@ -706,35 +662,20 @@ class Cluster:
     # retry / dead-letter machinery
     # ------------------------------------------------------------------
 
-    def _abort_window(self, record: "_InFlight", reason: str) -> None:
-        """An operation failed mid-window (store fault): run its abort
-        hooks (state rollback, lock release), free the slot, and retry
-        the message per its policy — the same recovery path a node
-        death takes, but for a single failed operation."""
-        record.valid = False
-        if record in self._in_flight:
-            self._in_flight.remove(record)
+    def _abort_window(self, record: OperationContext, reason: str) -> None:
+        """An operation failed (store fault, broken lease, refused
+        commit): abort its window — the rollback a node death takes,
+        for one operation — and retry the message per its policy."""
+        record.abort(reason)
+        message = record.message
         node = record.instance.node
-        node.busy -= 1
-        if self.durable_store is not None and record.batch is not None:
-            # sealed but never committed (fence rejection, lease steal
-            # mid-window): the batch must not reach the journal
-            self.durable_store.discard_batch(record.batch)
-            record.batch = None
-        if record.context is not None:
-            for hook in record.context.abort_hooks:
-                hook()
         if self.tracer.enabled:
-            self.tracer.end(record.span_id, end=self.kernel.now,
-                            aborted=True, error=reason)
             self.tracer.event(self.kernel.now, OPERATION_FAULT,
-                              record.span_id,
-                              service=record.message.service,
-                              operation=record.message.operation,
-                              msg=record.message.id, node=node.id,
-                              reason=reason)
+                              record.span_id, service=message.service,
+                              operation=message.operation, msg=message.id,
+                              node=node.id, reason=reason)
         self.metrics.incr("operation.faults")
-        self._retry_or_dead_letter(record.message, reason)
+        self._retry_or_dead_letter(message, reason)
         self._kick_node(node)
 
     def _retry_or_dead_letter(self, message: Message, reason: str) -> bool:
@@ -802,30 +743,15 @@ class Cluster:
         requeued = 0
         for record in list(self._in_flight):
             if record.instance.node is node:
-                record.valid = False
-                self._in_flight.remove(record)
-                node.busy -= 1
-                if self.durable_store is not None \
-                        and record.batch is not None:
-                    # sealed but never committed: the batch dies with
-                    # the node and replay excludes it by construction
-                    self.durable_store.discard_batch(record.batch)
-                    record.batch = None
-                if record.context is not None:
-                    # a *dirty* crash: abort hooks that model work the
-                    # dead JVM could never do (releasing an NFS lock
-                    # file) check this flag and abandon instead
-                    record.context.node_failed = True
-                    for hook in record.context.abort_hooks:
-                        hook()
+                # a *dirty* crash: sealed or not, the window's batch
+                # dies with the node, so replay never sees it
+                record.abort("node-failure", node_failed=True)
                 message = record.message
                 if self.tracer.enabled:
                     self.tracer.event(self.kernel.now, "instance-failure",
-                                      record.span_id, node=node.id,
+                                      record.window_span, node=node.id,
                                       msg=message.id,
                                       operation=message.operation)
-                    self.tracer.end(record.span_id, end=self.kernel.now,
-                                    aborted=True, error="node-failure")
                 if self.queue.requeue(message, self.kernel.now):
                     requeued += 1
                     service = message.service

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from .messagequeue import PRIORITY_NORMAL, ReplyTo
+from .store import FencedWriteError, StoreError
 from .wsdl import WsdlDocument, WsdlOperation, WsdlParameter
 
 
@@ -33,7 +34,8 @@ class ServiceFault(Exception):
 
 
 class OperationContext:
-    """Everything a handler may do while processing one message.
+    """One operation window: what a handler may do while processing one
+    message, and the window's two exits.
 
     * ``charge(seconds)`` — consume simulated processing time; the
       instance slot stays busy for the total charged duration.
@@ -41,9 +43,15 @@ class OperationContext:
     * ``now`` — current virtual time.
     * ``node``/``instance`` — where this handler is running (fiber
       cache lookups are per-instance, Section 4.2).
+    * :meth:`commit` / :meth:`abort` — every window ends through
+      exactly one of them, once: store writes, history and chunk GC
+      share one journal append and the sends go out only after it.
+
+    Platform work outside any message (dead-letter handling) runs on a
+    context with no ``instance``/``message`` and commits it when done.
     """
 
-    def __init__(self, cluster, instance, message):
+    def __init__(self, cluster, instance=None, message=None):
         self.cluster = cluster
         self.instance = instance
         self.message = message
@@ -53,28 +61,124 @@ class OperationContext:
         #: context parent their queue-hop spans here; 0 when tracing
         #: is disabled.
         self.span_id = 0
+        #: the operation window's own span, closed by :meth:`abort`
+        self.window_span = 0
         #: the flag to check before building a :meth:`trace` call
         self.tracing = cluster.tracer.enabled
-        #: buffered outgoing messages: (extra_delay, send kwargs).
-        #: Flushed when the simulated window ends — message sends are
-        #: transactional with the operation, so a node failure
-        #: mid-window sends nothing (the redelivered operation will).
+        #: cleared by :meth:`abort`; a dead window never commits
+        self.valid = True
+        #: a *dirty* abort: a dead JVM unlinks no NFS lock file
+        self.node_failed = False
+        #: whether the store's open window is this context's to commit
+        #: (an inline call runs inside its caller's, and joins it)
+        self.owns_window = False
+        #: the window's store writes, sealed when the handler returned
+        self.batch = None
+        #: ``(lock key, owner, token)`` of the fiber lock held; a
+        #: window whose token was superseded must not commit
+        self.fence = None
+        #: history events recorded in this window, flushed by commit
+        self.history_buffer = []
+        #: compensating undos of its chunk-refcount changes, run
+        #: newest-first on abort
+        self.snap_undos = []
+        #: buffered outgoing messages, (extra_delay, send kwargs): sent
+        #: by commit, so a window that dies sends nothing
         self.outbox = []
-        #: run when the operation's simulated window ends normally
+        #: hooks: store writers inside the commit's journal batch;
+        #: store-free work once it is on the log; rollbacks otherwise
+        self.pre_commit_hooks = []
         self.completion_hooks = []
-        #: run if the node dies before the window ends
         self.abort_hooks = []
 
+    def before_commit(self, fn: Callable[[], None]) -> None:
+        """Register a store writer for the commit itself (history
+        flush, chunk GC): its writes join the window's one journal
+        append, and it registers its own undo in case that fails."""
+        self.pre_commit_hooks.append(fn)
+
     def on_complete(self, fn: Callable[[], None]) -> None:
-        """Register a hook for the end of this operation's simulated
-        processing window (e.g. releasing a fiber lock held for the
-        whole window)."""
+        """Register a hook for after this window committed (e.g.
+        releasing a fiber lock held for the whole window).  It must not
+        write to the store: the window's one append has happened."""
         self.completion_hooks.append(fn)
 
     def on_abort(self, fn: Callable[[], None]) -> None:
-        """Register a hook for node failure mid-window (e.g. a lock
-        coordinator expiring the dead node's session)."""
+        """Register a rollback for a window that dies — node failure,
+        store fault, broken lease, refused commit."""
         self.abort_hooks.append(fn)
+
+    def check_fence(self, counter: str) -> None:
+        """Raise if this window's lock grant was superseded (lease
+        expired, lock stolen): a newer owner may already be running,
+        so the zombie must neither write fiber state nor commit."""
+        locks = self.cluster.lock_manager
+        if self.fence is not None and not locks.fence_valid(*self.fence):
+            locks.fence_rejections += 1
+            self.cluster.metrics.incr(counter)
+            key, owner, token = self.fence
+            raise FencedWriteError(
+                f"stale fencing token {token} for {key} (owner {owner})")
+
+    def commit(self) -> None:
+        """The success exit: fence check, pre-commit writers and ONE
+        journal append, then the post-commit hooks and buffered sends.
+        A window that cannot commit aborts instead and the
+        :class:`StoreError` saying why reaches the caller, who owns the
+        redelivery policy."""
+        store = self.cluster.store
+        try:
+            # normally the lease breaker aborted a superseded window at
+            # steal time; this is the last line of defense for expiries
+            # that bypassed it
+            self.check_fence("lease.fence-rejected")
+            if self.owns_window and not store.window_open:
+                store.begin_window()  # sealed when the handler returned
+            for hook in self.pre_commit_hooks:
+                hook()
+            if self.owns_window:
+                batch, self.batch = self.batch, None
+                store.commit_batch(batch)
+        except StoreError as err:
+            # stale fence, failed pre-commit write or torn append (the
+            # partial record is dropped by the next journal replay)
+            if self.owns_window:
+                store.abort_window()
+            self.abort(f"commit refused: {err}")
+            raise
+        for hook in self.completion_hooks:
+            hook()
+        self._drop_hooks()
+        outbox, self.outbox = self.outbox, []
+        for delay, kwargs in outbox:
+            if delay > 0:
+                self.cluster.kernel.schedule(
+                    delay, lambda kw=kwargs: self.cluster.send(**kw))
+            else:
+                self.cluster.send(**kwargs)
+
+    def abort(self, reason: str, node_failed: bool = False) -> None:
+        """The window's failure exit: the sealed batch never reaches
+        the journal, every hook rolls its part back, nothing is sent."""
+        if not self.valid:
+            return  # a window dies once
+        self.valid = False
+        self.node_failed = node_failed
+        self.cluster.store.discard_batch(self.batch)
+        for hook in self.abort_hooks:
+            hook()
+        for undo in reversed(self.snap_undos):
+            undo()
+        self._drop_hooks()
+        self.cluster.tracer.end(self.window_span, end=self.now,
+                                aborted=True, error=reason)
+
+    def _drop_hooks(self) -> None:
+        """The window is over and its hooks close over this context:
+        dropping them lets it be freed without the cycle collector."""
+        self.pre_commit_hooks.clear()
+        self.completion_hooks.clear()
+        self.abort_hooks.clear()
 
     @property
     def now(self) -> float:
@@ -122,25 +226,15 @@ class OperationContext:
                                         affinity=affinity,
                                         parent_span=self.span_id)))
 
-    def flush_outbox(self) -> None:
-        """Dispatch buffered sends (called by the cluster at window
-        end, or immediately for inline synchronous calls)."""
-        outbox, self.outbox = self.outbox, []
-        for delay, kwargs in outbox:
-            if delay > 0:
-                self.cluster.kernel.schedule(
-                    delay, lambda kw=kwargs: self.cluster.send(**kw))
-            else:
-                self.cluster.send(**kwargs)
-
     def defer(self) -> Deferred:
         """Capture this message's reply for later resolution."""
         return Deferred(self.cluster, self.message.reply_to)
 
     def trace(self, kind: str, **detail: Any) -> None:
         """Record one event on this node, inside this operation's span."""
+        where = {"node": self.instance.node.id} if self.instance else {}
         self.cluster.tracer.event(self.now, kind, self.span_id,
-                                  node=self.instance.node.id, **detail)
+                                  **where, **detail)
 
 
 class Deferred:

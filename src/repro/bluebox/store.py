@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..observe import MetricsRegistry, Tracer
+
 
 class StoreError(KeyError):
     """A missing key or failed store operation."""
@@ -96,6 +98,24 @@ class SharedStore:
         #: claim is exactly "fewer ops, less IO time")
         self.io_ops = 0
         self.io_seconds = 0.0
+        #: observability wiring (VinzEnvironment points these at the
+        #: cluster's; a standalone store traces nothing)
+        self.tracer = Tracer(events=False)
+        self.metrics = MetricsRegistry(enabled=False)
+        self.now_fn = None
+
+    # -- the operation-window protocol ------------------------------------
+
+    #: whether a window is open right now (a context created meanwhile
+    #: runs *inside* that window and its writes join that batch)
+    window_open = False
+
+    def _no_window(self, batch=None) -> None:
+        """The cluster brackets every operation window with these five
+        (repro.durastore overrides all): a flat store groups nothing."""
+
+    begin_window = seal_window = abort_window = _no_window
+    commit_batch = discard_batch = _no_window
 
     # -- storage primitives (what subclasses reroute) ---------------------
 

@@ -11,7 +11,7 @@ env pays one ``op_latency`` instead of five — the Gozer filer's ~2 ms
 per-op cost amortized exactly the way Netherite batches partition
 updates into one commit-log IO.
 
-Window lifecycle (driven by the cluster):
+Window lifecycle (driven by the cluster and the window's context):
 
 1. ``begin_window()`` as the operation handler starts.
 2. ``write``/``delete`` during the handler buffer journal records;
@@ -20,16 +20,17 @@ Window lifecycle (driven by the cluster):
 3. ``seal_window()`` as the handler finishes: the batch is framed and
    the group-commit IO priced — the cost lands inside the window's
    simulated duration.
-4. ``commit_batch(batch)`` when the window *completes*: the sealed
-   frame is physically appended (this is where a torn-journal fault can
-   strike).  A window aborted in between — node death, store fault —
-   calls ``abort_window()``/``discard_batch()`` instead and the batch
-   never reaches the log, so journal replay excludes it by
-   construction: rollback and replay compose.
+4. ``commit_batch(batch)`` when the window *completes*: the context
+   first re-opens the window (``begin_window()``) for the commit's own
+   writers — history flush, chunk-refcount releases — and the sealed
+   records plus those late ones are appended as ONE frame (where a
+   torn-journal fault can strike).  A window aborted at any point —
+   node death, store fault — calls ``abort_window()``/``discard_batch()``
+   instead and nothing reaches the log: rollback and replay compose.
 
-Mutations outside any window (task submission, dead-letter bookkeeping)
-auto-commit as singleton batches, so the journal is always a complete
-record of committed state.
+Mutations outside any window (a client writing the store directly, a
+file lock released after its window committed) auto-commit as singleton
+batches, so the journal is always a complete record of committed state.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..bluebox.store import StoreError
-from ..observe import MetricsRegistry, Tracer
 from .backend import StoreBackend
 from .journal import (
     OP_DELETE,
@@ -56,20 +56,16 @@ class DurableStore(ShardedStore):
     def __init__(self, backends: Optional[Sequence[StoreBackend]] = None,
                  shards: int = 4,
                  journal: Optional[WriteAheadJournal] = None,
-                 checkpoint_interval: int = 64,
-                 commit_interval: Optional[float] = None, **kwargs):
+                 checkpoint_interval: int = 64, **kwargs):
         # the journal must exist before super().__init__ assigns
         # self.injector (the property setter mirrors it onto the journal)
         self.journal = journal if journal is not None else WriteAheadJournal()
         self.checkpoint_interval = checkpoint_interval
         super().__init__(backends=backends, shards=shards, **kwargs)
-        #: group-commit horizon: a window sealing within this many
-        #: simulated seconds of the last physical flush piggybacks on
-        #: it (pays only its bytes).  Defaults to one ``op_latency`` —
-        #: while a filer write is in flight, concurrent committers
-        #: queue behind it and share the next IO.
-        self.commit_interval = commit_interval \
-            if commit_interval is not None else self.op_latency
+        #: when the last physical flush began: a window sealing within
+        #: one ``op_latency`` of it piggybacks on it (pays only its
+        #: bytes) — while a filer write is in flight, concurrent
+        #: committers queue behind it and share the next IO
         self._last_flush_at: Optional[float] = None
         #: records of the currently open operation window (None = no
         #: window open; windows never overlap — operation handlers run
@@ -85,12 +81,6 @@ class DurableStore(ShardedStore):
         self.shared_flushes = 0
         self.recoveries = 0
         self.checkpoint_seconds = 0.0
-        #: observability wiring (VinzEnvironment points these at the
-        #: cluster's; a standalone store traces nothing): recovery
-        #: emits a span and ``store.recovery.*`` counters
-        self.tracer = Tracer(events=False)
-        self.metrics = MetricsRegistry(enabled=False)
-        self.now_fn = None
 
     # the injector consults both store IO and journal appends; mirror
     # assignments (FaultInjector.install sets env.store.injector) onto
@@ -102,12 +92,15 @@ class DurableStore(ShardedStore):
     @injector.setter
     def injector(self, value) -> None:
         self._injector = value
-        if getattr(self, "journal", None) is not None:
-            self.journal.injector = value
+        self.journal.injector = value
 
     # ------------------------------------------------------------------
     # the operation-window lifecycle
     # ------------------------------------------------------------------
+
+    @property
+    def window_open(self) -> bool:
+        return self._window is not None
 
     def begin_window(self) -> None:
         if self._window is not None:
@@ -125,7 +118,7 @@ class DurableStore(ShardedStore):
         bytes, versus N × (``op_latency`` + payload bytes) unjournaled.
 
         The second group-commit tier works *across* windows: when this
-        seal lands within ``commit_interval`` of the last physical
+        seal lands within one ``op_latency`` of the last physical
         flush (a concurrent handler on another node just committed),
         the batch piggybacks on that in-flight IO — it pays only its
         bytes and the journal counts no new flush.
@@ -140,7 +133,7 @@ class DurableStore(ShardedStore):
         framing_cost = max(0, len(framed) - payload) * self.per_byte
         now = self.now_fn() if self.now_fn is not None else None
         shares = (now is not None and self._last_flush_at is not None
-                  and now - self._last_flush_at < self.commit_interval)
+                  and now - self._last_flush_at < self.op_latency)
         if shares:
             cost = framing_cost
             self.shared_flushes += 1
@@ -164,11 +157,19 @@ class DurableStore(ShardedStore):
     def commit_batch(self, batch: Optional[SealedBatch]) -> None:
         """Physically append a sealed batch — the group commit.
 
-        Raises :class:`~repro.bluebox.store.StoreWriteError` when a
+        Records written since the seal (the window re-opened for its
+        commit-time writers) join the batch in the same frame,
+        unpriced: the commit's cost was fixed at seal.  Raises
+        :class:`~repro.bluebox.store.StoreWriteError` when a
         torn-journal fault fires; the caller aborts the window (undo
         hooks roll the backends back) and the partial record is dropped
         by the next replay.
         """
+        late, self._window = self._window, None
+        if late:
+            records = (batch.records if batch is not None else []) + late
+            batch = SealedBatch(records, encode_batch(records), 0.0,
+                                flushed=batch is None or batch.flushed)
         if batch is None:
             return
         self.journal.append_batch(batch)

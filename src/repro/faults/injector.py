@@ -364,7 +364,7 @@ class FaultInjector:
                 node = ctx.node
                 if node.alive:
                     self._record("crash-on-persist",
-                                 span=getattr(ctx, "span_id", 0),
+                                 span=ctx.span_id,
                                  node=node.id, fiber=fiber.id,
                                  persist=self.persists)
                     self.env.fail_node(node.id)
@@ -386,7 +386,7 @@ class FaultInjector:
                 node = ctx.node
                 if node.alive:
                     self._record("crash-on-lock",
-                                 span=getattr(ctx, "span_id", 0),
+                                 span=ctx.span_id,
                                  node=node.id, fiber=fiber.id,
                                  acquisition=self.lock_acquisitions)
                     self.env.fail_node(node.id)

@@ -1,10 +1,11 @@
 """Durable storage for task histories: CRC-framed batches on the store.
 
-Each committed operation window appends one batch per task under
-``history//<task-id>/<n>``.  When the shared store is a durable
-(window-capable) store, these writes ride the existing group-commit
-journal like any other key — history durability costs no extra fsync
-plane.  A batch frame is ``magic + u32 len + u32 crc + payload`` (the
+Each committing operation window appends one batch per task under
+``history//<task-id>/<n>``.  The write happens inside the window's
+commit, so on a journaled store it is one more record of the window's
+own group-commit batch — history durability costs no extra IO — and a
+failed write aborts the window like any other store fault.  A batch
+frame is ``magic + u32 len + u32 crc + payload`` (the
 same framing the write-ahead journal uses), so a torn tail — the writer
 died inside ``write(2)`` — is *detectable*: the length or checksum will
 not line up.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, List
 
-from ..bluebox.store import StoreError
 from ..vinz.persistence import crc_frame, parse_crc_frames
 from .recorder import SCHEMA_VERSION, HistoryEvent
 
@@ -55,12 +55,6 @@ class DroppedBatchError(HistoryCorruptionError):
 class HistoryLog:
     """Batched, CRC-framed history storage on a shared-store plane."""
 
-    #: batch appends survive this many transient store failures before
-    #: the error propagates (history runs in the window's completion
-    #: hook, *after* commit — there is no message redelivery left to
-    #: retry it, so the append must absorb transient faults itself)
-    WRITE_ATTEMPTS = 3
-
     def __init__(self, store):
         self.store = store
         #: optional FaultInjector (set by ``FaultInjector.install``):
@@ -70,7 +64,6 @@ class HistoryLog:
         self._next_batch: Dict[str, int] = {}
         self.batches_written = 0
         self.bytes_written = 0
-        self.write_retries = 0
 
     @staticmethod
     def _key(task_id: str, index: int) -> str:
@@ -92,29 +85,28 @@ class HistoryLog:
         payload = pickle.dumps((SCHEMA_VERSION, encoded), protocol=4)
         blob = crc_frame(payload, HISTORY_MAGIC)
         index = self._next_batch.get(task_id, 0)
-        self._next_batch[task_id] = index + 1
         key = self._key(task_id, index)
         if self.injector is not None:
             blob = self.injector.on_history_write(key, blob)
-            if blob is None:
-                return  # dropped-batch fault: the write never lands
-        # A failed append would leave a permanent gap at this index —
-        # read_task fails closed on gaps, so the whole history would be
-        # unreplayable over one transient store hiccup.  Other store
-        # writes get retried by message redelivery; this one runs after
-        # the window committed, so it retries here.  The write is
-        # idempotent (same key, same bytes), and a persistent outage
-        # still surfaces: the last error propagates.
-        for attempt in range(self.WRITE_ATTEMPTS):
-            try:
-                self.store.write(key, blob)
-                break
-            except StoreError:
-                self.write_retries += 1
-                if attempt == self.WRITE_ATTEMPTS - 1:
-                    raise
-        self.batches_written += 1
-        self.bytes_written += len(blob)
+        if blob is not None:  # None: dropped-batch fault, never lands
+            # a failed write raises before anything here changed: the
+            # window aborts and the message redelivers, like any write
+            self.store.write(key, blob)
+            self.batches_written += 1
+            self.bytes_written += len(blob)
+        self._next_batch[task_id] = index + 1
+
+    def rollback_batch(self, task_id: str) -> None:
+        """Abort-undo of ``task_id``'s last :meth:`append_batch`: the
+        window that wrote it did not commit."""
+        index = self._next_batch[task_id] - 1
+        self._next_batch[task_id] = index
+        key = self._key(task_id, index)
+        blob = self.store.snapshot_value(key)
+        if blob is not None:
+            self.store.rollback_value(key, None)
+            self.batches_written -= 1
+            self.bytes_written -= len(blob)
 
     # -- read side ------------------------------------------------------
 
@@ -170,5 +162,4 @@ class HistoryLog:
         return {
             "batches_written": self.batches_written,
             "log_bytes": self.bytes_written,
-            "write_retries": self.write_retries,
         }

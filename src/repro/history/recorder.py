@@ -10,18 +10,19 @@ fiber by re-executing its deterministic bytecode and feeding the
 recorded decisions back in.  Snapshots become an optimization taken
 every N suspensions instead of every one.
 
-:class:`HistoryRecorder` is the write side.  Events are buffered per
-operation window and committed by a completion hook, so an aborted
-window (node crash, store fault, fencing rejection) leaves no trace —
-history only ever describes *committed* execution, exactly like the
-fiber state it shadows.  Committed events are mirrored in memory (the
-live rebuild path) and appended, CRC-framed, to the
+:class:`HistoryRecorder` is the write side.  Events are buffered on the
+operation window and flushed inside its commit — the batch write joins
+the window's one journal append — so an aborted window (node crash,
+store fault, fencing rejection, failed append) leaves no trace: history
+only ever describes *committed* execution, and commits with the fiber
+state it describes.  Committed events are mirrored in memory (the live
+rebuild path) and appended, CRC-framed, to the
 :class:`~repro.history.log.HistoryLog` plane of the shared store.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: bump when event payload shapes change; stored in every batch frame
 SCHEMA_VERSION = 1
@@ -88,47 +89,48 @@ class HistoryRecorder:
 
     One per :class:`~repro.vinz.api.VinzEnvironment` (when
     ``history="on"``).  ``record`` buffers the event on the operation
-    window; the window's completion hook assigns sequence numbers and
-    appends one batch per task to the log — the abort hook discards the
-    buffer, so rolled-back windows record nothing.
+    window; the window's commit assigns sequence numbers and appends
+    one batch per task to the log — an aborted window records nothing.
     """
 
     def __init__(self, env, log):
         self.env = env
         self.log = log
-        #: committed events per task (the live rebuild path reads this
-        #: mirror; ``replay_task`` reads the durable log instead)
+        #: committed events per task, in ``seq`` order (the live
+        #: rebuild path reads this mirror; ``replay_task`` reads the
+        #: durable log instead)
         self.histories: Dict[str, List[HistoryEvent]] = {}
-        self._seqs: Dict[str, int] = {}
 
     # -- recording ------------------------------------------------------
 
     def record(self, ctx, task_id: str, kind: str,
                fiber: Optional[str] = None, **payload: Any) -> None:
-        entry = (task_id, kind, fiber, payload)
-        on_complete = getattr(ctx, "on_complete", None)
-        if on_complete is None:
-            # out-of-band context (dead-letter handling): there is no
-            # window to be transactional with — commit immediately
-            self._commit([entry])
-            return
-        buffer = getattr(ctx, "_history_buffer", None)
-        if buffer is None:
-            buffer = []
-            ctx._history_buffer = buffer
-            on_complete(lambda: self._commit(buffer))
-            ctx.on_abort(buffer.clear)
-        buffer.append(entry)
+        if not ctx.history_buffer:
+            ctx.before_commit(lambda: self._flush(ctx))
+        ctx.history_buffer.append((task_id, kind, fiber, payload))
 
-    def _commit(self, entries: List[Tuple]) -> None:
-        if not entries:
-            return
+    def _flush(self, ctx) -> None:
+        """The window is committing: number its events, mirror them and
+        append one batch per task.  Its undo goes in first: if a later
+        write or the journal append fails, mirror and log go back."""
+        before: Dict[str, int] = {}
+        appended: List[str] = []
+
+        def undo() -> None:
+            for task_id in reversed(appended):
+                self.log.rollback_batch(task_id)
+            for task_id, count in before.items():
+                del self.histories[task_id][count:]
+                if not count:
+                    del self.histories[task_id]
+
+        ctx.on_abort(undo)
         by_task: Dict[str, List[HistoryEvent]] = {}
-        for task_id, kind, fiber, payload in entries:
-            seq = self._seqs.get(task_id, 0)
-            self._seqs[task_id] = seq + 1
-            event = HistoryEvent(seq, kind, fiber, payload)
-            self.histories.setdefault(task_id, []).append(event)
+        for task_id, kind, fiber, payload in ctx.history_buffer:
+            events = self.histories.setdefault(task_id, [])
+            before.setdefault(task_id, len(events))
+            event = HistoryEvent(len(events), kind, fiber, payload)
+            events.append(event)
             by_task.setdefault(task_id, []).append(event)
         registry = self.env.registry
         for task_id, events in by_task.items():
@@ -138,6 +140,7 @@ class HistoryRecorder:
             if workflow is None:  # pragma: no cover - task swept mid-commit
                 continue
             self.log.append_batch(task_id, events, workflow.codec)
+            appended.append(task_id)
 
     # -- introspection --------------------------------------------------
 
@@ -147,6 +150,6 @@ class HistoryRecorder:
     def summary(self) -> Dict[str, Any]:
         return {
             "tasks_recorded": len(self.histories),
-            "events": sum(self._seqs.values()),
+            "events": sum(map(len, self.histories.values())),
             **self.log.summary(),
         }

@@ -77,17 +77,12 @@ class ChunkStore:
 
     # -- the write path ---------------------------------------------------
 
-    def add(self, hex_digest: str,
-            payload: bytes) -> Tuple[float, bool, Optional[bytes]]:
-        """Reference ``payload`` under its digest.
-
-        Writes the chunk only when it is not already stored; always
-        increments the refcount.  Returns ``(io_cost, created,
-        prev_ref_bytes)`` — the last two are what an abort-undo needs to
-        put the plane back exactly.
-        """
+    def add(self, hex_digest: str, payload: bytes) -> Tuple[float, bool]:
+        """Reference ``payload`` under its digest: writes the chunk
+        only when it is not already stored, always increments the
+        refcount.  Returns ``(io_cost, created)``; :meth:`rollback_add`
+        is its abort-undo."""
         prev = self.refcount(hex_digest)
-        prev_bytes = _REF.pack(prev) if prev else None
         cost = 0.0
         created = False
         if prev == 0 or not self.store.exists(self.chunk_key(hex_digest)):
@@ -99,39 +94,64 @@ class ChunkStore:
         else:
             self.chunks_reused += 1
         cost += self._write_ref(hex_digest, prev + 1)
-        return cost, created, prev_bytes
+        return cost, created
 
-    def rollback_add(self, hex_digest: str, prev_ref: Optional[bytes],
-                     created: bool) -> None:
-        """Abort-undo for one :meth:`add`: restore the refcount value
-        and remove a chunk this window created.  Uses ``rollback_value``
-        so a journaled store also scrubs the keys from its open batch."""
-        self.store.rollback_value(self.ref_key(hex_digest), prev_ref)
-        self._refs[hex_digest] = _REF.unpack(prev_ref)[0] if prev_ref else 0
-        if created:
+    # Chunk keys are shared: while the window that took (or dropped) a
+    # reference is in flight, another fiber's window may move the same
+    # count.  So the abort-undos *compensate* — apply the inverse step
+    # to whatever the count is now — instead of restoring the value the
+    # aborted window first saw; they must run newest-first.
+
+    def _restore_ref(self, hex_digest: str, count: int) -> None:
+        self.store.rollback_value(self.ref_key(hex_digest),
+                                  _REF.pack(count) if count else None)
+        self._refs[hex_digest] = count
+
+    def rollback_add(self, hex_digest: str) -> None:
+        """Abort-undo for one :meth:`add`: give the reference back, and
+        remove the chunk only if nobody else holds one."""
+        count = max(self.refcount(hex_digest) - 1, 0)
+        self._restore_ref(hex_digest, count)
+        if not count:
             self.store.rollback_value(self.chunk_key(hex_digest), None)
             self.chunks_written -= 1
             self.bytes_stored -= self._sizes.pop(hex_digest, 0)
 
+    def rollback_release(self, hex_digest: str,
+                         payload: Optional[bytes]) -> None:
+        """Abort-undo for one :meth:`release`: take the reference back,
+        re-storing the chunk (``payload`` is what release returned) if
+        the release had deleted it."""
+        key = self.chunk_key(hex_digest)
+        if payload is not None and not self.store.exists(key):
+            self.store.rollback_value(key, payload)
+            self.chunks_deleted -= 1
+            self.bytes_stored += len(payload)
+            self._sizes[hex_digest] = len(payload)
+        self._restore_ref(hex_digest, self.refcount(hex_digest) + 1)
+
     # -- the release path (GC) --------------------------------------------
 
-    def release(self, hex_digest: str) -> float:
+    def release(self, hex_digest: str) -> Optional[bytes]:
         """Drop one reference; delete the chunk when none remain.
 
         The decrement (or the deletes) are ordinary store mutations:
         inside an operation window they join its journal batch, which
         is how "GC via refcount decrement in the journal" composes with
-        crash recovery.
+        crash recovery.  Returns the payload of a chunk it deleted (for
+        :meth:`rollback_release`), else ``None``.
         """
         count = self.refcount(hex_digest)
-        if count <= 1:
-            cost = self.store.delete(self.chunk_key(hex_digest))
-            cost += self.store.delete(self.ref_key(hex_digest))
-            self._refs[hex_digest] = 0
-            self.chunks_deleted += 1
-            self.bytes_stored -= self._sizes.pop(hex_digest, 0)
-            return cost
-        return self._write_ref(hex_digest, count - 1)
+        if count > 1:
+            self._write_ref(hex_digest, count - 1)
+            return None
+        payload = self.store.snapshot_value(self.chunk_key(hex_digest))
+        self.store.delete(self.chunk_key(hex_digest))
+        self.store.delete(self.ref_key(hex_digest))
+        self._refs[hex_digest] = 0
+        self.chunks_deleted += 1
+        self.bytes_stored -= self._sizes.pop(hex_digest, 0)
+        return payload
 
     # -- reads ------------------------------------------------------------
 

@@ -17,8 +17,8 @@ Responsibilities are split with the workflow service:
 * the service writes the manifest at the fiber's state key (so the
   existing abort-undo machinery rolls it back untouched), charges the
   returned IO cost to the operation window, registers the pipeline's
-  ``undo`` (on abort) and ``release`` (on commit) callables, and emits
-  the ``snap.*`` spans.
+  ``undo`` (on abort) and ``release`` (inside the commit) callables,
+  and emits the ``snap.*`` spans.
 
 Every refcount mutation is a real store write, so inside an operation
 window it rides the durable store's group-commit journal batch —
@@ -65,11 +65,11 @@ class SnapshotWrite:
     chunks_new: int
     chunks_reused: int
     cost: float                 # store IO cost of chunk + refcount writes
-    #: roll the chunk plane back exactly (abort path); safe to call once
-    undo: Callable[[], None] = field(repr=False, default=lambda: None)
+    #: give this persist's chunk references back (abort path); once
+    undo: Callable[[], None] = field(repr=False)
     #: drop the references the *prior* manifest held beyond this one
-    #: (commit path); GC's chunks whose refcount reaches zero
-    release: Callable[[], None] = field(repr=False, default=lambda: None)
+    #: (commit path), GC at zero; returns its own compensating undo
+    release: Callable[[], Callable[[], None]] = field(repr=False)
 
 
 class SnapshotPipeline:
@@ -127,7 +127,12 @@ class SnapshotPipeline:
 
         prior = self._prior_counts(key)
         refs: List[ChunkRef] = []
-        undo_records: List[Tuple[str, Optional[bytes], bool]] = []
+        added: List[str] = []
+
+        def undo() -> None:
+            for hexd in reversed(added):
+                self.chunks.rollback_add(hexd)
+
         new_counts: Counter = Counter()
         cost = 0.0
         written = 0
@@ -146,18 +151,16 @@ class SnapshotPipeline:
             # manifest: an unchanged chunk costs zero store writes
             if new_counts[hexd] > prior.get(hexd, 0):
                 try:
-                    add_cost, created, prev_ref = self.chunks.add(hexd,
-                                                                  payload)
+                    add_cost, created = self.chunks.add(hexd, payload)
                 except StoreError:
                     # a failed add mid-encode aborts the whole persist
                     # before any undo hook exists — unwind the adds
                     # this call already made, or they leak past the
                     # window abort
-                    for done_hex, prev, was_new in reversed(undo_records):
-                        self.chunks.rollback_add(done_hex, prev, was_new)
+                    undo()
                     raise
                 cost += add_cost
-                undo_records.append((hexd, prev_ref, created))
+                added.append(hexd)
                 if created:
                     written += len(payload)
                     chunks_new += 1
@@ -172,16 +175,9 @@ class SnapshotPipeline:
                             state_digest, len(raw), tuple(refs))
 
         # references the prior manifest holds beyond the new one are
-        # dropped only after the window commits (never mid-window: an
-        # abort must find the plane exactly as it was)
+        # dropped only as the window commits (never mid-window: an
+        # abort must find every chunk the prior manifest names)
         stale = prior - new_counts
-
-        def undo(records=undo_records):
-            for hexd, prev_ref, created in reversed(records):
-                self.chunks.rollback_add(hexd, prev_ref, created)
-
-        def release(stale=stale):
-            self._release_counts(stale)
 
         self.encodes += 1
         self.raw_bytes += len(raw)
@@ -194,7 +190,8 @@ class SnapshotPipeline:
                              chunk_bytes_written=written,
                              chunks_new=chunks_new,
                              chunks_reused=chunks_reused, cost=cost,
-                             undo=undo, release=release)
+                             undo=undo,
+                             release=lambda: self._release_counts(stale))
 
     def _prior_counts(self, key: str) -> Counter:
         """Chunk-occurrence counts of the manifest currently at ``key``
@@ -291,30 +288,36 @@ class SnapshotPipeline:
     # release: fiber completion / reclamation
     # ------------------------------------------------------------------
 
-    def release_blob(self, blob: bytes) -> None:
+    def release_blob(self, blob: bytes) -> Callable[[], None]:
         """Drop every chunk reference a manifest holds (the fiber is
-        done; its state key is being reclaimed).  Tolerates a torn
-        manifest — there is nothing to release from a write that never
-        finished."""
-        if not is_manifest(blob):
-            return
+        done; its state key is being reclaimed); returns the undo.  A
+        torn manifest has nothing to release: it never finished."""
         try:
             manifest = decode_manifest(blob)
         except StoreError:
-            return
-        self._release_counts(Counter(ref.hex for ref in manifest.chunks))
+            return lambda: None
+        return self._release_counts(
+            Counter(ref.hex for ref in manifest.chunks))
 
-    def _release_counts(self, counts: Counter) -> None:
-        """Best-effort decrefs, GC at zero.  A vetoed store op (fault
-        injection) orphans the chunk rather than failing the completion
-        path — exactly the `FiberStateStore.reclaim` trade."""
+    def _release_counts(self, counts: Counter) -> Callable[[], None]:
+        """Best-effort decrefs, GC at zero; returns the compensating
+        undo.  A vetoed store op (fault injection) orphans the chunk
+        rather than failing the completion path — exactly the
+        `FiberStateStore.reclaim` trade."""
+        released: List[Tuple[str, Optional[bytes]]] = []
         for hexd, occurrences in counts.items():
             for _ in range(occurrences):
                 try:
-                    self.chunks.release(hexd)
+                    released.append((hexd, self.chunks.release(hexd)))
                 except StoreError:
                     self.release_skipped += 1
         self._publish_gauges()
+
+        def undo() -> None:
+            for hexd, payload in reversed(released):
+                self.chunks.rollback_release(hexd, payload)
+
+        return undo
 
     # ------------------------------------------------------------------
     # reporting

@@ -88,14 +88,12 @@ class VinzEnvironment:
         if not self.cluster.nodes:
             self.cluster.add_nodes(nodes, slots=slots)
         self.store = store if store is not None else SharedStore()
-        if hasattr(self.store, "begin_window"):
-            # a window-capable durable store (repro.durastore): the
-            # cluster drives its group-commit lifecycle, and recovery
-            # gets tracer/metrics/virtual-time wiring
-            self.cluster.durable_store = self.store
-            self.store.tracer = self.cluster.tracer
-            self.store.metrics = self.cluster.metrics
-            self.store.now_fn = lambda: self.cluster.kernel.now
+        # the cluster brackets every operation window on the store, and
+        # store recovery gets tracer/metrics/virtual-time wiring
+        self.cluster.store = self.store
+        self.store.tracer = self.cluster.tracer
+        self.store.metrics = self.cluster.metrics
+        self.store.now_fn = lambda: self.cluster.kernel.now
         #: the adaptive spawn governor (repro.sched.governor).  Always
         #: present — it only acts for tasks/deployments that opt in
         #: with ``spawn_limit="auto"`` or ``(vinz-auto-spawn-limit)``.
@@ -275,12 +273,15 @@ class VinzEnvironment:
                       deadline: Optional[float] = None) -> TaskRecord:
         """Advance the simulation until the task finishes."""
         task = self.registry.tasks[task_id]
-        ok = self.cluster.run_until(lambda: task.finished, deadline=deadline)
-        if not ok:
-            raise TimeoutError(f"task {task_id} did not finish "
-                               f"(status {task.status})")
-        self._drain_in_flight()
-        return task
+        while True:
+            if not self.cluster.run_until(lambda: task.finished,
+                                          deadline=deadline):
+                raise TimeoutError(f"task {task_id} did not finish "
+                                   f"(status {task.status})")
+            self._drain_in_flight()
+            # a refused commit un-finishes the task until its retry
+            if task.finished:
+                return task
 
     def replay_task(self, task_id: str, source: str = "log"):
         """Deterministically re-execute a finished task from its

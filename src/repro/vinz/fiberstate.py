@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 from ..bluebox.services import OperationContext, ServiceFault
-from ..bluebox.store import FencedWriteError, StoreError
+from ..bluebox.store import StoreError
 from ..history import recorder as hist
 from ..persistsnap.manifest import is_manifest
 from .cache import FiberCache
@@ -207,28 +207,13 @@ class FiberStateStore:
 
     # -- writing ------------------------------------------------------------------
 
-    def _check_fence(self, ctx: OperationContext) -> None:
-        """Fencing check guarding every fiber-state write: if this
-        window's lock lease was expired or stolen, a newer owner may
-        already be running — the write must not land.  Raising tunnels
-        through the GVM, aborts the window (rolling back everything it
-        already wrote) and lets the message retry."""
-        fence = getattr(ctx, "fence", None)
-        if fence is None:
-            return
-        if not self.vinz.locks.fence_valid(*fence):
-            self.vinz.locks.fence_rejections += 1
-            self.vinz.metrics.incr("persist.fence-rejected")
-            key, owner, token = fence
-            raise FencedWriteError(
-                f"stale fencing token {token} for {key} (owner {owner})")
-
     def persist(self, ctx: OperationContext, cache: Optional[FiberCache],
                 fiber: FiberRecord, continuation) -> None:
         """Persist the next version of ``fiber``'s continuation."""
         vinz = self.vinz
-        # a zombie must not even bump the version
-        self._check_fence(ctx)
+        # a zombie must not even bump the version: the raise tunnels
+        # through the GVM, aborts the window and the message retries
+        ctx.check_fence("persist.fence-rejected")
         fiber.version += 1
         if vinz.history is not None \
                 and fiber.version % self.service.snapshot_interval:
@@ -282,10 +267,14 @@ class FiberStateStore:
         injector = self.vinz.injector
         snapper.injector = injector
         result = snapper.encode(key, continuation, fiber_id=fiber.id)
-        # hooks go in *before* the manifest write: if that write faults,
-        # the window abort must already know how to roll the chunk and
-        # refcount writes back
-        self._register_snapshot_hooks(ctx, result)
+        # registered *before* the manifest write: if that write faults,
+        # the abort must already know how to roll the chunk writes back.
+        # The *prior* manifest's stale references are dropped inside the
+        # commit, so the decrements ride its journal batch (compensated
+        # if the append fails: a retry against the rolled-back manifest
+        # still finds every chunk it names).
+        ctx.snap_undos.append(result.undo)
+        ctx.before_commit(lambda: ctx.snap_undos.append(result.release()))
         blob = result.blob
         if injector is not None:
             # a torn-manifest fault truncates the blob we are about to
@@ -297,27 +286,6 @@ class FiberStateStore:
                   "reused": result.chunks_reused}
         return (blob, result.cost, "snap.encode", detail,
                 result.manifest.hex_digest)
-
-    @staticmethod
-    def _register_snapshot_hooks(ctx: OperationContext, result) -> None:
-        """Tie one incremental persist to its window's lifecycle: chunk
-        and refcount writes roll back on abort; the *prior* manifest's
-        stale references are dropped only after the window commits (a
-        retry replaying against the rolled-back manifest must still
-        find every chunk it names).  Undos run newest-first so repeated
-        persists in one window unwind exactly."""
-        undos = getattr(ctx, "_snap_undos", None)
-        if undos is None:
-            undos = []
-            ctx._snap_undos = undos
-
-            def run_undos():
-                for fn in reversed(undos):
-                    fn()
-
-            ctx.on_abort(run_undos)
-        undos.append(result.undo)
-        ctx.on_complete(result.release)
 
     # -- rollback and reclamation -----------------------------------------------
 
@@ -367,17 +335,12 @@ class FiberStateStore:
         snapper = self.service.snapper
         for key in keys:
             if snapper is not None:
-                # a v2 state key holds a manifest: drop its chunk
-                # references (GC rides the window's journal batch via
-                # the commit hook; out-of-band contexts release now)
+                # a v2 state key holds a manifest: its chunk references
+                # go inside the commit (GC rides the window's batch)
                 blob = store.snapshot_value(key)
                 if blob is not None and is_manifest(blob):
-                    release = (lambda b=blob: snapper.release_blob(b))
-                    on_complete = getattr(ctx, "on_complete", None)
-                    if on_complete is not None:
-                        on_complete(release)
-                    else:
-                        release()
+                    ctx.before_commit(lambda b=blob: ctx.snap_undos.append(
+                        snapper.release_blob(b)))
             try:
                 ctx.charge(store.delete(key))
             except StoreError:

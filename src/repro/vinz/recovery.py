@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
+from ..bluebox.services import OperationContext
+
 #: slop added when scheduling a scan at a lease's expiry instant, so
 #: the `now >= expires_at` comparison is decided by arithmetic, not by
 #: floating-point luck
@@ -192,9 +194,17 @@ class RecoveryScanner:
             return
         error = (f"{message.operation} message #{message.id} dead-lettered "
                  f"after {message.attempts} attempts")
-        workflow._fiber_failed(_OutOfBandContext(self.vinz.cluster), task,
-                               fiber, error,
+        # no message: a window of its own, unless a handler's is open
+        # around us (a steal or crash inside it dead-lettered this
+        # message) — then the writes join that one
+        cluster = self.vinz.cluster
+        ctx = OperationContext(cluster)
+        if not cluster.store.window_open:
+            cluster.store.begin_window()
+            ctx.owns_window = True
+        workflow._fiber_failed(ctx, task, fiber, error,
                                terminate_task=(fiber.parent_id is None))
+        ctx.commit()  # no message to redeliver: a failure surfaces
 
     # ------------------------------------------------------------------
     # reporting
@@ -210,28 +220,3 @@ class RecoveryScanner:
             "max_recovery_latency": self.max_recovery_latency,
             "total_recovery_latency": self.total_recovery_latency,
         }
-
-
-class _OutOfBandContext:
-    """A minimal OperationContext stand-in for platform-initiated work
-    that happens outside any message window (dead-letter handling).
-    Sends are immediate — there is no operation window to make them
-    transactional with."""
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.tracing = cluster.tracer.enabled
-
-    @property
-    def now(self) -> float:
-        return self.cluster.kernel.now
-
-    def send(self, service, operation, body, **kwargs) -> None:
-        self.cluster.send(service, operation, body, **kwargs)
-
-    def charge(self, seconds: float) -> None:
-        """Out-of-band IO has no window to bill — the cost is absorbed
-        (the store's own io_seconds still count it)."""
-
-    def trace(self, kind: str, **detail) -> None:
-        self.cluster.tracer.event(self.now, kind, **detail)

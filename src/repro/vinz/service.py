@@ -252,23 +252,19 @@ class WorkflowService(Service):
                      body: Dict[str, Any]) -> TaskRecord:
         registry = self.vinz.registry
         params = body.get("params")
-        msg_id = getattr(ctx.message, "id", None)
-        if msg_id is not None:
-            existing_id = self._task_by_message.get(msg_id)
-            existing = registry.tasks.get(existing_id) \
-                if existing_id is not None else None
-            if existing is not None:
-                # duplicate delivery of the same creation message:
-                # idempotently return the task it already created
-                if ctx.tracing:
-                    ctx.trace("task-start-duplicate", task=existing.id,
-                              msg=msg_id)
-                return existing
+        msg_id = ctx.message.id
+        existing = registry.tasks.get(self._task_by_message.get(msg_id))
+        if existing is not None:
+            # duplicate delivery of the same creation message:
+            # idempotently return the task it already created
+            if ctx.tracing:
+                ctx.trace("task-start-duplicate", task=existing.id,
+                          msg=msg_id)
+            return existing
         task = registry.new_task(self.name, params, ctx.now)
         task.deadline = body.get("deadline")
         fiber = registry.new_fiber(task, ctx.now)
-        if msg_id is not None:
-            self._task_by_message[msg_id] = task.id
+        self._task_by_message[msg_id] = task.id
         tracer = ctx.cluster.tracer
         if tracer.enabled:
             # the roots of this task's causal tree: the task span hangs
@@ -276,7 +272,7 @@ class WorkflowService(Service):
             # and the initial fiber span hangs off the task span
             task.span_id = tracer.begin(
                 f"task:{task.id}", kind="task", start=ctx.now,
-                parent_id=getattr(ctx, "span_id", 0) or None,
+                parent_id=ctx.span_id or None,
                 task=task.id, workflow=self.name)
             fiber.span_id = tracer.begin(
                 f"fiber:{fiber.id}", kind="fiber", start=ctx.now,
@@ -287,8 +283,7 @@ class WorkflowService(Service):
         monitored = [False]
 
         def undo_create() -> None:
-            if msg_id is not None \
-                    and self._task_by_message.get(msg_id) == task.id:
+            if self._task_by_message.get(msg_id) == task.id:
                 del self._task_by_message[msg_id]
             if registry.discard_task(task.id) is not None:
                 # the retried Start makes a *fresh* task id, so this
@@ -507,7 +502,7 @@ class WorkflowService(Service):
         fiber.last_message = ctx.message
 
         def release_or_abandon() -> None:
-            if getattr(ctx, "node_failed", False):
+            if ctx.node_failed:
                 # a dead JVM cannot unlink its NFS lock file: the entry
                 # (and its lease) survive the crash — recovery is the
                 # lease scanner's job, not a perfect-failure-detector
@@ -535,7 +530,7 @@ class WorkflowService(Service):
             # crash-on-lock faults fire here: the node dies the instant
             # it takes the fiber lock, before any state is touched
             injector.on_lock_acquired(ctx, fiber)
-            if getattr(ctx, "node_failed", False):
+            if ctx.node_failed:
                 return None  # died taking the lock; window already aborted
         return self._advance_locked(ctx, task, fiber, resume, value)
 
@@ -703,8 +698,6 @@ class WorkflowService(Service):
                       terminate_task: bool) -> None:
         recorder = self.vinz.history
         if recorder is not None:
-            # dead-letter handling arrives on an out-of-band context:
-            # the recorder commits those immediately (no window)
             recorder.record(ctx, task.id, hist.FIBER_FAILED,
                             fiber=fiber.id, error=error)
         self.vinz.registry.finish_fiber(fiber, ERROR, ctx.now, error=error)

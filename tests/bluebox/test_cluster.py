@@ -278,6 +278,27 @@ class TestInlineCalls:
         assert cluster.kernel.now >= 0.5
 
 
+    def test_call_inline_commits_its_context(self):
+        """An inline handler's hooks and sends are not dropped: its
+        context commits — once — when the handler returns."""
+        cluster = Cluster(seed=0)
+        cluster.add_node()
+        ran = []
+
+        def op(ctx, body):
+            ctx.on_complete(lambda: ran.append("complete"))
+            ctx.on_abort(lambda: ran.append("abort"))
+            ctx.send("T", "Note", {})
+            return "done"
+
+        cluster.deploy(simple_service(
+            "T", {"Op": op, "Note": lambda ctx, body: ran.append("note")}))
+        assert cluster.call_inline("T", "Op", {}).value == "done"
+        assert ran == ["complete"]
+        cluster.run_until_idle()
+        assert ran == ["complete", "note"]
+
+
 class TestIntrospection:
     def test_utilization(self):
         cluster = Cluster(seed=0, delivery_latency=0.0)

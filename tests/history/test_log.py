@@ -3,12 +3,17 @@ fail-closed integrity under injected damage."""
 
 import pytest
 
+from repro.bluebox.store import SharedStore
+from repro.durastore import DurableStore
+from repro.faults import FaultInjector
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import (
+    FAIL_WRITE,
     FaultPlan,
     HistoryFault,
     MessageFault,
     NodeFault,
+    StoreFault,
 )
 from repro.history import (
     DroppedBatchError,
@@ -140,6 +145,52 @@ class TestHistoryFaultsFailClosed:
         for task_id, task in env.registry.tasks.items():
             if task.finished:
                 env.replayer.replay_task(task_id, source="memory")
+
+
+class TestHistoryStoreOutage:
+    """A history write is one more store write of its window: an
+    outage aborts the window *before* its state is durable and the
+    message redelivers — it used to run after the commit, behind a
+    private three-attempt retry, and a fourth failure stranded the
+    task ``running`` with ``StoreWriteError`` escaping ``env.call``."""
+
+    @pytest.mark.parametrize("make_store", [
+        SharedStore, lambda: DurableStore(shards=2)],
+        ids=["shared", "durable"])
+    def test_outage_longer_than_any_private_retry(self, make_store):
+        env = VinzEnvironment(nodes=2, seed=3, store=make_store(),
+                              history="on")
+        env.deploy_workflow("Squares", """
+            (defun main (params)
+              (apply #'+ (for-each (x in params) (compute 0.1) (* x x))))
+            """)
+        plan = FaultPlan([StoreFault(FAIL_WRITE, key_prefix="history//",
+                                     nth=2, count=3)])
+        FaultInjector(1, plan).install(env)
+        assert env.call("Squares", [1, 2, 3, 4]) == 30
+        task, = env.registry.tasks.values()
+        assert task.status == "completed"
+        assert env.metrics.get("fault.injected") == 3
+        assert env.metrics.get("operation.faults") >= 1
+        report = env.replay_task(task.id)  # from the durable log
+        assert report.fibers_replayed == 5 and not report.partial_fibers
+        log = env.history_log
+        assert log.batches_written == len(env.store.keys("history//"))
+
+    def test_outage_on_the_window_that_finishes_the_task(self):
+        """The finishing window marks the task done in its handler and
+        only then commits; when that commit is refused the record rolls
+        back, and a waiter must wait for the retry, not report the
+        rolled-back task."""
+        env = VinzEnvironment(nodes=2, seed=3, history="on")
+        env.deploy_workflow("Zero", "(defun main (params) 0)")
+        plan = FaultPlan([StoreFault(FAIL_WRITE, key_prefix="history//",
+                                     nth=2)])
+        FaultInjector(1, plan).install(env)
+        task = env.wait_for_task(env.start("Zero"))
+        assert (task.status, task.result) == ("completed", 0)
+        assert env.metrics.get("operation.faults") == 1
+        env.replay_task(task.id)
 
 
 class TestHistoryObservability:

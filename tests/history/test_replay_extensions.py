@@ -244,3 +244,26 @@ def test_diverging_rebuild_fails_one_task_not_the_platform():
     assert env.metrics.get("history.divergences") == 1
     assert [env.registry.tasks[t].status for t in others] == [COMPLETED] * 2
     assert all(isinstance(env.registry.tasks[t].result, int) for t in others)
+
+
+def test_inline_start_records_the_child_task_from_its_first_event():
+    """A ``:sync t`` deflink runs the child workflow's ``Start`` on an
+    inline context.  Its hooks used to be dropped, so the child's
+    history began at ``fiber-completed`` and replay diverged at event
+    0; an inline context now commits like any other window."""
+    env = VinzEnvironment(nodes=2, seed=3, history="on")
+    env.deploy_workflow("Child", "(defun main (params) (* 2 params))")
+    env.deploy_workflow("Parent", """
+        (deflink CH :wsdl "urn:child-service" :sync t)
+        (defun main (params)
+          (CH-Start-Method :params params))
+        """)
+    started = env.call("Parent", 21)
+    env.cluster.run_until_idle()
+    child = env.registry.tasks[started["task"]]
+    assert (child.workflow, child.status, child.result) == \
+        ("Child", COMPLETED, 42)
+    assert [e.kind for e in env.history.events_of(child.id)] == \
+        ["task-started", "fiber-completed"]
+    for task_id in env.registry.tasks:
+        env.replay_task(task_id)  # raises on the first divergence

@@ -10,7 +10,9 @@ import itertools
 
 import pytest
 
+from repro.bluebox.services import OperationContext
 from repro.bluebox.store import DirectoryStore
+from repro.durastore import DurableStore
 from repro.lang.symbols import Keyword
 from repro.vinz.api import VinzEnvironment
 
@@ -91,6 +93,38 @@ class TestBackendMatrix:
         assert env_a.cluster.queue.delivered == env_b.cluster.queue.delivered
         assert env_a.cluster.kernel.now == pytest.approx(
             env_b.cluster.kernel.now, abs=1e-3)
+
+
+class TestOneAppendPerWindow:
+    def test_durable_run_appends_once_per_writing_window(self, monkeypatch):
+        """Fault-free, on the durable configuration: no store mutation
+        happens outside a window, every buffered mutation reaches the
+        journal exactly once, and the journal sees one append per
+        committed window that wrote anything (state, history, chunk GC
+        all in the same batch)."""
+        store = DurableStore(shards=4)
+        commit = OperationContext.commit
+        writing_windows = []
+
+        def counting_commit(ctx):
+            sealed, before = ctx.batch is not None, store.deferred_ops
+            commit(ctx)
+            writing_windows.append(sealed or store.deferred_ops > before)
+
+        monkeypatch.setattr(OperationContext, "commit", counting_commit)
+        env = VinzEnvironment(nodes=3, seed=7, store=store, history="on",
+                              snapshot_interval=8)
+        env.deploy_workflow("W", WORKFLOW, snapshots="v2")
+        result = env.call("W", list(range(1, 13)))
+        env.cluster.run_until_idle()
+        assert result[1] == sum(x * x for x in range(1, 13))
+        assert env.metrics.get("persist.skipped") > 0
+        assert store.auto_commits == 0
+        assert store.writes + store.deletes == store.deferred_ops
+        assert store.journal.records_committed == store.deferred_ops
+        assert store.journal.commits == sum(writing_windows)
+        assert 0 < sum(writing_windows) < len(writing_windows)
+        env.replay_task(next(iter(env.registry.tasks)))
 
 
 class TestWorkflowServiceConfig:

@@ -9,11 +9,15 @@ store faults abort persist windows mid-flight.
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, StoreFault
+from repro.bluebox.services import simple_service
+from repro.bluebox.store import SharedStore
+from repro.faults import FaultInjector, FaultPlan, NodeFault, StoreFault
 from repro.faults.plan import FAIL_WRITE
 from repro.faults.retry import RetryPolicy
+from repro.persistsnap import SnapshotPipeline
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.cache import FiberCache, LruCache
+from repro.vinz.persistence import FiberCodec
 
 #: a workflow whose suspended state is dominated by an unchanging
 #: carried structure — the shape incremental snapshots exist for: every
@@ -144,3 +148,83 @@ class TestAbortRollback:
         assert injector.injected.get("fail-write", 0) > 0
         assert env.store.keys("snapchunk/") == []
         assert env.store.keys("snapref/") == []
+
+
+class TestSharedChunkRollback:
+    """Chunk keys are shared across fibers, so a window's abort-undo
+    must *compensate* (give its reference back, delete only at zero) —
+    restoring the value it first saw erases references other windows
+    took in the meantime."""
+
+    STATE = {"rows": [[i, f"row-{i}", i * 1.5] for i in range(300)]}
+
+    def test_abort_keeps_chunks_an_overlapping_window_references(self):
+        pipe = SnapshotPipeline(FiberCodec("deflate"), SharedStore())
+        a = pipe.encode("fiber-state/a", self.STATE, fiber_id="a")
+        b = pipe.encode("fiber-state/b", self.STATE, fiber_id="b")
+        assert b.chunks_new == 0  # same content: every chunk is A's
+        a.undo()  # A's window aborts; B's is still to commit
+        assert pipe.load(b.blob, fiber_id="b") == self.STATE
+        assert {pipe.chunks.refcount(ref.hex)
+                for ref in b.manifest.chunks} == {1}
+        b.undo()  # and the last reference out removes the chunks
+        assert pipe.store.keys("snap") == []
+        assert pipe.chunks.bytes_stored == 0
+
+    def test_release_is_compensated_the_same_way(self):
+        pipe = SnapshotPipeline(FiberCodec("deflate"), SharedStore())
+        a = pipe.encode("fiber-state/a", self.STATE, fiber_id="a")
+        pipe.store.write("fiber-state/a", a.blob)
+        before = {key: pipe.store.snapshot_value(key)
+                  for key in pipe.store.keys()}
+        undo = pipe.release_blob(a.blob)  # a commit that then fails
+        assert pipe.store.keys("snap") == []
+        undo()
+        assert {key: pipe.store.snapshot_value(key)
+                for key in pipe.store.keys()} == before
+        assert pipe.load(a.blob, fiber_id="a") == self.STATE
+
+    TWINS = """
+        (deflink DS :wsdl "urn:twin-data")
+        (defun main (params)
+          (apply #'+ (for-each (x in (list 1 2))
+                       (let ((rows params))
+                         (DS-Fetch-Method :Key 0)
+                         (length rows)))))
+        """
+
+    def _twins(self):
+        env = VinzEnvironment(nodes=3, seed=11, retry_policy=RetryPolicy(
+            max_attempts=4, jitter=0.0))
+        env.deploy_service(simple_service(
+            "TwinData", {"Fetch": lambda ctx, body: ctx.charge(0.5)},
+            namespace="urn:twin-data", parameters={"Fetch": ["Key"]}))
+        env.deploy_workflow("Twins", self.TWINS, snapshots="v2", cache=False)
+        return env
+
+    def test_sibling_restores_after_its_twins_window_crashed(self):
+        """Two sibling fibers suspend with identical state in
+        overlapping windows; the one that stored the shared chunks dies
+        with its node.  Its twin's committed manifest must still
+        restore on a cold node (no fiber cache)."""
+        rows = self.STATE["rows"]
+        probe = self._twins()
+        assert probe.call("Twins", rows) == 2 * len(rows)
+        first, second = sorted(
+            (s for s in probe.tracer.spans_of_kind("operation")
+             if s.name == "op:Twins.RunFiber"
+             and s.attrs["fiber"] != "fiber-1"),
+            key=lambda s: s.attrs["msg"])
+        shared = [s for s in probe.tracer.spans_of_kind("persistence")
+                  if s.attrs.get("fiber") == second.attrs["fiber"]
+                  and s.name == "snap.encode"][0].attrs["reused"]
+        assert shared and first.start <= second.start < first.end
+
+        env = self._twins()
+        FaultInjector(5, FaultPlan([NodeFault(
+            "crash", node=first.attrs["node"], at=second.start + 1e-4,
+            restart_after=0.05)])).install(env)
+        task = env.wait_for_task(env.start("Twins", rows), deadline=30.0)
+        assert (task.status, task.result) == ("completed", 2 * len(rows))
+        assert env.metrics.get("operation.faults") == 0
+        assert env.store.keys("snap") == []  # and GC still drains

@@ -38,3 +38,35 @@ def test_replay_overrides_only_the_primitives():
     overridden = {name for name in vars(ReplayExecution)
                   if not name.startswith("__")}
     assert overridden == {"nondet", "effect", "fork", "fork_chain", "charge"}
+
+
+def test_names_the_benchmark_wraps_stay_where_they_are():
+    """``perf/trace.py`` wraps these entry points on the class that
+    defines them, and ``perf/probes.py`` drives a bare ``DurableStore``
+    window by hand; a refactor that moves or renames one silently
+    empties a layer of the ledger."""
+    from repro.bluebox.cluster import Cluster
+    from repro.bluebox.locks import LockManager
+    from repro.bluebox.store import SharedStore
+    from repro.durastore import DurableStore
+    from repro.history import HistoryLog, HistoryRecorder
+
+    pinned = [
+        (DurableStore, ("begin_window", "seal_window", "commit_batch")),
+        (HistoryRecorder, ("record",)),
+        (HistoryLog, ("append_batch", "read_task")),
+        (LockManager, ("renew_owner",)),
+        (SharedStore, ("read", "write", "delete")),
+        (Cluster, ("send",)),
+    ]
+    for cls, names in pinned:
+        for name in names:
+            assert callable(vars(cls).get(name)), f"{cls.__name__}.{name}"
+    store = DurableStore(shards=2)
+    store.begin_window()
+    store.write("probe/0", b"x")
+    store.delete("probe/0")
+    store.commit_batch(store.seal_window())
+    journal = store.stats_snapshot()["journal"]
+    assert (journal["commits"], journal["records_committed"]) == (1, 2)
+    assert {"flushes", "torn_appends", "bytes_appended"} <= set(journal)
