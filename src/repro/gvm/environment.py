@@ -6,8 +6,8 @@ Environments must satisfy two requirements from the paper:
   continuations and serialized with a fiber, Section 4.2), and
 * a forked child fiber gets a *clone* of the parent's state, after which
   "changes either fiber makes will not be visible to its clone"
-  (Section 3.4) — deep-copying an :class:`Env` chain is therefore a
-  supported, ordinary operation.
+  (Section 3.4) — the clone is made by serializing the :class:`Env`
+  chain, like every other piece of fiber state.
 """
 
 from __future__ import annotations

@@ -121,7 +121,7 @@ class Frame:
 
     Unlike a CPython frame, this object is plain data: the interpreter
     loop in :mod:`repro.gvm.vm` reads ``pc``, pushes/pops ``stack`` and
-    consults ``env``.  Capturing a continuation deep-copies a list of
+    consults ``env``.  Capturing a continuation pickles a list of
     these.
     """
 

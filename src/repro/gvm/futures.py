@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Optional
 
 from ..lang.errors import GozerRuntimeError
 
@@ -108,7 +108,9 @@ class GozerFuture:
     # -- serialization --------------------------------------------------
     # A future pickles as its determined value (Section 4.1's rule that
     # persistence implies determination).  Pickling an undetermined
-    # future blocks until it determines.
+    # future blocks until it determines, and a failed one raises its
+    # error: this is how continuation capture determines every future
+    # reachable from the stack.
 
     def __getstate__(self):
         value = self.touch()
@@ -119,14 +121,6 @@ class GozerFuture:
         self.label = state["label"]
         self._error = None
         self._determine(state["value"])
-
-    def __deepcopy__(self, memo):
-        # Continuation capture deep-copies frames; by the capture rule
-        # the future is already determined, so copy as determined.
-        clone = GozerFuture(self.label)
-        clone._determine(self.touch())
-        memo[id(self)] = clone
-        return clone
 
 
 def force(value: Any) -> Any:
@@ -223,40 +217,3 @@ class SynchronousFutureExecutor(FutureExecutor):
             if was_fiber:
                 enter_fiber_thread()
         return future
-
-
-def find_futures(root: Any, _seen: Optional[Set[int]] = None) -> List[GozerFuture]:
-    """Collect every :class:`GozerFuture` reachable from ``root``.
-
-    Used by continuation capture to enforce the determination rule.
-    Walks lists, tuples, dicts, sets, Env chains and GVM frames.
-    """
-    from .environment import Env
-    from .frames import Frame, GozerFunction
-
-    seen = _seen if _seen is not None else set()
-    found: List[GozerFuture] = []
-    stack = [root]
-    while stack:
-        value = stack.pop()
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, GozerFuture):
-            found.append(value)
-        elif isinstance(value, (list, tuple, set, frozenset)):
-            stack.extend(value)
-        elif isinstance(value, dict):
-            stack.extend(value.keys())
-            stack.extend(value.values())
-        elif isinstance(value, Env):
-            stack.extend(value.bindings.values())
-            if value.parent is not None:
-                stack.append(value.parent)
-        elif isinstance(value, GozerFunction):
-            if value.closure is not None:
-                stack.append(value.closure)
-        elif isinstance(value, Frame):
-            stack.extend(value.stack)
-            stack.append(value.env)
-    return found

@@ -538,6 +538,10 @@ class WorkflowService(Service):
 
     def _advance_locked(self, ctx: OperationContext, task: TaskRecord,
                         fiber: FiberRecord, resume: bool, value: Any) -> Any:
+        if resume and value == self._MAILBOX and not fiber.mailbox:
+            # a duplicate wake-up raced an earlier consumption: nothing
+            # to deliver, leave the fiber suspended and touch nothing
+            return None
         # Crash atomicity: if the node dies before this operation's
         # simulated window ends, the redelivered message must replay
         # against the *pre-window* fiber state (real Vinz gets this from
@@ -572,10 +576,6 @@ class WorkflowService(Service):
         fiber.last_node = ctx.node.id
         waited = fiber.waiting_on
         if resume and value == self._MAILBOX:
-            if not fiber.mailbox:
-                # a duplicate wake-up raced an earlier consumption:
-                # nothing to deliver, leave the fiber suspended
-                return None
             value = fiber.mailbox.pop(0)
             fiber.waiting_on = None
         recorder = self.vinz.history

@@ -8,7 +8,6 @@ from repro.gvm.futures import (
     GozerFuture,
     SynchronousFutureExecutor,
     ThreadPoolFutureExecutor,
-    find_futures,
     force,
     is_fiber_thread,
 )
@@ -150,31 +149,3 @@ class TestSynchronousExecutor:
         f = executor.submit(lambda: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             f.touch()
-
-
-class TestFindFutures:
-    def test_finds_in_nested_structures(self):
-        f1, f2 = GozerFuture("a"), GozerFuture("b")
-        f1._determine(1)
-        f2._determine(2)
-        root = {"x": [f1, {"y": (f2,)}]}
-        found = find_futures(root)
-        assert set(id(f) for f in found) == {id(f1), id(f2)}
-
-    def test_handles_cycles(self):
-        f = GozerFuture("a")
-        f._determine(None)
-        lst = [f]
-        lst.append(lst)  # cycle
-        assert len(find_futures(lst)) == 1
-
-    def test_searches_environments(self):
-        from repro.gvm.environment import Env
-        from repro.lang.symbols import Symbol
-
-        f = GozerFuture("x")
-        f._determine(0)
-        env = Env()
-        env.bind(Symbol("v"), f)
-        child = env.child()
-        assert len(find_futures(child)) == 1

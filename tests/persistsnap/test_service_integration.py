@@ -14,9 +14,11 @@ from repro.bluebox.store import SharedStore
 from repro.faults import FaultInjector, FaultPlan, NodeFault, StoreFault
 from repro.faults.plan import FAIL_WRITE
 from repro.faults.retry import RetryPolicy
-from repro.persistsnap import SnapshotPipeline
+from repro.lang.symbols import Keyword
+from repro.persistsnap import SnapshotPipeline, decode_manifest
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.cache import FiberCache, LruCache
+from repro.vinz.fiberstate import state_key
 from repro.vinz.persistence import FiberCodec
 
 #: a workflow whose suspended state is dominated by an unchanging
@@ -118,6 +120,41 @@ class TestDigestCache:
         env, _, _ = run_loopy("v2")
         stats = env.summary()["snapshots"]
         assert 0.0 <= stats["digest_cache_hit_rate"] <= 1.0
+
+    TWINS = """
+        (defun twin (x)
+          (let ((rows (list :a :b)))
+            (workflow-sleep 1)
+            (append! rows (get-process-id))
+            rows))
+        (defun main (params)
+          (let ((a (fork-and-exec #'twin :argument 1))
+                (b (fork-and-exec #'twin :argument 1)))
+            (list (join-process a) (join-process b))))
+        """
+
+    def test_twin_fibers_resume_one_digest_entry_independently(self):
+        """Two sibling fibers suspend with byte-identical state, so both
+        resumes are served by one digest-cache entry — one cached
+        continuation object.  Each must get its own frames: a mutation
+        after one resume never shows up in the other."""
+        env = VinzEnvironment(nodes=1, seed=7)
+        env.deploy_workflow("Twins", self.TWINS, snapshots="v2")
+        task_id = env.start("Twins", None)
+        env.cluster.run_until(
+            lambda: env.counters.get("persist.writes") >= 3)
+        children = [f for f in env.registry.fibers.values() if f.parent_id]
+        digests = {decode_manifest(env.store.snapshot_value(
+            state_key(f.id))).hex_digest for f in children}
+        assert len(children) == 2 and len(digests) == 1
+        for node in env.cluster.nodes.values():
+            cache = FiberCache.for_node(node)
+            cache.mutable = LruCache(cache.mutable.capacity)
+        record = env.wait_for_task(task_id)
+        assert env.counters.get("cache.digest.hit") >= 2
+        first, second = record.result
+        assert first[:2] == second[:2] == [Keyword("a"), Keyword("b")]
+        assert len(first) == len(second) == 3 and first[2] != second[2]
 
 
 class TestAbortRollback:

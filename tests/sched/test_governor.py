@@ -131,9 +131,12 @@ class TestChaosConvergence:
                      name="slow-node")
     #: thresholds calibrated to the campaign topology (2 nodes, wide
     #: fan-outs saturate ~11 messages/slot even when healthy), so the
-    #: *latency* signal is the discriminating one
+    #: *latency* signal is the discriminating one.  ``wait_high`` sits
+    #: clear of the healthy run's peak interval wait (3.45 s at seed 23;
+    #: it moves with persisted blob sizes, which set store IO cost), so
+    #: the slow node's cuts (t = 11.2 s and 13.8 s) come from latency
     CONFIG = dict(interval=0.25, depth_high=30.0, depth_low=15.0,
-                  wait_high=3.0, wait_low=2.0, latency_factor=2.0)
+                  wait_high=4.0, wait_low=2.0, latency_factor=2.0)
 
     def _run(self, plan=PLAN, seed=23):
         return run_campaign(plan, seed=seed, tasks=6, nodes=2,

@@ -396,6 +396,29 @@ class TestFiberMailboxes:
                       (receive-message))))""")
         assert env.call("W", None) == [0, 1, 2, 3, 4]
 
+    def test_duplicate_wake_up_leaves_no_execution_behind(self):
+        """A mailbox wake-up that finds the mailbox empty (it raced an
+        earlier consumption) returns before the fiber is set up to run:
+        no FiberExecution stays current, and the fiber still resumes on
+        the next real delivery."""
+        from repro.vinz import distribution
+        from repro.vinz.service import WorkflowService
+
+        env = VinzEnvironment(nodes=1, seed=21)
+        env.deploy_workflow("W", "(defun main (params) (receive-message))")
+        task_id = env.start("W", None)
+        env.cluster.run_until_idle()
+        fiber_id = env.registry.tasks[task_id].fiber_ids[0]
+        before = distribution.CURRENT_EXECUTION.get()
+        env.cluster.send("W", "JoinProcess",
+                         {"fiber": fiber_id,
+                          "result": WorkflowService._MAILBOX})
+        env.cluster.run_until_idle()
+        assert distribution.CURRENT_EXECUTION.get() is before
+        env.cluster.send("W", "DeliverMessage",
+                         {"fiber": fiber_id, "value": 5})
+        assert env.wait_for_task(task_id).result == 5
+
     def test_mailbox_cheaper_than_task_variables(self):
         """The motivation: task variables have 'a very high
         synchronization overhead for mutation'; mailboxes avoid the
