@@ -34,6 +34,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
+from ..gvm.continuations import is_program_object
 from ..observe.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..lang.bytecode import CodeObject
 
@@ -163,30 +164,26 @@ class HostFunctionRegistry:
 
 class _RegistryPickler(pickle.Pickler):
     def __init__(self, file, registry: CodeRegistry,
-                 hosts: Optional[HostFunctionRegistry],
-                 ref_code: bool):
+                 hosts: HostFunctionRegistry, ref_code: bool):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._registry = registry
         self._hosts = hosts
         self._ref_code = ref_code
 
     def persistent_id(self, obj):
-        if self._ref_code and isinstance(obj, CodeObject):
+        if not is_program_object(obj):
+            return None
+        if isinstance(obj, CodeObject):
+            if not self._ref_code:
+                return None
             key = self._registry.key_for(obj)
             if key is None:
                 # unseen code (e.g. built interactively): register so
                 # the reader side of *this* registry can resolve it.
                 key = self._registry.register(obj)
             return ("code", key)
-        if self._hosts is not None and callable(obj) \
-                and not isinstance(obj, type):
-            from ..gvm.frames import GozerFunction
-
-            if not isinstance(obj, GozerFunction):
-                key = self._hosts.key_for(obj)
-                if key is not None:
-                    return ("host", key)
-        return None
+        key = self._hosts.key_for(obj)
+        return None if key is None else ("host", key)
 
 
 class _RegistryUnpickler(pickle.Unpickler):

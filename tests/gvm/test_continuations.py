@@ -100,6 +100,24 @@ class TestContinuationIsolation:
         result.value.append(999)
         assert rt.resume(result.continuation, None) == Done([1])
 
+    CONSTANTLY = """
+        (let* ((acc (list 0))
+               (c (constantly acc)))
+          (yield 1)
+          (append! (funcall c) 5)
+          (length acc))"""
+
+    def test_callable_instance_keeps_identity_across_yield(self, rt):
+        """A ``constantly`` result is state, not program: it is copied
+        with the list it shares with ``acc``, and they stay one list."""
+        result = start(rt, self.CONSTANTLY)
+        assert rt.resume(result.continuation, None) == Done(2)
+
+    def test_callable_instance_not_shared_between_resumes(self, rt):
+        result = start(rt, self.CONSTANTLY)
+        done = [rt.resume(result.continuation, None) for _ in range(3)]
+        assert done == [Done(2)] * 3
+
 
 class TestSerialization:
     def test_pickle_round_trip(self, rt):

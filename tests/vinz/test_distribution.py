@@ -253,6 +253,24 @@ class TestForkAndExec:
         assert parent_len == 2
         assert parent_list == [1, 2]
 
+    def test_clone_isolation_through_callable_instance(self, env):
+        """The clone copies a ``constantly`` result with the list it
+        shares with ``shared``: the child's mutation stays in the child,
+        and the parent's ``c`` and ``shared`` stay one list."""
+        env.deploy_workflow("W", """
+            (defun main (params)
+              (let* ((shared (list 1))
+                     (c (constantly shared))
+                     (child (fork-and-exec
+                              (lambda (x)
+                                (append! (funcall c) 99)
+                                (length (funcall c)))
+                              :arguments (list nil))))
+                (let ((n (join-process child)))
+                  (append! (funcall c) 2)
+                  (list n (length shared) shared))))""")
+        assert env.call("W", None) == [2, 2, [1, 2]]
+
     def test_plain_fork_does_not_notify_parent(self, env):
         """Footnote 1: fork-and-exec fibers do not AwakeFiber the parent."""
         env.deploy_workflow("W", """
