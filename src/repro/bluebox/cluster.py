@@ -55,6 +55,11 @@ from .services import (
 )
 from .wsdl import WsdlDocument
 
+#: virtual seconds one queue hop (send -> dispatch, reply -> caller) takes
+DELIVERY_LATENCY = 0.002
+#: constant re-delivery delay of the platform retry policy
+REDELIVERY_DELAY = 0.05
+
 
 class Node:
     """One machine in the cluster."""
@@ -106,8 +111,10 @@ class Cluster:
         envelope = cluster.call("MyService", "DoThing", {"x": 1})
     """
 
-    def __init__(self, seed: int = 0, delivery_latency: float = 0.002,
-                 redelivery_delay: float = 0.05, trace: bool = True,
+    #: :data:`DELIVERY_LATENCY`, for callers that budget queue hops
+    delivery_latency = DELIVERY_LATENCY
+
+    def __init__(self, seed: int = 0, trace: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
                  spans: Optional[bool] = None,
                  scheduler: Any = None,
@@ -135,15 +142,13 @@ class Cluster:
         self.queue.metrics = self.metrics
         self.queue.now_fn = lambda: self.kernel.now
         self.rng = random.Random(seed)
-        self.delivery_latency = delivery_latency
-        self.redelivery_delay = redelivery_delay
         #: governs fault retries (drops, store faults): backoff delays,
         #: attempt caps, timeouts.  The platform default reproduces the
         #: legacy constant-delay, per-message-cap behaviour; campaigns
         #: pass RetryPolicy.default() (or per-message policies) for
         #: bounded exponential backoff and dead-lettering.
         self.retry_policy = retry_policy or \
-            RetryPolicy.platform(redelivery_delay)
+            RetryPolicy.platform(REDELIVERY_DELAY)
         #: optional FaultInjector (repro.faults), wired by install()
         self.injector = None
         #: the distributed lock manager (repro.bluebox.locks), wired by
@@ -755,7 +760,7 @@ class Cluster:
                 if self.queue.requeue(message, self.kernel.now):
                     requeued += 1
                     service = message.service
-                    self.kernel.schedule(self.redelivery_delay,
+                    self.kernel.schedule(REDELIVERY_DELAY,
                                          lambda s=service: self._kick(s))
                 else:
                     self._on_dead_letter(

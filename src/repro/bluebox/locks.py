@@ -34,6 +34,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+#: the NFS attribute-cache quirk of :class:`FileLockManager`: for this
+#: long after a release, other owners still see the lock as held.
+#: 0 (the default) turns the quirk off.
+RELEASE_VISIBILITY_DELAY = 0.0
+
 
 @dataclass
 class Lease:
@@ -307,21 +312,19 @@ class LockManager:
 class FileLockManager(LockManager):
     """NFS-file-style locks stored as entries in the shared store.
 
-    ``release_visibility_delay`` models the NFS quirk: after a release,
-    other clients may still *see* the lock as held for a short window
-    (attribute caching).  The delay is in the owning clock's units; pass
-    ``clock_now`` to enable it.
+    :data:`RELEASE_VISIBILITY_DELAY` models the NFS quirk: after a
+    release, other clients may still *see* the lock as held for a short
+    window (attribute caching).  The delay is in the owning clock's
+    units; pass ``clock_now`` to enable it.
     """
 
     LOCK_PREFIX = "locks/"
 
-    def __init__(self, store, clock_now: Optional[Callable[[], float]] = None,
-                 release_visibility_delay: float = 0.0):
+    def __init__(self, store, clock_now: Optional[Callable[[], float]] = None):
         super().__init__()
         self.store = store
         if clock_now is not None:
             self.clock_now = clock_now
-        self.release_visibility_delay = release_visibility_delay
         #: (key -> (release_time, last_owner)) for the visibility quirk
         self._recently_released: Dict[str, Tuple[float, str]] = {}
         # statistics
@@ -347,12 +350,12 @@ class FileLockManager(LockManager):
             else:
                 self.contentions += 1
                 return False
-        if self.release_visibility_delay > 0:
+        if RELEASE_VISIBILITY_DELAY > 0:
             stale = self._recently_released.get(key)
             if stale is not None:
                 release_time, last_owner = stale
                 now = self.clock_now()
-                if now < release_time + self.release_visibility_delay \
+                if now < release_time + RELEASE_VISIBILITY_DELAY \
                         and last_owner != owner:
                     # the quirk: a just-released lock still looks held
                     self.contentions += 1
@@ -371,7 +374,7 @@ class FileLockManager(LockManager):
             return False
         self.store.delete(skey)
         self._drop_lease(key)
-        if self.release_visibility_delay > 0:
+        if RELEASE_VISIBILITY_DELAY > 0:
             self._recently_released[key] = (self.clock_now(), owner)
         return True
 
@@ -414,13 +417,13 @@ class FileLockManager(LockManager):
         call :meth:`expire_visibility` — modelling a blocking wait for
         the NFS attribute cache to refresh.
         """
-        if self.release_visibility_delay <= 0:
+        if RELEASE_VISIBILITY_DELAY <= 0:
             return 0.0
         stale = self._recently_released.get(key)
         if stale is None or self.store.exists(self._key(key)):
             return 0.0
         release_time, _owner = stale
-        return max(0.0, release_time + self.release_visibility_delay
+        return max(0.0, release_time + RELEASE_VISIBILITY_DELAY
                    - self.clock_now())
 
     def expire_visibility(self, key: str) -> None:

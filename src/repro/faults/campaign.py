@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..bluebox.services import simple_service
 from ..lang.symbols import Keyword
@@ -211,59 +211,30 @@ class CampaignReport:
 
 
 def run_campaign(plan: FaultPlan, seed: int, name: str = "campaign",
-                 tasks: int = 4, nodes: int = 4,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 trace: bool = True,
-                 spawn_limit: int = 3, store=None,
-                 adaptive_spawn: bool = False,
-                 scheduler: Any = None, admission: Any = None,
-                 governor: Any = None,
-                 items_range: Tuple[int, int] = (2, 5),
+                 tasks: int = 4, spawn_limit: int = 3,
                  snapshots: str = "v1",
-                 locks: str = "coordinator",
-                 lease_ttl: Optional[float] = None,
-                 history: str = "off",
-                 snapshot_interval: int = 1,
-                 recovery: str = "snapshot") -> CampaignReport:
+                 adaptive_spawn: bool = False,
+                 items_range: Tuple[int, int] = (2, 5),
+                 **env_options: Any) -> CampaignReport:
     """Execute the named ``(seed, plan)`` chaos campaign to quiescence.
 
+    ``tasks`` campaign tasks run on a workflow deployed with
+    ``spawn_limit`` and ``snapshots`` (``"v2"`` is the target of
+    torn-manifest and missing-chunk campaigns).  ``adaptive_spawn``
+    deploys the governor-opted workflow variant.  ``items_range``
+    bounds the per-task item count: fan-outs wider than the spawn limit
+    keep the Listing-3 throttle loop re-reading the limit for the whole
+    run, which is what lets a governor campaign observe mid-flight
+    adaptation.
+
+    Every other keyword goes to
+    :class:`~repro.vinz.api.VinzEnvironment` unchanged, except that
     ``retry_policy`` defaults to :meth:`RetryPolicy.default` — bounded
     exponential backoff with seeded jitter — so injected faults are
     retried a finite number of times and exhaustion dead-letters.
-    ``store`` swaps the shared-store implementation (e.g. a
-    :class:`~repro.durastore.DurableStore` for crash-recovery
-    campaigns).  ``adaptive_spawn`` deploys the governor-opted workflow
-    variant; ``scheduler``/``admission``/``governor`` pass through to
-    :class:`~repro.vinz.api.VinzEnvironment` to exercise the
-    ``repro.sched`` subsystem under faults.  ``items_range`` bounds the
-    per-task item count: fan-outs wider than the spawn limit keep the
-    Listing-3 throttle loop re-reading the limit for the whole run,
-    which is what lets a governor campaign observe mid-flight
-    adaptation.  ``snapshots="v2"`` deploys with incremental
-    continuation snapshots, the target of torn-manifest and
-    missing-chunk campaigns.  ``locks`` selects the lock backend
-    (``"file"`` for lease-recovery campaigns: NFS locks have no
-    failure detector, so only leases free a dead holder's lock) and
-    ``lease_ttl`` overrides the platform's lease TTL.
-    ``history="on"`` records every task's event-sourced history
-    (enabling :meth:`CampaignReport.replay_all` and the
-    :class:`~repro.faults.plan.HistoryFault` kinds);
-    ``snapshot_interval`` persists continuations every N suspensions
-    and ``recovery="replay"`` rebuilds crashed fibers from the history
-    log instead of reading continuation snapshots (see
-    docs/history_replay.md).
     """
-    policy = retry_policy if retry_policy is not None \
-        else RetryPolicy.default()
-    lease_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
-    env = VinzEnvironment(nodes=nodes, seed=seed, trace=trace,
-                          retry_policy=policy, store=store,
-                          scheduler=scheduler, admission=admission,
-                          governor=governor, locks=locks,
-                          history=history,
-                          snapshot_interval=snapshot_interval,
-                          recovery=recovery,
-                          **lease_kwargs)
+    env_options.setdefault("retry_policy", RetryPolicy.default())
+    env = VinzEnvironment(seed=seed, **env_options)
     env.deploy_service(data_service())
     source = ADAPTIVE_CAMPAIGN_WORKFLOW if adaptive_spawn \
         else CAMPAIGN_WORKFLOW

@@ -209,11 +209,14 @@ class TreeInterpreter:
         return value
 
     def _sf_or(self, form, env):
-        for sub in form[1:]:
+        if len(form) == 1:
+            return None
+        for sub in form[1:-1]:
             value = self._eval(sub, env)
             if truthy(value):
                 return value
-        return None
+        # like the VM: the last form's value, falsy or not
+        return self._eval(form[-1], env)
 
     def _sf_block(self, form, env):
         name = form[1]

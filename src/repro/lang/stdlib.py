@@ -818,17 +818,17 @@ def _hash_key(key):
 
 @builtin("string-upcase")
 def _string_upcase(s):
-    return s.upper()
+    return _designator(s).upper()
 
 
 @builtin("string-downcase")
 def _string_downcase(s):
-    return s.lower()
+    return _designator(s).lower()
 
 
 @builtin("string-trim")
 def _string_trim(chars, s):
-    return s.strip(chars)
+    return _designator(s).strip(_designator(chars))
 
 
 @builtin("string=")
@@ -848,7 +848,7 @@ def _concat(*parts):
 
 @builtin("string-split")
 def _string_split(s, sep=None):
-    return s.split(sep)
+    return _designator(s).split(None if sep is None else _designator(sep))
 
 
 @builtin("string-join")
@@ -859,17 +859,17 @@ def _string_join(parts, sep=""):
 
 @builtin("starts-with-p")
 def _starts_with(s, prefix):
-    return s.startswith(prefix)
+    return _designator(s).startswith(_designator(prefix))
 
 
 @builtin("ends-with-p")
 def _ends_with(s, suffix):
-    return s.endswith(suffix)
+    return _designator(s).endswith(_designator(suffix))
 
 
 @builtin("string-contains-p")
 def _string_contains(s, needle):
-    return needle in s
+    return _designator(needle) in _designator(s)
 
 
 @builtin("parse-integer")
@@ -894,6 +894,15 @@ def _stringify(x):
     return princ_form(x)
 
 
+def _designator(x):
+    """A string designator's text: strings, symbols, keywords and
+    characters, as ``string=`` reads them.  Anything else is a Gozer
+    ``type-error``."""
+    if isinstance(x, (str, Symbol, Keyword, Char)):
+        return _stringify(x)
+    raise TypeError(f"not a string designator: {print_form(x)}")
+
+
 @builtin("string")
 def _string(x):
     return _stringify(x)
@@ -901,7 +910,7 @@ def _string(x):
 
 @builtin("symbol-name")
 def _symbol_name(sym):
-    return sym.name
+    return _designator(sym)
 
 
 @builtin("intern")

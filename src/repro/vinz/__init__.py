@@ -17,8 +17,6 @@ from .persistence import (
     CodeRegistry,
     FiberCodec,
     HostFunctionRegistry,
-    blob_codec_name,
-    compare_codecs,
 )
 from .cache import FiberCache, LruCache
 from .distribution import VinzBreak, VinzTerminateTask
@@ -29,7 +27,6 @@ __all__ = [
     "COMPLETED", "ERROR", "FiberRecord", "PENDING", "ProcessRegistry",
     "RUNNING", "TERMINATED", "TaskRecord",
     "CodeRegistry", "FiberCodec", "HostFunctionRegistry",
-    "blob_codec_name", "compare_codecs",
     "FiberCache", "LruCache", "VinzBreak", "VinzTerminateTask",
     "HandlerDefinition",
 ]

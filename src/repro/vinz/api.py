@@ -52,15 +52,13 @@ class VinzEnvironment:
 
     ``locks`` selects the distributed lock backend: ``"coordinator"``
     (the ZooKeeper-like replacement the paper is building) or ``"file"``
-    (the original NFS file locks, optionally with their visibility
-    quirk via ``lock_quirk_delay``).
+    (the original NFS file locks; their visibility quirk is
+    :data:`repro.bluebox.locks.RELEASE_VISIBILITY_DELAY`).
     """
 
     def __init__(self, nodes: int = 4, slots: int = 1, seed: int = 0,
-                 cluster: Optional[Cluster] = None,
                  store: Optional[SharedStore] = None,
                  locks: str = "coordinator",
-                 lock_quirk_delay: float = 0.0,
                  trace: bool = True,
                  spans: Optional[bool] = None,
                  placement: str = "balanced",
@@ -80,13 +78,10 @@ class VinzEnvironment:
         #: governor backing ``(vinz-auto-spawn-limit)`` and
         #: ``spawn_limit="auto"`` deployments.  All default to the
         #: paper's behaviour.  See repro.sched / docs/scheduler.md.
-        self.cluster = cluster if cluster is not None else \
-            Cluster(seed=seed, trace=trace, retry_policy=retry_policy,
-                    spans=spans, scheduler=scheduler, admission=admission)
-        if retry_policy is not None and cluster is not None:
-            self.cluster.retry_policy = retry_policy
-        if not self.cluster.nodes:
-            self.cluster.add_nodes(nodes, slots=slots)
+        self.cluster = Cluster(seed=seed, trace=trace,
+                               retry_policy=retry_policy, spans=spans,
+                               scheduler=scheduler, admission=admission)
+        self.cluster.add_nodes(nodes, slots=slots)
         self.store = store if store is not None else SharedStore()
         # the cluster brackets every operation window on the store, and
         # store recovery gets tracer/metrics/virtual-time wiring
@@ -105,8 +100,7 @@ class VinzEnvironment:
             self.locks = CoordinatorLockManager()
         elif locks == "file":
             self.locks = FileLockManager(
-                self.store, clock_now=lambda: self.cluster.kernel.now,
-                release_visibility_delay=lock_quirk_delay)
+                self.store, clock_now=lambda: self.cluster.kernel.now)
         else:
             raise ValueError(f"unknown lock backend {locks!r}")
         # ------- lease layer + orphan-fiber recovery -----------------
@@ -145,9 +139,11 @@ class VinzEnvironment:
         #: "snapshot" = rebuild crashed fibers from persisted
         #: continuations; "replay" = re-execute from the history log
         self.recovery_mode = recovery
-        #: persist a continuation snapshot every N suspensions
-        #: (default applied per deployment; 1 = the paper's every-step)
-        self.default_snapshot_interval = int(snapshot_interval)
+        #: persist a continuation snapshot only every Nth suspension
+        #: (1 = the paper's every-step); the versions in between are
+        #: rebuilt by history replay, so N > 1 takes effect only with
+        #: ``history="on"``
+        self.snapshot_interval = int(snapshot_interval)
         self.history = None
         self.history_log = None
         self.replayer = None
@@ -211,7 +207,6 @@ class VinzEnvironment:
         ``node_ids`` restricts deployment to specific nodes (default:
         every node, the paper's usual arrangement).
         """
-        config.setdefault("snapshot_interval", self.default_snapshot_interval)
         service = WorkflowService(name, source, self, **config)
         self.cluster.deploy(service, node_ids=node_ids)
         self.workflows[name] = service

@@ -39,6 +39,9 @@ from .task import COMPLETED, ERROR, FiberRecord, TERMINATED, TaskRecord
 #: of the store write
 TASKVAR_LOCK_OVERHEAD = 0.002
 
+#: simulated seconds each ``:chunk-size :auto`` chunk should take
+AUTO_CHUNK_TARGET = 4.0
+
 #: how a window can end (the ``state`` of a :class:`WindowOutcome`)
 WINDOW_COMPLETED, WINDOW_FAILED, WINDOW_SUSPENDED = \
     "completed", "failed", "suspended"
@@ -341,7 +344,7 @@ class FiberExecution:
 
         Uses this fiber's most recent completed children (the probe
         phase) as the per-item cost sample; sizes chunks so each takes
-        roughly ``auto_chunk_target`` simulated seconds.
+        roughly :data:`AUTO_CHUNK_TARGET` simulated seconds.
         """
         def decide():
             registry = self.service.vinz.registry
@@ -357,7 +360,7 @@ class FiberExecution:
                 return 1
             recent = durations[-4:]
             avg = max(sum(recent) / len(recent), 1e-6)
-            size = int(self.service.auto_chunk_target / avg)
+            size = int(AUTO_CHUNK_TARGET / avg)
             chosen = max(1, min(size, 64))
             self.service.vinz.metrics.incr("autochunk.decisions")
             if self.ctx.tracing:

@@ -216,7 +216,7 @@ class FiberStateStore:
         ctx.check_fence("persist.fence-rejected")
         fiber.version += 1
         if vinz.history is not None \
-                and fiber.version % self.service.snapshot_interval:
+                and fiber.version % vinz.snapshot_interval:
             # snapshot-interval elision: with history on, only every
             # Nth suspension persists — the versions between snapshots
             # live in the node cache and are rebuilt by replay after a

@@ -378,43 +378,3 @@ def parse_crc_frames(data: bytes, magic: bytes,
         payloads.append(payload)
         offset = start + length
     return payloads, offset, None
-
-
-def blob_codec_name(blob: bytes) -> str:
-    """Identify which codec produced ``blob`` (``"v2-manifest"`` for an
-    incremental-snapshot manifest — its codec byte lives inside)."""
-    if blob[:4] == SNAPSHOT_V2_MAGIC:
-        return "v2-manifest"
-    if blob[:4] != MAGIC:
-        raise SnapshotFormatError("not a Gozer fiber blob")
-    for name, byte in FiberCodec.NAMES.items():
-        if blob[4:5] == byte:
-            return name
-    raise SnapshotFormatError(f"unknown codec byte {blob[4:5]!r}")
-
-
-def compare_codecs(state: Any, registry: Optional[CodeRegistry] = None,
-                   repeats: int = 1) -> Dict[str, Dict[str, float]]:
-    """Measure each codec on ``state``: size and encode/decode wall time.
-
-    The raw material of benchmark S4a; also used by tests to assert the
-    size ordering (custom < deflate ≈ gzip < none).
-    """
-    import time
-
-    results: Dict[str, Dict[str, float]] = {}
-    for codec_name in FiberCodec.NAMES:
-        codec = FiberCodec(codec_name, registry=registry)
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            blob = codec.dumps(state)
-        t1 = time.perf_counter()
-        for _ in range(repeats):
-            codec.loads(blob)
-        t2 = time.perf_counter()
-        results[codec_name] = {
-            "bytes": float(len(blob)),
-            "encode_s": (t1 - t0) / repeats,
-            "decode_s": (t2 - t1) / repeats,
-        }
-    return results

@@ -94,8 +94,13 @@ class WorkflowService(Service):
       for the fiber lock before requeueing itself (§5);
     * ``instruction_cost`` — simulated seconds charged per executed GVM
       instruction (models the fiber's compute);
-    * ``codec`` — fiber persistence codec (§4.2);
-    * ``cache`` — enable/disable the per-node fiber cache (§4.2).
+    * ``cache`` — enable/disable the per-node fiber cache (§4.2);
+    * ``snapshots`` — continuation snapshot format: ``"v1"`` whole
+      compressed blobs, ``"v2"`` the chunk-deduplicated pipeline.
+
+    Fibers persist through the paper's custom codec (§4.2), a task
+    starts at ``(main params)``, and the snapshot interval is the
+    environment's.
     """
 
     #: fiber-lifecycle messages (RunFiber/AwakeFiber/ResumeFromCall/
@@ -105,39 +110,26 @@ class WorkflowService(Service):
     FIBER_MESSAGE_ATTEMPTS = 1_000_000
 
     def __init__(self, name: str, source: str, vinz_env,
-                 main: str = "main",
                  spawn_limit: Any = 4,
                  awake_patience: float = 0.02,
                  instruction_cost: float = 2e-6,
-                 codec: str = "custom",
                  cache: bool = True,
                  cache_capacity: int = 256,
-                 auto_chunk_target: float = 4.0,
-                 snapshots: str = "v1",
-                 snapshot_interval: int = 1):
+                 snapshots: str = "v1"):
         super().__init__(name, doc=f"Vinz workflow {name}")
         self.source = source
         self.vinz = vinz_env
-        self.main_name = main
         self.default_spawn_limit = spawn_limit
         self.awake_patience = awake_patience
         self.instruction_cost = instruction_cost
         self.cache_enabled = cache
         self.cache_capacity = cache_capacity
-        #: target per-chunk duration for :chunk-size :auto (seconds)
-        self.auto_chunk_target = auto_chunk_target
-        self.codec = FiberCodec(codec)
+        self.codec = FiberCodec("custom")
         # blob-size histograms flow into the cluster's metrics registry
         self.codec.metrics = vinz_env.metrics
         if snapshots not in ("v1", "v2"):
             raise ValueError(f"unknown snapshot format {snapshots!r}")
         self.snapshot_format = snapshots
-        if int(snapshot_interval) < 1:
-            raise ValueError("snapshot_interval must be >= 1")
-        #: persist the continuation only every Nth suspension; the
-        #: versions in between are rebuilt by history replay (requires
-        #: ``history="on"`` on the environment to take effect)
-        self.snapshot_interval = int(snapshot_interval)
         #: the incremental-snapshot pipeline (format v2); None in v1
         #: mode, where continuations persist as whole compressed blobs
         self.snapper = None
@@ -653,11 +645,11 @@ class WorkflowService(Service):
 
     def main_function(self) -> GozerFunction:
         """The workflow's entry point, run by every task's main fiber."""
-        main = self.runtime.global_env.lookup_or(_S(self.main_name))
+        main = self.runtime.global_env.lookup_or(_S("main"))
         if not isinstance(main, GozerFunction):
             raise ServiceFault(
                 self.wsdl.fault_qname("NoMainFunction"),
-                f"workflow {self.name} defines no ({self.main_name} params)")
+                f"workflow {self.name} defines no (main params)")
         return main
 
     def _start_fresh(self, ctx: OperationContext, vm, task: TaskRecord,

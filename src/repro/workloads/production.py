@@ -15,7 +15,7 @@ a Vinz cluster and reports both the generated-workload statistics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..bluebox.messagequeue import ReplyTo
 from ..vinz.api import VinzEnvironment
@@ -109,13 +109,9 @@ class ProductionDayResult:
 
 def run_production_day(scale: float = 0.01, nodes: int = 12,
                        slots: int = 4, seed: int = 2010,
-                       profile: Optional[WorkloadProfile] = None,
-                       trace: bool = False,
                        store=None,
                        spawn_limit: Any = 8,
-                       scheduler: Any = None,
-                       admission: Any = None,
-                       governor: Any = None) -> ProductionDayResult:
+                       scheduler: Any = None) -> ProductionDayResult:
     """Run a ``scale``-sized production day and collect statistics.
 
     ``scale=0.01`` runs 100 tasks over a 0.24-hour virtual window with
@@ -123,19 +119,18 @@ def run_production_day(scale: float = 0.01, nodes: int = 12,
     numbers) is what reproduces.  ``store`` swaps the shared-store
     implementation (flat / sharded / durable) for the store-scaling
     benchmark.  ``spawn_limit`` (an int or ``"auto"`` for the adaptive
-    governor) plus ``scheduler``/``admission``/``governor`` drive the
-    scheduler benchmark's static-vs-adaptive comparison.
+    governor) plus ``scheduler`` drive the scheduler benchmark's
+    static-vs-adaptive comparison.
     """
     count = max(1, int(PAPER_TASKS_PER_DAY * scale))
     period = DAY_SECONDS * scale
-    profile = profile or WorkloadProfile(
+    profile = WorkloadProfile(
         mean_task_seconds=PAPER_SERIAL_HOURS * 3600 / PAPER_TASKS_PER_DAY)
     specs = generate_tasks(count, period, seed=seed, profile=profile)
     generated = workload_statistics(specs)
 
-    env = VinzEnvironment(nodes=nodes, slots=slots, seed=seed, trace=trace,
-                          store=store, scheduler=scheduler,
-                          admission=admission, governor=governor)
+    env = VinzEnvironment(nodes=nodes, slots=slots, seed=seed, trace=False,
+                          store=store, scheduler=scheduler)
     env.deploy_service(datastore_service())
     env.deploy_workflow("Batch", BATCH_WORKFLOW_SOURCE,
                         spawn_limit=spawn_limit, instruction_cost=1e-6)

@@ -51,7 +51,7 @@ class TestBasicCalls:
             cluster.send("Ghost", "Op", {})
 
     def test_virtual_time_advances_with_charges(self):
-        cluster = Cluster(seed=0, delivery_latency=0.001)
+        cluster = Cluster(seed=0)
         cluster.add_node()
         cluster.deploy(echo_service(charge=2.0))
         cluster.call("Echo", "Echo", {"x": 1})
@@ -84,7 +84,7 @@ class TestLoadBalancing:
 
     def test_parallel_makespan(self):
         """4 one-second jobs on 4 nodes finish in ~1 second, not 4."""
-        cluster = Cluster(seed=1, delivery_latency=0.0)
+        cluster = Cluster(seed=1)
         cluster.add_nodes(4)
         cluster.deploy(echo_service(charge=1.0))
         for i in range(4):
@@ -94,7 +94,7 @@ class TestLoadBalancing:
 
     def test_queueing_when_saturated(self):
         """8 one-second jobs on 2 nodes take ~4 seconds."""
-        cluster = Cluster(seed=1, delivery_latency=0.0)
+        cluster = Cluster(seed=1)
         cluster.add_nodes(2)
         cluster.deploy(echo_service(charge=1.0))
         for i in range(8):
@@ -103,7 +103,7 @@ class TestLoadBalancing:
         assert 3.5 <= cluster.kernel.now <= 4.5
 
     def test_node_slots_multiply_capacity(self):
-        cluster = Cluster(seed=1, delivery_latency=0.0)
+        cluster = Cluster(seed=1)
         cluster.add_node(slots=4)
         cluster.deploy(echo_service(charge=1.0))
         for i in range(4):
@@ -114,7 +114,7 @@ class TestLoadBalancing:
     def test_shared_slots_block_other_services(self):
         """Two services on a 1-slot node contend — the Section 5
         phenomenon of unrelated operations blocking."""
-        cluster = Cluster(seed=1, delivery_latency=0.0)
+        cluster = Cluster(seed=1)
         cluster.add_node(slots=1)
 
         def slow(ctx, body):
@@ -301,7 +301,7 @@ class TestInlineCalls:
 
 class TestIntrospection:
     def test_utilization(self):
-        cluster = Cluster(seed=0, delivery_latency=0.0)
+        cluster = Cluster(seed=0)
         cluster.add_node()
         cluster.deploy(echo_service(charge=1.0))
         cluster.call("Echo", "Echo", {"x": 1})

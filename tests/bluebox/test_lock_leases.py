@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.bluebox import locks as locks_module
 from repro.bluebox.locks import CoordinatorLockManager, FileLockManager
 from repro.bluebox.store import SharedStore
 
@@ -214,10 +215,10 @@ class TestOwnerIdentity:
 
 
 class TestFileLockVisibilityFix:
-    def test_force_release_clears_stale_visibility(self):
+    def test_force_release_clears_stale_visibility(self, monkeypatch):
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", 1.0)
         clock = Clock()
-        lm = FileLockManager(SharedStore(), clock_now=clock,
-                             release_visibility_delay=1.0)
+        lm = FileLockManager(SharedStore(), clock_now=clock)
         lm.try_acquire("k", OWNER_A)
         lm.release("k", OWNER_A)  # seeds the visibility-cache entry
         lm.try_acquire("k", OWNER_A)
@@ -226,10 +227,10 @@ class TestFileLockVisibilityFix:
         # succeed, not hit a bogus attribute-cache wait
         assert lm.try_acquire("k", OWNER_B)
 
-    def test_lease_steal_clears_stale_visibility(self):
+    def test_lease_steal_clears_stale_visibility(self, monkeypatch):
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", 1.0)
         clock = Clock()
-        lm = FileLockManager(SharedStore(), clock_now=clock,
-                             release_visibility_delay=1.0)
+        lm = FileLockManager(SharedStore(), clock_now=clock)
         lm.configure_leases(ttl=2.0, clock_now=clock)
         lm.try_acquire("k", OWNER_A)
         lm.release("k", OWNER_A)

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.bluebox import locks as locks_module
 from repro.bluebox.locks import CoordinatorLockManager, FileLockManager
 from repro.bluebox.store import DirectoryStore, SharedStore, StoreError
 
@@ -112,13 +113,12 @@ class TestFileLockManager:
         locks.force_release("f1")
         assert locks.try_acquire("f1", "b")
 
-    def test_nfs_visibility_quirk(self):
+    def test_nfs_visibility_quirk(self, monkeypatch):
         """The paper's complaint: after release, other clients may still
         see the lock held for a window (attribute caching)."""
         clock = {"now": 0.0}
-        locks = FileLockManager(SharedStore(),
-                                clock_now=lambda: clock["now"],
-                                release_visibility_delay=1.0)
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", 1.0)
+        locks = FileLockManager(SharedStore(), clock_now=lambda: clock["now"])
         locks.try_acquire("f1", "a")
         locks.release("f1", "a")
         # immediately after release: another owner still sees it held
@@ -126,11 +126,10 @@ class TestFileLockManager:
         clock["now"] = 2.0
         assert locks.try_acquire("f1", "b")
 
-    def test_quirk_does_not_block_same_owner(self):
+    def test_quirk_does_not_block_same_owner(self, monkeypatch):
         clock = {"now": 0.0}
-        locks = FileLockManager(SharedStore(),
-                                clock_now=lambda: clock["now"],
-                                release_visibility_delay=1.0)
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", 1.0)
+        locks = FileLockManager(SharedStore(), clock_now=lambda: clock["now"])
         locks.try_acquire("f1", "a")
         locks.release("f1", "a")
         assert locks.try_acquire("f1", "a")  # own release is visible

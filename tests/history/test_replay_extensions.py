@@ -49,8 +49,8 @@ WORKFLOWS = {
         """, [1, 2, 3, 4, 5], {"spawn_limit": 2}),
     "auto-chunk": ("""
         (defun main (params)
-          (for-each (x in params :chunk-size :auto) (compute 0.05) (* x 2)))
-        """, list(range(10)), {"spawn_limit": 4, "auto_chunk_target": 0.2}),
+          (for-each (x in params :chunk-size :auto) (compute 1.0) (* x 2)))
+        """, list(range(10)), {"spawn_limit": 4}),
     "mailboxes": (PING_PONG, None, {}),
     "task-variables": ("""
         (deftaskvar box 0)
@@ -73,9 +73,10 @@ WORKFLOWS = {
 }
 
 
-def _run(name, **deploy):
+def _run(name, snapshot_interval=1, **deploy):
     source, params, config = WORKFLOWS[name]
-    env = VinzEnvironment(nodes=3, seed=31, history="on")
+    env = VinzEnvironment(nodes=3, seed=31, history="on",
+                          snapshot_interval=snapshot_interval)
 
     def echo(ctx, body):
         ctx.charge(0.01)

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.bluebox.services import simple_service
+from repro.vinz import execution
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.task import COMPLETED
 
@@ -144,15 +145,15 @@ class TestKitchenSinkChaos:
               :done ^finished^)))
     """
 
-    def test_everything_on_with_failures(self):
+    def test_everything_on_with_failures(self, monkeypatch):
+        monkeypatch.setattr(execution, "AUTO_CHUNK_TARGET", 1.0)
         rng = random.Random(4242)
         env = VinzEnvironment(nodes=5, seed=4242, trace=False,
                               placement="affinity")
         env.scheduling_policy = "edf"
         env.migration_policy = "adaptive"
         env.deploy_service(data_service())
-        env.deploy_workflow("Sink", self.SOURCE, spawn_limit=3,
-                            auto_chunk_target=1.0)
+        env.deploy_workflow("Sink", self.SOURCE, spawn_limit=3)
         from repro.lang.symbols import Keyword as K
 
         inputs = {}

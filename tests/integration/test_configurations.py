@@ -1,7 +1,7 @@
 """Configuration-matrix integration tests.
 
 Runs the same workflow under every combination of the platform's
-swappable backends (codec, lock manager, placement, store backing) and
+swappable backends (lock manager, placement, store backing) and
 asserts identical results — the configuration space must not change
 semantics, only costs.
 """
@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from repro.bluebox import locks as locks_module
 from repro.bluebox.services import OperationContext
 from repro.bluebox.store import DirectoryStore
 from repro.durastore import DurableStore
@@ -39,23 +40,14 @@ def run_config(**kwargs):
 
 
 class TestBackendMatrix:
-    @pytest.mark.parametrize("codec", ["none", "gzip", "deflate", "custom"])
-    def test_all_codecs_same_result(self, codec):
-        env = VinzEnvironment(nodes=3, seed=7, trace=False)
-        env.deploy_workflow("W", WORKFLOW, codec=codec)
-        result = env.call("W", [1, 2, 3, 4])
-        plist = {result[i].name: result[i + 1]
-                 for i in range(0, len(result), 2)}
-        assert plist["sum"] == EXPECTED_SUM
-        assert plist["count"] == 4
-
     @pytest.mark.parametrize("locks,quirk", [
         ("coordinator", 0.0),
         ("file", 0.0),
         ("file", 0.05),  # with the NFS visibility quirk enabled
     ])
-    def test_lock_backends_same_result(self, locks, quirk):
-        env, plist = run_config(locks=locks, lock_quirk_delay=quirk)
+    def test_lock_backends_same_result(self, monkeypatch, locks, quirk):
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", quirk)
+        env, plist = run_config(locks=locks)
         assert plist["sum"] == EXPECTED_SUM
 
     @pytest.mark.parametrize("placement", ["balanced", "affinity"])
@@ -76,11 +68,12 @@ class TestBackendMatrix:
         # state files really landed on disk during the run
         assert store.writes > 0
 
-    def test_file_locks_with_quirk_slow_but_correct(self):
+    def test_file_locks_with_quirk_slow_but_correct(self, monkeypatch):
         """The NFS visibility quirk adds lock-wait requeues but never
         wrong answers."""
-        plain_env, plain = run_config(locks="file", lock_quirk_delay=0.0)
-        quirky_env, quirky = run_config(locks="file", lock_quirk_delay=0.2)
+        plain_env, plain = run_config(locks="file")
+        monkeypatch.setattr(locks_module, "RELEASE_VISIBILITY_DELAY", 0.2)
+        quirky_env, quirky = run_config(locks="file")
         assert plain["sum"] == quirky["sum"] == EXPECTED_SUM
         assert quirky_env.cluster.kernel.now >= plain_env.cluster.kernel.now
 
@@ -128,11 +121,6 @@ class TestOneAppendPerWindow:
 
 
 class TestWorkflowServiceConfig:
-    def test_custom_main_name(self):
-        env = VinzEnvironment(nodes=2, seed=1, trace=False)
-        env.deploy_workflow("W", "(defun entry (p) (* p 2))", main="entry")
-        assert env.call("W", 21) == 42
-
     def test_cache_disabled_still_correct(self):
         env = VinzEnvironment(nodes=3, seed=2, trace=False)
         env.deploy_workflow("W", WORKFLOW, cache=False)

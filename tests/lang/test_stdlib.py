@@ -245,6 +245,30 @@ class TestStrings:
         assert rt.eval_string('(starts-with-p "foobar" "foo")') is True
         assert rt.eval_string('(ends-with-p "foobar" "bar")') is True
 
+    @pytest.mark.parametrize("source,expected", [
+        ('(starts-with-p :foobar "foo")', True),
+        ("(ends-with-p 'foobar #\\r)", True),
+        ("(string-contains-p \"a-b\" '-)", True),
+        ("(string-upcase 'abc)", "ABC"),
+        ("(string-downcase #\\A)", "a"),
+        ('(string-trim "*" :*a*)', "a"),
+        ("(string-split 'a-b '-)", ["a", "b"]),
+        ("(symbol-name :key)", "key"),
+    ])
+    def test_string_designators(self, rt, source, expected):
+        assert rt.eval_string(source) == expected
+
+    @pytest.mark.parametrize("source", [
+        "(starts-with-p 0 0)", "(ends-with-p \"a\" 1)",
+        "(string-contains-p (list 1) \"a\")", "(string-upcase 1.5)",
+        "(string-downcase nil)", "(string-trim 0 \"a\")",
+        "(string-split 3)", "(symbol-name 7)",
+    ])
+    def test_non_designator_is_a_type_error(self, rt, source):
+        with pytest.raises(UnhandledConditionError) as exc:
+            rt.eval_string(source)
+        assert exc.value.condition.condition_type == "type-error"
+
     def test_parse_numbers(self, rt):
         assert rt.eval_string('(parse-integer "42")') == 42
         assert rt.eval_string('(parse-float "2.5")') == 2.5

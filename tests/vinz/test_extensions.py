@@ -20,6 +20,7 @@ behaviour) and switchable:
 import pytest
 
 from repro.bluebox.services import simple_service
+from repro.vinz import execution
 from repro.vinz.api import MIGRATION_THRESHOLD, VinzEnvironment
 
 MULTI_HOP = """
@@ -457,13 +458,17 @@ class TestAutoChunkSizing:
     also dynamically optimize chunk sizes based on the processing time
     of the body.'"""
 
-    def _run(self, items, per_item, target=2.0, nodes=6):
+    @pytest.fixture(autouse=True)
+    def _target(self, monkeypatch):
+        monkeypatch.setattr(execution, "AUTO_CHUNK_TARGET", 2.0)
+
+    def _run(self, items, per_item, nodes=6):
         env = VinzEnvironment(nodes=nodes, seed=22)
         env.deploy_workflow("W", f"""
             (defun main (params)
               (for-each (x in params :chunk-size :auto)
                 (compute {per_item})
-                (* x 2)))""", spawn_limit=8, auto_chunk_target=target)
+                (* x 2)))""", spawn_limit=8)
         result = env.call("W", items)
         task = list(env.registry.tasks.values())[0]
         decisions = env.cluster.tracer.of_kind("auto-chunk")
@@ -496,12 +501,13 @@ class TestAutoChunkSizing:
         assert result == [2, 4, 6]
         assert not decisions  # plain distribution, no probe phase
 
-    def test_size_clamped(self):
+    def test_size_clamped(self, monkeypatch):
+        monkeypatch.setattr(execution, "AUTO_CHUNK_TARGET", 1000.0)
         env = VinzEnvironment(nodes=4, seed=23)
         env.deploy_workflow("W", """
             (defun main (params)
               (for-each (x in params :chunk-size :auto)
-                x))""", auto_chunk_target=1000.0)
+                x))""")
         result = env.call("W", list(range(10)))
         assert result == list(range(10))
         sizes = [e.detail["size"]

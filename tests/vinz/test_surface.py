@@ -3,15 +3,23 @@ the live and replay bridges cannot drift apart."""
 
 import inspect
 
+import pytest
+
+from repro.bluebox.cluster import Cluster
+from repro.bluebox.locks import FileLockManager
+from repro.faults.campaign import run_campaign
+from repro.faults.plan import FaultPlan
 from repro.history.replay import ReplayExecution
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.execution import FiberExecution
 from repro.vinz.service import WorkflowService
+from repro.workloads.production import run_production_day
 
 
-def _options(cls):
-    """Constructor parameters a caller may leave out."""
-    return [p.name for p in inspect.signature(cls).parameters.values()
+def _options(entry_point):
+    """Named parameters a caller may leave out."""
+    return [p.name
+            for p in inspect.signature(entry_point).parameters.values()
             if p.default is not p.empty]
 
 
@@ -21,8 +29,27 @@ def _public(cls):
 
 
 def test_constructor_options_do_not_grow():
-    assert len(_options(VinzEnvironment)) <= 18
-    assert len(_options(WorkflowService)) <= 10
+    assert len(_options(Cluster)) <= 6
+    assert len(_options(VinzEnvironment)) <= 16
+    assert len(_options(WorkflowService)) <= 6
+    assert len(_options(run_production_day)) <= 7
+    assert len(_options(run_campaign)) <= 7
+
+
+def test_run_campaign_passes_environment_options_through():
+    """``run_campaign`` declares no environment option of its own: each
+    one reaches ``VinzEnvironment`` as written, and a misspelt one is
+    refused there rather than dropped."""
+    env = run_campaign(FaultPlan(), seed=3, tasks=1, locks="file",
+                       lease_ttl=1.0, history="on", recovery="replay",
+                       snapshot_interval=3).env
+    assert env.locks.lease_ttl == 1.0
+    assert isinstance(env.locks, FileLockManager)
+    assert env.history is not None
+    assert env.recovery_mode == "replay"
+    assert env.snapshot_interval == 3
+    with pytest.raises(TypeError, match="VinzEnvironment.*lease_tll"):
+        run_campaign(FaultPlan(), seed=3, tasks=1, lease_tll=1.0)
 
 
 def test_live_and_replay_bridges_have_the_same_intrinsics():
