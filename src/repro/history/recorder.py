@@ -51,6 +51,11 @@ RESUME_KINDS = (SERVICE_COMPLETED, TIMER_FIRED, FIBER_JOINED,
 #: a later resume event; snapshot markers only locate rebuild bases)
 AUDIT_KINDS = (TASK_STARTED, SERVICE_REQUESTED, SNAPSHOT_TAKEN)
 
+#: where a replay rebuild starts: a version still in the node's fiber
+#: cache, the last persisted snapshot, or the task start; each counts
+#: into ``history.rebuild_base.<origin>``
+REBUILD_BASES = ("cache", "snapshot", "start")
+
 
 def resume_kind_for(waiting_on: Optional[str]) -> str:
     """Classify a resume event by what the fiber was suspended on."""
@@ -148,8 +153,12 @@ class HistoryRecorder:
         return list(self.histories.get(task_id, ()))
 
     def summary(self) -> Dict[str, Any]:
+        metrics = self.env.metrics
         return {
             "tasks_recorded": len(self.histories),
             "events": sum(map(len, self.histories.values())),
+            "rebuild_base": {
+                origin: metrics.get(f"history.rebuild_base.{origin}")
+                for origin in REBUILD_BASES},
             **self.log.summary(),
         }

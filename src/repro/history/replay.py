@@ -384,7 +384,17 @@ class ReplayEngine:
                     if report is not None:
                         report.partial_fibers.append(fiber_id)
                     return "partial", None, instructions
-                resume = cursor.next(*RESUME_KINDS)
+                resume = cursor.next(FIBER_FAILED, *RESUME_KINDS)
+                if resume.kind == FIBER_FAILED:
+                    # the platform failed the fiber while it was
+                    # suspended (a join on a missing process, a
+                    # dead-lettered wake-up): nothing resumed it, and
+                    # nothing may follow
+                    if not cursor.exhausted():
+                        raise cursor.diverge(
+                            "<further events>",
+                            f"{FIBER_FAILED} while suspended already reached")
+                    return "failed", resume.payload.get("error"), instructions
                 outcome = window(lambda vm: vm.resume(
                     continuation, resume.payload.get("value")))
         finally:
@@ -396,10 +406,11 @@ class ReplayEngine:
     # -- recovery: rebuild a live continuation ---------------------------
 
     def rebuild(self, service, fiber, target_version: int,
-                base=None) -> Tuple[Any, int]:
+                base=None, base_from: str = "start") -> Tuple[Any, int]:
         """Rebuild ``fiber``'s continuation at ``target_version`` from
         the in-memory committed history (optionally forward from a
-        ``(continuation, version)`` snapshot base).  Returns
+        ``(continuation, version)`` base, which came from ``base_from``:
+        one of :data:`~repro.history.recorder.REBUILD_BASES`).  Returns
         ``(continuation, instructions_executed)``."""
         recorder = self.env.history
         events = recorder.events_of(fiber.task_id)
@@ -410,7 +421,8 @@ class ReplayEngine:
             span = tracer.begin("history.replay", kind="history",
                                 start=self.env.cluster.kernel.now,
                                 fiber=fiber.id, task=fiber.task_id,
-                                mode="rebuild", target=target_version)
+                                mode="rebuild", target=target_version,
+                                base_from=base_from)
         try:
             kind, value, instructions = self.replay_fiber(
                 service, fiber.task_id, events, fiber.id,
@@ -423,6 +435,7 @@ class ReplayEngine:
                 f"rebuild of {fiber.id} reached {kind} before version "
                 f"{target_version}")
         metrics.incr("history.rebuilds")
+        metrics.incr(f"history.rebuild_base.{base_from}")
         metrics.incr("history.rebuild_instructions", instructions)
         return value, instructions
 

@@ -11,8 +11,12 @@ respectively."
 The split the paper measures maps onto two caches:
 
 * **mutable** — the fiber's continuation, re-versioned at every
-  suspend; a hit requires this node to have run *that exact version*,
-  so random queue placement keeps the rate low;
+  suspend; one entry per fiber, holding the newest version this node
+  saw.  A hit still requires this node to have run *that exact
+  version*, so random queue placement keeps the rate low.  A miss on
+  an elided version may still find an older committed version here:
+  the replay rebuild starts from it instead of from the last snapshot
+  or the task start (:meth:`FiberCache.newest_before`);
 * **immutable** — per-task data that never changes after Start (the
   task's parameters/environment); a hit only requires this node to have
   seen *any* fiber of the task before, so the rate is much higher.
@@ -60,6 +64,10 @@ class LruCache(Generic[K, V]):
         """Presence test; does not touch LRU order or statistics."""
         return key in self._data
 
+    def peek(self, key: K, default: Any = None) -> Optional[V]:
+        """The cached value without touching LRU order or statistics."""
+        return self._data.get(key, default)
+
     def put(self, key: K, value: V) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
@@ -84,9 +92,9 @@ class LruCache(Generic[K, V]):
 class FiberCache:
     """One node's in-memory cache of recently seen fibers.
 
-    Keys: mutable entries by ``(fiber_id, version)``; immutable entries
-    by ``task_id``.  The cluster wipes a node's memory on failure, which
-    correctly loses the cache.
+    Keys: mutable entries by ``fiber_id``, each ``(version,
+    continuation)``; immutable entries by ``task_id``.  The cluster
+    wipes a node's memory on failure, which correctly loses the cache.
     """
 
     #: module-level miss sentinel, re-exported for callers
@@ -94,7 +102,8 @@ class FiberCache:
 
     def __init__(self, mutable_capacity: int = 256,
                  immutable_capacity: int = 1024):
-        self.mutable: LruCache[Tuple[str, int], Any] = LruCache(mutable_capacity)
+        self.mutable: LruCache[str, Tuple[int, Any]] = \
+            LruCache(mutable_capacity)
         self.immutable: LruCache[str, Any] = LruCache(immutable_capacity)
         #: v2 snapshots only: continuations keyed by manifest state
         #: digest.  Content-addressed, so unlike the version-keyed
@@ -107,16 +116,36 @@ class FiberCache:
 
     def get_continuation(self, fiber_id: str, version: int,
                          default: Any = None) -> Optional[Any]:
-        return self.mutable.get((fiber_id, version), default)
+        """The continuation at exactly ``version``; anything else is a
+        miss (the paper's mutable hit)."""
+        entry = self.mutable.peek(fiber_id)
+        if entry is None or entry[0] != version:
+            self.mutable.misses += 1
+            return default
+        return self.mutable.get(fiber_id)[1]  # counts the hit
 
     def put_continuation(self, fiber_id: str, version: int, state: Any) -> None:
-        self.mutable.put((fiber_id, version), state)
+        self.mutable.put(fiber_id, (version, state))
 
-    def evict_continuation(self, fiber_id: str, version: int) -> None:
-        """Drop a cached continuation (abort rollback: the version is
-        being rolled back, so a retry re-reaching it must not resume
-        from the aborted window's state)."""
-        self.mutable.invalidate((fiber_id, version))
+    def newest_before(self, fiber_id: str, version: int,
+                      floor: int) -> Optional[Tuple[Any, int]]:
+        """``(continuation, v)`` when this node holds version ``v`` of
+        the fiber with ``floor < v < version``, else ``None``: a warmer
+        base than ``floor`` for rebuilding ``version``.  Neither a hit
+        nor a miss."""
+        entry = self.mutable.peek(fiber_id)
+        if entry is None or not floor < entry[0] < version:
+            return None
+        return entry[1], entry[0]
+
+    def evict_continuation(self, fiber_id: str, from_version: int) -> None:
+        """Drop the fiber's entry if it holds ``from_version`` or later
+        (abort rollback: those versions are being rolled back, so
+        neither a retry re-reaching them nor a rebuild may start from
+        the aborted window's state)."""
+        entry = self.mutable.peek(fiber_id)
+        if entry is not None and entry[0] >= from_version:
+            self.mutable.invalidate(fiber_id)
 
     def get_digest(self, hex_digest: str, default: Any = None) -> Optional[Any]:
         return self.by_digest.get(hex_digest, default)

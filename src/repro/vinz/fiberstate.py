@@ -131,12 +131,22 @@ class FiberStateStore:
             # continuation snapshots), or the wanted version was never
             # persisted (snapshot-interval elision): re-execute the
             # fiber against its recorded history, forward from the
-            # latest snapshot when one may be read
-            base = None
-            if not from_start and fiber.last_persisted_version > 0:
-                base = (self._read_snapshot(ctx, cache, fiber),
-                        fiber.last_persisted_version)
-            continuation = self._rebuild(ctx, fiber, base)
+            # newest version this node holds when that is newer than
+            # the latest readable snapshot, else from that snapshot,
+            # else from the start.  A cached version below
+            # ``fiber.version`` is committed: every abort evicts what
+            # its window cached, and node death wipes the cache.
+            floor = 0 if from_start else fiber.last_persisted_version
+            base = (cache.newest_before(fiber.id, fiber.version, floor)
+                    if cache is not None else None)
+            if base is not None:
+                base_from = "cache"
+            elif floor:
+                base = (self._read_snapshot(ctx, cache, fiber), floor)
+                base_from = "snapshot"
+            else:
+                base_from = "start"
+            continuation = self._rebuild(ctx, fiber, base, base_from)
         else:
             continuation = self._read_snapshot(ctx, cache, fiber)
         if cache is not None:
@@ -180,16 +190,20 @@ class FiberStateStore:
             cache.put_digest(manifest.hex_digest, continuation)
         return continuation
 
-    def _rebuild(self, ctx: OperationContext, fiber: FiberRecord, base):
+    def _rebuild(self, ctx: OperationContext, fiber: FiberRecord, base,
+                 base_from: str):
         """Reconstruct the continuation at ``fiber.version`` by replay,
-        from the task's start or forward from ``base``.  The re-executed
-        instructions are charged at the service's instruction cost —
-        replay is compute traded for persistence IO."""
+        from the task's start or forward from ``base``, which came from
+        ``base_from`` (``"cache"``, ``"snapshot"`` or ``"start"``).  The
+        re-executed instructions are charged at the service's
+        instruction cost — replay is compute traded for persistence
+        IO."""
         from ..history.replay import ReplayError
 
         try:
             continuation, instructions = self.vinz.replayer.rebuild(
-                self.service, fiber, fiber.version, base=base)
+                self.service, fiber, fiber.version, base=base,
+                base_from=base_from)
         except ReplayError as err:
             # the recorded history cannot reproduce this fiber: that is
             # this task's problem, not the platform's — fail it through
@@ -202,7 +216,8 @@ class FiberStateStore:
         if ctx.tracing:
             ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
                       version=fiber.version,
-                      base=(base[1] if base is not None else None))
+                      base=(base[1] if base is not None else None),
+                      base_from=base_from)
         return continuation
 
     # -- writing ------------------------------------------------------------------
@@ -299,16 +314,14 @@ class FiberStateStore:
         thunk = store.snapshot_value(thunk_key(fiber.id))
 
         def undo():
-            # versions persisted inside the aborted window may sit in
-            # this node's fiber cache; a retry re-reaching the same
-            # version number must not resume from the aborted state
-            # (the group-commit abort path aborts *after* the handler
-            # finished, so the cache insert has already happened)
+            # a version persisted inside the aborted window may sit in
+            # this node's fiber cache; neither a retry re-reaching the
+            # same version number nor a rebuild may start from the
+            # aborted state (the group-commit abort path aborts *after*
+            # the handler finished, so the cache insert has happened)
             cache = self.node_cache(ctx)
             if cache is not None:
-                for version in range(fiber_was["version"] + 1,
-                                     fiber.version + 1):
-                    cache.evict_continuation(fiber.id, version)
+                cache.evict_continuation(fiber.id, fiber_was["version"] + 1)
             for name, value in fiber_was.items():
                 setattr(fiber, name, value)
             for name, value in task_was.items():

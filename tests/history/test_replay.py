@@ -5,12 +5,19 @@ import random
 
 import pytest
 
+from repro.faults import FaultInjector, RetryPolicy
 from repro.faults.campaign import run_campaign
-from repro.faults.plan import FaultPlan, MessageFault, NodeFault
-from repro.history import ReplayDivergenceError
+from repro.faults.plan import (
+    FAIL_WRITE,
+    FaultPlan,
+    MessageFault,
+    NodeFault,
+    StoreFault,
+)
+from repro.history import HistoryEvent, ReplayDivergenceError
 from repro.lang.symbols import Keyword
 from repro.vinz.api import VinzEnvironment
-from repro.vinz.task import COMPLETED
+from repro.vinz.task import COMPLETED, ERROR
 
 CHAOS = FaultPlan([
     MessageFault("drop", operation="RunFiber", nth=2, count=2),
@@ -92,6 +99,56 @@ class TestVerificationReplay:
         terminal.payload = dict(terminal.payload, result="forged")
         with pytest.raises(ReplayDivergenceError):
             env.replayer.replay_task(task_id, source="memory")
+
+
+class TestFailedWhileSuspended:
+    """The platform fails a suspended fiber: its stream records
+    FiberSuspended, then FiberFailed where a resume would be.  Replay
+    ends the fiber there with the recorded error."""
+
+    def _replay(self, env, task_id):
+        task = env.registry.tasks[task_id]
+        assert task.status == ERROR
+        assert [e.kind for e in env.history.events_of(task_id)][-2:] == \
+            ["fiber-suspended", "fiber-failed"]
+        report = env.replay_task(task_id)  # raises on a divergence
+        assert report.fibers_replayed == 1 and not report.partial_fibers
+        return task
+
+    def test_join_on_a_missing_process(self):
+        env = VinzEnvironment(nodes=2, seed=5, history="on")
+        env.deploy_workflow("W", '(defun main (p) (join-process "nobody"))')
+        task = self._replay(env, env.run("W", None))
+        assert "NoSuchProcess" in task.error
+
+    def test_dead_lettered_wake_up(self):
+        env = VinzEnvironment(nodes=2, seed=5, history="on",
+                              retry_policy=RetryPolicy(
+                                  max_attempts=3, base_delay=0.01,
+                                  max_delay=0.1, jitter=0.0))
+        env.deploy_workflow("W", """
+            (defun main (p) (workflow-sleep 1) (workflow-sleep 1) :done)""")
+        # the first persist succeeds; resuming from it never can
+        FaultInjector(5, FaultPlan([StoreFault(
+            FAIL_WRITE, key_prefix="fiber-state/", nth=2,
+            count=10_000)])).install(env)
+        task_id = env.start("W", None)
+        env.cluster.run_until_idle()
+        task = self._replay(env, task_id)
+        assert "dead-lettered" in task.error
+        assert env.cluster.queue.dead_lettered == 1
+
+    def test_events_after_the_failure_diverge(self):
+        env = VinzEnvironment(nodes=2, seed=5, history="on")
+        env.deploy_workflow("W", '(defun main (p) (join-process "nobody"))')
+        task_id = env.run("W", None)
+        events = env.history.events_of(task_id)
+        failed = events[-1]
+        env.history.histories[task_id].append(HistoryEvent(
+            failed.seq + 1, failed.kind, failed.fiber, failed.payload))
+        with pytest.raises(ReplayDivergenceError) as info:
+            env.replayer.replay_task(task_id, source="memory")
+        assert info.value.seq == failed.seq + 1
 
 
 class TestSnapshotInterval:

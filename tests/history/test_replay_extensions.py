@@ -115,6 +115,19 @@ class TestEveryIntrinsicReplays:
             (live.status, live.result, live.error)
         _replays_clean(env)
 
+    def test_warm_rebuild_base_replays_no_more(self, name):
+        """snapshot_interval=3 with the fiber cache on: a rebuild starts
+        from the newest version the node still holds when that beats
+        the snapshot, so it never replays more than a cold one."""
+        _, live = _run(name)
+        cold, _ = _run(name, snapshot_interval=3, cache=False)
+        env, warm = _run(name, snapshot_interval=3)
+        assert (warm.status, warm.result, warm.error) == \
+            (live.status, live.result, live.error)
+        assert env.metrics.get("history.rebuild_instructions") <= \
+            cold.metrics.get("history.rebuild_instructions")
+        _replays_clean(env)
+
 
 FAULT = ServiceFault("{urn:w-service}NoMainFunction",
                      "workflow W defines no (main params)")

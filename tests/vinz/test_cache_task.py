@@ -70,6 +70,44 @@ class TestFiberCache:
         assert cache.get_continuation("f1", 1) == "state-v1"
         assert cache.get_continuation("f1", 2) is None
 
+    def test_one_entry_per_fiber(self):
+        """A new version replaces the old one: the cache holds the
+        newest version seen, and only the exact version hits."""
+        cache = FiberCache(mutable_capacity=2)
+        cache.put_continuation("f1", 1, "state-v1")
+        cache.put_continuation("f1", 2, "state-v2")
+        cache.put_continuation("f2", 1, "other")
+        assert len(cache.mutable) == 2
+        assert cache.get_continuation("f1", 1) is None
+        assert cache.get_continuation("f1", 2) == "state-v2"
+        assert (cache.mutable.hits, cache.mutable.misses) == (1, 1)
+
+    def test_newest_before_bounds(self):
+        """A warm base is strictly above the floor and strictly below
+        the wanted version, and asking counts as neither hit nor miss."""
+        cache = FiberCache()
+        cache.put_continuation("f1", 4, "state-v4")
+        assert cache.newest_before("f1", 6, 0) == ("state-v4", 4)
+        assert cache.newest_before("f1", 6, 3) == ("state-v4", 4)
+        assert cache.newest_before("f1", 6, 4) is None   # floor is as new
+        assert cache.newest_before("f1", 4, 0) is None   # exact: a hit
+        assert cache.newest_before("f1", 3, 0) is None   # newer than wanted
+        assert cache.newest_before("f2", 6, 0) is None
+        assert (cache.mutable.hits, cache.mutable.misses) == (0, 0)
+
+    def test_evict_threshold(self):
+        """Abort rollback drops the entry only when it holds the first
+        rolled-back version or later."""
+        cache = FiberCache()
+        cache.put_continuation("f1", 4, "state-v4")
+        cache.evict_continuation("f1", 5)
+        assert cache.get_continuation("f1", 4) == "state-v4"
+        cache.evict_continuation("f1", 4)
+        assert cache.get_continuation("f1", 4) is None
+        cache.put_continuation("f1", 4, "state-v4")
+        cache.evict_continuation("f1", 2)
+        assert cache.newest_before("f1", 9, 0) is None
+
     def test_task_env_keyed_by_task(self):
         cache = FiberCache()
         cache.put_task_env("t1", {"params": 1})
@@ -146,6 +184,87 @@ class TestCachedContinuationIsolation:
         # skip one sleep: every suspension must persist its own version
         fiber = env.registry.fibers[task.fiber_ids[0]]
         assert fiber.version == 4 and task.duration >= 4.0
+
+
+#: every suspension follows a fresh draw: a continuation left behind by
+#: an aborted window carries a number the history never recorded
+DRAWS = """
+(defun main (params)
+  (let ((acc (list)))
+    (dotimes (i 7)
+      (append! acc (random 1000000))
+      (workflow-sleep 1))
+    acc))
+"""
+
+
+def _aborted_warm_windows(env):
+    """Fiber runs inside an aborted window that rebuilt their fiber
+    forward from a version held in the node's cache."""
+    spans = env.cluster.tracer.spans()
+    aborted = {span.id for span in spans
+               if span.kind == "operation" and span.attrs.get("aborted")}
+    return [span for span in spans if span.parent_id in aborted
+            and any(event.kind == "fiber-rebuild"
+                    and event.detail["base_from"] == "cache"
+                    for event in span.annotations)]
+
+
+class TestWarmBaseAbort:
+    """Snapshot interval 3 on two nodes: most resumes rebuild forward
+    from a version the node still caches.  Such a window caches the next
+    version, then aborts.  The abort discards that version's draw, so it
+    must evict it too: a later resume or rebuild on that node starting
+    from it would carry a draw the history never recorded."""
+
+    @pytest.mark.parametrize("seed, fault", [
+        (12, StoreFault(action=FAIL_WRITE, key_prefix="history//", nth=7)),
+        (1, NodeFault(CRASH, on_persist=1, restart_after=0.5)),
+    ], ids=["fail-write", "crash-on-persist"])
+    def test_retry_finishes_with_the_recorded_draws(self, seed, fault):
+        env = VinzEnvironment(nodes=2, seed=seed, history="on",
+                              snapshot_interval=3,
+                              retry_policy=RetryPolicy.default())
+        env.deploy_workflow("W", DRAWS)
+        injector = FaultInjector(seed, FaultPlan([fault])).install(env)
+        tasks = [env.start("W", None) for _ in range(2)]
+        env.cluster.run_until_idle()
+        assert sum(injector.injected.values()) == 1
+        assert _aborted_warm_windows(env)
+        for task_id in tasks:
+            task = env.registry.tasks[task_id]
+            draws = [event.payload["value"]
+                     for event in env.history.events_of(task_id)
+                     if event.kind == "nondet"
+                     and event.payload.get("op") == "random"]
+            assert (task.status, task.result) == (COMPLETED, draws)
+            env.replay_task(task_id)  # raises on the first divergence
+
+
+def test_node_death_sends_the_next_rebuild_to_snapshot_or_start():
+    """A node's death wipes its cache: with one node every resume hits
+    the cache until the node dies between suspensions, and the next
+    load rebuilds from the last snapshot, or from the start before the
+    first one."""
+    env = VinzEnvironment(nodes=1, seed=3, history="on",
+                          snapshot_interval=4)
+    env.deploy_workflow("W", ACCUMULATE)
+    task_id = env.start("W", list(range(8)))
+    fiber = env.registry.fibers_of(task_id)[0]
+    for version in (2, 6):
+        env.cluster.run_until(lambda: fiber.version == version
+                              and not env.cluster._in_flight)
+        env.fail_node("node-1")
+        env.restore_node("node-1")
+    task = env.wait_for_task(task_id)
+    assert (task.status, task.result) == (COMPLETED, list(range(8)))
+    rebuilds = [(event.detail["version"], event.detail["base_from"])
+                for event in env.cluster.tracer.of_kind("fiber-rebuild")]
+    assert rebuilds == [(2, "start"), (6, "snapshot")]
+    assert [span.attrs["base_from"] for span in env.cluster.tracer.spans()
+            if span.name == "history.replay"] == ["start", "snapshot"]
+    assert env.summary()["history"]["rebuild_base"] == \
+        {"cache": 0, "snapshot": 1, "start": 1}
 
 
 class TestProcessRegistry:
