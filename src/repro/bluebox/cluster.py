@@ -38,6 +38,7 @@ from ..sched.admission import (
 from ..sched.fair import make_policy
 from .clock import SimKernel
 from .messagequeue import (
+    Affinity,
     Message,
     MessageQueue,
     PRIORITY_NORMAL,
@@ -219,14 +220,15 @@ class Cluster:
              priority: int = PRIORITY_NORMAL,
              reply_to: Optional[ReplyTo] = None,
              max_attempts: int = 10,
-             affinity: Optional[str] = None,
+             affinity: Optional[Affinity] = None,
              retry_policy: Optional[RetryPolicy] = None,
              parent_span: int = 0) -> Message:
         """Place a message on the queue (asynchronous).
 
         ``parent_span`` is the causal span that initiated this send
         (the sender's operation window or fiber run); the message's
-        queue-hop span becomes its child.
+        queue-hop span becomes its child.  An ``affinity`` with a
+        ``hold`` parks the message for its node (:meth:`_owner_of`).
         """
         if service not in self.services:
             raise KeyError(f"no service named {service!r} is deployed")
@@ -240,15 +242,54 @@ class Cluster:
                                           parent_span=parent_span)
         if self.admission is not None and not self._admit(message):
             return message
-        self.queue.enqueue(message, self.kernel.now)
+        owner = self._owner_of(message)
+        self.queue.enqueue(message, self.kernel.now,
+                           held_for=owner.id if owner is not None else None)
         if self.tracer.enabled:
             self.tracer.event(self.kernel.now, "enqueue", message.span_id,
                               service=service, operation=operation,
                               msg=message.id, priority=priority,
                               **_trace_ids(body))
+        if owner is None:
+            self.kernel.schedule(self.delivery_latency,
+                                 lambda: self._kick(service))
+            return message
+        self.metrics.incr("placement.owner.held")
         self.kernel.schedule(self.delivery_latency,
-                             lambda: self._kick(service))
+                             lambda: self._kick_node(owner))
+        # the hold is waiting beyond the hop every message takes
+        self.kernel.schedule(
+            self.delivery_latency + affinity.hold,
+            lambda: self._release_held(message, owner, "released"))
         return message
+
+    def _owner_of(self, message: Message) -> Optional[Node]:
+        """The node a new message is parked for: the one its affinity
+        holds it for, if that node is up and hosts the service."""
+        affinity = message.affinity
+        if affinity is None or affinity.hold <= 0:
+            return None
+        node = self.nodes.get(affinity.node)
+        if node is None or not node.alive \
+                or message.service not in node.services:
+            return None
+        return node
+
+    def _release_held(self, message: Message, owner: Node,
+                      outcome: str) -> None:
+        """The hold ran out: unless its owner already took it, the
+        message goes to balanced dispatch."""
+        if self.queue.release_held(message, owner.id):
+            self._released(message, outcome)
+            self._kick(message.service)
+
+    def _released(self, message: Message, outcome: str) -> None:
+        message.affinity = None
+        self.metrics.incr(f"placement.owner.{outcome}")
+        if self.tracer.enabled:
+            self.tracer.event(self.kernel.now, "queue-released",
+                              message.span_id, msg=message.id,
+                              reason=outcome, **_trace_ids(message.body))
 
     def _admit(self, message: Message) -> bool:
         """Run a new message through admission control.
@@ -390,16 +431,24 @@ class Cluster:
         while self._dispatch_one(service_name):
             pass
 
-    def _dispatch_one(self, service_name: str) -> bool:
-        pending = self.queue.peek_message(service_name)
-        if pending is None:
-            return False
-        instance = self._pick_instance(service_name, pending.affinity)
-        if instance is None:
-            return False
-        message = self.queue.pop_next(service_name, self.kernel.now)
-        if message is None:  # pragma: no cover - guarded by peek
-            return False
+    def _dispatch_one(self, service_name: str,
+                      held_on: Optional[Node] = None) -> bool:
+        """Deliver the next message of ``service_name`` to the instance
+        balancing picks — or, with ``held_on``, the next message parked
+        for that node, which is one of ``service_name``, to it."""
+        if held_on is not None:
+            instance = held_on.services[service_name]
+            message = self.queue.pop_held(held_on.id, self.kernel.now)
+        else:
+            pending = self.queue.peek_message(service_name)
+            if pending is None:
+                return False
+            instance = self._pick_instance(service_name, pending.affinity)
+            if instance is None:
+                return False
+            message = self.queue.pop_next(service_name, self.kernel.now)
+            if message is None:  # pragma: no cover - guarded by peek
+                return False
         # the hop span this delivery belongs to — captured now because a
         # duplicate-injection push_back below re-points message.span_id
         # at the duplicate's own fresh hop span
@@ -425,8 +474,10 @@ class Cluster:
                     # (same id — receivers must be idempotent)
                     self.queue.duplicated += 1
                     self.queue.push_back(message)
-        if message.affinity is not None:
-            if instance.node.id == message.affinity:
+        if held_on is not None:
+            self.metrics.incr("placement.owner.served")
+        elif message.affinity is not None:
+            if instance.node.id == message.affinity.node:
                 self.metrics.incr("placement.affinity-hit")
             else:
                 self.metrics.incr("placement.affinity-miss")
@@ -437,20 +488,25 @@ class Cluster:
         """A slot freed on ``node``: deliver waiting work in *global*
         priority order across every service the node hosts — this is
         what keeps interactive traffic ahead of batch AwakeFiber storms
-        (paper Sections 3.2 and 5)."""
+        (paper Sections 3.2 and 5).  Messages parked for this node
+        compete in the same order.  Never called from inside a handler:
+        a handler's window is open, and the next one would nest in it."""
         while True:
-            best = None
+            best = None  # ((priority, seq), service, node it is held on)
+            held = self.queue.peek_held(node.id)
+            if held is not None and node.free_slots:
+                best = (held[0], held[1].service, node)
             for service_name in node.services:
                 peek = self.queue.peek_priority(service_name)
                 if peek is not None and (best is None or peek < best[0]):
-                    best = (peek, service_name)
+                    best = (peek, service_name, None)
             if best is None:
                 return
-            if not self._dispatch_one(best[1]):
+            if not self._dispatch_one(best[1], held_on=best[2]):
                 return
 
     def _pick_instance(self, service_name: str,
-                       affinity: Optional[str] = None
+                       affinity: Optional[Affinity] = None
                        ) -> Optional[ServiceInstance]:
         """Load balancing: the free instance on the least-busy node.
 
@@ -459,7 +515,7 @@ class Cluster:
         soft — correctness never depends on it).
         """
         if affinity is not None:
-            preferred = self.nodes.get(affinity)
+            preferred = self.nodes.get(affinity.node)
             if preferred is not None and preferred.alive \
                     and service_name in preferred.services \
                     and preferred.free_slots > 0:
@@ -681,7 +737,9 @@ class Cluster:
                               node=node.id, reason=reason)
         self.metrics.incr("operation.faults")
         self._retry_or_dead_letter(message, reason)
-        self._kick_node(node)
+        # a lease breaker can abort a window from inside another
+        # node's handler: the freed slot is served once that returns
+        self.kernel.schedule(0.0, lambda: self._kick_node(node))
 
     def _retry_or_dead_letter(self, message: Message, reason: str) -> bool:
         """Consume one delivery attempt; either schedule a backoff
@@ -745,6 +803,10 @@ class Cluster:
         node = self.nodes[node_id]
         node.alive = False
         node.memory.clear()
+        # what waited for this node's cache goes to balanced dispatch
+        for message in self.queue.release_node(node_id):
+            self._released(message, "node-lost")
+            self.kernel.schedule(0.0, lambda s=message.service: self._kick(s))
         requeued = 0
         for record in list(self._in_flight):
             if record.instance.node is node:

@@ -16,14 +16,22 @@ while :class:`~repro.sched.fair.DeficitRoundRobinPolicy` adds per-
 workflow fairness with priority aging.  The queue keeps the delivery
 bookkeeping (attempts, dead letters, wait statistics, hop spans)
 either way.
+
+A message may also be *parked* for one node (:class:`Affinity` with a
+``hold``): it is kept out of the policy, in ``(priority, seq)`` order
+per node, until that node takes it or the cluster releases it into the
+policy.  Parking changes where and when a message is delivered, never
+the queue's accounting: it counts as enqueued, its wait and hop span
+run from enqueue to delivery.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..observe import MetricsRegistry, Tracer
 from ..sched.fair import SchedulingPolicy, StrictPriorityPolicy
@@ -38,6 +46,20 @@ PRIORITY_LOW = 8
 #: how many individual waits the bounded reservoir keeps; the mean is
 #: streamed exactly, percentiles come from this uniform sample
 WAIT_RESERVOIR_SIZE = 4096
+
+
+class Affinity(NamedTuple):
+    """A placement hint: the node a message should run on.
+
+    ``hold == 0`` is a soft hint — the dispatcher prefers ``node`` when
+    it has a free slot and otherwise balances as usual.  ``hold > 0``
+    parks the message for ``node``: it waits for that node's next free
+    slot for up to ``hold`` virtual seconds beyond its queue hop, then
+    goes to ordinary balanced dispatch (at once if the node dies).
+    """
+
+    node: str
+    hold: float = 0.0
 
 
 @dataclass
@@ -57,20 +79,18 @@ class ReplyTo:
     service: Optional[str] = None
     operation: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
-    #: soft placement hint for the response message (locality policy)
-    affinity: Optional[str] = None
+    #: placement hint for the response message
+    affinity: Optional[Affinity] = None
 
 
 @dataclass
 class Message:
     """One message on the queue.
 
-    ``affinity`` is a soft placement hint (a node id): the dispatcher
-    prefers that node when it has a free slot, falling back to normal
-    load balancing otherwise.  This implements the paper's Section 5
-    future-work item of "mov[ing] the processing work to the last
-    location of the data" (the Swarm idea) — a fiber resumed where it
-    last ran hits the node's fiber cache.
+    ``affinity`` is a placement hint (:class:`Affinity`): the paper's
+    Section 5 future-work item of "mov[ing] the processing work to the
+    last location of the data" (the Swarm idea) — a fiber resumed where
+    it last ran hits the node's fiber cache.
     """
 
     id: int
@@ -82,7 +102,7 @@ class Message:
     enqueued_at: float = 0.0
     attempts: int = 0
     max_attempts: int = 10
-    affinity: Optional[str] = None
+    affinity: Optional[Affinity] = None
     #: when the message first hit the queue (retry timeouts are
     #: measured from here, not from the latest re-enqueue)
     first_enqueued_at: float = 0.0
@@ -126,6 +146,8 @@ class MessageQueue:
         self.tracer = Tracer(events=False)
         self.metrics = MetricsRegistry(enabled=False)
         self.now_fn: Optional[Callable[[], float]] = None
+        #: parked messages: node id -> heap of (priority, seq, message)
+        self._held: Dict[str, List[Tuple[int, int, Message]]] = {}
         # statistics
         self.enqueued = 0
         self.delivered = 0
@@ -149,7 +171,7 @@ class MessageQueue:
                      reply_to: Optional[ReplyTo] = None,
                      now: float = 0.0,
                      max_attempts: int = 10,
-                     affinity: Optional[str] = None,
+                     affinity: Optional[Affinity] = None,
                      retry_policy: Optional[Any] = None,
                      parent_span: int = 0) -> Message:
         return Message(id=next(self._ids), service=service,
@@ -184,12 +206,25 @@ class MessageQueue:
         """The message the policy would deliver next, without popping."""
         return self.policy.peek(service, self._now() if now is None else now)
 
-    def enqueue(self, message: Message, now: float) -> None:
+    def enqueue(self, message: Message, now: float,
+                held_for: Optional[str] = None) -> None:
+        """Put a new message on the queue; with ``held_for`` (a node
+        id) park it for that node instead of handing it to the policy."""
         message.enqueued_at = now
-        self.policy.push(message.service, message, next(self._seq), now)
+        seq = next(self._seq)
+        if held_for is None:
+            self.policy.push(message.service, message, seq, now)
+        else:
+            heapq.heappush(self._held.setdefault(held_for, []),
+                           (message.priority, seq, message))
         self.enqueued += 1
         if self.tracer.enabled:
             self._begin_hop(message, now)
+            if held_for is not None:
+                self.tracer.event(now, "queue-held", message.span_id,
+                                  msg=message.id, owner=held_for,
+                                  bound=message.affinity.hold,
+                                  **_trace_ids(message.body))
 
     def requeue(self, message: Message, now: float,
                 cap: Optional[int] = None, push: bool = True) -> bool:
@@ -247,6 +282,51 @@ class MessageQueue:
         message = self.policy.pop(service, now)
         if message is None:
             return None
+        return self._delivering(message, now)
+
+    def peek_held(self, node_id: str) -> Optional[Tuple[Tuple[int, int],
+                                                        Message]]:
+        """``((priority, seq), message)`` of the next message parked for
+        ``node_id``, without popping."""
+        heap = self._held.get(node_id)
+        if not heap:
+            return None
+        priority, seq, message = heap[0]
+        return (priority, seq), message
+
+    def pop_held(self, node_id: str, now: float) -> Message:
+        """Remove and return the next message parked for ``node_id``."""
+        _priority, _seq, message = heapq.heappop(self._held[node_id])
+        return self._delivering(message, now)
+
+    def release_held(self, message: Message, node_id: str) -> bool:
+        """Hand a parked message to the policy (its hold ran out).
+        False when it is no longer parked for ``node_id``."""
+        heap = self._held.get(node_id, ())
+        for index, entry in enumerate(heap):
+            if entry[2] is message:
+                heap[index] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                self._unpark(entry)
+                return True
+        return False
+
+    def release_node(self, node_id: str) -> List[Message]:
+        """Hand every message parked for ``node_id`` to the policy (the
+        node died); returns them."""
+        entries = sorted(self._held.pop(node_id, []))
+        for entry in entries:
+            self._unpark(entry)
+        return [entry[2] for entry in entries]
+
+    def _unpark(self, entry: Tuple[int, int, Message]) -> None:
+        """Into the policy at its original arrival seq: it has been
+        waiting since its enqueue, and wait statistics say so."""
+        _priority, seq, message = entry
+        self.policy.push(message.service, message, seq, self._now())
+
+    def _delivering(self, message: Message, now: float) -> Message:
         self.delivered += 1
         wait = now - message.enqueued_at
         self._record_wait(wait)
@@ -257,7 +337,9 @@ class MessageQueue:
         return message
 
     def peek_depth(self, service: str) -> int:
-        return self.policy.depth(service)
+        return self.policy.depth(service) + sum(
+            1 for heap in self._held.values() for entry in heap
+            if entry[2].service == service)
 
     def peek_priority(self, service: str,
                       now: Optional[float] = None
@@ -271,7 +353,7 @@ class MessageQueue:
                                          self._now() if now is None else now)
 
     def total_depth(self) -> int:
-        return self.policy.total_depth()
+        return self.policy.total_depth() + sum(map(len, self._held.values()))
 
     def services_with_messages(self) -> List[str]:
         return self.policy.services()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from .messagequeue import PRIORITY_NORMAL, ReplyTo
+from .messagequeue import PRIORITY_NORMAL, Affinity, ReplyTo
 from .store import FencedWriteError, StoreError
 from .wsdl import WsdlDocument, WsdlOperation, WsdlParameter
 
@@ -197,7 +197,7 @@ class OperationContext:
              priority: int = PRIORITY_NORMAL,
              reply_to: Optional[ReplyTo] = None,
              max_attempts: int = 10,
-             affinity: Optional[str] = None,
+             affinity: Optional[Affinity] = None,
              retry_policy: Optional[Any] = None,
              parent_span: Optional[int] = None) -> None:
         """Queue a message, to be placed on the queue when this
@@ -218,7 +218,7 @@ class OperationContext:
     def send_later(self, delay: float, service: str, operation: str,
                    body: Dict[str, Any],
                    priority: int = PRIORITY_NORMAL,
-                   affinity: Optional[str] = None) -> None:
+                   affinity: Optional[Affinity] = None) -> None:
         """Like :meth:`send`, delayed a further ``delay`` seconds after
         the window ends (used for timers like workflow-sleep)."""
         self.outbox.append((delay, dict(service=service, operation=operation,

@@ -440,6 +440,21 @@ class VinzEnvironment:
             out[kind] = hits / total if total else 0.0
         return out
 
+    def placement_stats(self) -> Dict[str, Any]:
+        """Where resumes ran: messages parked for the node holding their
+        fiber's elided version (``held``), and how each parking ended —
+        on that node (``served``), at its cold-rebuild bound
+        (``released``) or with the node's death (``node-lost``); plus
+        the soft hints of ``placement="affinity"``."""
+        metrics = self.metrics
+        stats: Dict[str, Any] = {"policy": self.placement}
+        for outcome in ("held", "served", "released", "node-lost"):
+            stats[outcome] = metrics.get(f"placement.owner.{outcome}")
+        for outcome in ("hit", "miss"):
+            stats[f"affinity-{outcome}"] = \
+                metrics.get(f"placement.affinity-{outcome}")
+        return stats
+
     def snapshot_stats(self) -> Optional[Dict[str, Any]]:
         """Aggregate incremental-snapshot (v2) statistics across every
         deployed workflow, plus the digest-cache hit rate; ``None``
@@ -492,6 +507,7 @@ class VinzEnvironment:
                                            "aged_promotions", 0),
             },
             "cache": self.cache_hit_rates(),
+            "placement": self.placement_stats(),
             "snapshots": self.snapshot_stats(),
             "history": (self.history.summary()
                         if self.history is not None else None),

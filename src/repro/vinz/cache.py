@@ -12,8 +12,11 @@ The split the paper measures maps onto two caches:
 
 * **mutable** — the fiber's continuation, re-versioned at every
   suspend; one entry per fiber, holding the newest version this node
-  saw.  A hit still requires this node to have run *that exact
-  version*, so random queue placement keeps the rate low.  A miss on
+  saw.  A hit requires this node to have run *that exact version*.
+  For a persisted version placement is the queue's random choice, as
+  in the paper, so the rate stays low.  A version elided by the
+  snapshot interval lives only here, so its resume waits for this node
+  (up to what a cold rebuild would cost) and mostly hits.  A miss on
   an elided version may still find an older committed version here:
   the replay rebuild starts from it instead of from the last snapshot
   or the task start (:meth:`FiberCache.newest_before`);

@@ -321,10 +321,16 @@ class FiberExecution:
         return self.nondet("join-sync", probe)
 
     def awake(self, pid: str, payload: Any) -> None:
-        self.effect("awake", lambda: self.ctx.send(
-            self.service.name, "AwakeFiber",
-            {"fiber": pid, "result": payload}, priority=PRIORITY_LOW,
-            max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS))
+        def send():
+            target = self.service.vinz.registry.fibers.get(pid)
+            self.ctx.send(
+                self.service.name, "AwakeFiber",
+                {"fiber": pid, "result": payload}, priority=PRIORITY_LOW,
+                max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS,
+                affinity=(self.service._affinity_for(target)
+                          if target is not None else None))
+
+        self.effect("awake", send)
 
     def send_fiber_message(self, pid: str, value: Any) -> None:
         """Lightweight cross-process communication (the Section 5

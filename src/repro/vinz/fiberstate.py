@@ -14,7 +14,7 @@ the encode and decode steps.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 from ..bluebox.services import OperationContext, ServiceFault
 from ..bluebox.store import StoreError
@@ -43,7 +43,19 @@ def task_var_key(task_id: str, name: str) -> str:
 #: what an operation window may change on the records it advances, and
 #: an aborted window must put back
 _FIBER_ROLLBACK = ("version", "last_persisted_version", "status",
-                   "waiting_on", "finished_at", "result", "error")
+                   "waiting_on", "finished_at", "result", "error",
+                   "instructions_since_snapshot", "snapshot_read_cost")
+
+
+class _Encoded(NamedTuple):
+    """What the encode step produced for one snapshot."""
+
+    blob: bytes             # for the state key
+    cost: float             # IO cost already incurred (chunk writes)
+    span: str
+    detail: dict
+    digest: Optional[str]   # digest-cache key (v2)
+    read_cost: float        # one later read of the chunks (v2)
 _TASK_ROLLBACK = ("status", "finished_at", "result")
 
 
@@ -58,7 +70,7 @@ class FiberStateStore:
 
     def node_cache(self, ctx: OperationContext) -> Optional[FiberCache]:
         service = self.service
-        if not service.cache_enabled:
+        if not service.cache_enabled or ctx.instance is None:
             return None
         return FiberCache.for_node(
             ctx.node, mutable_capacity=service.cache_capacity,
@@ -220,11 +232,25 @@ class FiberStateStore:
                       base_from=base_from)
         return continuation
 
+    def cold_rebuild_cost(self, fiber: FiberRecord) -> float:
+        """Virtual seconds a node holding no warm base would be charged
+        to rebuild ``fiber``'s current version: one read of the last
+        snapshot plus the instructions run since, at the service's
+        instruction cost.  0 when that version was persisted (every node
+        reads it at the same cost) or no node caches it.  Both inputs
+        are fixed when the suspension is persisted or elided."""
+        if self.vinz.history is None or not self.service.cache_enabled \
+                or fiber.last_persisted_version == fiber.version:
+            return 0.0
+        return (fiber.snapshot_read_cost + fiber.instructions_since_snapshot
+                * self.service.instruction_cost)
+
     # -- writing ------------------------------------------------------------------
 
     def persist(self, ctx: OperationContext, cache: Optional[FiberCache],
-                fiber: FiberRecord, continuation) -> None:
-        """Persist the next version of ``fiber``'s continuation."""
+                fiber: FiberRecord, continuation, instructions: int) -> None:
+        """Persist the next version of ``fiber``'s continuation, reached
+        by a window that ran ``instructions``."""
         vinz = self.vinz
         # a zombie must not even bump the version: the raise tunnels
         # through the GVM, aborts the window and the message retries
@@ -237,31 +263,39 @@ class FiberStateStore:
             # live in the node cache and are rebuilt by replay after a
             # crash or cache miss
             vinz.metrics.incr("persist.skipped")
+            fiber.instructions_since_snapshot += instructions
             if cache is not None:
                 cache.put_continuation(fiber.id, fiber.version, continuation)
             return
         tracer = ctx.cluster.tracer
         vstart = ctx.now + ctx.charged
         key = state_key(fiber.id)
-        blob, chunk_cost, span_name, detail, digest = self._encode(
-            ctx, key, fiber, continuation)
-        ctx.charge(chunk_cost + vinz.store.write(key, blob))
+        encoded = self._encode(ctx, key, fiber, continuation)
+        detail = encoded.detail
+        ctx.charge(encoded.cost + vinz.store.write(key, encoded.blob))
         if tracer.enabled:
             span = tracer.begin(
-                span_name, kind="persistence", start=vstart,
+                encoded.span, kind="persistence", start=vstart,
                 parent_id=ctx.span_id or None, fiber=fiber.id,
                 version=fiber.version, **detail)
             tracer.end(span, end=ctx.now + ctx.charged)
         vinz.metrics.incr("persist.writes")
         vinz.metrics.add("persist.bytes", detail["bytes"])
         fiber.last_persisted_version = fiber.version
+        if vinz.recovery_mode == "replay":
+            # a cold node still rebuilds from the start
+            fiber.instructions_since_snapshot += instructions
+        else:
+            fiber.instructions_since_snapshot = 0
+            fiber.snapshot_read_cost = (vinz.store.cost(len(encoded.blob))
+                                        + encoded.read_cost)
         if vinz.history is not None:
             vinz.history.record(ctx, fiber.task_id, hist.SNAPSHOT_TAKEN,
                                 fiber=fiber.id, version=fiber.version)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
-            if digest is not None:
-                cache.put_digest(digest, continuation)
+            if encoded.digest is not None:
+                cache.put_digest(encoded.digest, continuation)
         if vinz.injector is not None:
             # crash-during-persistence faults fire here: the node dies
             # with the window open, the abort hooks roll the fiber (and
@@ -269,16 +303,15 @@ class FiberStateStore:
             vinz.injector.on_persist(ctx, fiber)
 
     def _encode(self, ctx: OperationContext, key: str, fiber: FiberRecord,
-                continuation) -> Tuple[bytes, float, str, dict, Optional[str]]:
-        """The encode step: ``(blob for the state key, IO cost already
-        incurred, span name, span detail, digest-cache key)``.  v1 is
-        the whole compressed blob; v2 chunk-dedups against the fiber's
-        prior manifest and writes only new chunks plus a small
-        manifest."""
+                continuation) -> _Encoded:
+        """The encode step.  v1 is the whole compressed blob; v2
+        chunk-dedups against the fiber's prior manifest and writes only
+        new chunks plus a small manifest."""
         snapper = self.service.snapper
         if snapper is None:
             blob = self.service.codec.dumps(continuation)
-            return blob, 0.0, "persist.encode", {"bytes": len(blob)}, None
+            return _Encoded(blob, 0.0, "persist.encode",
+                            {"bytes": len(blob)}, None, 0.0)
         injector = self.vinz.injector
         snapper.injector = injector
         result = snapper.encode(key, continuation, fiber_id=fiber.id)
@@ -299,8 +332,11 @@ class FiberStateStore:
                   "bytes": result.chunk_bytes_written + len(blob),
                   "new_chunks": result.chunks_new,
                   "reused": result.chunks_reused}
-        return (blob, result.cost, "snap.encode", detail,
-                result.manifest.hex_digest)
+        store = self.vinz.store
+        return _Encoded(blob, result.cost, "snap.encode", detail,
+                        result.manifest.hex_digest,
+                        sum(store.cost(ref.stored_len)
+                            for ref in result.manifest.chunks))
 
     # -- rollback and reclamation -----------------------------------------------
 

@@ -36,7 +36,9 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
+from ..bluebox.cluster import REDELIVERY_DELAY
 from ..bluebox.services import OperationContext
+from ..bluebox.store import StoreError
 
 #: slop added when scheduling a scan at a lease's expiry instant, so
 #: the `now >= expires_at` comparison is decided by arithmetic, not by
@@ -202,9 +204,22 @@ class RecoveryScanner:
         if not cluster.store.window_open:
             cluster.store.begin_window()
             ctx.owns_window = True
+        # a refused commit puts fiber and task back, as an aborted
+        # advancement window does
+        ctx.on_abort(workflow.state.abort_undo(ctx, task, fiber))
         workflow._fiber_failed(ctx, task, fiber, error,
                                terminate_task=(fiber.parent_id is None))
-        ctx.commit()  # no message to redeliver: a failure surfaces
+        try:
+            ctx.commit()
+        except StoreError:
+            if ctx.valid:
+                raise  # from a post-commit hook: the window did commit
+            # nothing of it happened: no message to redeliver, so the
+            # handling itself is tried again
+            self.vinz.metrics.incr("recovery.dead-letter-retried")
+            cluster.kernel.schedule(
+                REDELIVERY_DELAY,
+                lambda: self.on_message_dead_lettered(message))
 
     # ------------------------------------------------------------------
     # reporting

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional
 from ..bluebox.messagequeue import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
+    Affinity,
     ReplyTo,
 )
 from ..bluebox.services import (
@@ -606,7 +607,9 @@ class WorkflowService(Service):
                 # part of the window: a bad yield descriptor or join
                 # target faults here and fails the fiber like any other
                 # platform fault
-                self._fiber_suspended(ctx, cache, task, fiber, outcome)
+                self._fiber_suspended(
+                    ctx, cache, task, fiber, outcome,
+                    vm.instruction_count - instructions_before)
             return outcome
 
         try:
@@ -631,16 +634,24 @@ class WorkflowService(Service):
                            instructions=(vm.instruction_count
                                          - instructions_before))
 
-    def _affinity_for(self, fiber: FiberRecord):
+    def _affinity_for(self, fiber: FiberRecord) -> Optional[Affinity]:
         """Placement hint for a message that will run ``fiber`` next.
 
-        Under the "affinity" policy (the paper's Section 5 locality
-        future-work item), resumes prefer the node whose fiber cache is
-        warm; under "balanced" the queue alone decides, as in the
-        paper's production system.
+        A fiber suspended at a version that was never persisted
+        (snapshot-interval elision) is owned by the node whose cache
+        holds that version: the message waits for that node, but no
+        longer than a cold node would be charged to rebuild the version
+        (:meth:`FiberStateStore.cold_rebuild_cost`), so waiting never
+        costs more than it saves.  Otherwise, under the "affinity"
+        policy (the paper's Section 5 locality future-work item), a soft
+        preference for that node; under "balanced" the queue alone
+        decides, as in the paper's production system.
         """
-        if self.vinz.placement == "affinity":
-            return fiber.last_node
+        if fiber.last_node is None:
+            return None
+        hold = self.state.cold_rebuild_cost(fiber)
+        if hold > 0 or self.vinz.placement == "affinity":
+            return Affinity(fiber.last_node, hold)
         return None
 
     def main_function(self) -> GozerFunction:
@@ -744,12 +755,14 @@ class WorkflowService(Service):
             self._awake_parent(ctx, task, group["parent"], fiber)
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
-                         fiber: FiberRecord, outcome: Yielded) -> None:
+                         fiber: FiberRecord, outcome: Yielded,
+                         instructions: int) -> None:
         descriptor = outcome.value if isinstance(outcome.value, dict) else \
             {"kind": "await"}
         kind = descriptor.get("kind", "await")
         fiber.waiting_on = kind
-        self.state.persist(ctx, cache, fiber, outcome.continuation)
+        self.state.persist(ctx, cache, fiber, outcome.continuation,
+                           instructions)
         if ctx.tracing:
             ctx.trace("fiber-suspend", task=task.id, fiber=fiber.id, why=kind,
                       version=fiber.version)
@@ -815,7 +828,8 @@ class WorkflowService(Service):
             ctx.send(self.name, "JoinProcess",
                      {"fiber": fiber.id, "process": target,
                       "result": process.result},
-                     max_attempts=self.FIBER_MESSAGE_ATTEMPTS)
+                     max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
+                     affinity=self._affinity_for(fiber))
         elif fiber.id not in process.join_waiters:
             # idempotent: an aborted-window replay must not register
             # the waiter twice

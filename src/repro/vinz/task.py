@@ -96,7 +96,15 @@ class FiberRecord:
     #: snapshots, so this can trail ``version`` (the gap is rebuilt by
     #: history replay on a cache miss)
     last_persisted_version: int = 0
-    #: the node that last advanced this fiber (locality policy hint)
+    #: instructions this fiber ran since its last snapshot (since its
+    #: start under ``recovery="replay"``): what a node holding no warm
+    #: base re-executes to rebuild an elided version
+    instructions_since_snapshot: int = 0
+    #: virtual seconds one read of the last snapshot costs (manifest
+    #: plus chunks); 0 before the first snapshot and under replay
+    snapshot_read_cost: float = 0.0
+    #: the node that last advanced this fiber: its cache holds the
+    #: version the fiber suspended at (placement hint)
     last_node: Optional[str] = None
     #: sibling-chain group this fiber belongs to, if any
     chain_group: Optional[str] = None

@@ -29,6 +29,7 @@ from repro.bluebox.services import (
     ServiceFault,
     simple_service,
 )
+from repro.bluebox.store import StoreWriteError
 from repro.durastore import DurableStore
 from repro.durastore.journal import WriteAheadJournal
 from repro.faults import FaultInjector, RetryPolicy
@@ -383,3 +384,71 @@ def test_every_ending_is_one_commit_or_one_abort(ending, monkeypatch):
             assert len(exit.appended) == 1
     if status == "completed":
         assert env.replay_task(task.id).fibers_replayed >= 4
+
+
+def test_a_lease_broken_inside_a_handler_frees_its_slot_after_it():
+    """A handler on one node breaks the lease of a window running on
+    another (an expiry or steal).  The broken window's slot is served
+    once the breaking handler has returned: the queued message behind
+    it must not start inside that handler's open window."""
+    env = VinzEnvironment(nodes=2, seed=1, store=DurableStore(shards=1))
+    cluster, locks = env.cluster, env.locks
+    holder_node, thief_node = sorted(cluster.nodes)
+    started = []
+
+    def hold(ctx, body):
+        started.append((body["n"], ctx.now))
+        owner = cluster._window_owner(ctx)
+        assert locks.try_acquire("k", owner)
+        ctx.on_complete(lambda: locks.release("k", owner))
+        ctx.on_abort(lambda: locks.release("k", owner))
+        ctx.charge(1.0)
+
+    def steal(ctx, body):
+        locks.expire_lock("k", reason="test-steal")
+
+    cluster.deploy(simple_service("Holder", {"Hold": hold}),
+                   node_ids=[holder_node])
+    cluster.deploy(simple_service("Thief", {"Steal": steal}),
+                   node_ids=[thief_node])
+    cluster.send("Holder", "Hold", {"n": 1})
+    cluster.send("Holder", "Hold", {"n": 2})  # queued behind the first
+    cluster.kernel.schedule(0.1, lambda: cluster.send("Thief", "Steal", {}))
+    cluster.run_until_idle()
+    assert env.metrics.get("lease.window-broken") == 1
+    # the broken window retries; the queued one ran in the freed slot
+    assert sorted(n for n, _ in started) == [1, 1, 2]
+    assert not cluster._in_flight and not env.store.window_open
+
+
+def test_a_refused_dead_letter_commit_is_retried(monkeypatch):
+    """The store refuses the commit of the window that fails a fiber
+    whose message dead-lettered.  Nothing of that window happened — the
+    task is not left ``error`` while its history says otherwise — and
+    the handling is tried again until the failure is on the log."""
+    env = VinzEnvironment(nodes=2, seed=2, store=DurableStore(shards=1),
+                          history="on", retry_policy=TIGHT)
+    env.deploy_workflow("Lost", CHILD)
+    FaultInjector(5, FaultPlan([MessageFault(
+        "drop", operation="RunFiber", count=50)])).install(env)
+    refusals = []
+    commit_batch = DurableStore.commit_batch
+
+    def refuse_once(store, batch):
+        if refusals == ["armed"]:
+            refusals.append("refused")
+            raise StoreWriteError("commit refused by the test")
+        return commit_batch(store, batch)
+
+    monkeypatch.setattr(DurableStore, "commit_batch", refuse_once)
+    env.cluster.dead_letter_listeners.insert(
+        0, lambda message: refusals.append("armed"))
+    task_id = env.start("Lost", 4)
+    env.cluster.run_until_idle()
+    assert refusals == ["armed", "refused"]
+    task = env.registry.tasks[task_id]
+    assert task.status == "error"
+    assert env.metrics.get("recovery.dead-letter-retried") == 1
+    kinds = [e.kind for e in env.history_log.read_task(
+        task_id, env.workflows["Lost"].codec)]
+    assert kinds.count("fiber-failed") == 1

@@ -211,11 +211,14 @@ def _aborted_warm_windows(env):
 
 
 class TestWarmBaseAbort:
-    """Snapshot interval 3 on two nodes: most resumes rebuild forward
-    from a version the node still caches.  Such a window caches the next
-    version, then aborts.  The abort discards that version's draw, so it
-    must evict it too: a later resume or rebuild on that node starting
-    from it would carry a draw the history never recorded."""
+    """Snapshot interval 3 on two nodes, and no instruction cost: before
+    the first snapshot a cold rebuild costs no virtual time, so no
+    resume waits for the node that holds its version, and many rebuild
+    forward from an older version the node they land on still caches.
+    Such a window caches the next version, then aborts.  The abort
+    discards that version's draw, so it must evict it too: a later
+    resume or rebuild on that node starting from it would carry a draw
+    the history never recorded."""
 
     @pytest.mark.parametrize("seed, fault", [
         (12, StoreFault(action=FAIL_WRITE, key_prefix="history//", nth=7)),
@@ -225,7 +228,7 @@ class TestWarmBaseAbort:
         env = VinzEnvironment(nodes=2, seed=seed, history="on",
                               snapshot_interval=3,
                               retry_policy=RetryPolicy.default())
-        env.deploy_workflow("W", DRAWS)
+        env.deploy_workflow("W", DRAWS, instruction_cost=0.0)
         injector = FaultInjector(seed, FaultPlan([fault])).install(env)
         tasks = [env.start("W", None) for _ in range(2)]
         env.cluster.run_until_idle()
