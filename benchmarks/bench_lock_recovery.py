@@ -22,8 +22,14 @@ and asserts the two invariants the subsystem exists to provide,
 plus the latency bound: every scanner recovery happened within one
 lease TTL plus one scan interval of the holder's last heartbeat.
 
+A fault-free control run of the same campaign, with a TTL short enough
+that its ``(compute 0.2)`` windows outlive the heartbeat interval,
+shows the other side: live holders renew (``renewed > 0``) without the
+scanner ever running (``scans == 0``).
+
 The recovery report JSON (``benchmarks/out/recovery_report.json``) is
-the artifact CI uploads; its ``stuck_fibers`` count must be 0.
+the artifact CI uploads; its ``stuck_fibers`` count must be 0, and so
+must its ``healthy`` block's ``scans`` and ``stuck_fibers``.
 """
 
 import json
@@ -38,26 +44,30 @@ SEED = 42
 NODES = 4
 TASKS = 4
 LEASE_TTL = 1.0
+#: the control's TTL: its 0.125 s heartbeat interval is shorter than
+#: the campaign's ``(compute 0.2)`` windows, so they renew
+HEALTHY_LEASE_TTL = 0.5
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+
+
+def run(faults, lease_ttl=LEASE_TTL):
+    return run_campaign(FaultPlan(faults, name="lock-recovery-smoke"),
+                        seed=SEED, tasks=TASKS, nodes=NODES, locks="file",
+                        lease_ttl=lease_ttl)
 
 
 def test_lock_recovery_campaign(benchmark, bench_report):
     """Crash lease holders mid-window under file locks; prove recovery."""
 
-    def run():
-        plan = FaultPlan([
-            # die the instant a fiber lock is taken: nothing persisted,
-            # the NFS entry survives, only the lease can free it
-            NodeFault(CRASH, on_lock=2, restart_after=2.0),
-            NodeFault(CRASH, on_lock=9, restart_after=2.0),
-            # die mid-persist: rollback + lease recovery + retry
-            NodeFault(CRASH, on_persist=5, restart_after=2.0),
-        ], name="lock-recovery-smoke")
-        return run_campaign(plan, seed=SEED, tasks=TASKS, nodes=NODES,
-                            locks="file", lease_ttl=LEASE_TTL)
-
-    campaign = benchmark.pedantic(run, rounds=1, iterations=1)
+    campaign = benchmark.pedantic(run, args=([
+        # die the instant a fiber lock is taken: nothing persisted, the
+        # NFS entry survives, only the lease can free it
+        NodeFault(CRASH, on_lock=2, restart_after=2.0),
+        NodeFault(CRASH, on_lock=9, restart_after=2.0),
+        # die mid-persist: rollback + lease recovery + retry
+        NodeFault(CRASH, on_persist=5, restart_after=2.0),
+    ],), rounds=1, iterations=1)
     env = campaign.env
     assert isinstance(env.locks, FileLockManager)
 
@@ -87,6 +97,16 @@ def test_lock_recovery_campaign(benchmark, bench_report):
     latency_bound = LEASE_TTL + env.recovery.interval + 1e-6
     assert recovery["max_recovery_latency"] <= latency_bound, recovery
 
+    # the control: with every holder alive, heartbeats keep the leases
+    # and no lease can lapse, so the scanner never runs
+    control = run([], lease_ttl=HEALTHY_LEASE_TTL)
+    healthy = {"scans": control.env.recovery.scans,
+               "renewed": control.env.locks.lease_stats()["renewed"],
+               "stuck_fibers": len(control.stuck_fibers())}
+    assert control.all_completed, control.statuses
+    assert healthy["scans"] == 0 and healthy["renewed"] > 0, healthy
+    assert healthy["stuck_fibers"] == 0, healthy
+
     payload = {
         "campaign": campaign.name,
         "seed": campaign.seed,
@@ -101,6 +121,7 @@ def test_lock_recovery_campaign(benchmark, bench_report):
         "leases": lease_stats,
         "recovery": recovery,
         "recovery_latency_bound": latency_bound,
+        "healthy": healthy,
     }
     os.makedirs(OUT_DIR, exist_ok=True)
     out_path = os.path.join(OUT_DIR, "recovery_report.json")
@@ -120,5 +141,7 @@ def test_lock_recovery_campaign(benchmark, bench_report):
          ("max recovery latency", round(recovery["max_recovery_latency"], 4)),
          ("latency bound (ttl + scan)", round(latency_bound, 4)),
          ("fence rejections", lease_stats["fence_rejections"]),
+         ("fault-free control: scans / renewals",
+          f"{healthy['scans']} / {healthy['renewed']}"),
          ("report artifact", out_path)])
     bench_report("bench_lock_recovery", text)

@@ -153,10 +153,10 @@ class Cluster:
         #: optional FaultInjector (repro.faults), wired by install()
         self.injector = None
         #: the distributed lock manager (repro.bluebox.locks), wired by
-        #: VinzEnvironment.  When it has leases enabled the cluster
-        #: heartbeats long operation windows and — as the lock
-        #: manager's ``lease_breaker`` — aborts a zombie holder's window
-        #: before an expiry/steal hands the lock to a new owner
+        #: VinzEnvironment.  Every operation window registers its lease
+        #: heartbeats with it, and the cluster — as the lock manager's
+        #: ``lease_breaker`` — aborts a zombie holder's window before an
+        #: expiry/steal hands the lock to a new owner
         self.lock_manager = None
         #: the shared store (VinzEnvironment points this at its own):
         #: every operation window is bracketed on it, and a journaled
@@ -542,6 +542,10 @@ class Cluster:
         started = self.kernel.now
         context = OperationContext(self, instance, message)
         self._in_flight.append(context)
+        lm = self.lock_manager
+        if lm is not None:
+            # in flight on a live node: its leases cannot lapse
+            context.heartbeats = lm.open_window(context.owner)
 
         def free_slot() -> None:
             self._in_flight.remove(context)
@@ -591,45 +595,11 @@ class Cluster:
         duration = max(context.charged, 1e-6)
         if self.injector is not None:
             duration *= self.injector.slow_factor(node.id, started)
-        self._schedule_heartbeats(context, duration)
+        if lm is not None:
+            # its beats are settled whenever one of its leases is read
+            lm.keep_alive(context.heartbeats, duration)
         self.kernel.schedule(
             duration, lambda: self._complete(context, envelope, duration))
-
-    @staticmethod
-    def _window_owner(record: OperationContext) -> str:
-        """The lock-owner identity this window's handler used
-        (one place: LockManager.owner_node parses it back)."""
-        return f"{record.instance.id}#{record.message.id}"
-
-    def _schedule_heartbeats(self, record: OperationContext,
-                             duration: float) -> None:
-        """Keep a long window's lock leases alive while its node is.
-
-        The chain self-terminates: each beat reschedules only while the
-        window is still in flight on a live node, so `run_until_idle`
-        always drains.  A crashed node stops beating — which is exactly
-        what lets its leases lapse and recovery begin.
-        """
-        lm = self.lock_manager
-        if lm is None or lm.lease_ttl <= 0 or lm.heartbeat_interval <= 0:
-            return
-        interval = lm.heartbeat_interval
-        if duration <= interval:
-            return  # the window ends (and releases) before a beat is due
-        owner = self._window_owner(record)
-        if not lm.locks_of(owner):
-            return  # this window holds no leases
-        deadline = self.kernel.now + duration
-
-        def beat() -> None:
-            if not record.valid or not record.instance.node.alive:
-                return  # dead window / dead node: the lease must lapse
-            if lm.renew_owner(owner):
-                self.metrics.incr("lease.renewed")
-            if self.kernel.now + interval < deadline:
-                self.kernel.schedule(interval, beat)
-
-        self.kernel.schedule(interval, beat)
 
     def break_window_for(self, key: str, owner: str, reason: str) -> bool:
         """The lock manager's ``lease_breaker``: a lease on ``key`` held
@@ -638,7 +608,7 @@ class Cluster:
         owner reads any state.  Returns True when a window was broken.
         """
         for record in list(self._in_flight):
-            if record.valid and self._window_owner(record) == owner:
+            if record.valid and record.owner == owner:
                 self.metrics.incr("lease.window-broken")
                 if self.tracer.enabled:
                     self.tracer.event(self.kernel.now, "lease-broken",

@@ -21,7 +21,12 @@ renewed by the holder's heartbeats.  A holder that goes silent — a
 crashed node cannot run release hooks, which is exactly the paper's
 "completely opaque" complaint — loses the lock when the lease lapses,
 and any write it attempts afterwards is rejected by the fencing check
-(`fence_valid`).  The public :meth:`LockManager.expire_lock` /
+(`fence_valid`).  The heartbeats of an operation window in flight on a
+live node cost no events: the window registers its schedule once
+(:class:`Heartbeats`) and the beats it made are settled by arithmetic
+whenever one of its leases is read or dropped, so a live holder's
+lease never lapses and only a silent one can.  The public
+:meth:`LockManager.expire_lock` /
 :meth:`LockManager.expire_node` APIs are the one sanctioned way to
 break ownership; both notify the ``lease_breaker`` *before* the lock
 changes hands so the zombie's operation window is aborted (and its
@@ -61,6 +66,22 @@ class Lease:
         return self.expires_at - now
 
 
+class Heartbeats:
+    """One operation window's heartbeat schedule: it renews every lease
+    its owner holds at ``next_beat`` and every ``heartbeat_interval``
+    after, while the beat falls before ``deadline`` (when the window
+    commits).  ``inf`` while no beat is due.  The window stops beating
+    when it commits or aborts, or its node dies — which is what lets a
+    dead holder's leases lapse."""
+
+    __slots__ = ("owner", "next_beat", "deadline")
+
+    def __init__(self, owner: str):
+        self.owner = owner
+        self.next_beat = math.inf
+        self.deadline = math.inf
+
+
 class LockManager:
     """Abstract distributed lock manager with lease/fencing support.
 
@@ -70,6 +91,8 @@ class LockManager:
 
     * :meth:`configure_leases` — enable TTLs on a virtual clock;
     * :meth:`renew_owner` — heartbeat: extend every lease an owner holds;
+    * :meth:`open_window` / :meth:`keep_alive` / :meth:`close_window`
+      — an operation window's heartbeats, settled on read;
     * :meth:`expire_lock` / :meth:`expire_node` — the public APIs for
       breaking ownership (scanner steals, coordinator failure
       detection);
@@ -85,15 +108,22 @@ class LockManager:
         #: still tracked — they are the held-locks registry — but never
         #: lapse)
         self.lease_ttl: float = 0.0
-        #: how often holders renew (the cluster schedules heartbeats
-        #: for operation windows longer than this)
+        #: how often holders renew (operation windows longer than this
+        #: heartbeat)
         self.heartbeat_interval: float = 0.0
         #: key -> active lease (exactly the currently held locks)
         self._leases: Dict[str, Lease] = {}
+        #: owner -> its leases by key (the same objects)
+        self._by_owner: Dict[str, Dict[str, Lease]] = {}
+        #: owner -> the heartbeat schedules of its operation windows in
+        #: flight on live nodes.  A listed owner is alive and renewing:
+        #: its leases cannot lapse.
+        self._windows: Dict[str, List[Heartbeats]] = {}
         #: key -> last granted fencing token (monotonic, never reset)
         self._tokens: Dict[str, int] = {}
-        #: called with each newly granted Lease (arms the recovery
-        #: scanner)
+        #: called with each lease that can now lapse — granted outside
+        #: any window, or still held when its window ended — so the
+        #: recovery scanner sleeps while every holder is alive
         self.lease_listener: Optional[Callable[[Lease], None]] = None
         #: called with (key, owner, reason) *before* an expire/steal
         #: removes the lock, so the cluster can abort the zombie's
@@ -148,6 +178,10 @@ class LockManager:
     def _grant(self, key: str, owner: str) -> Lease:
         """A fresh (non-re-entrant) acquisition: bump the fencing token
         and open a lease."""
+        if key in self._leases:
+            self._drop_lease(key)  # one the backend's entry no longer backs
+        # the owner's earlier beats renewed only what it held then
+        self._settle(owner)
         token = self._tokens.get(key, 0) + 1
         self._tokens[key] = token
         now = self.clock_now()
@@ -155,8 +189,13 @@ class LockManager:
         lease = Lease(key=key, owner=owner, token=token, granted_at=now,
                       expires_at=expires, renewed_at=now)
         self._leases[key] = lease
+        held = self._by_owner.get(owner)
+        if held is None:
+            self._by_owner[owner] = {key: lease}
+        else:
+            held[key] = lease
         self.leases_granted += 1
-        if self.lease_listener is not None:
+        if self.lease_listener is not None and owner not in self._windows:
             self.lease_listener(lease)
         return lease
 
@@ -164,24 +203,129 @@ class LockManager:
         """A re-entrant acquisition counts as a heartbeat."""
         lease = self._leases.get(key)
         if lease is not None and self.lease_ttl > 0:
+            self._settle(lease.owner)
             now = self.clock_now()
             lease.renewed_at = now
             lease.expires_at = now + self.lease_ttl
 
     def _drop_lease(self, key: str) -> None:
-        self._leases.pop(key, None)
+        lease = self._leases.get(key)
+        if lease is None:
+            return
+        self._settle(lease.owner)
+        del self._leases[key]
+        held = self._by_owner[lease.owner]
+        del held[key]
+        if not held:
+            del self._by_owner[lease.owner]
+
+    # -- operation windows: heartbeats settled on read ---------------------
+
+    def open_window(self, owner: str) -> Heartbeats:
+        """An operation window of ``owner`` starts on a live node: until
+        it closes, the leases ``owner`` holds cannot lapse."""
+        window = Heartbeats(owner)
+        windows = self._windows.get(owner)
+        if windows is None:
+            self._windows[owner] = [window]
+        else:
+            windows.append(window)
+        return window
+
+    def keep_alive(self, window: Heartbeats, duration: float) -> None:
+        """``window`` runs ``duration`` more virtual seconds: from now it
+        beats every ``heartbeat_interval`` while the beat falls before
+        its end.  Nothing is scheduled — :meth:`_settle` applies the
+        beats when a lease is read or dropped."""
+        interval = self.heartbeat_interval
+        if self.lease_ttl <= 0 or interval <= 0 or duration <= interval:
+            return  # the window ends (and releases) before a beat is due
+        if window.owner not in self._by_owner:
+            return  # this window holds no leases
+        now = self.clock_now()
+        window.next_beat = now + interval
+        window.deadline = now + duration
+
+    def close_window(self, window: Heartbeats) -> None:
+        """The window committed or aborted, or its node died: it stops
+        beating now.  Leases its owner still holds with no other window
+        open can lapse from here, and the listener hears of each."""
+        owner = window.owner
+        self._settle(owner)
+        windows = self._windows[owner]
+        windows.remove(window)
+        if windows:
+            return
+        del self._windows[owner]
+        held = self._by_owner.get(owner)
+        if held and self.lease_listener is not None:
+            for lease in list(held.values()):
+                self.lease_listener(lease)
+
+    def _settle(self, owner: str) -> None:
+        """Apply the heartbeats ``owner``'s windows have made up to now.
+
+        Each beat renews every lease the owner holds.  Beat times come
+        from repeated addition of the interval — the same floats a
+        timer re-armed at every beat would reach.  A beat due at this
+        very instant counts, also when the window stops at it.
+        """
+        windows = self._windows.get(owner)
+        if windows is None:
+            return
+        now = self.clock_now()
+        interval = self.heartbeat_interval
+        beats = 0
+        last = -math.inf
+        for window in windows:
+            beat = window.next_beat
+            if beat > now:
+                continue
+            deadline = window.deadline
+            while beat <= now:
+                beats += 1
+                if beat > last:
+                    last = beat
+                beat += interval
+                if not beat < deadline:
+                    beat = math.inf
+            window.next_beat = beat
+        if not beats:
+            return
+        held = self._by_owner.get(owner)
+        if held:
+            expires = last + self.lease_ttl
+            for lease in held.values():
+                lease.renewed_at = last
+                lease.expires_at = expires
+            self.leases_renewed += beats * len(held)
+
+    def _settle_all(self) -> None:
+        for owner in self._windows:
+            self._settle(owner)
 
     # -- lease queries -----------------------------------------------------
 
     def lease_of(self, key: str) -> Optional[Lease]:
-        return self._leases.get(key)
+        lease = self._leases.get(key)
+        if lease is not None:
+            self._settle(lease.owner)
+        return lease
 
     def outstanding_leases(self) -> List[Lease]:
         """Every currently held lock's lease (both backends)."""
+        self._settle_all()
         return list(self._leases.values())
 
+    def lapsable_leases(self) -> List[Lease]:
+        """The leases that can lapse: their owner is no operation window
+        in flight on a live node (a grant outside any window, or a lease
+        its window left held — a dead node's, say)."""
+        return [lease for lease in self._leases.values()
+                if lease.owner not in self._windows]
+
     def lease_expired(self, key: str) -> bool:
-        lease = self._leases.get(key)
+        lease = self.lease_of(key)
         if lease is None or self.lease_ttl <= 0:
             return False
         return self.clock_now() >= lease.expires_at
@@ -210,6 +354,7 @@ class LockManager:
         lease = self._leases.get(key)
         if lease is None or lease.owner != owner:
             return False
+        self._settle(owner)
         if self.lease_ttl > 0:
             now = self.clock_now()
             lease.renewed_at = now
@@ -220,15 +365,11 @@ class LockManager:
     def renew_owner(self, owner: str) -> int:
         """Heartbeat: renew every lease ``owner`` holds; returns how
         many were renewed."""
-        count = 0
-        for lease in list(self._leases.values()):
-            if lease.owner == owner and self.renew(lease.key, owner):
-                count += 1
-        return count
+        return sum(self.renew(key, owner)
+                   for key in self._by_owner.get(owner, ()))
 
     def locks_of(self, owner: str) -> List[str]:
-        return sorted(lease.key for lease in self._leases.values()
-                      if lease.owner == owner)
+        return sorted(self._by_owner.get(owner, ()))
 
     # -- owner identity ----------------------------------------------------
 
@@ -298,6 +439,7 @@ class LockManager:
     # -- stats -------------------------------------------------------------
 
     def lease_stats(self) -> Dict[str, int]:
+        self._settle_all()
         return {
             "granted": self.leases_granted,
             "renewed": self.leases_renewed,

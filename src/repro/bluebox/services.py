@@ -55,6 +55,13 @@ class OperationContext:
         self.cluster = cluster
         self.instance = instance
         self.message = message
+        #: the lock-owner identity of this window's handler (one place:
+        #: LockManager.owner_node parses it back)
+        self.owner = (f"{instance.id}#{message.id}"
+                      if message is not None else None)
+        #: the lease heartbeats of a window the cluster dispatched,
+        #: closed by whichever exit ends it
+        self.heartbeats = None
         self.charged = 0.0
         #: the current causal span (the operation window, or — while a
         #: fiber advances — its fiber-run span).  Sends from this
@@ -148,6 +155,7 @@ class OperationContext:
             raise
         for hook in self.completion_hooks:
             hook()
+        self._close_heartbeats()
         self._drop_hooks()
         outbox, self.outbox = self.outbox, []
         for delay, kwargs in outbox:
@@ -169,9 +177,17 @@ class OperationContext:
             hook()
         for undo in reversed(self.snap_undos):
             undo()
+        self._close_heartbeats()
         self._drop_hooks()
         self.cluster.tracer.end(self.window_span, end=self.now,
                                 aborted=True, error=reason)
+
+    def _close_heartbeats(self) -> None:
+        """After the hooks released (or abandoned) the window's locks:
+        what it still holds can lapse from now."""
+        if self.heartbeats is not None:
+            self.cluster.lock_manager.close_window(self.heartbeats)
+            self.heartbeats = None
 
     def _drop_hooks(self) -> None:
         """The window is over and its hooks close over this context:

@@ -148,6 +148,15 @@ class _Cursor:
                 f"suspend on {descriptor.get('kind')!r}")
         return event.payload.get("version")
 
+    def failed_by_platform(self, event: HistoryEvent, where: str) -> Any:
+        """The platform failed the fiber ``where`` nothing ran it (a
+        dead-lettered delivery, a join on a missing process): the
+        recorded error ends the fiber, and nothing may follow it."""
+        if not self.exhausted():
+            raise self.diverge("<further events>",
+                               f"{FIBER_FAILED} {where} already reached")
+        return event.payload.get("error")
+
     def check_terminal(self, codec, state: str, value: Any) -> None:
         """The replayed fiber finished: the recorded terminal event
         must be of the same kind, carry the same result or error, and
@@ -350,6 +359,12 @@ class ReplayEngine:
                             and event.payload.get("version") == base_version:
                         break
                 outcome = None  # suspended at the base, nothing to check
+            elif not cursor.exhausted() \
+                    and cursor.events[0].kind == FIBER_FAILED:
+                # its first delivery dead-lettered: it never ran
+                error = cursor.failed_by_platform(
+                    cursor.next(FIBER_FAILED), "before it ran")
+                return "failed", error, instructions
             else:
                 fn, args, is_root = self._start_of(task_events, fiber_id)
                 if is_root:
@@ -386,15 +401,9 @@ class ReplayEngine:
                     return "partial", None, instructions
                 resume = cursor.next(FIBER_FAILED, *RESUME_KINDS)
                 if resume.kind == FIBER_FAILED:
-                    # the platform failed the fiber while it was
-                    # suspended (a join on a missing process, a
-                    # dead-lettered wake-up): nothing resumed it, and
-                    # nothing may follow
-                    if not cursor.exhausted():
-                        raise cursor.diverge(
-                            "<further events>",
-                            f"{FIBER_FAILED} while suspended already reached")
-                    return "failed", resume.payload.get("error"), instructions
+                    error = cursor.failed_by_platform(resume,
+                                                      "while suspended")
+                    return "failed", error, instructions
                 outcome = window(lambda vm: vm.resume(
                     continuation, resume.payload.get("value")))
         finally:

@@ -378,7 +378,6 @@ class VinzEnvironment:
         """
         requeued = self.cluster.fail_node(node_id)
         self.locks.expire_node(node_id)
-        self.recovery.on_node_failed(node_id)
         return requeued
 
     def restore_node(self, node_id: str) -> None:

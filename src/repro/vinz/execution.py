@@ -454,7 +454,7 @@ class FiberExecution:
     def _write_task_var(self, name: str, value: Any) -> None:
         vinz = self.service.vinz
         key = task_var_key(self.task.id, name)
-        owner = f"{self.ctx.instance.id}#{self.ctx.message.id}"
+        owner = self.ctx.owner
         spins = 0
         # the lock is named like the store key it guards
         while not vinz.locks.try_acquire(key, owner):

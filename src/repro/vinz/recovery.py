@@ -7,10 +7,12 @@ files outlive their writers, and the paper calls the NFS behaviour
 "completely opaque").  The lease layer in :mod:`repro.bluebox.locks`
 bounds that ownership in virtual time; this module closes the loop:
 
-* :class:`RecoveryScanner` watches outstanding leases (armed by the
-  lock manager's ``lease_listener``, so it costs nothing while no lock
-  is held) and expires the ones whose lease lapsed or whose owner node
-  is dead — through the one public :meth:`LockManager.expire_lock`
+* :class:`RecoveryScanner` watches the leases that can lapse — held
+  by no operation window in flight on a live node — armed by the lock
+  manager's ``lease_listener`` when one appears, so it costs nothing
+  while every holder is alive, and expires the ones whose lease lapsed
+  or whose owner node is dead — through the one public
+  :meth:`LockManager.expire_lock`
   API, so the ordering invariant (zombie window aborted *before* the
   lock changes hands) holds for scanner recoveries too;
 * for every reclaimed ``fiber/…`` lock it re-enqueues the fiber's last
@@ -50,19 +52,20 @@ class RecoveryScanner:
     """Detects lapsed/orphaned lock leases and re-awakens their fibers.
 
     Driven entirely off the cluster's discrete-event clock: a scan is
-    armed when a lease is granted (or a node dies) and re-armed only
-    while leases remain outstanding, so the kernel still drains to idle
-    — the scanner never keeps the simulation alive on its own.
+    armed when a lease becomes able to lapse (granted outside any
+    window, or left held by a window that ended — its node died, say)
+    and re-armed only while such leases remain, so a healthy run never
+    scans and the kernel still drains to idle.
     """
 
     def __init__(self, vinz):
         self.vinz = vinz
         self.locks = vinz.locks
-        #: scan cadence while leases are outstanding: half the TTL, so
+        #: scan cadence while a lease can lapse: half the TTL, so
         #: recovery latency is bounded by ``ttl + interval`` (0 = leases
         #: never lapse, nothing to scan for)
         self.interval = self.locks.lease_ttl / 2.0
-        self.locks.lease_listener = self._on_lease_granted
+        self.locks.lease_listener = self._on_lapsable
         self._armed = False
         # statistics (expiries and re-awakens are registry counters:
         # ``recovery.locks_expired`` / ``recovery.reawakened``)
@@ -75,14 +78,8 @@ class RecoveryScanner:
     # arming
     # ------------------------------------------------------------------
 
-    def _on_lease_granted(self, lease) -> None:
-        if self.interval > 0:
-            self._arm(self.interval)
-
-    def on_node_failed(self, node_id: str) -> None:
-        """A node just died: schedule a scan for the instant its locks'
-        leases lapse (file backend — the coordinator's failure detector
-        already expired them through :meth:`expire_node`)."""
+    def _on_lapsable(self, lease) -> None:
+        """``lease`` can lapse from now: scan by the instant it would."""
         delay = self._next_delay()
         if delay is not None:
             self._arm(delay)
@@ -94,9 +91,9 @@ class RecoveryScanner:
         self.vinz.cluster.kernel.schedule(delay, self._tick)
 
     def _next_delay(self) -> Optional[float]:
-        """Seconds until the earliest outstanding lease expires, capped
-        at the scan interval; None when nothing is outstanding."""
-        leases = self.locks.outstanding_leases()
+        """Seconds until the earliest lease that can lapse expires,
+        capped at the scan interval; None when no lease can lapse."""
+        leases = self.locks.lapsable_leases()
         if not leases or self.interval <= 0:
             return None
         earliest = min(lease.expires_at for lease in leases)
@@ -114,7 +111,7 @@ class RecoveryScanner:
         self.scans += 1
         cluster = self.vinz.cluster
         now = cluster.kernel.now
-        for lease in self.locks.outstanding_leases():
+        for lease in self.locks.lapsable_leases():
             node_id = self.locks.owner_node(lease.owner)
             node = cluster.nodes.get(node_id) if node_id else None
             dead = node is not None and not node.alive

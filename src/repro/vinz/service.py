@@ -480,7 +480,7 @@ class WorkflowService(Service):
         # what produces the Section 5 AwakeFiber contention: siblings
         # delivered during the window find the lock held.
         locks = self.vinz.locks
-        owner = f"{ctx.instance.id}#{ctx.message.id}"
+        owner = ctx.owner
         lock_key = f"fiber/{fiber.id}"
         if not locks.try_acquire(lock_key, owner):
             # hold the slot for the patience window, then give up and

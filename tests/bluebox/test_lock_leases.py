@@ -8,10 +8,13 @@ lock entries are stored — the property the recovery scanner depends on.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bluebox import locks as locks_module
 from repro.bluebox.locks import CoordinatorLockManager, FileLockManager
 from repro.bluebox.store import SharedStore
+from repro.vinz.api import VinzEnvironment
 
 
 class Clock:
@@ -27,16 +30,23 @@ class Clock:
         self.now += dt
 
 
-@pytest.fixture(params=["file", "coordinator"])
-def manager(request):
+BACKENDS = ["file", "coordinator"]
+
+
+def make_manager(backend):
     clock = Clock()
-    if request.param == "file":
+    if backend == "file":
         lm = FileLockManager(SharedStore(), clock_now=clock)
     else:
         lm = CoordinatorLockManager()
     lm.configure_leases(ttl=2.0, clock_now=clock)
     lm.test_clock = clock
     return lm
+
+
+@pytest.fixture(params=BACKENDS)
+def manager(request):
+    return make_manager(request.param)
 
 
 OWNER_A = "wf@node-1#m-1"
@@ -200,6 +210,177 @@ class TestLockContract:
         for key in ("renewed", "expired", "stolen", "abandoned",
                     "fence_rejections"):
             assert stats[key] == 0
+
+
+def chain_beats(start, duration, interval, stop):
+    """The reference: the heartbeats a self-rescheduling timer event
+    makes for a window sealed at ``start`` for ``duration`` seconds —
+    the first ``interval`` after the seal, then one per ``interval``
+    while the next falls before the window's end — stopped at ``stop``,
+    when the window ended (a beat due at that very instant counts)."""
+    beats = []
+    if duration <= interval:
+        return beats
+    deadline = start + duration
+    beat = start + interval
+    while beat <= stop:
+        beats.append(beat)
+        beat = beat + interval
+        if not beat < deadline:
+            break
+    return beats
+
+
+class TestSettledHeartbeats:
+    """A window's heartbeats schedule no events: the lock manager
+    settles them whenever a lease is read or dropped, to exactly what
+    one timer event per beat would have left behind."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.floats(0.0, 50.0), duration=st.floats(0.01, 8.0),
+           stop=st.sampled_from(["abort", "death", "commit"]),
+           stop_at=st.one_of(st.floats(0.0, 1.0), st.integers(0, 20)),
+           reads=st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_settled_on_read_equals_the_beat_chain(self, backend, start,
+                                                    duration, stop, stop_at,
+                                                    reads):
+        lm = make_manager(backend)
+        clock, ttl = lm.test_clock, lm.lease_ttl
+        lapsable = []
+        lm.lease_listener = lapsable.append
+        clock.now = start
+        window = lm.open_window(OWNER_A)
+        assert lm.try_acquire("k", OWNER_A)
+        lm.keep_alive(window, duration)
+        every = chain_beats(start, duration, lm.heartbeat_interval, math.inf)
+        if stop == "commit":
+            stop_time = start + duration
+        elif isinstance(stop_at, int) and every:
+            stop_time = every[min(stop_at, len(every) - 1)]  # on a beat
+        else:
+            stop_time = start + float(stop_at) * duration
+        beats = chain_beats(start, duration, lm.heartbeat_interval, stop_time)
+        horizon = duration + 3 * ttl
+        # reads at the stop instant run before it
+        timeline = sorted([(start + f * horizon, "read") for f in reads]
+                          + [(stop_time, "stop")], key=lambda e: e[0])
+        stopped = False
+        for when, what in timeline:
+            clock.now = when
+            if what == "stop":
+                if stop == "death":
+                    lm.abandon("k", OWNER_A)  # a dead JVM unlinks nothing
+                else:
+                    lm.release("k", OWNER_A)
+                lm.close_window(window)
+                stopped = True
+                continue
+            made = [beat for beat in beats if beat <= when]
+            assert lm.lease_stats()["renewed"] == len(made)
+            if stopped and stop != "death":
+                assert lm.lease_of("k") is None
+                assert not lm.lease_expired("k")
+                continue
+            last = made[-1] if made else start
+            lease = lm.lease_of("k")
+            assert (lease.renewed_at, lease.expires_at) == (last, last + ttl)
+            assert lm.lease_expired("k") == (when >= last + ttl)
+        assert lm.lease_stats()["renewed"] == len(beats)
+        # only the dead holder's lease became able to lapse
+        assert [lease.key for lease in lapsable] == \
+            (["k"] if stop == "death" else [])
+
+    def test_a_stopped_holder_is_stolen_at_expiry_not_a_beat_before(
+            self, manager):
+        clock = manager.test_clock
+        window = manager.open_window(OWNER_A)
+        manager.try_acquire("k", OWNER_A)
+        manager.keep_alive(window, 60.0)
+        clock.now = 1.3  # the node dies after the beats at 0.5 and 1.0
+        manager.abandon("k", OWNER_A)
+        manager.close_window(window)
+        expiry = manager.lease_of("k").expires_at
+        assert expiry == 1.0 + manager.lease_ttl
+        clock.now = expiry - manager.heartbeat_interval
+        assert not manager.try_acquire("k", OWNER_B)
+        clock.now = expiry
+        assert manager.try_acquire("k", OWNER_B)
+        assert manager.leases_stolen == 1
+        assert manager.lease_stats()["renewed"] == 2
+
+    def test_a_live_holder_is_never_stolen(self, manager):
+        clock = manager.test_clock
+        window = manager.open_window(OWNER_A)
+        manager.try_acquire("k", OWNER_A)
+        manager.keep_alive(window, 60.0)
+        for when in (1.9, 2.0, 2.1, 30.0, 59.9):
+            clock.now = when
+            assert not manager.try_acquire("k", OWNER_B)
+        assert manager.lapsable_leases() == []
+
+
+LONG_WINDOW = "(defun main (p) (compute 60) :done)"
+
+
+def start_long_window(locks):
+    """A task whose one fiber holds its lock for a 60-virtual-second
+    window; returns the environment once that window is in flight."""
+    env = VinzEnvironment(nodes=2, seed=1, locks=locks)
+    env.deploy_workflow("W", LONG_WINDOW)
+    env.start("W", None)
+    cluster = env.cluster
+    cluster.run_until(lambda: any(ctx.message.operation == "RunFiber"
+                                  for ctx in cluster._in_flight))
+    return env
+
+
+class TestLiveHoldersCostNoEvents:
+    def test_a_long_window_leaves_only_its_completion_pending(self):
+        env = start_long_window("file")
+        assert env.cluster.kernel.pending() == 1
+        lease, = env.locks.outstanding_leases()
+        window, = env.cluster._in_flight
+        env.cluster.run_until_idle()
+        # the run still renewed the lease every beat the chain made
+        renewed = env.locks.lease_stats()["renewed"]
+        assert renewed == len(chain_beats(
+            lease.granted_at, window.charged, env.locks.heartbeat_interval,
+            math.inf)) > 100
+
+    def test_a_fault_free_run_never_scans(self):
+        env = start_long_window("file")
+        env.cluster.run_until_idle()
+        assert all(task.status == "completed"
+                   for task in env.registry.tasks.values())
+        assert env.recovery.scans == 0
+        assert env.locks.lease_stats()["renewed"] > 0
+
+    @pytest.mark.parametrize("locks", BACKENDS)
+    def test_a_node_killed_on_the_cluster_has_its_lease_reclaimed(self,
+                                                                  locks):
+        """Killed through ``Cluster.fail_node``, not the environment:
+        the window's beats stop, its abandoned lease lapses at the last
+        beat plus the TTL, and the scanner reclaims it in time."""
+        env = start_long_window(locks)
+        cluster, lm = env.cluster, env.locks
+        window, = cluster._in_flight
+        lease, = lm.outstanding_leases()
+        sealed = lease.granted_at  # granted and sealed at one instant
+        cluster.kernel.schedule(
+            1.3, lambda: cluster.fail_node(window.node.id))
+        cluster.run_until(lambda: not window.valid)
+        assert lm.lease_of(lease.key) is lease  # abandoned, not released
+        last_beat = sealed + lm.heartbeat_interval + lm.heartbeat_interval
+        assert lease.renewed_at == last_beat
+        assert lease.expires_at == last_beat + lm.lease_ttl
+        cluster.run_until_idle()
+        assert all(task.status == "completed"
+                   for task in env.registry.tasks.values())
+        recovery = env.recovery.summary()
+        assert recovery["locks_expired"] == 1
+        assert 0 < recovery["max_recovery_latency"] \
+            <= lm.lease_ttl + env.recovery.interval
 
 
 class TestOwnerIdentity:

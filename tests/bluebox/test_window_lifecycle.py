@@ -398,7 +398,7 @@ def test_a_lease_broken_inside_a_handler_frees_its_slot_after_it():
 
     def hold(ctx, body):
         started.append((body["n"], ctx.now))
-        owner = cluster._window_owner(ctx)
+        owner = ctx.owner
         assert locks.try_acquire("k", owner)
         ctx.on_complete(lambda: locks.release("k", owner))
         ctx.on_abort(lambda: locks.release("k", owner))

@@ -104,7 +104,9 @@ class TestVerificationReplay:
 class TestFailedWhileSuspended:
     """The platform fails a suspended fiber: its stream records
     FiberSuspended, then FiberFailed where a resume would be.  Replay
-    ends the fiber there with the recorded error."""
+    ends the fiber there with the recorded error.  A fiber whose first
+    delivery dead-lettered never ran: its stream is that FiberFailed
+    alone, and replay ends it without running it."""
 
     def _replay(self, env, task_id):
         task = env.registry.tasks[task_id]
@@ -137,6 +139,42 @@ class TestFailedWhileSuspended:
         task = self._replay(env, task_id)
         assert "dead-lettered" in task.error
         assert env.cluster.queue.dead_lettered == 1
+
+    @staticmethod
+    def _runs_dead_lettered(source, nth):
+        """Every RunFiber delivery from the ``nth`` on is dropped until
+        its message dead-letters."""
+        env = VinzEnvironment(nodes=2, seed=5, history="on",
+                              retry_policy=RetryPolicy(
+                                  max_attempts=3, base_delay=0.01,
+                                  max_delay=0.1, jitter=0.0))
+        env.deploy_workflow("W", source)
+        FaultInjector(5, FaultPlan([MessageFault(
+            "drop", operation="RunFiber", nth=nth,
+            count=10_000)])).install(env)
+        task_id = env.start("W", None)
+        env.cluster.run_until_idle()
+        assert env.registry.tasks[task_id].status == ERROR
+        return env, task_id
+
+    def test_root_fiber_dead_lettered_before_it_ran(self):
+        env, task_id = self._runs_dead_lettered("(defun main (p) :done)", 1)
+        assert [e.kind for e in env.history.events_of(task_id)] == \
+            ["task-started", "fiber-failed"]
+        report = env.replay_task(task_id)  # raises on a divergence
+        assert report.fibers_replayed == 1 and report.instructions == 0
+
+    def test_child_fiber_dead_lettered_before_it_ran(self):
+        env, task_id = self._runs_dead_lettered(
+            "(defun main (p) (for-each (x in '(1 2)) x))", 2)
+        children = [fiber for fiber in env.registry.fibers.values()
+                    if fiber.parent_id is not None]
+        assert len(children) == 2
+        for child in children:
+            assert [e.kind for e in env.history.events_of(task_id)
+                    if e.fiber == child.id] == ["fiber-failed"]
+        report = env.replay_task(task_id)
+        assert report.fibers_replayed == 3 and not report.partial_fibers
 
     def test_events_after_the_failure_diverge(self):
         env = VinzEnvironment(nodes=2, seed=5, history="on")
