@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""A tour of the Section 5 future-work extensions.
+"""A tour of a Section 5 future-work extension: sibling chaining.
 
 The paper's closing section lists improvements the authors planned;
-this reproduction implements them.  The tour runs the same portfolio
-valuation workflow (examples/gozer/portfolio.gozer) under the paper's
-production defaults and then with each extension enabled, printing the
-operational difference.
+this reproduction implements them.  The tour runs the portfolio
+valuation workflow (examples/gozer/portfolio.gozer), whose chained
+for-each wakes its parent once for all of its children, and prints
+what the run cost.
 
 Run:  python examples/extensions_tour.py
 """
@@ -24,14 +24,8 @@ def build_positions(n: int) -> list:
     return [[K("price"), 100.0 + i, K("quantity"), 10 + i] for i in range(n)]
 
 
-def run(name: str, **env_kwargs) -> dict:
-    extra = {k: v for k, v in env_kwargs.items()
-             if k in ("placement",)}
-    env = VinzEnvironment(nodes=6, seed=42, trace=False, **extra)
-    if "scheduling_policy" in env_kwargs:
-        env.scheduling_policy = env_kwargs["scheduling_policy"]
-    if "migration_policy" in env_kwargs:
-        env.migration_policy = env_kwargs["migration_policy"]
+def run(name: str) -> dict:
+    env = VinzEnvironment(nodes=6, seed=42, trace=False)
     env.deploy_workflow("Portfolio", PORTFOLIO_SOURCE, spawn_limit=3)
     positions = build_positions(12)
     result = env.call("Portfolio", positions)
@@ -53,20 +47,13 @@ def run(name: str, **env_kwargs) -> dict:
 
 def main() -> None:
     print("Valuing 12 positions with the chained for-each "
-          "(one AwakeFiber instead of 12), under different policies.")
+          "(one AwakeFiber instead of 12).")
 
-    baseline = run("paper defaults (balanced placement)")
-    affinity = run("locality-aware placement", placement="affinity")
+    stats = run("paper defaults")
 
-    print("\nWhat changed:")
-    print(f"  The chained for-each needed "
-          f"{baseline['awake_fibers']} parent wake-up(s) for 12 children.")
-    print(f"  Affinity placement raised the mutable cache hit rate "
-          f"{baseline['mutable_hit']} -> {affinity['mutable_hit']} and cut "
-          f"store reads {baseline['store_reads']} -> "
-          f"{affinity['store_reads']}.")
-    assert baseline["total"] == affinity["total"]
-    assert baseline["awake_fibers"] == 1  # sibling chaining at work
+    print(f"\nThe chained for-each needed {stats['awake_fibers']} "
+          f"parent wake-up(s) for 12 children.")
+    assert stats["awake_fibers"] == 1  # sibling chaining at work
 
 
 if __name__ == "__main__":

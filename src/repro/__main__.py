@@ -51,8 +51,7 @@ def _build_env(args):
     from .vinz.api import VinzEnvironment
 
     env = VinzEnvironment(nodes=args.nodes, slots=args.slots,
-                          seed=args.seed,
-                          placement=args.placement)
+                          seed=args.seed)
     if args.edf:
         env.scheduling_policy = "edf"
     if args.adaptive_migration:
@@ -194,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slots", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--spawn-limit", type=int, default=4)
-        p.add_argument("--placement", choices=["balanced", "affinity"],
-                       default="balanced")
         p.add_argument("--edf", action="store_true",
                        help="deadline-aware scheduling")
         p.add_argument("--adaptive-migration", action="store_true")

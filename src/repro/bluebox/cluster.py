@@ -267,7 +267,7 @@ class Cluster:
         """The node a new message is parked for: the one its affinity
         holds it for, if that node is up and hosts the service."""
         affinity = message.affinity
-        if affinity is None or affinity.hold <= 0:
+        if affinity is None:
             return None
         node = self.nodes.get(affinity.node)
         if node is None or not node.alive \
@@ -440,10 +440,9 @@ class Cluster:
             instance = held_on.services[service_name]
             message = self.queue.pop_held(held_on.id, self.kernel.now)
         else:
-            pending = self.queue.peek_message(service_name)
-            if pending is None:
+            if self.queue.peek_message(service_name) is None:
                 return False
-            instance = self._pick_instance(service_name, pending.affinity)
+            instance = self._pick_instance(service_name)
             if instance is None:
                 return False
             message = self.queue.pop_next(service_name, self.kernel.now)
@@ -476,11 +475,6 @@ class Cluster:
                     self.queue.push_back(message)
         if held_on is not None:
             self.metrics.incr("placement.owner.served")
-        elif message.affinity is not None:
-            if instance.node.id == message.affinity.node:
-                self.metrics.incr("placement.affinity-hit")
-            else:
-                self.metrics.incr("placement.affinity-miss")
         self._process(instance, message, hop_span=hop_span)
         return True
 
@@ -505,21 +499,9 @@ class Cluster:
             if not self._dispatch_one(best[1], held_on=best[2]):
                 return
 
-    def _pick_instance(self, service_name: str,
-                       affinity: Optional[Affinity] = None
+    def _pick_instance(self, service_name: str
                        ) -> Optional[ServiceInstance]:
-        """Load balancing: the free instance on the least-busy node.
-
-        A message's ``affinity`` hint wins when that node can take the
-        work right now; otherwise normal balancing applies (the hint is
-        soft — correctness never depends on it).
-        """
-        if affinity is not None:
-            preferred = self.nodes.get(affinity.node)
-            if preferred is not None and preferred.alive \
-                    and service_name in preferred.services \
-                    and preferred.free_slots > 0:
-                return preferred.services[service_name]
+        """Load balancing: the free instance on the least-busy node."""
         candidates = [node.services[service_name]
                       for node in self.nodes.values()
                       if node.alive and service_name in node.services

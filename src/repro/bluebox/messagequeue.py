@@ -17,12 +17,12 @@ workflow fairness with priority aging.  The queue keeps the delivery
 bookkeeping (attempts, dead letters, wait statistics, hop spans)
 either way.
 
-A message may also be *parked* for one node (:class:`Affinity` with a
-``hold``): it is kept out of the policy, in ``(priority, seq)`` order
-per node, until that node takes it or the cluster releases it into the
-policy.  Parking changes where and when a message is delivered, never
-the queue's accounting: it counts as enqueued, its wait and hop span
-run from enqueue to delivery.
+A message may also be *parked* for one node (:class:`Affinity`): it is
+kept out of the policy, in ``(priority, seq)`` order per node, until
+that node takes it or the cluster releases it into the policy.
+Parking changes where and when a message is delivered, never the
+queue's accounting: it counts as enqueued, its wait and hop span run
+from enqueue to delivery.
 """
 
 from __future__ import annotations
@@ -49,17 +49,16 @@ WAIT_RESERVOIR_SIZE = 4096
 
 
 class Affinity(NamedTuple):
-    """A placement hint: the node a message should run on.
+    """A park: the node a message waits for.
 
-    ``hold == 0`` is a soft hint — the dispatcher prefers ``node`` when
-    it has a free slot and otherwise balances as usual.  ``hold > 0``
-    parks the message for ``node``: it waits for that node's next free
-    slot for up to ``hold`` virtual seconds beyond its queue hop, then
-    goes to ordinary balanced dispatch (at once if the node dies).
+    The message waits for ``node``'s next free slot for up to ``hold``
+    virtual seconds beyond its queue hop, then goes to ordinary
+    balanced dispatch (at once if the node dies, or if it is down or
+    does not host the service when the message is sent).
     """
 
     node: str
-    hold: float = 0.0
+    hold: float
 
 
 @dataclass
@@ -79,7 +78,7 @@ class ReplyTo:
     service: Optional[str] = None
     operation: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
-    #: placement hint for the response message
+    #: where the response message is parked
     affinity: Optional[Affinity] = None
 
 
@@ -87,10 +86,11 @@ class ReplyTo:
 class Message:
     """One message on the queue.
 
-    ``affinity`` is a placement hint (:class:`Affinity`): the paper's
-    Section 5 future-work item of "mov[ing] the processing work to the
-    last location of the data" (the Swarm idea) — a fiber resumed where
-    it last ran hits the node's fiber cache.
+    ``affinity`` parks the message for one node (:class:`Affinity`):
+    the paper's Section 5 future-work item of "mov[ing] the processing
+    work to the last location of the data" (the Swarm idea), applied
+    where it pays — a resume of a fiber version only that node's cache
+    holds.
     """
 
     id: int

@@ -22,7 +22,7 @@ dist         base   yes (seq)   yes*     yes (distributed)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .grammar import (DIST, SUSPEND, TREE_UNSUPPORTED, VINZ_UNSUPPORTED,
                       GenProgram)
@@ -41,6 +41,13 @@ class Divergence:
     baseline: Outcome
     observed: Outcome
     program: GenProgram
+
+    def signature(self) -> Tuple[Any, ...]:
+        """The oracle pair and each side's :meth:`Outcome.signature`:
+        a candidate repro reproduces this divergence only if it
+        diverges with the same signature."""
+        return (self.oracle, self.baseline.signature(),
+                self.observed.signature())
 
     def describe(self) -> str:
         return (f"[{self.program.name}] {self.oracle} saw "

@@ -161,8 +161,7 @@ def _shrink_and_save(divergence: Divergence, repro_dir: Optional[str],
     # shrink budgets an order of magnitude smaller
     checks = shrink_checks if divergence.oracle != "vinz" \
         else max(20, shrink_checks // 10)
-    result = shrink_divergence(program, divergence.oracle,
-                               max_checks=checks)
+    result = shrink_divergence(divergence, max_checks=checks)
     shrunk = result.program
     shrunk.name = f"{program.name}-{divergence.oracle}"
     shrunk.note = (f"diverged on {divergence.oracle}: baseline "

@@ -90,6 +90,13 @@ class Outcome:
             return (not strict_ctype) or self.ctype == other.ctype
         return True  # hang == hang, unsupported == unsupported
 
+    def signature(self) -> Tuple[Any, ...]:
+        """What a shrink must keep of this side of a divergence: its
+        kind and, for a condition or an engine error, what it said."""
+        if self.kind in (CONDITION, ENGINE_ERROR):
+            return (self.kind, self.ctype, self.detail)
+        return (self.kind,)
+
     def describe(self) -> str:
         if self.kind == VALUE:
             return f"value {self.printed}"

@@ -2,7 +2,11 @@
 
 Greedy structural minimization in the ddmin spirit, specialized to
 s-expressions: a candidate edit is kept iff the *same oracle pair*
-still disagrees on the edited program.  Candidate edits, in order of
+still disagrees on the edited program, with the same signature (each
+side's outcome kind, and the condition type and detail of a side that
+signalled or broke) — otherwise a shrink can trade the bug for an
+unrelated failure it introduced, such as dropping the ``deftaskvar`` a
+task-variable write needs.  Candidate edits, in order of
 aggressiveness:
 
 1. drop whole prelude forms (helpers/defvars the divergence may not
@@ -27,8 +31,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..lang.symbols import Symbol
+from .executor import ORACLES, Divergence
 from .grammar import GenProgram
-from .oracles import run_tree, run_vinz, run_vm, run_vm_pickle
+from .oracles import ENGINE_ERROR, run_tree, run_vinz, run_vm, run_vm_pickle
 
 #: list heads whose element positions carry syntax, not expressions —
 #: dropping children there produces malformed programs, not smaller ones
@@ -41,26 +46,31 @@ _RIGID_HEADS = frozenset({
 })
 
 
-def still_diverges(program: GenProgram, oracle: str,
+def still_diverges(program: GenProgram, original: Divergence,
                    max_resumes: int = 64) -> bool:
-    """Re-run only the diverging oracle pair on a candidate program."""
+    """Re-run only the diverging oracle pair on a candidate program:
+    does it reproduce ``original``, signature and all?"""
+    oracle = original.oracle
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}")
     try:
         base = run_vm(program, max_resumes=max_resumes)
         if oracle == "vm":
-            return base.kind == "engine-error"
-        if oracle == "vm-pickle":
+            other, diverges = base, base.kind == ENGINE_ERROR
+        elif oracle == "vm-pickle":
             other = run_vm_pickle(program, max_resumes=max_resumes)
-            return not base.agrees_with(other, compare_yields=True)
-        if oracle == "tree":
+            diverges = not base.agrees_with(other, compare_yields=True)
+        elif oracle == "tree":
             other = run_tree(program)
-            return not base.agrees_with(other)
-        if oracle == "vinz":
+            diverges = not base.agrees_with(other)
+        else:
             seed = (program.seed or 0) * 7919 + (program.index or 0)
             other = run_vinz(program, seed=seed)
-            return not base.agrees_with(other, strict_ctype=False)
+            diverges = not base.agrees_with(other, strict_ctype=False)
     except Exception:  # noqa: BLE001 - a crashing candidate is not a repro
         return False
-    raise ValueError(f"unknown oracle {oracle!r}")
+    return diverges and (Divergence(oracle, base, other, program).signature()
+                         == original.signature())
 
 
 @dataclass
@@ -180,15 +190,14 @@ class Shrinker:
     _current: Optional[GenProgram] = None
 
 
-def shrink_divergence(program: GenProgram, oracle: str,
-                      max_checks: int = 400,
+def shrink_divergence(divergence: Divergence, max_checks: int = 400,
                       max_resumes: int = 64) -> ShrinkResult:
-    """Minimize a diverging program against the given oracle pair.
+    """Minimize a divergence's program, keeping its signature.
 
     Vinz-pair shrinks get a smaller default budget from callers (each
     check spins up a simulated cluster).
     """
     return Shrinker(
-        lambda p: still_diverges(p, oracle, max_resumes=max_resumes),
+        lambda p: still_diverges(p, divergence, max_resumes=max_resumes),
         max_checks=max_checks,
-    ).shrink(program)
+    ).shrink(divergence.program)

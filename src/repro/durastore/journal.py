@@ -7,10 +7,11 @@ issued inside one operation window (continuation blob, task env,
 fork thunks, reclamation deletes) becomes a single CRC-framed record,
 amortizing the store's ~2 ms per-operation latency across the batch.
 
-Records are framed with :func:`repro.vinz.persistence.crc_frame`, so a
-write cut short by a crash (a *torn tail*) is detected by length/CRC
-mismatch during :meth:`replay` and exactly the uncommitted suffix is
-dropped — committed batches always survive, uncommitted ones never do.
+Records are framed with :func:`crc_frame`, so a write cut short by a
+crash (a *torn tail*) is detected by length/CRC mismatch during
+:meth:`replay` and exactly the uncommitted suffix is dropped —
+committed batches always survive, uncommitted ones never do.  The
+history log and the v2 snapshot manifest use the same frame.
 
 Checkpoints bound replay time: every ``checkpoint_interval`` commits the
 journal owner snapshots the full key space into a checkpoint frame and
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
+import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreWriteError
-from ..vinz.persistence import crc_frame, parse_crc_frames
 
 #: journal file header
 JOURNAL_MAGIC = b"GZWJ1\n"
@@ -36,6 +38,54 @@ CHECKPOINT_MAGIC = b"GJC1"
 #: batch record ops
 OP_PUT = "put"
 OP_DELETE = "del"
+
+
+#: CRC frame layout: magic + u32 payload length + u32 crc32(payload)
+_FRAME_HEADER = struct.Struct("<II")
+
+
+def crc_frame(payload: bytes, magic: bytes) -> bytes:
+    """Wrap ``payload`` in a length+CRC frame.
+
+    The write-ahead journal, its checkpoints, the history log and the
+    v2 snapshot manifest persist through these frames: a torn tail (a
+    write cut short by a crash) is detectable — the length or the
+    checksum will not line up — so replay can drop exactly the
+    uncommitted suffix.
+    """
+    return (magic + _FRAME_HEADER.pack(len(payload),
+                                       zlib.crc32(payload) & 0xFFFFFFFF)
+            + payload)
+
+
+def parse_crc_frames(data: bytes, magic: bytes,
+                     offset: int = 0) -> Tuple[List[bytes], int, Optional[str]]:
+    """Parse consecutive CRC frames from ``data`` starting at ``offset``.
+
+    Returns ``(payloads, good_offset, tail_error)``: every frame that
+    passed its check, the offset just past the last good frame, and —
+    when the stream ends in a torn or corrupt record — a short reason
+    string (``None`` for a clean tail).  Frames after a bad one are
+    never trusted: a torn record means the writer died there.
+    """
+    payloads: List[bytes] = []
+    header_len = len(magic) + _FRAME_HEADER.size
+    while offset < len(data):
+        header = data[offset:offset + header_len]
+        if len(header) < header_len:
+            return payloads, offset, "torn-header"
+        if header[:len(magic)] != magic:
+            return payloads, offset, "bad-magic"
+        length, crc = _FRAME_HEADER.unpack(header[len(magic):])
+        start = offset + header_len
+        payload = data[start:start + length]
+        if len(payload) < length:
+            return payloads, offset, "torn-payload"
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return payloads, offset, "crc-mismatch"
+        payloads.append(payload)
+        offset = start + length
+    return payloads, offset, None
 
 
 class MemoryJournalStorage:

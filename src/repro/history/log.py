@@ -21,7 +21,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, List
 
-from ..vinz.persistence import crc_frame, parse_crc_frames
+from ..durastore.journal import crc_frame, parse_crc_frames
 from .recorder import SCHEMA_VERSION, HistoryEvent
 
 #: frame magic for the history plane (journal uses its own)

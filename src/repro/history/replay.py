@@ -60,7 +60,15 @@ _CONSUMABLE = set((NONDET_RECORDED, FIBER_FORKED, FIBER_SUSPENDED,
 
 
 class ReplayError(RuntimeError):
-    """Base class for replay failures."""
+    """Base class for replay failures.
+
+    Raised from inside a replayed fiber (a ``nondet`` or ``fork`` the
+    history cannot satisfy), it must leave the VM as it is: coerced
+    into a Gozer condition, the program could handle it and the replay
+    would report a later event, or none.
+    """
+
+    tunnels_through_vm = True
 
 
 class IncompleteHistoryError(ReplayError):

@@ -19,18 +19,19 @@ All integers little-endian.  ``state_digest`` is blake2b-128 of the
 whole serialized state; ``chunk_digest`` blake2b-128 of the chunk's
 *raw* (uncompressed) bytes — content addressing and integrity check in
 one.  ``enc`` is 0 (stored raw) or 1 (raw-deflate, the paper's codec).
-The CRC frame makes a torn manifest write detectable exactly like a
-torn journal record.
+The frame is the journal's :func:`~repro.durastore.journal.crc_frame`,
+so a torn manifest write is detectable exactly like a torn journal
+record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..durastore.journal import crc_frame, parse_crc_frames
 from .errors import ManifestFormatError, TornManifestError
 
 MANIFEST_MAGIC = b"GZS2"
@@ -41,7 +42,6 @@ ENC_DEFLATE = 1
 
 DIGEST_SIZE = 16
 
-_FRAME = struct.Struct("<II")          # body_len, crc32(body)
 _HEADER = struct.Struct("<BB16sIH")    # version, codec, state_digest, raw_len, nchunks
 _ENTRY = struct.Struct("<16sIIB")      # digest, raw_len, stored_len, enc
 
@@ -85,9 +85,7 @@ def encode_manifest(codec_byte: bytes, state_digest: bytes, raw_len: int,
                         raw_len, len(chunks))
     body += b"".join(_ENTRY.pack(c.digest, c.raw_len, c.stored_len, c.enc)
                      for c in chunks)
-    return (MANIFEST_MAGIC
-            + _FRAME.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF)
-            + body)
+    return crc_frame(body, MANIFEST_MAGIC)
 
 
 def is_manifest(blob: bytes) -> bool:
@@ -102,21 +100,14 @@ def decode_manifest(blob: bytes, fiber_id=None) -> Manifest:
     :class:`ManifestFormatError` for a well-framed body this reader
     does not understand.  Never returns a partially-decoded manifest.
     """
-    if blob[:4] != MANIFEST_MAGIC:
+    if not is_manifest(blob):
         raise ManifestFormatError("not a v2 snapshot manifest",
                                   fiber_id=fiber_id)
-    frame_end = 4 + _FRAME.size
-    if len(blob) < frame_end:
-        raise TornManifestError("manifest torn inside its frame header",
+    bodies, _, tail_error = parse_crc_frames(blob, MANIFEST_MAGIC)
+    if not bodies:
+        raise TornManifestError(f"manifest torn ({tail_error})",
                                 fiber_id=fiber_id)
-    body_len, crc = _FRAME.unpack(blob[4:frame_end])
-    body = blob[frame_end:frame_end + body_len]
-    if len(body) < body_len:
-        raise TornManifestError(
-            f"manifest torn: frame promises {body_len} body bytes, "
-            f"{len(body)} present", fiber_id=fiber_id)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise TornManifestError("manifest CRC mismatch", fiber_id=fiber_id)
+    body = bodies[0]
     if len(body) < _HEADER.size:
         raise ManifestFormatError("manifest body shorter than its header",
                                   fiber_id=fiber_id)

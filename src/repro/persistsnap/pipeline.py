@@ -89,9 +89,6 @@ class SnapshotPipeline:
         self.min_size = min_size
         self.avg_bits = avg_bits
         self.max_size = max_size
-        #: per-chunk deflate level; tracks the codec choice — ``none``
-        #: means the operator asked for no compression at all
-        self.compress_level = 0 if codec.codec == "none" else 3
         #: consulted on chunk reads (missing-chunk / corrupt-chunk
         #: faults); set by the service from the installed injector
         self.injector = None
@@ -120,6 +117,10 @@ class SnapshotPipeline:
         manifest blob for the service to write at ``key``, plus undo /
         release callables for the window's abort / commit hooks.
         """
+        # the fiber codec's format; imported here because repro.vinz
+        # imports this package
+        from ..vinz.persistence import CODEC_CUSTOM, DEFLATE_LEVEL
+
         if raw is None:
             raw = self.codec.serialize_state(state)
         state_digest = content_digest(raw)
@@ -143,7 +144,8 @@ class SnapshotPipeline:
             digest = content_digest(span)
             hexd = digest.hex()
             if hexd not in payload_cache:
-                payload_cache[hexd] = self._encode_chunk(span)
+                payload_cache[hexd] = self._encode_chunk(span,
+                                                         DEFLATE_LEVEL)
             payload, enc = payload_cache[hexd]
             refs.append(ChunkRef(digest, len(span), len(payload), enc))
             new_counts[hexd] += 1
@@ -169,10 +171,9 @@ class SnapshotPipeline:
             else:
                 chunks_reused += 1
 
-        blob = encode_manifest(self.codec.NAMES[self.codec.codec],
-                               state_digest, len(raw), refs)
-        manifest = Manifest(self.codec.NAMES[self.codec.codec],
-                            state_digest, len(raw), tuple(refs))
+        blob = encode_manifest(CODEC_CUSTOM, state_digest, len(raw), refs)
+        manifest = Manifest(CODEC_CUSTOM, state_digest, len(raw),
+                            tuple(refs))
 
         # references the prior manifest holds beyond the new one are
         # dropped only as the window commits (never mid-window: an
@@ -206,16 +207,15 @@ class SnapshotPipeline:
             return Counter()  # torn prior manifest: nothing to diff against
         return Counter(ref.hex for ref in manifest.chunks)
 
-    def _encode_chunk(self, span: bytes) -> Tuple[bytes, int]:
-        """Adaptive per-chunk compression: raw deflate (the paper's
-        codec) unless the chunk looks — or proves — incompressible."""
-        if self.compress_level <= 0:
-            return span, ENC_RAW
+    def _encode_chunk(self, span: bytes, level: int) -> Tuple[bytes, int]:
+        """Adaptive per-chunk compression: raw deflate at ``level`` (the
+        paper's codec) unless the chunk looks — or proves —
+        incompressible."""
         sample = span[:1024]
         if len(sample) >= 256 and len(set(sample)) > ENTROPY_SKIP_DISTINCT:
             self.compress_skipped += 1
             return span, ENC_RAW
-        packed = zlib.compress(span, self.compress_level)
+        packed = zlib.compress(span, level)
         if packed is None or \
                 len(packed) * MIN_SAVINGS_DEN >= len(span) * MIN_SAVINGS_NUM:
             self.compress_futile += 1

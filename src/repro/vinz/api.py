@@ -61,7 +61,6 @@ class VinzEnvironment:
                  locks: str = "coordinator",
                  trace: bool = True,
                  spans: Optional[bool] = None,
-                 placement: str = "balanced",
                  retry_policy=None,
                  scheduler: Any = None,
                  admission: Any = None,
@@ -152,13 +151,6 @@ class VinzEnvironment:
             self.history_log = HistoryLog(self.store)
             self.history = HistoryRecorder(self, self.history_log)
             self.replayer = ReplayEngine(self)
-        if placement not in ("balanced", "affinity"):
-            raise ValueError(f"unknown placement policy {placement!r}")
-        #: "balanced" = the paper's production behaviour (the queue
-        #: alone decides placement); "affinity" = the Section 5
-        #: future-work locality policy (prefer the fiber's last node,
-        #: so resumes hit that node's fiber cache)
-        self.placement = placement
         # ------- adaptive migration (Section 5 future work) ----------
         #: "programmer" = the paper's production behaviour (the stub's
         #: static/dynamic flags decide); "adaptive" = Vinz learns which
@@ -443,16 +435,9 @@ class VinzEnvironment:
         """Where resumes ran: messages parked for the node holding their
         fiber's elided version (``held``), and how each parking ended —
         on that node (``served``), at its cold-rebuild bound
-        (``released``) or with the node's death (``node-lost``); plus
-        the soft hints of ``placement="affinity"``."""
-        metrics = self.metrics
-        stats: Dict[str, Any] = {"policy": self.placement}
-        for outcome in ("held", "served", "released", "node-lost"):
-            stats[outcome] = metrics.get(f"placement.owner.{outcome}")
-        for outcome in ("hit", "miss"):
-            stats[f"affinity-{outcome}"] = \
-                metrics.get(f"placement.affinity-{outcome}")
-        return stats
+        (``released``) or with the node's death (``node-lost``)."""
+        return {outcome: self.metrics.get(f"placement.owner.{outcome}")
+                for outcome in ("held", "served", "released", "node-lost")}
 
     def snapshot_stats(self) -> Optional[Dict[str, Any]]:
         """Aggregate incremental-snapshot (v2) statistics across every

@@ -175,7 +175,7 @@ class WorkflowService(Service):
             self.runtime.eval_string(self.source)
         # register every loaded code object so the custom codec can
         # serialize fibers by reference (paper's custom format), and
-        # every host function so any codec can pickle it by name
+        # every host function so it pickles by name
         for name, value in list(self.runtime.global_env.variables.items()):
             if isinstance(value, GozerFunction):
                 self.codec.registry.register_tree(value.code)
@@ -635,24 +635,20 @@ class WorkflowService(Service):
                                          - instructions_before))
 
     def _affinity_for(self, fiber: FiberRecord) -> Optional[Affinity]:
-        """Placement hint for a message that will run ``fiber`` next.
+        """The owner park for a message that will run ``fiber`` next.
 
         A fiber suspended at a version that was never persisted
         (snapshot-interval elision) is owned by the node whose cache
         holds that version: the message waits for that node, but no
         longer than a cold node would be charged to rebuild the version
         (:meth:`FiberStateStore.cold_rebuild_cost`), so waiting never
-        costs more than it saves.  Otherwise, under the "affinity"
-        policy (the paper's Section 5 locality future-work item), a soft
-        preference for that node; under "balanced" the queue alone
-        decides, as in the paper's production system.
+        costs more than it saves.  Otherwise the queue alone decides,
+        as in the paper's production system.
         """
         if fiber.last_node is None:
             return None
         hold = self.state.cold_rebuild_cost(fiber)
-        if hold > 0 or self.vinz.placement == "affinity":
-            return Affinity(fiber.last_node, hold)
-        return None
+        return Affinity(fiber.last_node, hold) if hold > 0 else None
 
     def main_function(self) -> GozerFunction:
         """The workflow's entry point, run by every task's main fiber."""

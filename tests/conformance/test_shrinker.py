@@ -1,6 +1,9 @@
 """Shrinker tests: minimality, safety and the oracle-replay predicate."""
 
-from repro.conformance import Shrinker
+import pytest
+
+from repro.conformance import (DifferentialExecutor, Divergence, Outcome,
+                               ProgramGenerator, Shrinker, shrink_divergence)
 from repro.conformance.corpus import loads
 from repro.conformance.shrinker import still_diverges
 from repro.lang.printer import print_form
@@ -64,12 +67,18 @@ class TestShrinker:
         assert read_all(result.program.source) == result.program.forms
 
 
+def divergence(oracle, p, baseline=None, observed=None):
+    """An original divergence for the predicate to reproduce."""
+    broken = Outcome(kind="engine-error", detail="RecursionError: deep")
+    return Divergence(oracle, baseline or broken, observed or broken, p)
+
+
 class TestStillDiverges:
     def test_healthy_program_does_not_diverge(self):
         p = program("(sort (list 3 1 2))")
-        assert not still_diverges(p, "vm")
-        assert not still_diverges(p, "vm-pickle")
-        assert not still_diverges(p, "tree")
+        assert not still_diverges(p, divergence("vm", p))
+        assert not still_diverges(p, divergence("vm-pickle", p))
+        assert not still_diverges(p, divergence("tree", p))
 
     def test_harness_exception_counts_as_boring(self, monkeypatch):
         # a candidate that crashes the harness itself (not the engine
@@ -81,10 +90,44 @@ class TestStillDiverges:
             raise RuntimeError("harness died")
 
         monkeypatch.setattr(mod, "run_vm", boom)
-        assert not still_diverges(program("(+ 1 2)"), "tree")
+        p = program("(+ 1 2)")
+        assert not still_diverges(p, divergence("tree", p))
 
     def test_unknown_oracle_raises(self):
-        import pytest
-
+        p = program("(+ 1 2)")
         with pytest.raises(ValueError):
-            still_diverges(program("(+ 1 2)"), "bogus")
+            still_diverges(p, divergence("bogus", p))
+
+    def test_a_different_failure_is_not_the_same_divergence(
+            self, monkeypatch):
+        """The oracle pair still disagrees, but the observed side now
+        fails for another reason: not a repro of the original."""
+        import repro.conformance.shrinker as mod
+
+        p = program("(+ 1 2)")
+        value = Outcome.of_value(3)
+        bug = Outcome(kind="condition", ctype="error", detail="the bug")
+        other = Outcome(kind="condition", ctype="error",
+                        detail="undeclared task variable")
+        original = divergence("tree", p, value, bug)
+        monkeypatch.setattr(mod, "run_vm", lambda *a, **k: value)
+        monkeypatch.setattr(mod, "run_tree", lambda *a, **k: bug)
+        assert still_diverges(p, original)
+        monkeypatch.setattr(mod, "run_tree", lambda *a, **k: other)
+        assert not still_diverges(p, original)
+        monkeypatch.setattr(mod, "run_tree",
+                            lambda *a, **k: Outcome.of_value(4))
+        assert not still_diverges(p, original)
+
+    def test_a_fuzzed_divergence_shrinks_to_itself(self):
+        """Seed 7's program 0226 runs under Vinz into an unsupported
+        join.  Shrunk by any disagreement, it became a task-variable
+        write whose ``deftaskvar`` the shrinker had dropped."""
+        executor = DifferentialExecutor()
+        original, = executor.run(ProgramGenerator(7).generate(226)).divergences
+        assert original.oracle == "vinz"
+        assert "join-process" in original.observed.detail
+        shrunk = shrink_divergence(original, max_checks=40).program
+        assert len(shrunk.source) < len(original.program.source)
+        again, = executor.run(shrunk).divergences
+        assert again.signature() == original.signature()

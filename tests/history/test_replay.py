@@ -100,6 +100,28 @@ class TestVerificationReplay:
         with pytest.raises(ReplayDivergenceError):
             env.replayer.replay_task(task_id, source="memory")
 
+    @pytest.mark.parametrize("body", [
+        "(list (random 100) (random 100))",
+        "(handler-case (list (random 100) (random 100))"
+        " (error (c) :swallowed))",
+    ], ids=["bare", "handler-case"])
+    def test_a_divergence_inside_the_program_names_its_event(self, body):
+        """A divergence raised while the replayed program runs leaves
+        the VM as it is: no handler of the program can swallow it, and
+        it names the event it happened at, not a later one."""
+        env = VinzEnvironment(nodes=2, seed=1, history="on")
+        env.deploy_workflow("W", f"(defun main (params) {body})")
+        task_id = env.run("W", None)
+        first = next(e for e in env.history.events_of(task_id)
+                     if e.kind == "nondet")
+        first.payload = dict(first.payload, op="get-universal-time")
+        with pytest.raises(ReplayDivergenceError) as info:
+            env.replayer.replay_task(task_id, source="memory")
+        err = info.value
+        assert err.seq == first.seq
+        assert (err.expected, err.actual) == \
+            ("nondet 'get-universal-time'", "nondet 'random'")
+
 
 class TestFailedWhileSuspended:
     """The platform fails a suspended fiber: its stream records

@@ -108,9 +108,9 @@ class TestChaosCampaign:
 
 
 class TestKitchenSinkChaos:
-    """Every extension enabled at once + random failures: affinity
-    placement, EDF scheduling, adaptive migration, chained for-each,
-    auto chunking, mailboxes — all under node-kill pressure."""
+    """Every extension enabled at once + random failures: EDF
+    scheduling, adaptive migration, chained for-each, auto chunking,
+    mailboxes — all under node-kill pressure."""
 
     SOURCE = """
     (deflink DS :wsdl "urn:chaos-data")
@@ -148,8 +148,7 @@ class TestKitchenSinkChaos:
     def test_everything_on_with_failures(self, monkeypatch):
         monkeypatch.setattr(execution, "AUTO_CHUNK_TARGET", 1.0)
         rng = random.Random(4242)
-        env = VinzEnvironment(nodes=5, seed=4242, trace=False,
-                              placement="affinity")
+        env = VinzEnvironment(nodes=5, seed=4242, trace=False)
         env.scheduling_policy = "edf"
         env.migration_policy = "adaptive"
         env.deploy_service(data_service())

@@ -1,7 +1,7 @@
 """Configuration-matrix integration tests.
 
 Runs the same workflow under every combination of the platform's
-swappable backends (lock manager, placement, store backing) and
+swappable backends (lock manager, store backing) and
 asserts identical results — the configuration space must not change
 semantics, only costs.
 """
@@ -50,11 +50,6 @@ class TestBackendMatrix:
         env, plist = run_config(locks=locks)
         assert plist["sum"] == EXPECTED_SUM
 
-    @pytest.mark.parametrize("placement", ["balanced", "affinity"])
-    def test_placement_policies_same_result(self, placement):
-        env, plist = run_config(placement=placement)
-        assert plist["sum"] == EXPECTED_SUM
-
     def test_directory_store_backed_environment(self, tmp_path):
         """The full platform over a real on-disk shared store: every
         checkpoint and task variable hits the filesystem."""
@@ -78,8 +73,8 @@ class TestBackendMatrix:
         assert quirky_env.cluster.kernel.now >= plain_env.cluster.kernel.now
 
     def test_deterministic_across_identical_configs(self):
-        env_a, _ = run_config(placement="balanced")
-        env_b, _ = run_config(placement="balanced")
+        env_a, _ = run_config()
+        env_b, _ = run_config()
         # identical control flow: same event/message/store counts; the
         # virtual clock may differ by compressed-blob-size noise only
         assert env_a.store.writes == env_b.store.writes

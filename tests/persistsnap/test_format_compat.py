@@ -15,10 +15,10 @@ import pathlib
 
 import pytest
 
+from repro.durastore.journal import _FRAME_HEADER, crc_frame, parse_crc_frames
 from repro.persistsnap import SnapshotPipeline, decode_manifest, is_manifest
 from repro.persistsnap.manifest import (
     _ENTRY,
-    _FRAME,
     _HEADER,
     FORMAT_VERSION,
     MANIFEST_MAGIC,
@@ -28,9 +28,9 @@ from repro.persistsnap.manifest import (
 )
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.persistence import (
+    CODEC_CUSTOM,
     MAGIC,
     FiberCodec,
-    SNAPSHOT_V2_MAGIC,
     SnapshotFormatError,
 )
 
@@ -58,12 +58,11 @@ def make_golden_manifest() -> bytes:
 class TestV1ReadableUnderV2:
     def test_v1_blob_roundtrips_through_new_code(self):
         state = {"frames": list(range(200)), "pc": 3}
-        for codec_name in ("none", "gzip", "deflate", "custom"):
-            codec = FiberCodec(codec_name)
-            blob = codec.dumps(state)
-            assert blob[:4] == MAGIC
-            assert not is_manifest(blob)
-            assert codec.loads(blob, fiber_id="f1") == state
+        codec = FiberCodec()
+        blob = codec.dumps(state)
+        assert blob[:4] == MAGIC
+        assert not is_manifest(blob)
+        assert codec.loads(blob, fiber_id="f1") == state
 
     def test_service_upgraded_midflight_finishes_on_v1_blobs(self):
         """The upgrade path: a node redeployed with snapshots="v2" must
@@ -87,7 +86,7 @@ class TestV1ReadableUnderV2:
 
 class TestDowngradeGuard:
     def test_v2_manifest_under_v1_reader_is_actionable(self):
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         pipeline = SnapshotPipeline(codec, VinzEnvironment(
             nodes=1, seed=1).store)
         blob = pipeline.encode("k", {"x": 1}, fiber_id="f9").blob
@@ -98,7 +97,15 @@ class TestDowngradeGuard:
         assert "f9" in message  # names the fiber it failed on
 
     def test_blob_codec_name_identifies_v2(self):
-        assert make_golden_manifest()[:4] == SNAPSHOT_V2_MAGIC != MAGIC
+        assert is_manifest(make_golden_manifest())
+        assert MANIFEST_MAGIC != MAGIC
+
+    def test_pipeline_manifests_name_the_custom_codec(self):
+        pipeline = SnapshotPipeline(FiberCodec(), VinzEnvironment(
+            nodes=1, seed=1).store)
+        write = pipeline.encode("k", {"x": 1}, fiber_id="f9")
+        assert write.manifest.codec_byte == CODEC_CUSTOM
+        assert decode_manifest(write.blob).codec_byte == CODEC_CUSTOM
 
 
 class TestLayoutPin:
@@ -107,6 +114,14 @@ class TestLayoutPin:
         you changed the wire format: bump FORMAT_VERSION, keep a reader
         for version 2, and regenerate the golden file."""
         assert make_golden_manifest() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("path", [
+        GOLDEN, pathlib.Path(__file__).parent / "legacy" / "v2_manifest.bin"])
+    def test_checked_in_manifests_are_one_shared_crc_frame(self, path):
+        blob = path.read_bytes()
+        bodies, end, tail_error = parse_crc_frames(blob, MANIFEST_MAGIC)
+        assert (len(bodies), end, tail_error) == (1, len(blob), None)
+        assert crc_frame(bodies[0], MANIFEST_MAGIC) == blob
 
     def test_golden_file_decodes(self):
         manifest = decode_manifest(GOLDEN.read_bytes())
@@ -118,7 +133,7 @@ class TestLayoutPin:
     def test_struct_sizes_pinned(self):
         assert MANIFEST_MAGIC == b"GZS2"
         assert FORMAT_VERSION == 2
-        assert _FRAME.size == 8
+        assert _FRAME_HEADER.size == 8
         assert _HEADER.size == 24
         assert _ENTRY.size == 25
         # total manifest size: 36 fixed + 25 per chunk

@@ -5,12 +5,11 @@ raw ``UnpicklingError`` / ``zlib.error`` / bare ``ValueError`` escape
 with no indication of *which* fiber or *what* format failed — the
 operator saw "pickle data was truncated" with nothing to grep for.
 Every decode failure must now surface as a
-:class:`DeserializationError` naming the fiber id, the format version
-and (where known) the codec, and must tunnel through the VM boundary
-like other store errors so the retry/dead-letter machinery sees it.
+:class:`DeserializationError` naming the fiber id and the format
+version, and must tunnel through the VM boundary like other store
+errors so the retry/dead-letter machinery sees it.
 """
 
-import pickle
 import zlib
 
 import pytest
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.bluebox.store import StoreError
 from repro.vinz.persistence import (
+    CODEC_CUSTOM,
+    DEFLATE_LEVEL,
     MAGIC,
     DeserializationError,
     FiberCodec,
@@ -30,46 +31,55 @@ STATE = {"stack": list(range(50)), "label": "suspend-3"}
 
 class TestErrorContext:
     def test_truncated_pickle_names_fiber_and_format(self):
-        codec = FiberCodec("none")
-        blob = codec.dumps(STATE)
+        codec = FiberCodec()
+        truncated = codec.serialize_state(STATE)[:-7]
+        blob = MAGIC + CODEC_CUSTOM + zlib.compress(truncated, DEFLATE_LEVEL)
         with pytest.raises(DeserializationError) as exc:
-            codec.loads(blob[:-7], fiber_id="fiber-0017")
+            codec.loads(blob, fiber_id="fiber-0017")
         message = str(exc.value)
         assert "fiber-0017" in message
         assert "format=v1" in message
-        assert "codec=none" in message
 
-    def test_corrupt_compressed_payload_names_codec(self):
-        for codec_name in ("gzip", "deflate", "custom"):
-            codec = FiberCodec(codec_name)
-            blob = codec.dumps(STATE)
-            damaged = blob[:5] + b"\x00garbage\xff" + blob[10:]
-            with pytest.raises(DeserializationError) as exc:
-                codec.loads(damaged, fiber_id="f2")
-            assert f"codec={codec_name}" in str(exc.value)
-            assert "f2" in str(exc.value)
+    def test_corrupt_compressed_payload_names_fiber(self):
+        codec = FiberCodec()
+        blob = codec.dumps(STATE)
+        damaged = blob[:5] + b"\x00garbage\xff" + blob[10:]
+        with pytest.raises(DeserializationError) as exc:
+            codec.loads(damaged, fiber_id="f2")
+        assert "f2" in str(exc.value)
 
     def test_unknown_codec_byte_is_typed(self):
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         blob = MAGIC + b"?" + b"whatever"
         with pytest.raises(SnapshotFormatError) as exc:
             codec.loads(blob, fiber_id="f3")
         assert "f3" in str(exc.value)
 
+    @pytest.mark.parametrize("codec_byte", [b"N", b"G", b"D"])
+    def test_retired_codec_bytes_are_refused(self, codec_byte):
+        """The raw, gzip and deflate write modes are gone: a blob framed
+        with one of their bytes is refused by name, whatever follows."""
+        payload = zlib.compress(FiberCodec().serialize_state(STATE))
+        with pytest.raises(SnapshotFormatError) as exc:
+            FiberCodec().loads(MAGIC + codec_byte + payload,
+                               fiber_id="f7")
+        assert "fiber=f7" in str(exc.value)
+        assert repr(codec_byte) in str(exc.value)
+
     def test_bad_magic_is_typed(self):
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         with pytest.raises(SnapshotFormatError):
-            codec.loads(b"NOPE" + b"D" + b"x", fiber_id="f4")
+            codec.loads(b"NOPE" + b"C" + b"x", fiber_id="f4")
 
     def test_error_chains_original_cause(self):
-        codec = FiberCodec("none")
+        codec = FiberCodec()
         blob = codec.dumps(STATE)
         with pytest.raises(DeserializationError) as exc:
             codec.loads(blob[:-1], fiber_id="f5")
         assert exc.value.__cause__ is not None
 
     def test_deserialize_state_wraps_unpickling(self):
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         with pytest.raises(DeserializationError) as exc:
             codec.deserialize_state(b"not a pickle", fiber_id="f6",
                                     fmt="v2")
@@ -97,16 +107,16 @@ class TestErrorTyping:
     def test_no_untyped_escape(self, junk):
         """Whatever bytes arrive at loads(), the only exception that
         may escape is the typed one."""
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         try:
-            codec.loads(MAGIC + b"D" + junk, fiber_id="fz")
+            codec.loads(MAGIC + CODEC_CUSTOM + junk, fiber_id="fz")
         except DeserializationError:
             pass  # typed — acceptable
 
     @given(st.binary(max_size=400))
     @settings(max_examples=120, deadline=None)
     def test_no_untyped_escape_raw_layer(self, junk):
-        codec = FiberCodec("none")
+        codec = FiberCodec()
         try:
             codec.deserialize_state(junk, fiber_id="fz")
         except DeserializationError:
@@ -115,12 +125,11 @@ class TestErrorTyping:
 
 class TestRoundTripStillWorks:
     def test_wrapping_does_not_break_good_blobs(self):
-        for codec_name in ("none", "gzip", "deflate", "custom"):
-            codec = FiberCodec(codec_name)
-            assert codec.loads(codec.dumps(STATE), fiber_id="f") == STATE
+        codec = FiberCodec()
+        assert codec.loads(codec.dumps(STATE), fiber_id="f") == STATE
 
     def test_loads_without_fiber_id_still_typed(self):
-        codec = FiberCodec("none")
+        codec = FiberCodec()
         blob = codec.dumps(STATE)
         with pytest.raises(DeserializationError):
             codec.loads(blob[:-3])

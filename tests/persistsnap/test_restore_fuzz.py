@@ -38,7 +38,7 @@ STATE = {"carried": [f"block-{i:04d}" for i in range(300)],
 
 def snapshot():
     """A fresh pipeline with STATE persisted; returns (pipeline, blob)."""
-    pipeline = SnapshotPipeline(FiberCodec("deflate"), SharedStore())
+    pipeline = SnapshotPipeline(FiberCodec(), SharedStore())
     result = pipeline.encode("fiber-state/f1", STATE, fiber_id="f1")
     pipeline.store.write("fiber-state/f1", result.blob)
     result.release()

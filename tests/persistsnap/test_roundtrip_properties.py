@@ -12,7 +12,6 @@ Two layers:
 
 import pickle
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +25,8 @@ from repro.vinz.persistence import FiberCodec
 K = Keyword
 
 
-def fresh_pipeline(codec_name="deflate"):
-    codec = FiberCodec(codec_name)
+def fresh_pipeline():
+    codec = FiberCodec()
     return SnapshotPipeline(codec, SharedStore()), codec
 
 
@@ -119,18 +118,9 @@ class TestStateGraphs:
             assert restored == state
 
 
-class TestCodecMatrix:
-    @pytest.mark.parametrize("codec_name",
-                             ["none", "gzip", "deflate", "custom"])
-    def test_every_codec_roundtrips(self, codec_name):
-        pipeline, codec = fresh_pipeline(codec_name)
-        state = {"xs": list(range(500)), "s": "text " * 200}
-        assert roundtrip(pipeline, codec, state) == state
-
-
 # -- real continuations -----------------------------------------------------
 
-def snap_continuation(rt, continuation, codec_name="custom"):
+def snap_continuation(rt, continuation):
     """Round-trip a captured continuation through a fresh v2 pipeline
     sharing the runtime's registries (as deployed nodes do)."""
     from repro.gvm.frames import GozerFunction
@@ -143,7 +133,7 @@ def snap_continuation(rt, continuation, codec_name="custom"):
             registry.register_tree(value.code)
         elif callable(value):
             hosts.register(name.name, value)
-    codec = FiberCodec(codec_name, registry=registry, hosts=hosts)
+    codec = FiberCodec(registry=registry, hosts=hosts)
     pipeline = SnapshotPipeline(codec, SharedStore())
     result = pipeline.encode("fiber-state/f1", continuation, fiber_id="f1")
     assert is_manifest(result.blob)
@@ -209,7 +199,7 @@ class TestContinuations:
               (loop for x in (list 1 2 3 4 5 6 7 8 9 10 11 12)
                     do (append! acc (+ x (yield x))))
               (list (length carried) acc))""")
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
         pipeline = SnapshotPipeline(codec, Store())
         baseline = result
         key = "fiber-state/f1"

@@ -196,7 +196,7 @@ class TestSharedChunkRollback:
     STATE = {"rows": [[i, f"row-{i}", i * 1.5] for i in range(300)]}
 
     def test_abort_keeps_chunks_an_overlapping_window_references(self):
-        pipe = SnapshotPipeline(FiberCodec("deflate"), SharedStore())
+        pipe = SnapshotPipeline(FiberCodec(), SharedStore())
         a = pipe.encode("fiber-state/a", self.STATE, fiber_id="a")
         b = pipe.encode("fiber-state/b", self.STATE, fiber_id="b")
         assert b.chunks_new == 0  # same content: every chunk is A's
@@ -209,7 +209,7 @@ class TestSharedChunkRollback:
         assert pipe.chunks.bytes_stored == 0
 
     def test_release_is_compensated_the_same_way(self):
-        pipe = SnapshotPipeline(FiberCodec("deflate"), SharedStore())
+        pipe = SnapshotPipeline(FiberCodec(), SharedStore())
         a = pipe.encode("fiber-state/a", self.STATE, fiber_id="a")
         pipe.store.write("fiber-state/a", a.blob)
         before = {key: pipe.store.snapshot_value(key)

@@ -45,7 +45,7 @@ class TestCli:
 
     def test_deploy_with_extensions_flags(self):
         out = cli("deploy", PORTFOLIO, "((:price 1.0 :quantity 1))",
-                  "--placement", "affinity", "--edf",
+                  "--edf",
                   "--adaptive-migration")
         assert ":total 1.0" in out
 

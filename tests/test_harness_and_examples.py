@@ -143,5 +143,4 @@ class TestGozerSourceFiles:
 
     def test_extensions_tour_example(self):
         out = run_example("extensions_tour.py")
-        assert "locality-aware placement" in out
         assert "1 parent wake-up" in out

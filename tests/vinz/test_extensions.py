@@ -1,18 +1,16 @@
 """Tests for the Section 5 future-work extensions.
 
 The paper closes with a list of planned improvements; this reproduction
-implements four of them, each off by default (the paper's production
+implements these, each off by default (the paper's production
 behaviour) and switchable:
 
-1. locality-aware placement (``placement="affinity"``) — "devising a
-   way to move the processing work to the last location of the data";
-2. adaptive migration (``migration_policy="adaptive"``) — "have Vinz
+1. adaptive migration (``migration_policy="adaptive"``) — "have Vinz
    automatically learn which requests ... do or do not benefit from
    task migration";
-3. sibling chaining (``for-each ... :strategy :chain``) — "as the child
+2. sibling chaining (``for-each ... :strategy :chain``) — "as the child
    fiber died, it could simply spawn whatever sibling fiber is next
    without involving the parent";
-4. deadline-aware scheduling (``scheduling_policy="edf"``) — FCFS "has
+3. deadline-aware scheduling (``scheduling_policy="edf"``) — FCFS "has
    been shown to be suboptimal in the presence of deadlines" (the
    paper's references [7] and [8]).
 """
@@ -33,58 +31,6 @@ FANOUT = """
 (defun main (params)
   (for-each (x in params %STRATEGY%) (compute 0.5) (* x x)))
 """
-
-
-class TestAffinityPlacement:
-    def test_affinity_improves_mutable_hit_rate(self):
-        rates = {}
-        reads = {}
-        for placement in ("balanced", "affinity"):
-            env = VinzEnvironment(nodes=6, seed=2, placement=placement)
-            env.deploy_workflow("W", MULTI_HOP)
-            for _ in range(4):
-                env.run("W", None)
-            rates[placement] = env.cache_hit_rates()["mutable"]
-            reads[placement] = env.store.reads
-        assert rates["affinity"] > rates["balanced"]
-        assert rates["affinity"] > 0.9  # nearly every resume is local
-        # a local resume is a store read that never happens
-        assert reads["affinity"] < reads["balanced"]
-
-    def test_affinity_hint_counted(self):
-        env = VinzEnvironment(nodes=4, seed=3, placement="affinity")
-        env.deploy_workflow("W", MULTI_HOP)
-        env.run("W", None)
-        hits = env.cluster.metrics.get("placement.affinity-hit")
-        assert hits > 0
-
-    def test_affinity_is_soft_busy_node_falls_back(self):
-        """When the preferred node is busy, work goes elsewhere —
-        affinity must never deadlock or starve."""
-        env = VinzEnvironment(nodes=2, seed=4, placement="affinity")
-        env.deploy_workflow("W", """
-            (defun main (params)
-              (for-each (x in params) (compute 1.0) x))""",
-            spawn_limit=8)
-        assert env.call("W", [1, 2, 3, 4, 5, 6]) == [1, 2, 3, 4, 5, 6]
-        misses = env.cluster.metrics.get("placement.affinity-miss")
-        assert misses >= 0  # fallback path exists and is harmless
-
-    def test_affinity_survives_node_failure(self):
-        """A dead preferred node must not strand the fiber."""
-        env = VinzEnvironment(nodes=3, seed=5, placement="affinity")
-        env.deploy_workflow("W", MULTI_HOP)
-        task = env.start("W", None)
-        env.cluster.run_until(
-            lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.tracer.events))
-        fiber = env.registry.fibers_of(task)[0]
-        env.fail_node(fiber.last_node)
-        assert env.wait_for_task(task).status == "completed"
-
-    def test_unknown_placement_rejected(self):
-        with pytest.raises(ValueError):
-            VinzEnvironment(nodes=1, placement="psychic")
 
 
 class TestAdaptiveMigration:

@@ -66,10 +66,10 @@ def owner(env, outcome):
 
 @pytest.mark.parametrize("options", [
     {},
-    {"placement": "affinity"},
+    {"locks": "file"},
     {"history": "on"},
     {"history": "on", "recovery": "replay"},
-    {"history": "on", "snapshot_interval": 1, "placement": "affinity"},
+    {"history": "on", "snapshot_interval": 1},
 ])
 def test_the_paper_options_never_park_a_message(options):
     env = make_env(**options)

@@ -1,18 +1,25 @@
 """Fiber persistence codec tests (paper Section 4.2)."""
 
+import pickle
+import zlib
+
 import pytest
 
 from repro.gvm.runtime import make_runtime
+from repro.observe.metrics import MetricsRegistry
 from repro.vinz.persistence import (
+    CODEC_CUSTOM,
+    DEFLATE_LEVEL,
+    MAGIC,
     CodeRegistry,
     FiberCodec,
     HostFunctionRegistry,
 )
 
 
-@pytest.fixture(params=["none", "gzip", "deflate", "custom"])
-def codec(request):
-    return FiberCodec(request.param)
+@pytest.fixture
+def codec():
+    return FiberCodec()
 
 
 SAMPLE_STATES = [
@@ -29,20 +36,11 @@ class TestRoundTrip:
 
     def test_blob_framed_with_magic(self, codec):
         blob = codec.dumps({"x": 1})
-        assert blob[:4] == b"GZR1"
+        assert blob[:4] == b"GZR1" == MAGIC
 
     def test_codec_name_identifiable(self, codec):
         blob = codec.dumps([1])
-        assert blob[4:5] == FiberCodec.NAMES[codec.codec]
-
-    def test_any_codec_decodes_any_blob(self):
-        """Blobs are self-describing: a deflate-configured node can read
-        a gzip blob another node wrote."""
-        registry = CodeRegistry()
-        hosts = HostFunctionRegistry()
-        writer = FiberCodec("gzip", registry=registry, hosts=hosts)
-        reader = FiberCodec("deflate", registry=registry, hosts=hosts)
-        assert reader.loads(writer.dumps([1, 2])) == [1, 2]
+        assert blob[4:5] == CODEC_CUSTOM == b"C"
 
     def test_bad_blob_rejected(self, codec):
         with pytest.raises(ValueError):
@@ -52,13 +50,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             FiberCodec("zstd")
 
+    @pytest.mark.parametrize("name", ["none", "gzip", "deflate"])
+    def test_retired_codec_names_rejected(self, name):
+        """The generic write modes live on only as the baselines in
+        ``benchmarks/bench_serialization.py``."""
+        with pytest.raises(ValueError):
+            FiberCodec(name)
+
     def test_statistics(self, codec):
+        """Blob sizes reach the metrics registry the owning service
+        installs, as the ``codec.*_bytes`` histograms."""
+        codec.metrics = MetricsRegistry()
         codec.dumps([1, 2, 3])
-        codec.loads(codec.dumps([4]))
-        assert codec.encoded == 2
-        assert codec.decoded == 1
-        assert codec.raw_bytes > 0
-        assert codec.stored_bytes > 0
+        blob = codec.dumps([4])
+        codec.loads(blob)
+        encoded = codec.metrics.histogram("codec.encode_bytes")
+        decoded = codec.metrics.histogram("codec.decode_bytes")
+        assert encoded.count == 2 and encoded.total > len(blob)
+        assert decoded.count == 1 and decoded.total == len(blob)
 
 
 def _continuation_state():
@@ -77,7 +86,7 @@ def _continuation_state():
 
 
 class TestContinuationPayloads:
-    def test_every_codec_round_trips_a_continuation(self):
+    def test_codec_round_trips_a_continuation(self):
         rt, continuation = _continuation_state()
         registry = CodeRegistry()
         hosts = HostFunctionRegistry()
@@ -88,36 +97,39 @@ class TestContinuationPayloads:
                 registry.register_tree(value.code)
             elif callable(value):
                 hosts.register(name.name, value)
-        for codec_name in FiberCodec.NAMES:
-            codec = FiberCodec(codec_name, registry=registry, hosts=hosts)
-            restored = codec.loads(codec.dumps(continuation))
-            done = rt.resume(restored, None)
-            assert done.value == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20], codec_name
+        codec = FiberCodec(registry=registry, hosts=hosts)
+        restored = codec.loads(codec.dumps(continuation))
+        done = rt.resume(restored, None)
+        assert done.value == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
 
     def test_compression_shrinks_blobs(self):
-        """Section 4.2: compression is worth it — the blob is much
-        smaller than the raw serialization."""
+        """Section 4.2: compression is worth it — the blob is smaller
+        than the raw serialization."""
         rt, continuation = _continuation_state()
-        sizes = {}
-        for codec_name in ("none", "gzip", "deflate"):
-            codec = FiberCodec(codec_name)
-            sizes[codec_name] = len(codec.dumps(continuation))
-        assert sizes["deflate"] < sizes["none"]
-        assert sizes["gzip"] < sizes["none"]
+        codec = FiberCodec()
+        raw = codec.serialize_state(continuation)
+        assert len(codec.dumps(continuation)) < len(raw)
 
     def test_custom_format_smallest(self):
-        """The custom format (code by reference) beats plain deflate,
-        like the paper's custom serialization for common objects."""
+        """The custom format (code by reference) beats plain deflate of
+        a generic pickle, like the paper's custom serialization for
+        common objects."""
         rt, continuation = _continuation_state()
-        registry = CodeRegistry()
-        from repro.gvm.frames import GozerFunction
+        generic = zlib.compress(
+            pickle.dumps(continuation, protocol=pickle.HIGHEST_PROTOCOL),
+            DEFLATE_LEVEL)
+        assert len(FiberCodec().dumps(continuation)) < len(generic)
 
-        for value in rt.global_env.variables.values():
-            if isinstance(value, GozerFunction):
-                registry.register_tree(value.code)
-        deflate = FiberCodec("deflate")
-        custom = FiberCodec("custom", registry=registry)
-        assert len(custom.dumps(continuation)) < len(deflate.dumps(continuation))
+    def test_code_travels_by_reference(self):
+        """The custom format's point (Section 4.2): program code in a
+        continuation pickles as registry keys, not by value, so a blob
+        decodes only against a registry that holds the program."""
+        rt, continuation = _continuation_state()
+        writer = FiberCodec()
+        blob = writer.dumps(continuation)
+        assert len(writer.registry) > 0  # code went in by reference
+        with pytest.raises(ValueError):
+            FiberCodec().loads(blob)  # a registry without the program
 
 
 class TestCodeRegistry:
@@ -161,28 +173,10 @@ class TestHostFunctionRegistry:
         """A local closure NOT in the registry can't be pickled — the
         registry is what makes fiber blobs with intrinsic references
         work."""
-        import pickle
-
-        codec = FiberCodec("deflate")
+        codec = FiberCodec()
 
         def local_fn():
             return 1
 
         with pytest.raises(Exception):
             codec.dumps({"fn": local_fn})
-
-
-class TestCompareCodecs:
-    def test_reports_all_codecs(self):
-        state = {"x": list(range(200))}
-        assert set(FiberCodec.NAMES) == {"none", "gzip", "deflate", "custom"}
-        for name in FiberCodec.NAMES:
-            codec = FiberCodec(name)
-            assert codec.loads(codec.dumps(state)) == state
-
-    def test_compressed_smaller_than_raw(self):
-        state = {"x": ["repetitive data"] * 500}
-        size = {name: len(FiberCodec(name).dumps(state))
-                for name in ("none", "gzip", "deflate")}
-        assert size["deflate"] < size["none"]
-        assert size["gzip"] < size["none"]
