@@ -20,15 +20,18 @@ raw deflate at the codec's level.
 
 import copy
 import gzip
-import io
-import pickle
 import time
 import zlib
 
 import pytest
 
 from repro.bluebox.store import SharedStore
-from repro.gvm.continuations import capture, is_program_object, materialize
+from repro.gvm.continuations import (
+    capture,
+    dump_state,
+    load_state,
+    materialize,
+)
 from repro.gvm.frames import GozerFunction
 from repro.gvm.runtime import make_runtime
 from repro.harness.reporting import ratio_check, table
@@ -69,39 +72,19 @@ def realistic_continuation():
     return rt, result.continuation, registry, hosts
 
 
-class _GenericPickler(pickle.Pickler):
-    """Generic serialization: code objects go by value.  Host functions
-    go by name, as in the custom format — a local closure cannot be
-    pickled by value at all."""
-
-    def __init__(self, file, hosts):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._hosts = hosts
-
-    def persistent_id(self, obj):
-        if not is_program_object(obj) or isinstance(obj, CodeObject):
-            return None
-        return self._hosts.key_for(obj)
-
-
-class _GenericUnpickler(pickle.Unpickler):
-    def __init__(self, file, hosts):
-        super().__init__(file)
-        self._hosts = hosts
-
-    def persistent_load(self, pid):
-        return self._hosts.lookup(pid)
-
-
 def generic_codecs(hosts):
-    """name -> (encode, decode) for the generic baselines."""
+    """name -> (encode, decode) for the generic baselines: the codec's
+    pickler with code objects declined, so they go by value.  Host
+    functions go by name, as in the custom format — a local closure
+    cannot be pickled by value at all."""
+    def key_for(obj):
+        return None if isinstance(obj, CodeObject) else hosts.key_for(obj)
+
     def dump(state):
-        buffer = io.BytesIO()
-        _GenericPickler(buffer, hosts).dump(state)
-        return buffer.getvalue()
+        return dump_state(state, key_for)
 
     def load(raw):
-        return _GenericUnpickler(io.BytesIO(raw), hosts).load()
+        return load_state(raw, hosts.lookup)
 
     return {
         "none": (dump, load),

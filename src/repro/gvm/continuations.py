@@ -19,6 +19,10 @@ Capture is one pickle and resume one unpickle, both in C: only objects
 that are not plain containers reach Python.  Every :func:`materialize`
 returns fresh objects, so a continuation can be resumed any number of
 times without an ownership rule.
+
+All fiber state pickles through :func:`dump_state`/:func:`load_state`:
+capture keys program objects by index in ``refs``, the fiber codec
+(:mod:`repro.vinz.persistence`) by registry name.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import io
 import pickle
 from types import FunctionType
-from typing import Any, List
+from typing import Any, Callable, List
 
 from ..lang.bytecode import CodeObject
 from .frames import Frame
@@ -39,41 +43,61 @@ def is_program_object(obj: Any) -> bool:
     return isinstance(obj, (CodeObject, FunctionType))
 
 
-def _ref(index: int) -> Any:
-    """Stands for ``refs[index]`` inside a continuation's bytes; only
-    :func:`materialize`'s unpickler can resolve it."""
+def _ref(key: Any) -> Any:
+    """Stands for the program object named ``key`` inside pickled fiber
+    state; only :func:`load_state`'s unpickler can resolve it."""
     raise pickle.UnpicklingError(
-        f"continuation ref {index} read outside materialize")
+        f"program reference {key!r} read outside load_state")
 
 
 class _CapturePickler(pickle.Pickler):
-    """Pickles fiber state, turning program objects into ``_ref`` calls.
+    """Pickles fiber state, turning each program object ``key_for``
+    names into a ``_ref`` call (``None`` leaves it to plain pickle).
 
     The C pickler consults ``reducer_override`` only for objects that
     are not plain containers and not yet memoized, so each code object
-    or host function lands in ``refs`` exactly once.
+    or host function is named exactly once per pickle.
     """
 
-    def __init__(self, file):
+    def __init__(self, file, key_for: Callable[[Any], Any]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self.refs: List[Any] = []
+        # a plain callable: a bound method of self would be a cycle
+        self._key_for = key_for
 
     def reducer_override(self, obj):
         if is_program_object(obj) and obj is not _ref:
-            self.refs.append(obj)
-            return _ref, (len(self.refs) - 1,)
+            key = self._key_for(obj)
+            if key is not None:
+                return _ref, (key,)
         return NotImplemented
 
 
 class _MaterializeUnpickler(pickle.Unpickler):
-    def __init__(self, file, refs: tuple):
+    def __init__(self, file, resolve: Callable[[Any], Any]):
         super().__init__(file)
-        self._refs = refs
+        self._resolve = resolve
 
     def find_class(self, module, name):
         if name == "_ref" and module == __name__:
-            return self._refs.__getitem__
+            return self._resolve
         return super().find_class(module, name)
+
+    def persistent_load(self, pid):
+        # read-compat only: older codec blobs name program objects by
+        # persistent id, ("code", key) or ("host", name)
+        return self._resolve(pid)
+
+
+def dump_state(state: Any, key_for: Callable[[Any], Any]) -> bytes:
+    """Pickle ``state``, program objects by ``key_for``'s keys."""
+    buffer = io.BytesIO()
+    _CapturePickler(buffer, key_for).dump(state)
+    return buffer.getvalue()
+
+
+def load_state(raw: bytes, resolve: Callable[[Any], Any]) -> Any:
+    """Unpickle :func:`dump_state`'s bytes, resolving each key."""
+    return _MaterializeUnpickler(io.BytesIO(raw), resolve).load()
 
 
 class Continuation:
@@ -135,14 +159,18 @@ def capture(frames: List[Frame], handlers: list, restarts: list,
     so "the continuation doesn't become available until all futures have
     completed" (Section 4.1); a failed future raises its error here.
     """
-    buffer = io.BytesIO()
-    pickler = _CapturePickler(buffer)
+    refs: List[Any] = []
+
+    def key_for(obj):
+        refs.append(obj)
+        return len(refs) - 1
+
     # frames last: the hot mutation (the top frame's pc and operand
     # stack) stays at the tail of the bytes, so content-defined chunking
     # (persistsnap) finds the long unchanged prefix byte-identical
     # between suspensions and dedups it
-    pickler.dump((dynamics, handlers, restarts, frames))
-    return Continuation(label, buffer.getvalue(), tuple(pickler.refs))
+    raw = dump_state((dynamics, handlers, restarts, frames), key_for)
+    return Continuation(label, raw, tuple(refs))
 
 
 def materialize(continuation: Continuation) -> tuple:
@@ -152,6 +180,6 @@ def materialize(continuation: Continuation) -> tuple:
     than once (each resume decodes its own objects) — this is also what
     makes ``fork-and-exec`` cloning (Section 3.4) a one-liner.
     """
-    dynamics, handlers, restarts, frames = _MaterializeUnpickler(
-        io.BytesIO(continuation.raw), continuation.refs).load()
+    dynamics, handlers, restarts, frames = load_state(
+        continuation.raw, continuation.refs.__getitem__)
     return frames, handlers, restarts, dynamics

@@ -18,10 +18,10 @@ rebuild a fiber from half its life and diverge — or worse, not diverge.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, List
 
 from ..durastore.journal import crc_frame, parse_crc_frames
+from ..vinz.persistence import MAGIC
 from .recorder import SCHEMA_VERSION, HistoryEvent
 
 #: frame magic for the history plane (journal uses its own)
@@ -75,15 +75,12 @@ class HistoryLog:
                      codec) -> None:
         """Append one committed window's events for ``task_id``.
 
-        Payloads are serialized through the workflow's fiber codec so
-        anything a fiber can hold (GozerFunctions included) round-trips,
-        and byte-for-byte deterministically — the property the
-        recorder-determinism test pins down.
+        One fiber-codec pass over the ``(seq, kind, fiber, payload)``
+        rows: anything a fiber can hold round-trips, byte-for-byte
+        deterministically (the recorder-determinism test pins this).
         """
-        encoded = [(e.seq, e.kind, e.fiber, codec.dumps(e.payload))
-                   for e in events]
-        payload = pickle.dumps((SCHEMA_VERSION, encoded), protocol=4)
-        blob = crc_frame(payload, HISTORY_MAGIC)
+        rows = [(e.seq, e.kind, e.fiber, e.payload) for e in events]
+        blob = crc_frame(codec.dumps((SCHEMA_VERSION, rows)), HISTORY_MAGIC)
         index = self._next_batch.get(task_id, 0)
         key = self._key(task_id, index)
         if self.injector is not None:
@@ -129,18 +126,20 @@ class HistoryLog:
             if tail_error is not None or len(payloads) != 1:
                 raise TornHistoryError(task_id, index,
                                        tail_error or "empty-frame")
+            payload = payloads[0]
             try:
-                version, encoded = pickle.loads(payloads[0])
-            except Exception as exc:  # pragma: no cover - CRC catches most
+                # schema 1 framed a bare pickle: read it only to name it
+                version, rows = (codec.loads(payload)
+                                 if payload[:4] == MAGIC
+                                 else codec.deserialize_state(payload))
+            except (ValueError, TypeError) as exc:  # undecodable or misshapen
                 raise HistoryCorruptionError(task_id, index,
                                              f"undecodable batch: {exc}")
             if version != SCHEMA_VERSION:
                 raise HistoryCorruptionError(
                     task_id, index, f"schema version {version} "
                     f"(expected {SCHEMA_VERSION})")
-            for seq, kind, fiber, payload_blob in encoded:
-                events.append(HistoryEvent(seq, kind, fiber,
-                                           codec.loads(payload_blob)))
+            events.extend(HistoryEvent(*row) for row in rows)
             index = index + 1
         # a dropped batch leaves a hole: either the batch index stops
         # short of what the writer appended, or (defense in depth) the

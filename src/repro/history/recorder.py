@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-#: bump when event payload shapes change; stored in every batch frame
-SCHEMA_VERSION = 1
+#: bump when payloads or the batch encoding change (2: one codec blob)
+SCHEMA_VERSION = 2
 
 # -- event kinds ------------------------------------------------------------
 

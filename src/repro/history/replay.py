@@ -203,7 +203,8 @@ def _values_equal(codec, recorded: Any, replayed: Any) -> bool:
     except Exception:  # pragma: no cover - exotic __eq__
         pass
     try:
-        return codec.dumps(recorded) == codec.dumps(replayed)
+        return (codec.serialize_state(recorded)
+                == codec.serialize_state(replayed))
     except Exception:  # pragma: no cover - unserializable replay value
         return False
 

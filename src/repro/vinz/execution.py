@@ -19,7 +19,6 @@ implemented once, here, for both consumers:
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Callable, Dict, List, NamedTuple
 
 from ..bluebox.messagequeue import PRIORITY_LOW
@@ -434,7 +433,7 @@ class FiberExecution:
             if vinz.store.exists(key):
                 blob = vinz.store.read(key)
                 self.ctx.charge(vinz.store.cost(len(blob)))
-                return pickle.loads(blob)
+                return self.service.codec.loads(blob, fiber_id=self.fiber.id)
             if name not in self.service.task_var_defaults:
                 raise GozerRuntimeError(
                     f"undeclared task variable ^{name}^")
@@ -474,7 +473,7 @@ class FiberExecution:
                     f"task variable lock {key} appears stuck "
                     f"(held by {vinz.locks.holder(key)})")
         try:
-            blob = pickle.dumps(value)
+            blob = self.service.codec.dumps(value)
             self.ctx.charge(vinz.store.write(key, blob)
                             + TASKVAR_LOCK_OVERHEAD)
             vinz.metrics.incr("taskvar.writes")

@@ -13,10 +13,11 @@ optimizations the paper reports, folded into one format:
    trailer, at a light compression level.
 3. **A custom format for the most commonly serialized objects**: the
    dominant payload in a fiber snapshot is *program code* (CodeObjects)
-   and interned symbols, which never change after load.  They pickle
-   by reference into a shared :class:`CodeRegistry` instead of by
-   value, the way the paper's custom format special-cases its hottest
-   object types.
+   and host functions, which never change after load.  Capture's
+   pickler (:func:`~repro.gvm.continuations.dump_state`) writes them as
+   registry keys, ``("code", key)`` or ``("host", name)``, the way the
+   paper's custom format special-cases its hottest object types.  Older
+   blobs carry the keys as pickle persistent ids; those still load.
 
 ``benchmarks/bench_serialization.py`` measures the generic baselines
 (code by value, stored raw, gzip and deflate) against this format.
@@ -27,14 +28,13 @@ byte names the format, and a blob carrying any other byte is refused.
 
 from __future__ import annotations
 
-import io
 import pickle
 import struct
 import zlib
 from typing import Any, Dict, Optional
 
 from ..bluebox.store import StoreError
-from ..gvm.continuations import is_program_object
+from ..gvm.continuations import dump_state, load_state
 from ..observe.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..lang.bytecode import CodeObject
 from ..persistsnap.manifest import is_manifest
@@ -93,14 +93,12 @@ class CodeRegistry:
     def __init__(self):
         self._by_key: Dict[str, CodeObject] = {}
         self._by_id: Dict[int, str] = {}
-        self._counter = 0
 
     def register(self, code: CodeObject) -> str:
         existing = self._by_id.get(id(code))
         if existing is not None:
             return existing
-        key = f"code:{self._counter}:{code.name}"
-        self._counter += 1
+        key = f"code:{len(self._by_key)}:{code.name}"
         self._by_key[key] = code
         self._by_id[id(code)] = key
         return key
@@ -114,9 +112,6 @@ class CodeRegistry:
 
     def lookup(self, key: str) -> CodeObject:
         return self._by_key[key]
-
-    def key_for(self, code: CodeObject) -> Optional[str]:
-        return self._by_id.get(id(code))
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -148,43 +143,6 @@ class HostFunctionRegistry:
 
     def __len__(self) -> int:
         return len(self._by_name)
-
-
-class _RegistryPickler(pickle.Pickler):
-    def __init__(self, file, registry: CodeRegistry,
-                 hosts: HostFunctionRegistry):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._registry = registry
-        self._hosts = hosts
-
-    def persistent_id(self, obj):
-        if not is_program_object(obj):
-            return None
-        if isinstance(obj, CodeObject):
-            key = self._registry.key_for(obj)
-            if key is None:
-                # unseen code (e.g. built interactively): register so
-                # the reader side of *this* registry can resolve it.
-                key = self._registry.register(obj)
-            return ("code", key)
-        key = self._hosts.key_for(obj)
-        return None if key is None else ("host", key)
-
-
-class _RegistryUnpickler(pickle.Unpickler):
-    def __init__(self, file, registry: CodeRegistry,
-                 hosts: Optional[HostFunctionRegistry]):
-        super().__init__(file)
-        self._registry = registry
-        self._hosts = hosts
-
-    def persistent_load(self, pid):
-        kind, key = pid
-        if kind == "code":
-            return self._registry.lookup(key)
-        if kind == "host":
-            return self._hosts.lookup(key)
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
 class FiberCodec:
@@ -249,14 +207,25 @@ class FiberCodec:
                 buckets=DEFAULT_SIZE_BUCKETS).observe(len(blob))
         return state
 
+    # -- program references -----------------------------------------------
+
+    def _key_for(self, obj: Any) -> Optional[tuple]:
+        if isinstance(obj, CodeObject):
+            # unseen code (e.g. built interactively) is registered
+            return ("code", self.registry.register(obj))
+        name = self.hosts.key_for(obj)
+        return None if name is None else ("host", name)
+
+    def _resolve(self, key: tuple) -> Any:
+        kind, name = key
+        return (self.registry if kind == "code" else self.hosts).lookup(name)
+
     # -- the raw (uncompressed, unframed) layer ---------------------------
 
     def serialize_state(self, state: Any) -> bytes:
         """Serialize without compression or framing — the input to the
         v2 chunking pipeline (compression there is per-chunk)."""
-        buffer = io.BytesIO()
-        _RegistryPickler(buffer, self.registry, self.hosts).dump(state)
-        return buffer.getvalue()
+        return dump_state(state, self._key_for)
 
     def deserialize_state(self, raw: bytes, fiber_id: Optional[str] = None,
                           fmt: str = "v1") -> Any:
@@ -264,8 +233,7 @@ class FiberCodec:
         failure into a typed :class:`DeserializationError` that names
         the fiber and format (never a swallowed ``UnpicklingError``)."""
         try:
-            return _RegistryUnpickler(io.BytesIO(raw), self.registry,
-                                      self.hosts).load()
+            return load_state(raw, self._resolve)
         except (pickle.UnpicklingError, EOFError, AttributeError, KeyError,
                 IndexError, MemoryError, TypeError, ValueError, ImportError,
                 OverflowError, struct.error) as exc:

@@ -7,7 +7,9 @@ at ``yield`` is waited for, a failed one raises at the ``yield``.
 """
 
 import copy
+import gc
 import os
+import sys
 import threading
 
 import pytest
@@ -129,6 +131,82 @@ def test_reducer_override_calls_bounded(monkeypatch):
     per_capture = [b - a for a, b in zip([0] + persisted, persisted)]
     assert len(per_capture) >= CALLS
     assert max(per_capture) <= 64, per_capture
+
+
+def churn_blobs(width):
+    """Run the churn workflow at ``width`` rows; return its codec, the
+    last continuation it persisted and a fork thunk over the rows."""
+    env = VinzEnvironment(nodes=4, slots=2, seed=0, trace=False)
+    env.deploy_workflow("Churn", CHURN)
+    service = env.workflows["Churn"]
+    codec = service.codec
+    states = []
+    encode = codec.dumps
+
+    def dumps(state):
+        states.append(state)
+        return encode(state)
+
+    touch = [(i * 37) % width for i in range(CALLS)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "dumps", dumps)
+        task = env.wait_for_task(env.start(
+            "Churn", [Keyword("width"), width, Keyword("touch"), touch]))
+    assert task.status == COMPLETED
+    continuation = [s for s in states
+                    if isinstance(s, continuations.Continuation)][-1]
+    rows = [[i, i * i, "row-payload"] for i in range(width)]
+    thunk = (service.runtime.global_env.lookup(Symbol("main")), [rows])
+    return codec, continuation, thunk
+
+
+def python_calls(fn) -> int:
+    """Python-level function calls made while ``fn`` runs."""
+    calls = []
+
+    def profile(_frame, event, _arg):
+        if event == "call":
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("blob", ["continuation", "fork-thunk"])
+def test_codec_calls_do_not_grow_with_state(blob):
+    """The codec pickles through capture's reducer: a row of plain data
+    never reaches Python, so a 400-row state costs what a 40-row one
+    does."""
+    counts = []
+    for width in (40, WIDTH):
+        codec, continuation, thunk = churn_blobs(width)
+        state = continuation if blob == "continuation" else thunk
+        codec.dumps(state)
+        counts.append(python_calls(lambda: codec.dumps(state)))
+    assert counts[0] == counts[1] <= 64, counts
+
+
+def test_pickling_leaves_no_cyclic_garbage():
+    """Picklers hold no reference to themselves: with the collector
+    off, as the benchmark drives, every round is freed by refcount."""
+    codec, continuation, thunk = churn_blobs(40)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            frames, handlers, restarts, dynamics = \
+                continuations.materialize(continuation)
+            again = continuations.capture(frames, handlers, restarts,
+                                          dynamics)
+            codec.loads(codec.dumps(again))
+            codec.dumps(thunk)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 """The durable history plane: CRC-framed batches, determinism,
 fail-closed integrity under injected damage."""
 
+import pickle
+
 import pytest
 
 from repro.bluebox.store import SharedStore
 from repro.durastore import DurableStore
+from repro.durastore.journal import crc_frame
 from repro.faults import FaultInjector
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import (
@@ -22,6 +25,7 @@ from repro.history import (
     HistoryLog,
     TornHistoryError,
 )
+from repro.history.log import HISTORY_MAGIC
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.persistence import FiberCodec
 
@@ -52,6 +56,19 @@ class TestHistoryLog:
             [(0, "task-started", None), (1, "nondet", "fiber-1"),
              (2, "fiber-completed", "fiber-1")]
         assert back[1].payload == {"op": "clock", "value": 1.5}
+
+    def test_schema_1_batch_is_refused(self):
+        """Schema 1 framed a bare pickle of ``(1, rows)`` whose payloads
+        were codec blobs of their own; it is refused by version, never
+        decoded as rows."""
+        codec = FiberCodec()
+        store = SharedStore()
+        rows = [(0, "task-started", None, codec.dumps({"root": "fiber-1"}))]
+        store.write(HistoryLog._key("task-1", 0), crc_frame(
+            pickle.dumps((1, rows), protocol=4), HISTORY_MAGIC))
+        with pytest.raises(HistoryCorruptionError,
+                           match=r"schema version 1 \(expected 2\)"):
+            HistoryLog(store).read_task("task-1", codec)
 
     def test_missing_task_is_empty(self):
         from repro.bluebox.store import SharedStore

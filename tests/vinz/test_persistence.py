@@ -154,11 +154,6 @@ class TestCodeRegistry:
         registry.register_tree(code)
         assert len(registry) == 3
 
-    def test_key_for_unknown_is_none(self):
-        from repro.lang.bytecode import CodeObject
-
-        assert CodeRegistry().key_for(CodeObject("x")) is None
-
 
 class TestHostFunctionRegistry:
     def test_register_lookup(self):

@@ -96,6 +96,24 @@ class TestCrossFiberVisibility:
               ^v^)""")
         assert env.call("W", None) == K("before-sleep")
 
+    @pytest.mark.parametrize("held, call", [
+        ("#'read-from-string", '(funcall ^hook^ "42")'),
+        ("#'double", "(funcall ^hook^ 21)"),
+        ("(lambda (x) (* x 2))", "(funcall ^hook^ 21)"),
+    ], ids=["nested-intrinsic", "defun", "lambda"])
+    def test_function_value_round_trips(self, env, held, call):
+        """A task variable holds anything a fiber can: it goes through
+        the fiber codec, so a host intrinsic defined inside an
+        installer travels by name like it does on an operand stack."""
+        env.deploy_workflow("W", f"""
+            (deftaskvar hook)
+            (defun double (x) (* x 2))
+            (defun main (params)
+              (setf ^hook^ {held})
+              (workflow-sleep 1)
+              {call})""")
+        assert env.call("W", None) == 42
+
 
 class TestOverheadAccounting:
     def test_writes_are_counted(self, env):
