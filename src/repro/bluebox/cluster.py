@@ -29,12 +29,6 @@ from ..observe.tracer import (
     OPERATION_FAULT,
     RETRY_SCHEDULED,
 )
-from ..sched.admission import (
-    DELAY as ADMIT_DELAY,
-    SERVER_BUSY_QNAME,
-    SHED as ADMIT_SHED,
-    make_admission,
-)
 from ..sched.fair import make_policy
 from .clock import SimKernel
 from .messagequeue import (
@@ -118,19 +112,13 @@ class Cluster:
     def __init__(self, seed: int = 0, trace: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
                  spans: Optional[bool] = None,
-                 scheduler: Any = None,
-                 admission: Any = None):
+                 scheduler: Any = None):
         self.kernel = SimKernel()
         #: message ordering is the scheduling policy's job
         #: (repro.sched.fair): None/"strict" reproduces the paper's
         #: strict priority heap; "fair" is deficit round-robin across
         #: workflows with priority aging
         self.queue = MessageQueue(policy=make_policy(scheduler))
-        #: optional admission control (repro.sched.admission): depth/
-        #: in-flight watermarks that delay or shed work at the front
-        #: door.  None (the default) accepts everything, as the paper's
-        #: production system does.
-        self.admission = make_admission(admission)
         #: the one observability path (repro.observe).  ``trace``
         #: switches the flat Figure-1 event stream; the span tree (and
         #: with it the registry's histograms and gauges) follows
@@ -146,8 +134,8 @@ class Cluster:
         #: governs fault retries (drops, store faults): backoff delays,
         #: attempt caps, timeouts.  The platform default reproduces the
         #: legacy constant-delay, per-message-cap behaviour; campaigns
-        #: pass RetryPolicy.default() (or per-message policies) for
-        #: bounded exponential backoff and dead-lettering.
+        #: pass RetryPolicy.default() for bounded exponential backoff
+        #: and dead-lettering.
         self.retry_policy = retry_policy or \
             RetryPolicy.platform(REDELIVERY_DELAY)
         #: optional FaultInjector (repro.faults), wired by install()
@@ -221,7 +209,6 @@ class Cluster:
              reply_to: Optional[ReplyTo] = None,
              max_attempts: int = 10,
              affinity: Optional[Affinity] = None,
-             retry_policy: Optional[RetryPolicy] = None,
              parent_span: int = 0) -> Message:
         """Place a message on the queue (asynchronous).
 
@@ -238,10 +225,7 @@ class Cluster:
                                           now=self.kernel.now,
                                           max_attempts=max_attempts,
                                           affinity=affinity,
-                                          retry_policy=retry_policy,
                                           parent_span=parent_span)
-        if self.admission is not None and not self._admit(message):
-            return message
         owner = self._owner_of(message)
         self.queue.enqueue(message, self.kernel.now,
                            held_for=owner.id if owner is not None else None)
@@ -290,65 +274,6 @@ class Cluster:
             self.tracer.event(self.kernel.now, "queue-released",
                               message.span_id, msg=message.id,
                               reason=outcome, **_trace_ids(message.body))
-
-    def _admit(self, message: Message) -> bool:
-        """Run a new message through admission control.
-
-        Returns True when the message was enqueued normally should
-        proceed (ACCEPT); on DELAY the enqueue is rescheduled after a
-        backoff, on SHED the caller is answered immediately with a
-        retryable ServerBusy fault — in both cases False is returned
-        and :meth:`send` stops there.
-        """
-        service = message.service
-        in_flight = sum(1 for r in self._in_flight
-                        if r.message.service == service)
-        backlog = self.queue.peek_depth(service) + in_flight
-        slots = sum(n.slots for n in self.nodes.values()
-                    if n.alive and service in n.services)
-        # a request nobody awaits can only be delayed, never shed:
-        # there is no caller to hand the ServerBusy fault to
-        sheddable = message.reply_to is not None
-        verdict, delay = self.admission.decide(
-            service, message.operation, backlog, slots, sheddable)
-        if verdict == ADMIT_SHED:
-            self._record_admission(message, verdict, backlog, delay)
-            self._route_reply(message.reply_to, ResponseEnvelope(
-                fault_qname=SERVER_BUSY_QNAME,
-                fault_message=f"{service}.{message.operation} shed: "
-                              f"backlog {backlog} over {slots} slots"),
-                parent_span=message.parent_span)
-            return False
-        if verdict == ADMIT_DELAY:
-            self._record_admission(message, verdict, backlog, delay)
-            self.kernel.schedule(
-                delay, lambda m=message: (
-                    self.queue.enqueue(m, self.kernel.now),
-                    self.kernel.schedule(self.delivery_latency,
-                                         lambda: self._kick(m.service))))
-            return False
-        return True
-
-    def _record_admission(self, message: Message, verdict: str,
-                          backlog: int, delay: float) -> None:
-        self.metrics.incr("sched.admission.shed" if verdict == ADMIT_SHED
-                          else "sched.admission.delayed")
-        if self.metrics.enabled:
-            self.metrics.gauge(
-                f"sched.backlog.{message.service}").set(backlog)
-        if self.tracer.enabled:
-            self.tracer.event(self.kernel.now, f"admission-{verdict}",
-                              message.parent_span, service=message.service,
-                              operation=message.operation, msg=message.id,
-                              backlog=backlog, delay=delay)
-            span = self.tracer.begin(
-                f"sched:{verdict}:{message.service}", kind="sched",
-                start=self.kernel.now,
-                parent_id=message.parent_span or None, msg=message.id,
-                service=message.service, operation=message.operation,
-                backlog=backlog, delay=round(delay, 6),
-                **_trace_ids(message.body))
-            self.tracer.end(span, end=self.kernel.now + delay)
 
     def call(self, service: str, operation: str, body: Dict[str, Any],
              priority: int = PRIORITY_NORMAL,
@@ -697,19 +622,17 @@ class Cluster:
         """Consume one delivery attempt; either schedule a backoff
         retry or move the message to the dead-letter queue.  Returns
         True when a retry was scheduled."""
-        policy = message.retry_policy or self.retry_policy
         now = self.kernel.now
-        if policy.expired(message.first_enqueued_at, now):
+        if self.retry_policy.expired(message.first_enqueued_at, now):
             message.attempts += 1
             self.queue.dead_letter(message)
             self._on_dead_letter(message, f"{reason}; retry timeout expired")
             return False
-        cap = policy.max_attempts if policy.max_attempts is not None \
-            else message.max_attempts
+        cap = self.retry_policy.attempt_cap(message.max_attempts)
         if not self.queue.requeue(message, now, cap=cap, push=False):
             self._on_dead_letter(message, f"{reason}; attempts exhausted")
             return False
-        delay = policy.backoff_delay(message.attempts, self.rng)
+        delay = self.retry_policy.backoff_delay(message.attempts, self.rng)
         if self.tracer.enabled:
             self.tracer.event(now, RETRY_SCHEDULED, message.span_id,
                               msg=message.id, service=message.service,

@@ -106,9 +106,6 @@ class Message:
     #: when the message first hit the queue (retry timeouts are
     #: measured from here, not from the latest re-enqueue)
     first_enqueued_at: float = 0.0
-    #: optional per-message RetryPolicy (repro.faults.retry); None
-    #: falls back to the cluster's platform policy
-    retry_policy: Optional[Any] = None
     #: causal-tracing headers (repro.observe): the span that caused
     #: this send, the current queue-hop span, and the *first* hop span
     #: (retries parent to it, so redeliveries stay linked to the
@@ -153,7 +150,6 @@ class MessageQueue:
         self.delivered = 0
         self.redelivered = 0
         self.duplicated = 0
-        self.dropped = 0
         self.dead_lettered = 0
         #: a bounded uniform sample of waits (reservoir, Algorithm R);
         #: the exact mean is streamed separately, so unbounded runs no
@@ -172,14 +168,13 @@ class MessageQueue:
                      now: float = 0.0,
                      max_attempts: int = 10,
                      affinity: Optional[Affinity] = None,
-                     retry_policy: Optional[Any] = None,
                      parent_span: int = 0) -> Message:
         return Message(id=next(self._ids), service=service,
                        operation=operation, body=dict(body),
                        priority=priority, reply_to=reply_to,
                        enqueued_at=now, max_attempts=max_attempts,
                        affinity=affinity, first_enqueued_at=now,
-                       retry_policy=retry_policy, parent_span=parent_span)
+                       parent_span=parent_span)
 
     def _begin_hop(self, message: Message, now: float,
                    retry: bool = False) -> None:
@@ -264,13 +259,8 @@ class MessageQueue:
             self._begin_hop(message, now, retry=True)
 
     def dead_letter(self, message: Message) -> None:
-        """Move a message to the dead-letter queue.
-
-        ``dropped`` keeps counting (backwards-compatible statistic);
-        the message itself is retained for inspection/replay instead of
-        being discarded.
-        """
-        self.dropped += 1
+        """Move a message to the dead-letter queue: it is retained for
+        inspection/replay instead of being discarded."""
         self.dead_lettered += 1
         self.dead_letters.append(message)
 

@@ -214,7 +214,6 @@ class OperationContext:
              reply_to: Optional[ReplyTo] = None,
              max_attempts: int = 10,
              affinity: Optional[Affinity] = None,
-             retry_policy: Optional[Any] = None,
              parent_span: Optional[int] = None) -> None:
         """Queue a message, to be placed on the queue when this
         operation's simulated processing window ends.  The outgoing
@@ -226,7 +225,6 @@ class OperationContext:
                                       reply_to=reply_to,
                                       max_attempts=max_attempts,
                                       affinity=affinity,
-                                      retry_policy=retry_policy,
                                       parent_span=(self.span_id
                                                    if parent_span is None
                                                    else parent_span))))

@@ -35,10 +35,6 @@ class StoreBackend(Protocol):
 
     def keys(self) -> List[str]: ...
 
-    def nbytes(self) -> int:
-        """Total payload bytes held (for rebalance reports)."""
-        ...
-
 
 class MemoryBackend:
     """An in-memory storage plane."""
@@ -61,9 +57,6 @@ class MemoryBackend:
 
     def keys(self) -> List[str]:
         return list(self._data)
-
-    def nbytes(self) -> int:
-        return sum(len(v) for v in self._data.values())
 
     def __repr__(self) -> str:
         return f"<MemoryBackend {self.name} keys={len(self._data)}>"
@@ -125,9 +118,6 @@ class DirectoryBackend:
 
     def keys(self) -> List[str]:
         return list(self._data)
-
-    def nbytes(self) -> int:
-        return sum(len(v) for v in self._data.values())
 
     def __repr__(self) -> str:
         return f"<DirectoryBackend {self.name} root={self.root!r}>"

@@ -4,9 +4,7 @@ The paper's Vinz funnels every fiber blob through one NFS filer
 (Section 4.2); Netherite's answer — partition the state space and give
 each partition its own store — is what :class:`ShardedStore` builds.
 Keys map to backends via a consistent-hash ring (virtual nodes per
-shard), so adding or removing a shard moves only ~1/N of the keys; the
-:meth:`add_shard` / :meth:`remove_shard` rebalance path migrates
-exactly those keys and reports what it moved.
+shard); the set of shards is fixed when the store is built.
 
 It is a drop-in :class:`~repro.bluebox.store.SharedStore`: the cost
 model, statistics and fault hooks are inherited, with per-shard stats
@@ -20,7 +18,7 @@ from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..bluebox.store import SharedStore, StoreError
-from .backend import MemoryBackend, StoreBackend, memory_backends
+from .backend import StoreBackend, memory_backends
 
 #: virtual ring points per shard — enough that key distribution is even
 #: within a few percent for realistic shard counts
@@ -66,22 +64,15 @@ class ShardedStore(SharedStore):
         self._ring: List[int] = []
         self._ring_shards: List[str] = []
         for backend in backends:
-            self._admit(backend)
+            if backend.name in self.backends:
+                raise ValueError(f"duplicate shard name {backend.name!r}")
+            self.backends[backend.name] = backend
+            self.shard_stats[backend.name] = ShardStats()
         self._rebuild_ring()
-        # rebalance accounting (cumulative across add/remove calls)
-        self.rebalances = 0
-        self.rebalance_moved_keys = 0
-        self.rebalance_moved_bytes = 0
 
     # ------------------------------------------------------------------
     # ring construction and lookup
     # ------------------------------------------------------------------
-
-    def _admit(self, backend: StoreBackend) -> None:
-        if backend.name in self.backends:
-            raise ValueError(f"duplicate shard name {backend.name!r}")
-        self.backends[backend.name] = backend
-        self.shard_stats[backend.name] = ShardStats()
 
     def _rebuild_ring(self) -> None:
         points = []
@@ -168,70 +159,6 @@ class ShardedStore(SharedStore):
         return cost
 
     # ------------------------------------------------------------------
-    # rebalancing
-    # ------------------------------------------------------------------
-
-    def add_shard(self, backend: StoreBackend) -> Dict[str, Any]:
-        """Admit a new backend and migrate the keys that now hash to it."""
-        self._admit(backend)
-        return self._rebalance(f"add:{backend.name}")
-
-    def remove_shard(self, name: str) -> Dict[str, Any]:
-        """Retire a backend, migrating its keys to the survivors."""
-        if name not in self.backends:
-            raise KeyError(name)
-        if len(self.backends) == 1:
-            raise ValueError("cannot remove the last shard")
-        retired = self.backends.pop(name)
-        self.shard_stats.pop(name)
-        self._rebuild_ring()
-        # everything the retired plane held must move
-        moved_keys = 0
-        moved_bytes = 0
-        for key in retired.keys():
-            data = retired.get(key)
-            retired.remove(key)
-            if data is not None:
-                self._backend(key).put(key, data)
-                moved_keys += 1
-                moved_bytes += len(data)
-        report = self._finish_rebalance(f"remove:{name}", moved_keys,
-                                        moved_bytes)
-        return report
-
-    def _rebalance(self, reason: str) -> Dict[str, Any]:
-        """Move every key whose ring placement changed."""
-        self._rebuild_ring()
-        moved_keys = 0
-        moved_bytes = 0
-        for backend in list(self.backends.values()):
-            for key in backend.keys():
-                target = self.shard_for(key)
-                if target != backend.name:
-                    data = backend.get(key)
-                    backend.remove(key)
-                    if data is not None:
-                        self.backends[target].put(key, data)
-                        moved_keys += 1
-                        moved_bytes += len(data)
-        return self._finish_rebalance(reason, moved_keys, moved_bytes)
-
-    def _finish_rebalance(self, reason: str, moved_keys: int,
-                          moved_bytes: int) -> Dict[str, Any]:
-        self.rebalances += 1
-        self.rebalance_moved_keys += moved_keys
-        self.rebalance_moved_bytes += moved_bytes
-        total = sum(len(b.keys()) for b in self.backends.values())
-        return {
-            "reason": reason,
-            "moved_keys": moved_keys,
-            "moved_bytes": moved_bytes,
-            "total_keys": total,
-            "moved_fraction": (moved_keys / total) if total else 0.0,
-            "shards": self.shard_names(),
-        }
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
 
@@ -245,6 +172,4 @@ class ShardedStore(SharedStore):
         snap["shards"] = {name: stats.snapshot()
                           for name, stats in sorted(self.shard_stats.items())}
         snap["key_distribution"] = self.key_distribution()
-        snap["rebalances"] = self.rebalances
-        snap["rebalance_moved_keys"] = self.rebalance_moved_keys
         return snap

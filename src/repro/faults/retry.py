@@ -81,15 +81,11 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(0.0, raw)
 
-    def allows(self, attempts: int, fallback_cap: int) -> bool:
-        """May a message with ``attempts`` failed deliveries try again?
-
-        ``fallback_cap`` is the message's own ``max_attempts``, used
-        when the policy declines to set a bound of its own.
-        """
-        cap = self.max_attempts if self.max_attempts is not None \
-            else fallback_cap
-        return attempts < cap
+    def attempt_cap(self, message_cap: int) -> int:
+        """How many delivery attempts a message gets: the policy's own
+        ``max_attempts``, else ``message_cap`` (the message's own cap)."""
+        return self.max_attempts if self.max_attempts is not None \
+            else message_cap
 
     def expired(self, first_enqueued_at: float, now: float) -> bool:
         """Has the message's overall retry budget run out?"""

@@ -1,4 +1,4 @@
-"""Adaptive scheduling & admission control (the ``repro.sched`` layer).
+"""Adaptive scheduling (the ``repro.sched`` layer).
 
 The paper's production system throttles ``for-each``/``parallel``
 fan-out with a *static* spawn limit (Section 3.5) and load-balances via
@@ -18,15 +18,11 @@ both mechanisms with feedback-driven ones:
   aging, so sustained high-priority storms cannot starve
   ``PRIORITY_NORMAL`` traffic.  Pluggable behind the existing
   ``MessageQueue.pop_next``/``peek_priority`` API, so the cluster's
-  dispatch loop is unchanged;
-* :mod:`repro.sched.admission` — **admission control with
-  backpressure**: per-service depth/in-flight watermarks that delay or
-  shed incoming requests, answering shed requests with a retryable
-  ``{urn:bluebox}ServerBusy`` fault that surfaces through the Gozer
-  condition system (and is retried by handlers / RetryPolicies).
+  dispatch loop is unchanged.
 
-Every decision is observable: ``sched.*`` counters and gauges in the
-metrics registry, plus ``sched``-kind spans in the causal trace.
+Like the paper's production queue, the cluster accepts every message it
+is sent.  Every decision is observable: ``sched.*`` counters and gauges
+in the metrics registry, plus ``sched``-kind spans in the causal trace.
 See ``docs/scheduler.md``.
 """
 
@@ -37,20 +33,9 @@ from .fair import (
     make_policy,
 )
 from .governor import AUTO_SPAWN_LIMIT, GovernorConfig, SpawnGovernor
-from .admission import (
-    ACCEPT,
-    AdmissionConfig,
-    AdmissionController,
-    DELAY,
-    SERVER_BUSY_QNAME,
-    SHED,
-    make_admission,
-)
 
 __all__ = [
-    "ACCEPT", "DELAY", "SHED", "SERVER_BUSY_QNAME",
-    "AdmissionConfig", "AdmissionController",
     "DeficitRoundRobinPolicy", "SchedulingPolicy", "StrictPriorityPolicy",
-    "make_policy", "make_admission",
+    "make_policy",
     "AUTO_SPAWN_LIMIT", "GovernorConfig", "SpawnGovernor",
 ]

@@ -63,7 +63,6 @@ class VinzEnvironment:
                  spans: Optional[bool] = None,
                  retry_policy=None,
                  scheduler: Any = None,
-                 admission: Any = None,
                  governor: Optional[GovernorConfig] = None,
                  lease_ttl: float = 2.0,
                  history: str = "off",
@@ -71,15 +70,13 @@ class VinzEnvironment:
                  recovery: str = "snapshot"):
         #: ``scheduler`` picks the queue's message-ordering policy
         #: (None/"strict" = the paper's priority heap, "fair" = deficit
-        #: round-robin with priority aging); ``admission`` switches on
-        #: watermark admission control (True, an AdmissionConfig, or a
-        #: ready controller); ``governor`` tunes the AIMD spawn
-        #: governor backing ``(vinz-auto-spawn-limit)`` and
-        #: ``spawn_limit="auto"`` deployments.  All default to the
+        #: round-robin with priority aging); ``governor`` tunes the
+        #: AIMD spawn governor backing ``(vinz-auto-spawn-limit)`` and
+        #: ``spawn_limit="auto"`` deployments.  Both default to the
         #: paper's behaviour.  See repro.sched / docs/scheduler.md.
         self.cluster = Cluster(seed=seed, trace=trace,
                                retry_policy=retry_policy, spans=spans,
-                               scheduler=scheduler, admission=admission)
+                               scheduler=scheduler)
         self.cluster.add_nodes(nodes, slots=slots)
         self.store = store if store is not None else SharedStore()
         # the cluster brackets every operation window on the store, and
@@ -484,9 +481,6 @@ class VinzEnvironment:
             "sched": {
                 "policy": self.cluster.queue.policy.name,
                 "governor": self.governor.summary(),
-                "admission": (self.cluster.admission.summary()
-                              if self.cluster.admission is not None
-                              else None),
                 "aged_promotions": getattr(self.cluster.queue.policy,
                                            "aged_promotions", 0),
             },

@@ -86,7 +86,7 @@ class ProductionDayResult:
     #: tail of the queue-wait distribution (reservoir-sampled), the
     #: latency figure the scheduler benchmark compares
     queue_p99_wait: float = 0.0
-    #: scheduling-subsystem summary (policy, governor, admission) when
+    #: scheduling-subsystem summary (policy, governor) when
     #: the run used one — see VinzEnvironment.summary()["sched"]
     sched: Dict[str, Any] = field(default_factory=dict)
 

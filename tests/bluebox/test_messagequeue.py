@@ -60,8 +60,8 @@ class TestRedelivery:
         q.pop_next("S", 0.0)
         assert q.requeue(msg, 0.0)
         assert q.requeue(msg, 0.0)
-        assert not q.requeue(msg, 0.0)  # third strike: dropped
-        assert q.dropped == 1
+        assert not q.requeue(msg, 0.0)  # third strike: dead-lettered
+        assert q.dead_lettered == 1
 
     def test_redelivered_counter(self):
         q = MessageQueue()

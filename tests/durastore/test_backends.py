@@ -20,7 +20,6 @@ def test_memory_backend_roundtrip():
     assert b.get("a/b") == b"one"
     assert b.contains("c") and not b.contains("missing")
     assert sorted(b.keys()) == ["a/b", "c"]
-    assert b.nbytes() == 7
     b.remove("a/b")
     b.remove("a/b")  # idempotent
     assert b.get("a/b") is None

@@ -1,4 +1,4 @@
-"""Consistent-hash sharding: placement, stats, rebalance, outages."""
+"""Consistent-hash sharding: placement, stats, outages."""
 
 import pytest
 
@@ -51,42 +51,10 @@ def test_delete_counts_per_shard_and_charges():
     assert not store.exists("fiber-state/f0")
 
 
-def test_add_shard_moves_a_fraction():
-    store = filled(shards=4, keys=400)
-    report = store.add_shard(MemoryBackend("shard-4"))
-    # consistent hashing: only ~1/N of keys move to the newcomer
-    assert 0 < report["moved_keys"] < 200
-    assert report["total_keys"] == 400
-    assert report["shards"] == [f"shard-{i}" for i in range(5)]
-    # every key still readable at its new home
-    for key in store.keys():
-        assert store.backends[store.shard_for(key)].contains(key)
-    assert sum(store.key_distribution().values()) == 400
-
-
-def test_remove_shard_migrates_everything_off():
-    store = filled(shards=4, keys=300)
-    victim_keys = set(store.backends["shard-2"].keys())
-    report = store.remove_shard("shard-2")
-    assert report["moved_keys"] == len(victim_keys)
-    assert "shard-2" not in store.backends
-    for key in victim_keys:
-        assert store.read(key) is not None
-    assert sum(store.key_distribution().values()) == 300
-
-
-def test_remove_last_shard_refused():
-    store = ShardedStore(shards=1)
-    with pytest.raises(ValueError):
-        store.remove_shard("shard-0")
-    with pytest.raises(KeyError):
-        store.remove_shard("no-such-shard")
-
-
 def test_duplicate_shard_name_refused():
-    store = ShardedStore(shards=2)
     with pytest.raises(ValueError):
-        store.add_shard(MemoryBackend("shard-1"))
+        ShardedStore(backends=[MemoryBackend("shard-1"),
+                               MemoryBackend("shard-1")])
 
 
 def test_backends_can_be_supplied_explicitly():

@@ -64,13 +64,13 @@ class TestBackoffMath:
 class TestAttemptCapsAndTimeout:
     def test_allows_respects_own_cap(self):
         policy = RetryPolicy(max_attempts=3)
-        assert policy.allows(2, fallback_cap=100)
-        assert not policy.allows(3, fallback_cap=100)
+        assert 2 < policy.attempt_cap(message_cap=100)
+        assert not 3 < policy.attempt_cap(message_cap=100)
 
     def test_allows_falls_back_to_message_cap(self):
         policy = RetryPolicy.platform()
-        assert policy.allows(99, fallback_cap=100)
-        assert not policy.allows(100, fallback_cap=100)
+        assert 99 < policy.attempt_cap(message_cap=100)
+        assert not 100 < policy.attempt_cap(message_cap=100)
 
     def test_timeout_expiry(self):
         policy = RetryPolicy(timeout=2.0)
@@ -102,8 +102,6 @@ class TestDeadLetterAccounting:
         assert queue.dead_letters == [msg]
         assert queue.dead_letter_ids() == [msg.id]
         assert queue.dead_lettered == 1
-        # the legacy poison-message statistic keeps counting
-        assert queue.dropped == 1
 
     def test_redelivered_counts_only_successful_requeues(self):
         queue = MessageQueue()

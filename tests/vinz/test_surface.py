@@ -29,8 +29,8 @@ def _public(cls):
 
 
 def test_constructor_options_do_not_grow():
-    assert len(_options(Cluster)) <= 6
-    assert len(_options(VinzEnvironment)) <= 15
+    assert len(_options(Cluster)) <= 5
+    assert len(_options(VinzEnvironment)) <= 14
     assert len(_options(WorkflowService)) <= 6
     assert len(_options(run_production_day)) <= 7
     assert len(_options(run_campaign)) <= 7
