@@ -7,8 +7,11 @@ Three ledgers, three denominators:
   from the surface walk *and* from a macroexpanded walk (so e.g. a
   ``handler-case`` credits the ``handler-bind`` it expands into).
 * **builtins** — both stdlib registries; credited from surface marks.
-* **opcodes** — :data:`repro.lang.bytecode.OPCODES`; credited by
-  compiling each program and walking its (nested) code objects.
+* **opcodes** — :data:`repro.lang.bytecode.OPCODES` and the fast
+  loop's superinstructions, :data:`~repro.lang.bytecode.FUSED`;
+  credited by compiling each program and walking its (nested) code
+  objects, the instructions for the first and the fused view
+  (:func:`~repro.lang.bytecode.fuse`) for the second.
 
 Known-unreachable entries are excluded *with a reason* and the reasons
 are part of the report — a generator gap must be visible, never silent
@@ -20,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Sequence, Set
 
-from ..lang.bytecode import OPCODES, CodeObject
+from ..lang.bytecode import FUSED, OPCODES, CodeObject, fuse
 from .grammar import (EXCLUDED_BUILTINS, GenProgram, analyze,
                       builtin_names, special_form_names)
 
-#: opcodes the compiler can never emit, with the reason (none today:
-#: every opcode the VM executes must be reached by the generator)
+#: opcodes (or fused forms) the generated programs can never reach,
+#: with the reason (none today: every opcode the VM executes and both
+#: fused forms must be reached by the generator)
 EXCLUDED_OPCODES: Dict[str, str] = {}
 
 
@@ -45,7 +49,9 @@ def expand_all(form: Any, global_env, apply_fn) -> Any:
 
 def walk_opcodes(code: CodeObject, into: Set[str]) -> None:
     """Collect opcode names from a code object and every nested one
-    (closure bodies, future thunks, unwind cleanups)."""
+    (closure bodies, future thunks, unwind cleanups), and the fused
+    forms of each one's fused view."""
+    into.update(op for op, _ in fuse(code.instructions) if op in FUSED)
     for op, arg in code.instructions:
         into.add(op)
         if isinstance(arg, CodeObject):
@@ -126,7 +132,8 @@ class CoverageAccounter:
         self._macro: Set[str] = set()
         self._all_sf = special_form_names()
         self._all_fn = builtin_names() - set(EXCLUDED_BUILTINS)
-        self._all_op = frozenset(OPCODES) - set(EXCLUDED_OPCODES)
+        self._all_op = (frozenset(OPCODES) | frozenset(FUSED)) \
+            - set(EXCLUDED_OPCODES)
         self._all_macros = frozenset(
             s.name for s in CORE_MACROS) | {"for-each", "parallel",
                                             "deftaskvar"}

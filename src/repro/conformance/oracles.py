@@ -28,6 +28,7 @@ from ..gvm.conditions import (GozerCondition, UnhandledConditionError,
                               coerce_condition)
 from ..gvm.continuations import capture, materialize
 from ..gvm.environment import DynamicBindings
+from ..gvm.frames import is_vm_function
 from ..gvm.interpreter import (ContinuationsUnsupported, TreeInterpreter,
                                force, force_all)
 from ..gvm.runtime import Done, Yielded, make_runtime
@@ -178,8 +179,7 @@ class ConformanceTreeInterpreter(TreeInterpreter):
 
     def _apply(self, fn: Any, args: List[Any]) -> Any:
         target = force(fn)
-        if callable(target) and getattr(target, "needs_vm", False) \
-                and target in self._safe_vm_fns \
+        if is_vm_function(target) and target in self._safe_vm_fns \
                 and self._scratch_vm is not None:
             return target(self._scratch_vm, *force_all(args))
         return super()._apply(fn, args)

@@ -11,6 +11,7 @@ those objects.  Everything here pickles, because a suspended fiber *is*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..lang.bytecode import CodeObject, ParamSpec
@@ -35,6 +36,30 @@ class GozerFunction:
     @property
     def doc(self) -> Optional[str]:
         return self.code.doc
+
+
+#: The host functions that receive the running VM as their first
+#: argument.  A host function's kind is decided once, when
+#: :func:`vm_function` marks it, and the VM's call tests membership (an
+#: identity hash) instead of reading an attribute on every call.
+VM_FUNCTIONS: set = set()
+
+
+def vm_function(fn: Callable) -> Callable:
+    """Mark ``fn(vm, *args)`` as a host function that receives the VM.
+
+    A marked function stays a plain module-level function: picklers keep
+    it by reference (:func:`~repro.gvm.continuations.is_program_object`),
+    and the marker set, which holds it for good, keeps no runtime alive.
+    """
+    assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
+        f"{fn!r}: only module-level functions take the VM"
+    VM_FUNCTIONS.add(fn)
+    return fn
+
+
+def is_vm_function(fn: Any) -> bool:
+    return type(fn) is FunctionType and fn in VM_FUNCTIONS
 
 
 class GozerMacro:

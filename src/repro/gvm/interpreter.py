@@ -18,6 +18,7 @@ motivated the GVM's heap-frame design.  Attempting either raises
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, List, Optional
 
 from ..lang.errors import GozerRuntimeError, UnboundVariableError
@@ -25,6 +26,7 @@ from ..lang.macros import is_listform, macroexpand
 from ..lang.reader import Char
 from ..lang.symbols import Keyword, Symbol
 from .environment import Env, GlobalEnvironment, _MISSING
+from .frames import is_vm_function
 from .futures import force, force_all
 from .vm import truthy
 
@@ -121,7 +123,7 @@ class TreeInterpreter:
         if isinstance(fn, TreeFunction):
             return fn(*args)
         if callable(fn):
-            if getattr(fn, "needs_vm", False):
+            if is_vm_function(fn):
                 raise GozerRuntimeError(
                     f"builtin {fn} requires the bytecode VM")
             return fn(*force_all(args))
@@ -130,7 +132,10 @@ class TreeInterpreter:
     # -- special forms -----------------------------------------------------
 
     def _sf_quote(self, form, env):
-        return form[1]
+        # a fresh copy of a quoted list, as the VM's ``const`` pushes:
+        # mutating the value must not change the program
+        value = form[1]
+        return copy.deepcopy(value) if type(value) is list else value
 
     def _sf_if(self, form, env):
         if truthy(self._eval(form[1], env)):

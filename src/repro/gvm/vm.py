@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Any, Callable, List, Optional
 
 from ..lang.bytecode import CodeObject
@@ -49,7 +50,9 @@ from .frames import (
     HandlerGroup,
     RestartRecord,
     UnwindRecord,
+    VM_FUNCTIONS,
     bind_parameters,
+    is_vm_function,
 )
 from .futures import GozerFuture, force_all
 
@@ -178,7 +181,12 @@ class VM:
         return self._run_top(frame=None)
 
     def call(self, fn: Any, args: List[Any]) -> Any:
-        """Call a function to completion (nested: yields are illegal)."""
+        """Call a function to completion (nested: yields are illegal).
+
+        A future is touched first, as in callee position of a call
+        instruction (:meth:`_apply`)."""
+        if isinstance(fn, GozerFuture):
+            fn = fn.touch()
         if isinstance(fn, GozerFunction):
             frame = self._frame_for_call(fn, list(args))
             return self._execute_loop(frame)
@@ -262,13 +270,23 @@ class VM:
         bytecode-interpreter optimization) and re-pointed when a Gozer
         call, tail call or return switches frames; host functions are
         called in place; ``load``/``store`` walk the scope chain inline.
-        The ``elif`` order is the measured opcode frequency of the
-        ``perf/`` probe programs.  Everything else — condition system,
-        blocks, continuations, and a ``return`` out of a frame that has
-        cleanups to run — goes through :meth:`_step`, the one fallback.
+        The loop runs each code object's fused view
+        (:func:`~repro.lang.bytecode.fuse`): the same pcs as
+        ``instructions``, with a ``store-pop`` or ``call-global``
+        superinstruction at the first pc of each sequence it stands for.
+        A superinstruction advances ``pc`` and ``count`` as its
+        sub-instructions would, so an error in the middle of one leaves
+        the pc, count and stack the unfused code would.  The ``elif``
+        order is the measured frequency of the ``perf/`` probe programs.
+        Everything else — condition system, blocks, continuations, and a
+        ``return`` out of a frame that has cleanups to run — goes
+        through :meth:`_step`, the one fallback.
 
+        Every call (``call``, ``tail-call``, ``call-global``) ends in the
+        one call block after the chain; every other branch ``continue``s.
         ``frame.pc`` is written back before anything that can observe
-        or unwind the frame stack (every call, every fallback) and on
+        or unwind the frame stack (every call but a plain host
+        function's, which cannot reach the VM; every fallback) and on
         the way out; ``instruction_count`` on the way out.
         """
         if self.instruction_hook is not None:
@@ -277,8 +295,10 @@ class VM:
         loop_bases = self._loop_bases
         dynamic_stacks = self.dynamics.stacks
         global_variables = self.global_env.variables
+        vm_functions = VM_FUNCTIONS
         stack = frame.stack
-        instructions = frame.code.instructions
+        code = frame.code
+        instructions = code.fused or code.fuse()
         pc = frame.pc
         count = 0
         try:
@@ -286,7 +306,50 @@ class VM:
                 op, arg = instructions[pc]
                 pc += 1
                 count += 1
-                if op == "load":
+                if op == "call-global":
+                    # load-global f (pc and count are already past it)
+                    name, pushes, tail = arg
+                    if dynamic_stacks and name in dynamic_stacks:
+                        callee = dynamic_stacks[name][-1]
+                    else:
+                        try:
+                            callee = global_variables[name]
+                        except KeyError:
+                            raise UnboundVariableError(name) from None
+                    args = []
+                    try:
+                        for push, value in pushes:
+                            if push == "load":
+                                env = frame.env
+                                while env is not None:
+                                    bindings = env.bindings
+                                    if value in bindings:
+                                        args.append(bindings[value])
+                                        break
+                                    env = env.parent
+                                else:
+                                    args.append(self._load_free(value))
+                            elif push == "const":
+                                args.append(value)
+                            elif dynamic_stacks and value in dynamic_stacks:
+                                args.append(dynamic_stacks[value][-1])
+                            else:
+                                try:
+                                    args.append(global_variables[value])
+                                except KeyError:
+                                    raise UnboundVariableError(value) \
+                                        from None
+                    except UnboundVariableError:
+                        # stop where the failing push would have
+                        pc += len(args) + 1
+                        count += len(args) + 1
+                        stack.append(callee)
+                        stack.extend(args)
+                        raise
+                    # the pushes and the call
+                    pc += len(args) + 1
+                    count += len(args) + 1
+                elif op == "load":
                     env = frame.env
                     while env is not None:
                         bindings = env.bindings
@@ -296,6 +359,7 @@ class VM:
                         env = env.parent
                     else:
                         stack.append(self._load_free(arg))
+                    continue
                 elif op == "load-global":
                     if dynamic_stacks and arg in dynamic_stacks:
                         stack.append(dynamic_stacks[arg][-1])
@@ -304,6 +368,20 @@ class VM:
                             stack.append(global_variables[arg])
                         except KeyError:
                             raise UnboundVariableError(arg) from None
+                    continue
+                elif op == "store-pop":
+                    # the store and the pop (the dup is counted above)
+                    pc += 2
+                    count += 2
+                    env = frame.env
+                    while env is not None:
+                        if arg in env.bindings:
+                            env.bindings[arg] = stack.pop()
+                            break
+                        env = env.parent
+                    else:
+                        self._store_free(arg, stack.pop())
+                    continue
                 elif op == "call" or op == "tail-call":
                     if arg:
                         args = stack[-arg:]
@@ -311,46 +389,22 @@ class VM:
                     else:
                         args = []
                     callee = stack.pop()
-                    frame.pc = pc
-                    if type(callee) is GozerFunction:
-                        callee_frame = self._frame_for_call(callee, args)
-                        if op == "tail-call" and not (
-                                frame.unwinds or frame.dynamic_bound
-                                or frame.blocks):
-                            # Proper tail call: replace the caller's
-                            # frame (keeps recursive Gozer code O(1) in
-                            # frame-stack depth).
-                            frames[-1] = callee_frame
-                        else:
-                            frames.append(callee_frame)
-                        frame = callee_frame
-                        stack = frame.stack
-                        instructions = frame.code.instructions
-                        pc = 0
-                    elif callable(callee):
-                        # a host function, in place (see _call_host)
-                        if getattr(callee, "needs_vm", False):
-                            stack.append(callee(self, *args))
-                        else:
-                            for value in args:
-                                if type(value) is GozerFuture:
-                                    args = force_all(args)
-                                    break
-                            stack.append(callee(*args))
-                    else:
-                        # a future in callee position, or not callable
-                        self._apply(frame, callee, args, op == "tail-call")
-                        frame = frames[-1]
-                        stack = frame.stack
-                        instructions = frame.code.instructions
-                        pc = frame.pc
+                    tail = op == "tail-call"
                 elif op == "const":
                     stack.append(copy.deepcopy(arg)
                                  if type(arg) is list else arg)
+                    continue
+                elif op == "jump-if-false":
+                    value = stack.pop()
+                    if value is None or value is False:
+                        pc = arg
+                    continue
                 elif op == "pop":
                     stack.pop()
+                    continue
                 elif op == "dup":
                     stack.append(stack[-1])
+                    continue
                 elif op == "store":
                     env = frame.env
                     while env is not None:
@@ -360,12 +414,10 @@ class VM:
                         env = env.parent
                     else:
                         self._store_free(arg, stack.pop())
-                elif op == "jump-if-false":
-                    value = stack.pop()
-                    if value is None or value is False:
-                        pc = arg
+                    continue
                 elif op == "jump":
                     pc = arg
+                    continue
                 elif op == "return" and not (
                         frame.unwinds or frame.dynamic_bound
                         or self.handlers or self.restarts):
@@ -376,23 +428,30 @@ class VM:
                         return value
                     frame = frames[-1]
                     stack = frame.stack
-                    instructions = frame.code.instructions
+                    code = frame.code
+                    instructions = code.fused or code.fuse()
                     pc = frame.pc
                     stack.append(value)
+                    continue
                 elif op == "bind":
                     frame.env.bindings[arg] = stack.pop()
+                    continue
                 elif op == "push-scope":
                     frame.env = Env(parent=frame.env)
                     frame.scopes += 1
+                    continue
                 elif op == "pop-scope":
                     frame.env = frame.env.parent
                     frame.scopes -= 1
+                    continue
                 elif op == "jump-if-true":
                     value = stack.pop()
                     if value is not None and value is not False:
                         pc = arg
+                    continue
                 elif op == "closure":
                     stack.append(GozerFunction(arg, frame.env))
+                    continue
                 elif op == "make-list":
                     if arg:
                         values = stack[-arg:]
@@ -400,6 +459,7 @@ class VM:
                         stack.append(values)
                     else:
                         stack.append([])
+                    continue
                 else:
                     frame.pc = pc
                     result = self._step(frame, op, arg)
@@ -407,7 +467,48 @@ class VM:
                         return result
                     frame = frames[-1]
                     stack = frame.stack
-                    instructions = frame.code.instructions
+                    code = frame.code
+                    instructions = code.fused or code.fuse()
+                    pc = frame.pc
+                    continue
+                # the call block: ``callee``, ``args`` and ``tail`` are set
+                callee_type = type(callee)
+                if callee_type is GozerFunction:
+                    frame.pc = pc
+                    callee_frame = self._frame_for_call(callee, args)
+                    if tail and not (frame.unwinds or frame.dynamic_bound
+                                     or frame.blocks):
+                        # Proper tail call: replace the caller's frame
+                        # (keeps recursive Gozer code O(1) in frame-stack
+                        # depth).
+                        frames[-1] = callee_frame
+                    else:
+                        frames.append(callee_frame)
+                    frame = callee_frame
+                    stack = frame.stack
+                    code = frame.code
+                    instructions = code.fused or code.fuse()
+                    pc = 0
+                elif callee_type is FunctionType:
+                    # a host function, in place (see _call_host)
+                    if callee in vm_functions:
+                        frame.pc = pc
+                        stack.append(callee(self, *args))
+                    else:
+                        for value in args:
+                            if type(value) is GozerFuture:
+                                args = force_all(args)
+                                break
+                        stack.append(callee(*args))
+                else:
+                    # a future in callee position, another kind of
+                    # callable, or not callable at all
+                    frame.pc = pc
+                    self._apply(frame, callee, args, tail)
+                    frame = frames[-1]
+                    stack = frame.stack
+                    code = frame.code
+                    instructions = code.fused or code.fuse()
                     pc = frame.pc
         finally:
             frame.pc = pc
@@ -609,7 +710,7 @@ class VM:
         raise GozerRuntimeError(f"not callable: {callee!r}")
 
     def _call_host(self, fn: Callable, args: List[Any]) -> Any:
-        if getattr(fn, "needs_vm", False):
+        if is_vm_function(fn):
             return fn(self, *args)
         # Rule from Section 4.1: passing a future to a host library
         # determines it first.

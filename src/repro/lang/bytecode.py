@@ -26,8 +26,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 # nullary opcodes.  Opcodes are short strings: this is a readability
 # (and picklability) choice, and not a free one — most opcodes do less
 # work than the VM spends finding their branch (the perf ledger has the
-# GVM at a few million instructions a second), which is why the VM's
-# hot loop tests them in order of measured frequency.
+# GVM at a few million instructions a second).  So the VM's hot loop
+# tests them in order of measured frequency, and runs a *fused view* of
+# each code object (:data:`FUSED`, :func:`fuse`) in which the commonest
+# sequences are one entry each.  The view is the VM's alone: what is
+# emitted, validated, pickled and stepped through is ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -76,6 +79,20 @@ OPCODES = {
     "dyn-unbind": "undo the innermost dynamic binding (arg: Symbol)",
 }
 
+#: The superinstructions of the fused view, and the sequence of
+#: ``OPCODES`` each one stands for.  They exist only in
+#: :attr:`CodeObject.fused`: ``emit`` and :func:`validate` refuse them.
+#: A fused entry at pc ``i`` stands for ``instructions[i:i + w]``; the
+#: entries inside that span stay the original instructions, so a jump
+#: into it runs them one by one.
+FUSED = {
+    "store-pop": "dup; store x; pop — a setq in statement position "
+                 "(arg: x; w = 3)",
+    "call-global": "load-global f; k pushes, each a load, a load-global or "
+                   "a const whose argument is not a list; call k or "
+                   "tail-call k (arg: (f, pushes, tail); w = k + 2)",
+}
+
 
 @dataclass
 class ParamSpec:
@@ -122,6 +139,23 @@ class CodeObject:
     instructions: List[Instruction] = field(default_factory=list)
     doc: Optional[str] = None
     source: Any = None
+
+    #: The fused view of ``instructions`` (:func:`fuse`), built by
+    #: :meth:`fuse` the first time the VM's fast loop runs this code.
+    #: Not a field: it is never pickled, copied or compared.
+    fused = None
+
+    def __getstate__(self):
+        state = self.__dict__
+        if "fused" in state:
+            state = {key: value for key, value in state.items()
+                     if key != "fused"}
+        return state
+
+    def fuse(self) -> List[Instruction]:
+        """Build (once) and return the fused view."""
+        self.fused = fuse(self.instructions)
+        return self.fused
 
     def emit(self, opcode: str, arg: Any = None) -> int:
         """Append an instruction; return its index (for jump patching)."""
@@ -183,6 +217,41 @@ def validate(code: CodeObject) -> List[str]:
     if last_op not in ("return", "jump"):
         problems.append(f"final instruction is {last_op!r}, expected return/jump")
     return problems
+
+
+#: what a ``call-global`` may take as an argument push
+_SIMPLE_PUSHES = ("load", "load-global", "const")
+
+
+def fuse(instructions: Sequence[Instruction]) -> List[Instruction]:
+    """The fused view: ``instructions`` with each :data:`FUSED` sequence
+    replaced, at the pc of its first instruction, by one entry.
+
+    The view has the same length and the same pcs as ``instructions``,
+    so no jump target moves.  Spans cannot overlap: the pushes of a
+    ``call-global`` are not a ``call``, so no fusable sequence starts
+    inside another.
+    """
+    view = list(instructions)
+    n = len(instructions)
+    for pc, (op, arg) in enumerate(instructions):
+        if op == "dup":
+            if pc + 2 < n and instructions[pc + 1][0] == "store" \
+                    and instructions[pc + 2][0] == "pop":
+                view[pc] = ("store-pop", instructions[pc + 1][1])
+        elif op == "load-global":
+            end = pc + 1
+            while end < n and instructions[end][0] in _SIMPLE_PUSHES \
+                    and type(instructions[end][1]) is not list:
+                end += 1
+            if end < n:
+                call, nargs = instructions[end]
+                if (call == "call" or call == "tail-call") \
+                        and nargs == end - pc - 1:
+                    view[pc] = ("call-global",
+                                (arg, tuple(instructions[pc + 1:end]),
+                                 call == "tail-call"))
+    return view
 
 
 def nested_code_objects(code: CodeObject) -> Sequence[CodeObject]:

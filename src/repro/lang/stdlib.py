@@ -9,9 +9,10 @@ Two kinds of builtins:
 
 * plain Python callables — the VM forces any future arguments before
   the call (the determination rule of paper Section 4.1);
-* VM builtins (marked ``needs_vm``) — receive the running VM first, for
-  operations that call back into Gozer code (``mapcar``, ``sort``) or
-  touch VM state (``signal``, ``invoke-restart``).
+* VM builtins (marked by :func:`~repro.gvm.frames.vm_function`) —
+  receive the running VM first, for operations that call back into
+  Gozer code (``mapcar``, ``sort``) or touch VM state (``signal``,
+  ``invoke-restart``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..gvm.conditions import (
     define_condition_type,
     make_condition,
 )
-from ..gvm.frames import GozerFunction
+from ..gvm.frames import GozerFunction, vm_function
 from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
 from .printer import princ_form, print_form
@@ -58,7 +59,7 @@ def vm_builtin(*names: str):
     """Register a builtin that receives the running VM as first arg."""
 
     def register(fn):
-        fn.needs_vm = True
+        vm_function(fn)
         for name in names:
             _VM_REGISTRY[name] = fn
         return fn

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from ..bluebox.wsdl import WsdlDocument, WsdlOperation
 from ..bluebox.xmlmsg import ServiceMessage
 from ..gvm.conditions import GozerCondition
-from ..gvm.frames import GozerMacro
+from ..gvm.frames import GozerMacro, vm_function
 from ..lang.errors import CompileError, GozerRuntimeError
 from ..lang.symbols import Keyword, Symbol
 
@@ -105,6 +105,63 @@ def _forms_for_operation(prefix: str, wsdl: WsdlDocument,
     return [method_form, invoker_form]
 
 
+@vm_function
+def call_async(vm, soap_action, message):
+    return {"kind": "service-call",
+            "soap_action": str(soap_action),
+            "values": _message_values(message)}
+
+
+@vm_function
+def call_sync(vm, soap_action, message):
+    from .distribution import CURRENT_EXECUTION
+
+    execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
+    if execution is None:
+        raise GozerRuntimeError(
+            "synchronous service call outside a Vinz workflow")
+    return execution.call_sync(str(soap_action),
+                               _message_values(message))
+
+
+@vm_function
+def should_migrate(vm, soap_action):
+    from .distribution import CURRENT_EXECUTION
+
+    execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
+    if execution is None:
+        return True
+    return execution.should_migrate(str(soap_action))
+
+
+@vm_function
+def parse_response(vm, body):
+    """Unwrap a response envelope; signal faults as conditions.
+
+    "The function arranges for this QName to be signaled as an
+    error, thus integrating distributed error conditions into Vinz
+    handling" (Section 3.7).
+    """
+    if not isinstance(body, dict):
+        return body
+    if "fault" in body:
+        condition = GozerCondition(
+            message=body.get("message", ""),
+            condition_type="service-error",
+            qname=body["fault"])
+        vm.signal(condition, error_p=True)
+    return body.get("result")
+
+
+#: the deflink stubs' VM intrinsics, by Gozer-visible name
+_INTRINSICS = (
+    ("call-wsdl-operation-async", call_async),
+    ("call-wsdl-operation", call_sync),
+    ("vinz-should-migrate", should_migrate),
+    ("parse-wsdl-response", parse_response),
+)
+
+
 def install(runtime, workflow_service) -> None:
     """Install the deflink macro and its supporting intrinsics."""
     env = runtime.global_env
@@ -118,57 +175,8 @@ def install(runtime, workflow_service) -> None:
 
     env.define(_S("make-service-message"), make_service_message)
 
-    def call_async(vm, soap_action, message):
-        return {"kind": "service-call",
-                "soap_action": str(soap_action),
-                "values": _message_values(message)}
-
-    call_async.needs_vm = True
-    env.define_intrinsic("call-wsdl-operation-async", call_async)
-
-    def call_sync(vm, soap_action, message):
-        from .distribution import CURRENT_EXECUTION
-
-        execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
-        if execution is None:
-            raise GozerRuntimeError(
-                "synchronous service call outside a Vinz workflow")
-        return execution.call_sync(str(soap_action),
-                                   _message_values(message))
-
-    call_sync.needs_vm = True
-    env.define_intrinsic("call-wsdl-operation", call_sync)
-
-    def should_migrate(vm, soap_action):
-        from .distribution import CURRENT_EXECUTION
-
-        execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
-        if execution is None:
-            return True
-        return execution.should_migrate(str(soap_action))
-
-    should_migrate.needs_vm = True
-    env.define_intrinsic("vinz-should-migrate", should_migrate)
-
-    def parse_response(vm, body):
-        """Unwrap a response envelope; signal faults as conditions.
-
-        "The function arranges for this QName to be signaled as an
-        error, thus integrating distributed error conditions into Vinz
-        handling" (Section 3.7).
-        """
-        if not isinstance(body, dict):
-            return body
-        if "fault" in body:
-            condition = GozerCondition(
-                message=body.get("message", ""),
-                condition_type="service-error",
-                qname=body["fault"])
-            vm.signal(condition, error_p=True)
-        return body.get("result")
-
-    parse_response.needs_vm = True
-    env.define_intrinsic("parse-wsdl-response", parse_response)
+    for name, fn in _INTRINSICS:
+        env.define_intrinsic(name, fn)
 
     # -- the deflink macro itself ------------------------------------------
 

@@ -18,12 +18,12 @@ change dynamically.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..lang.errors import CompileError, ControlFlowSignal
 from ..lang.macros import is_listform
 from ..lang.symbols import Keyword, Symbol, gensym
-from ..gvm.frames import GozerMacro
+from ..gvm.frames import GozerMacro, vm_function
 
 _S = Symbol
 
@@ -53,7 +53,7 @@ CURRENT_EXECUTION: contextvars.ContextVar = contextvars.ContextVar(
     "vinz-current-execution", default=None)
 
 
-def _vinz(vm):
+def current_execution(vm):
     execution = getattr(vm, "vinz", None)
     if execution is None:
         execution = CURRENT_EXECUTION.get()
@@ -69,148 +69,141 @@ def _vinz(vm):
 # intrinsics
 # ---------------------------------------------------------------------------
 
+#: the Vinz intrinsics, by Gozer-visible name (``install_intrinsics``)
+_INTRINSICS: Dict[str, Callable] = {}
+
+
+def _intrinsic(name: str):
+    """List ``fn(vm, ...)`` as the intrinsic ``name``; it takes the VM."""
+
+    def register(fn):
+        _INTRINSICS[name] = vm_function(fn)
+        return fn
+
+    return register
+
+
+@_intrinsic("vinz-fork")
+def vinz_fork(vm, fn, args, notify):
+    return current_execution(vm).fork(fn, list(args or []), bool(notify))
+
+
+@_intrinsic("vinz-collect")
+def vinz_collect(vm, child_ids):
+    return current_execution(vm).collect_results(vm, list(child_ids or []))
+
+
+@_intrinsic("vinz-fork-chain")
+def vinz_fork_chain(vm, fn, items):
+    return current_execution(vm).fork_chain(fn, list(items or []))
+
+
+@_intrinsic("vinz-collect-chain")
+def vinz_collect_chain(vm, group_id):
+    return current_execution(vm).collect_chain(vm, group_id)
+
+
+@_intrinsic("vinz-auto-chunk-size")
+def vinz_auto_chunk_size(vm):
+    return current_execution(vm).auto_chunk_size()
+
+
+@_intrinsic("vinz-await")
+def vinz_await(vm=None):
+    return {"kind": "await"}
+
+
+@_intrinsic("vinz-join")
+def vinz_join(vm, pid):
+    return {"kind": "join", "target": pid}
+
+
+@_intrinsic("vinz-join-sync")
+def vinz_join_sync(vm, pid):
+    return current_execution(vm).join_sync(pid)
+
+
+@_intrinsic("vinz-sleep")
+def vinz_sleep(vm, seconds):
+    return {"kind": "sleep", "seconds": seconds}
+
+
+@_intrinsic("vinz-awake")
+def vinz_awake(vm, pid, *payload):
+    return current_execution(vm).awake(pid, payload[0] if payload else None)
+
+
+@_intrinsic("vinz-send-message")
+def vinz_send_message(vm, pid, value):
+    return current_execution(vm).send_fiber_message(pid, value)
+
+
+@_intrinsic("vinz-try-receive")
+def vinz_try_receive(vm):
+    return current_execution(vm).try_receive()
+
+
+@_intrinsic("vinz-receive")
+def vinz_receive(vm):
+    return {"kind": "receive"}
+
+
+@_intrinsic("vinz-spawn-limit")
+def vinz_spawn_limit(vm):
+    return current_execution(vm).spawn_limit()
+
+
+@_intrinsic("vinz-set-spawn-limit")
+def vinz_set_spawn_limit(vm, n):
+    return current_execution(vm).set_spawn_limit(int(n))
+
+
+@_intrinsic("vinz-auto-spawn-limit")
+def vinz_auto_spawn_limit(vm):
+    return current_execution(vm).auto_spawn_limit()
+
+
+@_intrinsic("vinz-current-fiber")
+def vinz_current_fiber(vm):
+    return current_execution(vm).fiber.id
+
+
+@_intrinsic("vinz-current-task")
+def vinz_current_task(vm):
+    return current_execution(vm).task.id
+
+
+@_intrinsic("vinz-break")
+def vinz_break(vm, *_args):
+    raise VinzBreak("break")
+
+
+@_intrinsic("vinz-terminate")
+def vinz_terminate(vm, *reason):
+    raise VinzTerminateTask(str(reason[0]) if reason else
+                            "terminated by workflow")
+
+
+@_intrinsic("charge")
+def vinz_charge(vm, seconds):
+    current_execution(vm).charge(float(seconds))
+    return None
+
+
+@_intrinsic("get-task-var")
+def get_task_var(vm, name):
+    return current_execution(vm).get_task_var(_taskvar_name(name))
+
+
+@_intrinsic("set-task-var")
+def set_task_var(vm, name, value):
+    return current_execution(vm).set_task_var(_taskvar_name(name), value)
+
+
 def install_intrinsics(runtime) -> None:
     env = runtime.global_env
-
-    def vinz_fork(vm, fn, args, notify):
-        return _vinz(vm).fork(fn, list(args or []), bool(notify))
-
-    vinz_fork.needs_vm = True
-    env.define_intrinsic("vinz-fork", vinz_fork)
-
-    def vinz_collect(vm, child_ids):
-        return _vinz(vm).collect_results(vm, list(child_ids or []))
-
-    vinz_collect.needs_vm = True
-    env.define_intrinsic("vinz-collect", vinz_collect)
-
-    def vinz_fork_chain(vm, fn, items):
-        return _vinz(vm).fork_chain(fn, list(items or []))
-
-    vinz_fork_chain.needs_vm = True
-    env.define_intrinsic("vinz-fork-chain", vinz_fork_chain)
-
-    def vinz_collect_chain(vm, group_id):
-        return _vinz(vm).collect_chain(vm, group_id)
-
-    vinz_collect_chain.needs_vm = True
-    env.define_intrinsic("vinz-collect-chain", vinz_collect_chain)
-
-    def vinz_auto_chunk_size(vm):
-        return _vinz(vm).auto_chunk_size()
-
-    vinz_auto_chunk_size.needs_vm = True
-    env.define_intrinsic("vinz-auto-chunk-size", vinz_auto_chunk_size)
-
-    def vinz_await(vm=None):
-        return {"kind": "await"}
-
-    vinz_await.needs_vm = True
-    env.define_intrinsic("vinz-await", vinz_await)
-
-    def vinz_join(vm, pid):
-        return {"kind": "join", "target": pid}
-
-    vinz_join.needs_vm = True
-    env.define_intrinsic("vinz-join", vinz_join)
-
-    def vinz_join_sync(vm, pid):
-        return _vinz(vm).join_sync(pid)
-
-    vinz_join_sync.needs_vm = True
-    env.define_intrinsic("vinz-join-sync", vinz_join_sync)
-
-    def vinz_sleep(vm, seconds):
-        return {"kind": "sleep", "seconds": seconds}
-
-    vinz_sleep.needs_vm = True
-    env.define_intrinsic("vinz-sleep", vinz_sleep)
-
-    def vinz_awake(vm, pid, *payload):
-        return _vinz(vm).awake(pid, payload[0] if payload else None)
-
-    vinz_awake.needs_vm = True
-    env.define_intrinsic("vinz-awake", vinz_awake)
-
-    def vinz_send_message(vm, pid, value):
-        return _vinz(vm).send_fiber_message(pid, value)
-
-    vinz_send_message.needs_vm = True
-    env.define_intrinsic("vinz-send-message", vinz_send_message)
-
-    def vinz_try_receive(vm):
-        return _vinz(vm).try_receive()
-
-    vinz_try_receive.needs_vm = True
-    env.define_intrinsic("vinz-try-receive", vinz_try_receive)
-
-    def vinz_receive(vm):
-        return {"kind": "receive"}
-
-    vinz_receive.needs_vm = True
-    env.define_intrinsic("vinz-receive", vinz_receive)
-
-    def vinz_spawn_limit(vm):
-        return _vinz(vm).spawn_limit()
-
-    vinz_spawn_limit.needs_vm = True
-    env.define_intrinsic("vinz-spawn-limit", vinz_spawn_limit)
-
-    def vinz_set_spawn_limit(vm, n):
-        return _vinz(vm).set_spawn_limit(int(n))
-
-    vinz_set_spawn_limit.needs_vm = True
-    env.define_intrinsic("vinz-set-spawn-limit", vinz_set_spawn_limit)
-
-    def vinz_auto_spawn_limit(vm):
-        return _vinz(vm).auto_spawn_limit()
-
-    vinz_auto_spawn_limit.needs_vm = True
-    env.define_intrinsic("vinz-auto-spawn-limit", vinz_auto_spawn_limit)
-
-    def vinz_current_fiber(vm):
-        return _vinz(vm).fiber.id
-
-    vinz_current_fiber.needs_vm = True
-    env.define_intrinsic("vinz-current-fiber", vinz_current_fiber)
-
-    def vinz_current_task(vm):
-        return _vinz(vm).task.id
-
-    vinz_current_task.needs_vm = True
-    env.define_intrinsic("vinz-current-task", vinz_current_task)
-
-    def vinz_break(vm, *_args):
-        raise VinzBreak("break")
-
-    vinz_break.needs_vm = True
-    env.define_intrinsic("vinz-break", vinz_break)
-
-    def vinz_terminate(vm, *reason):
-        raise VinzTerminateTask(str(reason[0]) if reason else
-                                "terminated by workflow")
-
-    vinz_terminate.needs_vm = True
-    env.define_intrinsic("vinz-terminate", vinz_terminate)
-
-    def vinz_charge(vm, seconds):
-        _vinz(vm).charge(float(seconds))
-        return None
-
-    vinz_charge.needs_vm = True
-    env.define_intrinsic("charge", vinz_charge)
-
-    def get_task_var(vm, name):
-        return _vinz(vm).get_task_var(_taskvar_name(name))
-
-    get_task_var.needs_vm = True
-    env.define_intrinsic("get-task-var", get_task_var)
-
-    def set_task_var(vm, name, value):
-        return _vinz(vm).set_task_var(_taskvar_name(name), value)
-
-    set_task_var.needs_vm = True
-    env.define_intrinsic("set-task-var", set_task_var)
+    for name, fn in _INTRINSICS.items():
+        env.define_intrinsic(name, fn)
 
 
 def _taskvar_name(name: Any) -> str:

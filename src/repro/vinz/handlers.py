@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from ..gvm.frames import GozerFunction, GozerMacro
+from ..gvm.frames import GozerFunction, GozerMacro, vm_function
 from ..lang.errors import CompileError, GozerRuntimeError
 from ..lang.symbols import Keyword, Symbol, gensym
-from .distribution import VinzBreak, VinzTerminateTask
+from .distribution import VinzBreak, VinzTerminateTask, current_execution
 
 _S = Symbol
 
@@ -122,19 +122,21 @@ def perform_action(vm, condition, definition: HandlerDefinition,
     vm.call(fn, [condition])
 
 
+@vm_function
+def handle_condition(vm, condition, handler_name, invocation_count):
+    """``%vinz-handle-condition``: run the action of the running
+    workflow's handler named ``handler_name``."""
+    definition = current_execution(vm).service.handler_definitions.get(
+        handler_name.name if isinstance(handler_name, Symbol)
+        else str(handler_name))
+    if definition is None:
+        raise GozerRuntimeError(f"no handler named {handler_name}")
+    perform_action(vm, condition, definition, int(invocation_count))
+    return None
+
+
 def install(runtime, workflow_service) -> None:
     env = runtime.global_env
-
-    def handle_condition(vm, condition, handler_name, invocation_count):
-        definition = workflow_service.handler_definitions.get(
-            handler_name.name if isinstance(handler_name, Symbol)
-            else str(handler_name))
-        if definition is None:
-            raise GozerRuntimeError(f"no handler named {handler_name}")
-        perform_action(vm, condition, definition, int(invocation_count))
-        return None
-
-    handle_condition.needs_vm = True
     env.define_intrinsic("vinz-handle-condition", handle_condition)
 
     def m_defhandler(name, *options):

@@ -9,6 +9,7 @@ import json
 
 from repro.conformance import run_fuzz
 from repro.conformance.fuzz import write_report
+from repro.lang.bytecode import FUSED
 from repro.observe import MetricsRegistry
 
 
@@ -27,6 +28,9 @@ class TestFuzzSmoke:
         assert 0 < cov.special_form_ratio <= 1
         assert 0 < cov.builtin_ratio <= 1
         assert 0 < cov.opcode_ratio <= 1
+        # the fast loop's fused forms are ledger entries, credited from
+        # the fused view
+        assert all(cov.opcodes[name] for name in FUSED)
         # metrics flowed through repro.observe
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["conformance.programs"] == 12

@@ -7,11 +7,17 @@ uninterrupted run — capture/restore must be invisible to both the
 value semantics and the cost model.
 """
 
+import os
+
 import pytest
 
-from repro.conformance import ProgramGenerator, run_stepwise, run_vm
+from repro.conformance import ProgramGenerator, load_dir, run_stepwise, run_vm
 from repro.conformance.corpus import loads
 from repro.conformance.oracles import stepwise_safe
+
+#: the corpus entries written for the fast loop's fused view
+FUSED_ENTRIES = [p for p in load_dir(os.path.join(
+    os.path.dirname(__file__), "corpus")) if p.name.startswith("fused-")]
 
 
 def program(source):
@@ -70,3 +76,18 @@ class TestStepwiseTransparency:
         assert result.outcome.agrees_with(base), \
             f"{p.name}: {result.outcome.describe()} vs {base.describe()}"
         assert result.counts_agree, p.name
+
+
+@pytest.mark.parametrize("program", FUSED_ENTRIES, ids=lambda p: p.name)
+def test_fused_view_edge_cases_step_transparently(program):
+    """The stepper runs the traced loop (unfused ``instructions``), its
+    baseline the fast loop (the fused view): the counts must agree.
+    ``fused-future-arg`` is stepped too — its one future determines
+    at once, and a paused frame pickles the future as its value."""
+    assert len(FUSED_ENTRIES) >= 5
+    result = run_stepwise(program, stride=1)
+    base = run_vm(program)
+    assert result.outcome.agrees_with(base), \
+        f"{result.outcome.describe()} vs {base.describe()}"
+    assert result.counts_agree, (result.instructions,
+                                 result.baseline_instructions)

@@ -196,3 +196,49 @@ class TestNameResolution:
         assert rt.start("(+ x 2)", env=env) == Done(40)
         assert rt.start("(+ 20 2)") == Done(22)
 
+
+
+class TestFusedFormsStopWhereTheInstructionsWould:
+    """The fast loop runs the fused view: a ``call-global`` or
+    ``store-pop`` stands for several instructions.  One that fails part
+    of the way leaves the pc, the operand stack and the instruction
+    count the unfused instructions (the traced loop) leave."""
+
+    @staticmethod
+    def _state_at_signal(rt, code, traced):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        seen = []
+        signal = vm.signal
+
+        def recording_signal(condition, error_p=False):
+            top = vm.frames[-1]
+            seen.append((top.pc, list(top.stack), vm.instruction_count))
+            return signal(condition, error_p)
+
+        vm.signal = recording_signal
+        with pytest.raises(UnhandledConditionError):
+            vm.run_code(code)
+        return seen
+
+    @pytest.mark.parametrize("source", [
+        "(list 1 (+ 2 no-such-variable))",
+        "(let ((a 1)) (list a (+ no-such-variable a)))",
+        "(let ((a 1)) (list a (+ a 2 no-such-variable)))",
+        "(let ((a 1)) (list a (no-such-function a 2)))",
+        "(let ((a 1)) (list (+ a 1) (car a)))",
+    ])
+    def test_an_error_inside_a_fused_call(self, rt, source):
+        code = rt.compile(rt.read(source))
+        assert "call-global" in {op for op, _ in code.fuse()}
+        fast = self._state_at_signal(rt, code, traced=False)
+        traced = self._state_at_signal(rt, code, traced=True)
+        assert fast and fast == traced
+
+    def test_store_pop_into_a_dynamic_binding_then_a_global(self, rt):
+        assert rt.eval_string("""
+            (defvar *n* 0)
+            (defun bump () (setq *n* (+ *n* 1)) (setq seen *n*) nil)
+            (list (let ((*n* 10)) (bump) (bump) *n*) *n* seen)""") \
+            == [12, 0, 12]

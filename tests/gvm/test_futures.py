@@ -110,6 +110,50 @@ class TestLanguageLevelFutures:
         assert rt.eval_string("(touch (future (% is-fiber-thread)))") is False
 
 
+class TestFutureInCalleePosition:
+    """A future is touched wherever it is called: in a direct call, and
+    through ``VM.call`` (``funcall``, ``apply``, ``mapcar``, ``mapc``)."""
+
+    #: (program, value) with ``f`` a determined future of ``+``
+    CALLS = [
+        ("(f 20 1)", 21),
+        ("(funcall f 20 1)", 21),
+        ("(apply f 20 '(1))", 21),
+        ("(mapcar f '(1 2) '(10 20))", [11, 22]),
+        ("(let ((acc ()))"
+         "  (mapc (lambda (x) (setq acc (cons (f x 1) acc))) '(1 2))"
+         "  (list (mapc f '(1 2) '(3 4)) acc))", [[1, 2], [3, 2]]),
+    ]
+
+    @pytest.mark.parametrize("source,value", CALLS)
+    def test_vm_and_tree_walker_agree(self, rt, source, value):
+        from repro.conformance.oracles import ConformanceTreeInterpreter
+        from repro.lang.reader import read_string
+        from repro.lang.symbols import Symbol
+
+        plus = GozerFuture("f")
+        plus._determine(rt.global_env.lookup(Symbol("+")))
+        rt.global_env.define(Symbol("f"), plus)
+        tree = ConformanceTreeInterpreter(
+            rt.global_env, apply_fn=rt.apply,
+            scratch_vm=rt.new_vm(allow_yield=False))
+        assert rt.eval_string(source) == value
+        assert tree.eval(read_string(source)) == value
+
+    @pytest.mark.parametrize("source,value", [
+        ("(let ((f (future #'+))) (f 20 1))", 21),
+        ("(let ((f (future #'+))) (funcall f 20 1))", 21),
+        ("(let ((f (future #'+))) (apply f 20 '(1)))", 21),
+        ("(let ((f (future (lambda (x) (* x x))))) (mapcar f '(1 2 3)))",
+         [1, 4, 9]),
+        ("(let ((seen ()))"
+         "  (mapc (future (lambda (x) (setq seen (cons x seen)))) '(1 2 3))"
+         "  seen)", [3, 2, 1]),
+    ])
+    def test_future_of_a_function_is_callable(self, rt, source, value):
+        assert rt.eval_string(source) == value
+
+
 class TestThreadedExecution:
     def test_real_parallel_execution(self, threaded_rt):
         value = threaded_rt.eval_string("""
