@@ -7,11 +7,12 @@ Three ledgers, three denominators:
   from the surface walk *and* from a macroexpanded walk (so e.g. a
   ``handler-case`` credits the ``handler-bind`` it expands into).
 * **builtins** — both stdlib registries; credited from surface marks.
-* **opcodes** — :data:`repro.lang.bytecode.OPCODES` and the fast
-  loop's superinstructions, :data:`~repro.lang.bytecode.FUSED`;
-  credited by compiling each program and walking its (nested) code
-  objects, the instructions for the first and the fused view
-  (:func:`~repro.lang.bytecode.fuse`) for the second.
+* **opcodes** — :data:`repro.lang.bytecode.OPCODES`, the fast loop's
+  superinstructions, :data:`~repro.lang.bytecode.FUSED`, and the
+  shapes of a ``call-global`` (:data:`CALL_GLOBAL_SHAPES`); credited
+  by compiling each program and walking its (nested) code objects,
+  the instructions for the first and the fused view
+  (:func:`~repro.lang.bytecode.fuse`) for the others.
 
 Known-unreachable entries are excluded *with a reason* and the reasons
 are part of the report — a generator gap must be visible, never silent
@@ -28,9 +29,37 @@ from .grammar import (EXCLUDED_BUILTINS, GenProgram, analyze,
                       builtin_names, special_form_names)
 
 #: opcodes (or fused forms) the generated programs can never reach,
-#: with the reason (none today: every opcode the VM executes and both
-#: fused forms must be reached by the generator)
+#: with the reason (none today: every opcode the VM executes, both
+#: fused forms and every call-global shape must be reached by the
+#: generator)
 EXCLUDED_OPCODES: Dict[str, str] = {}
+
+#: the shapes of a fused ``call-global`` credited on their own ledger
+#: lines, beside the form itself
+CALL_GLOBAL_SHAPES = {
+    "call-global/nested": "a push is itself a primitive's call",
+    "call-global/jump-if-false": "carries the jump-if-false after it",
+    "call-global/store": "carries the dup; store x; pop after it",
+}
+
+
+def fused_forms(entry: Any) -> List[str]:
+    """The ledger lines one fused-view entry credits: its form, and for
+    a ``call-global`` each of :data:`CALL_GLOBAL_SHAPES` it takes."""
+    op, arg = entry
+    if op not in FUSED:
+        return []
+    if op != "call-global":
+        return [op]
+    forms = [op]
+    _name, pushes, _tail, _span, then = arg
+    # with a ``then``, the last primitive is f's own call, not a push
+    primitives = sum(push == "primitive" for push, _ in pushes)
+    if primitives > (then is not None):
+        forms.append("call-global/nested")
+    if then is not None and then[0] != "push":
+        forms.append("call-global/" + then[0])
+    return forms
 
 
 def expand_all(form: Any, global_env, apply_fn) -> Any:
@@ -51,7 +80,8 @@ def walk_opcodes(code: CodeObject, into: Set[str]) -> None:
     """Collect opcode names from a code object and every nested one
     (closure bodies, future thunks, unwind cleanups), and the fused
     forms of each one's fused view."""
-    into.update(op for op, _ in fuse(code.instructions) if op in FUSED)
+    for entry in fuse(code.instructions):
+        into.update(fused_forms(entry))
     for op, arg in code.instructions:
         into.add(op)
         if isinstance(arg, CodeObject):
@@ -132,7 +162,8 @@ class CoverageAccounter:
         self._macro: Set[str] = set()
         self._all_sf = special_form_names()
         self._all_fn = builtin_names() - set(EXCLUDED_BUILTINS)
-        self._all_op = (frozenset(OPCODES) | frozenset(FUSED)) \
+        self._all_op = (frozenset(OPCODES) | frozenset(FUSED)
+                        | frozenset(CALL_GLOBAL_SHAPES)) \
             - set(EXCLUDED_OPCODES)
         self._all_macros = frozenset(
             s.name for s in CORE_MACROS) | {"for-each", "parallel",

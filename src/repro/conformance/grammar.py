@@ -472,6 +472,9 @@ EXCLUDED_BUILTINS: Dict[str, str] = {
     "compute-restarts": "exercised inside the restart-case garnish",
 }
 
+#: the float operands of the pure stratum's mixed arithmetic
+_FLOATS = (-0.0, 0.0, 0.5, -2.5, 1.25, 3.0)
+
 #: the restricted template pool for the suspend stratum: everything
 #: here keeps only picklable values on the operand stack, so a
 #: continuation captured mid-expression round-trips through pickle.
@@ -595,6 +598,9 @@ class ProgramGenerator:
         kind = rng.random()
         if ctx.stratum == SUSPEND:
             return self._suspend_spine(ctx)
+        if kind < 0.08 and ctx.stratum == PURE:
+            # printed, so the sign of a zero is part of the outcome
+            return [_S("list"), *[self._number(ctx) for _ in range(3)]]
         if kind < 0.45:
             return self._int(ctx)
         if kind < 0.65:
@@ -634,6 +640,28 @@ class ProgramGenerator:
             return [_S("yield"), self._int_leaf(ctx)]
         return [_S(rng.choice(["+", "-", "*"])), self._int(ctx),
                 self._int(ctx)]
+
+    def _number(self, ctx: _Ctx, depth: int = 0) -> Any:
+        """Mixed int/float arithmetic over the eight primitives (pure
+        stratum): float literals, -0.0 among them, ints and both mixed,
+        so the fast loop's inline arithmetic meets what the function
+        answers.  Shallow, so the sign of a zero sum can still reach
+        the printed result; the floats stay small: no nan, which is not
+        equal to itself, so a replay could not match it."""
+        rng = ctx.rng
+        if depth == 2 or not ctx.spend() \
+                or rng.random() < 0.3 + 0.35 * depth:
+            roll = rng.random()
+            if roll < 0.35:
+                return -0.0  # the zero whose sign a sum must keep
+            if roll < 0.7:
+                return rng.choice(_FLOATS)
+            return self._int_leaf(ctx)
+        if rng.random() < 0.1:
+            return [_S(rng.choice(["+", "-"])),
+                    self._number(ctx, depth + 1)]
+        return [_S(rng.choice(["+", "-", "*"])),
+                self._number(ctx, depth + 1), self._number(ctx, depth + 1)]
 
     def _int_leaf(self, ctx: _Ctx) -> Any:
         rng = ctx.rng
@@ -726,6 +754,9 @@ class ProgramGenerator:
             return rng.choice(
                 [True, False, [_S("evenp"), self._int_leaf(ctx)]])
         roll = rng.random()
+        if roll < 0.10 and ctx.stratum == PURE:
+            return [_S(rng.choice(["<", ">", "<=", ">=", "="])),
+                    self._number(ctx), self._number(ctx)]
         if roll < 0.35:
             return [_S(rng.choice(["<", ">", "<=", ">=", "=", "/="])),
                     self._int(ctx), self._int(ctx)]
@@ -777,6 +808,8 @@ class ProgramGenerator:
             return self._list(ctx)
         if roll < 0.9:
             return self._bool(ctx)
+        if roll < 0.95 and ctx.stratum == PURE:
+            return self._number(ctx)
         return None
 
     # -- templates -----------------------------------------------------
@@ -1016,7 +1049,7 @@ class ProgramGenerator:
             self._g_restart_case, self._g_declare_the, self._g_dot,
             self._g_intrinsic, self._g_future, self._g_ignore_errors,
             self._g_fancy_lambda, self._g_dynvars, self._g_with_restart,
-            self._g_assert,
+            self._g_assert, self._g_redefine_plus,
         ]
         if index % 2 == 0:
             return safe[(index // 2) % len(safe)](ctx)
@@ -1103,6 +1136,21 @@ class ProgramGenerator:
                 [_S("defvar"), var, self._int(ctx)],
                 [_S("let"), [[var, self._int(ctx)]],
                  [fn, var]]]
+
+    def _g_redefine_plus(self, ctx: _Ctx) -> Any:
+        # defun + once a function computing with it has run (its fused
+        # view built, + inline); the new + adds as the builtin does, so
+        # the rest of the program computes what it did, through a call
+        fn, a, b = ctx.fresh("pf"), _S("a"), _S("b")
+        args = [self._int(ctx), self._int(ctx)]
+        return [_S("progn"),
+                [_S("defun"), fn, [a, b], [_S("+"), a, [_S("*"), b, b]]],
+                [_S("list"), [fn, *args],
+                 [_S("progn"),
+                  [_S("defun"), _S("+"), [_S("&rest"), _S("xs")],
+                   [_S("-"), [_S("apply"), [_S("function"), _S("-")], 0,
+                              _S("xs")]]],
+                  [fn, *args]]]]
 
     def _g_destructure(self, ctx: _Ctx) -> Any:
         a, b = ctx.fresh("da"), ctx.fresh("db")

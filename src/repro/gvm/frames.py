@@ -62,6 +62,28 @@ def is_vm_function(fn: Any) -> bool:
     return type(fn) is FunctionType and fn in VM_FUNCTIONS
 
 
+#: The stdlib's binary numeric primitives, ``{function: operator.*}``.
+#: When the fast loop calls one of these functions (found by identity)
+#: with two arguments whose types are exactly ``int`` or ``float``, it
+#: computes ``op(a, b)`` in place instead; for such arguments the two
+#: agree (``tests/lang/test_stdlib_primitives.py``).  Filled by
+#: :func:`binary_primitive` where the stdlib registers the eight.
+BINARY_PRIMITIVES: dict = {}
+
+
+def binary_primitive(op: Callable) -> Callable:
+    """Mark a module-level host function as computing ``op(a, b)`` on
+    two ``int``/``float`` arguments (see :data:`BINARY_PRIMITIVES`)."""
+
+    def mark(fn: Callable) -> Callable:
+        assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
+            f"{fn!r}: only module-level functions are primitives"
+        BINARY_PRIMITIVES[fn] = op
+        return fn
+
+    return mark
+
+
 class GozerMacro:
     """A macro: a function from source forms to a source form.
 

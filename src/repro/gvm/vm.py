@@ -44,6 +44,7 @@ from .conditions import (
 from .continuations import Continuation, capture, materialize
 from .environment import DynamicBindings, Env, GlobalEnvironment, _MISSING
 from .frames import (
+    BINARY_PRIMITIVES,
     BlockRecord,
     Frame,
     GozerFunction,
@@ -57,6 +58,10 @@ from .frames import (
 from .futures import GozerFuture, force_all
 
 _CONTINUE = object()
+
+#: the argument types for which the fast loop computes a primitive
+#: inline (``bool`` is not one: a subclass goes through the function)
+_NUMBERS = frozenset((int, float))
 
 
 @dataclass
@@ -274,16 +279,24 @@ class VM:
         (:func:`~repro.lang.bytecode.fuse`): the same pcs as
         ``instructions``, with a ``store-pop`` or ``call-global``
         superinstruction at the first pc of each sequence it stands for.
-        A superinstruction advances ``pc`` and ``count`` as its
-        sub-instructions would, so an error in the middle of one leaves
-        the pc, count and stack the unfused code would.  The ``elif``
-        order is the measured frequency of the ``perf/`` probe programs.
-        Everything else — condition system, blocks, continuations, and a
-        ``return`` out of a frame that has cleanups to run — goes
-        through :meth:`_step`, the one fallback.
+        A superinstruction advances ``pc`` and ``count`` once for every
+        instruction it replaces.  A ``call-global`` computes the stdlib
+        primitives among its pushes, and its own call when that is one,
+        inline (:data:`~repro.gvm.frames.BINARY_PRIMITIVES`, by
+        identity, on ``int``/``float`` arguments), and then runs its
+        branch or ``setq`` tail in place.  Its pushes are pure reads, so
+        when one cannot finish here the entry *deopts*: it pushes the
+        callee and goes on at the next pc, on the entries that stand for
+        the rest of its instructions, and whatever fails then fails at
+        its own pc, stack and count.  The ``elif`` order is the measured
+        frequency of the ``perf/`` probe programs.  Everything else —
+        condition system, blocks, continuations, and a ``return`` out
+        of a frame that has cleanups to run — goes through
+        :meth:`_step`, the one fallback.
 
-        Every call (``call``, ``tail-call``, ``call-global``) ends in the
-        one call block after the chain; every other branch ``continue``s.
+        Every call (``call``, ``tail-call``, a ``call-global`` not
+        computed inline) ends in the one call block after the chain;
+        every other branch ``continue``s.
         ``frame.pc`` is written back before anything that can observe
         or unwind the frame stack (every call but a plain host
         function's, which cannot reach the VM; every fallback) and on
@@ -296,6 +309,8 @@ class VM:
         dynamic_stacks = self.dynamics.stacks
         global_variables = self.global_env.variables
         vm_functions = VM_FUNCTIONS
+        primitives = BINARY_PRIMITIVES
+        numbers = _NUMBERS
         stack = frame.stack
         code = frame.code
         instructions = code.fused or code.fuse()
@@ -307,8 +322,90 @@ class VM:
                 pc += 1
                 count += 1
                 if op == "call-global":
-                    # load-global f (pc and count are already past it)
-                    name, pushes, tail = arg
+                    # the pushes, each a pure read (or pure arithmetic);
+                    # ``pc`` and ``count`` are past the load-global f
+                    name, pushes, tail, span, then = arg
+                    args = []
+                    scope = frame.env
+                    for push, value in pushes:
+                        if push == "load":
+                            env = scope
+                            while env is not None:
+                                bindings = env.bindings
+                                if value in bindings:
+                                    args.append(bindings[value])
+                                    break
+                                env = env.parent
+                            else:
+                                break
+                        elif push == "primitive":
+                            # ``value`` names one of the eight: apply
+                            # it to the two values on top, in place
+                            b = args.pop()
+                            a = args[-1]
+                            if type(a) not in numbers \
+                                    or type(b) not in numbers:
+                                break
+                            if dynamic_stacks and value in dynamic_stacks:
+                                break
+                            try:
+                                binary = primitives[global_variables[value]]
+                                args[-1] = binary(a, b)
+                            except (KeyError, TypeError, OverflowError):
+                                # unbound, not the primitive (an
+                                # unhashable value: TypeError), or a
+                                # huge int beside a float
+                                break
+                        elif push == "const":
+                            args.append(value)
+                        elif dynamic_stacks and value in dynamic_stacks:
+                            break
+                        else:
+                            # load-global
+                            if value not in global_variables:
+                                break
+                            args.append(global_variables[value])
+                    else:
+                        push = None
+                    if push is not None:
+                        # Deopt: this push cannot finish here (a name
+                        # not lexically bound, dynamically bound or
+                        # unbound; a primitive redefined or given other
+                        # types).  Nothing has changed, so do the
+                        # load-global f and run the span's own entries
+                        # from pc + 1: the failing instruction then does
+                        # what it does, at its own pc, stack and count.
+                        stack.append(self._load_free(name))
+                        continue
+                    if then is not None:
+                        # f itself was the last primitive: args holds
+                        # its value, and the tail runs in place
+                        pc += span
+                        count += span
+                        value = args[0]
+                        kind, target = then
+                        if kind == "jump-if-false":
+                            pc += 1
+                            count += 1
+                            if value is None or value is False:
+                                pc = target
+                        elif kind == "store":
+                            env = scope
+                            while env is not None:
+                                if target in env.bindings:
+                                    env.bindings[target] = value
+                                    pc += 3
+                                    count += 3
+                                    break
+                                env = env.parent
+                            else:
+                                # not lexical: the store-pop entry at
+                                # pc stores it through _store_free
+                                stack.append(value)
+                        else:
+                            stack.append(value)
+                        continue
+                    # the load-global f, then the call
                     if dynamic_stacks and name in dynamic_stacks:
                         callee = dynamic_stacks[name][-1]
                     else:
@@ -316,39 +413,8 @@ class VM:
                             callee = global_variables[name]
                         except KeyError:
                             raise UnboundVariableError(name) from None
-                    args = []
-                    try:
-                        for push, value in pushes:
-                            if push == "load":
-                                env = frame.env
-                                while env is not None:
-                                    bindings = env.bindings
-                                    if value in bindings:
-                                        args.append(bindings[value])
-                                        break
-                                    env = env.parent
-                                else:
-                                    args.append(self._load_free(value))
-                            elif push == "const":
-                                args.append(value)
-                            elif dynamic_stacks and value in dynamic_stacks:
-                                args.append(dynamic_stacks[value][-1])
-                            else:
-                                try:
-                                    args.append(global_variables[value])
-                                except KeyError:
-                                    raise UnboundVariableError(value) \
-                                        from None
-                    except UnboundVariableError:
-                        # stop where the failing push would have
-                        pc += len(args) + 1
-                        count += len(args) + 1
-                        stack.append(callee)
-                        stack.extend(args)
-                        raise
-                    # the pushes and the call
-                    pc += len(args) + 1
-                    count += len(args) + 1
+                    pc += span
+                    count += span
                 elif op == "load":
                     env = frame.env
                     while env is not None:

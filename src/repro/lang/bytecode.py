@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from .symbols import Symbol
+
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
 # (and picklability) choice, and not a free one — most opcodes do less
@@ -29,8 +31,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 # GVM at a few million instructions a second).  So the VM's hot loop
 # tests them in order of measured frequency, and runs a *fused view* of
 # each code object (:data:`FUSED`, :func:`fuse`) in which the commonest
-# sequences are one entry each.  The view is the VM's alone: what is
-# emitted, validated, pickled and stepped through is ``instructions``.
+# sequences are one entry each: a whole statement such as Listing 1's
+# ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
+# included, is one ``call-global``.  The view is the VM's alone: what
+# is emitted, validated, pickled and stepped through is
+# ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -82,16 +87,37 @@ OPCODES = {
 #: The superinstructions of the fused view, and the sequence of
 #: ``OPCODES`` each one stands for.  They exist only in
 #: :attr:`CodeObject.fused`: ``emit`` and :func:`validate` refuse them.
-#: A fused entry at pc ``i`` stands for ``instructions[i:i + w]``; the
-#: entries inside that span stay the original instructions, so a jump
-#: into it runs them one by one.
+#: A fused entry at pc ``i`` stands for ``instructions[i:i + w]``.  Every
+#: entry inside that span stands for its own instructions (the original
+#: one, or a fused entry nested in the span: an inner ``call-global``, a
+#: tail's ``store-pop``), so a jump into the span, or the VM resuming
+#: at ``i + 1``, runs exactly what the unfused code would.
 FUSED = {
     "store-pop": "dup; store x; pop — a setq in statement position "
                  "(arg: x; w = 3)",
-    "call-global": "load-global f; k pushes, each a load, a load-global or "
-                   "a const whose argument is not a list; call k or "
-                   "tail-call k (arg: (f, pushes, tail); w = k + 2)",
+    "call-global": "load-global f; k pushes; call k or tail-call k.  A "
+                   "push is a load, a load-global, a const whose argument "
+                   "is not a list, or a nested 'load-global p; push; push; "
+                   "call 2' with p in PRIMITIVES.  When f is in PRIMITIVES "
+                   "and k = 2, a call may also carry the jump-if-false T "
+                   "or the 'dup; store x; pop' after it as its tail "
+                   "(arg: (f, items, tail-call?, span, then): items are "
+                   "the pushes in postfix order, a nested p as "
+                   "('primitive', p) after its two pushes, and f itself "
+                   "as a last ('primitive', f) when f is in PRIMITIVES "
+                   "and k = 2; span counts the instructions from the "
+                   "first push through the call; then is None for any "
+                   "other f, else ('push', None), ('jump-if-false', T) "
+                   "or ('store', x); w = 1 + span + the tail's 1 or 3)",
 }
+
+#: The stdlib's binary numeric primitives by name: the ``p`` of a nested
+#: ``call-global`` push.  The VM computes one inline only while the name
+#: is still bound to the stdlib function
+#: (:data:`repro.gvm.frames.BINARY_PRIMITIVES`, which registers the same
+#: eight); otherwise the fused form gives way to its instructions.
+PRIMITIVES = frozenset(Symbol(name) for name in
+                       ("+", "-", "*", "<", ">", "=", "<=", ">="))
 
 
 @dataclass
@@ -223,34 +249,67 @@ def validate(code: CodeObject) -> List[str]:
 _SIMPLE_PUSHES = ("load", "load-global", "const")
 
 
+def _push(instructions: Sequence[Instruction], pc: int, known: dict):
+    """The ``call-global`` push that starts at ``pc``, as ``(postfix
+    items, end pc)``, or None; ``known`` holds those already found.  A
+    ``load-global`` of a primitive followed by two pushes and ``call 2``
+    is one nested push: on a straight run of code the stack discipline
+    makes that the only reading of those instructions."""
+    if pc in known:
+        return known[pc]
+    push = None
+    if pc < len(instructions):
+        op, arg = instructions[pc]
+        if op in _SIMPLE_PUSHES and type(arg) is not list:
+            push = ((op, arg),), pc + 1
+        if op == "load-global" and arg in PRIMITIVES:
+            first = _push(instructions, pc + 1, known)
+            second = first and _push(instructions, first[1], known)
+            if second and instructions[second[1]:second[1] + 1] \
+                    == [("call", 2)]:
+                push = (first[0] + second[0] + (("primitive", arg),),
+                        second[1] + 1)
+    known[pc] = push
+    return push
+
+
 def fuse(instructions: Sequence[Instruction]) -> List[Instruction]:
     """The fused view: ``instructions`` with each :data:`FUSED` sequence
     replaced, at the pc of its first instruction, by one entry.
 
     The view has the same length and the same pcs as ``instructions``,
-    so no jump target moves.  Spans cannot overlap: the pushes of a
-    ``call-global`` are not a ``call``, so no fusable sequence starts
-    inside another.
+    so no jump target moves.  Each pc is fused on its own, so a span may
+    hold fused entries of its own (a nested push's ``call-global``, a
+    tail's ``store-pop``): each stands for its own instructions.
     """
     view = list(instructions)
     n = len(instructions)
+    known: dict = {}
     for pc, (op, arg) in enumerate(instructions):
         if op == "dup":
             if pc + 2 < n and instructions[pc + 1][0] == "store" \
                     and instructions[pc + 2][0] == "pop":
                 view[pc] = ("store-pop", instructions[pc + 1][1])
         elif op == "load-global":
-            end = pc + 1
-            while end < n and instructions[end][0] in _SIMPLE_PUSHES \
-                    and type(instructions[end][1]) is not list:
-                end += 1
-            if end < n:
-                call, nargs = instructions[end]
-                if (call == "call" or call == "tail-call") \
-                        and nargs == end - pc - 1:
-                    view[pc] = ("call-global",
-                                (arg, tuple(instructions[pc + 1:end]),
-                                 call == "tail-call"))
+            items, end, k = (), pc + 1, 0
+            push = _push(instructions, end, known)
+            while push:
+                items, end, k = items + push[0], push[1], k + 1
+                push = _push(instructions, end, known)
+            if end == n or instructions[end][0] not in ("call", "tail-call") \
+                    or instructions[end][1] != k:
+                continue
+            tail = instructions[end][0] == "tail-call"
+            then = None
+            if arg in PRIMITIVES and k == 2:
+                items += (("primitive", arg),)
+                then = ("push", None)
+                after = [] if tail else instructions[end + 1:end + 4]
+                if after and after[0][0] == "jump-if-false":
+                    then = after[0]
+                elif [name for name, _ in after] == ["dup", "store", "pop"]:
+                    then = ("store", after[1][1])
+            view[pc] = ("call-global", (arg, items, tail, end - pc, then))
     return view
 
 

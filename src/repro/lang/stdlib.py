@@ -31,7 +31,7 @@ from ..gvm.conditions import (
     define_condition_type,
     make_condition,
 )
-from ..gvm.frames import GozerFunction, vm_function
+from ..gvm.frames import GozerFunction, binary_primitive, vm_function
 from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
 from .printer import princ_form, print_form
@@ -82,20 +82,29 @@ def install(runtime) -> None:
 # ===========================================================================
 
 # The two-argument branches below are the variadic loops unrolled (same
-# operations in the same order): nearly every call site passes two, and
-# the GVM spends most of a tight loop's time in these few functions.
+# operations in the same order): nearly every call site passes two.
+# The eight marked ``binary_primitive`` are also computed inline by the
+# GVM's fast loop when both arguments are an ``int`` or a ``float``
+# (``repro.gvm.frames.BINARY_PRIMITIVES``); for those the function and
+# ``op(a, b)`` agree.
 
 @builtin("+")
+@binary_primitive(operator.add)
 def _add(*args):
+    # ``+a`` is the numeric check: the identity on a number, -0.0
+    # included (``0 + a`` made it 0.0), and a type-error otherwise
     if len(args) == 2:
-        return 0 + args[0] + args[1]
-    total = 0
-    for a in args:
+        return +args[0] + args[1]
+    if not args:
+        return 0
+    total = +args[0]
+    for a in args[1:]:
         total = total + a
     return total
 
 
 @builtin("-")
+@binary_primitive(operator.sub)
 def _sub(first, *rest):
     if len(rest) == 1:
         return first - rest[0]
@@ -107,6 +116,7 @@ def _sub(first, *rest):
 
 
 @builtin("*")
+@binary_primitive(operator.mul)
 def _mul(*args):
     if len(args) == 2:
         return 1 * args[0] * args[1]
@@ -158,6 +168,7 @@ def _chain_compare(op, args):
 
 
 @builtin("=")
+@binary_primitive(operator.eq)
 def _num_eq(*args):
     if len(args) == 2:
         return True if args[0] == args[1] else False
@@ -171,6 +182,7 @@ def _num_neq(*args):
 
 
 @builtin("<")
+@binary_primitive(operator.lt)
 def _lt(*args):
     if len(args) == 2:
         return True if args[0] < args[1] else False
@@ -178,6 +190,7 @@ def _lt(*args):
 
 
 @builtin("<=")
+@binary_primitive(operator.le)
 def _le(*args):
     if len(args) == 2:
         return True if args[0] <= args[1] else False
@@ -185,6 +198,7 @@ def _le(*args):
 
 
 @builtin(">")
+@binary_primitive(operator.gt)
 def _gt(*args):
     if len(args) == 2:
         return True if args[0] > args[1] else False
@@ -192,6 +206,7 @@ def _gt(*args):
 
 
 @builtin(">=")
+@binary_primitive(operator.ge)
 def _ge(*args):
     if len(args) == 2:
         return True if args[0] >= args[1] else False

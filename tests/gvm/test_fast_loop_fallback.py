@@ -228,6 +228,14 @@ class TestFusedFormsStopWhereTheInstructionsWould:
         "(let ((a 1)) (list a (+ a 2 no-such-variable)))",
         "(let ((a 1)) (list a (no-such-function a 2)))",
         "(let ((a 1)) (list (+ a 1) (car a)))",
+        # a nested primitive's operand, and an inline result's tail
+        "(let ((a 1)) (list a (+ a (* 2 no-such-variable))))",
+        "(let ((a 1)) (list a (- (* a 2) (+ a nil))))",
+        "(let ((a 1) (s \"x\")) (while (< a s) (setq a (+ a 1))))",
+        "(let ((a 1.5)) (list a (+ a (* a " + "9" * 400 + "))))",
+        "(let ((a 1)) (list a (no-such-function a no-such-variable)))",
+        # a primitive's name bound to a value no dictionary can hash
+        "(let ((a 1)) (setq * (list a)) (list a (+ a (* a 2))))",
     ])
     def test_an_error_inside_a_fused_call(self, rt, source):
         code = rt.compile(rt.read(source))

@@ -21,11 +21,14 @@ import re
 import pytest
 
 from repro.conformance import load_dir
+from repro.conformance.coverage import CALL_GLOBAL_SHAPES, fused_forms
 from repro.gvm.conditions import UnhandledConditionError
+from repro.gvm.frames import BINARY_PRIMITIVES
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import VM
-from repro.lang.bytecode import (FUSED, OPCODES, CodeObject, fuse,
-                                 nested_code_objects, validate)
+from repro.lang import stdlib
+from repro.lang.bytecode import (FUSED, OPCODES, PRIMITIVES, CodeObject,
+                                 fuse, nested_code_objects, validate)
 
 
 def dispatched(method) -> set:
@@ -75,11 +78,42 @@ def unfuse(entry):
     if op == "store-pop":
         return [("dup", None), ("store", arg), ("pop", None)]
     if op == "call-global":
-        name, pushes, tail = arg
-        assert all(push in ("load", "load-global", "const")
-                   and type(value) is not list for push, value in pushes)
-        return [("load-global", name), *pushes,
-                ("tail-call" if tail else "call", len(pushes))]
+        name, pushes, tail, span, then = arg
+        # the postfix pushes back to instructions: one run per value
+        values = []
+        for push, value in pushes:
+            if push == "primitive":
+                assert value in PRIMITIVES
+                second, first = values.pop(), values.pop()
+                values.append([("load-global", value), *first, *second,
+                               ("call", 2)])
+            else:
+                assert push in ("load", "load-global", "const") \
+                    and type(value) is not list
+                values.append([(push, value)])
+        if then is None:
+            assert not (name in PRIMITIVES and len(values) == 2)
+            replaced = [("load-global", name),
+                        *(instruction for run in values
+                          for instruction in run),
+                        ("tail-call" if tail else "call", len(values))]
+        else:
+            # f's own call is the last primitive, so one value is left
+            (replaced,) = values
+            assert replaced[0] == ("load-global", name)
+            if tail:
+                replaced[-1] = ("tail-call", 2)
+        assert span == len(replaced) - 1
+        kind, target = then or ("push", None)
+        if kind == "jump-if-false":
+            assert not tail
+            replaced.append(("jump-if-false", target))
+        elif kind == "store":
+            assert not tail
+            replaced += [("dup", None), ("store", target), ("pop", None)]
+        else:
+            assert kind == "push" and target is None
+        return replaced
     return [entry]
 
 
@@ -110,20 +144,35 @@ def test_fused_view_stands_for_the_instructions(program):
             assert code.instructions[pc:pc + len(replaced)] == replaced, \
                 (code.name, pc, entry)
             if entry[0] in FUSED:
-                # the entries inside a span stay original, so a jump
-                # into it runs the unfused instructions
-                assert all(inner[0] in OPCODES
-                           for inner in view[pc + 1:pc + len(replaced)])
+                # an entry inside a span is the original instruction or
+                # a fused entry whose own span nests inside this one
+                # (each is checked at its own pc), so a jump into the
+                # span, or a deopt to pc + 1, runs the unfused code
+                end = pc + len(replaced)
+                for inner_pc in range(pc + 1, end):
+                    inner = view[inner_pc]
+                    assert inner[0] in OPCODES \
+                        or inner_pc + len(unfuse(inner)) <= end, \
+                        (code.name, pc, inner_pc)
             else:
                 assert entry == code.instructions[pc]
 
 
 def test_corpus_reaches_both_fused_forms():
+    # both forms, and every shape a call-global takes
     seen = set()
     for program in _CORPUS:
         for code in _corpus_code(program):
-            seen.update(op for op, _ in fuse(code.instructions))
-    assert set(FUSED) <= seen
+            for entry in fuse(code.instructions):
+                seen.update(fused_forms(entry))
+    assert set(FUSED) | set(CALL_GLOBAL_SHAPES) <= seen
+
+
+def test_primitive_names_are_the_registered_primitives():
+    registered = {name for name, fn in stdlib._REGISTRY.items()
+                  if fn in BINARY_PRIMITIVES}
+    assert {symbol.name for symbol in PRIMITIVES} == registered
+    assert len(BINARY_PRIMITIVES) == len(PRIMITIVES) == 8
 
 
 def test_list_constants_are_never_fused():

@@ -2,11 +2,14 @@
 variadic definitions they shortcut.
 
 The references below are the builtins as they were before the
-branches existed: a fold from the identity element for ``+``/``*``, a
-left fold for ``-``, and Common Lisp's chain ("every adjacent pair
-satisfies the relation") for the comparisons.
+branches existed: a fold from the identity element for ``*``, a left
+fold for ``-``, and Common Lisp's chain ("every adjacent pair
+satisfies the relation") for the comparisons.  ``+`` is Common Lisp's
+too: 0 for no arguments, else a left fold from the first argument,
+which must be a number (a fold from 0 would turn ``-0.0`` into 0.0).
 """
 
+import numbers as numbers_abc
 import operator
 
 import pytest
@@ -31,6 +34,17 @@ def fold(op, identity):
     return reference
 
 
+def add(*args):
+    if not args:
+        return 0
+    if not isinstance(args[0], numbers_abc.Number):
+        raise TypeError(f"not a number: {args[0]!r}")
+    total = args[0]
+    for a in args[1:]:
+        total = total + a
+    return total
+
+
 def subtract(first, *rest):
     if not rest:
         return -first
@@ -44,7 +58,7 @@ def chain(relation):
 
 
 REFERENCES = {
-    "+": fold(operator.add, 0),
+    "+": add,
     "*": fold(operator.mul, 1),
     "-": subtract,
     "=": chain(operator.eq),
