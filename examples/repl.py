@@ -5,7 +5,8 @@ The paper calls Gozer "a scripting language due to its support for
 interactive development" (Section 1).  This REPL supports:
 
 * multi-line input (unbalanced forms prompt for continuation lines);
-* ``:dis <form>``  — disassemble the bytecode the compiler emits;
+* ``:dis <form>``  — disassemble the bytecode the compiler emits, then
+  the fused view the fast loop runs;
 * ``:expand <form>`` — show the macroexpansion of a form;
 * ``:time <form>`` — evaluate with wall-clock timing;
 * ``:trace <form>`` — evaluate while printing the Gozer call tree;
@@ -75,6 +76,7 @@ def handle(rt, text: str) -> None:
         form = rt.read(text[len(":dis "):])
         code = rt.compile(form)
         print(code.disassemble())
+        print(code.disassemble_fused())
         return
     if text.startswith(":expand "):
         form = rt.read(text[len(":expand "):])

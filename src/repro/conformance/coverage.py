@@ -40,6 +40,7 @@ CALL_GLOBAL_SHAPES = {
     "call-global/nested": "a push is itself a primitive's call",
     "call-global/jump-if-false": "carries the jump-if-false after it",
     "call-global/store": "carries the dup; store x; pop after it",
+    "call-global/deep-load": "a load starts one or more scopes up",
 }
 
 
@@ -52,13 +53,15 @@ def fused_forms(entry: Any) -> List[str]:
     if op != "call-global":
         return [op]
     forms = [op]
-    _name, pushes, _tail, _span, then = arg
+    _name, _run, _tail, _span, then, pushes = arg
     # with a ``then``, the last primitive is f's own call, not a push
-    primitives = sum(push == "primitive" for push, _ in pushes)
+    primitives = sum(push == "primitive" for push, _, _ in pushes)
     if primitives > (then is not None):
         forms.append("call-global/nested")
     if then is not None and then[0] != "push":
         forms.append("call-global/" + then[0])
+    if any(depth for _, _, depth in pushes):
+        forms.append("call-global/deep-load")
     return forms
 
 
@@ -80,7 +83,7 @@ def walk_opcodes(code: CodeObject, into: Set[str]) -> None:
     """Collect opcode names from a code object and every nested one
     (closure bodies, future thunks, unwind cleanups), and the fused
     forms of each one's fused view."""
-    for entry in fuse(code.instructions):
+    for entry in fuse(code):
         into.update(fused_forms(entry))
     for op, arg in code.instructions:
         into.add(op)

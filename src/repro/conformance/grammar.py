@@ -706,8 +706,11 @@ class ProgramGenerator:
                 return [_S("loop"), _S("for"), i, _S("from"), 1,
                         _S("to"), n, _S("sum"), body]
             step = self._int(ctx)
+            # the list is evaluated before i is bound
+            ctx.int_vars = saved + [acc]
+            items = self._list_literal(ctx)
             return [_S("let"), [[acc, 0]],
-                    [_S("dolist"), [i, self._list_literal(ctx)],
+                    [_S("dolist"), [i, items],
                      [_S("setq"), acc, [_S("+"), acc, step]]],
                     acc]
         finally:
@@ -719,10 +722,16 @@ class ProgramGenerator:
         head = _S(rng.choice(["let", "let*"]))
         bindings = []
         saved = list(ctx.int_vars)
+        # a let* initform sees the variables bound before it; a let
+        # initform sees none of its siblings
+        sequential = head.name == "let*"
         for _ in range(rng.randint(1, 3)):
             var = ctx.fresh("v")
             bindings.append([var, self._int(ctx)])
-            ctx.int_vars.append(var)
+            if sequential:
+                ctx.int_vars.append(var)
+        if not sequential:
+            ctx.int_vars.extend(var for var, _ in bindings)
         stmts = [self._statement(ctx) for _ in range(rng.randint(0, 2))]
         result = result_gen(ctx)
         ctx.int_vars = saved
@@ -1043,6 +1052,8 @@ class ProgramGenerator:
             self._g_block_return, self._g_return_nil, self._g_setf,
             self._g_cond_case, self._g_prog1, self._g_push_macro,
             self._g_destructure, self._g_quasi,
+            self._g_shadowing, self._g_let_star_later, self._g_deep_loop,
+            self._g_outer_setq, self._g_lexical_and_global,
         ]
         unsafe = [
             self._g_unwind, self._g_handler_case, self._g_handler_bind,
@@ -1054,6 +1065,68 @@ class ProgramGenerator:
         if index % 2 == 0:
             return safe[(index // 2) % len(safe)](ctx)
         return unsafe[(index // 2) % len(unsafe)](ctx)
+
+    # -- lexical resolution: where a load finds its name.  The fused
+    # view starts a load at the first scope that can hold the name
+    # (lang.bytecode.load_depths); these put names where that rule has
+    # to be right: shadowed, bound after a closure reads them, several
+    # scopes out, assigned from inside, lexical and global at once.
+
+    def _g_shadowing(self, ctx: _Ctx) -> Any:
+        # the same name at two depths, read from inside both
+        v, w = ctx.fresh("sh"), ctx.fresh("sw")
+        return [_S("let"), [[v, self._int(ctx)]],
+                [_S("let"), [[w, ctx.rng.randint(1, 9)]],
+                 [_S("list"), [_S("+"), v, w],
+                  [_S("let"), [[v, [_S("*"), v, 3]]],
+                   [_S("setq"), v, [_S("-"), v, w]],
+                   [_S("+"), v, [_S("*"), w, w]]],
+                  v]]]
+
+    def _g_let_star_later(self, ctx: _Ctx) -> Any:
+        # a closure made before the let* binds the name it reads
+        f, g, b = ctx.fresh("lf"), ctx.fresh("lg"), ctx.fresh("lb")
+        x, y = ctx.fresh("lx"), ctx.fresh("ly")
+        return [_S("let*"),
+                [[f, [_S("lambda"), [], [_S("+"), b, 1]]],
+                 [g, [_S("lambda"), [x],
+                      [_S("let"), [[y, 2]], [_S("+"), x, [_S("*"), y, b]]]]],
+                 [b, self._int(ctx)]],
+                [_S("list"), [_S("funcall"), f], [_S("funcall"), g, 3]]]
+
+    def _g_deep_loop(self, ctx: _Ctx) -> Any:
+        # a loop three scopes inside the function reads its parameter
+        p, s, k, i = (ctx.fresh("dp"), ctx.fresh("ds"), ctx.fresh("dk"),
+                      ctx.fresh("di"))
+        return [_S("funcall"),
+                [_S("lambda"), [p],
+                 [_S("let"), [[s, 0]],
+                  [_S("let"), [[k, ctx.rng.randint(1, 5)]],
+                   [_S("dotimes"), [i, ctx.rng.randint(1, 4)],
+                    [_S("setq"), s, [_S("+"), s, [_S("*"), p, k]]]]],
+                  s]],
+                self._int(ctx)]
+
+    def _g_outer_setq(self, ctx: _Ctx) -> Any:
+        # setq of a variable two scopes out, from inside both
+        o, w, z = ctx.fresh("so"), ctx.fresh("sw"), ctx.fresh("sz")
+        return [_S("let"), [[o, self._int(ctx)]],
+                [_S("let"), [[w, ctx.rng.randint(1, 9)]],
+                 [_S("let"), [[z, ctx.rng.randint(1, 9)]],
+                  [_S("setq"), o, [_S("+"), o, [_S("*"), w, z]]],
+                  [_S("when"), [_S(">"), o, w],
+                   [_S("setq"), o, [_S("-"), o, 1]]]]],
+                o]
+
+    def _g_lexical_and_global(self, ctx: _Ctx) -> Any:
+        # one name: a parameter of one function, a global in the other
+        # (set to a value that depends on nothing it held before)
+        name, fa, fb = ctx.fresh("lgv"), ctx.fresh("lfa"), ctx.fresh("lfb")
+        return [_S("progn"),
+                [_S("setq"), name, ctx.rng.randint(0, 9)],
+                [_S("defun"), fa, [name], [_S("+"), name, 1]],
+                [_S("defun"), fb, [], [_S("*"), name, 2]],
+                [_S("list"), [fa, self._int(ctx)], [fb], name]]
 
     def _g_block_return(self, ctx: _Ctx) -> Any:
         b = ctx.fresh("blk")

@@ -242,9 +242,11 @@ class StepwiseResult:
 
 
 def run_stepwise(program: GenProgram, stride: int = 1,
-                 max_segments: int = 200_000) -> StepwiseResult:
+                 max_segments: int = 200_000,
+                 max_resumes: int = 64) -> StepwiseResult:
     """Run on the VM, forcing capture + pickle + restore every ``stride``
-    instruction boundaries (at top-level depth).
+    instruction boundaries (at top-level depth).  A real ``(yield)`` is
+    answered from the program's ``feeds``, as :func:`run_vm` answers it.
 
     Returns the final outcome plus the instruction accounting: the sum
     of instructions over all resumed segments must equal the count of
@@ -263,15 +265,28 @@ def run_stepwise(program: GenProgram, stride: int = 1,
         rt_base.eval_form(form)
     base_code = rt_base.compile(
         rt_base.read_all(program.sequential_source)[-1], name="conf-step")
+    # a (yield) is answered from the program's cyclic feeds, as run_vm
+    # answers it, on both sides
+    feeds = program.feeds or (1,)
     vm_base = rt_base.new_vm(allow_yield=True)
+    baseline_count = 0
+    base_yields: List[str] = []
     try:
         base_result = vm_base.run_code(base_code)
+        while isinstance(base_result, Yielded) \
+                and len(base_yields) < max_resumes:
+            baseline_count += vm_base.instruction_count
+            base_yields.append(print_form(base_result.value))
+            vm_base = rt_base.new_vm(allow_yield=True)
+            base_result = vm_base.resume(
+                base_result.continuation,
+                feeds[(len(base_yields) - 1) % len(feeds)])
         base_outcome = Outcome.of_value(base_result.value) \
             if isinstance(base_result, Done) \
-            else Outcome(kind=HANG, detail="baseline yielded")
+            else Outcome(kind=HANG, detail=f">{max_resumes} resumes")
     except Exception as exc:  # noqa: BLE001
         base_outcome = Outcome.of_exception(exc)
-    baseline_count = vm_base.instruction_count
+    baseline_count += vm_base.instruction_count
 
     segments = 0
     total = 0
@@ -289,13 +304,27 @@ def run_stepwise(program: GenProgram, stride: int = 1,
     install_hook(vm)
     pending: Optional[Callable[[], Any]] = lambda: vm.run_code(code)
     outcome: Optional[Outcome] = None
+    yields: List[str] = []
     while outcome is None:
         try:
             result = pending()
             if isinstance(result, Done):
-                outcome = Outcome.of_value(result.value)
-            else:  # a real (yield): treat like run_vm with default feed
-                outcome = Outcome(kind=HANG, detail="stepwise yielded")
+                outcome = Outcome.of_value(result.value,
+                                           yields=tuple(yields))
+            elif len(yields) >= max_resumes:
+                outcome = Outcome(kind=HANG, yields=tuple(yields),
+                                  detail=f">{max_resumes} resumes")
+            else:
+                # a real (yield): answer it from the feeds, on a fresh
+                # VM, through pickle, as a resume after a pause is
+                yields.append(print_form(result.value))
+                total += vm.instruction_count
+                continuation = pickle.loads(pickle.dumps(
+                    result.continuation))
+                feed = feeds[(len(yields) - 1) % len(feeds)]
+                vm = rt.new_vm(allow_yield=True)
+                install_hook(vm)
+                pending = lambda: vm.resume(continuation, feed)  # noqa: E731
         except _StepPause:
             segments += 1
             total += vm.instruction_count
@@ -317,7 +346,7 @@ def run_stepwise(program: GenProgram, stride: int = 1,
             install_hook(vm)
             pending = lambda: vm._run_top(None)  # noqa: E731
         except Exception as exc:  # noqa: BLE001
-            outcome = Outcome.of_exception(exc)
+            outcome = Outcome.of_exception(exc, yields=tuple(yields))
     total += vm.instruction_count
     if not outcome.agrees_with(base_outcome):
         outcome = Outcome(kind=ENGINE_ERROR,

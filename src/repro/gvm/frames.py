@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..lang.bytecode import CodeObject, ParamSpec
 from ..lang.errors import GozerRuntimeError, WrongArgumentCount
 from ..lang.symbols import Keyword, Symbol
-from .environment import Env
+from .environment import _MISSING, Env
 
 
 class GozerFunction:
@@ -70,18 +70,38 @@ def is_vm_function(fn: Any) -> bool:
 #: :func:`binary_primitive` where the stdlib registers the eight.
 BINARY_PRIMITIVES: dict = {}
 
+#: The same eight by name, ``{Symbol: function}``: what a fused
+#: ``call-global`` checks, by identity, that the global of that name is
+#: still bound to before it computes the operator in place.
+PRIMITIVE_FUNCTIONS: dict = {}
 
-def binary_primitive(op: Callable) -> Callable:
-    """Mark a module-level host function as computing ``op(a, b)`` on
-    two ``int``/``float`` arguments (see :data:`BINARY_PRIMITIVES`)."""
+
+def binary_primitive(name: str, op: Callable) -> Callable:
+    """Mark a module-level host function, the stdlib's ``name``, as
+    computing ``op(a, b)`` on two ``int``/``float`` arguments (see
+    :data:`BINARY_PRIMITIVES`)."""
 
     def mark(fn: Callable) -> Callable:
         assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
             f"{fn!r}: only module-level functions are primitives"
         BINARY_PRIMITIVES[fn] = op
+        PRIMITIVE_FUNCTIONS[Symbol(name)] = fn
         return fn
 
     return mark
+
+
+def lookup_from(env: Optional[Env], name: Symbol) -> Any:
+    """``name``'s lexical value, walking the chain from ``env`` (which
+    may be None) toward the root; ``_MISSING`` when no scope binds it.
+    A fused ``call-global`` probes the one scope its load can start at
+    and goes on here from that scope's parent."""
+    while env is not None:
+        bindings = env.bindings
+        if name in bindings:
+            return bindings[name]
+        env = env.parent
+    return _MISSING
 
 
 class GozerMacro:

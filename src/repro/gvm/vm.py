@@ -44,7 +44,6 @@ from .conditions import (
 from .continuations import Continuation, capture, materialize
 from .environment import DynamicBindings, Env, GlobalEnvironment, _MISSING
 from .frames import (
-    BINARY_PRIMITIVES,
     BlockRecord,
     Frame,
     GozerFunction,
@@ -58,11 +57,6 @@ from .frames import (
 from .futures import GozerFuture, force_all
 
 _CONTINUE = object()
-
-#: the argument types for which the fast loop computes a primitive
-#: inline (``bool`` is not one: a subclass goes through the function)
-_NUMBERS = frozenset((int, float))
-
 
 @dataclass
 class Done:
@@ -280,16 +274,20 @@ class VM:
         ``instructions``, with a ``store-pop`` or ``call-global``
         superinstruction at the first pc of each sequence it stands for.
         A superinstruction advances ``pc`` and ``count`` once for every
-        instruction it replaces.  A ``call-global`` computes the stdlib
-        primitives among its pushes, and its own call when that is one,
-        inline (:data:`~repro.gvm.frames.BINARY_PRIMITIVES`, by
-        identity, on ``int``/``float`` arguments), and then runs its
-        branch or ``setq`` tail in place.  Its pushes are pure reads, so
-        when one cannot finish here the entry *deopts*: it pushes the
-        callee and goes on at the next pc, on the entries that stand for
-        the rest of its instructions, and whatever fails then fails at
-        its own pc, stack and count.  The ``elif`` order is the measured
-        frequency of the ``perf/`` probe programs.  Everything else —
+        instruction it replaces.  A ``call-global``'s pushes are one
+        generated function (:func:`~repro.lang.bytecode.instantiate`):
+        straight-line code that starts each load at the scope depth
+        fusing proved, and computes the stdlib primitives among them,
+        and the call itself when that is one, inline (by identity with
+        :data:`~repro.gvm.frames.PRIMITIVE_FUNCTIONS`, on ``int``/
+        ``float`` arguments); a computed call then runs its branch or
+        ``setq`` tail in place.  The pushes are pure reads, so when one
+        cannot finish the function returns None and the entry *deopts*:
+        it pushes the callee and goes on at the next pc, on the entries
+        that stand for the rest of its instructions, and whatever fails
+        then fails at its own pc, stack and count.  The ``elif`` order
+        is the measured frequency of the ``perf/`` probe programs.
+        Everything else —
         condition system, blocks, continuations, and a ``return`` out
         of a frame that has cleanups to run — goes through
         :meth:`_step`, the one fallback.
@@ -309,8 +307,6 @@ class VM:
         dynamic_stacks = self.dynamics.stacks
         global_variables = self.global_env.variables
         vm_functions = VM_FUNCTIONS
-        primitives = BINARY_PRIMITIVES
-        numbers = _NUMBERS
         stack = frame.stack
         code = frame.code
         instructions = code.fused or code.fuse()
@@ -322,54 +318,14 @@ class VM:
                 pc += 1
                 count += 1
                 if op == "call-global":
-                    # the pushes, each a pure read (or pure arithmetic);
-                    # ``pc`` and ``count`` are past the load-global f
-                    name, pushes, tail, span, then = arg
-                    args = []
-                    scope = frame.env
-                    for push, value in pushes:
-                        if push == "load":
-                            env = scope
-                            while env is not None:
-                                bindings = env.bindings
-                                if value in bindings:
-                                    args.append(bindings[value])
-                                    break
-                                env = env.parent
-                            else:
-                                break
-                        elif push == "primitive":
-                            # ``value`` names one of the eight: apply
-                            # it to the two values on top, in place
-                            b = args.pop()
-                            a = args[-1]
-                            if type(a) not in numbers \
-                                    or type(b) not in numbers:
-                                break
-                            if dynamic_stacks and value in dynamic_stacks:
-                                break
-                            try:
-                                binary = primitives[global_variables[value]]
-                                args[-1] = binary(a, b)
-                            except (KeyError, TypeError, OverflowError):
-                                # unbound, not the primitive (an
-                                # unhashable value: TypeError), or a
-                                # huge int beside a float
-                                break
-                        elif push == "const":
-                            args.append(value)
-                        elif dynamic_stacks and value in dynamic_stacks:
-                            break
-                        else:
-                            # load-global
-                            if value not in global_variables:
-                                break
-                            args.append(global_variables[value])
-                    else:
-                        push = None
-                    if push is not None:
-                        # Deopt: this push cannot finish here (a name
-                        # not lexically bound, dynamically bound or
+                    # ``run`` does the pushes, each a pure read (or pure
+                    # arithmetic); ``pc`` and ``count`` are past the
+                    # load-global f
+                    name, run, tail, span, then, _ = arg
+                    args = run(frame.env, global_variables, dynamic_stacks)
+                    if args is None:
+                        # Deopt: a push cannot finish here (a name not
+                        # lexically bound, dynamically bound or
                         # unbound; a primitive redefined or given other
                         # types).  Nothing has changed, so do the
                         # load-global f and run the span's own entries
@@ -390,7 +346,7 @@ class VM:
                             if value is None or value is False:
                                 pc = target
                         elif kind == "store":
-                            env = scope
+                            env = frame.env
                             while env is not None:
                                 if target in env.bindings:
                                     env.bindings[target] = value

@@ -19,6 +19,7 @@ workflow code can ride along inside a serialized fiber.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -33,9 +34,11 @@ from .symbols import Symbol
 # each code object (:data:`FUSED`, :func:`fuse`) in which the commonest
 # sequences are one entry each: a whole statement such as Listing 1's
 # ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
-# included, is one ``call-global``.  The view is the VM's alone: what
-# is emitted, validated, pickled and stepped through is
-# ``instructions``.
+# included, is one ``call-global``, whose pushes run as one generated
+# Python function (:func:`template_source`) with each load starting at
+# the first scope that can hold its name (:func:`load_depths`).  The
+# view is the VM's alone: what is emitted, validated, pickled and
+# stepped through is ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -101,11 +104,16 @@ FUSED = {
                    "call 2' with p in PRIMITIVES.  When f is in PRIMITIVES "
                    "and k = 2, a call may also carry the jump-if-false T "
                    "or the 'dup; store x; pop' after it as its tail "
-                   "(arg: (f, items, tail-call?, span, then): items are "
-                   "the pushes in postfix order, a nested p as "
-                   "('primitive', p) after its two pushes, and f itself "
-                   "as a last ('primitive', f) when f is in PRIMITIVES "
-                   "and k = 2; span counts the instructions from the "
+                   "(arg: (f, run, tail-call?, span, then, items): items "
+                   "are the pushes in postfix order as (kind, value, "
+                   "depth), a nested p as ('primitive', p, None) after "
+                   "its two pushes, and f itself as a last ('primitive', "
+                   "f, None) when f is in PRIMITIVES and k = 2; a load's "
+                   "depth is the number of scopes up its lookup starts "
+                   "(load_depths), any other push's None; run(e0, gv, "
+                   "dyn) is the items compiled to straight-line code "
+                   "(instantiate), returning the argument values or None "
+                   "to deopt; span counts the instructions from the "
                    "first push through the call; then is None for any "
                    "other f, else ('push', None), ('jump-if-false', T) "
                    "or ('store', x); w = 1 + span + the tail's 1 or 3)",
@@ -114,8 +122,8 @@ FUSED = {
 #: The stdlib's binary numeric primitives by name: the ``p`` of a nested
 #: ``call-global`` push.  The VM computes one inline only while the name
 #: is still bound to the stdlib function
-#: (:data:`repro.gvm.frames.BINARY_PRIMITIVES`, which registers the same
-#: eight); otherwise the fused form gives way to its instructions.
+#: (:data:`repro.gvm.frames.PRIMITIVE_FUNCTIONS`, which registers the
+#: same eight); otherwise the fused form gives way to its instructions.
 PRIMITIVES = frozenset(Symbol(name) for name in
                        ("+", "-", "*", "<", ">", "=", "<=", ">="))
 
@@ -180,7 +188,7 @@ class CodeObject:
 
     def fuse(self) -> List[Instruction]:
         """Build (once) and return the fused view."""
-        self.fused = fuse(self.instructions)
+        self.fused = fuse(self)
         return self.fused
 
     def emit(self, opcode: str, arg: Any = None) -> int:
@@ -202,17 +210,45 @@ class CodeObject:
     def disassemble(self) -> str:
         """Human-readable listing, used by tests and the REPL's :dis."""
         lines = [f"; code {self.name} params={self.params}"]
-        for pc, (op, arg) in enumerate(self.instructions):
-            if arg is None:
-                lines.append(f"{pc:4d}  {op}")
-            elif isinstance(arg, CodeObject):
-                lines.append(f"{pc:4d}  {op}  <code {arg.name}>")
-            else:
-                lines.append(f"{pc:4d}  {op}  {arg!r}")
+        lines.extend(_listing_line(pc, op, arg)
+                     for pc, (op, arg) in enumerate(self.instructions))
+        return "\n".join(lines)
+
+    def disassemble_fused(self) -> str:
+        """The fused view the fast loop runs, one entry per pc: each
+        ``call-global`` with the depth each load starts at and the
+        source of its generated pushes, so a slow entry can explain
+        itself."""
+        lines = [f"; fused {self.name}"]
+        for pc, (op, arg) in enumerate(self.fused or self.fuse()):
+            if op != "call-global":
+                lines.append(_listing_line(pc, op, arg))
+                continue
+            name, _run, tail, span, then, pushes = arg
+            lines.append(f"{pc:4d}  {op}  {name!r}  span {span}"
+                         f"{'  tail' if tail else ''}  then {then!r}")
+            for kind, value, depth in pushes:
+                at = "" if depth is None else f"  depth {depth}"
+                lines.append(f"        {kind}  {value!r}{at}")
+            source = call_global_template(push_shape(pushes)).source
+            lines.extend("        | " + line
+                         for line in source.rstrip("\n").splitlines())
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return f"<CodeObject {self.name} ({len(self.instructions)} instrs)>"
+
+
+#: the instructions that go on at another pc, with their target
+_JUMPS = ("jump", "jump-if-false", "jump-if-true")
+
+
+def _listing_line(pc: int, op: str, arg: Any) -> str:
+    if arg is None:
+        return f"{pc:4d}  {op}"
+    if isinstance(arg, CodeObject):
+        return f"{pc:4d}  {op}  <code {arg.name}>"
+    return f"{pc:4d}  {op}  {arg!r}"
 
 
 def validate(code: CodeObject) -> List[str]:
@@ -229,7 +265,7 @@ def validate(code: CodeObject) -> List[str]:
     for pc, (op, arg) in enumerate(code.instructions):
         if op not in OPCODES:
             problems.append(f"pc {pc}: unknown opcode {op!r}")
-        if op in ("jump", "jump-if-false", "jump-if-true"):
+        if op in _JUMPS:
             if not isinstance(arg, int) or not (0 <= arg <= n):
                 problems.append(f"pc {pc}: jump target {arg!r} out of range")
         if op in ("call", "tail-call", "make-list", "pop-block", "pop-handlers",
@@ -248,43 +284,110 @@ def validate(code: CodeObject) -> List[str]:
 #: what a ``call-global`` may take as an argument push
 _SIMPLE_PUSHES = ("load", "load-global", "const")
 
+#: the instructions whose argument names a pc a transfer goes on at,
+#: with the frame's scopes restored to what they were at the instruction
+_EXITS = ("push-block", "push-restarts")
+
 
 def _push(instructions: Sequence[Instruction], pc: int, known: dict):
     """The ``call-global`` push that starts at ``pc``, as ``(postfix
-    items, end pc)``, or None; ``known`` holds those already found.  A
-    ``load-global`` of a primitive followed by two pushes and ``call 2``
-    is one nested push: on a straight run of code the stack discipline
-    makes that the only reading of those instructions."""
+    items, end pc)``, or None; ``known`` holds those already found.  An
+    item is ``(kind, value, pc)``.  A ``load-global`` of a primitive
+    followed by two pushes and ``call 2`` is one nested push: on a
+    straight run of code the stack discipline makes that the only
+    reading of those instructions."""
     if pc in known:
         return known[pc]
     push = None
     if pc < len(instructions):
         op, arg = instructions[pc]
         if op in _SIMPLE_PUSHES and type(arg) is not list:
-            push = ((op, arg),), pc + 1
+            push = ((op, arg, pc),), pc + 1
         if op == "load-global" and arg in PRIMITIVES:
             first = _push(instructions, pc + 1, known)
             second = first and _push(instructions, first[1], known)
             if second and instructions[second[1]:second[1] + 1] \
                     == [("call", 2)]:
-                push = (first[0] + second[0] + (("primitive", arg),),
+                push = (first[0] + second[0] + (("primitive", arg, pc),),
                         second[1] + 1)
     known[pc] = push
     return push
 
 
-def fuse(instructions: Sequence[Instruction]) -> List[Instruction]:
-    """The fused view: ``instructions`` with each :data:`FUSED` sequence
-    replaced, at the pc of its first instruction, by one entry.
+def load_depths(instructions: Sequence[Instruction]) -> dict:
+    """``{pc: d}`` for every ``load``: the number of scopes above the
+    first one, counting from the frame's innermost, that can hold the
+    name there.
+
+    One linear pass opens a *region* at each ``push-scope`` and closes
+    it at its ``pop-scope``; the frame's base scope (its parameters, or
+    the scope it was started with) is the region open from pc 0.  Each
+    region records every name a ``bind`` inside it binds, wherever in
+    the region that is.  Only ``bind`` (and, in the base scope,
+    parameter binding) puts a name into one of a frame's own scopes, so
+    the scopes of regions nearer than the innermost one that records
+    the name can never hold it.  A name no region records starts at the
+    base scope, which may hold anything.  When a jump, or the exit pc a
+    ``block`` or ``restart-case`` goes on at, would land with other
+    regions open, or a ``pop-scope`` closes the base scope, the pass
+    proves nothing and every load starts at depth 0 (``{}``).
+    """
+    names: List[set] = [set()]
+    regions: Tuple[int, ...] = (0,)
+    open_at = []
+    for op, arg in instructions:
+        open_at.append(regions)
+        if op == "push-scope":
+            names.append(set())
+            regions += (len(names) - 1,)
+        elif op == "pop-scope":
+            if len(regions) == 1:
+                return {}
+            regions = regions[:-1]
+        elif op == "bind":
+            names[regions[-1]].add(arg)
+    n = len(instructions)
+    for pc, (op, arg) in enumerate(instructions):
+        if op in _JUMPS:
+            target = arg
+        elif op in _EXITS:
+            target = arg[1] if type(arg) is tuple and len(arg) == 2 else None
+        else:
+            continue
+        if type(target) is not int or not 0 <= target <= n:
+            return {}
+        if target < n and open_at[target] != open_at[pc]:
+            return {}
+    depths = {}
+    for pc, (op, arg) in enumerate(instructions):
+        if op == "load":
+            regions = open_at[pc]
+            depth = len(regions) - 1
+            for nearer, region in enumerate(reversed(regions)):
+                if arg in names[region]:
+                    depth = nearer
+                    break
+            depths[pc] = depth
+    return depths
+
+
+def fuse(code: CodeObject) -> List[Instruction]:
+    """The fused view: ``code.instructions`` with each :data:`FUSED`
+    sequence replaced, at the pc of its first instruction, by one entry.
 
     The view has the same length and the same pcs as ``instructions``,
     so no jump target moves.  Each pc is fused on its own, so a span may
     hold fused entries of its own (a nested push's ``call-global``, a
-    tail's ``store-pop``): each stands for its own instructions.
+    tail's ``store-pop``): each stands for its own instructions.  A
+    ``call-global``'s pushes are compiled into one ``run`` function
+    (:func:`call_global_template`), its loads starting at the depths
+    :func:`load_depths` proves.
     """
+    instructions = code.instructions
     view = list(instructions)
     n = len(instructions)
     known: dict = {}
+    depths = None
     for pc, (op, arg) in enumerate(instructions):
         if op == "dup":
             if pc + 2 < n and instructions[pc + 1][0] == "store" \
@@ -302,15 +405,168 @@ def fuse(instructions: Sequence[Instruction]) -> List[Instruction]:
             tail = instructions[end][0] == "tail-call"
             then = None
             if arg in PRIMITIVES and k == 2:
-                items += (("primitive", arg),)
+                items += (("primitive", arg, pc),)
                 then = ("push", None)
                 after = [] if tail else instructions[end + 1:end + 4]
                 if after and after[0][0] == "jump-if-false":
                     then = after[0]
                 elif [name for name, _ in after] == ["dup", "store", "pop"]:
                     then = ("store", after[1][1])
-            view[pc] = ("call-global", (arg, items, tail, end - pc, then))
+            if depths is None:
+                depths = load_depths(instructions)
+            pushes = tuple((kind, value, depths.get(at, 0)
+                            if kind == "load" else None)
+                           for kind, value, at in items)
+            view[pc] = ("call-global", (arg, instantiate(pushes), tail,
+                                        end - pc, then, pushes))
     return view
+
+
+# ---------------------------------------------------------------------------
+# call-global templates: a fused call's pushes as straight-line Python
+# ---------------------------------------------------------------------------
+
+#: The Python operator of each primitive's ``operator`` function
+#: (:data:`repro.gvm.frames.BINARY_PRIMITIVES`): the only operator text
+#: a template holds.
+_OPERATOR_TOKENS = {operator.add: "+", operator.sub: "-",
+                    operator.mul: "*", operator.lt: "<", operator.gt: ">",
+                    operator.eq: "==", operator.le: "<=", operator.ge: ">="}
+
+#: the tokens whose result, on two ints or floats, is an int or a float
+_ARITHMETIC = ("+", "-", "*")
+
+#: shape -> factory, each compiled the first time a fused view needs it
+_TEMPLATES: dict = {}
+
+
+def _frames():
+    """:mod:`repro.gvm.frames` (which imports this module), with the
+    stdlib's eight primitives registered in it."""
+    from ..gvm import frames
+    from . import stdlib  # noqa: F401
+
+    return frames
+
+
+def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
+    """The shape of a ``call-global``'s pushes: each push's kind, with
+    its depth for a ``load`` and its operator for a ``primitive``.  Two
+    calls of one shape share one template."""
+    frames = _frames()
+    shape = []
+    for kind, value, depth in pushes:
+        if kind == "load":
+            shape.append((kind, depth))
+        elif kind == "primitive":
+            function = frames.PRIMITIVE_FUNCTIONS[value]
+            shape.append((kind, _OPERATOR_TOKENS[
+                frames.BINARY_PRIMITIVES[function]]))
+        else:
+            shape.append((kind,))
+    return tuple(shape)
+
+
+def template_source(shape) -> str:
+    """The Python source of the factory for ``shape``.
+
+    ``make(c0, c1, ...)`` takes, in push order, each push's symbol or
+    constant and, after a primitive's symbol, the stdlib function it
+    must still be bound to, and returns ``run(e0, gv, dyn)``: the
+    pushes as straight-line code over the frame's innermost scope
+    ``e0``, the global variables and the dynamic binding stacks,
+    returning the list of argument values or None to deopt.  Nothing
+    of the program is formatted into the text: only the ``c``/``v``
+    names, fixed scaffolding and the operator tokens of
+    :data:`_OPERATOR_TOKENS`.
+    """
+    params: List[str] = []
+    body: List[str] = []
+    values: List[str] = []
+    numeric = set()  # the values already known to be an int or a float
+    depths = sorted({push[1] for push in shape if push[0] == "load"})
+
+    def param() -> str:
+        params.append(f"c{len(params)}")
+        return params[-1]
+
+    for i, push in enumerate(shape):
+        kind = push[0]
+        if kind == "const":
+            values.append(param())
+            continue
+        c, v = param(), f"v{i}"
+        if kind == "load":
+            d = push[1]
+            body += [f"if {c} in b{d}:",
+                     f"    {v} = b{d}[{c}]",
+                     "else:",
+                     f"    {v} = lookup_from(e{d}.parent, {c})",
+                     f"    if {v} is missing:",
+                     "        return None"]
+        elif kind == "load-global":
+            body += [f"if dyn and {c} in dyn:",
+                     "    return None",
+                     f"if {c} not in gv:",
+                     "    return None",
+                     f"{v} = gv[{c}]"]
+        else:
+            token = push[1]
+            assert token in _OPERATOR_TOKENS.values(), token
+            fn = param()
+            b, a = values.pop(), values.pop()
+            for operand in (a, b):
+                if operand not in numeric:
+                    body += [f"t = type({operand})",
+                             "if t is not int and t is not float:",
+                             "    return None"]
+            body += [f"if dyn and {c} in dyn:",
+                     "    return None",
+                     "try:",
+                     f"    if gv[{c}] is not {fn}:",
+                     "        return None",
+                     f"    {v} = {a} {token} {b}",
+                     "except (KeyError, OverflowError):",
+                     "    return None"]
+            if token in _ARITHMETIC:
+                numeric.add(v)
+        values.append(v)
+    hops = [f"e{d} = e{d - 1}.parent"
+            for d in range(1, max(depths, default=0) + 1)]
+    scopes = [f"b{d} = e{d}.bindings" for d in depths]
+    body = hops + scopes + body + [f"return [{', '.join(values)}]"]
+    return "\n".join([f"def make({', '.join(params)}):",
+                      "    def run(e0, gv, dyn):",
+                      *("        " + line for line in body),
+                      "    return run", ""])
+
+
+def call_global_template(shape):
+    """The factory for ``shape``, compiled once per process."""
+    make = _TEMPLATES.get(shape)
+    if make is None:
+        frames = _frames()
+        source = template_source(shape)
+        namespace = {"__builtins__": {}, "lookup_from": frames.lookup_from,
+                     "missing": frames._MISSING, "type": type,
+                     "int": int, "float": float, "KeyError": KeyError,
+                     "OverflowError": OverflowError}
+        exec(compile(source, "<call-global>", "exec"), namespace)
+        make = namespace["make"]
+        make.source = source
+        make = _TEMPLATES.setdefault(shape, make)
+    return make
+
+
+def instantiate(pushes):
+    """The ``run`` function of a ``call-global`` with these pushes."""
+    functions = _frames().PRIMITIVE_FUNCTIONS
+    arguments = []
+    for kind, value, _depth in pushes:
+        arguments.append(value)
+        if kind == "primitive":
+            arguments.append(functions[value])
+    return call_global_template(push_shape(pushes))(*arguments)
 
 
 def nested_code_objects(code: CodeObject) -> Sequence[CodeObject]:

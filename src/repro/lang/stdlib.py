@@ -89,7 +89,7 @@ def install(runtime) -> None:
 # ``op(a, b)`` agree.
 
 @builtin("+")
-@binary_primitive(operator.add)
+@binary_primitive("+", operator.add)
 def _add(*args):
     # ``+a`` is the numeric check: the identity on a number, -0.0
     # included (``0 + a`` made it 0.0), and a type-error otherwise
@@ -104,7 +104,7 @@ def _add(*args):
 
 
 @builtin("-")
-@binary_primitive(operator.sub)
+@binary_primitive("-", operator.sub)
 def _sub(first, *rest):
     if len(rest) == 1:
         return first - rest[0]
@@ -116,7 +116,7 @@ def _sub(first, *rest):
 
 
 @builtin("*")
-@binary_primitive(operator.mul)
+@binary_primitive("*", operator.mul)
 def _mul(*args):
     if len(args) == 2:
         return 1 * args[0] * args[1]
@@ -168,7 +168,7 @@ def _chain_compare(op, args):
 
 
 @builtin("=")
-@binary_primitive(operator.eq)
+@binary_primitive("=", operator.eq)
 def _num_eq(*args):
     if len(args) == 2:
         return True if args[0] == args[1] else False
@@ -182,7 +182,7 @@ def _num_neq(*args):
 
 
 @builtin("<")
-@binary_primitive(operator.lt)
+@binary_primitive("<", operator.lt)
 def _lt(*args):
     if len(args) == 2:
         return True if args[0] < args[1] else False
@@ -190,7 +190,7 @@ def _lt(*args):
 
 
 @builtin("<=")
-@binary_primitive(operator.le)
+@binary_primitive("<=", operator.le)
 def _le(*args):
     if len(args) == 2:
         return True if args[0] <= args[1] else False
@@ -198,7 +198,7 @@ def _le(*args):
 
 
 @builtin(">")
-@binary_primitive(operator.gt)
+@binary_primitive(">", operator.gt)
 def _gt(*args):
     if len(args) == 2:
         return True if args[0] > args[1] else False
@@ -206,7 +206,7 @@ def _gt(*args):
 
 
 @builtin(">=")
-@binary_primitive(operator.ge)
+@binary_primitive(">=", operator.ge)
 def _ge(*args):
     if len(args) == 2:
         return True if args[0] >= args[1] else False

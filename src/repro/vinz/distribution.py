@@ -88,6 +88,11 @@ def vinz_fork(vm, fn, args, notify):
     return current_execution(vm).fork(fn, list(args or []), bool(notify))
 
 
+@_intrinsic("vinz-call-clone")
+def vinz_call_clone(vm, fn):
+    return current_execution(vm).call_clone(vm, fn)
+
+
 @_intrinsic("vinz-collect")
 def vinz_collect(vm, child_ids):
     return current_execution(vm).collect_results(vm, list(child_ids or []))
@@ -395,16 +400,14 @@ def _auto_chunk_spawn(seq_form: Any, item_fn: Any, chunk_fn: Any) -> Any:
 
 
 def _background_fallback(seq_form: Any, fn_form: Any, chunked: bool) -> Any:
-    """for-each on a future's thread: fork a fiber, join synchronously."""
-    runner = [_S("lambda"), [_S("_ignored")],
+    """for-each on a future's thread: run the loop on a clone of its
+    closure, in place (:meth:`FiberExecution.call_clone`)."""
+    runner = [_S("lambda"), [],
               [_S("mapcar"), fn_form, [_S("to-list"), seq_form]]]
-    fid = gensym("fe-bg")
-    collect: Any = [_S("join-process"), fid]
+    collect: Any = [_S("%vinz-call-clone"), runner]
     if chunked:
         collect = [_S("apply"), [_S("function"), _S("append")], collect]
-    return [_S("let"), [[fid, [_S("%vinz-fork"), runner,
-                               [_S("list"), None], False]]],
-            collect]
+    return collect
 
 
 def _m_parallel(*forms):

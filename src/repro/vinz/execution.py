@@ -297,6 +297,18 @@ class FiberExecution:
         return deliver_collected(vm, child_ids,
                                  self.nondet("collect", gather))
 
+    def call_clone(self, vm, fn: GozerFunction) -> Any:
+        """A ``for-each`` on a background thread (Section 3.5): the
+        paper forks a fiber to run the loop and joins it synchronously.
+        In the discrete-event simulation a thread cannot block while
+        virtual time advances, so the clone of ``fn`` that the fork
+        would hand the child fiber runs here instead, to completion:
+        the same copy of what ``fn`` captures, the same values in the
+        same order, and nothing it changes is visible to the caller.
+        """
+        codec = self.service.codec
+        return vm.call(codec.loads(codec.dumps(fn)), [])
+
     def join_sync(self, pid: str) -> Any:
         """join-process from a background thread (Section 3.4).
 

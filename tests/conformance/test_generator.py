@@ -7,6 +7,7 @@ from repro.conformance import (DIST, PURE, SUSPEND, ProgramGenerator,
 from repro.conformance.grammar import (F_DIST, F_SUSPEND, F_TASKVAR,
                                        TREE_UNSUPPORTED)
 from repro.lang.reader import read_all, read_string
+from repro.lang.symbols import Symbol
 
 
 class TestDeterminism:
@@ -120,3 +121,68 @@ class TestGeneratedProgramsRun:
         program = ProgramGenerator(13).generate(index)
         outcome = run_vm(program)
         assert outcome.kind in ("value", "condition"), outcome.describe()
+
+
+def _symbols(form):
+    if isinstance(form, Symbol):
+        yield form
+    elif isinstance(form, list):
+        for item in form:
+            yield from _symbols(item)
+
+
+def _initforms_reading_their_own_variables(form, outer=frozenset()):
+    """Each ``let`` initform that names a variable of the same ``let``
+    (bound only after every initform ran) that no enclosing ``let`` or
+    ``let*`` binds, and each ``dolist`` list that names the loop's own
+    variable."""
+    found = []
+    if not isinstance(form, list) or not form:
+        return found
+    head = form[0]
+    inner = outer
+    if head in (Symbol("let"), Symbol("let*")) and len(form) > 1 \
+            and isinstance(form[1], list):
+        names = {binding[0] for binding in form[1]
+                 if isinstance(binding, list) and binding}
+        if head is Symbol("let"):
+            for binding in form[1]:
+                if isinstance(binding, list) and len(binding) == 2 \
+                        and (names - outer) & set(_symbols(binding[1])):
+                    found.append(binding)
+        inner = outer | names
+    if head is Symbol("dolist") and len(form) > 1 \
+            and isinstance(form[1], list) and len(form[1]) == 2:
+        var, items = form[1]
+        if var not in outer and var in set(_symbols(items)):
+            found.append(form[1])
+    for item in form:
+        found += _initforms_reading_their_own_variables(item, inner)
+    return found
+
+
+class TestBindingsAreInScope:
+    """A generated ``let`` initform never reads a sibling variable (only
+    ``let*`` may), nor a ``dolist`` list its own variable: each would
+    end the program in ``unbound-variable`` before its result."""
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_no_initform_reads_a_variable_bound_after_it(self, seed):
+        gen = ProgramGenerator(seed)
+        lets = 0
+        for index in range(300):
+            program = gen.generate(index)
+            for form in program.forms:
+                assert not _initforms_reading_their_own_variables(form), \
+                    program.name
+                lets += str(form).count("let")
+        assert lets > 100
+
+    def test_pure_programs_end_in_their_result(self):
+        from repro.conformance import run_vm
+
+        gen = ProgramGenerator(7)
+        pure = [p for p in gen.programs(120) if p.stratum == PURE]
+        unbound = [p.name for p in pure
+                   if run_vm(p).ctype == "unbound-variable"]
+        assert len(pure) > 50 and not unbound, unbound

@@ -119,10 +119,19 @@ class TestStillDiverges:
                             lambda *a, **k: Outcome.of_value(4))
         assert not still_diverges(p, original)
 
-    def test_a_fuzzed_divergence_shrinks_to_itself(self):
-        """Seed 7's program 0226 runs under Vinz into an unsupported
-        join.  Shrunk by any disagreement, it became a task-variable
-        write whose ``deftaskvar`` the shrinker had dropped."""
+    def test_a_fuzzed_divergence_shrinks_to_itself(self, monkeypatch):
+        """Seed 7's program 0226 ran under Vinz into an unsupported
+        join: a ``for-each`` on a future's thread forked a fiber and
+        joined it synchronously, which the simulation refuses.  That
+        path is put back here (the engine now runs such a loop in
+        place).  Shrunk by any disagreement, the program became a
+        task-variable write whose ``deftaskvar`` the shrinker had
+        dropped."""
+        from repro.vinz.execution import FiberExecution
+
+        monkeypatch.setattr(
+            FiberExecution, "call_clone",
+            lambda self, vm, fn: self.join_sync(self.fork(fn, [], False)))
         executor = DifferentialExecutor()
         original, = executor.run(ProgramGenerator(7).generate(226)).divergences
         assert original.oracle == "vinz"

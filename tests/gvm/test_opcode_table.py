@@ -23,12 +23,13 @@ import pytest
 from repro.conformance import load_dir
 from repro.conformance.coverage import CALL_GLOBAL_SHAPES, fused_forms
 from repro.gvm.conditions import UnhandledConditionError
-from repro.gvm.frames import BINARY_PRIMITIVES
+from repro.gvm.frames import BINARY_PRIMITIVES, PRIMITIVE_FUNCTIONS
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import VM
 from repro.lang import stdlib
 from repro.lang.bytecode import (FUSED, OPCODES, PRIMITIVES, CodeObject,
-                                 fuse, nested_code_objects, validate)
+                                 fuse, load_depths, nested_code_objects,
+                                 validate)
 
 
 def dispatched(method) -> set:
@@ -78,18 +79,22 @@ def unfuse(entry):
     if op == "store-pop":
         return [("dup", None), ("store", arg), ("pop", None)]
     if op == "call-global":
-        name, pushes, tail, span, then = arg
+        name, run, tail, span, then, pushes = arg
+        assert callable(run)
         # the postfix pushes back to instructions: one run per value
         values = []
-        for push, value in pushes:
+        for push, value, depth in pushes:
             if push == "primitive":
-                assert value in PRIMITIVES
+                assert value in PRIMITIVES and depth is None
                 second, first = values.pop(), values.pop()
                 values.append([("load-global", value), *first, *second,
                                ("call", 2)])
             else:
                 assert push in ("load", "load-global", "const") \
                     and type(value) is not list
+                # a load starts some scopes up; nothing else has a depth
+                assert (type(depth) is int and depth >= 0) \
+                    if push == "load" else depth is None
                 values.append([(push, value)])
         if then is None:
             assert not (name in PRIMITIVES and len(values) == 2)
@@ -137,12 +142,20 @@ def _corpus_code(program):
 @pytest.mark.parametrize("program", _CORPUS, ids=lambda p: p.name)
 def test_fused_view_stands_for_the_instructions(program):
     for code in _corpus_code(program):
-        view = fuse(code.instructions)
+        view = fuse(code)
+        depths = load_depths(code.instructions)
         assert len(view) == len(code.instructions)
         for pc, entry in enumerate(view):
             replaced = unfuse(entry)
             assert code.instructions[pc:pc + len(replaced)] == replaced, \
                 (code.name, pc, entry)
+            if entry[0] == "call-global":
+                # the loads, in order, with the depth of their own pc
+                assert [depth for kind, _, depth in entry[1][5]
+                        if kind == "load"] \
+                    == [depths.get(pc + i, 0)
+                        for i, (op, _) in enumerate(replaced)
+                        if op == "load"], (code.name, pc)
             if entry[0] in FUSED:
                 # an entry inside a span is the original instruction or
                 # a fused entry whose own span nests inside this one
@@ -163,7 +176,7 @@ def test_corpus_reaches_both_fused_forms():
     seen = set()
     for program in _CORPUS:
         for code in _corpus_code(program):
-            for entry in fuse(code.instructions):
+            for entry in fuse(code):
                 seen.update(fused_forms(entry))
     assert set(FUSED) | set(CALL_GLOBAL_SHAPES) <= seen
 
@@ -173,6 +186,12 @@ def test_primitive_names_are_the_registered_primitives():
                   if fn in BINARY_PRIMITIVES}
     assert {symbol.name for symbol in PRIMITIVES} == registered
     assert len(BINARY_PRIMITIVES) == len(PRIMITIVES) == 8
+    # by name, the same eight functions
+    assert set(PRIMITIVE_FUNCTIONS) == PRIMITIVES
+    assert {PRIMITIVE_FUNCTIONS[name] for name in PRIMITIVES} \
+        == set(BINARY_PRIMITIVES)
+    assert all(stdlib._REGISTRY[name.name] is fn
+               for name, fn in PRIMITIVE_FUNCTIONS.items())
 
 
 def test_list_constants_are_never_fused():
@@ -180,8 +199,8 @@ def test_list_constants_are_never_fused():
     # have to repeat that rule, so the sequence stays unfused
     rt = make_runtime(deterministic=True)
     code = rt.compile(rt.read("(append '(1 2) x)"))
-    assert fuse(code.instructions)[0][0] == "load-global"
-    assert fuse(rt.compile(rt.read("(+ 1 x)")).instructions)[0][0] \
+    assert fuse(code)[0][0] == "load-global"
+    assert fuse(rt.compile(rt.read("(+ 1 x)")))[0][0] \
         == "call-global"
 
 

@@ -82,7 +82,7 @@ def test_fast_and_traced_loops_agree_on_every_pair(rt, name):
     condition and the instruction count agree."""
     code = rt.compile(rt.read(f"(list ({name} a b))"))
     assert any(op == "call-global" and arg[4] == ("push", None)
-               for op, arg in fuse(code.instructions))
+               for op, arg in fuse(code))
 
     def run(traced, a, b):
         rt.global_env.define(Symbol("a"), a)

@@ -293,6 +293,45 @@ class TestForkAndExec:
         assert parent_task == child_task
 
 
+class TestForEachOnABackgroundThread:
+    """A chunked ``for-each`` runs each item as a future; a ``for-each``
+    or ``parallel`` inside the item runs on that background thread, on
+    a clone of its closure, in place (the simulation cannot block the
+    thread while a forked fiber runs)."""
+
+    def test_nested_loops_compute_in_order(self, env):
+        env.deploy_workflow("W", """
+            (defun main (params)
+              (for-each (x in params :chunk-size 2)
+                (list x (for-each (y in (list 1 2)) (* x y))
+                      (parallel (+ x 1) (- x 1)))))""")
+        assert env.call("W", [3, 4, 5]) == [
+            [3, [3, 6], [4, 2]], [4, [4, 8], [5, 3]], [5, [5, 10], [6, 4]]]
+
+    def test_the_clone_keeps_its_changes_to_itself(self, env):
+        env.deploy_workflow("W", """
+            (defun main (params)
+              (for-each (x in params :chunk-size 2)
+                (let ((seen 0))
+                  (list (for-each (y in (list x x))
+                          (setq seen (+ seen y))
+                          seen)
+                        seen))))""")
+        # the inner loop's items share one clone, as the forked
+        # fiber's did; the item's own seen stays 0
+        assert env.call("W", [1, 2]) == [[[1, 2], 0], [[2, 4], 0]]
+
+    def test_a_replay_runs_the_loop_in_place_again(self):
+        env = VinzEnvironment(nodes=4, seed=11, history="on")
+        env.deploy_workflow("W", """
+            (defun main (params)
+              (for-each (x in params :chunk-size 2)
+                (apply #'+ (for-each (y in (list x 1)) (* x y)))))""")
+        task_id = env.run("W", [2, 3, 4])
+        assert env.registry.tasks[task_id].result == [6, 12, 20]
+        env.replay_task(task_id)
+
+
 class TestWorkflowSleep:
     def test_sleep_advances_virtual_time(self, env):
         env.deploy_workflow("W", """
