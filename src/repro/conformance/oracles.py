@@ -110,8 +110,13 @@ class Outcome:
 # VM oracle (baseline) and its pickle-roundtrip variant
 # ---------------------------------------------------------------------------
 
+#: how many real ``(yield)``s an oracle answers before it calls the
+#: program a hang
+_MAX_RESUMES = 64
+
+
 def run_vm(program: GenProgram, pickle_roundtrip: bool = False,
-           max_resumes: int = 64) -> Outcome:
+           max_resumes: int = _MAX_RESUMES) -> Outcome:
     """Run the sequentialized program on the bytecode VM.
 
     Suspend-stratum programs yield; each yield value is recorded and
@@ -140,7 +145,8 @@ def run_vm(program: GenProgram, pickle_roundtrip: bool = False,
         return Outcome.of_exception(exc, yields=tuple(yields))
 
 
-def run_vm_pickle(program: GenProgram, max_resumes: int = 64) -> Outcome:
+def run_vm_pickle(program: GenProgram,
+                  max_resumes: int = _MAX_RESUMES) -> Outcome:
     return run_vm(program, pickle_roundtrip=True, max_resumes=max_resumes)
 
 
@@ -242,8 +248,7 @@ class StepwiseResult:
 
 
 def run_stepwise(program: GenProgram, stride: int = 1,
-                 max_segments: int = 200_000,
-                 max_resumes: int = 64) -> StepwiseResult:
+                 max_segments: int = 200_000) -> StepwiseResult:
     """Run on the VM, forcing capture + pickle + restore every ``stride``
     instruction boundaries (at top-level depth).  A real ``(yield)`` is
     answered from the program's ``feeds``, as :func:`run_vm` answers it.
@@ -274,7 +279,7 @@ def run_stepwise(program: GenProgram, stride: int = 1,
     try:
         base_result = vm_base.run_code(base_code)
         while isinstance(base_result, Yielded) \
-                and len(base_yields) < max_resumes:
+                and len(base_yields) < _MAX_RESUMES:
             baseline_count += vm_base.instruction_count
             base_yields.append(print_form(base_result.value))
             vm_base = rt_base.new_vm(allow_yield=True)
@@ -283,7 +288,7 @@ def run_stepwise(program: GenProgram, stride: int = 1,
                 feeds[(len(base_yields) - 1) % len(feeds)])
         base_outcome = Outcome.of_value(base_result.value) \
             if isinstance(base_result, Done) \
-            else Outcome(kind=HANG, detail=f">{max_resumes} resumes")
+            else Outcome(kind=HANG, detail=f">{_MAX_RESUMES} resumes")
     except Exception as exc:  # noqa: BLE001
         base_outcome = Outcome.of_exception(exc)
     baseline_count += vm_base.instruction_count
@@ -311,9 +316,9 @@ def run_stepwise(program: GenProgram, stride: int = 1,
             if isinstance(result, Done):
                 outcome = Outcome.of_value(result.value,
                                            yields=tuple(yields))
-            elif len(yields) >= max_resumes:
+            elif len(yields) >= _MAX_RESUMES:
                 outcome = Outcome(kind=HANG, yields=tuple(yields),
-                                  detail=f">{max_resumes} resumes")
+                                  detail=f">{_MAX_RESUMES} resumes")
             else:
                 # a real (yield): answer it from the feeds, on a fresh
                 # VM, through pickle, as a resume after a pause is

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..lang.bytecode import CodeObject, ParamSpec
 from ..lang.errors import GozerRuntimeError, WrongArgumentCount
 from ..lang.symbols import Keyword, Symbol
-from .environment import _MISSING, Env
+from .environment import Env
 
 
 class GozerFunction:
@@ -60,48 +60,6 @@ def vm_function(fn: Callable) -> Callable:
 
 def is_vm_function(fn: Any) -> bool:
     return type(fn) is FunctionType and fn in VM_FUNCTIONS
-
-
-#: The stdlib's binary numeric primitives, ``{function: operator.*}``.
-#: When the fast loop calls one of these functions (found by identity)
-#: with two arguments whose types are exactly ``int`` or ``float``, it
-#: computes ``op(a, b)`` in place instead; for such arguments the two
-#: agree (``tests/lang/test_stdlib_primitives.py``).  Filled by
-#: :func:`binary_primitive` where the stdlib registers the eight.
-BINARY_PRIMITIVES: dict = {}
-
-#: The same eight by name, ``{Symbol: function}``: what a fused
-#: ``call-global`` checks, by identity, that the global of that name is
-#: still bound to before it computes the operator in place.
-PRIMITIVE_FUNCTIONS: dict = {}
-
-
-def binary_primitive(name: str, op: Callable) -> Callable:
-    """Mark a module-level host function, the stdlib's ``name``, as
-    computing ``op(a, b)`` on two ``int``/``float`` arguments (see
-    :data:`BINARY_PRIMITIVES`)."""
-
-    def mark(fn: Callable) -> Callable:
-        assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
-            f"{fn!r}: only module-level functions are primitives"
-        BINARY_PRIMITIVES[fn] = op
-        PRIMITIVE_FUNCTIONS[Symbol(name)] = fn
-        return fn
-
-    return mark
-
-
-def lookup_from(env: Optional[Env], name: Symbol) -> Any:
-    """``name``'s lexical value, walking the chain from ``env`` (which
-    may be None) toward the root; ``_MISSING`` when no scope binds it.
-    A fused ``call-global`` probes the one scope its load can start at
-    and goes on here from that scope's parent."""
-    while env is not None:
-        bindings = env.bindings
-        if name in bindings:
-            return bindings[name]
-        env = env.parent
-    return _MISSING
 
 
 class GozerMacro:

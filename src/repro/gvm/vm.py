@@ -275,11 +275,11 @@ class VM:
         superinstruction at the first pc of each sequence it stands for.
         A superinstruction advances ``pc`` and ``count`` once for every
         instruction it replaces.  A ``call-global``'s pushes are one
-        generated function (:func:`~repro.lang.bytecode.instantiate`):
+        generated function (:func:`~repro.lang.templates.instantiate`):
         straight-line code that starts each load at the scope depth
         fusing proved, and computes the stdlib primitives among them,
         and the call itself when that is one, inline (by identity with
-        :data:`~repro.gvm.frames.PRIMITIVE_FUNCTIONS`, on ``int``/
+        :data:`~repro.lang.templates.BINARY_PRIMITIVES`, on ``int``/
         ``float`` arguments); a computed call then runs its branch or
         ``setq`` tail in place.  The pushes are pure reads, so when one
         cannot finish the function returns None and the entry *deopts*:

@@ -19,11 +19,11 @@ workflow code can ride along inside a serialized fiber.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .symbols import Symbol
+from .templates import (BINARY_PRIMITIVES, call_global_template,
+                        instantiate, push_shape)
 
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
@@ -35,7 +35,7 @@ from .symbols import Symbol
 # sequences are one entry each: a whole statement such as Listing 1's
 # ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
 # included, is one ``call-global``, whose pushes run as one generated
-# Python function (:func:`template_source`) with each load starting at
+# Python function (:mod:`repro.lang.templates`) with each load starting at
 # the first scope that can hold its name (:func:`load_depths`).  The
 # view is the VM's alone: what is emitted, validated, pickled and
 # stepped through is ``instructions``.
@@ -101,31 +101,25 @@ FUSED = {
     "call-global": "load-global f; k pushes; call k or tail-call k.  A "
                    "push is a load, a load-global, a const whose argument "
                    "is not a list, or a nested 'load-global p; push; push; "
-                   "call 2' with p in PRIMITIVES.  When f is in PRIMITIVES "
+                   "call 2' with p a stdlib primitive (p in "
+                   "templates.BINARY_PRIMITIVES).  When f is one "
                    "and k = 2, a call may also carry the jump-if-false T "
                    "or the 'dup; store x; pop' after it as its tail "
                    "(arg: (f, run, tail-call?, span, then, items): items "
                    "are the pushes in postfix order as (kind, value, "
                    "depth), a nested p as ('primitive', p, None) after "
                    "its two pushes, and f itself as a last ('primitive', "
-                   "f, None) when f is in PRIMITIVES and k = 2; a load's "
+                   "f, None) when f is a primitive and k = 2; a load's "
                    "depth is the number of scopes up its lookup starts "
                    "(load_depths), any other push's None; run(e0, gv, "
                    "dyn) is the items compiled to straight-line code "
-                   "(instantiate), returning the argument values or None "
+                   "(templates.instantiate), returning the argument values "
+                   "or None "
                    "to deopt; span counts the instructions from the "
                    "first push through the call; then is None for any "
                    "other f, else ('push', None), ('jump-if-false', T) "
                    "or ('store', x); w = 1 + span + the tail's 1 or 3)",
 }
-
-#: The stdlib's binary numeric primitives by name: the ``p`` of a nested
-#: ``call-global`` push.  The VM computes one inline only while the name
-#: is still bound to the stdlib function
-#: (:data:`repro.gvm.frames.PRIMITIVE_FUNCTIONS`, which registers the
-#: same eight); otherwise the fused form gives way to its instructions.
-PRIMITIVES = frozenset(Symbol(name) for name in
-                       ("+", "-", "*", "<", ">", "=", "<=", ">="))
 
 
 @dataclass
@@ -303,7 +297,7 @@ def _push(instructions: Sequence[Instruction], pc: int, known: dict):
         op, arg = instructions[pc]
         if op in _SIMPLE_PUSHES and type(arg) is not list:
             push = ((op, arg, pc),), pc + 1
-        if op == "load-global" and arg in PRIMITIVES:
+        if op == "load-global" and arg in BINARY_PRIMITIVES:
             first = _push(instructions, pc + 1, known)
             second = first and _push(instructions, first[1], known)
             if second and instructions[second[1]:second[1] + 1] \
@@ -404,7 +398,7 @@ def fuse(code: CodeObject) -> List[Instruction]:
                 continue
             tail = instructions[end][0] == "tail-call"
             then = None
-            if arg in PRIMITIVES and k == 2:
+            if arg in BINARY_PRIMITIVES and k == 2:
                 items += (("primitive", arg, pc),)
                 then = ("push", None)
                 after = [] if tail else instructions[end + 1:end + 4]
@@ -420,153 +414,6 @@ def fuse(code: CodeObject) -> List[Instruction]:
             view[pc] = ("call-global", (arg, instantiate(pushes), tail,
                                         end - pc, then, pushes))
     return view
-
-
-# ---------------------------------------------------------------------------
-# call-global templates: a fused call's pushes as straight-line Python
-# ---------------------------------------------------------------------------
-
-#: The Python operator of each primitive's ``operator`` function
-#: (:data:`repro.gvm.frames.BINARY_PRIMITIVES`): the only operator text
-#: a template holds.
-_OPERATOR_TOKENS = {operator.add: "+", operator.sub: "-",
-                    operator.mul: "*", operator.lt: "<", operator.gt: ">",
-                    operator.eq: "==", operator.le: "<=", operator.ge: ">="}
-
-#: the tokens whose result, on two ints or floats, is an int or a float
-_ARITHMETIC = ("+", "-", "*")
-
-#: shape -> factory, each compiled the first time a fused view needs it
-_TEMPLATES: dict = {}
-
-
-def _frames():
-    """:mod:`repro.gvm.frames` (which imports this module), with the
-    stdlib's eight primitives registered in it."""
-    from ..gvm import frames
-    from . import stdlib  # noqa: F401
-
-    return frames
-
-
-def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
-    """The shape of a ``call-global``'s pushes: each push's kind, with
-    its depth for a ``load`` and its operator for a ``primitive``.  Two
-    calls of one shape share one template."""
-    frames = _frames()
-    shape = []
-    for kind, value, depth in pushes:
-        if kind == "load":
-            shape.append((kind, depth))
-        elif kind == "primitive":
-            function = frames.PRIMITIVE_FUNCTIONS[value]
-            shape.append((kind, _OPERATOR_TOKENS[
-                frames.BINARY_PRIMITIVES[function]]))
-        else:
-            shape.append((kind,))
-    return tuple(shape)
-
-
-def template_source(shape) -> str:
-    """The Python source of the factory for ``shape``.
-
-    ``make(c0, c1, ...)`` takes, in push order, each push's symbol or
-    constant and, after a primitive's symbol, the stdlib function it
-    must still be bound to, and returns ``run(e0, gv, dyn)``: the
-    pushes as straight-line code over the frame's innermost scope
-    ``e0``, the global variables and the dynamic binding stacks,
-    returning the list of argument values or None to deopt.  Nothing
-    of the program is formatted into the text: only the ``c``/``v``
-    names, fixed scaffolding and the operator tokens of
-    :data:`_OPERATOR_TOKENS`.
-    """
-    params: List[str] = []
-    body: List[str] = []
-    values: List[str] = []
-    numeric = set()  # the values already known to be an int or a float
-    depths = sorted({push[1] for push in shape if push[0] == "load"})
-
-    def param() -> str:
-        params.append(f"c{len(params)}")
-        return params[-1]
-
-    for i, push in enumerate(shape):
-        kind = push[0]
-        if kind == "const":
-            values.append(param())
-            continue
-        c, v = param(), f"v{i}"
-        if kind == "load":
-            d = push[1]
-            body += [f"if {c} in b{d}:",
-                     f"    {v} = b{d}[{c}]",
-                     "else:",
-                     f"    {v} = lookup_from(e{d}.parent, {c})",
-                     f"    if {v} is missing:",
-                     "        return None"]
-        elif kind == "load-global":
-            body += [f"if dyn and {c} in dyn:",
-                     "    return None",
-                     f"if {c} not in gv:",
-                     "    return None",
-                     f"{v} = gv[{c}]"]
-        else:
-            token = push[1]
-            assert token in _OPERATOR_TOKENS.values(), token
-            fn = param()
-            b, a = values.pop(), values.pop()
-            for operand in (a, b):
-                if operand not in numeric:
-                    body += [f"t = type({operand})",
-                             "if t is not int and t is not float:",
-                             "    return None"]
-            body += [f"if dyn and {c} in dyn:",
-                     "    return None",
-                     "try:",
-                     f"    if gv[{c}] is not {fn}:",
-                     "        return None",
-                     f"    {v} = {a} {token} {b}",
-                     "except (KeyError, OverflowError):",
-                     "    return None"]
-            if token in _ARITHMETIC:
-                numeric.add(v)
-        values.append(v)
-    hops = [f"e{d} = e{d - 1}.parent"
-            for d in range(1, max(depths, default=0) + 1)]
-    scopes = [f"b{d} = e{d}.bindings" for d in depths]
-    body = hops + scopes + body + [f"return [{', '.join(values)}]"]
-    return "\n".join([f"def make({', '.join(params)}):",
-                      "    def run(e0, gv, dyn):",
-                      *("        " + line for line in body),
-                      "    return run", ""])
-
-
-def call_global_template(shape):
-    """The factory for ``shape``, compiled once per process."""
-    make = _TEMPLATES.get(shape)
-    if make is None:
-        frames = _frames()
-        source = template_source(shape)
-        namespace = {"__builtins__": {}, "lookup_from": frames.lookup_from,
-                     "missing": frames._MISSING, "type": type,
-                     "int": int, "float": float, "KeyError": KeyError,
-                     "OverflowError": OverflowError}
-        exec(compile(source, "<call-global>", "exec"), namespace)
-        make = namespace["make"]
-        make.source = source
-        make = _TEMPLATES.setdefault(shape, make)
-    return make
-
-
-def instantiate(pushes):
-    """The ``run`` function of a ``call-global`` with these pushes."""
-    functions = _frames().PRIMITIVE_FUNCTIONS
-    arguments = []
-    for kind, value, _depth in pushes:
-        arguments.append(value)
-        if kind == "primitive":
-            arguments.append(functions[value])
-    return call_global_template(push_shape(pushes))(*arguments)
 
 
 def nested_code_objects(code: CodeObject) -> Sequence[CodeObject]:

@@ -31,12 +31,13 @@ from ..gvm.conditions import (
     define_condition_type,
     make_condition,
 )
-from ..gvm.frames import GozerFunction, binary_primitive, vm_function
+from ..gvm.frames import GozerFunction, vm_function
 from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
 from .printer import princ_form, print_form
 from .reader import Char
 from .symbols import Keyword, Symbol, gensym
+from .templates import binary_primitive
 
 _S = Symbol
 
@@ -85,8 +86,8 @@ def install(runtime) -> None:
 # operations in the same order): nearly every call site passes two.
 # The eight marked ``binary_primitive`` are also computed inline by the
 # GVM's fast loop when both arguments are an ``int`` or a ``float``
-# (``repro.gvm.frames.BINARY_PRIMITIVES``); for those the function and
-# ``op(a, b)`` agree.
+# (``repro.lang.templates.BINARY_PRIMITIVES``); for those the function
+# and ``op(a, b)`` agree.
 
 @builtin("+")
 @binary_primitive("+", operator.add)

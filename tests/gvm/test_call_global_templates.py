@@ -1,6 +1,6 @@
 """A fused ``call-global``'s pushes as generated straight-line Python.
 
-``lang.bytecode.fuse`` compiles each ``call-global``'s pushes, once per
+``lang.templates`` compiles each ``call-global``'s pushes, once per
 *shape* (push kinds, load depths, primitive operators), into a factory
 whose ``run(e0, gv, dyn)`` returns the argument values or None to deopt.
 Its loads start at the depth :func:`~repro.lang.bytecode.load_depths`
@@ -19,14 +19,18 @@ import pytest
 
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.environment import Env
-from repro.gvm.frames import BINARY_PRIMITIVES, PRIMITIVE_FUNCTIONS
 from repro.lang import stdlib
-from repro.lang.bytecode import (PRIMITIVES, CodeObject, call_global_template,
-                                 instantiate, load_depths,
-                                 nested_code_objects, push_shape)
+from repro.lang.bytecode import CodeObject, load_depths, nested_code_objects
 from repro.lang.symbols import Symbol
+from repro.lang.templates import (BINARY_PRIMITIVES, call_global_template,
+                                  instantiate, push_shape)
 
 S = Symbol
+
+#: the eight primitives' names, and their functions by name and back
+PRIMITIVES = sorted(BINARY_PRIMITIVES, key=lambda symbol: symbol.name)
+PRIMITIVE_FUNCTIONS = {name: fn for name, (fn, _) in BINARY_PRIMITIVES.items()}
+OPERATORS = {fn: op for fn, op in BINARY_PRIMITIVES.values()}
 
 #: the argument types the push loop computed a primitive inline for
 NUMBERS = frozenset((int, float))
@@ -56,7 +60,7 @@ def reference(pushes, scope, global_variables, dynamic_stacks):
             if dynamic_stacks and value in dynamic_stacks:
                 return None
             try:
-                binary = BINARY_PRIMITIVES[global_variables[value]]
+                binary = OPERATORS[global_variables[value]]
                 args[-1] = binary(a, b)
             except (KeyError, TypeError, OverflowError):
                 return None
@@ -142,8 +146,7 @@ class Case:
         if level < 2 and rng.random() < 0.45:
             self._expression(level + 1)
             self._expression(level + 1)
-            self.pushes.append(("primitive", rng.choice(sorted(
-                PRIMITIVES, key=lambda symbol: symbol.name)), None))
+            self.pushes.append(("primitive", rng.choice(PRIMITIVES), None))
             return
         roll = rng.random()
         if roll < 0.55:

@@ -23,13 +23,12 @@ import pytest
 from repro.conformance import load_dir
 from repro.conformance.coverage import CALL_GLOBAL_SHAPES, fused_forms
 from repro.gvm.conditions import UnhandledConditionError
-from repro.gvm.frames import BINARY_PRIMITIVES, PRIMITIVE_FUNCTIONS
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import VM
 from repro.lang import stdlib
-from repro.lang.bytecode import (FUSED, OPCODES, PRIMITIVES, CodeObject,
-                                 fuse, load_depths, nested_code_objects,
-                                 validate)
+from repro.lang.bytecode import (FUSED, OPCODES, CodeObject, fuse,
+                                 load_depths, nested_code_objects, validate)
+from repro.lang.templates import BINARY_PRIMITIVES
 
 
 def dispatched(method) -> set:
@@ -85,7 +84,7 @@ def unfuse(entry):
         values = []
         for push, value, depth in pushes:
             if push == "primitive":
-                assert value in PRIMITIVES and depth is None
+                assert value in BINARY_PRIMITIVES and depth is None
                 second, first = values.pop(), values.pop()
                 values.append([("load-global", value), *first, *second,
                                ("call", 2)])
@@ -97,7 +96,7 @@ def unfuse(entry):
                     if push == "load" else depth is None
                 values.append([(push, value)])
         if then is None:
-            assert not (name in PRIMITIVES and len(values) == 2)
+            assert not (name in BINARY_PRIMITIVES and len(values) == 2)
             replaced = [("load-global", name),
                         *(instruction for run in values
                           for instruction in run),
@@ -182,16 +181,11 @@ def test_corpus_reaches_both_fused_forms():
 
 
 def test_primitive_names_are_the_registered_primitives():
-    registered = {name for name, fn in stdlib._REGISTRY.items()
-                  if fn in BINARY_PRIMITIVES}
-    assert {symbol.name for symbol in PRIMITIVES} == registered
-    assert len(BINARY_PRIMITIVES) == len(PRIMITIVES) == 8
-    # by name, the same eight functions
-    assert set(PRIMITIVE_FUNCTIONS) == PRIMITIVES
-    assert {PRIMITIVE_FUNCTIONS[name] for name in PRIMITIVES} \
-        == set(BINARY_PRIMITIVES)
+    # the eight, each under the name the stdlib defines it by
+    assert {symbol.name for symbol in BINARY_PRIMITIVES} \
+        == {"+", "-", "*", "<", ">", "=", "<=", ">="}
     assert all(stdlib._REGISTRY[name.name] is fn
-               for name, fn in PRIMITIVE_FUNCTIONS.items())
+               for name, (fn, _op) in BINARY_PRIMITIVES.items())
 
 
 def test_list_constants_are_never_fused():

@@ -1,8 +1,8 @@
 """The eight binary numeric primitives: the stdlib function against the
 ``operator`` function the GVM's fast loop computes in its place.
 
-``repro.gvm.frames.BINARY_PRIMITIVES`` maps each of ``+ - * < > = <=
->=`` to an ``operator`` function, and the fast loop computes that
+``repro.lang.templates.BINARY_PRIMITIVES`` maps each of ``+ - * < > =
+<= >=`` to its function and an ``operator`` function, and the fast loop computes that
 instead of calling the builtin when both arguments are exactly an
 ``int`` or a ``float``.  The traced loop (and the stepwise oracle,
 history replay and the tree interpreter) always call the function, so
@@ -16,10 +16,10 @@ import math
 import pytest
 
 from repro.gvm.conditions import UnhandledConditionError
-from repro.gvm.frames import BINARY_PRIMITIVES
 from repro.lang import stdlib
 from repro.lang.bytecode import fuse
 from repro.lang.symbols import Symbol
+from repro.lang.templates import BINARY_PRIMITIVES
 
 NAMES = ("+", "-", "*", "<", ">", "=", "<=", ">=")
 
@@ -44,8 +44,8 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_the_inline_operator_equals_the_function(name):
-    fn = stdlib._REGISTRY[name]
-    op = BINARY_PRIMITIVES[fn]
+    fn, op = BINARY_PRIMITIVES[Symbol(name)]
+    assert fn is stdlib._REGISTRY[name]
     for a, b in PAIRS:
         assert outcome(op, a, b) == outcome(fn, a, b), (name, a, b)
 
