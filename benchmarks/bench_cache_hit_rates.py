@@ -95,7 +95,8 @@ def test_cache_disabled_costs_more_io(bench_report):
     results = {}
     for enabled in (True, False):
         env = VinzEnvironment(nodes=4, seed=5, trace=False)
-        env.deploy_workflow("MultiHop", MULTI_HOP_WORKFLOW, cache=enabled)
+        env.deploy_workflow("MultiHop", MULTI_HOP_WORKFLOW,
+                            **({} if enabled else {"cache_capacity": 0}))
         for i in range(6):
             env.cluster.send("MultiHop", "Start", {"params": [1, 2, 3]})
         env.cluster.run_until_idle()

@@ -52,14 +52,11 @@ def _write_side(stats):
         # one op latency of an in-flight flush share it — group
         # commit); bytes are the whole framed batches
         ops = journal["flushes"] + journal["torn_appends"]
-        op_latency = 0.002
-        per_byte = 2.0e-6
-        seconds = ops * op_latency + journal["bytes_appended"] * per_byte
-        return ops, seconds
-    ops = stats["writes"] + stats["deletes"]
-    op_latency = 0.002
-    per_byte = 2.0e-6
-    seconds = ops * op_latency + stats["bytes_written"] * per_byte
+        nbytes = journal["bytes_appended"]
+    else:
+        ops = stats["writes"] + stats["deletes"]
+        nbytes = stats["bytes_written"]
+    seconds = ops * SharedStore.op_latency + nbytes * SharedStore.per_byte
     return ops, seconds
 
 

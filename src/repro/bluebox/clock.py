@@ -53,8 +53,8 @@ class SimKernel:
     deterministically (FIFO among same-time, same-priority events).
     """
 
-    def __init__(self, clock: Optional[VirtualClock] = None):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self):
+        self.clock = VirtualClock()
         self._events: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._running = False

@@ -64,7 +64,7 @@ class SharedStore:
     """In-memory shared key/value store with an IO cost model.
 
     ``op_latency`` is charged per read/write (seek + protocol), and
-    ``per_byte`` per byte moved — the knobs that make compression
+    ``per_byte`` per byte moved — the costs that make compression
     trade-offs measurable.  Costs are *reported*, not slept: callers in
     the discrete-event world charge them to the simulation clock.
     """
@@ -76,12 +76,11 @@ class SharedStore:
     #: write while its ~2 KB deflated form costs ~6 ms — which is what
     #: makes compression "a net win by reducing IO costs considerably"
     #: (paper Section 4.2).
+    op_latency = 0.002
+    per_byte = 2.0e-6
 
-    def __init__(self, op_latency: float = 0.002,
-                 per_byte: float = 2.0e-6):
+    def __init__(self):
         self._data: Dict[str, bytes] = {}
-        self.op_latency = op_latency
-        self.per_byte = per_byte
         #: optional fault-injection hooks (repro.faults.FaultInjector);
         #: consulted before every read/write/delete and may raise
         #: StoreError
@@ -268,8 +267,8 @@ class DirectoryStore(SharedStore):
     model, statistics and fault hooks every ``SharedStore`` has.
     """
 
-    def __init__(self, root: str, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, root: str):
+        super().__init__()
         # imported here: repro.durastore's package init imports this
         # module for StoreError
         from ..durastore.backend import DirectoryBackend

@@ -77,11 +77,10 @@ class DifferentialExecutor:
     """
 
     def __init__(self, vinz_every: int = 10, chaos: bool = True,
-                 metrics=None, max_resumes: int = 64):
+                 metrics=None):
         self.vinz_every = max(1, vinz_every)
         self.chaos = chaos
         self.metrics = metrics
-        self.max_resumes = max_resumes
 
     # -- classification ------------------------------------------------
 
@@ -105,11 +104,11 @@ class DifferentialExecutor:
             vinz_seed: Optional[int] = None) -> ProgramVerdict:
         verdict = ProgramVerdict(program=program,
                                  skips=self.plan_skips(program))
-        base = run_vm(program, max_resumes=self.max_resumes)
+        base = run_vm(program)
         verdict.outcomes["vm"] = base
         self._count("conformance.oracle.vm." + base.kind)
 
-        pickled = run_vm_pickle(program, max_resumes=self.max_resumes)
+        pickled = run_vm_pickle(program)
         verdict.outcomes["vm-pickle"] = pickled
         self._count("conformance.oracle.vm-pickle." + pickled.kind)
         if not base.agrees_with(pickled, compare_yields=True):

@@ -44,6 +44,9 @@ _K = Keyword
 PURE = "pure"
 SUSPEND = "suspend"
 DIST = "dist"
+#: the generator's stratum mix: a program's stratum is drawn with these
+#: relative weights
+STRATUM_WEIGHTS: Dict[str, float] = {PURE: 0.55, SUSPEND: 0.15, DIST: 0.30}
 
 # features (drive per-oracle classification) ------------------------------
 F_SUSPEND = "suspend"
@@ -523,20 +526,18 @@ class _Ctx:
 class ProgramGenerator:
     """Deterministic weighted generator over the Gozer grammar."""
 
-    def __init__(self, seed: int, stratum_weights: Optional[Dict[str, float]] = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.stratum_weights = stratum_weights or \
-            {PURE: 0.55, SUSPEND: 0.15, DIST: 0.30}
 
     # -- public --------------------------------------------------------
 
     def generate(self, index: int) -> GenProgram:
         rng = random.Random((self.seed * 1_000_003 + index) & 0xFFFFFFFF)
         roll = rng.random()
-        total = sum(self.stratum_weights.values())
+        total = sum(STRATUM_WEIGHTS.values())
         acc = 0.0
         stratum = PURE
-        for name, weight in self.stratum_weights.items():
+        for name, weight in STRATUM_WEIGHTS.items():
             acc += weight / total
             if roll < acc:
                 stratum = name

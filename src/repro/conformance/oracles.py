@@ -115,8 +115,7 @@ class Outcome:
 _MAX_RESUMES = 64
 
 
-def run_vm(program: GenProgram, pickle_roundtrip: bool = False,
-           max_resumes: int = _MAX_RESUMES) -> Outcome:
+def run_vm(program: GenProgram, pickle_roundtrip: bool = False) -> Outcome:
     """Run the sequentialized program on the bytecode VM.
 
     Suspend-stratum programs yield; each yield value is recorded and
@@ -132,9 +131,9 @@ def run_vm(program: GenProgram, pickle_roundtrip: bool = False,
         resumes = 0
         while isinstance(result, Yielded):
             yields.append(print_form(result.value))
-            if resumes >= max_resumes:
+            if resumes >= _MAX_RESUMES:
                 return Outcome(kind=HANG, yields=tuple(yields),
-                               detail=f">{max_resumes} resumes")
+                               detail=f">{_MAX_RESUMES} resumes")
             continuation = result.continuation
             if pickle_roundtrip:
                 continuation = pickle.loads(pickle.dumps(continuation))
@@ -145,9 +144,8 @@ def run_vm(program: GenProgram, pickle_roundtrip: bool = False,
         return Outcome.of_exception(exc, yields=tuple(yields))
 
 
-def run_vm_pickle(program: GenProgram,
-                  max_resumes: int = _MAX_RESUMES) -> Outcome:
-    return run_vm(program, pickle_roundtrip=True, max_resumes=max_resumes)
+def run_vm_pickle(program: GenProgram) -> Outcome:
+    return run_vm(program, pickle_roundtrip=True)
 
 
 # ---------------------------------------------------------------------------

@@ -46,19 +46,18 @@ _RIGID_HEADS = frozenset({
 })
 
 
-def still_diverges(program: GenProgram, original: Divergence,
-                   max_resumes: int = 64) -> bool:
+def still_diverges(program: GenProgram, original: Divergence) -> bool:
     """Re-run only the diverging oracle pair on a candidate program:
     does it reproduce ``original``, signature and all?"""
     oracle = original.oracle
     if oracle not in ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}")
     try:
-        base = run_vm(program, max_resumes=max_resumes)
+        base = run_vm(program)
         if oracle == "vm":
             other, diverges = base, base.kind == ENGINE_ERROR
         elif oracle == "vm-pickle":
-            other = run_vm_pickle(program, max_resumes=max_resumes)
+            other = run_vm_pickle(program)
             diverges = not base.agrees_with(other, compare_yields=True)
         elif oracle == "tree":
             other = run_tree(program)
@@ -190,14 +189,14 @@ class Shrinker:
     _current: Optional[GenProgram] = None
 
 
-def shrink_divergence(divergence: Divergence, max_checks: int = 400,
-                      max_resumes: int = 64) -> ShrinkResult:
+def shrink_divergence(divergence: Divergence,
+                      max_checks: int = 400) -> ShrinkResult:
     """Minimize a divergence's program, keeping its signature.
 
     Vinz-pair shrinks get a smaller default budget from callers (each
     check spins up a simulated cluster).
     """
     return Shrinker(
-        lambda p: still_diverges(p, divergence, max_resumes=max_resumes),
+        lambda p: still_diverges(p, divergence),
         max_checks=max_checks,
     ).shrink(divergence.program)

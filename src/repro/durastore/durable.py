@@ -53,15 +53,16 @@ from .sharded import ShardedStore
 class DurableStore(ShardedStore):
     """A sharded store with a write-ahead journal and group commit."""
 
+    #: commits between journal checkpoints (0 = never checkpoint)
+    checkpoint_interval = 64
+
     def __init__(self, backends: Optional[Sequence[StoreBackend]] = None,
                  shards: int = 4,
-                 journal: Optional[WriteAheadJournal] = None,
-                 checkpoint_interval: int = 64, **kwargs):
+                 journal: Optional[WriteAheadJournal] = None):
         # the journal must exist before super().__init__ assigns
         # self.injector (the property setter mirrors it onto the journal)
         self.journal = journal if journal is not None else WriteAheadJournal()
-        self.checkpoint_interval = checkpoint_interval
-        super().__init__(backends=backends, shards=shards, **kwargs)
+        super().__init__(backends=backends, shards=shards)
         #: when the last physical flush began: a window sealing within
         #: one ``op_latency`` of it piggybacks on it (pays only its
         #: bytes) — while a filer write is in flight, concurrent

@@ -53,8 +53,8 @@ class ShardedStore(SharedStore):
     N :class:`~repro.durastore.backend.StoreBackend` planes."""
 
     def __init__(self, backends: Optional[Sequence[StoreBackend]] = None,
-                 shards: int = 4, **kwargs):
-        super().__init__(**kwargs)
+                 shards: int = 4):
+        super().__init__()
         if backends is None:
             backends = memory_backends(shards)
         if not backends:

@@ -76,10 +76,9 @@ class Runtime:
     """One loaded Gozer program and the machinery to run it."""
 
     def __init__(self, executor: Optional[FutureExecutor] = None,
-                 readtable: Optional[ReadTable] = None,
                  clock=None):
         self.global_env = GlobalEnvironment()
-        self.readtable = readtable.copy() if readtable else ReadTable()
+        self.readtable = ReadTable()
         self.executor = executor if executor is not None else ThreadPoolFutureExecutor()
         #: the time source ``(get-universal-time)``/``(sleep n)`` use;
         #: real time by default, virtual under Vinz and in clock tests

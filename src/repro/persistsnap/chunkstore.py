@@ -37,7 +37,8 @@ class ChunkStore:
         self._sizes: Dict[str, int] = {}
         # statistics
         self.chunks_written = 0
-        self.chunks_reused = 0
+        #: adds that found the chunk already stored (refcount only)
+        self.chunks_present = 0
         self.chunks_deleted = 0
         self.bytes_stored = 0
 
@@ -92,7 +93,7 @@ class ChunkStore:
             self.bytes_stored += len(payload)
             self._sizes[hex_digest] = len(payload)
         else:
-            self.chunks_reused += 1
+            self.chunks_present += 1
         cost += self._write_ref(hex_digest, prev + 1)
         return cost, created
 
@@ -168,7 +169,7 @@ class ChunkStore:
     def stats_snapshot(self) -> Dict[str, int]:
         return {
             "chunks_written": self.chunks_written,
-            "chunks_reused": self.chunks_reused,
+            "chunks_present": self.chunks_present,
             "chunks_deleted": self.chunks_deleted,
             "bytes_stored": self.bytes_stored,
         }

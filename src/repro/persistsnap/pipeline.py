@@ -34,8 +34,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
 from ..observe.metrics import MetricsRegistry
-from .chunker import (DEFAULT_AVG_BITS, DEFAULT_MAX_SIZE, DEFAULT_MIN_SIZE,
-                      chunk_spans)
+from .chunker import chunk_spans
 from .chunkstore import ChunkStore
 from .errors import (ChunkCorruptionError, MissingChunkError,
                      StateDigestError)
@@ -75,10 +74,7 @@ class SnapshotWrite:
 class SnapshotPipeline:
     """Chunked, deduplicated, adaptively compressed fiber snapshots."""
 
-    def __init__(self, codec, store, metrics=None,
-                 min_size: int = DEFAULT_MIN_SIZE,
-                 avg_bits: int = DEFAULT_AVG_BITS,
-                 max_size: int = DEFAULT_MAX_SIZE):
+    def __init__(self, codec, store, metrics=None):
         self.codec = codec
         self.store = store
         self.chunks = ChunkStore.for_store(store)
@@ -86,9 +82,6 @@ class SnapshotPipeline:
         #: below and reach reports through :meth:`stats_snapshot`)
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
-        self.min_size = min_size
-        self.avg_bits = avg_bits
-        self.max_size = max_size
         #: consulted on chunk reads (missing-chunk / corrupt-chunk
         #: faults); set by the service from the installed injector
         self.injector = None
@@ -124,7 +117,7 @@ class SnapshotPipeline:
         if raw is None:
             raw = self.codec.serialize_state(state)
         state_digest = content_digest(raw)
-        spans = chunk_spans(raw, self.min_size, self.avg_bits, self.max_size)
+        spans = chunk_spans(raw)
 
         prior = self._prior_counts(key)
         refs: List[ChunkRef] = []

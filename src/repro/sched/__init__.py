@@ -32,10 +32,10 @@ from .fair import (
     StrictPriorityPolicy,
     make_policy,
 )
-from .governor import AUTO_SPAWN_LIMIT, GovernorConfig, SpawnGovernor
+from .governor import AUTO_SPAWN_LIMIT, SpawnGovernor
 
 __all__ = [
     "DeficitRoundRobinPolicy", "SchedulingPolicy", "StrictPriorityPolicy",
     "make_policy",
-    "AUTO_SPAWN_LIMIT", "GovernorConfig", "SpawnGovernor",
+    "AUTO_SPAWN_LIMIT", "SpawnGovernor",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: flow key for messages that carry no workflow identity (management
 #: traffic, external sends): they share one control flow
@@ -166,23 +166,22 @@ class DeficitRoundRobinPolicy(SchedulingPolicy):
 
     Within a flow, order is strictly FIFO regardless of per-message
     priorities — per-workflow FIFO is the invariant the property tests
-    pin down.  ``aging_rate`` is priority units per virtual second; the
-    default 1.0 promotes NORMAL (5) into the INTERACTIVE band (2) after
+    pin down.  ``aging_rate`` is priority units per virtual second; its
+    1.0 promotes NORMAL (5) into the INTERACTIVE band (2) after
     3 seconds of waiting, so no message waits unboundedly.
     """
 
     name = "fair"
 
-    def __init__(self, aging_rate: float = 1.0, quantum: float = 1.0,
-                 flow_of: Callable[[Any], str] = default_flow_of):
-        if aging_rate < 0:
-            raise ValueError("aging_rate must be >= 0")
-        if quantum < 1.0:
-            raise ValueError("quantum must be >= 1 (the unit message cost)")
-        self.aging_rate = aging_rate
-        self.quantum = quantum
-        self.cost = 1.0
-        self.flow_of = flow_of
+    #: priority units an entry's effective priority drops per virtual
+    #: second of waiting
+    aging_rate = 1.0
+    #: credit a flow's turn grants, in messages; never below ``cost``
+    quantum = 1.0
+    #: what serving one message costs
+    cost = 1.0
+
+    def __init__(self):
         self._services: Dict[str, _ServiceFlows] = {}
         #: messages served from a band better than their static
         #: priority — i.e. deliveries that only aging made possible
@@ -226,7 +225,7 @@ class DeficitRoundRobinPolicy(SchedulingPolicy):
 
     def push(self, service: str, message: Any, seq: int, now: float) -> None:
         state = self._services.setdefault(service, _ServiceFlows())
-        key = self.flow_of(message)
+        key = default_flow_of(message)
         flow = state.flows.get(key)
         if flow is None:
             flow = state.flows[key] = deque()
@@ -301,11 +300,9 @@ class DeficitRoundRobinPolicy(SchedulingPolicy):
 
 def make_policy(spec: Any) -> SchedulingPolicy:
     """Resolve a policy spec: None/"strict" -> the seed heap,
-    "fair" -> deficit round-robin with defaults, or an instance."""
+    "fair" -> deficit round-robin."""
     if spec is None or spec == "strict":
         return StrictPriorityPolicy()
     if spec == "fair":
         return DeficitRoundRobinPolicy()
-    if isinstance(spec, SchedulingPolicy):
-        return spec
     raise ValueError(f"unknown scheduling policy {spec!r}")

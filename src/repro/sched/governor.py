@@ -15,8 +15,8 @@ additive-increase / multiplicative-decrease driven by live signals:
   slow-down, a hot store) reads as congestion even before the queue
   visibly backs up.
 
-While both are calm the limit creeps up by ``increase`` per interval;
-any congestion signal halves it (``decrease``).  Workflows opt in per
+While both are calm the limit creeps up by ``INCREASE`` per interval;
+any congestion signal halves it (``DECREASE``).  Workflows opt in per
 task with ``(vinz-auto-spawn-limit)`` or per deployment with
 ``spawn_limit="auto"``; the paper's Listing 3 throttle loop re-reads
 the limit every iteration, so a running fan-out follows the governor
@@ -24,7 +24,7 @@ mid-flight — no new mechanism needed in the loop itself.
 
 The governor is *pulled*, not timer-driven: every spawn-limit read
 calls :meth:`current_limit`, which re-evaluates at most once per
-``interval`` of virtual time.  That keeps the control loop strictly
+``INTERVAL`` of virtual time.  That keeps the control loop strictly
 deterministic (it runs at the same virtual instants for the same
 workload and seed) and costs nothing while no fan-out is running.
 
@@ -35,39 +35,11 @@ span per adjustment in the causal trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 #: sentinel accepted wherever a spawn limit is configured: resolve the
 #: limit through the environment's governor at each read
 AUTO_SPAWN_LIMIT = "auto"
-
-
-@dataclass
-class GovernorConfig:
-    """Tuning knobs for the AIMD controller (see docs/scheduler.md)."""
-
-    #: limit bounds and starting point
-    initial: int = 4
-    min_limit: int = 1
-    max_limit: int = 64
-    #: additive step per calm interval / multiplicative cut on congestion
-    increase: int = 2
-    decrease: float = 0.5
-    #: virtual seconds between control decisions
-    interval: float = 0.5
-    #: backlog per alive slot: above ``depth_high`` is congestion,
-    #: below ``depth_low`` is headroom
-    depth_high: float = 3.0
-    depth_low: float = 1.5
-    #: interval-mean queue wait (virtual seconds): congestion / headroom
-    wait_high: float = 0.5
-    wait_low: float = 0.1
-    #: interval-mean op duration vs. the EWMA baseline: a ratio above
-    #: ``latency_factor`` (e.g. an injected node slow-down) is congestion
-    latency_factor: float = 2.5
-    #: smoothing for the op-duration baseline
-    latency_alpha: float = 0.3
 
 
 class SpawnGovernor:
@@ -80,10 +52,31 @@ class SpawnGovernor:
     replays bit-identically.
     """
 
-    def __init__(self, cluster, config: Optional[GovernorConfig] = None):
+    #: limit bounds and starting point
+    INITIAL = 4
+    MIN_LIMIT = 1
+    MAX_LIMIT = 64
+    #: additive step per calm interval / multiplicative cut on congestion
+    INCREASE = 2
+    DECREASE = 0.5
+    #: virtual seconds between control decisions
+    INTERVAL = 0.5
+    #: backlog per alive slot: above ``DEPTH_HIGH`` is congestion,
+    #: below ``DEPTH_LOW`` is headroom
+    DEPTH_HIGH = 3.0
+    DEPTH_LOW = 1.5
+    #: interval-mean queue wait (virtual seconds): congestion / headroom
+    WAIT_HIGH = 0.5
+    WAIT_LOW = 0.1
+    #: interval-mean op duration vs. the EWMA baseline: a ratio above
+    #: ``LATENCY_FACTOR`` (e.g. an injected node slow-down) is congestion
+    LATENCY_FACTOR = 2.5
+    #: smoothing for the op-duration baseline
+    LATENCY_ALPHA = 0.3
+
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.config = config or GovernorConfig()
-        self.limit = self.config.initial
+        self.limit = self.INITIAL
         self._last_decision = cluster.kernel.now
         # interval snapshots of the cumulative signal counters
         self._wait_count, self._wait_total = self._wait_totals()
@@ -117,12 +110,11 @@ class SpawnGovernor:
         tasks read on every Listing-3 loop iteration."""
         if now is None:
             now = self.cluster.kernel.now
-        if now - self._last_decision >= self.config.interval:
+        if now - self._last_decision >= self.INTERVAL:
             self._decide(now)
         return self.limit
 
     def _decide(self, now: float) -> None:
-        cfg = self.config
         self._last_decision = now
         self.decisions += 1
 
@@ -147,25 +139,25 @@ class SpawnGovernor:
                 self._latency_baseline = interval_latency
             else:
                 latency_inflated = (interval_latency >
-                                    cfg.latency_factor *
+                                    self.LATENCY_FACTOR *
                                     self._latency_baseline)
-                alpha = cfg.latency_alpha
+                alpha = self.LATENCY_ALPHA
                 self._latency_baseline = (alpha * interval_latency +
                                           (1 - alpha) *
                                           self._latency_baseline)
 
-        congested = (depth_per_slot >= cfg.depth_high
-                     or interval_wait >= cfg.wait_high
+        congested = (depth_per_slot >= self.DEPTH_HIGH
+                     or interval_wait >= self.WAIT_HIGH
                      or latency_inflated)
-        headroom = (depth_per_slot <= cfg.depth_low
-                    and interval_wait <= cfg.wait_low
+        headroom = (depth_per_slot <= self.DEPTH_LOW
+                    and interval_wait <= self.WAIT_LOW
                     and not latency_inflated)
 
         if congested:
-            new_limit = max(cfg.min_limit, int(self.limit * cfg.decrease))
+            new_limit = max(self.MIN_LIMIT, int(self.limit * self.DECREASE))
             reason = "congested"
         elif headroom:
-            new_limit = min(cfg.max_limit, self.limit + cfg.increase)
+            new_limit = min(self.MAX_LIMIT, self.limit + self.INCREASE)
             reason = "headroom"
         else:
             return  # hold

@@ -25,7 +25,7 @@ from ..bluebox.locks import (
     LockManager,
 )
 from ..bluebox.store import SharedStore
-from ..sched.governor import GovernorConfig, SpawnGovernor
+from ..sched.governor import SpawnGovernor
 from .recovery import RecoveryScanner
 from .service import WorkflowService
 from .task import ProcessRegistry, TaskRecord
@@ -36,6 +36,9 @@ from .task import ProcessRegistry, TaskRecord
 MIGRATION_THRESHOLD = 0.05
 #: weight of the newest observation in the per-operation latency EWMA
 MIGRATION_EWMA_ALPHA = 0.3
+#: EDF scheduling: task slack (seconds) mapped linearly onto the
+#: priority range — slack <= 0 is most urgent, slack >= this is normal
+EDF_HORIZON = 60.0
 
 
 class WorkflowError(RuntimeError):
@@ -63,17 +66,14 @@ class VinzEnvironment:
                  spans: Optional[bool] = None,
                  retry_policy=None,
                  scheduler: Any = None,
-                 governor: Optional[GovernorConfig] = None,
                  lease_ttl: float = 2.0,
                  history: str = "off",
                  snapshot_interval: int = 1,
                  recovery: str = "snapshot"):
         #: ``scheduler`` picks the queue's message-ordering policy
         #: (None/"strict" = the paper's priority heap, "fair" = deficit
-        #: round-robin with priority aging); ``governor`` tunes the
-        #: AIMD spawn governor backing ``(vinz-auto-spawn-limit)`` and
-        #: ``spawn_limit="auto"`` deployments.  Both default to the
-        #: paper's behaviour.  See repro.sched / docs/scheduler.md.
+        #: round-robin with priority aging), defaulting to the paper's
+        #: behaviour.  See repro.sched / docs/scheduler.md.
         self.cluster = Cluster(seed=seed, trace=trace,
                                retry_policy=retry_policy, spans=spans,
                                scheduler=scheduler)
@@ -88,7 +88,7 @@ class VinzEnvironment:
         #: the adaptive spawn governor (repro.sched.governor).  Always
         #: present — it only acts for tasks/deployments that opt in
         #: with ``spawn_limit="auto"`` or ``(vinz-auto-spawn-limit)``.
-        self.governor = SpawnGovernor(self.cluster, governor)
+        self.governor = SpawnGovernor(self.cluster)
         #: optional FaultInjector (set by FaultInjector.install(env))
         self.injector = None
         self.locks: LockManager
@@ -162,9 +162,6 @@ class VinzEnvironment:
         #: suboptimal in the presence of deadlines"); "edf" = derive
         #: message priorities from task slack (earliest deadline first)
         self.scheduling_policy = "fcfs"
-        #: slack (seconds) mapped linearly onto the priority range:
-        #: slack <= 0 -> most urgent; slack >= edf_horizon -> normal
-        self.edf_horizon = 60.0
         self.workflows: Dict[str, WorkflowService] = {}
         # concurrency profiling for the production bench
         self.task_concurrency = self.metrics.level("tasks.in_flight")
@@ -347,7 +344,7 @@ class VinzEnvironment:
         if slack <= 0:
             return 1
         # linear map of [0, horizon] onto priorities [1, 8]
-        fraction = min(1.0, slack / self.edf_horizon)
+        fraction = min(1.0, slack / EDF_HORIZON)
         return 1 + int(fraction * 7)
 
     # ------------------------------------------------------------------
@@ -450,6 +447,12 @@ class VinzEnvironment:
                 if key == "dedup_ratio":
                     continue
                 stats[key] = stats.get(key, 0) + value
+        # every pipeline embeds the counters of the chunk plane it
+        # shares with the others on its store: count each plane once
+        plane_stats = [plane.stats_snapshot() for plane in
+                       {id(p.chunks): p.chunks for p in pipelines}.values()]
+        for key in plane_stats[0]:
+            stats[key] = sum(each[key] for each in plane_stats)
         written = stats.get("written_bytes", 0)
         stats["dedup_ratio"] = (round(stats.get("raw_bytes", 0) / written, 3)
                                 if written else 1.0)

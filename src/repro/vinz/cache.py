@@ -103,11 +103,11 @@ class FiberCache:
     #: module-level miss sentinel, re-exported for callers
     MISS = MISS
 
-    def __init__(self, mutable_capacity: int = 256,
-                 immutable_capacity: int = 1024):
+    def __init__(self, mutable_capacity: int = 256):
         self.mutable: LruCache[str, Tuple[int, Any]] = \
             LruCache(mutable_capacity)
-        self.immutable: LruCache[str, Any] = LruCache(immutable_capacity)
+        #: task environments, four per mutable entry
+        self.immutable: LruCache[str, Any] = LruCache(4 * mutable_capacity)
         #: v2 snapshots only: continuations keyed by manifest state
         #: digest.  Content-addressed, so unlike the version-keyed
         #: mutable cache a hit needs only that this node restored *the

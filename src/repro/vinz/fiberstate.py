@@ -73,8 +73,7 @@ class FiberStateStore:
         if not service.cache_enabled or ctx.instance is None:
             return None
         return FiberCache.for_node(
-            ctx.node, mutable_capacity=service.cache_capacity,
-            immutable_capacity=4 * service.cache_capacity)
+            ctx.node, mutable_capacity=service.cache_capacity)
 
     def touch_task_env(self, ctx: OperationContext,
                        cache: Optional[FiberCache],

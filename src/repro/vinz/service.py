@@ -95,7 +95,8 @@ class WorkflowService(Service):
       for the fiber lock before requeueing itself (§5);
     * ``instruction_cost`` — simulated seconds charged per executed GVM
       instruction (models the fiber's compute);
-    * ``cache`` — enable/disable the per-node fiber cache (§4.2);
+    * ``cache_capacity`` — mutable entries in the per-node fiber cache
+      (§4.2); 0 turns the cache off;
     * ``snapshots`` — continuation snapshot format: ``"v1"`` whole
       compressed blobs, ``"v2"`` the chunk-deduplicated pipeline.
 
@@ -114,7 +115,6 @@ class WorkflowService(Service):
                  spawn_limit: Any = 4,
                  awake_patience: float = 0.02,
                  instruction_cost: float = 2e-6,
-                 cache: bool = True,
                  cache_capacity: int = 256,
                  snapshots: str = "v1"):
         super().__init__(name, doc=f"Vinz workflow {name}")
@@ -123,8 +123,8 @@ class WorkflowService(Service):
         self.default_spawn_limit = spawn_limit
         self.awake_patience = awake_patience
         self.instruction_cost = instruction_cost
-        self.cache_enabled = cache
         self.cache_capacity = cache_capacity
+        self.cache_enabled = cache_capacity > 0
         self.codec = FiberCodec("custom")
         # blob-size histograms flow into the cluster's metrics registry
         self.codec.metrics = vinz_env.metrics

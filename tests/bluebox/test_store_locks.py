@@ -38,7 +38,8 @@ class TestSharedStore:
             SharedStore().write("k", "string")  # type: ignore
 
     def test_io_cost_model(self):
-        store = SharedStore(op_latency=0.01, per_byte=0.001)
+        store = SharedStore()
+        store.op_latency, store.per_byte = 0.01, 0.001
         cost = store.write("k", b"abcd")
         assert cost == pytest.approx(0.01 + 4 * 0.001)
         assert store.cost(0) == 0.01

@@ -113,7 +113,7 @@ class Harness:
             namespace="urn:window-data",
             parameters={"Lookup": ["Key", "Mode"]}))
         env.deploy_workflow("WindowChild", CHILD)
-        env.deploy_workflow("Window", WORKFLOW, snapshots="v2", cache=False)
+        env.deploy_workflow("Window", WORKFLOW, snapshots="v2", cache_capacity=0)
         if plan is not None:
             FaultInjector(3, plan).install(env)
 

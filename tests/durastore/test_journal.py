@@ -202,7 +202,8 @@ def test_group_commit_shares_flushes_within_interval():
 
 
 def test_checkpoint_interval_compacts_the_log():
-    store = DurableStore(shards=2, checkpoint_interval=4)
+    store = DurableStore(shards=2)
+    store.checkpoint_interval = 4
     for i in range(9):
         store.begin_window()
         store.write(f"k{i}", b"x" * 50)

@@ -109,7 +109,7 @@ class TestEveryIntrinsicReplays:
         an elided version re-executes the fiber through the replay
         bridge, and the task must not be able to tell."""
         _, live = _run(name)
-        env, rebuilt = _run(name, snapshot_interval=3, cache=False)
+        env, rebuilt = _run(name, snapshot_interval=3, cache_capacity=0)
         assert env.metrics.get("history.rebuilds") > 0
         assert (rebuilt.status, rebuilt.result, rebuilt.error) == \
             (live.status, live.result, live.error)
@@ -120,7 +120,7 @@ class TestEveryIntrinsicReplays:
         from the newest version the node still holds when that beats
         the snapshot, so it never replays more than a cold one."""
         _, live = _run(name)
-        cold, _ = _run(name, snapshot_interval=3, cache=False)
+        cold, _ = _run(name, snapshot_interval=3, cache_capacity=0)
         env, warm = _run(name, snapshot_interval=3)
         assert (warm.status, warm.result, warm.error) == \
             (live.status, live.result, live.error)
@@ -239,7 +239,7 @@ def test_diverging_rebuild_fails_one_task_not_the_platform():
           (let ((n (random 1000)))
             (if (< n 1000) (workflow-sleep 1.0) (join-process "nobody"))
             (workflow-sleep 1.0)
-            n))""", cache=False)
+            n))""", cache_capacity=0)
     victim, *others = [env.start("W", None) for _ in range(3)]
     fiber = env.registry.fibers_of(victim)[0]
     env.cluster.run_until(lambda: fiber.version == 1

@@ -118,7 +118,7 @@ class TestOneAppendPerWindow:
 class TestWorkflowServiceConfig:
     def test_cache_disabled_still_correct(self):
         env = VinzEnvironment(nodes=3, seed=2, trace=False)
-        env.deploy_workflow("W", WORKFLOW, cache=False)
+        env.deploy_workflow("W", WORKFLOW, cache_capacity=0)
         result = env.call("W", [1, 2, 3, 4])
         plist = {result[i].name: result[i + 1]
                  for i in range(0, len(result), 2)}

@@ -28,8 +28,9 @@ def _build_store(journal_path, roots):
     backends = [DirectoryBackend(f"shard-{i}", root)
                 for i, root in enumerate(roots)]
     journal = WriteAheadJournal(FileJournalStorage(journal_path))
-    return DurableStore(backends=backends, journal=journal,
-                        checkpoint_interval=0)
+    store = DurableStore(backends=backends, journal=journal)
+    store.checkpoint_interval = 0
+    return store
 
 
 def test_writer_killed_mid_batch_recovers_committed_state(tmp_path):
@@ -42,8 +43,8 @@ def test_writer_killed_mid_batch_recovers_committed_state(tmp_path):
         backends = [DirectoryBackend(f"shard-{{i}}", root)
                     for i, root in enumerate({roots!r})]
         journal = WriteAheadJournal(FileJournalStorage({journal_path!r}))
-        store = DurableStore(backends=backends, journal=journal,
-                             checkpoint_interval=0)
+        store = DurableStore(backends=backends, journal=journal)
+        store.checkpoint_interval = 0
 
         for i in range({COMMITTED}):
             store.begin_window()

@@ -75,6 +75,25 @@ class TestDedup:
         assert stats["chunks_reused"] > 0
         assert stats["dedup_ratio"] > 1.5
 
+    def test_summary_counts_the_shared_chunk_plane_once(self):
+        """Every v2 workflow on one store shares its chunk plane: the
+        summary reports the plane's counters once, not once per
+        workflow, and keeps the plane's own reuse count apart from the
+        per-suspension ``chunks_reused``."""
+        env = VinzEnvironment(nodes=3, seed=5)
+        for name in ("A", "B"):
+            env.deploy_workflow(name, LOOPY, snapshots="v2")
+            assert env.call(name, list(range(12))) == EXPECTED
+        pipelines = [w.snapper for w in env.workflows.values()]
+        plane = pipelines[0].chunks
+        assert pipelines[1].chunks is plane
+        stats = env.summary()["snapshots"]
+        assert plane.chunks_written > 0
+        for key, value in plane.stats_snapshot().items():
+            assert stats[key] == value, key
+        assert stats["chunks_reused"] == \
+            sum(p.chunks_reused_total for p in pipelines)
+
     def test_v1_summary_has_no_snapshot_stats(self):
         env, _, _ = run_loopy("v1")
         assert env.summary()["snapshots"] is None
@@ -236,7 +255,7 @@ class TestSharedChunkRollback:
         env.deploy_service(simple_service(
             "TwinData", {"Fetch": lambda ctx, body: ctx.charge(0.5)},
             namespace="urn:twin-data", parameters={"Fetch": ["Key"]}))
-        env.deploy_workflow("Twins", self.TWINS, snapshots="v2", cache=False)
+        env.deploy_workflow("Twins", self.TWINS, snapshots="v2", cache_capacity=0)
         return env
 
     def test_sibling_restores_after_its_twins_window_crashed(self):

@@ -3,9 +3,11 @@
 the governor converges (backs off, then recovers) under an injected
 node slow-down."""
 
+import pytest
+
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import FaultPlan, NodeFault
-from repro.sched.governor import GovernorConfig
+from repro.sched.governor import SpawnGovernor
 from repro.vinz.api import VinzEnvironment
 
 
@@ -18,10 +20,10 @@ class TestControlLaw:
         env = make_env()
         g = env.governor
         base = g.limit
-        limits = [g.current_limit((i + 1) * g.config.interval)
+        limits = [g.current_limit((i + 1) * g.INTERVAL)
                   for i in range(5)]
         # an idle cluster is all headroom: +increase per interval
-        assert limits == [base + g.config.increase * (i + 1)
+        assert limits == [base + g.INCREASE * (i + 1)
                           for i in range(5)]
         assert g.increases == 5 and g.decreases == 0
 
@@ -30,12 +32,12 @@ class TestControlLaw:
         g = env.governor
         q = env.cluster.queue
         slots = env.cluster.total_slots()
-        for _ in range(int(g.config.depth_high * slots) + slots):
+        for _ in range(int(g.DEPTH_HIGH * slots) + slots):
             q.enqueue(q.make_message("S", "Op", {}), now=0.0)
         before = g.limit
-        g.current_limit(g.config.interval)
-        assert g.limit == max(g.config.min_limit,
-                              int(before * g.config.decrease))
+        g.current_limit(g.INTERVAL)
+        assert g.limit == max(g.MIN_LIMIT,
+                              int(before * g.DECREASE))
         assert g.decreases == 1
 
     def test_decrease_on_interval_queue_wait(self):
@@ -48,9 +50,11 @@ class TestControlLaw:
         g.current_limit(1.0)
         assert g.limit < before
 
-    def test_limit_clamped_to_bounds(self):
-        env = make_env(governor=GovernorConfig(initial=2, max_limit=6,
-                                               interval=0.1))
+    def test_limit_clamped_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(SpawnGovernor, "INITIAL", 2)
+        monkeypatch.setattr(SpawnGovernor, "MAX_LIMIT", 6)
+        monkeypatch.setattr(SpawnGovernor, "INTERVAL", 0.1)
+        env = make_env()
         g = env.governor
         for i in range(1, 20):
             g.current_limit(i * 0.1)
@@ -61,28 +65,28 @@ class TestControlLaw:
             q.enqueue(q.make_message("S", "Op", {}), now=2.0)
         for i in range(20, 40):
             g.current_limit(i * 0.1)
-        assert g.limit == g.config.min_limit
+        assert g.limit == g.MIN_LIMIT
 
     def test_at_most_one_decision_per_interval(self):
         env = make_env()
         g = env.governor
-        g.current_limit(g.config.interval)
+        g.current_limit(g.INTERVAL)
         decided = g.decisions
-        g.current_limit(g.config.interval)  # same instant: no re-decide
+        g.current_limit(g.INTERVAL)  # same instant: no re-decide
         assert g.decisions == decided
 
     def test_history_and_summary_track_changes(self):
         env = make_env()
         g = env.governor
-        g.current_limit(g.config.interval)
+        g.current_limit(g.INTERVAL)
         summary = g.summary()
         assert summary["limit"] == g.limit
         assert summary["max_seen"] == g.limit
-        assert g.history[0][1] == g.config.initial
+        assert g.history[0][1] == g.INITIAL
 
     def test_spawn_limit_gauge_published(self):
         env = make_env()
-        env.governor.current_limit(env.governor.config.interval)
+        env.governor.current_limit(env.governor.INTERVAL)
         assert env.cluster.metrics.gauge("sched.spawn_limit").value == \
             env.governor.limit
 
@@ -131,18 +135,21 @@ class TestChaosConvergence:
                      name="slow-node")
     #: thresholds calibrated to the campaign topology (2 nodes, wide
     #: fan-outs saturate ~11 messages/slot even when healthy), so the
-    #: *latency* signal is the discriminating one.  ``wait_high`` sits
+    #: *latency* signal is the discriminating one.  ``WAIT_HIGH`` sits
     #: clear of the healthy run's peak interval wait (3.45 s at seed 23;
     #: it moves with persisted blob sizes, which set store IO cost), so
     #: the slow node's cuts (t = 11.2 s and 13.8 s) come from latency
-    CONFIG = dict(interval=0.25, depth_high=30.0, depth_low=15.0,
-                  wait_high=4.0, wait_low=2.0, latency_factor=2.0)
+    TUNING = dict(INTERVAL=0.25, DEPTH_HIGH=30.0, DEPTH_LOW=15.0,
+                  WAIT_HIGH=4.0, WAIT_LOW=2.0, LATENCY_FACTOR=2.0)
+
+    @pytest.fixture(autouse=True)
+    def _tuned_governor(self, monkeypatch):
+        for name, value in self.TUNING.items():
+            monkeypatch.setattr(SpawnGovernor, name, value)
 
     def _run(self, plan=PLAN, seed=23):
         return run_campaign(plan, seed=seed, tasks=6, nodes=2,
-                            adaptive_spawn=True,
-                            governor=GovernorConfig(**self.CONFIG),
-                            items_range=(8, 16))
+                            adaptive_spawn=True, items_range=(8, 16))
 
     def test_governor_converges_under_injected_slowdown(self):
         report = self._run()
@@ -151,7 +158,7 @@ class TestChaosConvergence:
         assert not report.wrong_results()
         # calm phase: the limit ramped additively above its start
         ramped = [t for t, limit in g.history
-                  if t < self.FAULT_AT and limit > g.config.initial]
+                  if t < self.FAULT_AT and limit > g.INITIAL]
         assert g.increases >= 1 and ramped
         # fault phase: the injected latency forced multiplicative cuts
         assert g.decreases >= 1

@@ -18,7 +18,7 @@ behaviour) and switchable:
 import pytest
 
 from repro.bluebox.services import simple_service
-from repro.vinz import execution
+from repro.vinz import api, execution
 from repro.vinz.api import MIGRATION_THRESHOLD, VinzEnvironment
 
 MULTI_HOP = """
@@ -189,7 +189,7 @@ class TestSiblingChaining:
 
 
 class TestDeadlineScheduling:
-    def _run_batch(self, policy, seed=14):
+    def _run_batch(self, policy, monkeypatch, seed=14):
         """10 one-second tasks submitted together on a 2-slot cluster;
         deadlines are INVERSE to submission order (the last-submitted
         task has the tightest deadline), so FCFS misses what EDF saves.
@@ -197,7 +197,7 @@ class TestDeadlineScheduling:
         RunFibers genuinely compete in the queue."""
         env = VinzEnvironment(nodes=1, slots=2, seed=seed, trace=False)
         env.scheduling_policy = policy
-        env.edf_horizon = 12.0
+        monkeypatch.setattr(api, "EDF_HORIZON", 12.0)
         env.deploy_workflow("W", """
             (defun main (params) (compute 1.0) :done)""")
         n = 10
@@ -215,9 +215,9 @@ class TestDeadlineScheduling:
                 misses += 1
         return misses
 
-    def test_edf_reduces_deadline_misses(self):
-        fcfs = self._run_batch("fcfs")
-        edf = self._run_batch("edf")
+    def test_edf_reduces_deadline_misses(self, monkeypatch):
+        fcfs = self._run_batch("fcfs", monkeypatch)
+        edf = self._run_batch("edf", monkeypatch)
         assert edf < fcfs
 
     def test_fcfs_is_default(self):
@@ -227,7 +227,6 @@ class TestDeadlineScheduling:
     def test_priority_mapping(self):
         env = VinzEnvironment(nodes=1)
         env.scheduling_policy = "edf"
-        env.edf_horizon = 60.0
         from repro.vinz.task import TaskRecord
 
         urgent = TaskRecord(id="t", workflow="W", params=None, deadline=0.0)

@@ -93,7 +93,7 @@ def test_an_elided_version_waits_for_the_node_that_holds_it():
 
 
 def test_without_a_cache_no_node_holds_the_version():
-    env = make_env(deploy_options={"cache": False}, history="on",
+    env = make_env(deploy_options={"cache_capacity": 0}, history="on",
                    snapshot_interval=3)
     run_all(env)
     assert owner(env, "held") == 0

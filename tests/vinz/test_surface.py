@@ -5,12 +5,22 @@ import inspect
 
 import pytest
 
+import repro.sched
+from repro.bluebox.clock import SimKernel
 from repro.bluebox.cluster import Cluster
 from repro.bluebox.locks import FileLockManager
+from repro.bluebox.store import SharedStore
+from repro.conformance.executor import DifferentialExecutor
+from repro.conformance.grammar import ProgramGenerator
+from repro.durastore import DurableStore
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import FaultPlan
+from repro.gvm.runtime import Runtime
 from repro.history.replay import ReplayExecution
+from repro.persistsnap import SnapshotPipeline
+from repro.sched import DeficitRoundRobinPolicy, SpawnGovernor
 from repro.vinz.api import VinzEnvironment
+from repro.vinz.cache import FiberCache
 from repro.vinz.execution import FiberExecution
 from repro.vinz.service import WorkflowService
 from repro.workloads.production import run_production_day
@@ -30,10 +40,28 @@ def _public(cls):
 
 def test_constructor_options_do_not_grow():
     assert len(_options(Cluster)) <= 5
-    assert len(_options(VinzEnvironment)) <= 14
-    assert len(_options(WorkflowService)) <= 6
+    assert len(_options(VinzEnvironment)) <= 13
+    assert len(_options(WorkflowService)) <= 5
     assert len(_options(run_production_day)) <= 7
     assert len(_options(run_campaign)) <= 7
+
+
+def test_tuning_constants_stay_constants():
+    """Values no caller outside the tests ever set are constants, not
+    options: each of these constructors takes only what its callers
+    really vary."""
+    assert _options(SpawnGovernor) == []
+    assert _options(DeficitRoundRobinPolicy) == []
+    assert _options(SnapshotPipeline) == ["metrics"]
+    assert _options(SharedStore) == []
+    assert _options(DurableStore) == ["backends", "shards", "journal"]
+    assert _options(FiberCache) == ["mutable_capacity"]
+    assert _options(DifferentialExecutor) == ["vinz_every", "chaos",
+                                              "metrics"]
+    assert _options(ProgramGenerator) == []
+    assert _options(Runtime) == ["executor", "clock"]
+    assert _options(SimKernel) == []
+    assert "GovernorConfig" not in repro.sched.__all__
 
 
 def test_run_campaign_passes_environment_options_through():
@@ -72,10 +100,7 @@ def test_names_the_benchmark_wraps_stay_where_they_are():
     defines them, and ``perf/probes.py`` drives a bare ``DurableStore``
     window by hand; a refactor that moves or renames one silently
     empties a layer of the ledger."""
-    from repro.bluebox.cluster import Cluster
     from repro.bluebox.locks import LockManager
-    from repro.bluebox.store import SharedStore
-    from repro.durastore import DurableStore
     from repro.history import HistoryLog, HistoryRecorder
 
     pinned = [
