@@ -22,7 +22,6 @@ import itertools
 import random
 from typing import Any, Callable, Dict, List, Optional
 
-from ..faults.retry import RetryPolicy
 from ..observe import MetricsRegistry, Tracer
 from ..observe.tracer import (
     DEADLETTER_ENQUEUED,
@@ -39,6 +38,7 @@ from .messagequeue import (
     ReplyTo,
     _trace_ids,
 )
+from .retry import RetryPolicy
 from .store import SharedStore, StoreError
 from .services import (
     Deferred,

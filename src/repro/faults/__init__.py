@@ -11,7 +11,7 @@ The chaos-campaign harness lives in :mod:`repro.faults.campaign`
 (imported separately — it pulls in the full Vinz stack).
 """
 
-from .retry import RetryPolicy
+from ..bluebox.retry import RetryPolicy
 from .plan import (
     CORRUPT_CHUNK,
     CORRUPT_FRAME,

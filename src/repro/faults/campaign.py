@@ -20,13 +20,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from ..bluebox.retry import RetryPolicy
 from ..bluebox.services import simple_service
 from ..lang.symbols import Keyword
 from ..vinz.api import VinzEnvironment
 from ..vinz.task import COMPLETED
 from .injector import FaultInjector
 from .plan import FaultPlan
-from .retry import RetryPolicy
 
 #: the campaign workload: enrich each item through a data service inside
 #: a for-each (forked fibers -> persists, locks, queue messages), then

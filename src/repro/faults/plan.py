@@ -50,7 +50,7 @@ class MessageFault:
 
     * ``drop`` — the delivery is lost; the queue's redelivery machinery
       notices (an attempt is consumed) and the message retries per its
-      :class:`~repro.faults.retry.RetryPolicy`, or dead-letters.
+      :class:`~repro.bluebox.retry.RetryPolicy`, or dead-letters.
     * ``duplicate`` — the message is delivered *and* re-enqueued once,
       exercising receiver idempotence.
     * ``delay`` — delivery is postponed ``delay`` virtual seconds

@@ -9,7 +9,7 @@ new or changed chunks are written per suspension.  See
 
 from .chunker import (DEFAULT_AVG_BITS, DEFAULT_MAX_SIZE, DEFAULT_MIN_SIZE,
                       chunk_spans)
-from .chunkstore import CHUNK_PREFIX, REF_PREFIX, ChunkStore
+from .chunkstore import CHUNK_PREFIX, ChunkStore
 from .errors import (ChunkCorruptionError, ManifestFormatError,
                      MissingChunkError, SnapshotError, StateDigestError,
                      TornManifestError)
@@ -20,7 +20,6 @@ from .pipeline import SnapshotPipeline, SnapshotWrite
 
 __all__ = [
     "CHUNK_PREFIX",
-    "REF_PREFIX",
     "DEFAULT_AVG_BITS",
     "DEFAULT_MAX_SIZE",
     "DEFAULT_MIN_SIZE",

@@ -1,29 +1,45 @@
 """The content-addressed chunk plane with reference counting.
 
 Chunks live in the ordinary shared store (and therefore in the durable
-store's journal, when one is configured) under ``snapchunk/<digest>``;
-each chunk's reference count lives beside it under ``snapref/<digest>``
-as a little-endian u32.  Refcount mutations are real store writes, so
-inside an operation window they ride the window's group-commit journal
-batch — a fiber completing decrements its chunks *in the journal*, and
-crash recovery replays exactly the committed refcount state.
+store's journal, when one is configured) under ``snapchunk/<digest>``.
+A chunk's reference count is not stored anywhere: it is how many times
+the manifests on the store name it.  The plane derives that index once,
+when it is built, from an uncounted scan of the store's manifests, and
+from then on :meth:`ChunkStore.add`, :meth:`ChunkStore.release` and
+their undos keep it in step with the manifests they make and unmake.
 
-Reference counts are read through an in-memory cache (hydrated lazily
-with uncounted peeks, like the lock manager's metadata): every node in
-the simulation shares the store object, so the cache is just the
-store-side index a real implementation would keep per storage plane.
-Mutations always write through.
+Only the chunk writes and deletes are store mutations, so inside an
+operation window they ride the window's group-commit journal batch
+beside the manifest that made them necessary.  Crash recovery replays
+manifests and chunks; a plane built over the recovered store counts
+the recovered manifests, which is the right count whatever order the
+windows committed in.  Every node in the simulation shares the store
+object, so the index is just the store-side one a real implementation
+would keep per storage plane.
 """
 
 from __future__ import annotations
 
-import struct
+from collections import Counter
 from typing import Dict, Optional, Tuple
 
-CHUNK_PREFIX = "snapchunk/"
-REF_PREFIX = "snapref/"
+from ..bluebox.store import StoreError
+from .manifest import decode_manifest, is_manifest
 
-_REF = struct.Struct("<I")
+CHUNK_PREFIX = "snapchunk/"
+
+
+def chunk_counts(blob: Optional[bytes]) -> Counter:
+    """How many times the manifest ``blob`` names each chunk digest:
+    nothing for an absent key, a v1 blob or a torn manifest (it never
+    finished, so it holds no reference)."""
+    if blob is None or not is_manifest(blob):
+        return Counter()
+    try:
+        manifest = decode_manifest(blob)
+    except StoreError:
+        return Counter()
+    return Counter(ref.hex for ref in manifest.chunks)
 
 
 class ChunkStore:
@@ -31,8 +47,11 @@ class ChunkStore:
 
     def __init__(self, store):
         self.store = store
-        #: hex digest -> cached refcount (write-through)
-        self._refs: Dict[str, int] = {}
+        #: hex digest -> references the manifests hold (live ones only)
+        self.refs: Counter = Counter()
+        for key in store.keys():
+            if not key.startswith(CHUNK_PREFIX):
+                self.refs.update(chunk_counts(store.snapshot_value(key)))
         #: hex digest -> stored payload length (for the size gauge)
         self._sizes: Dict[str, int] = {}
         # statistics
@@ -56,25 +75,8 @@ class ChunkStore:
     def chunk_key(hex_digest: str) -> str:
         return CHUNK_PREFIX + hex_digest
 
-    @staticmethod
-    def ref_key(hex_digest: str) -> str:
-        return REF_PREFIX + hex_digest
-
-    # -- refcount bookkeeping ---------------------------------------------
-
     def refcount(self, hex_digest: str) -> int:
-        cached = self._refs.get(hex_digest)
-        if cached is not None:
-            return cached
-        raw = self.store.snapshot_value(self.ref_key(hex_digest))
-        count = _REF.unpack(raw)[0] if raw else 0
-        self._refs[hex_digest] = count
-        return count
-
-    def _write_ref(self, hex_digest: str, count: int) -> float:
-        cost = self.store.write(self.ref_key(hex_digest), _REF.pack(count))
-        self._refs[hex_digest] = count
-        return cost
+        return self.refs[hex_digest]
 
     # -- the write path ---------------------------------------------------
 
@@ -83,18 +85,18 @@ class ChunkStore:
         only when it is not already stored, always increments the
         refcount.  Returns ``(io_cost, created)``; :meth:`rollback_add`
         is its abort-undo."""
-        prev = self.refcount(hex_digest)
+        prev = self.refs[hex_digest]
         cost = 0.0
         created = False
         if prev == 0 or not self.store.exists(self.chunk_key(hex_digest)):
-            cost += self.store.write(self.chunk_key(hex_digest), payload)
+            cost = self.store.write(self.chunk_key(hex_digest), payload)
             created = True
             self.chunks_written += 1
             self.bytes_stored += len(payload)
             self._sizes[hex_digest] = len(payload)
         else:
             self.chunks_present += 1
-        cost += self._write_ref(hex_digest, prev + 1)
+        self.refs[hex_digest] = prev + 1
         return cost, created
 
     # Chunk keys are shared: while the window that took (or dropped) a
@@ -103,20 +105,17 @@ class ChunkStore:
     # to whatever the count is now — instead of restoring the value the
     # aborted window first saw; they must run newest-first.
 
-    def _restore_ref(self, hex_digest: str, count: int) -> None:
-        self.store.rollback_value(self.ref_key(hex_digest),
-                                  _REF.pack(count) if count else None)
-        self._refs[hex_digest] = count
-
     def rollback_add(self, hex_digest: str) -> None:
         """Abort-undo for one :meth:`add`: give the reference back, and
         remove the chunk only if nobody else holds one."""
-        count = max(self.refcount(hex_digest) - 1, 0)
-        self._restore_ref(hex_digest, count)
-        if not count:
-            self.store.rollback_value(self.chunk_key(hex_digest), None)
-            self.chunks_written -= 1
-            self.bytes_stored -= self._sizes.pop(hex_digest, 0)
+        count = self.refs[hex_digest] - 1
+        if count > 0:
+            self.refs[hex_digest] = count
+            return
+        self.refs.pop(hex_digest, None)
+        self.store.rollback_value(self.chunk_key(hex_digest), None)
+        self.chunks_written -= 1
+        self.bytes_stored -= self._sizes.pop(hex_digest, 0)
 
     def rollback_release(self, hex_digest: str,
                          payload: Optional[bytes]) -> None:
@@ -129,27 +128,27 @@ class ChunkStore:
             self.chunks_deleted -= 1
             self.bytes_stored += len(payload)
             self._sizes[hex_digest] = len(payload)
-        self._restore_ref(hex_digest, self.refcount(hex_digest) + 1)
+        self.refs[hex_digest] += 1
 
     # -- the release path (GC) --------------------------------------------
 
     def release(self, hex_digest: str) -> Optional[bytes]:
         """Drop one reference; delete the chunk when none remain.
 
-        The decrement (or the deletes) are ordinary store mutations:
-        inside an operation window they join its journal batch, which
-        is how "GC via refcount decrement in the journal" composes with
-        crash recovery.  Returns the payload of a chunk it deleted (for
+        The delete is an ordinary store mutation: inside an operation
+        window it joins the journal batch that drops the manifest's
+        reference, which is how chunk GC composes with crash recovery.
+        Returns the payload of a chunk it deleted (for
         :meth:`rollback_release`), else ``None``.
         """
-        count = self.refcount(hex_digest)
+        count = self.refs[hex_digest]
         if count > 1:
-            self._write_ref(hex_digest, count - 1)
+            self.refs[hex_digest] = count - 1
             return None
-        payload = self.store.snapshot_value(self.chunk_key(hex_digest))
-        self.store.delete(self.chunk_key(hex_digest))
-        self.store.delete(self.ref_key(hex_digest))
-        self._refs[hex_digest] = 0
+        key = self.chunk_key(hex_digest)
+        payload = self.store.snapshot_value(key)
+        self.store.delete(key)
+        self.refs.pop(hex_digest, None)
         self.chunks_deleted += 1
         self.bytes_stored -= self._sizes.pop(hex_digest, 0)
         return payload

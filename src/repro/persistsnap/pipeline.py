@@ -11,18 +11,19 @@ durable-workflow throughput, applied to Gozer's hottest path.
 
 Responsibilities are split with the workflow service:
 
-* the pipeline serializes, chunks, compresses (adaptive per-chunk raw
-  deflate with a skip heuristic for incompressible chunks), writes new
-  chunks + refcounts, and builds the manifest blob;
+* the pipeline serializes, chunks, compresses (per-chunk raw deflate,
+  stored raw when it saves under 10%), writes new chunks, counts their
+  references, and builds the manifest blob;
 * the service writes the manifest at the fiber's state key (so the
   existing abort-undo machinery rolls it back untouched), charges the
   returned IO cost to the operation window, registers the pipeline's
   ``undo`` (on abort) and ``release`` (inside the commit) callables,
   and emits the ``snap.*`` spans.
 
-Every refcount mutation is a real store write, so inside an operation
-window it rides the durable store's group-commit journal batch —
-chunk GC is literally "refcount decrement in the journal".
+Reference counts are derived from the manifests (see
+:mod:`.chunkstore`); only chunk writes and deletes reach the store, so
+inside an operation window they ride the durable store's group-commit
+journal batch with the manifests that name them.
 """
 
 from __future__ import annotations
@@ -35,18 +36,11 @@ from typing import Callable, List, Optional, Tuple
 from ..bluebox.store import StoreError
 from ..observe.metrics import MetricsRegistry
 from .chunker import chunk_spans
-from .chunkstore import ChunkStore
+from .chunkstore import ChunkStore, chunk_counts
 from .errors import (ChunkCorruptionError, MissingChunkError,
                      StateDigestError)
 from .manifest import (ENC_DEFLATE, ENC_RAW, ChunkRef, Manifest,
-                       content_digest, decode_manifest, encode_manifest,
-                       is_manifest)
-
-#: skip-compression heuristic: a chunk whose first-KiB sample uses more
-#: than this many distinct byte values is almost certainly incompressible
-#: (already-compressed or encrypted payload data) — don't burn deflate
-#: CPU discovering that.
-ENTROPY_SKIP_DISTINCT = 250
+                       content_digest, decode_manifest, encode_manifest)
 
 #: compression must save at least 10% or the chunk is stored raw: a
 #: marginal ratio is not worth the inflate cost on every restore.
@@ -63,7 +57,7 @@ class SnapshotWrite:
     chunk_bytes_written: int    # physical chunk payload bytes written
     chunks_new: int
     chunks_reused: int
-    cost: float                 # store IO cost of chunk + refcount writes
+    cost: float                 # store IO cost of the chunk writes
     #: give this persist's chunk references back (abort path); once
     undo: Callable[[], None] = field(repr=False)
     #: drop the references the *prior* manifest held beyond this one
@@ -91,7 +85,6 @@ class SnapshotPipeline:
         self.raw_bytes = 0
         self.written_bytes = 0     # physical: new chunks + manifests
         self.logical_bytes = 0     # what v1 would have rewritten
-        self.compress_skipped = 0  # entropy heuristic fired
         self.compress_futile = 0   # tried, savings under threshold
         self.release_skipped = 0   # GC vetoed by store fault (orphans)
         self.chunks_new_total = 0
@@ -119,7 +112,9 @@ class SnapshotPipeline:
         state_digest = content_digest(raw)
         spans = chunk_spans(raw)
 
-        prior = self._prior_counts(key)
+        # the manifest currently at ``key``: an uncounted peek, because
+        # the prior blob is this node's own just-read state, not new IO
+        prior = chunk_counts(self.store.snapshot_value(key))
         refs: List[ChunkRef] = []
         added: List[str] = []
 
@@ -187,27 +182,9 @@ class SnapshotPipeline:
                              undo=undo,
                              release=lambda: self._release_counts(stale))
 
-    def _prior_counts(self, key: str) -> Counter:
-        """Chunk-occurrence counts of the manifest currently at ``key``
-        (empty for absent keys and v1 blobs).  An uncounted peek — the
-        prior blob is this node's own just-read state, not new IO."""
-        prev = self.store.snapshot_value(key)
-        if prev is None or not is_manifest(prev):
-            return Counter()
-        try:
-            manifest = decode_manifest(prev)
-        except StoreError:
-            return Counter()  # torn prior manifest: nothing to diff against
-        return Counter(ref.hex for ref in manifest.chunks)
-
     def _encode_chunk(self, span: bytes, level: int) -> Tuple[bytes, int]:
-        """Adaptive per-chunk compression: raw deflate at ``level`` (the
-        paper's codec) unless the chunk looks — or proves —
-        incompressible."""
-        sample = span[:1024]
-        if len(sample) >= 256 and len(set(sample)) > ENTROPY_SKIP_DISTINCT:
-            self.compress_skipped += 1
-            return span, ENC_RAW
+        """Per-chunk compression: raw deflate at ``level`` (the paper's
+        codec) unless it proves futile."""
         packed = zlib.compress(span, level)
         if packed is None or \
                 len(packed) * MIN_SAVINGS_DEN >= len(span) * MIN_SAVINGS_NUM:
@@ -285,12 +262,7 @@ class SnapshotPipeline:
         """Drop every chunk reference a manifest holds (the fiber is
         done; its state key is being reclaimed); returns the undo.  A
         torn manifest has nothing to release: it never finished."""
-        try:
-            manifest = decode_manifest(blob)
-        except StoreError:
-            return lambda: None
-        return self._release_counts(
-            Counter(ref.hex for ref in manifest.chunks))
+        return self._release_counts(chunk_counts(blob))
 
     def _release_counts(self, counts: Counter) -> Callable[[], None]:
         """Best-effort decrefs, GC at zero; returns the compensating
@@ -339,7 +311,6 @@ class SnapshotPipeline:
             "raw_bytes": self.raw_bytes,
             "written_bytes": self.written_bytes,
             "dedup_ratio": round(self.dedup_ratio, 3),
-            "compress_skipped": self.compress_skipped,
             "compress_futile": self.compress_futile,
             "release_skipped": self.release_skipped,
             # per-suspension view: how many chunk slots were served by

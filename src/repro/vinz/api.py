@@ -435,8 +435,8 @@ class VinzEnvironment:
 
     def snapshot_stats(self) -> Optional[Dict[str, Any]]:
         """Aggregate incremental-snapshot (v2) statistics across every
-        deployed workflow, plus the digest-cache hit rate; ``None``
-        when no workflow uses v2 snapshots."""
+        deployed workflow; ``None`` when no workflow uses v2
+        snapshots."""
         pipelines = [w.snapper for w in self.workflows.values()
                      if w.snapper is not None]
         if not pipelines:
@@ -456,10 +456,6 @@ class VinzEnvironment:
         written = stats.get("written_bytes", 0)
         stats["dedup_ratio"] = (round(stats.get("raw_bytes", 0) / written, 3)
                                 if written else 1.0)
-        hits = self.metrics.get("cache.digest.hit")
-        misses = self.metrics.get("cache.digest.miss")
-        total = hits + misses
-        stats["digest_cache_hit_rate"] = hits / total if total else 0.0
         return stats
 
     def summary(self) -> Dict[str, Any]:

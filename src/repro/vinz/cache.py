@@ -108,14 +108,6 @@ class FiberCache:
             LruCache(mutable_capacity)
         #: task environments, four per mutable entry
         self.immutable: LruCache[str, Any] = LruCache(4 * mutable_capacity)
-        #: v2 snapshots only: continuations keyed by manifest state
-        #: digest.  Content-addressed, so unlike the version-keyed
-        #: mutable cache a hit needs only that this node restored *the
-        #: same state bytes* before — a fiber suspending unchanged
-        #: around a loop hits here without refetching or deserializing.
-        #: (Content addressing also makes abort-eviction unnecessary:
-        #: a digest always names the state it was cached from.)
-        self.by_digest: LruCache[str, Any] = LruCache(mutable_capacity)
 
     def get_continuation(self, fiber_id: str, version: int,
                          default: Any = None) -> Optional[Any]:
@@ -149,12 +141,6 @@ class FiberCache:
         entry = self.mutable.peek(fiber_id)
         if entry is not None and entry[0] >= from_version:
             self.mutable.invalidate(fiber_id)
-
-    def get_digest(self, hex_digest: str, default: Any = None) -> Optional[Any]:
-        return self.by_digest.get(hex_digest, default)
-
-    def put_digest(self, hex_digest: str, state: Any) -> None:
-        self.by_digest.put(hex_digest, state)
 
     def get_task_env(self, task_id: str, default: Any = None) -> Optional[Any]:
         return self.immutable.get(task_id, default)

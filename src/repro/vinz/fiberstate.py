@@ -54,7 +54,6 @@ class _Encoded(NamedTuple):
     cost: float             # IO cost already incurred (chunk writes)
     span: str
     detail: dict
-    digest: Optional[str]   # digest-cache key (v2)
     read_cost: float        # one later read of the chunks (v2)
 _TASK_ROLLBACK = ("status", "finished_at", "result")
 
@@ -153,53 +152,42 @@ class FiberStateStore:
             if base is not None:
                 base_from = "cache"
             elif floor:
-                base = (self._read_snapshot(ctx, cache, fiber), floor)
+                base = (self._read_snapshot(ctx, fiber), floor)
                 base_from = "snapshot"
             else:
                 base_from = "start"
             continuation = self._rebuild(ctx, fiber, base, base_from)
         else:
-            continuation = self._read_snapshot(ctx, cache, fiber)
+            continuation = self._read_snapshot(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return continuation
 
-    def _read_snapshot(self, ctx: OperationContext,
-                       cache: Optional[FiberCache], fiber: FiberRecord):
+    def _read_snapshot(self, ctx: OperationContext, fiber: FiberRecord):
         return self._read(
             ctx, state_key(fiber.id),
-            lambda blob: self._decode(ctx, cache, fiber, blob),
+            lambda blob: self._decode(ctx, fiber, blob),
             fiber=fiber.id, version=fiber.version)
 
-    def _decode(self, ctx: OperationContext, cache: Optional[FiberCache],
-                fiber: FiberRecord, blob: bytes):
+    def _decode(self, ctx: OperationContext, fiber: FiberRecord,
+                blob: bytes):
         """The decode step.  v1 blobs — written in v1 mode or by a
         pre-upgrade deployment — go through the codec (a *manifest*
         reaching a v1 service trips the downgrade guard inside loads).
-        v2 manifests try the digest cache first (an unchanged state
-        skips chunk fetch *and* deserialization), else fetch + verify
-        every chunk; corruption surfaces as a typed
-        :class:`~repro.persistsnap.SnapshotError` that aborts the window
-        for a policy-driven retry — never a wrong-value restore."""
+        v2 manifests fetch and verify every chunk; corruption surfaces
+        as a typed :class:`~repro.persistsnap.SnapshotError` that aborts
+        the window for a policy-driven retry — never a wrong-value
+        restore."""
         service = self.service
         snapper = service.snapper
         if snapper is None or not is_manifest(blob):
             return service.codec.loads(blob, fiber_id=fiber.id)
         snapper.injector = self.vinz.injector
         manifest = snapper.read_manifest(blob, fiber_id=fiber.id)
-        if cache is not None:
-            hit = cache.get_digest(manifest.hex_digest, FiberCache.MISS)
-            if hit is not FiberCache.MISS:
-                self.vinz.metrics.incr("cache.digest.hit")
-                return hit
-            self.vinz.metrics.incr("cache.digest.miss")
         raw, fetch_cost = snapper.fetch_state(manifest, fiber_id=fiber.id)
         ctx.charge(fetch_cost)
-        continuation = service.codec.deserialize_state(
+        return service.codec.deserialize_state(
             raw, fiber_id=fiber.id, fmt="v2")
-        if cache is not None:
-            cache.put_digest(manifest.hex_digest, continuation)
-        return continuation
 
     def _rebuild(self, ctx: OperationContext, fiber: FiberRecord, base,
                  base_from: str):
@@ -293,8 +281,6 @@ class FiberStateStore:
                                 fiber=fiber.id, version=fiber.version)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
-            if encoded.digest is not None:
-                cache.put_digest(encoded.digest, continuation)
         if vinz.injector is not None:
             # crash-during-persistence faults fire here: the node dies
             # with the window open, the abort hooks roll the fiber (and
@@ -310,7 +296,7 @@ class FiberStateStore:
         if snapper is None:
             blob = self.service.codec.dumps(continuation)
             return _Encoded(blob, 0.0, "persist.encode",
-                            {"bytes": len(blob)}, None, 0.0)
+                            {"bytes": len(blob)}, 0.0)
         injector = self.vinz.injector
         snapper.injector = injector
         result = snapper.encode(key, continuation, fiber_id=fiber.id)
@@ -333,7 +319,6 @@ class FiberStateStore:
                   "reused": result.chunks_reused}
         store = self.vinz.store
         return _Encoded(blob, result.cost, "snap.encode", detail,
-                        result.manifest.hex_digest,
                         sum(store.cost(ref.stored_len)
                             for ref in result.manifest.chunks))
 

@@ -14,7 +14,9 @@ each to the same contract:
 * its history events are in the task's history iff it committed, and
   every task's ``seq`` is dense afterwards;
 * its store records are on the journal iff it committed, in ONE batch;
-* chunk refcounts equal the committed manifests naming each chunk;
+* whenever no window is in flight, the chunk plane counts exactly the
+  references the committed manifests hold, and stores exactly the
+  chunks they name;
 * the fiber lock is released — or, when its node died, abandoned.
 """
 
@@ -42,8 +44,7 @@ from repro.faults.plan import (
     StoreFault,
 )
 from repro.lang.symbols import Keyword
-from repro.persistsnap import decode_manifest, is_manifest
-from repro.persistsnap.chunkstore import REF_PREFIX
+from repro.persistsnap import CHUNK_PREFIX, decode_manifest, is_manifest
 from repro.vinz.api import VinzEnvironment
 
 WORKFLOW = """
@@ -87,6 +88,7 @@ class Harness:
         self.batches = []       # every batch that reached the journal
         self.doomed = []        # records of store windows dropped open
         self.inline_records = []
+        self.plane_checks = []  # references compared at each check
         self.intervene = intervene
         self._exiting = None
         self._patch(monkeypatch)
@@ -138,6 +140,7 @@ class Harness:
             harness.exits.append(record)
             assert ctx.cluster.store.auto_commits == auto
             assert ctx.outbox == []
+            harness.check_chunk_plane()
 
         def observed_abort(ctx, reason, node_failed=False):
             if not ctx.valid:
@@ -151,6 +154,7 @@ class Harness:
                 record.lock_kept = \
                     ctx.cluster.lock_manager.holder(key) == owner
             harness.exits.append(record)
+            harness.check_chunk_plane()
 
         def observed_append(journal, batch):
             append(journal, batch)  # a torn append raises: not logged
@@ -259,16 +263,7 @@ class Harness:
             logged = env.history_log.read_task(task_id, codec)
             assert [(e.seq, e.kind) for e in logged] == \
                 [(e.seq, e.kind) for e in events]
-        # refcounts == committed manifests naming each chunk
-        named = Counter()
-        for key in store.keys("fiber-state/"):
-            blob = store.snapshot_value(key)
-            if is_manifest(blob):
-                named.update(ref.hex for ref in decode_manifest(blob).chunks)
-        chunks = env.workflows["Window"].snapper.chunks
-        chunks._refs.clear()  # read the store, not the write-through cache
-        digests = [key[len(REF_PREFIX):] for key in store.keys(REF_PREFIX)]
-        assert {d: chunks.refcount(d) for d in digests} == dict(named)
+        self.check_chunk_plane()
         # nothing stays locked, and every window's span was closed
         assert env.locks.outstanding_leases() == []
         assert env.tracer.open_spans() == []
@@ -276,6 +271,24 @@ class Harness:
                    if "aborted" in span.attrs]
         assert {span.kind for span in aborted} <= {"operation"}
         assert len(aborted) == len(self.exits_by("abort"))
+
+    def check_chunk_plane(self):
+        """Between windows, the plane's count for every digest is the
+        number of times the committed manifests name it, and the
+        ``snapchunk/`` keys are exactly the named digests."""
+        env, store = self.env, self.env.store
+        if env.cluster._in_flight or store.window_open:
+            return  # an open window holds references not yet committed
+        named = Counter()
+        for key, blob in store.journal.replay()["state"].items():
+            if key.startswith("fiber-state/") and blob is not None \
+                    and is_manifest(blob):
+                named.update(ref.hex for ref in decode_manifest(blob).chunks)
+        plane = env.workflows["Window"].snapper.chunks
+        assert dict(plane.refs) == dict(named)
+        assert {key[len(CHUNK_PREFIX):]
+                for key in store.keys(CHUNK_PREFIX)} == set(named)
+        self.plane_checks.append(sum(named.values()))
 
 
 # -- interventions on an in-flight window that holds a fiber lock ----------
@@ -347,6 +360,8 @@ def test_every_ending_is_one_commit_or_one_abort(ending, monkeypatch):
     assert harness.intervene is None, "the intervention never fired"
     assert bool(harness.exits_by("abort")) == aborts
     harness.check_contract()
+    # the plane invariant was checked while manifests were live
+    assert any(harness.plane_checks)
     env = harness.env
     if ending == "handler-returns-requeue":
         assert env.tracer.of_kind("requeue")

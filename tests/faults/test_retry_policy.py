@@ -1,11 +1,14 @@
 """Unit tests: RetryPolicy backoff math and dead-letter accounting."""
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.bluebox.messagequeue import MessageQueue
-from repro.faults.retry import RetryPolicy
+from repro.faults import RetryPolicy
 
 
 class TestBackoffMath:
@@ -132,3 +135,24 @@ class TestDeadLetterAccounting:
         msg = self._message(queue, max_attempts=1)
         assert not queue.requeue(msg, now=0.0)
         assert queue.peek_depth("S") == 0
+
+
+def test_deploy_loads_no_fault_injection():
+    """The cluster's redelivery policy lives beside the cluster:
+    deploying a workflow imports neither fault plans nor the
+    injector."""
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path[:0] = {sys.path!r}
+        from repro.vinz.api import VinzEnvironment
+        env = VinzEnvironment(nodes=2, seed=1)
+        env.deploy_workflow("W", "(defun main (params) params)")
+        assert env.call("W", 7) == 7
+        print(sorted(m for m in ("repro.faults.plan",
+                                 "repro.faults.injector")
+                     if m in sys.modules))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,19 +3,21 @@
 Runs the same loop-heavy workflow under ``snapshots="v1"`` and
 ``snapshots="v2"`` and checks the v2 plumbing end to end: identical
 results, fewer persisted bytes, a chunk plane that drains to zero at
-task completion, digest-cache restores, and rollback consistency when
-store faults abort persist windows mid-flight.
+task completion, restores from chunks after cache eviction, reference
+counts that survive a restart, and rollback consistency when store
+faults abort persist windows mid-flight.
 """
 
 import pytest
 
 from repro.bluebox.services import simple_service
 from repro.bluebox.store import SharedStore
-from repro.faults import FaultInjector, FaultPlan, NodeFault, StoreFault
+from repro.durastore import DurableStore
+from repro.faults import (FaultInjector, FaultPlan, NodeFault, RetryPolicy,
+                          StoreFault)
 from repro.faults.plan import FAIL_WRITE
-from repro.faults.retry import RetryPolicy
 from repro.lang.symbols import Keyword
-from repro.persistsnap import SnapshotPipeline, decode_manifest
+from repro.persistsnap import ChunkStore, SnapshotPipeline, decode_manifest
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.cache import FiberCache, LruCache
 from repro.vinz.fiberstate import state_key
@@ -102,11 +104,11 @@ class TestDedup:
 class TestChunkGc:
     def test_chunk_plane_drains_at_completion(self):
         """Refcounted GC: once every task is done and its state keys
-        reclaimed, no chunk or refcount key may survive."""
+        reclaimed, no chunk and no reference may survive."""
         env, result, _ = run_loopy("v2")
         assert result == EXPECTED
         assert env.store.keys("snapchunk/") == []
-        assert env.store.keys("snapref/") == []
+        assert env.workflows["W"].snapper.chunks.refs == {}
         assert env.store.keys("fiber-state/") == []
 
     def test_deletes_balance_writes(self):
@@ -117,28 +119,22 @@ class TestChunkGc:
         assert stats["chunks_deleted"] == stats["chunks_written"]
 
 
-class TestDigestCache:
-    def test_restore_hits_digest_cache_when_mutable_evicted(self):
-        """The digest cache is content-addressed: even after the
-        (fiber, version)-keyed mutable entry is gone, an unchanged
-        state digest restores without touching a single chunk."""
+class TestRestoreFromChunks:
+    def test_restore_after_mutable_cache_eviction(self):
+        """With the (fiber, version)-keyed cache entry gone, the resume
+        restores from the chunk plane and computes the same result."""
         env = VinzEnvironment(nodes=1, seed=7)
         env.deploy_workflow("W", LOOPY, snapshots="v2")
         task_id = env.start("W", list(range(12)))
         env.cluster.run_until(
             lambda: env.counters.get("persist.writes") >= 3)
-        # evict every mutable continuation but keep the digest cache
+        decodes = env.summary()["snapshots"]["decodes"]
         for node in env.cluster.nodes.values():
             cache = FiberCache.for_node(node)
             cache.mutable = LruCache(cache.mutable.capacity)
         record = env.wait_for_task(task_id)
         assert record.result == EXPECTED
-        assert env.counters.get("cache.digest.hit") >= 1
-
-    def test_digest_hit_rate_reported(self):
-        env, _, _ = run_loopy("v2")
-        stats = env.summary()["snapshots"]
-        assert 0.0 <= stats["digest_cache_hit_rate"] <= 1.0
+        assert env.summary()["snapshots"]["decodes"] > decodes
 
     TWINS = """
         (defun twin (x)
@@ -152,10 +148,10 @@ class TestDigestCache:
             (list (join-process a) (join-process b))))
         """
 
-    def test_twin_fibers_resume_one_digest_entry_independently(self):
-        """Two sibling fibers suspend with byte-identical state, so both
-        resumes are served by one digest-cache entry — one cached
-        continuation object.  Each must get its own frames: a mutation
+    def test_twin_fibers_share_chunks_and_resume_independently(self):
+        """Two sibling fibers suspend with byte-identical state, so
+        their manifests name the same chunks and the plane counts both
+        references.  Each resume must get its own frames: a mutation
         after one resume never shows up in the other."""
         env = VinzEnvironment(nodes=1, seed=7)
         env.deploy_workflow("Twins", self.TWINS, snapshots="v2")
@@ -163,14 +159,19 @@ class TestDigestCache:
         env.cluster.run_until(
             lambda: env.counters.get("persist.writes") >= 3)
         children = [f for f in env.registry.fibers.values() if f.parent_id]
-        digests = {decode_manifest(env.store.snapshot_value(
-            state_key(f.id))).hex_digest for f in children}
-        assert len(children) == 2 and len(digests) == 1
+        manifests = [decode_manifest(env.store.snapshot_value(
+            state_key(f.id))) for f in children]
+        assert len(children) == 2
+        assert manifests[0].hex_digest == manifests[1].hex_digest
+        plane = env.workflows["Twins"].snapper.chunks
+        assert {plane.refcount(ref.hex)
+                for ref in manifests[0].chunks} == {2}
         for node in env.cluster.nodes.values():
             cache = FiberCache.for_node(node)
             cache.mutable = LruCache(cache.mutable.capacity)
         record = env.wait_for_task(task_id)
-        assert env.counters.get("cache.digest.hit") >= 2
+        assert plane.refs == {}
+        assert env.store.keys("snapchunk/") == []
         first, second = record.result
         assert first[:2] == second[:2] == [Keyword("a"), Keyword("b")]
         assert len(first) == len(second) == 3 and first[2] != second[2]
@@ -191,7 +192,7 @@ class TestAbortRollback:
         assert injector.injected.get("fail-write", 0) > 0
         # the aborted windows rolled back: GC still drains to zero
         assert env.store.keys("snapchunk/") == []
-        assert env.store.keys("snapref/") == []
+        assert env.workflows["W"].snapper.chunks.refs == {}
 
     def test_chunk_plane_faults_also_roll_back(self):
         plan = FaultPlan(faults=[
@@ -203,7 +204,7 @@ class TestAbortRollback:
         assert result == EXPECTED
         assert injector.injected.get("fail-write", 0) > 0
         assert env.store.keys("snapchunk/") == []
-        assert env.store.keys("snapref/") == []
+        assert env.workflows["W"].snapper.chunks.refs == {}
 
 
 class TestSharedChunkRollback:
@@ -233,12 +234,41 @@ class TestSharedChunkRollback:
         pipe.store.write("fiber-state/a", a.blob)
         before = {key: pipe.store.snapshot_value(key)
                   for key in pipe.store.keys()}
+        counts = dict(pipe.chunks.refs)
         undo = pipe.release_blob(a.blob)  # a commit that then fails
-        assert pipe.store.keys("snap") == []
+        assert pipe.store.keys("snap") == [] and pipe.chunks.refs == {}
         undo()
         assert {key: pipe.store.snapshot_value(key)
                 for key in pipe.store.keys()} == before
+        assert pipe.chunks.refs == counts
         assert pipe.load(a.blob, fiber_id="a") == self.STATE
+
+    def test_recovered_counts_survive_out_of_order_commits(self):
+        """Two windows reference the same chunks and commit in the
+        opposite order to their writes; after journal recovery a
+        restarted process must still count both manifests, or dropping
+        one of them deletes the chunks the other names."""
+        store = DurableStore(shards=2)
+        pipe = SnapshotPipeline(FiberCodec(), store)
+        batches = []
+        for fiber in ("a", "b"):
+            store.begin_window()
+            snap = pipe.encode(f"fiber-state/{fiber}", self.STATE,
+                               fiber_id=fiber)
+            store.write(f"fiber-state/{fiber}", snap.blob)
+            batches.append((store.seal_window(), snap))
+        (batch_a, a), (batch_b, b) = batches
+        store.commit_batch(batch_b)
+        store.commit_batch(batch_a)
+        store.recover()
+
+        pipe.chunks = ChunkStore(store)  # a restarted process
+        assert {pipe.chunks.refcount(ref.hex)
+                for ref in b.manifest.chunks} == {2}
+        pipe.release_blob(a.blob)
+        store.delete("fiber-state/a")
+        assert pipe.load(store.read("fiber-state/b"),
+                         fiber_id="b") == self.STATE
 
     TWINS = """
         (deflink DS :wsdl "urn:twin-data")

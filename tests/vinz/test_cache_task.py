@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, NodeFault, StoreFault
+from repro.faults import (FaultInjector, FaultPlan, NodeFault, RetryPolicy,
+                          StoreFault)
 from repro.faults.plan import CRASH, FAIL_WRITE
-from repro.faults.retry import RetryPolicy
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.cache import FiberCache, LruCache
 from repro.vinz.task import (
