@@ -223,13 +223,15 @@ class DurableStore(ShardedStore):
             cost = super().delete(key)
             self._auto_commit((OP_DELETE, key, None))
             return cost
+        # looked up before the remove drops the key from the memo
+        stats = self.shard_stats[self.shard_for(key)]
         self._consult_shard(key, write=True)
         self._consult_write(key)
         self._remove(key)
         self.deletes += 1
         self._window.append((OP_DELETE, key, None))
         self.deferred_ops += 1
-        self.shard_stats[self.shard_for(key)].deletes += 1
+        stats.deletes += 1
         return 0.0
 
     def rollback_value(self, key: str, value: Optional[bytes]) -> None:
@@ -288,6 +290,7 @@ class DurableStore(ShardedStore):
         for backend in self.backends.values():
             for key in backend.keys():
                 backend.remove(key)
+        self._shard_of.clear()
         recovered = 0
         deleted = 0
         for key, value in replay["state"].items():

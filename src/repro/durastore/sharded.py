@@ -63,6 +63,9 @@ class ShardedStore(SharedStore):
         self.shard_stats: Dict[str, ShardStats] = {}
         self._ring: List[int] = []
         self._ring_shards: List[str] = []
+        #: key -> shard, memoised: the ring is fixed once built, and a
+        #: key leaves the memo when the store removes it
+        self._shard_of: Dict[str, str] = {}
         for backend in backends:
             if backend.name in self.backends:
                 raise ValueError(f"duplicate shard name {backend.name!r}")
@@ -84,7 +87,13 @@ class ShardedStore(SharedStore):
         self._ring_shards = [p[1] for p in points]
 
     def shard_for(self, key: str) -> str:
-        """The shard name ``key`` lives on under the current ring."""
+        """The shard name ``key`` lives on under the ring."""
+        shard = self._shard_of.get(key)
+        if shard is None:
+            shard = self._shard_of[key] = self._ring_lookup(key)
+        return shard
+
+    def _ring_lookup(self, key: str) -> str:
         point = _hash64(key)
         index = bisect_right(self._ring, point) % len(self._ring)
         return self._ring_shards[index]
@@ -118,6 +127,7 @@ class ShardedStore(SharedStore):
 
     def _remove(self, key: str) -> None:
         self._backend(key).remove(key)
+        self._shard_of.pop(key, None)
 
     def _contains(self, key: str) -> bool:
         return self._backend(key).contains(key)
@@ -151,9 +161,10 @@ class ShardedStore(SharedStore):
         return data
 
     def delete(self, key: str) -> float:
+        # looked up before the delete drops the key from the memo
+        stats = self.shard_stats[self.shard_for(key)]
         self._consult_shard(key, write=True)
         cost = super().delete(key)
-        stats = self.shard_stats[self.shard_for(key)]
         stats.deletes += 1
         stats.io_seconds += cost
         return cost

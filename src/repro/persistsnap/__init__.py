@@ -7,8 +7,7 @@ new or changed chunks are written per suspension.  See
 ``docs/persistence.md`` for the format and failure modes.
 """
 
-from .chunker import (DEFAULT_AVG_BITS, DEFAULT_MAX_SIZE, DEFAULT_MIN_SIZE,
-                      chunk_spans)
+from .chunker import DEFAULT_MAX_SIZE, DEFAULT_MIN_SIZE, chunk_spans
 from .chunkstore import CHUNK_PREFIX, ChunkStore
 from .errors import (ChunkCorruptionError, ManifestFormatError,
                      MissingChunkError, SnapshotError, StateDigestError,
@@ -20,7 +19,6 @@ from .pipeline import SnapshotPipeline, SnapshotWrite
 
 __all__ = [
     "CHUNK_PREFIX",
-    "DEFAULT_AVG_BITS",
     "DEFAULT_MAX_SIZE",
     "DEFAULT_MIN_SIZE",
     "ENC_DEFLATE",

@@ -21,7 +21,7 @@ would keep per storage plane.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..bluebox.store import StoreError
 from .manifest import decode_manifest, is_manifest
@@ -52,7 +52,9 @@ class ChunkStore:
         for key in store.keys():
             if not key.startswith(CHUNK_PREFIX):
                 self.refs.update(chunk_counts(store.snapshot_value(key)))
-        #: hex digest -> stored payload length (for the size gauge)
+        #: hex digest -> stored payload length, recorded when the plane
+        #: stores the chunk: the size gauge, and what lets an encode name
+        #: a chunk the plane holds without compressing it again
         self._sizes: Dict[str, int] = {}
         # statistics
         self.chunks_written = 0
@@ -78,17 +80,24 @@ class ChunkStore:
     def refcount(self, hex_digest: str) -> int:
         return self.refs[hex_digest]
 
+    def stored_size(self, hex_digest: str) -> Optional[int]:
+        """The stored length of a chunk this plane wrote, or ``None``
+        (never written here: new, or counted from recovered manifests)."""
+        return self._sizes.get(hex_digest)
+
     # -- the write path ---------------------------------------------------
 
-    def add(self, hex_digest: str, payload: bytes) -> Tuple[float, bool]:
-        """Reference ``payload`` under its digest: writes the chunk
-        only when it is not already stored, always increments the
-        refcount.  Returns ``(io_cost, created)``; :meth:`rollback_add`
-        is its abort-undo."""
+    def add(self, hex_digest: str,
+            make_payload: Callable[[], bytes]) -> Tuple[float, bool]:
+        """Reference a chunk under its digest: writes it — the bytes
+        ``make_payload()`` returns, asked for only then — when it is not
+        already stored, always increments the refcount.  Returns
+        ``(io_cost, created)``; :meth:`rollback_add` is its abort-undo."""
         prev = self.refs[hex_digest]
         cost = 0.0
         created = False
         if prev == 0 or not self.store.exists(self.chunk_key(hex_digest)):
+            payload = make_payload()
             cost = self.store.write(self.chunk_key(hex_digest), payload)
             created = True
             self.chunks_written += 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
@@ -85,7 +86,10 @@ class SnapshotPipeline:
         self.raw_bytes = 0
         self.written_bytes = 0     # physical: new chunks + manifests
         self.logical_bytes = 0     # what v1 would have rewritten
-        self.compress_futile = 0   # tried, savings under threshold
+        #: compressions attempted and stored raw (savings under the
+        #: threshold); a chunk the plane already holds is not compressed
+        #: again, so it is not counted again either
+        self.compress_futile = 0
         self.release_skipped = 0   # GC vetoed by store fault (orphans)
         self.chunks_new_total = 0
         self.chunks_reused_total = 0  # deduped: diffed-away or present
@@ -127,21 +131,25 @@ class SnapshotPipeline:
         written = 0
         chunks_new = 0
         chunks_reused = 0
-        payload_cache = {}
+        #: hex digest -> (stored_len, enc, payload) per distinct chunk
+        stored = {}
         for span in spans:
             digest = content_digest(span)
             hexd = digest.hex()
-            if hexd not in payload_cache:
-                payload_cache[hexd] = self._encode_chunk(span,
+            entry = stored.get(hexd)
+            if entry is None:
+                entry = stored[hexd] = self._stored_form(hexd, span,
                                                          DEFLATE_LEVEL)
-            payload, enc = payload_cache[hexd]
-            refs.append(ChunkRef(digest, len(span), len(payload), enc))
+            stored_len, enc, payload = entry
+            refs.append(ChunkRef(digest, len(span), stored_len, enc))
             new_counts[hexd] += 1
             # only reference-count the *difference* against the prior
             # manifest: an unchanged chunk costs zero store writes
             if new_counts[hexd] > prior.get(hexd, 0):
                 try:
-                    add_cost, created = self.chunks.add(hexd, payload)
+                    add_cost, created = self.chunks.add(
+                        hexd, partial(self._payload, span, payload,
+                                      DEFLATE_LEVEL))
                 except StoreError:
                     # a failed add mid-encode aborts the whole persist
                     # before any undo hook exists — unwind the adds
@@ -152,7 +160,7 @@ class SnapshotPipeline:
                 cost += add_cost
                 added.append(hexd)
                 if created:
-                    written += len(payload)
+                    written += stored_len
                     chunks_new += 1
                 else:
                     chunks_reused += 1
@@ -182,12 +190,34 @@ class SnapshotPipeline:
                              undo=undo,
                              release=lambda: self._release_counts(stale))
 
+    def _stored_form(self, hexd: str, span: bytes,
+                     level: int) -> Tuple[int, int, Optional[bytes]]:
+        """``(stored_len, enc, payload)`` for one chunk of a state.
+
+        A chunk the plane wrote keeps the length it was stored at, and
+        under the futility rule it is raw exactly when that equals its
+        raw length (a deflated chunk is always shorter), so the chunk is
+        not compressed again: ``payload`` is ``None`` and
+        :meth:`_payload` makes it only if the plane must write it.
+        """
+        size = self.chunks.stored_size(hexd)
+        if size is not None:
+            return size, (ENC_RAW if size == len(span) else ENC_DEFLATE), None
+        payload, enc = self._encode_chunk(span, level)
+        return len(payload), enc, payload
+
+    def _payload(self, span: bytes, payload: Optional[bytes],
+                 level: int) -> bytes:
+        """The bytes :meth:`ChunkStore.add` writes for ``span``."""
+        if payload is None:
+            payload, _enc = self._encode_chunk(span, level)
+        return payload
+
     def _encode_chunk(self, span: bytes, level: int) -> Tuple[bytes, int]:
         """Per-chunk compression: raw deflate at ``level`` (the paper's
         codec) unless it proves futile."""
         packed = zlib.compress(span, level)
-        if packed is None or \
-                len(packed) * MIN_SAVINGS_DEN >= len(span) * MIN_SAVINGS_NUM:
+        if len(packed) * MIN_SAVINGS_DEN >= len(span) * MIN_SAVINGS_NUM:
             self.compress_futile += 1
             return span, ENC_RAW
         return packed, ENC_DEFLATE

@@ -1,9 +1,14 @@
 """Consistent-hash sharding: placement, stats, outages."""
 
+import random
+from bisect import bisect_right
+
 import pytest
 
 from repro.bluebox.store import StoreError, StoreWriteError
-from repro.durastore import MemoryBackend, ShardedStore, memory_backends
+from repro.durastore import (DurableStore, MemoryBackend, ShardedStore,
+                             memory_backends)
+from repro.durastore.sharded import VNODES, _hash64
 from repro.faults import SHARD_OUTAGE, FaultPlan, ShardFault
 from repro.faults.injector import FaultInjector
 
@@ -22,6 +27,64 @@ def test_placement_is_stable_and_total():
         assert store.shard_for(key) == shard
         assert store.backends[shard].contains(key)
     assert sum(store.key_distribution().values()) == 200
+
+
+def ring_lookup(store):
+    """The ring built from scratch, looked up without any memo."""
+    points = sorted((_hash64(f"{name}#{replica}"), name)
+                    for name in store.backends for replica in range(VNODES))
+    hashes = [point for point, _name in points]
+
+    def shard_of(key):
+        return points[bisect_right(hashes, _hash64(key)) % len(points)][1]
+
+    return shard_of
+
+
+@pytest.mark.parametrize("make", [lambda: ShardedStore(shards=4),
+                                  lambda: DurableStore(shards=4)],
+                         ids=["sharded", "durable"])
+def test_memoised_shard_for_matches_the_ring(make):
+    store = make()
+    rng = random.Random(35)
+    keys = [f"fiber-state/{rng.getrandbits(48):x}" for _ in range(1_000)]
+    shard_of = ring_lookup(store)
+    expected = {key: shard_of(key) for key in keys}
+
+    def check():
+        assert {key: store.shard_for(key) for key in keys} == expected
+
+    check()
+    for key in keys[:600]:
+        store.write(key, b"v")
+    check()
+    deleted = keys[:300]
+    for key in deleted[:150]:
+        store.delete(key)
+    if isinstance(store, DurableStore):
+        # deletes inside a group-commit window take their own path
+        store.begin_window()
+        for key in deleted[150:]:
+            store.delete(key)
+        store.commit_batch(store.seal_window())
+    else:
+        for key in deleted[150:]:
+            store.delete(key)
+    assert not set(deleted) & set(store._shard_of)
+    for key in deleted:
+        assert not store.backends[expected[key]].contains(key)
+    check()
+
+
+def test_recovery_clears_the_shard_memo():
+    store = DurableStore(shards=2)
+    store.write("fiber-state/kept", b"v")
+    store.write("fiber-state/gone", b"v")
+    store.delete("fiber-state/gone")
+    store.shard_for("fiber-state/never-written")
+    store.recover()
+    assert set(store._shard_of) <= {"fiber-state/kept"}
+    assert store.read("fiber-state/kept") == b"v"
 
 
 def test_distribution_is_roughly_even():

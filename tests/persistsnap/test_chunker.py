@@ -1,6 +1,7 @@
 """Content-defined chunking invariants (persistsnap.chunker)."""
 
 import os
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,57 @@ from repro.persistsnap.chunker import (
     _GEAR,
     chunk_spans,
 )
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_chunk_spans(data, min_size=DEFAULT_MIN_SIZE,
+                          max_size=DEFAULT_MAX_SIZE):
+    """The gear chunker one byte at a time: restart the rolling hash at
+    each chunk start and cut after the first position at least
+    ``min_size`` bytes in whose hash has a zero low byte."""
+    n = len(data)
+    chunks = []
+    start = 0
+    while start < n:
+        end = min(start + max_size, n)
+        if end - start <= min_size:
+            chunks.append(data[start:end])
+            break
+        h = 0
+        cut = end
+        boundary_from = start + min_size
+        for i in range(start, end):
+            h = ((h << 1) + _GEAR[data[i]]) & _MASK64
+            if i >= boundary_from and (h & 0xFF) == 0:
+                cut = i + 1
+                break
+        chunks.append(data[start:cut])
+        start = cut
+    return chunks
+
+
+#: the default geometry, the smallest minimum (the first candidate's
+#: 8-byte window is the chunk's first bytes), and coarser ones
+GEOMETRIES = [(DEFAULT_MIN_SIZE, DEFAULT_MAX_SIZE), (7, 50), (8, 300),
+              (100, 1000), (64, 65)]
+geometries = st.sampled_from(GEOMETRIES)
+
+
+@st.composite
+def few_symbol_binaries(draw):
+    """Low-entropy inputs: random bytes folded onto 2-4 byte values."""
+    alphabet = draw(st.lists(st.integers(0, 255), min_size=2, max_size=4,
+                             unique=True))
+    fold = bytes(alphabet[b % len(alphabet)] for b in range(256))
+    return draw(st.binary(max_size=20_000)).translate(fold)
+
+
+@st.composite
+def pickled_rows(draw):
+    rows = draw(st.lists(st.tuples(st.integers(), st.text(max_size=12)),
+                         max_size=400))
+    return pickle.dumps(rows)
 
 
 class TestInvariants:
@@ -37,11 +89,59 @@ class TestInvariants:
     def test_empty(self):
         assert chunk_spans(b"") == []
 
+    def test_equal_min_and_max_is_lossless(self):
+        """Regression: with ``min_size == max_size`` every full window
+        used to end the walk, dropping the rest of the input."""
+        data = bytes(range(256)) * 4
+        chunks = chunk_spans(data, min_size=100, max_size=100)
+        assert b"".join(chunks) == data
+        assert [len(c) for c in chunks] == [100] * 10 + [24]
+
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             chunk_spans(b"x", min_size=0)
         with pytest.raises(ValueError):
             chunk_spans(b"x", min_size=100, max_size=50)
+        with pytest.raises(ValueError):
+            # a cut candidate's 8-byte window must lie inside its chunk
+            chunk_spans(b"x", min_size=6)
+
+
+class TestMatchesReference:
+    """The one-pass candidate search cuts exactly where the gear loop
+    does: every stored chunk, and so every digest, stays the same."""
+
+    @given(st.binary(max_size=20_000), geometries)
+    @settings(max_examples=100, deadline=None)
+    def test_random_binaries(self, data, geometry):
+        assert chunk_spans(data, *geometry) == \
+            reference_chunk_spans(data, *geometry)
+
+    @given(few_symbol_binaries(), geometries)
+    @settings(max_examples=100, deadline=None)
+    def test_few_symbol_alphabets(self, data, geometry):
+        assert chunk_spans(data, *geometry) == \
+            reference_chunk_spans(data, *geometry)
+
+    @given(pickled_rows(), geometries)
+    @settings(max_examples=50, deadline=None)
+    def test_pickled_row_lists(self, data, geometry):
+        assert chunk_spans(data, *geometry) == \
+            reference_chunk_spans(data, *geometry)
+
+    def test_full_size_inputs(self):
+        """Drawn inputs are mostly short; these run to 20 KB."""
+        rng = random.Random(35)
+        noise = rng.randbytes(20_000)
+        inputs = [bytes(20_000), noise,
+                  noise.translate(bytes(b"\x00\x01\xfe"[b % 3]
+                                        for b in range(256))),
+                  pickle.dumps([(i, i * 1.5, f"row-{i}")
+                                for i in range(400)])]
+        for data in inputs:
+            for geometry in GEOMETRIES:
+                assert chunk_spans(data, *geometry) == \
+                    reference_chunk_spans(data, *geometry)
 
 
 class TestGearTable:
