@@ -29,9 +29,9 @@ from .grammar import (EXCLUDED_BUILTINS, GenProgram, analyze,
                       builtin_names, special_form_names)
 
 #: opcodes (or fused forms) the generated programs can never reach,
-#: with the reason (none today: every opcode the VM executes, both
-#: fused forms and every call-global shape must be reached by the
-#: generator)
+#: with the reason (none today: every opcode the VM executes, every
+#: fused form — a call-free loop's ``region`` included — and every
+#: call-global shape must be reached by the generator)
 EXCLUDED_OPCODES: Dict[str, str] = {}
 
 #: the shapes of a fused ``call-global`` credited on their own ledger

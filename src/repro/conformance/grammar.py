@@ -1055,6 +1055,7 @@ class ProgramGenerator:
             self._g_destructure, self._g_quasi,
             self._g_shadowing, self._g_let_star_later, self._g_deep_loop,
             self._g_outer_setq, self._g_lexical_and_global,
+            self._g_region_number_mix,
         ]
         unsafe = [
             self._g_unwind, self._g_handler_case, self._g_handler_bind,
@@ -1062,6 +1063,7 @@ class ProgramGenerator:
             self._g_intrinsic, self._g_future, self._g_ignore_errors,
             self._g_fancy_lambda, self._g_dynvars, self._g_with_restart,
             self._g_assert, self._g_redefine_plus,
+            self._g_region_rebind, self._g_region_error,
         ]
         if index % 2 == 0:
             return safe[(index // 2) % len(safe)](ctx)
@@ -1128,6 +1130,60 @@ class ProgramGenerator:
                 [_S("defun"), fa, [name], [_S("+"), name, 1]],
                 [_S("defun"), fb, [], [_S("*"), name, 2]],
                 [_S("list"), [fa, self._int(ctx)], [fb], name]]
+
+    # -- loop regions: a call-free loop runs as one generated function
+    # (lang.regions), which keeps the templates' guards; these make a
+    # guard fail where it matters: a primitive rebound between two runs,
+    # a value that leaves the float range mid-iteration, and values that
+    # change between int and float from one iteration to the next.
+
+    def _g_region_number_mix(self, ctx: _Ctx) -> Any:
+        rng = ctx.rng
+        a, b, z, i = (ctx.fresh("ma"), ctx.fresh("mb"), ctx.fresh("mz"),
+                      ctx.fresh("mi"))
+        return [_S("let"), [[a, rng.randint(-5, 5)],
+                            [b, rng.choice([0.5, -1.5, 2.25, 3])],
+                            [z, -0.0]],
+                [_S("dotimes"), [i, rng.randint(1, 6)],
+                 [_S("setq"), a, [_S("+"), a, [_S("*"), b, 2]]],
+                 [_S("setq"), z, [_S("-"), z, [_S("*"), i, 0.0]]],
+                 [_S("setq"), b, [_S("*"), b, rng.choice([-1.5, 2, 0.5])]]],
+                [_S("list"), a, b, z]]
+
+    def _g_region_rebind(self, ctx: _Ctx) -> Any:
+        # < rebound, after the function's loop has run, to a Gozer
+        # function computing what the builtin does (every arity), so
+        # the rest of the program computes what it did, through a call
+        fn, n, acc, i = (ctx.fresh("rf"), ctx.fresh("rn"), ctx.fresh("ra"),
+                         ctx.fresh("ri"))
+        rng = ctx.rng
+        loop = [_S("let"), [[acc, 0]],
+                [_S("dotimes"), [i, n],
+                 [_S("setq"), acc, [_S("+"), acc,
+                                    [_S("*"), i, rng.randint(1, 5)]]]],
+                acc]
+        return [_S("progn"),
+                [_S("defun"), fn, [n], loop],
+                [_S("list"), [fn, rng.randint(1, 6)],
+                 [_S("progn"),
+                  [_S("defun"), _S("<"), [_S("&rest"), _S("xs")],
+                   [_S("apply"), [_S("function"), _S(">")],
+                    [_S("reverse"), _S("xs")]]],
+                  [fn, rng.randint(1, 6)]]]]
+
+    def _g_region_error(self, ctx: _Ctx) -> Any:
+        # big squared each iteration: (+ big 0.5) leaves the float
+        # range in the second block of some iteration, and the stdlib
+        # + raises there
+        big, f, i, c = (ctx.fresh("eb"), ctx.fresh("ef"), ctx.fresh("ei"),
+                        ctx.fresh("c"))
+        return [_S("handler-case"),
+                [_S("let"), [[big, 10 ** ctx.rng.randint(5, 40)], [f, 0]],
+                 [_S("dotimes"), [i, 8],
+                  [_S("setq"), big, [_S("*"), big, big]],
+                  [_S("setq"), f, [_S("+"), big, 0.5]]],
+                 f],
+                [_S("error"), [c], [_S("condition-type"), c]]]
 
     def _g_block_return(self, ctx: _Ctx) -> Any:
         b = ctx.fresh("blk")

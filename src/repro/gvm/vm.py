@@ -280,13 +280,18 @@ class VM:
         fusing proved, and computes the stdlib primitives among them,
         and the call itself when that is one, inline (by identity with
         :data:`~repro.lang.templates.BINARY_PRIMITIVES`, on ``int``/
-        ``float`` arguments); a computed call then runs its branch or
-        ``setq`` tail in place.  The pushes are pure reads, so when one
-        cannot finish the function returns None and the entry *deopts*:
-        it pushes the callee and goes on at the next pc, on the entries
-        that stand for the rest of its instructions, and whatever fails
-        then fails at its own pc, stack and count.  The ``elif`` order
-        is the measured frequency of the ``perf/`` probe programs.
+        ``float`` arguments); a computed call then runs its branch in
+        place, and its ``setq`` tail is done by the function itself.
+        The pushes are pure reads, so when one cannot finish the
+        function returns None and the entry *deopts*: it pushes the
+        callee and goes on at the next pc, on the entries that stand
+        for the rest of its instructions, and whatever fails then fails
+        at its own pc, stack and count.  A ``region`` at the backward
+        jump of a call-free loop runs the whole loop in one generated
+        function (:mod:`~repro.lang.regions`) and goes on where that
+        returns: the loop's exit, or the block whose guard failed, with
+        the count of the blocks it completed.  The ``elif`` order is
+        the measured frequency of the ``perf/`` probe programs.
         Everything else —
         condition system, blocks, continuations, and a ``return`` out
         of a frame that has cleanups to run — goes through
@@ -338,28 +343,24 @@ class VM:
                         # its value, and the tail runs in place
                         pc += span
                         count += span
-                        value = args[0]
                         kind, target = then
                         if kind == "jump-if-false":
                             pc += 1
                             count += 1
+                            value = args[0]
                             if value is None or value is False:
                                 pc = target
                         elif kind == "store":
-                            env = frame.env
-                            while env is not None:
-                                if target in env.bindings:
-                                    env.bindings[target] = value
-                                    pc += 3
-                                    count += 3
-                                    break
-                                env = env.parent
-                            else:
+                            if args:
                                 # not lexical: the store-pop entry at
                                 # pc stores it through _store_free
-                                stack.append(value)
+                                stack.append(args[0])
+                            else:
+                                # run assigned it
+                                pc += 3
+                                count += 3
                         else:
-                            stack.append(value)
+                            stack.append(args[0])
                         continue
                     # the load-global f, then the call
                     if dynamic_stacks and name in dynamic_stacks:
@@ -436,6 +437,14 @@ class VM:
                         env = env.parent
                     else:
                         self._store_free(arg, stack.pop())
+                    continue
+                elif op == "region":
+                    # a call-free loop, run from its head until it
+                    # leaves or a block's guard fails: pc is then the
+                    # exit or that block's call-global, count the
+                    # instructions of the blocks before it
+                    pc, count = arg[0](frame.env, global_variables,
+                                       dynamic_stacks, count)
                     continue
                 elif op == "jump":
                     pc = arg

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from .regions import instantiate_region, region_shape, region_template
 from .templates import (BINARY_PRIMITIVES, call_global_template,
                         instantiate, push_shape)
 
@@ -36,9 +37,11 @@ from .templates import (BINARY_PRIMITIVES, call_global_template,
 # ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
 # included, is one ``call-global``, whose pushes run as one generated
 # Python function (:mod:`repro.lang.templates`) with each load starting at
-# the first scope that can hold its name (:func:`load_depths`).  The
-# view is the VM's alone: what is emitted, validated, pickled and
-# stepped through is ``instructions``.
+# the first scope that can hold its name (:func:`load_depths`), and a
+# loop made only of such statements, like Listing 1's ``dotimes``, is one
+# ``region`` whose iterations run inside one generated function
+# (:mod:`repro.lang.regions`).  The view is the VM's alone: what is
+# emitted, validated, pickled and stepped through is ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -94,7 +97,9 @@ OPCODES = {
 #: entry inside that span stands for its own instructions (the original
 #: one, or a fused entry nested in the span: an inner ``call-global``, a
 #: tail's ``store-pop``), so a jump into the span, or the VM resuming
-#: at ``i + 1``, runs exactly what the unfused code would.
+#: at ``i + 1``, runs exactly what the unfused code would.  A ``region``
+#: stands for its one ``jump``; the loop it runs is the entries from the
+#: jump's target, which keep their own pcs in the view.
 FUSED = {
     "store-pop": "dup; store x; pop — a setq in statement position "
                  "(arg: x; w = 3)",
@@ -114,11 +119,23 @@ FUSED = {
                    "(load_depths), any other push's None; run(e0, gv, "
                    "dyn) is the items compiled to straight-line code "
                    "(templates.instantiate), returning the argument values "
-                   "or None "
-                   "to deopt; span counts the instructions from the "
-                   "first push through the call; then is None for any "
-                   "other f, else ('push', None), ('jump-if-false', T) "
-                   "or ('store', x); w = 1 + span + the tail's 1 or 3)",
+                   "or None to deopt, and with a ('store', x) tail also "
+                   "the assignment, from the depth load_depths proves for "
+                   "the store (then () when it assigned); span counts "
+                   "the instructions from the first push through the "
+                   "call; then is None for any other f, else ('push', "
+                   "None), ('jump-if-false', T) or ('store', x); w = 1 + "
+                   "span + the tail's 1 or 3)",
+    "region": "jump H closing a call-free loop: from H up to the jump, "
+              "each entry is a call-global of a primitive (a block) "
+              "whose tail is a jump-if-false that leaves the loop or a "
+              "setq, each block starting where the one before ends "
+              "(arg: (run, H, blocks): blocks are (pc, arg, w, depth) "
+              "from H, a block's call-global arg, its w and, for a setq "
+              "tail, the depth its assignment starts at; run(e0, gv, dyn, "
+              "count) runs the loop from H (regions.instantiate_region) "
+              "and returns the pc it goes on at, an exit's or a failed "
+              "block's, with the count; w = 1)",
 }
 
 
@@ -210,21 +227,37 @@ class CodeObject:
 
     def disassemble_fused(self) -> str:
         """The fused view the fast loop runs, one entry per pc: each
-        ``call-global`` with the depth each load starts at and the
-        source of its generated pushes, so a slow entry can explain
-        itself."""
+        ``call-global`` with the depth each load (and its ``setq``
+        tail's assignment) starts at and the source of its generated
+        code, each ``region`` with its pc range, the instruction count
+        of each block and the source of its loop, so a slow entry can
+        explain itself."""
         lines = [f"; fused {self.name}"]
+        depths = load_depths(self.instructions)
         for pc, (op, arg) in enumerate(self.fused or self.fuse()):
-            if op != "call-global":
+            if op == "region":
+                _run, head, blocks = arg
+                counts = ", ".join(f"{at} ({count})"
+                                   for at, _, count, _ in blocks)
+                lines.append(f"{pc:4d}  {op}  {head}..{pc}  blocks {counts}"
+                             f", jump (1)")
+                source = region_template(region_shape(blocks)).source
+            elif op == "call-global":
+                name, _run, tail, span, then, pushes = arg
+                lines.append(f"{pc:4d}  {op}  {name!r}  span {span}"
+                             f"{'  tail' if tail else ''}  then {then!r}")
+                for kind, value, depth in pushes:
+                    at = "" if depth is None else f"  depth {depth}"
+                    lines.append(f"        {kind}  {value!r}{at}")
+                shape = push_shape(pushes)
+                if then is not None and then[0] == "store":
+                    depth = depths.get(pc + span + 2, 0)
+                    lines.append(f"        store  {then[1]!r}  depth {depth}")
+                    shape += (("store", depth),)
+                source = call_global_template(shape).source
+            else:
                 lines.append(_listing_line(pc, op, arg))
                 continue
-            name, _run, tail, span, then, pushes = arg
-            lines.append(f"{pc:4d}  {op}  {name!r}  span {span}"
-                         f"{'  tail' if tail else ''}  then {then!r}")
-            for kind, value, depth in pushes:
-                at = "" if depth is None else f"  depth {depth}"
-                lines.append(f"        {kind}  {value!r}{at}")
-            source = call_global_template(push_shape(pushes)).source
             lines.extend("        | " + line
                          for line in source.rstrip("\n").splitlines())
         return "\n".join(lines)
@@ -309,37 +342,39 @@ def _push(instructions: Sequence[Instruction], pc: int, known: dict):
 
 
 def load_depths(instructions: Sequence[Instruction]) -> dict:
-    """``{pc: d}`` for every ``load``: the number of scopes above the
-    first one, counting from the frame's innermost, that can hold the
-    name there.
+    """``{pc: d}`` for every ``load`` and ``store``: the number of
+    scopes above the first one, counting from the frame's innermost,
+    that can hold the name there.
 
-    One linear pass opens a *region* at each ``push-scope`` and closes
+    One linear pass opens an *extent* at each ``push-scope`` and closes
     it at its ``pop-scope``; the frame's base scope (its parameters, or
-    the scope it was started with) is the region open from pc 0.  Each
-    region records every name a ``bind`` inside it binds, wherever in
-    the region that is.  Only ``bind`` (and, in the base scope,
+    the scope it was started with) is the extent open from pc 0.  Each
+    extent records every name a ``bind`` inside it binds, wherever in
+    the extent that is.  Only ``bind`` (and, in the base scope,
     parameter binding) puts a name into one of a frame's own scopes, so
-    the scopes of regions nearer than the innermost one that records
-    the name can never hold it.  A name no region records starts at the
-    base scope, which may hold anything.  When a jump, or the exit pc a
-    ``block`` or ``restart-case`` goes on at, would land with other
-    regions open, or a ``pop-scope`` closes the base scope, the pass
-    proves nothing and every load starts at depth 0 (``{}``).
+    the scopes of extents nearer than the innermost one that records
+    the name can never hold it; a ``store`` assigns the binding a
+    lookup there would find, so it starts at the same depth.  A name no
+    extent records starts at the base scope, which may hold anything.
+    When a jump, or the exit pc a ``block`` or ``restart-case`` goes on
+    at, would land with other extents open, or a ``pop-scope`` closes
+    the base scope, the pass proves nothing and every load and store
+    starts at depth 0 (``{}``).
     """
     names: List[set] = [set()]
-    regions: Tuple[int, ...] = (0,)
+    extents: Tuple[int, ...] = (0,)
     open_at = []
     for op, arg in instructions:
-        open_at.append(regions)
+        open_at.append(extents)
         if op == "push-scope":
             names.append(set())
-            regions += (len(names) - 1,)
+            extents += (len(names) - 1,)
         elif op == "pop-scope":
-            if len(regions) == 1:
+            if len(extents) == 1:
                 return {}
-            regions = regions[:-1]
+            extents = extents[:-1]
         elif op == "bind":
-            names[regions[-1]].add(arg)
+            names[extents[-1]].add(arg)
     n = len(instructions)
     for pc, (op, arg) in enumerate(instructions):
         if op in _JUMPS:
@@ -354,11 +389,11 @@ def load_depths(instructions: Sequence[Instruction]) -> dict:
             return {}
     depths = {}
     for pc, (op, arg) in enumerate(instructions):
-        if op == "load":
-            regions = open_at[pc]
-            depth = len(regions) - 1
-            for nearer, region in enumerate(reversed(regions)):
-                if arg in names[region]:
+        if op == "load" or op == "store":
+            extents = open_at[pc]
+            depth = len(extents) - 1
+            for nearer, extent in enumerate(reversed(extents)):
+                if arg in names[extent]:
                     depth = nearer
                     break
             depths[pc] = depth
@@ -373,9 +408,11 @@ def fuse(code: CodeObject) -> List[Instruction]:
     so no jump target moves.  Each pc is fused on its own, so a span may
     hold fused entries of its own (a nested push's ``call-global``, a
     tail's ``store-pop``): each stands for its own instructions.  A
-    ``call-global``'s pushes are compiled into one ``run`` function
-    (:func:`call_global_template`), its loads starting at the depths
-    :func:`load_depths` proves.
+    ``call-global``'s pushes, and its ``setq`` tail, are compiled into
+    one ``run`` function (:func:`call_global_template`), its loads and
+    its assignment starting at the depths :func:`load_depths` proves.
+    Then each backward ``jump`` that closes a call-free loop
+    (:func:`_region_blocks`) becomes a ``region`` entry.
     """
     instructions = code.instructions
     view = list(instructions)
@@ -411,9 +448,46 @@ def fuse(code: CodeObject) -> List[Instruction]:
             pushes = tuple((kind, value, depths.get(at, 0)
                             if kind == "load" else None)
                            for kind, value, at in items)
-            view[pc] = ("call-global", (arg, instantiate(pushes), tail,
-                                        end - pc, then, pushes))
+            store = None
+            if then is not None and then[0] == "store":
+                store = (then[1], depths.get(end + 2, 0))
+            view[pc] = ("call-global", (arg, instantiate(pushes, store),
+                                        tail, end - pc, then, pushes))
+    if depths is not None:
+        for pc, (op, arg) in enumerate(instructions):
+            if op == "jump" and type(arg) is int and arg < pc:
+                blocks = _region_blocks(view, arg, pc, depths)
+                if blocks:
+                    view[pc] = ("region", (instantiate_region(blocks), arg,
+                                           blocks))
     return view
+
+
+def _region_blocks(view, head: int, end: int, depths: dict):
+    """The blocks of the loop from ``head`` to the backward ``jump`` at
+    ``end``, as :func:`~repro.lang.regions.instantiate_region` takes
+    them, or None when it is no region: every entry from the head on
+    must be a primitive's ``call-global`` whose ``jump-if-false`` tail
+    leaves the loop or whose ``setq`` tail stays in it, each starting
+    where the one before ends, the last ending at ``end``."""
+    blocks = []
+    pc = head
+    while pc < end:
+        op, arg = view[pc]
+        if op != "call-global":
+            return None
+        then, span = arg[4], arg[3]
+        if then is None or then[0] == "push":
+            return None
+        if then[0] == "jump-if-false":
+            if head <= then[1] <= end:
+                return None
+            width, depth = span + 2, None
+        else:  # the dup; store x; pop of a setq
+            width, depth = span + 4, depths.get(pc + span + 2, 0)
+        blocks.append((pc, arg, width, depth))
+        pc += width
+    return tuple(blocks) if pc == end and blocks else None
 
 
 def nested_code_objects(code: CodeObject) -> Sequence[CodeObject]:

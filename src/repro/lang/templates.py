@@ -3,9 +3,12 @@
 The GVM's fast loop runs a fused ``call-global`` (:func:`repro.lang.
 bytecode.fuse`) by calling one function, ``run(e0, gv, dyn)``, that does
 every push of the call and returns the argument values, or None when a
-push cannot finish here and the entry deopts.  That function is made
-here.  Each distinct *shape* of pushes (:func:`push_shape`) is compiled
-once per process into a factory ``make(c0, c1, ...)``; a call site's
+push cannot finish here and the entry deopts; a call with a ``setq``
+tail also assigns its value.  That function is made here, and the code
+of its pushes is the block code of a loop region too
+(:mod:`repro.lang.regions`).  Each distinct *shape* of pushes
+(:func:`push_shape`) is compiled once per process into a factory
+``make(c0, c1, ...)``; a call site's
 symbols, constants and stdlib functions are the factory's arguments, so
 nothing of the program is ever formatted into the source.
 """
@@ -73,37 +76,24 @@ def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
     return tuple(shape)
 
 
-def template_source(shape) -> str:
-    """The Python source of the factory for ``shape``.
-
-    ``make(c0, c1, ...)`` takes, in push order, each push's symbol or
-    constant and, after a primitive's symbol, the stdlib function it
-    must still be bound to, and returns ``run(e0, gv, dyn)``: the
-    pushes as straight-line code over the frame's innermost scope
-    ``e0``, the global variables and the dynamic binding stacks,
-    returning the list of argument values or None to deopt.  A load at
-    depth ``d`` probes the one scope ``d`` parents up and, on a miss,
-    walks on from that scope's parent (``Env.lookup_or``).  Nothing of
-    the program is formatted into the text: only the ``c``/``v``
-    names, fixed scaffolding and the operator tokens of
-    :data:`_OPERATOR_TOKENS`.
-    """
-    params: List[str] = []
+def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
+               fail: str) -> Tuple[List[str], List[str]]:
+    """Straight-line code for the pushes of ``shape`` (a
+    :func:`push_shape`): ``(lines, values)``, ``values`` naming the
+    argument values the pushes leave, in order.  ``param()`` names the
+    factory's next parameter, ``value(i)`` the variable of the i-th
+    push, and ``fail`` is the statement each failed guard runs.  A load
+    at depth ``d`` reads ``b{d}``, the bindings of ``e{d}``: the code
+    around the lines binds both."""
     body: List[str] = []
     values: List[str] = []
     numeric = set()  # the values already known to be an int or a float
-    depths = sorted({push[1] for push in shape if push[0] == "load"})
-
-    def param() -> str:
-        params.append(f"c{len(params)}")
-        return params[-1]
-
     for i, push in enumerate(shape):
         kind = push[0]
         if kind == "const":
             values.append(param())
             continue
-        c, v = param(), f"v{i}"
+        c, v = param(), value(i)
         if kind == "load":
             d = push[1]
             body += [f"if {c} in b{d}:",
@@ -111,15 +101,15 @@ def template_source(shape) -> str:
                      "else:",
                      f"    p = e{d}.parent",
                      "    if p is None:",
-                     "        return None",
+                     f"        {fail}",
                      f"    {v} = p.lookup_or({c}, missing)",
                      f"    if {v} is missing:",
-                     "        return None"]
+                     f"        {fail}"]
         elif kind == "load-global":
             body += [f"if dyn and {c} in dyn:",
-                     "    return None",
+                     f"    {fail}",
                      f"if {c} not in gv:",
-                     "    return None",
+                     f"    {fail}",
                      f"{v} = gv[{c}]"]
         else:
             token = push[1]
@@ -130,26 +120,101 @@ def template_source(shape) -> str:
                 if operand not in numeric:
                     body += [f"t = type({operand})",
                              "if t is not int and t is not float:",
-                             "    return None"]
+                             f"    {fail}"]
             body += [f"if dyn and {c} in dyn:",
-                     "    return None",
+                     f"    {fail}",
                      "try:",
                      f"    if gv[{c}] is not {fn}:",
-                     "        return None",
+                     f"        {fail}",
                      f"    {v} = {a} {token} {b}",
                      "except (KeyError, OverflowError):",
-                     "    return None"]
+                     f"    {fail}"]
             if token in _ARITHMETIC:
                 numeric.add(v)
         values.append(v)
+    return body, values
+
+
+def store_lines(c: str, depth: int, v: str, fail: str) -> List[str]:
+    """Code that assigns ``v`` to the lexical binding of the name ``c``,
+    looking from the scope ``depth`` up, and runs ``fail`` when no
+    scope binds it."""
+    return [f"if {c} in b{depth}:",
+            f"    b{depth}[{c}] = {v}",
+            "else:",
+            f"    p = e{depth}.parent",
+            f"    if p is None or not p.assign({c}, {v}):",
+            f"        {fail}"]
+
+
+def scope_lines(depths) -> List[str]:
+    """The lines that bind ``e{d}`` and ``b{d}`` for each depth in
+    ``depths`` (``e0``, the innermost scope, is the caller's)."""
     hops = [f"e{d} = e{d - 1}.parent"
             for d in range(1, max(depths, default=0) + 1)]
-    scopes = [f"b{d} = e{d}.bindings" for d in depths]
-    body = hops + scopes + body + [f"return [{', '.join(values)}]"]
+    return hops + [f"b{d} = e{d}.bindings" for d in sorted(set(depths))]
+
+
+def shape_depths(shape) -> List[int]:
+    """The scope depths the loads and the store of ``shape`` read."""
+    return [push[1] for push in shape if push[0] in ("load", "store")]
+
+
+def template_source(shape) -> str:
+    """The Python source of the factory for ``shape``.
+
+    ``make(c0, c1, ...)`` takes, in push order, each push's symbol or
+    constant and, after a primitive's symbol, the stdlib function it
+    must still be bound to, and returns ``run(e0, gv, dyn)``: the
+    pushes as straight-line code over the frame's innermost scope
+    ``e0``, the global variables and the dynamic binding stacks,
+    returning the list of argument values or None to deopt.  A load at
+    depth ``d`` probes the one scope ``d`` parents up and, on a miss,
+    walks on from that scope's parent (``Env.lookup_or``).  A shape
+    that ends in ``("store", d)`` (a ``setq`` tail) takes the target's
+    symbol last, assigns the one value to it the same way from depth
+    ``d``, and returns ``()``, or ``[value]`` when no scope binds the
+    name.  Nothing of the program is formatted into the text: only the
+    ``c``/``v`` names, fixed scaffolding and the operator tokens of
+    :data:`_OPERATOR_TOKENS`.
+    """
+    params: List[str] = []
+
+    def param() -> str:
+        params.append(f"c{len(params)}")
+        return params[-1]
+
+    pushes, store = shape, None
+    if shape and shape[-1][0] == "store":
+        pushes, store = shape[:-1], shape[-1][1]
+    body, values = push_lines(pushes, param, "v{}".format, "return None")
+    if store is None:
+        body.append(f"return [{', '.join(values)}]")
+    else:
+        (value,) = values
+        body += store_lines(param(), store, value, f"return [{value}]")
+        body.append("return ()")
+    body = scope_lines(shape_depths(shape)) + body
     return "\n".join([f"def make({', '.join(params)}):",
                       "    def run(e0, gv, dyn):",
                       *("        " + line for line in body),
                       "    return run", ""])
+
+
+#: what a generated function's source may use besides its parameters
+_NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "type": type,
+             "int": int, "float": float, "KeyError": KeyError,
+             "OverflowError": OverflowError}
+
+
+def compile_factory(source: str, filename: str):
+    """``make`` from a generated source, with the source kept as
+    ``make.source``."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, filename, "exec"), namespace)
+    make = namespace["make"]
+    make.source = source
+    return make
 
 
 def call_global_template(shape):
@@ -157,24 +222,30 @@ def call_global_template(shape):
     is kept as ``make.source``."""
     make = _TEMPLATES.get(shape)
     if make is None:
-        source = template_source(shape)
-        namespace = {"__builtins__": {}, "missing": _MISSING, "type": type,
-                     "int": int, "float": float, "KeyError": KeyError,
-                     "OverflowError": OverflowError}
-        exec(compile(source, "<call-global>", "exec"), namespace)
-        make = namespace["make"]
-        make.source = source
+        make = compile_factory(template_source(shape), "<call-global>")
         make = _TEMPLATES.setdefault(shape, make)
     return make
 
 
-def instantiate(pushes):
-    """The ``run`` function of a ``call-global`` with these pushes
-    (``(kind, value, depth)`` in postfix order, as :func:`~repro.lang.
-    bytecode.fuse` makes them)."""
+def push_arguments(pushes) -> List[Any]:
+    """The factory arguments of ``pushes`` (``(kind, value, depth)`` in
+    postfix order, as :func:`~repro.lang.bytecode.fuse` makes them), in
+    the order :func:`push_lines` names its parameters."""
     arguments = []
     for kind, value, _depth in pushes:
         arguments.append(value)
         if kind == "primitive":
             arguments.append(BINARY_PRIMITIVES[value][0])
-    return call_global_template(push_shape(pushes))(*arguments)
+    return arguments
+
+
+def instantiate(pushes, store=None):
+    """The ``run`` function of a ``call-global`` with these pushes;
+    ``store``, for a ``setq`` tail, is ``(x, d)``: the target and the
+    depth its assignment starts at."""
+    arguments = push_arguments(pushes)
+    shape = push_shape(pushes)
+    if store is not None:
+        arguments.append(store[0])
+        shape += (("store", store[1]),)
+    return call_global_template(shape)(*arguments)

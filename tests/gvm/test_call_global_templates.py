@@ -356,6 +356,15 @@ def test_disassemble_fused_shows_depths_and_source(rt):
     assert "| def make(" in listing and "store-pop" not in listing.split(
         "call-global", 1)[0]
     assert len(listing.splitlines()) > len(code.instructions)
+    # a setq tail assigns from its proven depth too
+    assert "store  acc  depth 1" in listing and "store  i  depth 0" in listing
+    # the dotimes is one region at its backward jump: its pc range, each
+    # block's instruction count, and the source of its loop
+    assert "33  region  11..33  blocks 11 (5), 16 (10), 26 (7), jump (1)" \
+        in listing
+    region = listing.split("  region  ", 1)[1]
+    assert "| def make(at0, " in region and "|         while True:" in region
+    assert "|             count += 23" in region
 
 
 def test_a_redefined_primitive_still_computes_through_the_call(rt):

@@ -1,0 +1,442 @@
+"""A call-free loop as one generated Python function (``lang.regions``).
+
+The fused view replaces the backward ``jump`` of a loop made only of
+primitive ``call-global`` blocks with a ``region`` entry, whose one
+generated function runs every iteration.  Here:
+
+* over random call-free loop bodies, the region, the plain fused loop
+  (the same view with each region put back to its ``jump``) and the
+  traced loop (the unfused instructions) agree on the value, the final
+  scopes and dynamic bindings, ``instruction_count`` and any condition
+  with the pc and count it was signalled at — before and after a
+  primitive is redefined under a view that already exists;
+* the region's boundaries, one factory per shape, and names and
+  constants the generated source must never hold.
+"""
+
+import math
+import pickle
+import random
+
+import pytest
+
+from repro.gvm.conditions import UnhandledConditionError
+from repro.gvm.environment import Env
+from repro.gvm.frames import vm_function
+from repro.gvm.runtime import make_runtime
+from repro.lang.bytecode import CodeObject, nested_code_objects
+from repro.lang.regions import region_shape, region_template
+from repro.lang.symbols import Symbol
+from repro.lang.templates import BINARY_PRIMITIVES, instantiate
+
+S = Symbol
+
+PRIMITIVES = [S(name) for name in ("+", "-", "*", "<", ">", "=", "<=", ">=")]
+ARITHMETIC, COMPARISONS = PRIMITIVES[:3], PRIMITIVES[3:]
+VALUES = (0, 1, 2, -3, 7, 0.5, -1.25, 0.0, -0.0, 10 ** 400, -(2 ** 70))
+#: what a * multiplies by: the loop's values stay small enough to print
+FACTORS = (0, 2, -3, 0.5, -0.0)
+#: globals a load-global may read: numbers and, rarely, a bool or a
+#: string (the entry deopts and the stdlib function decides)
+GLOBAL_VALUES = (3, -2, 1.5, -0.0, 4, 0.25, 9, -7.5, 1, True, "ab")
+GLOBALS = [S(f"rg{i}") for i in range(3)]
+#: names bound outside the frame, in a scope beyond the one it starts
+#: with (a closure's, say): a load or setq of one starts at the frame's
+#: base scope and walks on
+OUTER = [S("y0"), S("y1")]
+SPECIAL = S("*rk*")
+#: the three modes a case runs in
+MODES = ("region", "fused", "traced")
+
+
+@vm_function
+def snapshot(vm):
+    """The running frame's scopes, innermost first, the dynamic bindings
+    and the globals a case may assign: what its loop leaves behind."""
+    scopes = [dict(env.bindings) for env in vm.frames[-1].env.chain()]
+    return (scopes, {name: list(stack)
+                     for name, stack in vm.dynamics.stacks.items()},
+            {name: vm.global_env.variables.get(name)
+             for name in (*GLOBALS, SPECIAL)})
+
+
+def observed(value):
+    """A value down to the type and the sign of a zero."""
+    if isinstance(value, dict):
+        return {key.name: observed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [observed(item) for item in value]
+    return (type(value).__name__, repr(value))
+
+
+class Loop:
+    """One random call-free loop: three scopes of variables (a name may
+    be bound in more than one) inside a frame started on a scope whose
+    parent binds more, a counter that is lexical or a special bound
+    dynamically around the loop over a global of that name, a head test
+    that leaves after at most eight iterations, and random blocks —
+    ``setq`` of a nested primitive expression into a variable of any
+    scope (rarely into a global), or another ``jump-if-false`` exit.
+    Sometimes a primitive is bound dynamically, around the loop, to
+    another primitive's function."""
+
+    def __init__(self, seed):
+        rng = self.rng = random.Random(seed)
+        self.seed = seed
+        self.scopes = [[S(f"x{j}") for j in range(4) if rng.random() < 0.6]
+                       or [S("x0")] for _ in range(3)]
+        self.names = sorted({name for scope in self.scopes for name in scope},
+                            key=lambda name: name.name) + OUTER
+        self.special = rng.random() < 0.15
+        self.counter = SPECIAL if self.special else S("ri")
+        self.code = self._assemble()
+
+    def _value(self):
+        return self.rng.choice(VALUES)
+
+    def _expression(self, level=0):
+        """Postfix instructions of an expression."""
+        rng = self.rng
+        if level < 2 and rng.random() < 0.45:
+            return self._call(self._primitive(), level + 1)
+        roll = rng.random()
+        if roll < 0.55:
+            return [("load", rng.choice(self.names))]
+        if roll < 0.65:
+            return [self._load_counter()]
+        if roll < 0.75:
+            return [("load-global", rng.choice(GLOBALS))]
+        return [("const", self._value())]
+
+    def _primitive(self):
+        """Mostly arithmetic: a comparison's bool, stored or added, sends
+        the entries that read it to the stdlib function."""
+        rng = self.rng
+        return rng.choice(ARITHMETIC if rng.random() < 0.85 else PRIMITIVES)
+
+    def _load_counter(self):
+        return ("load-global" if self.special else "load", self.counter)
+
+    def _call(self, primitive, level):
+        """``(primitive a b)``; a ``*`` multiplies by a small constant,
+        so no value outgrows what a test can print."""
+        second = [("const", self.rng.choice(FACTORS))] \
+            if primitive is S("*") else self._expression(level)
+        return [("load-global", primitive), *self._expression(level),
+                *second, ("call", 2)]
+
+    def _block(self, primitive, exit_label, target=None):
+        body = self._call(primitive, 1)
+        if target is None:
+            return body + [("jump-if-false", exit_label)]
+        return body + [("dup", None), ("store", target), ("pop", None)]
+
+    def _assemble(self):
+        rng = self.rng
+        instructions = []
+        for scope in self.scopes:
+            instructions.append(("push-scope", None))
+            for name in scope:
+                instructions += [("const", self._value()), ("bind", name)]
+        if self.special:
+            instructions += [("const", 0), ("dyn-bind", SPECIAL)]
+        else:
+            instructions += [("const", 0), ("bind", self.counter)]
+        if rng.random() < 0.15:
+            # never the counter's < or +: the loop still ends
+            kind = rng.choice((ARITHMETIC[1:], COMPARISONS[1:]))
+            name, other = rng.sample(kind, 2)
+            instructions += [("load-global", other), ("dyn-bind", name)]
+        limit = rng.randint(1, 8)
+        exit_label = object()
+        head = [("load-global", S("<")), self._load_counter(),
+                ("const", limit), ("call", 2), ("jump-if-false", exit_label)]
+        step = [("load-global", S("+")), self._load_counter(), ("const", 1),
+                ("call", 2), ("dup", None), ("store", self.counter),
+                ("pop", None)]
+        body = [step]
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.2:
+                # a number, 0 too, is true: only a comparison can leave
+                test = rng.choice(COMPARISONS if rng.random() < 0.7
+                                  else ARITHMETIC)
+                body.append(self._block(test, exit_label))
+            else:
+                target = rng.choice(self.names) if rng.random() < 0.95 \
+                    else rng.choice(GLOBALS)
+                body.append(self._block(self._primitive(), exit_label,
+                                        target))
+        rng.shuffle(body)
+        top = len(instructions)
+        for block in [head, *body]:
+            instructions += block
+        instructions.append(("jump", top))
+        end = len(instructions)
+        instructions += [("load-global", S("snapshot")), ("call", 0),
+                         ("return", None)]
+        code = CodeObject(name=f"loop{self.seed}")
+        for op, arg in instructions:
+            code.emit(op, end if arg is exit_label else arg)
+        return code
+
+    def runtime(self):
+        rt = make_runtime(deterministic=True)
+        rt.global_env.define(S("snapshot"), snapshot)
+        rt.global_env.define(SPECIAL, 5)
+        rng = random.Random(self.seed)
+        for name in GLOBALS:
+            if rng.random() < 0.95:
+                rt.global_env.define(name, rng.choice(GLOBAL_VALUES))
+        return rt
+
+    def env(self):
+        """A fresh scope to start the frame on, its parent binding the
+        outer names."""
+        rng = random.Random(self.seed)
+        return Env(Env(None, {name: rng.choice(VALUES) for name in OUTER}))
+
+
+def run(rt, code, mode, regions_seen, env=None):
+    """One run of ``code`` in ``mode``: what it returned or signalled,
+    with the pc and count it signalled at, and the count it ended on."""
+    vm = rt.new_vm()
+    if mode == "traced":
+        vm.instruction_hook = lambda frame, op, arg: None
+    signalled = []
+    plain_signal = vm.signal
+
+    def signal(condition, error_p=False):
+        frame = vm.frames[-1]
+        signalled.append((type(condition).__name__, str(condition), frame.pc,
+                          vm.instruction_count, observed(snapshot(vm))))
+        return plain_signal(condition, error_p)
+
+    vm.signal = signal
+    view = code.fused or code.fuse()
+    for pc, (op, arg) in enumerate(view):
+        if op != "region":
+            continue
+        if mode == "fused":
+            view[pc] = code.instructions[pc]
+        elif mode == "region" and not hasattr(arg[0], "counted"):
+            view[pc] = ("region", (_counted(arg[0], arg[2], regions_seen),
+                                   *arg[1:]))
+    try:
+        outcome = ("value", observed(vm.run_code(code, env).value))
+    except UnhandledConditionError:
+        outcome = ("error",)
+    return outcome, signalled, vm.instruction_count
+
+
+def _counted(region_run, blocks, seen):
+    """``region_run``, counting the iterations it completes and whether
+    it returned at an exit or at a block whose guard failed."""
+    per_iteration = sum(width for _, _, width, _ in blocks) + 1
+    block_pcs = {pc for pc, _, _, _ in blocks}
+
+    def counted(e0, gv, dyn, count):
+        pc, after = region_run(e0, gv, dyn, count)
+        seen["iterations"] += (after - count) // per_iteration
+        seen["deopt" if pc in block_pcs else "exit"] += 1
+        return pc, after
+
+    counted.counted = True
+    return counted
+
+
+def redefine(rt, victim, rng):
+    """Rebind the primitive ``victim`` under views that exist: to a
+    Gozer function that calls the stdlib one, or to another primitive's
+    function of its kind.  The counter's < and + keep what they compute,
+    so the loop still ends."""
+    original = rt.global_env.variables[victim]
+    if victim in (S("<"), S("+")) or rng.random() < 0.5:
+        rt.global_env.define(S("original"), original)
+        rt.eval_string(f"(defun {victim.name} (a b) (funcall original a b))")
+    else:
+        kind = ARITHMETIC if victim in ARITHMETIC else COMPARISONS
+        other = rng.choice([p for p in kind if p is not victim])
+        rt.global_env.define(victim, rt.global_env.variables[other])
+
+
+def test_regions_match_the_fused_and_traced_loops():
+    seen = {"iterations": 0, "deopt": 0, "exit": 0, "conditions": 0,
+            "redefined": 0, "special": 0}
+    for seed in range(400):
+        loop = Loop(seed)
+        rng = random.Random(seed * 7 + 1)
+        redefined = rng.random() < 0.3
+        victim = rng.choice(PRIMITIVES)
+        results = {}
+        for mode in MODES:
+            rt = loop.runtime()
+            code = pickle.loads(pickle.dumps(loop.code))
+            first = run(rt, code, mode, seen, loop.env())
+            if redefined:
+                redefine(rt, victim, random.Random(seed))
+            second = run(rt, code, mode, seen, loop.env())
+            results[mode] = (first, second)
+            rt.shutdown()
+        assert results["region"] == results["fused"] == results["traced"], \
+            (seed, loop.code.disassemble())
+        seen["conditions"] += any(signalled for (_, signalled, _)
+                                  in results["region"])
+        seen["redefined"] += redefined
+        seen["special"] += loop.special
+    assert seen["iterations"] > 500
+    assert seen["exit"] > 100 and seen["deopt"] > 50
+    assert seen["conditions"] > 20 and seen["redefined"] > 50
+    assert seen["special"] > 30
+
+
+@pytest.mark.parametrize("source, iterations", [
+    # b holds a bool from the first iteration on: each region call
+    # deopts at (* b 2), where the stdlib * multiplies the bool
+    ("""(let ((b 0) (n 0))
+          (dotimes (i 5) (setq n (+ n (* b 2))) (setq b (> i 1)))
+          (list n b))""", False),
+    # big passes the float range in the fifth iteration: the region has
+    # run the three before it, then (+ big 0.5) deopts and the stdlib +
+    # raises at the call's own pc
+    ("""(let ((big (* 1000000 1000000)) (f 0))
+          (dotimes (i 60) (setq big (* big big)) (setq f (+ big 0.5)))
+          f)""", True),
+])
+def test_a_non_number_mid_loop(source, iterations):
+    rt = make_runtime(deterministic=True)
+    compiled = pickle.dumps(rt.compile(rt.read(source)))  # one dotimes gensym
+    rt.shutdown()
+    results = []
+    for mode in MODES:
+        rt = make_runtime(deterministic=True)
+        code = pickle.loads(compiled)
+        assert any(op == "region" for op, _ in code.fuse())
+        seen = {"iterations": 0, "deopt": 0, "exit": 0}
+        results.append(run(rt, code, mode, seen))
+        if mode == "region":
+            assert seen["deopt"] and bool(seen["iterations"]) == iterations
+        rt.shutdown()
+    assert results[0] == results[1] == results[2]
+
+
+# ---------------------------------------------------------------------------
+# a call-global's setq tail, in the plain fused loop and in a region
+# ---------------------------------------------------------------------------
+
+def test_a_setq_tail_assigns_from_its_proven_depth():
+    x, plus = S("x"), S("+")
+    gv = {name: fn for name, (fn, _) in BINARY_PRIMITIVES.items()}
+    pushes = (("load", x, 1), ("const", 1, None), ("primitive", plus, None))
+    run = instantiate(pushes, (x, 1))
+    # at the scope the depth names: assigned there, () says so
+    outer, inner = {x: 4}, {}
+    assert run(Env(Env(None, outer), inner), gv, {}) == ()
+    assert outer == {x: 5} and inner == {}
+    # beyond it: the assignment walks on, as a store does
+    beyond = {x: 1.5}
+    assert run(Env(Env(Env(None, beyond), {}), {}), gv, {}) == ()
+    assert beyond == {x: 2.5}
+    # bound by no scope: the value comes back for the store-pop entry,
+    # which stores it through the dynamic or global binding
+    only_load = instantiate(pushes[1:2] * 2 + pushes[2:], (x, 1))
+    assert only_load(Env(Env(None, {}), {}), gv, {}) == [2]
+
+
+# ---------------------------------------------------------------------------
+# where regions are and are not
+# ---------------------------------------------------------------------------
+
+def _regions(rt, source):
+    found = []
+    for code in nested_code_objects(rt.compile(rt.read(source))):
+        found += [(pc, arg) for pc, (op, arg) in enumerate(code.fuse())
+                  if op == "region"]
+    return found
+
+
+def test_listing_one_loop_is_one_region(rt):
+    ((pc, (_run, head, blocks)),) = _regions(
+        rt, "(defun sq (n) (let ((acc 0)) "
+            "(dotimes (i 2000) (setq acc (+ acc (* n n)))) acc))")
+    assert [width for _, _, width, _ in blocks] == [5, 10, 7]
+    assert pc == head + 22
+    # the head stores nothing; acc's setq starts one scope up, i's at
+    # the dotimes scope
+    assert [depth for _, _, _, depth in blocks] == [None, 1, 0]
+
+
+@pytest.mark.parametrize("source", [
+    # a host call in the body
+    "(let ((a 0)) (dotimes (i 3) (setq a (max a i))) a)",
+    # a branch that stays in the loop
+    "(let ((a 0)) (dotimes (i 3) (when (> i 1) (setq a i))) a)",
+    # a value pushed and popped: not a setq
+    "(let ((a 0)) (dotimes (i 3) (+ a i)) a)",
+    # an inner loop: the outer one is not call-free
+    "(let ((a 0)) (dotimes (i 3) (dotimes (j 2) (setq a (+ a j)))) a)",
+])
+def test_what_is_not_a_region(rt, source):
+    regions = _regions(rt, source)
+    inner = "dotimes (j" in source
+    assert len(regions) == (1 if inner else 0)
+
+
+def test_one_factory_per_region_shape(rt):
+    a = _regions(rt, "(let ((p 0)) (dotimes (i 7) (setq p (+ p 2))) p)")
+    b = _regions(rt, "(let ((q 1)) (let ((r 5)) (dotimes (k 9) "
+                     "(setq q (+ q 3.5)))) q)")
+    ((_, (run_a, _, blocks_a)),) = a
+    ((_, (run_b, _, blocks_b)),) = b
+    # q is one scope further up than p is, so the shapes differ there
+    assert region_shape(blocks_a) != region_shape(blocks_b)
+    c = _regions(rt, "(let ((z 1.5)) (dotimes (m 4) (setq z (+ z 11))) z)")
+    ((_, (run_c, _, blocks_c)),) = c
+    assert region_shape(blocks_a) == region_shape(blocks_c)
+    assert region_template(region_shape(blocks_a)) \
+        is region_template(region_shape(blocks_c))
+    assert run_a is not run_c
+
+
+HOSTILE = ['x"y', "x'y", 'x\ny', "import os", '"""; import os #',
+           "os.system('true')"]
+
+
+@pytest.mark.parametrize("hostile", HOSTILE)
+def test_hostile_names_and_constants(rt, hostile):
+    name, limit = S(hostile), S(hostile + "-limit")
+    counter = S(hostile + "-i")
+    constants = (918273645, 0.123456789)
+    form = [S("let"), [[name, 1], [limit, 4]],
+            [S("dotimes"), [counter, limit],
+             [S("setq"), name, [S("+"), [S("*"), name, constants[0]],
+                                constants[1]]]],
+            name]
+    code = rt.compile(form)
+    results = []
+    for traced in (False, True):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        results.append((vm.run_code(code).value, vm.instruction_count))
+    assert results[0] == results[1]
+    ((_, (_run, _, blocks)),) = [
+        (pc, arg) for pc, (op, arg) in enumerate(code.fused) if op == "region"]
+    source = region_template(region_shape(blocks)).source
+    for text in (hostile, hostile + "-limit", hostile + "-i", "dotimes"):
+        assert text not in source and repr(text) not in source
+    for constant in constants:
+        assert repr(constant) not in source and str(constant) not in source
+
+
+def test_a_huge_loop_keeps_exact_counts(rt):
+    rt.eval_string("(defun sq (n) (let ((acc 0)) "
+                   "(dotimes (i 2000) (setq acc (+ acc (* n n)))) acc))")
+    counts = []
+    for traced in (False, True):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        assert vm.run_code(rt.compile(rt.read("(sq 7)"))).value == 98000
+        counts.append(vm.instruction_count)
+    assert counts[0] == counts[1]
+    assert math.isclose(counts[0] / 2000, 23, rel_tol=0.01)

@@ -118,6 +118,10 @@ def unfuse(entry):
         else:
             assert kind == "push" and target is None
         return replaced
+    if op == "region":
+        run, head, _blocks = arg
+        assert callable(run)
+        return [("jump", head)]
     return [entry]
 
 
@@ -155,6 +159,22 @@ def test_fused_view_stands_for_the_instructions(program):
                     == [depths.get(pc + i, 0)
                         for i, (op, _) in enumerate(replaced)
                         if op == "load"], (code.name, pc)
+            if entry[0] == "region":
+                # the blocks tile the loop from its head to this jump,
+                # each the call-global the view holds at its own pc
+                _run, head, blocks = entry[1]
+                at = head
+                for block_pc, arg, width, depth in blocks:
+                    assert block_pc == at and view[at] == ("call-global", arg)
+                    assert width == len(unfuse(view[at]))
+                    then = arg[4]
+                    if then[0] == "store":
+                        assert depth == depths.get(at + width - 2, 0)
+                    else:
+                        assert then[0] == "jump-if-false" and depth is None
+                        assert not head <= then[1] <= pc
+                    at += width
+                assert at == pc, (code.name, pc)
             if entry[0] in FUSED:
                 # an entry inside a span is the original instruction or
                 # a fused entry whose own span nests inside this one
