@@ -10,7 +10,9 @@ Commands:
   cluster statistics;
 * ``trace FILE [PARAMS]`` — like ``deploy`` but prints the Figure-1
   style lifetime trace of the task;
-* ``dis EXPR`` — compile a Gozer expression and print its bytecode;
+* ``dis EXPR`` — compile a Gozer expression and print the bytecode of
+  it and of every code object nested in it (closures, thunks), each
+  with the fused view the VM runs;
 * ``expand EXPR`` — print the macroexpansion of an expression;
 * ``repl`` — the interactive REPL (same as examples/repl.py);
 * ``production-day [SCALE]`` — run the Section 5 synthetic production
@@ -105,10 +107,13 @@ def cmd_trace(args) -> int:
 
 def cmd_dis(args) -> int:
     from . import make_runtime
+    from .lang.bytecode import nested_code_objects
 
     rt = make_runtime(deterministic=True)
     code = rt.compile(rt.read(args.expr))
-    print(code.disassemble())
+    for nested in nested_code_objects(code):
+        print(nested.disassemble())
+        print(nested.disassemble_fused())
     return 0
 
 

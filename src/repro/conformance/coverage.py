@@ -9,7 +9,8 @@ Three ledgers, three denominators:
 * **builtins** — both stdlib registries; credited from surface marks.
 * **opcodes** — :data:`repro.lang.bytecode.OPCODES`, the fast loop's
   superinstructions, :data:`~repro.lang.bytecode.FUSED`, and the
-  shapes of a ``call-global`` (:data:`CALL_GLOBAL_SHAPES`); credited
+  shapes of a ``call-global`` (:data:`CALL_GLOBAL_SHAPES`) and of a
+  ``region`` (:data:`REGION_SHAPES`); credited
   by compiling each program and walking its (nested) code objects,
   the instructions for the first and the fused view
   (:func:`~repro.lang.bytecode.fuse`) for the others.
@@ -37,26 +38,38 @@ EXCLUDED_OPCODES: Dict[str, str] = {}
 #: the shapes of a fused ``call-global`` credited on their own ledger
 #: lines, beside the form itself
 CALL_GLOBAL_SHAPES = {
-    "call-global/nested": "a push is itself a primitive's call",
+    "call-global/nested": "a push is itself a primitive's or a "
+                          "registered host function's call",
     "call-global/jump-if-false": "carries the jump-if-false after it",
     "call-global/store": "carries the dup; store x; pop after it",
+    "call-global/pop": "carries the pop after a host function's call",
     "call-global/deep-load": "a load starts one or more scopes up",
+}
+
+#: the shapes of a ``region`` credited on their own ledger lines
+REGION_SHAPES = {
+    "region/host": "a block calls a registered host function",
 }
 
 
 def fused_forms(entry: Any) -> List[str]:
     """The ledger lines one fused-view entry credits: its form, and for
-    a ``call-global`` each of :data:`CALL_GLOBAL_SHAPES` it takes."""
+    a ``call-global`` or a ``region`` each of :data:`CALL_GLOBAL_SHAPES`
+    or :data:`REGION_SHAPES` it takes."""
     op, arg = entry
     if op not in FUSED:
         return []
+    if op == "region":
+        hosts = any(kind == "host" for _pc, block, _w, _d in arg[2]
+                    for kind, _, _ in block[5])
+        return [op, "region/host"] if hosts else [op]
     if op != "call-global":
         return [op]
     forms = [op]
     _name, _run, _tail, _span, then, pushes = arg
-    # with a ``then``, the last primitive is f's own call, not a push
-    primitives = sum(push == "primitive" for push, _, _ in pushes)
-    if primitives > (then is not None):
+    # with a ``then``, the last call is f's own, not a push
+    calls = sum(push in ("primitive", "host") for push, _, _ in pushes)
+    if calls > (then is not None):
         forms.append("call-global/nested")
     if then is not None and then[0] != "push":
         forms.append("call-global/" + then[0])
@@ -166,7 +179,8 @@ class CoverageAccounter:
         self._all_sf = special_form_names()
         self._all_fn = builtin_names() - set(EXCLUDED_BUILTINS)
         self._all_op = (frozenset(OPCODES) | frozenset(FUSED)
-                        | frozenset(CALL_GLOBAL_SHAPES)) \
+                        | frozenset(CALL_GLOBAL_SHAPES)
+                        | frozenset(REGION_SHAPES)) \
             - set(EXCLUDED_OPCODES)
         self._all_macros = frozenset(
             s.name for s in CORE_MACROS) | {"for-each", "parallel",

@@ -1055,7 +1055,7 @@ class ProgramGenerator:
             self._g_destructure, self._g_quasi,
             self._g_shadowing, self._g_let_star_later, self._g_deep_loop,
             self._g_outer_setq, self._g_lexical_and_global,
-            self._g_region_number_mix,
+            self._g_region_number_mix, self._g_region_host,
         ]
         unsafe = [
             self._g_unwind, self._g_handler_case, self._g_handler_bind,
@@ -1131,11 +1131,13 @@ class ProgramGenerator:
                 [_S("defun"), fb, [], [_S("*"), name, 2]],
                 [_S("list"), [fa, self._int(ctx)], [fb], name]]
 
-    # -- loop regions: a call-free loop runs as one generated function
-    # (lang.regions), which keeps the templates' guards; these make a
-    # guard fail where it matters: a primitive rebound between two runs,
-    # a value that leaves the float range mid-iteration, and values that
-    # change between int and float from one iteration to the next.
+    # -- loop regions: a loop of primitive and registered host calls
+    # runs as one generated function (lang.regions), which keeps the
+    # templates' guards; these make a guard fail where it matters: a
+    # primitive rebound between two runs, a value that leaves the float
+    # range mid-iteration, and values that change between int and float
+    # from one iteration to the next; and one builds a list the way the
+    # churn rows do, calling host functions.
 
     def _g_region_number_mix(self, ctx: _Ctx) -> Any:
         rng = ctx.rng
@@ -1149,6 +1151,22 @@ class ProgramGenerator:
                  [_S("setq"), z, [_S("-"), z, [_S("*"), i, 0.0]]],
                  [_S("setq"), b, [_S("*"), b, rng.choice([-1.5, 2, 0.5])]]],
                 [_S("list"), a, b, z]]
+
+    def _g_region_host(self, ctx: _Ctx) -> Any:
+        # the churn rows' build: a collect whose test calls getf and
+        # whose body appends (list ...) to its accumulator, nth and
+        # length nested inside: one region of host calls
+        rng = ctx.rng
+        p, xs, i = ctx.fresh("hp"), ctx.fresh("hx"), ctx.fresh("hi")
+        width = rng.randint(0, 5)
+        return [_S("let"),
+                [[p, [_S("list"), _K("w"), width, _K("k"), rng.randint(1, 4)]],
+                 [xs, [_S("list"), *(rng.choice([1, -2, 0.5, "s"])
+                                     for _ in range(width))]]],
+                [_S("loop"), _S("for"), i, _S("from"), 0, _S("below"),
+                 [_S("getf"), p, _K("w")], _S("collect"),
+                 [_S("list"), i, [_S("*"), i, [_S("getf"), p, _K("k")]],
+                  [_S("nth"), i, xs], [_S("length"), xs]]]]
 
     def _g_region_rebind(self, ctx: _Ctx) -> Any:
         # < rebound, after the function's loop has run, to a Gozer

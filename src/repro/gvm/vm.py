@@ -339,8 +339,9 @@ class VM:
                         stack.append(self._load_free(name))
                         continue
                     if then is not None:
-                        # f itself was the last primitive: args holds
-                        # its value, and the tail runs in place
+                        # f itself was the last primitive or host call:
+                        # args holds its value, and the tail runs in
+                        # place
                         pc += span
                         count += span
                         kind, target = then
@@ -359,6 +360,9 @@ class VM:
                                 # run assigned it
                                 pc += 3
                                 count += 3
+                        elif kind == "pop":
+                            pc += 1
+                            count += 1
                         else:
                             stack.append(args[0])
                         continue

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .regions import instantiate_region, region_shape, region_template
-from .templates import (BINARY_PRIMITIVES, call_global_template,
-                        instantiate, push_shape)
+from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS,
+                        call_global_template, instantiate, push_shape)
 
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
@@ -230,8 +230,9 @@ class CodeObject:
         ``call-global`` with the depth each load (and its ``setq``
         tail's assignment) starts at and the source of its generated
         code, each ``region`` with its pc range, the instruction count
-        of each block and the source of its loop, so a slow entry can
-        explain itself."""
+        of each block and the source of its loop, and each backward
+        ``jump`` that is no region with the entry that stops it, so a
+        slow entry can explain itself."""
         lines = [f"; fused {self.name}"]
         depths = load_depths(self.instructions)
         for pc, (op, arg) in enumerate(self.fused or self.fuse()):
@@ -247,7 +248,8 @@ class CodeObject:
                 lines.append(f"{pc:4d}  {op}  {name!r}  span {span}"
                              f"{'  tail' if tail else ''}  then {then!r}")
                 for kind, value, depth in pushes:
-                    at = "" if depth is None else f"  depth {depth}"
+                    at = "" if depth is None else \
+                        f"  {'args' if kind == 'host' else 'depth'} {depth}"
                     lines.append(f"        {kind}  {value!r}{at}")
                 shape = push_shape(pushes)
                 if then is not None and then[0] == "store":
@@ -257,6 +259,11 @@ class CodeObject:
                 source = call_global_template(shape).source
             else:
                 lines.append(_listing_line(pc, op, arg))
+                if op == "jump" and type(arg) is int and arg < pc:
+                    # a backward jump that stayed one: say why
+                    _blocks, why = _region_blocks(
+                        self.fused, arg, pc, depths)
+                    lines.append(f"        ; no region: {why}")
                 continue
             lines.extend("        | " + line
                          for line in source.rstrip("\n").splitlines())
@@ -316,13 +323,26 @@ _SIMPLE_PUSHES = ("load", "load-global", "const")
 _EXITS = ("push-block", "push-restarts")
 
 
+def _pushes(instructions: Sequence[Instruction], pc: int, known: dict):
+    """The pushes that follow one another from ``pc`` on, as ``(postfix
+    items, end pc, count)``."""
+    items, end, k = (), pc, 0
+    push = _push(instructions, end, known)
+    while push:
+        items, end, k = items + push[0], push[1], k + 1
+        push = _push(instructions, end, known)
+    return items, end, k
+
+
 def _push(instructions: Sequence[Instruction], pc: int, known: dict):
     """The ``call-global`` push that starts at ``pc``, as ``(postfix
     items, end pc)``, or None; ``known`` holds those already found.  An
-    item is ``(kind, value, pc)``.  A ``load-global`` of a primitive
-    followed by two pushes and ``call 2`` is one nested push: on a
-    straight run of code the stack discipline makes that the only
-    reading of those instructions."""
+    item is ``(kind, value, pc)``, a call's ``(kind, f, k)``.  A
+    ``load-global`` of a primitive followed by two pushes and ``call
+    2``, or of a host function without an effect followed by k pushes
+    and ``call k``, is one nested push: on a straight run of code the
+    stack discipline makes that the only reading of those
+    instructions."""
     if pc in known:
         return known[pc]
     push = None
@@ -330,15 +350,25 @@ def _push(instructions: Sequence[Instruction], pc: int, known: dict):
         op, arg = instructions[pc]
         if op in _SIMPLE_PUSHES and type(arg) is not list:
             push = ((op, arg, pc),), pc + 1
-        if op == "load-global" and arg in BINARY_PRIMITIVES:
-            first = _push(instructions, pc + 1, known)
-            second = first and _push(instructions, first[1], known)
-            if second and instructions[second[1]:second[1] + 1] \
-                    == [("call", 2)]:
-                push = (first[0] + second[0] + (("primitive", arg, pc),),
-                        second[1] + 1)
+        if op == "load-global" and (arg in BINARY_PRIMITIVES
+                                    or arg in HOST_FUNCTIONS):
+            items, end, k = _pushes(instructions, pc + 1, known)
+            kind = _call_kind(arg, k)
+            if kind and instructions[end:end + 1] == [("call", k)] \
+                    and (kind == "primitive" or not HOST_FUNCTIONS[arg][1]):
+                push = items + ((kind, arg, k),), end + 1
     known[pc] = push
     return push
+
+
+def _call_kind(name, k: int):
+    """The item kind of a call of ``name`` with ``k`` arguments that a
+    fused entry computes in place, or None."""
+    if name in BINARY_PRIMITIVES and k == 2:
+        return "primitive"
+    if name in HOST_FUNCTIONS:
+        return "host"
+    return None
 
 
 def load_depths(instructions: Sequence[Instruction]) -> dict:
@@ -425,28 +455,28 @@ def fuse(code: CodeObject) -> List[Instruction]:
                     and instructions[pc + 2][0] == "pop":
                 view[pc] = ("store-pop", instructions[pc + 1][1])
         elif op == "load-global":
-            items, end, k = (), pc + 1, 0
-            push = _push(instructions, end, known)
-            while push:
-                items, end, k = items + push[0], push[1], k + 1
-                push = _push(instructions, end, known)
+            items, end, k = _pushes(instructions, pc + 1, known)
             if end == n or instructions[end][0] not in ("call", "tail-call") \
                     or instructions[end][1] != k:
                 continue
             tail = instructions[end][0] == "tail-call"
             then = None
-            if arg in BINARY_PRIMITIVES and k == 2:
-                items += (("primitive", arg, pc),)
+            kind = _call_kind(arg, k)
+            after = [] if tail else instructions[end + 1:end + 4]
+            popped = kind == "host" and after[:1] == [("pop", None)]
+            if kind == "host" and HOST_FUNCTIONS[arg][1] and not popped:
+                kind = None  # an effect is the last thing its statement does
+            if kind:
+                items += ((kind, arg, k),)
                 then = ("push", None)
-                after = [] if tail else instructions[end + 1:end + 4]
-                if after and after[0][0] == "jump-if-false":
+                if popped or after and after[0][0] == "jump-if-false":
                     then = after[0]
                 elif [name for name, _ in after] == ["dup", "store", "pop"]:
                     then = ("store", after[1][1])
             if depths is None:
                 depths = load_depths(instructions)
-            pushes = tuple((kind, value, depths.get(at, 0)
-                            if kind == "load" else None)
+            pushes = tuple((kind, value, depths.get(at, 0) if kind == "load"
+                            else at if kind == "host" else None)
                            for kind, value, at in items)
             store = None
             if then is not None and then[0] == "store":
@@ -456,7 +486,7 @@ def fuse(code: CodeObject) -> List[Instruction]:
     if depths is not None:
         for pc, (op, arg) in enumerate(instructions):
             if op == "jump" and type(arg) is int and arg < pc:
-                blocks = _region_blocks(view, arg, pc, depths)
+                blocks, _why = _region_blocks(view, arg, pc, depths)
                 if blocks:
                     view[pc] = ("region", (instantiate_region(blocks), arg,
                                            blocks))
@@ -466,28 +496,39 @@ def fuse(code: CodeObject) -> List[Instruction]:
 def _region_blocks(view, head: int, end: int, depths: dict):
     """The blocks of the loop from ``head`` to the backward ``jump`` at
     ``end``, as :func:`~repro.lang.regions.instantiate_region` takes
-    them, or None when it is no region: every entry from the head on
-    must be a primitive's ``call-global`` whose ``jump-if-false`` tail
-    leaves the loop or whose ``setq`` tail stays in it, each starting
-    where the one before ends, the last ending at ``end``."""
+    them, or None when it is no region, with why not: every entry from
+    the head on must be a ``call-global`` that a primitive or a
+    registered host function makes (one whose ``then`` is set) whose
+    ``jump-if-false`` tail leaves the loop, or whose ``setq`` or
+    ``pop`` tail stays in it, each starting where the one before ends,
+    the last ending at ``end``.  ``(blocks, None)`` or ``(None, why)``.
+    """
     blocks = []
     pc = head
     while pc < end:
         op, arg = view[pc]
         if op != "call-global":
-            return None
+            return None, f"pc {pc}: {op} is not a fused call"
         then, span = arg[4], arg[3]
-        if then is None or then[0] == "push":
-            return None
+        if then is None:
+            return None, (f"pc {pc}: the call of {arg[0]!r} is not made "
+                          f"in place (not a primitive's two-argument call "
+                          f"or a registered host function's)")
+        if then[0] == "push":
+            return None, f"pc {pc}: the value of {arg[0]!r} stays pushed"
         if then[0] == "jump-if-false":
             if head <= then[1] <= end:
-                return None
+                return None, f"pc {pc}: its branch stays in the loop"
+            width, depth = span + 2, None
+        elif then[0] == "pop":
             width, depth = span + 2, None
         else:  # the dup; store x; pop of a setq
             width, depth = span + 4, depths.get(pc + span + 2, 0)
         blocks.append((pc, arg, width, depth))
         pc += width
-    return tuple(blocks) if pc == end and blocks else None
+    if pc != end or not blocks:
+        return None, f"pc {pc}: no block ends at the jump"
+    return tuple(blocks), None
 
 
 def nested_code_objects(code: CodeObject) -> Sequence[CodeObject]:

@@ -16,6 +16,26 @@ from .symbols import Keyword, Symbol
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
+#: log10(2): an int of b bits has about b times this many digits
+_DIGITS_PER_BIT = 0.30102999566398120
+
+
+def int_text(value: int) -> str:
+    """The decimal digits of ``value``, however many.  Python's ``str``
+    refuses an int longer than ``sys.get_int_max_str_digits()`` digits;
+    such an int is split by a power of ten into two halves, each
+    printed the same way, and the process-wide limit is left alone."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + int_text(-value)
+    half = int(value.bit_length() * _DIGITS_PER_BIT) // 2
+    high, low = divmod(value, 10 ** half)
+    return int_text(high) + int_text(low).zfill(half)
+
+
 def print_form(value: Any) -> str:
     """Render ``value`` as reader-compatible Gozer source text."""
     if value is None:
@@ -41,7 +61,7 @@ def print_form(value: Any) -> str:
     if isinstance(value, bool):  # pragma: no cover - caught above
         return "t" if value else "false"
     if isinstance(value, (int,)):
-        return str(value)
+        return int_text(value)
     if isinstance(value, (list, tuple)):
         return "(" + " ".join(print_form(item) for item in value) + ")"
     if isinstance(value, dict):

@@ -34,10 +34,10 @@ from ..gvm.conditions import (
 from ..gvm.frames import GozerFunction, vm_function
 from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
-from .printer import princ_form, print_form
+from .printer import int_text, princ_form, print_form
 from .reader import Char
 from .symbols import Keyword, Symbol, gensym
-from .templates import binary_primitive
+from .templates import binary_primitive, host_function
 
 _S = Symbol
 
@@ -374,7 +374,14 @@ def _constantly(x):
 # lists
 # ===========================================================================
 
+# The functions marked ``host_function`` are also called in place by the
+# GVM's fused entries and loop regions
+# (``repro.lang.templates.HOST_FUNCTIONS``): each is VM-free and
+# failure-atomic (it completes, or raises before any effect), and only
+# ``append!`` has an effect.
+
 @builtin("list")
+@host_function("list")
 def _list(*args):
     return list(args)
 
@@ -388,11 +395,13 @@ def _list_star(*args):
 
 
 @builtin("cons")
+@host_function("cons")
 def _cons(head, tail):
     return [head] + _to_list(tail)
 
 
 @builtin("car", "first")
+@host_function("car", "first")
 def _car(lst):
     if lst is None or len(lst) == 0:
         return None
@@ -400,6 +409,7 @@ def _car(lst):
 
 
 @builtin("cdr", "rest")
+@host_function("cdr", "rest")
 def _cdr(lst):
     if lst is None or len(lst) <= 1:
         return []
@@ -407,16 +417,19 @@ def _cdr(lst):
 
 
 @builtin("second")
+@host_function("second")
 def _second(lst):
     return lst[1] if lst is not None and len(lst) > 1 else None
 
 
 @builtin("third")
+@host_function("third")
 def _third(lst):
     return lst[2] if lst is not None and len(lst) > 2 else None
 
 
 @builtin("nth")
+@host_function("nth")
 def _nth(n, lst):
     if lst is None or n >= len(lst):
         return None
@@ -450,6 +463,7 @@ def _butlast(lst, n=1):
 
 
 @builtin("length")
+@host_function("length")
 def _length(seq):
     if seq is None:
         return 0
@@ -465,6 +479,7 @@ def _append(*lists):
 
 
 @builtin("append!")
+@host_function("append!", effect=True)
 def _append_bang(lst, item):
     """Destructively append ``item`` to ``lst`` (paper Listing 3)."""
     if lst is None:
@@ -548,6 +563,7 @@ def _assoc(key, alist):
 
 
 @builtin("getf")
+@host_function("getf")
 def _getf(plist, key, default=None):
     plist = _to_list(plist)
     for i in range(0, len(plist) - 1, 2):
@@ -1057,7 +1073,7 @@ def format_string(control: str, args: List[Any]) -> str:
         elif lower == "s":
             out.append(print_form(next(arg_iter)))
         elif lower == "d":
-            out.append(str(int(force(next(arg_iter)))))
+            out.append(int_text(int(force(next(arg_iter)))))
         elif lower == "f":
             out.append(f"{float(force(next(arg_iter)))}")
         elif lower == "%" or lower == "&":

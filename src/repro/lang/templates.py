@@ -4,13 +4,15 @@ The GVM's fast loop runs a fused ``call-global`` (:func:`repro.lang.
 bytecode.fuse`) by calling one function, ``run(e0, gv, dyn)``, that does
 every push of the call and returns the argument values, or None when a
 push cannot finish here and the entry deopts; a call with a ``setq``
-tail also assigns its value.  That function is made here, and the code
-of its pushes is the block code of a loop region too
-(:mod:`repro.lang.regions`).  Each distinct *shape* of pushes
-(:func:`push_shape`) is compiled once per process into a factory
-``make(c0, c1, ...)``; a call site's
-symbols, constants and stdlib functions are the factory's arguments, so
-nothing of the program is ever formatted into the source.
+tail also assigns its value.  A push may itself call a stdlib primitive
+(:data:`BINARY_PRIMITIVES`, computed by its operator) or a registered
+host function (:data:`HOST_FUNCTIONS`, called in place).  That function
+is made here, and the code of its pushes is the block code of a loop
+region too (:mod:`repro.lang.regions`).  Each distinct *shape* of
+pushes (:func:`push_shape`) is compiled once per process into a factory
+``make(c0, c1, ...)``; a call site's symbols, constants and stdlib
+functions are the factory's arguments, so nothing of the program is
+ever formatted into the source.
 """
 
 from __future__ import annotations
@@ -31,13 +33,52 @@ from .symbols import Symbol
 BINARY_PRIMITIVES: dict = {}
 
 
+#: The stdlib host functions a fused call may call in place, ``{Symbol:
+#: (function, effect)}``: the ``f`` of a nested ``call-global`` push, or
+#: of the call itself.  Two rules make calling one early, or twice,
+#: indistinguishable from the unfused call:
+#:
+#: * *VM-free*: it is not a ``vm_function``, never calls Gozer code and
+#:   never yields, so nothing can capture a continuation inside it;
+#: * *failure-atomic*: it completes, or raises before any effect.  A
+#:   generated call that raises deopts, and the call then runs again
+#:   at its own pc, where it raises the same way.
+#:
+#: Only a function with ``effect`` false may be a nested push; one with
+#: an effect (``append!``) is only ever the outer call of a statement
+#: whose value is popped, the last thing its entry does.  Filled by
+#: :func:`host_function` where the stdlib defines them.
+HOST_FUNCTIONS: dict = {}
+
+
+def _module_level(fn: Callable) -> None:
+    assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
+        f"{fn!r}: only module-level functions are registered"
+
+
+def host_function(*names: str, effect: bool = False) -> Callable:
+    """Register a module-level, VM-free, failure-atomic host function as
+    the stdlib's ``names``; ``effect`` when it changes one of its
+    arguments."""
+
+    def mark(fn: Callable) -> Callable:
+        from ..gvm.frames import VM_FUNCTIONS
+
+        _module_level(fn)
+        assert fn not in VM_FUNCTIONS, f"{fn!r} takes the VM"
+        for name in names:
+            HOST_FUNCTIONS[Symbol(name)] = (fn, effect)
+        return fn
+
+    return mark
+
+
 def binary_primitive(name: str, op: Callable) -> Callable:
     """Register a module-level host function, the stdlib's ``name``, as
     computing ``op(a, b)`` on two ``int``/``float`` arguments."""
 
     def mark(fn: Callable) -> Callable:
-        assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \
-            f"{fn!r}: only module-level functions are primitives"
+        _module_level(fn)
         BINARY_PRIMITIVES[Symbol(name)] = (fn, op)
         return fn
 
@@ -62,11 +103,12 @@ _TEMPLATES: dict = {}
 
 def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
     """The shape of a ``call-global``'s pushes: each push's kind, with
-    its depth for a ``load`` and its operator for a ``primitive``.  Two
-    calls of one shape share one template."""
+    its depth for a ``load``, its operator for a ``primitive`` and its
+    argument count for a ``host`` call.  Two calls of one shape share
+    one template."""
     shape = []
     for kind, value, depth in pushes:
-        if kind == "load":
+        if kind == "load" or kind == "host":
             shape.append((kind, depth))
         elif kind == "primitive":
             shape.append((kind,
@@ -77,21 +119,26 @@ def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
 
 
 def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
-               fail: str) -> Tuple[List[str], List[str]]:
+               fail: str, dynamic: bool = False
+               ) -> Tuple[List[str], List[str]]:
     """Straight-line code for the pushes of ``shape`` (a
     :func:`push_shape`): ``(lines, values)``, ``values`` naming the
     argument values the pushes leave, in order.  ``param()`` names the
     factory's next parameter, ``value(i)`` the variable of the i-th
-    push, and ``fail`` is the statement each failed guard runs.  A load
-    at depth ``d`` reads ``b{d}``, the bindings of ``e{d}``: the code
-    around the lines binds both."""
+    push, and ``fail`` is the statement each failed guard runs, and
+    each host call that raises.  A load at depth ``d`` reads ``b{d}``,
+    the bindings of ``e{d}``: the code around the lines binds both.  A
+    ``load-global`` of a dynamically bound name fails, or, when
+    ``dynamic``, reads the innermost binding as the fast loop does."""
     body: List[str] = []
     values: List[str] = []
     numeric = set()  # the values already known to be an int or a float
+    plain = set()  # the values known not to be a future
     for i, push in enumerate(shape):
         kind = push[0]
         if kind == "const":
             values.append(param())
+            plain.add(values[-1])
             continue
         c, v = param(), value(i)
         if kind == "load":
@@ -105,12 +152,36 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
                      f"    {v} = p.lookup_or({c}, missing)",
                      f"    if {v} is missing:",
                      f"        {fail}"]
+        elif kind == "load-global" and dynamic:
+            body += [f"if dyn and {c} in dyn:",
+                     f"    {v} = dyn[{c}][-1]",
+                     f"elif {c} in gv:",
+                     f"    {v} = gv[{c}]",
+                     "else:",
+                     f"    {fail}"]
         elif kind == "load-global":
             body += [f"if dyn and {c} in dyn:",
                      f"    {fail}",
                      f"if {c} not in gv:",
                      f"    {fail}",
                      f"{v} = gv[{c}]"]
+        elif kind == "host":
+            # the VM forces a future argument before a host call: leave
+            # that to it
+            fn, k = param(), push[1]
+            args = values[len(values) - k:]
+            del values[len(values) - k:]
+            body += [line for operand in args if operand not in plain
+                     for line in (f"if type({operand}) is future:",
+                                  f"    {fail}")]
+            body += [f"if dyn and {c} in dyn:",
+                     f"    {fail}",
+                     "try:",
+                     f"    if gv[{c}] is not {fn}:",
+                     f"        {fail}",
+                     f"    {v} = {fn}({', '.join(args)})",
+                     "except Exception:",
+                     f"    {fail}"]
         else:
             token = push[1]
             assert token in _OPERATOR_TOKENS.values(), token
@@ -131,20 +202,25 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
                      f"    {fail}"]
             if token in _ARITHMETIC:
                 numeric.add(v)
+            plain.add(v)  # a number or a bool
         values.append(v)
     return body, values
 
 
 def store_lines(c: str, depth: int, v: str, fail: str) -> List[str]:
     """Code that assigns ``v`` to the lexical binding of the name ``c``,
-    looking from the scope ``depth`` up, and runs ``fail`` when no
-    scope binds it."""
+    looking from the scope ``depth`` up, else to its innermost dynamic
+    binding, as a ``store`` does, and runs ``fail`` when neither
+    exists."""
     return [f"if {c} in b{depth}:",
             f"    b{depth}[{c}] = {v}",
             "else:",
             f"    p = e{depth}.parent",
             f"    if p is None or not p.assign({c}, {v}):",
-            f"        {fail}"]
+            f"        if dyn and {c} in dyn:",
+            f"            dyn[{c}][-1] = {v}",
+            "        else:",
+            f"            {fail}"]
 
 
 def scope_lines(depths) -> List[str]:
@@ -170,12 +246,14 @@ def template_source(shape) -> str:
     ``e0``, the global variables and the dynamic binding stacks,
     returning the list of argument values or None to deopt.  A load at
     depth ``d`` probes the one scope ``d`` parents up and, on a miss,
-    walks on from that scope's parent (``Env.lookup_or``).  A shape
-    that ends in ``("store", d)`` (a ``setq`` tail) takes the target's
-    symbol last, assigns the one value to it the same way from depth
-    ``d``, and returns ``()``, or ``[value]`` when no scope binds the
-    name.  Nothing of the program is formatted into the text: only the
-    ``c``/``v`` names, fixed scaffolding and the operator tokens of
+    walks on from that scope's parent (``Env.lookup_or``).  A host
+    call's symbol is followed by the function it must still be bound
+    to, like a primitive's.  A shape that ends in ``("store", d)`` (a
+    ``setq`` tail) takes the target's symbol last, assigns the one
+    value to it the same way from depth ``d`` (or to its dynamic
+    binding), and returns ``()``, or ``[value]`` when nothing binds
+    the name.  Nothing of the program is formatted into the text: only
+    the ``c``/``v`` names, fixed scaffolding and the operator tokens of
     :data:`_OPERATOR_TOKENS`.
     """
     params: List[str] = []
@@ -204,13 +282,15 @@ def template_source(shape) -> str:
 #: what a generated function's source may use besides its parameters
 _NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "type": type,
              "int": int, "float": float, "KeyError": KeyError,
-             "OverflowError": OverflowError}
+             "OverflowError": OverflowError, "Exception": Exception}
 
 
 def compile_factory(source: str, filename: str):
     """``make`` from a generated source, with the source kept as
     ``make.source``."""
-    namespace = dict(_NAMESPACE)
+    from ..gvm.futures import GozerFuture
+
+    namespace = dict(_NAMESPACE, future=GozerFuture)
     exec(compile(source, filename, "exec"), namespace)
     make = namespace["make"]
     make.source = source
@@ -236,6 +316,8 @@ def push_arguments(pushes) -> List[Any]:
         arguments.append(value)
         if kind == "primitive":
             arguments.append(BINARY_PRIMITIVES[value][0])
+        elif kind == "host":
+            arguments.append(HOST_FUNCTIONS[value][0])
     return arguments
 
 

@@ -1,17 +1,25 @@
-"""A call-free loop as one generated Python function (``lang.regions``).
+"""A loop of straight-line calls as one generated Python function
+(``lang.regions``).
 
 The fused view replaces the backward ``jump`` of a loop made only of
-primitive ``call-global`` blocks with a ``region`` entry, whose one
-generated function runs every iteration.  Here:
+``call-global`` blocks of primitives and registered host functions
+with a ``region`` entry, whose one generated function runs every
+iteration.  Here:
 
-* over random call-free loop bodies, the region, the plain fused loop
-  (the same view with each region put back to its ``jump``) and the
-  traced loop (the unfused instructions) agree on the value, the final
-  scopes and dynamic bindings, ``instruction_count`` and any condition
-  with the pc and count it was signalled at — before and after a
-  primitive is redefined under a view that already exists;
-* the region's boundaries, one factory per shape, and names and
-  constants the generated source must never hold.
+* over random loop bodies — nested primitive and host calls, ``pop``
+  statements, an ``append!`` accumulator that may be a future or no
+  list at all, a host call that raises — the region, the plain fused
+  loop (the same view with each region put back to its ``jump``) and
+  the traced loop (the unfused instructions) agree on the value, the
+  final scopes and dynamic bindings, ``instruction_count`` and any
+  condition with the pc and count it was signalled at — before and
+  after a primitive or a host function is redefined under a view that
+  already exists;
+* a host function rebound between two runs of a region, inside one
+  call;
+* the region's boundaries, one factory per shape, the churn rows' build
+  loop as one region, and names and constants the generated source
+  must never hold.
 """
 
 import math
@@ -23,11 +31,12 @@ import pytest
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.environment import Env
 from repro.gvm.frames import vm_function
+from repro.gvm.futures import GozerFuture
 from repro.gvm.runtime import make_runtime
 from repro.lang.bytecode import CodeObject, nested_code_objects
 from repro.lang.regions import region_shape, region_template
-from repro.lang.symbols import Symbol
-from repro.lang.templates import BINARY_PRIMITIVES, instantiate
+from repro.lang.symbols import Keyword, Symbol
+from repro.lang.templates import BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate
 
 S = Symbol
 
@@ -45,6 +54,16 @@ GLOBALS = [S(f"rg{i}") for i in range(3)]
 #: base scope and walks on
 OUTER = [S("y0"), S("y1")]
 SPECIAL = S("*rk*")
+#: the accumulator a loop appends to, and a plist it reads
+XS, PLIST = S("xs"), S("pl")
+#: an outer name holding a future of a list, which xs may be bound to
+FUTURE_XS = S("yf")
+#: what the accumulator starts as: mostly a list of numbers; rarely a
+#: string (append! raises, length counts its characters) or nil
+XS_VALUES = ([1, 2.5, -3], [0], [4, -0.0, 7, 1], "ab", None)
+#: host functions a random loop calls, and may have redefined
+HOSTS = [S(name) for name in ("length", "nth", "car", "second", "list",
+                              "getf", "append!")]
 #: the three modes a case runs in
 MODES = ("region", "fused", "traced")
 
@@ -61,7 +80,10 @@ def snapshot(vm):
 
 
 def observed(value):
-    """A value down to the type and the sign of a zero."""
+    """A value down to the type and the sign of a zero; a future as
+    what it holds."""
+    if type(value) is GozerFuture:
+        return ("future", observed(value.touch()))
     if isinstance(value, dict):
         return {key.name: observed(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -70,15 +92,22 @@ def observed(value):
 
 
 class Loop:
-    """One random call-free loop: three scopes of variables (a name may
-    be bound in more than one) inside a frame started on a scope whose
-    parent binds more, a counter that is lexical or a special bound
-    dynamically around the loop over a global of that name, a head test
-    that leaves after at most eight iterations, and random blocks —
-    ``setq`` of a nested primitive expression into a variable of any
-    scope (rarely into a global), or another ``jump-if-false`` exit.
-    Sometimes a primitive is bound dynamically, around the loop, to
-    another primitive's function."""
+    """One random loop of straight-line calls: three scopes of variables
+    (a name may be bound in more than one) inside a frame started on a
+    scope whose parent binds more, a counter that is lexical or a
+    special bound dynamically around the loop over a global of that
+    name, a head test that leaves after at most eight iterations, and
+    random blocks —
+    ``setq`` of a nested primitive or host expression into a variable
+    of any scope (rarely into a global), another ``jump-if-false`` exit
+    (some testing a host call's value), or a host call in statement
+    position, its value popped: ``(append! xs ...)`` onto the
+    accumulator or a pure call.  Sometimes a primitive is bound
+    dynamically, around the loop, to another primitive's function.
+    The accumulator ``xs`` and the plist ``pl`` are bound in one of
+    the scopes; ``xs`` is sometimes a future of its list, and ``y1``
+    one of a number, so a host call deopts to the VM, which forces
+    them."""
 
     def __init__(self, seed):
         rng = self.rng = random.Random(seed)
@@ -87,6 +116,7 @@ class Loop:
                        or [S("x0")] for _ in range(3)]
         self.names = sorted({name for scope in self.scopes for name in scope},
                             key=lambda name: name.name) + OUTER
+        self.lists_at = rng.randrange(3)
         self.special = rng.random() < 0.15
         self.counter = SPECIAL if self.special else S("ri")
         self.code = self._assemble()
@@ -100,13 +130,46 @@ class Loop:
         if level < 2 and rng.random() < 0.45:
             return self._call(self._primitive(), level + 1)
         roll = rng.random()
-        if roll < 0.55:
+        if roll < 0.5:
             return [("load", rng.choice(self.names))]
-        if roll < 0.65:
+        if roll < 0.6:
             return [self._load_counter()]
-        if roll < 0.75:
+        if roll < 0.7:
             return [("load-global", rng.choice(GLOBALS))]
+        if roll < 0.8:
+            return self._host(level)
         return [("const", self._value())]
+
+    def _host(self, level):
+        """A host call whose value is mostly a number: the accumulator's
+        length, an element of it, a plist value, the second of a nested
+        ``list``; nil for an element or a key that is not there;
+        sometimes ``(nth "x" xs)``, which raises."""
+        rng = self.rng
+        roll = rng.random()
+        xs = ("load", XS)
+        if roll < 0.25:
+            return [("load-global", S("length")), xs, ("call", 1)]
+        if roll < 0.45:
+            # an element, nil past the end: by the counter, the loop
+            # runs to the end of a short list and leaves there
+            index = ("const", rng.choice((0, 1, 2, 4)))
+            roll = rng.random()
+            if roll < 0.4:
+                index = self._load_counter()
+            elif roll < 0.55:
+                index = ("const", "x")
+            return [("load-global", S("nth")), index, xs, ("call", 2)]
+        if roll < 0.6:
+            return [("load-global", S("car")), xs, ("call", 1)]
+        if roll < 0.8:
+            return [("load-global", S("getf")), ("load", PLIST),
+                    ("const", rng.choice((Keyword("a"), Keyword("b"),
+                                          Keyword("c")))),
+                    ("call", 2)]
+        return [("load-global", S("second")), ("load-global", S("list")),
+                *self._expression(level + 1), *self._expression(level + 1),
+                ("call", 2), ("call", 1)]
 
     def _primitive(self):
         """Mostly arithmetic: a comparison's bool, stored or added, sends
@@ -126,18 +189,49 @@ class Loop:
                 *second, ("call", 2)]
 
     def _block(self, primitive, exit_label, target=None):
-        body = self._call(primitive, 1)
+        """A branch, or a setq of ``target``, on the value of a call of
+        ``primitive``, or of a host call when that is None."""
+        body = self._call(primitive, 1) if primitive else self._host(1)
         if target is None:
             return body + [("jump-if-false", exit_label)]
         return body + [("dup", None), ("store", target), ("pop", None)]
 
+    def _statement(self):
+        """A host call whose value is popped: mostly an append! of a
+        number or a two-element list to the accumulator."""
+        rng = self.rng
+        if rng.random() < 0.25:
+            call = self._host(1)
+        elif rng.random() < 0.5:
+            call = [("load-global", S("append!")), ("load", XS),
+                    *self._expression(1), ("call", 2)]
+        else:
+            call = [("load-global", S("append!")), ("load", XS),
+                    ("load-global", S("list")), *self._expression(1),
+                    *self._expression(1), ("call", 2), ("call", 2)]
+        return call + [("pop", None)]
+
     def _assemble(self):
         rng = self.rng
         instructions = []
-        for scope in self.scopes:
+        for depth, scope in enumerate(self.scopes):
             instructions.append(("push-scope", None))
             for name in scope:
                 instructions += [("const", self._value()), ("bind", name)]
+            if depth == self.lists_at:
+                # list constants are copied at each push: never shared
+                roll = rng.random()
+                if roll < 0.8:
+                    xs = ("const", XS_VALUES[0 if roll < 0.5 else 1
+                                             if roll < 0.65 else 2])
+                elif roll < 0.95:
+                    xs = ("load", FUTURE_XS)
+                else:
+                    xs = ("const", XS_VALUES[rng.randrange(3, 5)])
+                instructions += [xs, ("bind", XS),
+                                 ("const", [Keyword("a"), 3,
+                                            Keyword("b"), 0.5]),
+                                 ("bind", PLIST)]
         if self.special:
             instructions += [("const", 0), ("dyn-bind", SPECIAL)]
         else:
@@ -156,16 +250,20 @@ class Loop:
                 ("pop", None)]
         body = [step]
         for _ in range(rng.randint(0, 4)):
-            if rng.random() < 0.2:
-                # a number, 0 too, is true: only a comparison can leave
-                test = rng.choice(COMPARISONS if rng.random() < 0.7
-                                  else ARITHMETIC)
+            roll = rng.random()
+            if roll < 0.2:
+                # a number, 0 too, is true: only a comparison, or a
+                # host call's nil, can leave
+                test = rng.choice(COMPARISONS if rng.random() < 0.5
+                                  else ARITHMETIC + [None] * 3)
                 body.append(self._block(test, exit_label))
+            elif roll < 0.4:
+                body.append(self._statement())
             else:
                 target = rng.choice(self.names) if rng.random() < 0.95 \
                     else rng.choice(GLOBALS)
-                body.append(self._block(self._primitive(), exit_label,
-                                        target))
+                outer = self._primitive() if rng.random() < 0.85 else None
+                body.append(self._block(outer, exit_label, target))
         rng.shuffle(body)
         top = len(instructions)
         for block in [head, *body]:
@@ -191,9 +289,20 @@ class Loop:
 
     def env(self):
         """A fresh scope to start the frame on, its parent binding the
-        outer names."""
+        outer names; sometimes y1 holds a future of its number."""
         rng = random.Random(self.seed)
-        return Env(Env(None, {name: rng.choice(VALUES) for name in OUTER}))
+        outer = {name: rng.choice(VALUES) for name in OUTER}
+        if rng.random() < 0.3:
+            outer[OUTER[1]] = _future(rng.choice(VALUES))
+        outer[FUTURE_XS] = _future([5, -1])
+        return Env(Env(None, outer))
+
+
+def _future(value):
+    """A future already determined to ``value``."""
+    future = GozerFuture()
+    future._determine(value)
+    return future
 
 
 def run(rt, code, mode, regions_seen, env=None):
@@ -245,12 +354,16 @@ def _counted(region_run, blocks, seen):
 
 
 def redefine(rt, victim, rng):
-    """Rebind the primitive ``victim`` under views that exist: to a
-    Gozer function that calls the stdlib one, or to another primitive's
-    function of its kind.  The counter's < and + keep what they compute,
-    so the loop still ends."""
+    """Rebind the primitive or host function ``victim`` under views that
+    exist: to a Gozer function that calls the stdlib one, or to another
+    primitive's function of its kind.  The counter's < and + keep what
+    they compute, so the loop still ends."""
     original = rt.global_env.variables[victim]
-    if victim in (S("<"), S("+")) or rng.random() < 0.5:
+    if victim in HOSTS:
+        rt.global_env.define(S("original"), original)
+        rt.eval_string(f"(defun {victim.name} (&rest xs) "
+                       f"(apply original xs))")
+    elif victim in (S("<"), S("+")) or rng.random() < 0.5:
         rt.global_env.define(S("original"), original)
         rt.eval_string(f"(defun {victim.name} (a b) (funcall original a b))")
     else:
@@ -261,12 +374,13 @@ def redefine(rt, victim, rng):
 
 def test_regions_match_the_fused_and_traced_loops():
     seen = {"iterations": 0, "deopt": 0, "exit": 0, "conditions": 0,
-            "redefined": 0, "special": 0}
+            "redefined": 0, "special": 0, "host": 0, "nested": 0, "pop": 0,
+            "append!": 0, "future": 0, "raises": 0, "host redefined": 0}
     for seed in range(400):
         loop = Loop(seed)
         rng = random.Random(seed * 7 + 1)
         redefined = rng.random() < 0.3
-        victim = rng.choice(PRIMITIVES)
+        victim = rng.choice(PRIMITIVES + HOSTS)
         results = {}
         for mode in MODES:
             rt = loop.runtime()
@@ -283,10 +397,43 @@ def test_regions_match_the_fused_and_traced_loops():
                                   in results["region"])
         seen["redefined"] += redefined
         seen["special"] += loop.special
+        kinds = _region_kinds(loop.code)
+        for kind in ("host", "nested", "pop", "append!"):
+            seen[kind] += kind in kinds
+        if "host" in kinds:
+            instructions = loop.code.instructions
+            seen["future"] += ("load", FUTURE_XS) in instructions
+            seen["raises"] += ("const", "x") in instructions
+            seen["host redefined"] += redefined and victim in HOSTS
     assert seen["iterations"] > 500
     assert seen["exit"] > 100 and seen["deopt"] > 50
     assert seen["conditions"] > 20 and seen["redefined"] > 50
     assert seen["special"] > 30
+    assert seen["host"] > 150 and seen["nested"] > 50
+    assert seen["pop"] > 80 and seen["append!"] > 60
+    assert seen["future"] > 15 and seen["raises"] > 3
+    assert seen["host redefined"] > 10, seen
+
+
+def _region_kinds(code):
+    """What the regions of ``code``'s fused view call: ``host`` when a
+    block calls a host function, ``nested`` when a push does, ``pop``
+    for a pop tail, ``append!`` for an append!."""
+    kinds = set()
+    for op, arg in code.fused or code.fuse():
+        if op != "region":
+            continue
+        for _pc, (name, _run, _tail, _span, then, pushes), _w, _d in arg[2]:
+            hosts = [value for kind, value, _ in pushes if kind == "host"]
+            if hosts:
+                kinds.add("host")
+            if len(hosts) > (name in HOSTS):
+                kinds.add("nested")
+            if then[0] == "pop":
+                kinds.add("pop")
+            if S("append!") in hosts:
+                kinds.add("append!")
+    return kinds
 
 
 @pytest.mark.parametrize("source, iterations", [
@@ -317,6 +464,71 @@ def test_a_non_number_mid_loop(source, iterations):
             assert seen["deopt"] and bool(seen["iterations"]) == iterations
         rt.shutdown()
     assert results[0] == results[1] == results[2]
+
+
+def _in_three_modes(source):
+    """``source`` run in each mode on a fresh runtime: the results, and
+    what the regions of the region mode did."""
+    rt = make_runtime(deterministic=True)
+    compiled = pickle.dumps(rt.compile(rt.read(source)))
+    rt.shutdown()
+    results, seen = [], {"iterations": 0, "deopt": 0, "exit": 0}
+    for mode in MODES:
+        rt = make_runtime(deterministic=True)
+        code = pickle.loads(compiled)
+        assert any(op == "region" for op, _ in code.fuse())
+        results.append(run(rt, code, mode, seen if mode == "region"
+                           else dict(seen)))
+        rt.shutdown()
+    assert results[0] == results[1] == results[2]
+    return results[0], seen
+
+
+@pytest.mark.parametrize("source, iterations", [
+    # (length 5) raises in the third iteration: the region has run the
+    # second, then its block's call-global deopts and the stdlib length
+    # raises at the call's own pc and count
+    ("""(let ((items (list "ab" (list 1 2 3) 5)) (n 0))
+          (dotimes (i 3) (setq n (+ n (length (nth i items)))))
+          n)""", True),
+    # (nth "x" xs) raises in the third iteration, a nested host call
+    # inside another
+    ("""(let ((xs (list 1 2)) (ks (list 0 1 "x")) (n 0))
+          (dotimes (i 3) (setq n (+ n (nth (nth i ks) xs))))
+          n)""", True),
+    # append! onto a string raises before it appends: the lists before
+    # it keep their one element each
+    ("""(let ((accs (list (list) (list) "ab" (list))))
+          (dotimes (i 4) (append! (nth i accs) i))
+          accs)""", True),
+    # xs is a future: each region call deopts at (nth i xs), and the VM
+    # forces it for the stdlib nth
+    ("""(let ((xs (future (list 1 2 3))) (n 0))
+          (dotimes (i 3) (setq n (+ n (nth i xs))))
+          n)""", False),
+])
+def test_a_host_call_that_fails_mid_loop(source, iterations):
+    (outcome, signalled, _count), seen = _in_three_modes(source)
+    assert seen["deopt"] and bool(seen["iterations"]) == iterations
+    if "future" not in source:
+        assert outcome == ("error",) and signalled
+
+
+def test_a_host_function_rebound_between_two_runs_of_a_region():
+    # the inner dotimes is a region calling getf; after its first run,
+    # the outer loop rebinds getf to a Gozer function, whose result the
+    # region's next runs must see: their getf block fails its guard
+    # each iteration and calls the new getf through its own call-global
+    (outcome, _signalled, _count), seen = _in_three_modes("""
+        (let ((total 0) (p (list :k 2)))
+          (dotimes (j 3)
+            (let ((n 0))
+              (dotimes (i 4) (setq n (+ n (getf p :k))))
+              (setq total (+ (* total 100) n)))
+            (setq getf (lambda (plist key) (+ j 10))))
+          total)""")
+    assert outcome == ("value", ("int", repr(8 * 10 ** 4 + 44 * 100 + 48)))
+    assert seen["iterations"] and seen["deopt"] >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +577,48 @@ def test_listing_one_loop_is_one_region(rt):
     assert [depth for _, _, _, depth in blocks] == [None, 1, 0]
 
 
+#: the churn rows' ``main`` (``perf/workloads.py``'s
+#: ``SUSPEND_CHURN_SOURCE``) without its service call
+CHURN_MAIN = """
+(defun main (params)
+  (let ((rows (loop for i from 0 below (getf params :width) collect
+                    (list i (* i i) "row-payload")))
+        (acc 0))
+    (dolist (k (getf params :touch))
+      (setq acc (+ acc (second (nth k rows))))
+      (setf (nth k rows) (list k acc "row-payload")))
+    (list acc (length rows) (apply #'+ (mapcar #'second rows)))))
+"""
+
+
+def test_the_churn_build_loop_is_one_region(rt):
+    ((pc, (_run, head, blocks)),) = _regions(rt, CHURN_MAIN)
+    # the head (< i (getf params :width)), the statement (append! acc
+    # (list i (* i i) "row-payload")) and the step (setq i (+ i 1))
+    names = [arg[0].name for _, arg, _, _ in blocks]
+    assert names == ["<", "append!", "+"]
+    assert [arg[4][0] for _, arg, _, _ in blocks] \
+        == ["jump-if-false", "pop", "store"]
+    assert pc == head + sum(width for _, _, width, _ in blocks)
+    rt.eval_string(CHURN_MAIN)
+    main = rt.global_env.variables[S("main")]
+    listing = main.code.disassemble_fused()
+    assert listing.count("  region  ") == 1
+    assert f"{pc:4d}  region  {head}..{pc}" in listing
+    # the value, built in the region, as the traced loop builds it
+    params = [Keyword("width"), 40, Keyword("touch"), [3, 7]]
+    values = []
+    for traced in (False, True):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        values.append((vm.call(main, [params]), vm.instruction_count))
+    assert values[0] == values[1]
+    assert values[0][0][1] == 40
+
+
 @pytest.mark.parametrize("source", [
-    # a host call in the body
+    # a call of a host function that is not registered
     "(let ((a 0)) (dotimes (i 3) (setq a (max a i))) a)",
     # a branch that stays in the loop
     "(let ((a 0)) (dotimes (i 3) (when (> i 1) (setq a i))) a)",

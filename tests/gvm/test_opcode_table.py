@@ -21,14 +21,16 @@ import re
 import pytest
 
 from repro.conformance import load_dir
-from repro.conformance.coverage import CALL_GLOBAL_SHAPES, fused_forms
+from repro.conformance.coverage import (CALL_GLOBAL_SHAPES, REGION_SHAPES,
+                                       fused_forms)
 from repro.gvm.conditions import UnhandledConditionError
+from repro.gvm.frames import is_vm_function
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import VM
 from repro.lang import stdlib
 from repro.lang.bytecode import (FUSED, OPCODES, CodeObject, fuse,
                                  load_depths, nested_code_objects, validate)
-from repro.lang.templates import BINARY_PRIMITIVES
+from repro.lang.templates import BINARY_PRIMITIVES, HOST_FUNCTIONS
 
 
 def dispatched(method) -> set:
@@ -88,6 +90,15 @@ def unfuse(entry):
                 second, first = values.pop(), values.pop()
                 values.append([("load-global", value), *first, *second,
                                ("call", 2)])
+            elif push == "host":
+                # a host call's depth is its argument count
+                assert value in HOST_FUNCTIONS and type(depth) is int
+                args = values[len(values) - depth:]
+                del values[len(values) - depth:]
+                values.append([("load-global", value),
+                               *(instruction for run in args
+                                 for instruction in run),
+                               ("call", depth)])
             else:
                 assert push in ("load", "load-global", "const") \
                     and type(value) is not list
@@ -97,16 +108,19 @@ def unfuse(entry):
                 values.append([(push, value)])
         if then is None:
             assert not (name in BINARY_PRIMITIVES and len(values) == 2)
+            # an effect only as a popped statement's outer call
+            assert name not in HOST_FUNCTIONS or HOST_FUNCTIONS[name][1]
             replaced = [("load-global", name),
                         *(instruction for run in values
                           for instruction in run),
                         ("tail-call" if tail else "call", len(values))]
         else:
-            # f's own call is the last primitive, so one value is left
+            # f's own call is the last primitive or host call, so one
+            # value is left
             (replaced,) = values
             assert replaced[0] == ("load-global", name)
             if tail:
-                replaced[-1] = ("tail-call", 2)
+                replaced[-1] = ("tail-call", replaced[-1][1])
         assert span == len(replaced) - 1
         kind, target = then or ("push", None)
         if kind == "jump-if-false":
@@ -115,8 +129,13 @@ def unfuse(entry):
         elif kind == "store":
             assert not tail
             replaced += [("dup", None), ("store", target), ("pop", None)]
+        elif kind == "pop":
+            assert not tail and name in HOST_FUNCTIONS and target is None
+            replaced.append(("pop", None))
         else:
             assert kind == "push" and target is None
+            assert then is None or name not in HOST_FUNCTIONS \
+                or not HOST_FUNCTIONS[name][1]
         return replaced
     if op == "region":
         run, head, _blocks = arg
@@ -170,6 +189,8 @@ def test_fused_view_stands_for_the_instructions(program):
                     then = arg[4]
                     if then[0] == "store":
                         assert depth == depths.get(at + width - 2, 0)
+                    elif then[0] == "pop":
+                        assert depth is None
                     else:
                         assert then[0] == "jump-if-false" and depth is None
                         assert not head <= then[1] <= pc
@@ -191,13 +212,13 @@ def test_fused_view_stands_for_the_instructions(program):
 
 
 def test_corpus_reaches_both_fused_forms():
-    # both forms, and every shape a call-global takes
+    # every form, and every shape a call-global or a region takes
     seen = set()
     for program in _CORPUS:
         for code in _corpus_code(program):
             for entry in fuse(code):
                 seen.update(fused_forms(entry))
-    assert set(FUSED) | set(CALL_GLOBAL_SHAPES) <= seen
+    assert set(FUSED) | set(CALL_GLOBAL_SHAPES) | set(REGION_SHAPES) <= seen
 
 
 def test_primitive_names_are_the_registered_primitives():
@@ -206,6 +227,15 @@ def test_primitive_names_are_the_registered_primitives():
         == {"+", "-", "*", "<", ">", "=", "<=", ">="}
     assert all(stdlib._REGISTRY[name.name] is fn
                for name, (fn, _op) in BINARY_PRIMITIVES.items())
+
+
+def test_host_functions_are_registered_vm_free_stdlib_functions():
+    # each under the name the stdlib defines it by, none taking the VM,
+    # and append! the one with an effect
+    assert all(stdlib._REGISTRY[name.name] is fn and not is_vm_function(fn)
+               for name, (fn, _effect) in HOST_FUNCTIONS.items())
+    assert {name.name for name, (_fn, effect) in HOST_FUNCTIONS.items()
+            if effect} == {"append!"}
 
 
 def test_list_constants_are_never_fused():

@@ -1,6 +1,8 @@
 """Printer and symbol-interning tests."""
 
 import pickle
+import subprocess
+import sys
 
 from repro.lang.printer import princ_form, print_form
 from repro.lang.reader import Char, read_string
@@ -78,6 +80,49 @@ class TestPrintForm:
 
     def test_char_space(self):
         assert print_form(Char(" ")) == "#\\Space"
+
+
+class TestHugeIntegers:
+    """An int longer than Python's int-to-str digit limit (4,300 by
+    default) prints in full, and the process-wide limit is untouched."""
+
+    SOURCE = "(let ((x 10)) (dotimes (i 13) (setq x (* x x))) x)"
+
+    def test_print_and_format_every_digit(self, rt):
+        limit = sys.get_int_max_str_digits()
+        expected = "1" + "0" * 2 ** 13
+        assert print_form(rt.eval_string(self.SOURCE)) == expected
+        assert rt.eval_string(f'(format nil "~a" {self.SOURCE})') == expected
+        assert rt.eval_string(f'(format nil "~d" (- {self.SOURCE}))') \
+            == "-" + expected
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_digits_across_the_split(self):
+        for value in (3 ** 20000, -(7 ** 9000), 10 ** 9000 - 1,
+                      10 ** 4300, 2 ** 40000 + 1):
+            text = print_form(value)
+            assert text.lstrip("-")[0] != "0"
+            assert _read_digits(text) == value
+
+    def test_the_cli_prints_it(self, tmp_path):
+        program = tmp_path / "huge.gozer"
+        program.write_text(self.SOURCE)
+        proc = subprocess.run([sys.executable, "-m", "repro", "run",
+                               str(program)], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1" + "0" * 2 ** 13
+
+
+def _read_digits(text):
+    """The int ``text`` spells, read in chunks small enough for
+    ``int``."""
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 class TestPrincForm:

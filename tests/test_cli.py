@@ -24,6 +24,19 @@ class TestCli:
         out = cli("dis", "(+ 1 2)")
         assert "call" in out and "return" in out
 
+    def test_dis_prints_every_nested_fused_view(self):
+        # the defun's body is a nested code object: its listing and its
+        # fused view follow the top level's, with the collect loop as
+        # one region, and the dolist naming the entry that keeps it
+        # from being one
+        out = cli("dis", "(defun f (p) (dolist (x (getf p :xs)) (print x))"
+                         " (loop for i from 0 below (getf p :n) collect"
+                         " (list i (* i i))))")
+        assert out.count("; code ") == 2 and out.count("; fused ") == 2
+        assert "; fused f" in out
+        assert out.count("  region  ") == 1
+        assert "; no region: pc " in out
+
     def test_expand(self):
         out = cli("expand", "(unless a b)")
         assert "(if a nil (progn b))" in out
