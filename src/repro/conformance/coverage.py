@@ -9,8 +9,8 @@ Three ledgers, three denominators:
 * **builtins** — both stdlib registries; credited from surface marks.
 * **opcodes** — :data:`repro.lang.bytecode.OPCODES`, the fast loop's
   superinstructions, :data:`~repro.lang.bytecode.FUSED`, and the
-  shapes of a ``call-global`` (:data:`CALL_GLOBAL_SHAPES`) and of a
-  ``region`` (:data:`REGION_SHAPES`); credited
+  shapes of a ``call-global`` or ``block`` (:data:`CALL_GLOBAL_SHAPES`)
+  and of a ``region`` (:data:`REGION_SHAPES`); credited
   by compiling each program and walking its (nested) code objects,
   the instructions for the first and the fused view
   (:func:`~repro.lang.bytecode.fuse`) for the others.
@@ -31,19 +31,20 @@ from .grammar import (EXCLUDED_BUILTINS, GenProgram, analyze,
 
 #: opcodes (or fused forms) the generated programs can never reach,
 #: with the reason (none today: every opcode the VM executes, every
-#: fused form — a call-free loop's ``region`` included — and every
-#: call-global shape must be reached by the generator)
+#: fused form — a loop's ``region`` included — and every shape of a
+#: fused call must be reached by the generator)
 EXCLUDED_OPCODES: Dict[str, str] = {}
 
-#: the shapes of a fused ``call-global`` credited on their own ledger
-#: lines, beside the form itself
+#: the shapes of a fused ``call-global`` or ``block`` credited on their
+#: own ledger lines, beside the form itself: the first two are shapes
+#: of the pushes either one has, the others a block's tails
 CALL_GLOBAL_SHAPES = {
     "call-global/nested": "a push is itself a primitive's or a "
                           "registered host function's call",
-    "call-global/jump-if-false": "carries the jump-if-false after it",
-    "call-global/store": "carries the dup; store x; pop after it",
-    "call-global/pop": "carries the pop after a host function's call",
     "call-global/deep-load": "a load starts one or more scopes up",
+    "block/jump-if-false": "carries the jump-if-false after it",
+    "block/store": "carries the dup; store x; pop after it",
+    "block/pop": "carries the pop after a host function's call",
 }
 
 #: the shapes of a ``region`` credited on their own ledger lines
@@ -54,26 +55,26 @@ REGION_SHAPES = {
 
 def fused_forms(entry: Any) -> List[str]:
     """The ledger lines one fused-view entry credits: its form, and for
-    a ``call-global`` or a ``region`` each of :data:`CALL_GLOBAL_SHAPES`
-    or :data:`REGION_SHAPES` it takes."""
+    a ``call-global``, a ``block`` or a ``region`` each of
+    :data:`CALL_GLOBAL_SHAPES` or :data:`REGION_SHAPES` it takes."""
     op, arg = entry
     if op not in FUSED:
         return []
     if op == "region":
-        hosts = any(kind == "host" for _pc, block, _w, _d in arg[2]
-                    for kind, _, _ in block[5])
+        hosts = any(kind == "host" for _pc, block in arg[2]
+                    for kind, _, _ in block[3])
         return [op, "region/host"] if hosts else [op]
-    if op != "call-global":
+    if op == "store-pop":
         return [op]
     forms = [op]
-    _name, _run, _tail, _span, then, pushes = arg
-    # with a ``then``, the last call is f's own, not a push
+    pushes = arg[3]
+    # a block's last call is its own, not a push
     calls = sum(push in ("primitive", "host") for push, _, _ in pushes)
-    if calls > (then is not None):
+    if calls > (op == "block"):
         forms.append("call-global/nested")
-    if then is not None and then[0] != "push":
-        forms.append("call-global/" + then[0])
-    if any(depth for _, _, depth in pushes):
+    if op == "block" and arg[4][0] != "push":
+        forms.append("block/" + arg[4][0])
+    if any(depth for push, _, depth in pushes if push == "load"):
         forms.append("call-global/deep-load")
     return forms
 

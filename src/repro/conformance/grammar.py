@@ -1132,8 +1132,8 @@ class ProgramGenerator:
                 [_S("list"), [fa, self._int(ctx)], [fb], name]]
 
     # -- loop regions: a loop of primitive and registered host calls
-    # runs as one generated function (lang.regions), which keeps the
-    # templates' guards; these make a guard fail where it matters: a
+    # runs as one generated function (lang.templates), which keeps its
+    # blocks' guards; these make a guard fail where it matters: a
     # primitive rebound between two runs, a value that leaves the float
     # range mid-iteration, and values that change between int and float
     # from one iteration to the next; and one builds a list the way the

@@ -271,34 +271,33 @@ class VM:
         called in place; ``load``/``store`` walk the scope chain inline.
         The loop runs each code object's fused view
         (:func:`~repro.lang.bytecode.fuse`): the same pcs as
-        ``instructions``, with a ``store-pop`` or ``call-global``
-        superinstruction at the first pc of each sequence it stands for.
-        A superinstruction advances ``pc`` and ``count`` once for every
-        instruction it replaces.  A ``call-global``'s pushes are one
-        generated function (:func:`~repro.lang.templates.instantiate`):
-        straight-line code that starts each load at the scope depth
-        fusing proved, and computes the stdlib primitives among them,
-        and the call itself when that is one, inline (by identity with
-        :data:`~repro.lang.templates.BINARY_PRIMITIVES`, on ``int``/
-        ``float`` arguments); a computed call then runs its branch in
-        place, and its ``setq`` tail is done by the function itself.
-        The pushes are pure reads, so when one cannot finish the
-        function returns None and the entry *deopts*: it pushes the
-        callee and goes on at the next pc, on the entries that stand
-        for the rest of its instructions, and whatever fails then fails
-        at its own pc, stack and count.  A ``region`` at the backward
-        jump of a call-free loop runs the whole loop in one generated
-        function (:mod:`~repro.lang.regions`) and goes on where that
-        returns: the loop's exit, or the block whose guard failed, with
-        the count of the blocks it completed.  The ``elif`` order is
+        ``instructions``, with a ``store-pop``, ``call-global`` or
+        ``block`` superinstruction at the first pc of each sequence it
+        stands for, and a ``region`` at a loop's backward ``jump``.  A
+        superinstruction advances ``pc`` and ``count`` once for every
+        instruction it runs.  A ``block`` — a call of a stdlib primitive
+        or a registered host function, made in place, with its tail —
+        and a ``region`` — a loop of blocks — share one branch: their
+        generated function (:mod:`~repro.lang.templates`) does the
+        pushes, starting each load at the scope depth fusing proved, the
+        calls and the tails, and returns the pc and count to go on at:
+        past the block, a branch's target, an unbound ``setq``'s
+        ``store-pop``, the loop's exit, or the block in a region whose
+        guard failed.  A block's pushes are pure reads until its last
+        guard, so when one cannot finish it returns None and the entry
+        *deopts*: it pushes the callee and goes on at the next pc, on the
+        entries that stand for the rest of its instructions, and
+        whatever fails then fails at its own pc, stack and count.  A
+        ``call-global``'s function does only the pushes, deopting the
+        same way, and the loop makes the call.  The ``elif`` order is
         the measured frequency of the ``perf/`` probe programs.
-        Everything else —
-        condition system, blocks, continuations, and a ``return`` out
-        of a frame that has cleanups to run — goes through
-        :meth:`_step`, the one fallback.
+        Everything else — condition system, ``push-block`` and
+        ``return-from``, continuations, and a ``return`` out of a frame
+        that has cleanups to run — goes through :meth:`_step`, the one
+        fallback.
 
-        Every call (``call``, ``tail-call``, a ``call-global`` not
-        computed inline) ends in the one call block after the chain;
+        Every call (``call``, ``tail-call``, ``call-global``) ends in
+        the one call block after the chain;
         every other branch ``continue``s.
         ``frame.pc`` is written back before anything that can observe
         or unwind the frame stack (every call but a plain host
@@ -322,49 +321,35 @@ class VM:
                 op, arg = instructions[pc]
                 pc += 1
                 count += 1
-                if op == "call-global":
+                if op == "block" or op == "region":
+                    # a call made in place, with its tail, or a loop of
+                    # them: run goes on to the pc it returns, with the
+                    # count of what it ran; ``pc`` and ``count`` are
+                    # past this entry's first instruction
+                    moved = arg[0](frame.env, global_variables,
+                                   dynamic_stacks, stack, count)
+                    if moved is None:
+                        # Deopt (a block only): a push cannot finish
+                        # here (a load's name not lexically bound, a
+                        # load-global's unbound; a primitive or host
+                        # function rebound, bound dynamically or given
+                        # other types; a host call that raised).
+                        # Nothing has changed, so do the load-global f
+                        # and run the span's own entries from pc + 1:
+                        # the failing instruction then does what it
+                        # does, at its own pc, stack and count.
+                        stack.append(self._load_free(arg[1]))
+                    else:
+                        pc, count = moved
+                    continue
+                elif op == "call-global":
                     # ``run`` does the pushes, each a pure read (or pure
-                    # arithmetic); ``pc`` and ``count`` are past the
-                    # load-global f
-                    name, run, tail, span, then, _ = arg
+                    # arithmetic, or a registered host call), deopting
+                    # as a block does; the call is made here
+                    run, name, tail, _, width, _ = arg
                     args = run(frame.env, global_variables, dynamic_stacks)
                     if args is None:
-                        # Deopt: a push cannot finish here (a name not
-                        # lexically bound, dynamically bound or
-                        # unbound; a primitive redefined or given other
-                        # types).  Nothing has changed, so do the
-                        # load-global f and run the span's own entries
-                        # from pc + 1: the failing instruction then does
-                        # what it does, at its own pc, stack and count.
                         stack.append(self._load_free(name))
-                        continue
-                    if then is not None:
-                        # f itself was the last primitive or host call:
-                        # args holds its value, and the tail runs in
-                        # place
-                        pc += span
-                        count += span
-                        kind, target = then
-                        if kind == "jump-if-false":
-                            pc += 1
-                            count += 1
-                            value = args[0]
-                            if value is None or value is False:
-                                pc = target
-                        elif kind == "store":
-                            if args:
-                                # not lexical: the store-pop entry at
-                                # pc stores it through _store_free
-                                stack.append(args[0])
-                            else:
-                                # run assigned it
-                                pc += 3
-                                count += 3
-                        elif kind == "pop":
-                            pc += 1
-                            count += 1
-                        else:
-                            stack.append(args[0])
                         continue
                     # the load-global f, then the call
                     if dynamic_stacks and name in dynamic_stacks:
@@ -374,8 +359,8 @@ class VM:
                             callee = global_variables[name]
                         except KeyError:
                             raise UnboundVariableError(name) from None
-                    pc += span
-                    count += span
+                    pc += width - 1
+                    count += width - 1
                 elif op == "load":
                     env = frame.env
                     while env is not None:
@@ -441,14 +426,6 @@ class VM:
                         env = env.parent
                     else:
                         self._store_free(arg, stack.pop())
-                    continue
-                elif op == "region":
-                    # a call-free loop, run from its head until it
-                    # leaves or a block's guard fails: pc is then the
-                    # exit or that block's call-global, count the
-                    # instructions of the blocks before it
-                    pc, count = arg[0](frame.env, global_variables,
-                                       dynamic_stacks, count)
                     continue
                 elif op == "jump":
                     pc = arg

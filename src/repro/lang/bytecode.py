@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .regions import instantiate_region, region_shape, region_template
-from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS,
-                        call_global_template, instantiate, push_shape)
+from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate,
+                        instantiate_blocks)
 
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
@@ -35,13 +34,13 @@ from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS,
 # each code object (:data:`FUSED`, :func:`fuse`) in which the commonest
 # sequences are one entry each: a whole statement such as Listing 1's
 # ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
-# included, is one ``call-global``, whose pushes run as one generated
-# Python function (:mod:`repro.lang.templates`) with each load starting at
-# the first scope that can hold its name (:func:`load_depths`), and a
-# loop made only of such statements, like Listing 1's ``dotimes``, is one
-# ``region`` whose iterations run inside one generated function
-# (:mod:`repro.lang.regions`).  The view is the VM's alone: what is
-# emitted, validated, pickled and stepped through is ``instructions``.
+# included, is one ``block``, run as one generated Python function
+# (:mod:`repro.lang.templates`) with each load starting at the first
+# scope that can hold its name (:func:`load_depths`), and a loop made
+# only of blocks, like Listing 1's ``dotimes``, is one ``region``: the
+# same blocks' code inside one loop.  The view is the VM's alone: what
+# is emitted, validated, pickled and stepped through is
+# ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -103,39 +102,42 @@ OPCODES = {
 FUSED = {
     "store-pop": "dup; store x; pop — a setq in statement position "
                  "(arg: x; w = 3)",
-    "call-global": "load-global f; k pushes; call k or tail-call k.  A "
-                   "push is a load, a load-global, a const whose argument "
-                   "is not a list, or a nested 'load-global p; push; push; "
-                   "call 2' with p a stdlib primitive (p in "
-                   "templates.BINARY_PRIMITIVES).  When f is one "
-                   "and k = 2, a call may also carry the jump-if-false T "
-                   "or the 'dup; store x; pop' after it as its tail "
-                   "(arg: (f, run, tail-call?, span, then, items): items "
-                   "are the pushes in postfix order as (kind, value, "
-                   "depth), a nested p as ('primitive', p, None) after "
-                   "its two pushes, and f itself as a last ('primitive', "
-                   "f, None) when f is a primitive and k = 2; a load's "
-                   "depth is the number of scopes up its lookup starts "
-                   "(load_depths), any other push's None; run(e0, gv, "
-                   "dyn) is the items compiled to straight-line code "
-                   "(templates.instantiate), returning the argument values "
-                   "or None to deopt, and with a ('store', x) tail also "
-                   "the assignment, from the depth load_depths proves for "
-                   "the store (then () when it assigned); span counts "
-                   "the instructions from the first push through the "
-                   "call; then is None for any other f, else ('push', "
-                   "None), ('jump-if-false', T) or ('store', x); w = 1 + "
-                   "span + the tail's 1 or 3)",
-    "region": "jump H closing a call-free loop: from H up to the jump, "
-              "each entry is a call-global of a primitive (a block) "
-              "whose tail is a jump-if-false that leaves the loop or a "
-              "setq, each block starting where the one before ends "
-              "(arg: (run, H, blocks): blocks are (pc, arg, w, depth) "
-              "from H, a block's call-global arg, its w and, for a setq "
-              "tail, the depth its assignment starts at; run(e0, gv, dyn, "
-              "count) runs the loop from H (regions.instantiate_region) "
-              "and returns the pc it goes on at, an exit's or a failed "
-              "block's, with the count; w = 1)",
+    "block": "load-global f; k pushes; call k or tail-call k; and its "
+             "tail, f a primitive and k = 2 or f a registered host "
+             "function: a call made in place.  A push is a load, a "
+             "load-global, a const whose argument is not a list, or a "
+             "nested 'load-global p; 2 pushes; call 2' of a primitive "
+             "(templates.BINARY_PRIMITIVES) or 'load-global h; k pushes; "
+             "call k' of a host function without an effect "
+             "(templates.HOST_FUNCTIONS).  The tail is the value pushed, "
+             "the jump-if-false T after the call, the 'dup; store x; pop' "
+             "of a setq or, after a host call, a statement's pop, the one "
+             "place an effect (append!) may be (arg: (run, f, tail-call?, "
+             "pushes, then, w, source): pushes in postfix order as (kind, "
+             "value, depth), a nested p as ('primitive', p, None) after "
+             "its two, a nested h as ('host', h, k) after its k, and f's "
+             "own call last the same way; a load's depth is the number of "
+             "scopes up its lookup starts (load_depths); then is ('push', "
+             "None), ('jump-if-false', T), ('store', x, d), d the setq's "
+             "depth, or ('pop', None); run(e0, gv, dyn, stack, count) "
+             "does the pushes, the call and the tail "
+             "(templates.instantiate_blocks) and returns the pc and "
+             "count to go on at, or None to deopt; source is its "
+             "template's)",
+    "call-global": "load-global f; k pushes; call k or tail-call k, any "
+                   "other call: the fast loop makes it (arg: (run, f, "
+                   "tail-call?, pushes, w, source), as a block's without "
+                   "then and f's own call; run(e0, gv, dyn) returns the "
+                   "argument values or None to deopt, "
+                   "templates.instantiate)",
+    "region": "jump H closing a loop of blocks: from H up to the jump, "
+              "each entry is a block whose tail is a jump-if-false that "
+              "leaves the loop, a setq or a pop, each starting where the "
+              "one before ends (arg: (run, H, blocks, source): blocks "
+              "are the (pc, arg) of each block from H; run(e0, gv, dyn, "
+              "stack, count) runs the blocks' code in a loop from H and "
+              "returns the pc to go on at, an exit's, a failed block's or "
+              "an unbound setq's store-pop, with the count; w = 1)",
 }
 
 
@@ -227,42 +229,42 @@ class CodeObject:
 
     def disassemble_fused(self) -> str:
         """The fused view the fast loop runs, one entry per pc: each
-        ``call-global`` with the depth each load (and its ``setq``
-        tail's assignment) starts at and the source of its generated
-        code, each ``region`` with its pc range, the instruction count
-        of each block and the source of its loop, and each backward
-        ``jump`` that is no region with the entry that stops it, so a
-        slow entry can explain itself."""
+        ``call-global`` and ``block`` with the depth each load (and a
+        ``setq`` tail's assignment) starts at and the source of its
+        generated code, each ``region`` with its pc range, the
+        instruction count of each block and the source of its loop, and
+        each backward ``jump`` that is no region with the entry that
+        stops it, so a slow entry can explain itself."""
         lines = [f"; fused {self.name}"]
-        depths = load_depths(self.instructions)
         for pc, (op, arg) in enumerate(self.fused or self.fuse()):
             if op == "region":
-                _run, head, blocks = arg
-                counts = ", ".join(f"{at} ({count})"
-                                   for at, _, count, _ in blocks)
+                _run, head, blocks, source = arg
+                counts = ", ".join(f"{at} ({block[5]})"
+                                   for at, block in blocks)
                 lines.append(f"{pc:4d}  {op}  {head}..{pc}  blocks {counts}"
                              f", jump (1)")
-                source = region_template(region_shape(blocks)).source
-            elif op == "call-global":
-                name, _run, tail, span, then, pushes = arg
-                lines.append(f"{pc:4d}  {op}  {name!r}  span {span}"
-                             f"{'  tail' if tail else ''}  then {then!r}")
+            elif op == "call-global" or op == "block":
+                if op == "block":
+                    _run, name, tail, pushes, then, width, source = arg
+                else:
+                    (_run, name, tail, pushes, width, source), then = arg, None
+                lines.append(f"{pc:4d}  {op}  {name!r}  width {width}"
+                             f"{'  tail' if tail else ''}")
                 for kind, value, depth in pushes:
                     at = "" if depth is None else \
                         f"  {'args' if kind == 'host' else 'depth'} {depth}"
                     lines.append(f"        {kind}  {value!r}{at}")
-                shape = push_shape(pushes)
-                if then is not None and then[0] == "store":
-                    depth = depths.get(pc + span + 2, 0)
-                    lines.append(f"        store  {then[1]!r}  depth {depth}")
-                    shape += (("store", depth),)
-                source = call_global_template(shape).source
+                if then is not None:
+                    # the tail: its target, and a setq's depth
+                    kind, target, *depth = then
+                    lines.append(f"        {kind}"
+                                 + ("" if target is None else f"  {target!r}")
+                                 + "".join(f"  depth {d}" for d in depth))
             else:
                 lines.append(_listing_line(pc, op, arg))
                 if op == "jump" and type(arg) is int and arg < pc:
                     # a backward jump that stayed one: say why
-                    _blocks, why = _region_blocks(
-                        self.fused, arg, pc, depths)
+                    _blocks, why = _region_blocks(self.fused, arg, pc)
                     lines.append(f"        ; no region: {why}")
                 continue
             lines.extend("        | " + line
@@ -436,13 +438,15 @@ def fuse(code: CodeObject) -> List[Instruction]:
 
     The view has the same length and the same pcs as ``instructions``,
     so no jump target moves.  Each pc is fused on its own, so a span may
-    hold fused entries of its own (a nested push's ``call-global``, a
-    tail's ``store-pop``): each stands for its own instructions.  A
-    ``call-global``'s pushes, and its ``setq`` tail, are compiled into
-    one ``run`` function (:func:`call_global_template`), its loads and
-    its assignment starting at the depths :func:`load_depths` proves.
-    Then each backward ``jump`` that closes a call-free loop
-    (:func:`_region_blocks`) becomes a ``region`` entry.
+    hold fused entries of its own (a nested push's ``call-global`` or
+    ``block``, a tail's ``store-pop``): each stands for its own
+    instructions.  A call of a primitive or a registered host function
+    is a ``block``, any other call a ``call-global``; either is one
+    generated function (:mod:`~repro.lang.templates`), its loads and a
+    ``setq`` tail's assignment starting at the depths
+    :func:`load_depths` proves.  Then each backward ``jump`` that closes
+    a loop of blocks (:func:`_region_blocks`) becomes a ``region``
+    entry.
     """
     instructions = code.instructions
     view = list(instructions)
@@ -460,7 +464,6 @@ def fuse(code: CodeObject) -> List[Instruction]:
                     or instructions[end][1] != k:
                 continue
             tail = instructions[end][0] == "tail-call"
-            then = None
             kind = _call_kind(arg, k)
             after = [] if tail else instructions[end + 1:end + 4]
             popped = kind == "host" and after[:1] == [("pop", None)]
@@ -468,64 +471,62 @@ def fuse(code: CodeObject) -> List[Instruction]:
                 kind = None  # an effect is the last thing its statement does
             if kind:
                 items += ((kind, arg, k),)
-                then = ("push", None)
-                if popped or after and after[0][0] == "jump-if-false":
-                    then = after[0]
-                elif [name for name, _ in after] == ["dup", "store", "pop"]:
-                    then = ("store", after[1][1])
             if depths is None:
                 depths = load_depths(instructions)
             pushes = tuple((kind, value, depths.get(at, 0) if kind == "load"
                             else at if kind == "host" else None)
                            for kind, value, at in items)
-            store = None
-            if then is not None and then[0] == "store":
-                store = (then[1], depths.get(end + 2, 0))
-            view[pc] = ("call-global", (arg, instantiate(pushes, store),
-                                        tail, end - pc, then, pushes))
-    if depths is not None:
-        for pc, (op, arg) in enumerate(instructions):
-            if op == "jump" and type(arg) is int and arg < pc:
-                blocks, _why = _region_blocks(view, arg, pc, depths)
-                if blocks:
-                    view[pc] = ("region", (instantiate_region(blocks), arg,
-                                           blocks))
+            width = end + 1 - pc
+            if not kind:
+                run, source = instantiate(pushes)
+                view[pc] = ("call-global", (run, arg, tail, pushes, width,
+                                            source))
+                continue
+            then = ("push", None)
+            if popped or after and after[0][0] == "jump-if-false":
+                then, width = after[0], width + 1
+            elif [name for name, _ in after] == ["dup", "store", "pop"]:
+                then = ("store", after[1][1], depths.get(end + 2, 0))
+                width += 3
+            run, source = instantiate_blocks([(pc, pushes, then, width)])
+            view[pc] = ("block", (run, arg, tail, pushes, then, width,
+                                  source))
+    for pc, (op, arg) in enumerate(instructions):
+        if op == "jump" and type(arg) is int and arg < pc:
+            blocks, _why = _region_blocks(view, arg, pc)
+            if blocks:
+                run, source = instantiate_blocks(
+                    [(at, block[3], block[4], block[5])
+                     for at, block in blocks], loop=True)
+                view[pc] = ("region", (run, arg, blocks, source))
     return view
 
 
-def _region_blocks(view, head: int, end: int, depths: dict):
+def _region_blocks(view, head: int, end: int):
     """The blocks of the loop from ``head`` to the backward ``jump`` at
-    ``end``, as :func:`~repro.lang.regions.instantiate_region` takes
-    them, or None when it is no region, with why not: every entry from
-    the head on must be a ``call-global`` that a primitive or a
-    registered host function makes (one whose ``then`` is set) whose
-    ``jump-if-false`` tail leaves the loop, or whose ``setq`` or
-    ``pop`` tail stays in it, each starting where the one before ends,
-    the last ending at ``end``.  ``(blocks, None)`` or ``(None, why)``.
+    ``end``, as ``(pc, arg)`` pairs, or None when it is no region, with
+    why not: every entry from the head on must be a ``block`` whose
+    ``jump-if-false`` tail leaves the loop, or whose ``setq`` or ``pop``
+    tail stays in it, each starting where the one before ends, the last
+    ending at ``end``.  ``(blocks, None)`` or ``(None, why)``.
     """
     blocks = []
     pc = head
     while pc < end:
         op, arg = view[pc]
-        if op != "call-global":
-            return None, f"pc {pc}: {op} is not a fused call"
-        then, span = arg[4], arg[3]
-        if then is None:
-            return None, (f"pc {pc}: the call of {arg[0]!r} is not made "
+        if op == "call-global":
+            return None, (f"pc {pc}: the call of {arg[1]!r} is not made "
                           f"in place (not a primitive's two-argument call "
                           f"or a registered host function's)")
+        if op != "block":
+            return None, f"pc {pc}: {op} is not a fused call"
+        then = arg[4]
         if then[0] == "push":
-            return None, f"pc {pc}: the value of {arg[0]!r} stays pushed"
-        if then[0] == "jump-if-false":
-            if head <= then[1] <= end:
-                return None, f"pc {pc}: its branch stays in the loop"
-            width, depth = span + 2, None
-        elif then[0] == "pop":
-            width, depth = span + 2, None
-        else:  # the dup; store x; pop of a setq
-            width, depth = span + 4, depths.get(pc + span + 2, 0)
-        blocks.append((pc, arg, width, depth))
-        pc += width
+            return None, f"pc {pc}: the value of {arg[1]!r} stays pushed"
+        if then[0] == "jump-if-false" and head <= then[1] <= end:
+            return None, f"pc {pc}: its branch stays in the loop"
+        blocks.append((pc, arg))
+        pc += arg[5]
     if pc != end or not blocks:
         return None, f"pc {pc}: no block ends at the jump"
     return tuple(blocks), None

@@ -8,6 +8,7 @@ tests.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from .reader import Char
@@ -62,6 +63,11 @@ def print_form(value: Any) -> str:
         return "t" if value else "false"
     if isinstance(value, (int,)):
         return int_text(value)
+    # a ratio: no value can be one unless ``fractions`` is loaded, and
+    # loading it for every process would cost memory
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return int_text(value.numerator) + "/" + int_text(value.denominator)
     if isinstance(value, (list, tuple)):
         return "(" + " ".join(print_form(item) for item in value) + ")"
     if isinstance(value, dict):

@@ -419,7 +419,7 @@ def _try_parse_number(token: str) -> Optional[object]:
     if not (head.isdigit() or (head in "+-." and len(token) > 1 and any(c.isdigit() for c in token))):
         return None
     try:
-        return int(token)
+        return _int_token(token)
     except ValueError:
         pass
     try:
@@ -431,10 +431,28 @@ def _try_parse_number(token: str) -> Optional[object]:
         try:
             from fractions import Fraction
 
-            return Fraction(int(num), int(den))
+            return Fraction(_int_token(num), _int_token(den))
         except ValueError:
             return None
     return None
+
+
+def _int_token(token: str) -> int:
+    """``int(token)``, however many digits.  Python's ``int`` refuses a
+    string longer than ``sys.get_int_max_str_digits()`` digits; such a
+    token of decimal digits (after an optional sign) is read in two
+    halves, each the same way, and the process-wide limit is left
+    alone."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token[1:] if token[:1] in ("+", "-") else token
+        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
+            raise
+    half = len(digits) // 2
+    value = _int_token(digits[:-half]) * 10 ** half \
+        + _int_token(digits[-half:])
+    return -value if token[0] == "-" else value
 
 
 def read_string(text: str, readtable: Optional[ReadTable] = None) -> object:

@@ -565,10 +565,14 @@ def _assoc(key, alist):
 @builtin("getf")
 @host_function("getf")
 def _getf(plist, key, default=None):
-    plist = _to_list(plist)
-    for i in range(0, len(plist) - 1, 2):
+    # a list is walked as it is; an odd last key has no value
+    if type(plist) is not list:
+        plist = _to_list(plist)
+    i, last = 0, len(plist) - 1
+    while i < last:
         if plist[i] == key:
             return plist[i + 1]
+        i += 2
     return default
 
 

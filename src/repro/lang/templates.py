@@ -1,18 +1,38 @@
-"""Call-global templates: a fused call's pushes as straight-line Python.
+"""Generated code for the GVM's fused calls: straight-line Python.
 
-The GVM's fast loop runs a fused ``call-global`` (:func:`repro.lang.
-bytecode.fuse`) by calling one function, ``run(e0, gv, dyn)``, that does
-every push of the call and returns the argument values, or None when a
-push cannot finish here and the entry deopts; a call with a ``setq``
-tail also assigns its value.  A push may itself call a stdlib primitive
-(:data:`BINARY_PRIMITIVES`, computed by its operator) or a registered
-host function (:data:`HOST_FUNCTIONS`, called in place).  That function
-is made here, and the code of its pushes is the block code of a loop
-region too (:mod:`repro.lang.regions`).  Each distinct *shape* of
-pushes (:func:`push_shape`) is compiled once per process into a factory
-``make(c0, c1, ...)``; a call site's symbols, constants and stdlib
-functions are the factory's arguments, so nothing of the program is
-ever formatted into the source.
+The fast loop (:meth:`repro.gvm.vm.VM._run_fast`) runs three kinds of
+fused entry (:func:`repro.lang.bytecode.fuse`) by calling one function
+made here:
+
+* a ``call-global`` of a function the fast loop calls itself (a Gozer
+  function, an unregistered host function): ``run(e0, gv, dyn)`` does
+  every push of the call and returns the argument values, or None when
+  a push cannot finish here and the entry deopts;
+* a *block*: a call of a stdlib primitive (:data:`BINARY_PRIMITIVES`,
+  computed by its operator) or of a registered host function
+  (:data:`HOST_FUNCTIONS`, called in place) with its tail — its value
+  pushed, a ``jump-if-false`` on it, a ``setq`` of it or, for a host
+  call, a statement's ``pop``.  ``run(e0, gv, dyn, stack, count)`` does
+  the pushes, the call and the tail, and returns ``(pc, count)``, where
+  the fast loop goes on, or None to deopt before any effect.  A
+  ``setq`` whose name has no lexical or dynamic binding pushes the
+  value and returns the pc of its ``store-pop``, which creates the
+  global;
+* a *region*: a loop whose entries are all blocks, run from the entry
+  that replaces its backward ``jump``: the same blocks' code inside
+  ``while True``.  A guard that fails, or a host call that raises,
+  returns the pc of its block with the count the blocks before it
+  reach, and the block's own entry then deopts at its own pc, stack and
+  count.  Nothing in a region calls Gozer code or a ``vm_function``,
+  or yields, so no continuation is captured inside it; a host function
+  is failure-atomic and only a block's outer call may have an effect,
+  so a block that fails has changed nothing.
+
+A push may itself call a primitive or a host function.  Each distinct
+*shape* (:func:`template_source`) is compiled once per process into a
+factory ``make(c0, c1, ...)``; a call site's symbols, constants, stdlib
+functions and pcs are the factory's arguments, so nothing of the
+program is ever formatted into the source.
 """
 
 from __future__ import annotations
@@ -24,18 +44,18 @@ from typing import Any, Callable, List, Tuple
 from .symbols import Symbol
 
 #: The stdlib's binary numeric primitives, ``{Symbol: (function,
-#: operator.*)}``: the ``p`` of a nested ``call-global`` push.  A fused
-#: call computes the operator in place, on two arguments whose types are
-#: exactly ``int`` or ``float``, while the name is still bound to the
-#: function (checked by identity); for such arguments the two agree
-#: (``tests/lang/test_stdlib_primitives.py``).  Filled by
-#: :func:`binary_primitive` where the stdlib defines the eight.
+#: operator.*)}``: the ``p`` of a nested primitive push, or a block's
+#: ``f``.  Generated code computes the operator in place, on two
+#: arguments whose types are exactly ``int`` or ``float``, while the
+#: name is still bound to the function (checked by identity); for such
+#: arguments the two agree (``tests/lang/test_stdlib_primitives.py``).
+#: Filled by :func:`binary_primitive` where the stdlib defines the eight.
 BINARY_PRIMITIVES: dict = {}
 
 
-#: The stdlib host functions a fused call may call in place, ``{Symbol:
-#: (function, effect)}``: the ``f`` of a nested ``call-global`` push, or
-#: of the call itself.  Two rules make calling one early, or twice,
+#: The stdlib host functions generated code may call in place,
+#: ``{Symbol: (function, effect)}``: the ``f`` of a nested push, or of a
+#: block.  Two rules make calling one early, or twice,
 #: indistinguishable from the unfused call:
 #:
 #: * *VM-free*: it is not a ``vm_function``, never calls Gozer code and
@@ -46,7 +66,7 @@ BINARY_PRIMITIVES: dict = {}
 #:
 #: Only a function with ``effect`` false may be a nested push; one with
 #: an effect (``append!``) is only ever the outer call of a statement
-#: whose value is popped, the last thing its entry does.  Filled by
+#: whose value is popped, the last thing its block does.  Filled by
 #: :func:`host_function` where the stdlib defines them.
 HOST_FUNCTIONS: dict = {}
 
@@ -102,10 +122,9 @@ _TEMPLATES: dict = {}
 
 
 def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
-    """The shape of a ``call-global``'s pushes: each push's kind, with
-    its depth for a ``load``, its operator for a ``primitive`` and its
-    argument count for a ``host`` call.  Two calls of one shape share
-    one template."""
+    """The shape of a fused call's pushes: each push's kind, with its
+    depth for a ``load``, its operator for a ``primitive`` and its
+    argument count for a ``host`` call."""
     shape = []
     for kind, value, depth in pushes:
         if kind == "load" or kind == "host":
@@ -119,8 +138,7 @@ def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
 
 
 def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
-               fail: str, dynamic: bool = False
-               ) -> Tuple[List[str], List[str]]:
+               fail: str) -> Tuple[List[str], List[str]]:
     """Straight-line code for the pushes of ``shape`` (a
     :func:`push_shape`): ``(lines, values)``, ``values`` naming the
     argument values the pushes leave, in order.  ``param()`` names the
@@ -128,8 +146,8 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     push, and ``fail`` is the statement each failed guard runs, and
     each host call that raises.  A load at depth ``d`` reads ``b{d}``,
     the bindings of ``e{d}``: the code around the lines binds both.  A
-    ``load-global`` of a dynamically bound name fails, or, when
-    ``dynamic``, reads the innermost binding as the fast loop does."""
+    ``load-global`` reads the innermost dynamic binding, else the
+    global, as the fast loop's own ``load-global`` does."""
     body: List[str] = []
     values: List[str] = []
     numeric = set()  # the values already known to be an int or a float
@@ -152,19 +170,13 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
                      f"    {v} = p.lookup_or({c}, missing)",
                      f"    if {v} is missing:",
                      f"        {fail}"]
-        elif kind == "load-global" and dynamic:
+        elif kind == "load-global":
             body += [f"if dyn and {c} in dyn:",
                      f"    {v} = dyn[{c}][-1]",
                      f"elif {c} in gv:",
                      f"    {v} = gv[{c}]",
                      "else:",
                      f"    {fail}"]
-        elif kind == "load-global":
-            body += [f"if dyn and {c} in dyn:",
-                     f"    {fail}",
-                     f"if {c} not in gv:",
-                     f"    {fail}",
-                     f"{v} = gv[{c}]"]
         elif kind == "host":
             # the VM forces a future argument before a host call: leave
             # that to it
@@ -207,11 +219,12 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     return body, values
 
 
-def store_lines(c: str, depth: int, v: str, fail: str) -> List[str]:
+def store_lines(c: str, depth: int, v: str, unbound: List[str]
+                ) -> List[str]:
     """Code that assigns ``v`` to the lexical binding of the name ``c``,
     looking from the scope ``depth`` up, else to its innermost dynamic
-    binding, as a ``store`` does, and runs ``fail`` when neither
-    exists."""
+    binding, as a ``store`` does, and runs the ``unbound`` lines when
+    neither exists."""
     return [f"if {c} in b{depth}:",
             f"    b{depth}[{c}] = {v}",
             "else:",
@@ -220,7 +233,7 @@ def store_lines(c: str, depth: int, v: str, fail: str) -> List[str]:
             f"        if dyn and {c} in dyn:",
             f"            dyn[{c}][-1] = {v}",
             "        else:",
-            f"            {fail}"]
+            *(f"            {line}" for line in unbound)]
 
 
 def scope_lines(depths) -> List[str]:
@@ -231,51 +244,96 @@ def scope_lines(depths) -> List[str]:
     return hops + [f"b{d} = e{d}.bindings" for d in sorted(set(depths))]
 
 
-def shape_depths(shape) -> List[int]:
-    """The scope depths the loads and the store of ``shape`` read."""
-    return [push[1] for push in shape if push[0] in ("load", "store")]
+def _count(n: int) -> str:
+    """``count`` advanced by the static ``n``."""
+    return f"count + {n}" if n else "count"
+
+
+def block_lines(blocks, param: Callable[..., str], loop: bool
+                ) -> Tuple[List[str], List[int]]:
+    """The code of ``blocks``, each ``(pushes' shape, tail, width)``, one
+    after the other, and the scope depths it reads.  ``done`` is the
+    count of the instructions before the block, from the ``count`` the
+    function was given: that count includes a region's backward
+    ``jump``, or a lone block's own first instruction."""
+    lines: List[str] = []
+    depths: List[int] = []
+    done = 0 if loop else -1
+    for k, (pushes, tail, width) in enumerate(blocks):
+        at = param("at")
+        fail = f"return {at}, {_count(done)}" if loop else "return None"
+        block, (value,) = push_lines(pushes, param, f"v{k}_{{}}".format,
+                                     fail)
+        if tail[0] == "push":
+            block.append(f"stack.append({value})")
+        elif tail[0] == "jump-if-false":
+            # a primitive's value is never None, and False only as a
+            # comparison's; a host function's may be either
+            test = f"{value} is False" if pushes[-1][0] == "primitive" \
+                else f"{value} is None or {value} is False"
+            block += [f"if {test}:",
+                      f"    return {param('out')}, {_count(done + width)}"]
+        elif tail[0] == "store":
+            # unbound: the store-pop after the call creates the global
+            called = width - 3
+            block += store_lines(param(), tail[1], value,
+                                 [f"stack.append({value})",
+                                  f"return {at} + {called}, "
+                                  f"{_count(done + called)}"])
+        # a pop tail drops the value
+        lines += block
+        depths += [push[1] for push in pushes + (tail,)
+                   if push[0] in ("load", "store")]
+        done += width
+    if loop:
+        # the backward jump ends each iteration
+        return (["while True:", *("    " + line for line in lines),
+                 f"    count += {done + 1}"], depths)
+    return lines + [f"return {at} + {width}, {_count(done)}"], depths
 
 
 def template_source(shape) -> str:
-    """The Python source of the factory for ``shape``.
+    """The Python source of the factory for ``shape``: ``("call",
+    pushes)`` for a ``call-global``, ``("block", (block,))`` for a lone
+    block and ``("region", blocks)`` for a region, a block being
+    ``(pushes, tail, width)``: its pushes' :func:`push_shape` (the last
+    push is the call itself), its tail — ``("push",)``,
+    ``("jump-if-false",)``, ``("store", d)`` or ``("pop",)`` — and the
+    instructions it stands for.
 
-    ``make(c0, c1, ...)`` takes, in push order, each push's symbol or
-    constant and, after a primitive's symbol, the stdlib function it
-    must still be bound to, and returns ``run(e0, gv, dyn)``: the
-    pushes as straight-line code over the frame's innermost scope
-    ``e0``, the global variables and the dynamic binding stacks,
-    returning the list of argument values or None to deopt.  A load at
+    ``make(c0, c1, ...)`` takes, in order, each push's symbol or
+    constant and, after a primitive's or a host function's symbol, the
+    stdlib function it must still be bound to; a block's arguments
+    start with its pc and end with its ``jump-if-false`` target or the
+    symbol its ``setq`` assigns.  It returns ``run``, as the module
+    docstring describes it, over the frame's innermost scope ``e0``,
+    the global variables and the dynamic binding stacks.  A load at
     depth ``d`` probes the one scope ``d`` parents up and, on a miss,
-    walks on from that scope's parent (``Env.lookup_or``).  A host
-    call's symbol is followed by the function it must still be bound
-    to, like a primitive's.  A shape that ends in ``("store", d)`` (a
-    ``setq`` tail) takes the target's symbol last, assigns the one
-    value to it the same way from depth ``d`` (or to its dynamic
-    binding), and returns ``()``, or ``[value]`` when nothing binds
-    the name.  Nothing of the program is formatted into the text: only
-    the ``c``/``v`` names, fixed scaffolding and the operator tokens of
-    :data:`_OPERATOR_TOKENS`.
+    walks on from that scope's parent (``Env.lookup_or``); a ``setq``
+    from depth ``d`` assigns the same way.  Nothing of the program is
+    formatted into the text: only the parameter names, fixed
+    scaffolding, the operator tokens of :data:`_OPERATOR_TOKENS` and
+    the static counts of the shape.
     """
+    kind, body = shape
     params: List[str] = []
 
-    def param() -> str:
-        params.append(f"c{len(params)}")
+    def param(prefix: str = "c") -> str:
+        params.append(f"{prefix}{len(params)}")
         return params[-1]
 
-    pushes, store = shape, None
-    if shape and shape[-1][0] == "store":
-        pushes, store = shape[:-1], shape[-1][1]
-    body, values = push_lines(pushes, param, "v{}".format, "return None")
-    if store is None:
-        body.append(f"return [{', '.join(values)}]")
+    if kind == "call":
+        lines, values = push_lines(body, param, "v{}".format, "return None")
+        lines.append(f"return [{', '.join(values)}]")
+        depths = [push[1] for push in body if push[0] == "load"]
+        signature = "e0, gv, dyn"
     else:
-        (value,) = values
-        body += store_lines(param(), store, value, f"return [{value}]")
-        body.append("return ()")
-    body = scope_lines(shape_depths(shape)) + body
+        lines, depths = block_lines(body, param, kind == "region")
+        signature = "e0, gv, dyn, stack, count"
     return "\n".join([f"def make({', '.join(params)}):",
-                      "    def run(e0, gv, dyn):",
-                      *("        " + line for line in body),
+                      f"    def run({signature}):",
+                      *("        " + line
+                        for line in scope_lines(depths) + lines),
                       "    return run", ""])
 
 
@@ -285,24 +343,18 @@ _NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "type": type,
              "OverflowError": OverflowError, "Exception": Exception}
 
 
-def compile_factory(source: str, filename: str):
-    """``make`` from a generated source, with the source kept as
-    ``make.source``."""
-    from ..gvm.futures import GozerFuture
-
-    namespace = dict(_NAMESPACE, future=GozerFuture)
-    exec(compile(source, filename, "exec"), namespace)
-    make = namespace["make"]
-    make.source = source
-    return make
-
-
-def call_global_template(shape):
+def template(shape):
     """The factory for ``shape``, compiled once per process; its source
     is kept as ``make.source``."""
     make = _TEMPLATES.get(shape)
     if make is None:
-        make = compile_factory(template_source(shape), "<call-global>")
+        from ..gvm.futures import GozerFuture
+
+        source = template_source(shape)
+        namespace = dict(_NAMESPACE, future=GozerFuture)
+        exec(compile(source, f"<{shape[0]}>", "exec"), namespace)
+        make = namespace["make"]
+        make.source = source
         make = _TEMPLATES.setdefault(shape, make)
     return make
 
@@ -321,13 +373,25 @@ def push_arguments(pushes) -> List[Any]:
     return arguments
 
 
-def instantiate(pushes, store=None):
-    """The ``run`` function of a ``call-global`` with these pushes;
-    ``store``, for a ``setq`` tail, is ``(x, d)``: the target and the
-    depth its assignment starts at."""
-    arguments = push_arguments(pushes)
-    shape = push_shape(pushes)
-    if store is not None:
-        arguments.append(store[0])
-        shape += (("store", store[1]),)
-    return call_global_template(shape)(*arguments)
+def instantiate(pushes):
+    """``(run, source)`` of a ``call-global`` with these pushes."""
+    make = template(("call", push_shape(pushes)))
+    return make(*push_arguments(pushes)), make.source
+
+
+def instantiate_blocks(blocks, loop: bool = False):
+    """``(run, source)`` of one block, or of a region's blocks when
+    ``loop``.  ``blocks`` lists each as ``(pc, pushes, then, width)``:
+    its pc, its pushes (the last one its own call), its tail as
+    :data:`~repro.lang.bytecode.FUSED` describes ``then`` and the
+    instructions it stands for."""
+    shape: List[Any] = []
+    arguments: List[Any] = []
+    for pc, pushes, then, width in blocks:
+        tail = ("store", then[2]) if then[0] == "store" else then[:1]
+        shape.append((push_shape(pushes), tail, width))
+        arguments += [pc, *push_arguments(pushes)]
+        if then[0] == "jump-if-false" or then[0] == "store":
+            arguments.append(then[1])  # the exit pc or the setq's target
+    make = template(("region" if loop else "block", tuple(shape)))
+    return make(*arguments), make.source

@@ -22,8 +22,8 @@ from repro.gvm.environment import Env
 from repro.lang import stdlib
 from repro.lang.bytecode import CodeObject, load_depths, nested_code_objects
 from repro.lang.symbols import Symbol
-from repro.lang.templates import (BINARY_PRIMITIVES, call_global_template,
-                                  instantiate, push_shape)
+from repro.lang.templates import (BINARY_PRIMITIVES, instantiate,
+                                  push_shape, template)
 
 S = Symbol
 
@@ -67,7 +67,7 @@ def reference(pushes, scope, global_variables, dynamic_stacks):
         elif push == "const":
             args.append(value)
         elif dynamic_stacks and value in dynamic_stacks:
-            return None
+            args.append(dynamic_stacks[value][-1])
         else:
             if value not in global_variables:
                 return None
@@ -165,7 +165,7 @@ class Case:
 
     def both(self):
         env = self.innermost()
-        run = instantiate(self.pushes)
+        run, _source = instantiate(self.pushes)
         return (observed(run(env, self.global_variables,
                              self.dynamic_stacks)),
                 observed(reference(self.pushes, env, self.global_variables,
@@ -205,7 +205,7 @@ def test_huge_ints_and_zeros_at_the_operator():
             (("load", S("z"), 0), ("const", 0, None), ("primitive", times, None)),
             (("load", S("a"), 0), ("load", S("a"), 0), ("primitive", times, None),
              ("load", S("b"), 0), ("primitive", S("-"), None))]:
-        assert observed(instantiate(pushes)(env, gv, {})) \
+        assert observed(instantiate(pushes)[0](env, gv, {})) \
             == observed(reference(pushes, env, gv, {})), pushes
 
 
@@ -218,7 +218,7 @@ def test_a_primitive_bound_to_another_primitive_deopts(rt):
               ("primitive", plus, None))
     gv = dict(PRIMITIVE_FUNCTIONS)
     gv[plus] = PRIMITIVE_FUNCTIONS[S("-")]
-    assert instantiate(pushes)(Env(), gv, {}) is None
+    assert instantiate(pushes)[0](Env(), gv, {}) is None
     assert reference(pushes, Env(), gv, {}) == [2]
     rt.eval_string("(defun sub (a) (let ((b 3)) (+ a b)))")
     rt.global_env.define(plus, PRIMITIVE_FUNCTIONS[S("-")])
@@ -235,9 +235,9 @@ def test_one_template_per_shape():
     b = (("load", S("y"), 2), ("const", "s", None), ("primitive", S("+"), None))
     assert push_shape(a) == push_shape(b) == (("load", 2), ("const",),
                                               ("primitive", "+"))
-    assert call_global_template(push_shape(a)) \
-        is call_global_template(push_shape(b))
-    assert instantiate(a) is not instantiate(b)
+    assert template(("call", push_shape(a))) \
+        is template(("call", push_shape(b)))
+    assert instantiate(a)[0] is not instantiate(b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +332,11 @@ def test_hostile_names_and_constants(rt, hostile, shape):
     depths = set()
     for nested in nested_code_objects(code):
         for op, arg in nested.fused or nested.fuse():
-            if op != "call-global":
+            if op != "call-global" and op != "block":
                 continue
-            pushes = arg[5]
+            pushes, source = arg[3], arg[-1]
             depths.update(depth for kind, value, depth in pushes
                           if kind == "load" and value is name)
-            source = call_global_template(push_shape(pushes)).source
             for kind, value, _depth in pushes:
                 if kind == "primitive":
                     continue  # its operator token is the one text allowed
@@ -351,10 +350,10 @@ def test_disassemble_fused_shows_depths_and_source(rt):
     code = rt.compile(rt.read(
         "(let ((n 3)) (let ((acc 0)) (dotimes (i 4) (setq acc (+ acc (* n n)))) acc))"))
     listing = code.disassemble_fused()
-    assert "call-global  +" in listing
+    assert "block  +" in listing
     assert "load  n  depth 2" in listing and "load  acc  depth 1" in listing
     assert "| def make(" in listing and "store-pop" not in listing.split(
-        "call-global", 1)[0]
+        "block", 1)[0]
     assert len(listing.splitlines()) > len(code.instructions)
     # a setq tail assigns from its proven depth too
     assert "store  acc  depth 1" in listing and "store  i  depth 0" in listing

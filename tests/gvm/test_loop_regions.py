@@ -1,10 +1,10 @@
 """A loop of straight-line calls as one generated Python function
-(``lang.regions``).
+(``lang.templates``), and the blocks it is made of.
 
 The fused view replaces the backward ``jump`` of a loop made only of
-``call-global`` blocks of primitives and registered host functions
-with a ``region`` entry, whose one generated function runs every
-iteration.  Here:
+``block`` entries (calls of primitives and registered host functions
+made in place, with their tails) with a ``region`` entry, whose one
+generated function runs every iteration.  Here:
 
 * over random loop bodies — nested primitive and host calls, ``pop``
   statements, an ``append!`` accumulator that may be a future or no
@@ -15,6 +15,10 @@ iteration.  Here:
   condition with the pc and count it was signalled at — before and
   after a primitive or a host function is redefined under a view that
   already exists;
+* over random straight-line blocks outside any loop — every tail, a
+  ``load-global`` of a dynamically bound special — the fused and the
+  traced loop agree the same way, as built, with a host function
+  rebound and with host calls that raise;
 * a host function rebound between two runs of a region, inside one
   call;
 * the region's boundaries, one factory per shape, the churn rows' build
@@ -34,9 +38,8 @@ from repro.gvm.frames import vm_function
 from repro.gvm.futures import GozerFuture
 from repro.gvm.runtime import make_runtime
 from repro.lang.bytecode import CodeObject, nested_code_objects
-from repro.lang.regions import region_shape, region_template
 from repro.lang.symbols import Keyword, Symbol
-from repro.lang.templates import BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate
+from repro.lang.templates import BINARY_PRIMITIVES, instantiate_blocks
 
 S = Symbol
 
@@ -54,6 +57,8 @@ GLOBALS = [S(f"rg{i}") for i in range(3)]
 #: base scope and walks on
 OUTER = [S("y0"), S("y1")]
 SPECIAL = S("*rk*")
+#: a global no case defines: a setq of it creates it
+FRESH = S("rg-new")
 #: the accumulator a loop appends to, and a plist it reads
 XS, PLIST = S("xs"), S("pl")
 #: an outer name holding a future of a list, which xs may be bound to
@@ -76,7 +81,7 @@ def snapshot(vm):
     return (scopes, {name: list(stack)
                      for name, stack in vm.dynamics.stacks.items()},
             {name: vm.global_env.variables.get(name)
-             for name in (*GLOBALS, SPECIAL)})
+             for name in (*GLOBALS, SPECIAL, FRESH)})
 
 
 def observed(value):
@@ -339,14 +344,16 @@ def run(rt, code, mode, regions_seen, env=None):
 
 def _counted(region_run, blocks, seen):
     """``region_run``, counting the iterations it completes and whether
-    it returned at an exit or at a block whose guard failed."""
-    per_iteration = sum(width for _, _, width, _ in blocks) + 1
-    block_pcs = {pc for pc, _, _, _ in blocks}
+    it returned at an exit or at a block whose guard failed (or at an
+    unbound setq's store-pop)."""
+    per_iteration = sum(block[5] for _, block in blocks) + 1
+    exits = {block[4][1] for _, block in blocks
+             if block[4][0] == "jump-if-false"}
 
-    def counted(e0, gv, dyn, count):
-        pc, after = region_run(e0, gv, dyn, count)
+    def counted(e0, gv, dyn, stack, count):
+        pc, after = region_run(e0, gv, dyn, stack, count)
         seen["iterations"] += (after - count) // per_iteration
-        seen["deopt" if pc in block_pcs else "exit"] += 1
+        seen["exit" if pc in exits else "deopt"] += 1
         return pc, after
 
     counted.counted = True
@@ -423,7 +430,7 @@ def _region_kinds(code):
     for op, arg in code.fused or code.fuse():
         if op != "region":
             continue
-        for _pc, (name, _run, _tail, _span, then, pushes), _w, _d in arg[2]:
+        for _pc, (_run, name, _tail, pushes, then, _w, _s) in arg[2]:
             hosts = [value for kind, value, _ in pushes if kind == "host"]
             if hosts:
                 kinds.add("host")
@@ -434,6 +441,144 @@ def _region_kinds(code):
             if S("append!") in hosts:
                 kinds.add("append!")
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# straight-line blocks, outside any loop
+# ---------------------------------------------------------------------------
+
+#: an outer name the straight-line accumulator is bound to: a list, or,
+#: in the run where host calls raise, a number
+OUTER_XS = S("yx")
+
+
+class Straight(Loop):
+    """Random straight-line blocks outside any loop, in the scopes and
+    with the expressions of :class:`Loop`: a block whose value is pushed
+    into a consumer that is not fused (a ``bind`` or a
+    ``store-global``), a forward ``jump-if-false`` over some of the
+    blocks after it, a ``setq`` of a lexical name, of a global nothing
+    binds, or of the special bound dynamically (twice) around the
+    blocks, and a popped ``append!``.  The counter is that special when it is bound,
+    so its loads are ``load-global`` pushes of a dynamic binding."""
+
+    #: the tails a block may carry, with the names that tell them apart
+    TAILS = ("push", "jump-if-false", "lexical", "global", "special",
+             "append!")
+
+    def _assemble(self):
+        rng = self.rng
+        self.special = rng.random() < 0.5
+        self.counter = SPECIAL if self.special else S("ri")
+        instructions = []
+        for depth, scope in enumerate(self.scopes):
+            instructions.append(("push-scope", None))
+            for name in scope:
+                instructions += [("const", self._value()), ("bind", name)]
+            if depth == self.lists_at:
+                instructions += [("load", OUTER_XS), ("bind", XS),
+                                 ("const", [Keyword("a"), 3,
+                                            Keyword("b"), 0.5]),
+                                 ("bind", PLIST)]
+        if self.special:
+            # bound twice: the blocks read and assign the inner binding
+            instructions += [("const", 7), ("dyn-bind", SPECIAL),
+                             ("const", rng.choice((0, 2))),
+                             ("dyn-bind", SPECIAL)]
+        else:
+            instructions += [("const", 1), ("bind", self.counter)]
+        statements = [self._straight(rng.choice(self.TAILS))
+                      for _ in range(rng.randint(2, 7))]
+        starts = []
+        for statement in statements:
+            starts.append(len(instructions))
+            instructions += statement
+        end = len(instructions)
+        starts.append(end)
+        instructions += [("load-global", S("snapshot")), ("call", 0),
+                         ("return", None)]
+        code = CodeObject(name=f"straight{self.seed}")
+        for pc, (op, arg) in enumerate(instructions):
+            if op == "jump-if-false":
+                # forward, to the start of a later statement or the end
+                later = [at for at in starts if at > pc]
+                arg = later[min(len(later) - 1, arg)]
+            code.emit(op, arg)
+        return code
+
+    def _straight(self, tail):
+        """One statement: a block with ``tail``, its jump's argument the
+        number of statements it skips."""
+        rng = self.rng
+        outer = self._primitive() if rng.random() < 0.7 else None
+        if tail == "push":
+            call = self._call(outer, 1) if outer else self._host(1)
+            return call + [rng.choice((("bind", rng.choice(self.names[:-2])),
+                                       ("store-global", GLOBALS[0])))]
+        if tail == "jump-if-false":
+            test = rng.choice(COMPARISONS + [None])
+            body = self._call(test, 1) if test else self._host(1)
+            return body + [("jump-if-false", rng.randrange(3))]
+        if tail == "append!":
+            return self._statement()
+        target = {"lexical": rng.choice(self.names), "global": FRESH,
+                  "special": SPECIAL if self.special else FRESH}[tail]
+        return self._block(outer, None, target)
+
+    def env(self, raises=False):
+        env = super().env()
+        env.parent.bindings[OUTER_XS] = 5 if raises else [1, 2.5, -3]
+        return env
+
+
+def _block_tails(code):
+    """The tails of ``code``'s blocks, by the names of
+    :attr:`Straight.TAILS`."""
+    tails = set()
+    for op, arg in code.fused or code.fuse():
+        if op != "block":
+            continue
+        then = arg[4]
+        if then[0] == "store":
+            tails.add("global" if then[1] is FRESH else "special"
+                      if then[1] is SPECIAL else "lexical")
+        elif then[0] == "pop":
+            tails.add("append!" if arg[1] is S("append!") else "pop")
+        else:
+            tails.add(then[0])
+        if any(kind == "load-global" and value is SPECIAL
+               for kind, value, _ in arg[3]):
+            tails.add("dynamic load")
+    return tails
+
+
+def test_straight_line_blocks_match_the_traced_loop():
+    # each case three times: as built, after a host function is rebound
+    # to a Gozer function, and with the accumulator a number, so that
+    # the host calls that read it raise
+    seen = {name: 0 for name in (*Straight.TAILS, "dynamic load",
+                                 "conditions", "raised")}
+    for seed in range(300):
+        case = Straight(seed)
+        results = {}
+        for mode in ("fused", "traced"):
+            rt = case.runtime()
+            code = pickle.loads(pickle.dumps(case.code))
+            first = run(rt, code, mode, {}, case.env())
+            redefine(rt, random.Random(seed).choice(HOSTS), random.Random(seed))
+            second = run(rt, code, mode, {}, case.env())
+            third = run(rt, code, mode, {}, case.env(raises=True))
+            results[mode] = (first, second, third)
+            rt.shutdown()
+        assert results["fused"] == results["traced"], \
+            (seed, case.code.disassemble())
+        first, _second, third = results["fused"]
+        seen["conditions"] += bool(first[1])
+        seen["raised"] += bool(third[1]) and not first[1]
+        for tail in _block_tails(case.code):
+            if tail in seen:
+                seen[tail] += 1
+    assert all(count > 40 for count in seen.values()), seen
 
 
 @pytest.mark.parametrize("source, iterations", [
@@ -532,26 +677,43 @@ def test_a_host_function_rebound_between_two_runs_of_a_region():
 
 
 # ---------------------------------------------------------------------------
-# a call-global's setq tail, in the plain fused loop and in a region
+# a block's setq tail, alone and in a region
 # ---------------------------------------------------------------------------
 
 def test_a_setq_tail_assigns_from_its_proven_depth():
     x, plus = S("x"), S("+")
     gv = {name: fn for name, (fn, _) in BINARY_PRIMITIVES.items()}
+    # the block at pc 10: load-global +; load x; const 1; call 2; dup;
+    # store x; pop
     pushes = (("load", x, 1), ("const", 1, None), ("primitive", plus, None))
-    run = instantiate(pushes, (x, 1))
-    # at the scope the depth names: assigned there, () says so
-    outer, inner = {x: 4}, {}
-    assert run(Env(Env(None, outer), inner), gv, {}) == ()
-    assert outer == {x: 5} and inner == {}
+    run, _source = instantiate_blocks([(10, pushes, ("store", x, 1), 7)])
+    # at the scope the depth names: assigned there, and on past the
+    # block (the count the fast loop gives it is past its first
+    # instruction)
+    outer, inner, stack = {x: 4}, {}, []
+    assert run(Env(Env(None, outer), inner), gv, {}, stack, 1) == (17, 7)
+    assert outer == {x: 5} and inner == {} and stack == []
     # beyond it: the assignment walks on, as a store does
     beyond = {x: 1.5}
-    assert run(Env(Env(Env(None, beyond), {}), {}), gv, {}) == ()
+    assert run(Env(Env(Env(None, beyond), {}), {}), gv, {}, stack, 1) \
+        == (17, 7)
     assert beyond == {x: 2.5}
-    # bound by no scope: the value comes back for the store-pop entry,
-    # which stores it through the dynamic or global binding
-    only_load = instantiate(pushes[1:2] * 2 + pushes[2:], (x, 1))
-    assert only_load(Env(Env(None, {}), {}), gv, {}) == [2]
+    # bound dynamically: the innermost binding
+    consts = pushes[1:2] * 2 + pushes[2:]
+    run, _source = instantiate_blocks([(10, consts, ("store", x, 1), 7)])
+    dyn = {x: [0, 0]}
+    assert run(Env(Env(None, {}), {}), gv, dyn, stack, 1) == (17, 7)
+    assert dyn == {x: [0, 2]} and stack == []
+    # bound by nothing: the value is pushed for the store-pop entry at
+    # pc 14, which creates the global
+    assert run(Env(Env(None, {}), {}), gv, {}, stack, 1) == (14, 4)
+    assert stack == [2]
+    # the same block as a region's only one: the count it is given
+    # includes the region's backward jump
+    run, _source = instantiate_blocks([(10, consts, ("store", x, 1), 7)],
+                                      loop=True)
+    assert run(Env(Env(None, {}), {}), gv, {}, stack, 1) == (14, 5)
+    assert stack == [2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +729,14 @@ def _regions(rt, source):
 
 
 def test_listing_one_loop_is_one_region(rt):
-    ((pc, (_run, head, blocks)),) = _regions(
+    ((pc, (_run, head, blocks, _source)),) = _regions(
         rt, "(defun sq (n) (let ((acc 0)) "
             "(dotimes (i 2000) (setq acc (+ acc (* n n)))) acc))")
-    assert [width for _, _, width, _ in blocks] == [5, 10, 7]
+    assert [block[5] for _, block in blocks] == [5, 10, 7]
     assert pc == head + 22
     # the head stores nothing; acc's setq starts one scope up, i's at
     # the dotimes scope
-    assert [depth for _, _, _, depth in blocks] == [None, 1, 0]
+    assert [block[4][2:] for _, block in blocks] == [(), (1,), (0,)]
 
 
 #: the churn rows' ``main`` (``perf/workloads.py``'s
@@ -592,14 +754,14 @@ CHURN_MAIN = """
 
 
 def test_the_churn_build_loop_is_one_region(rt):
-    ((pc, (_run, head, blocks)),) = _regions(rt, CHURN_MAIN)
+    ((pc, (_run, head, blocks, _source)),) = _regions(rt, CHURN_MAIN)
     # the head (< i (getf params :width)), the statement (append! acc
     # (list i (* i i) "row-payload")) and the step (setq i (+ i 1))
-    names = [arg[0].name for _, arg, _, _ in blocks]
+    names = [block[1].name for _, block in blocks]
     assert names == ["<", "append!", "+"]
-    assert [arg[4][0] for _, arg, _, _ in blocks] \
+    assert [block[4][0] for _, block in blocks] \
         == ["jump-if-false", "pop", "store"]
-    assert pc == head + sum(width for _, _, width, _ in blocks)
+    assert pc == head + sum(block[5] for _, block in blocks)
     rt.eval_string(CHURN_MAIN)
     main = rt.global_env.variables[S("main")]
     listing = main.code.disassemble_fused()
@@ -637,15 +799,14 @@ def test_one_factory_per_region_shape(rt):
     a = _regions(rt, "(let ((p 0)) (dotimes (i 7) (setq p (+ p 2))) p)")
     b = _regions(rt, "(let ((q 1)) (let ((r 5)) (dotimes (k 9) "
                      "(setq q (+ q 3.5)))) q)")
-    ((_, (run_a, _, blocks_a)),) = a
-    ((_, (run_b, _, blocks_b)),) = b
+    ((_, (run_a, _, _, source_a)),) = a
+    ((_, (run_b, _, _, source_b)),) = b
     # q is one scope further up than p is, so the shapes differ there
-    assert region_shape(blocks_a) != region_shape(blocks_b)
+    assert source_a != source_b
     c = _regions(rt, "(let ((z 1.5)) (dotimes (m 4) (setq z (+ z 11))) z)")
-    ((_, (run_c, _, blocks_c)),) = c
-    assert region_shape(blocks_a) == region_shape(blocks_c)
-    assert region_template(region_shape(blocks_a)) \
-        is region_template(region_shape(blocks_c))
+    ((_, (run_c, _, _, source_c)),) = c
+    # one factory, whose source both entries carry
+    assert source_a is source_c
     assert run_a is not run_c
 
 
@@ -671,9 +832,8 @@ def test_hostile_names_and_constants(rt, hostile):
             vm.instruction_hook = lambda frame, op, arg: None
         results.append((vm.run_code(code).value, vm.instruction_count))
     assert results[0] == results[1]
-    ((_, (_run, _, blocks)),) = [
+    ((_, (_run, _, _, source)),) = [
         (pc, arg) for pc, (op, arg) in enumerate(code.fused) if op == "region"]
-    source = region_template(region_shape(blocks)).source
     for text in (hostile, hostile + "-limit", hostile + "-i", "dotimes"):
         assert text not in source and repr(text) not in source
     for constant in constants:

@@ -73,6 +73,34 @@ def test_fused_forms_are_refused_by_emit_and_validate():
 # the fused view, over every corpus code object
 # ---------------------------------------------------------------------------
 
+def _pushed(pushes):
+    """The postfix pushes back to instructions: one run per value."""
+    values = []
+    for push, value, depth in pushes:
+        if push == "primitive":
+            assert value in BINARY_PRIMITIVES and depth is None
+            second, first = values.pop(), values.pop()
+            values.append([("load-global", value), *first, *second,
+                           ("call", 2)])
+        elif push == "host":
+            # a host call's depth is its argument count
+            assert value in HOST_FUNCTIONS and type(depth) is int
+            args = values[len(values) - depth:]
+            del values[len(values) - depth:]
+            values.append([("load-global", value),
+                           *(instruction for run in args
+                             for instruction in run),
+                           ("call", depth)])
+        else:
+            assert push in ("load", "load-global", "const") \
+                and type(value) is not list
+            # a load starts some scopes up; nothing else has a depth
+            assert (type(depth) is int and depth >= 0) \
+                if push == "load" else depth is None
+            values.append([(push, value)])
+    return values
+
+
 def unfuse(entry):
     """The instructions a fused-view entry stands for, as ``FUSED``
     describes them."""
@@ -80,66 +108,45 @@ def unfuse(entry):
     if op == "store-pop":
         return [("dup", None), ("store", arg), ("pop", None)]
     if op == "call-global":
-        name, run, tail, span, then, pushes = arg
-        assert callable(run)
-        # the postfix pushes back to instructions: one run per value
-        values = []
-        for push, value, depth in pushes:
-            if push == "primitive":
-                assert value in BINARY_PRIMITIVES and depth is None
-                second, first = values.pop(), values.pop()
-                values.append([("load-global", value), *first, *second,
-                               ("call", 2)])
-            elif push == "host":
-                # a host call's depth is its argument count
-                assert value in HOST_FUNCTIONS and type(depth) is int
-                args = values[len(values) - depth:]
-                del values[len(values) - depth:]
-                values.append([("load-global", value),
-                               *(instruction for run in args
-                                 for instruction in run),
-                               ("call", depth)])
-            else:
-                assert push in ("load", "load-global", "const") \
-                    and type(value) is not list
-                # a load starts some scopes up; nothing else has a depth
-                assert (type(depth) is int and depth >= 0) \
-                    if push == "load" else depth is None
-                values.append([(push, value)])
-        if then is None:
-            assert not (name in BINARY_PRIMITIVES and len(values) == 2)
-            # an effect only as a popped statement's outer call
-            assert name not in HOST_FUNCTIONS or HOST_FUNCTIONS[name][1]
-            replaced = [("load-global", name),
-                        *(instruction for run in values
-                          for instruction in run),
-                        ("tail-call" if tail else "call", len(values))]
-        else:
-            # f's own call is the last primitive or host call, so one
-            # value is left
-            (replaced,) = values
-            assert replaced[0] == ("load-global", name)
-            if tail:
-                replaced[-1] = ("tail-call", replaced[-1][1])
-        assert span == len(replaced) - 1
-        kind, target = then or ("push", None)
+        run, name, tail, pushes, width, source = arg
+        assert callable(run) and "def make(" in source
+        values = _pushed(pushes)
+        # not a call made in place
+        assert not (name in BINARY_PRIMITIVES and len(values) == 2)
+        # an effect only as a popped statement's outer call
+        assert name not in HOST_FUNCTIONS or HOST_FUNCTIONS[name][1]
+        replaced = [("load-global", name),
+                    *(instruction for run in values for instruction in run),
+                    ("tail-call" if tail else "call", len(values))]
+        assert width == len(replaced)
+        return replaced
+    if op == "block":
+        run, name, tail, pushes, then, width, source = arg
+        assert callable(run) and "def make(" in source
+        # f's own call is the last primitive or host call, so one value
+        # is left
+        (replaced,) = _pushed(pushes)
+        assert replaced[0] == ("load-global", name)
+        if tail:
+            replaced[-1] = ("tail-call", replaced[-1][1])
+        kind, target = then[:2]
         if kind == "jump-if-false":
             assert not tail
             replaced.append(("jump-if-false", target))
         elif kind == "store":
-            assert not tail
+            assert not tail and len(then) == 3
             replaced += [("dup", None), ("store", target), ("pop", None)]
         elif kind == "pop":
             assert not tail and name in HOST_FUNCTIONS and target is None
             replaced.append(("pop", None))
         else:
             assert kind == "push" and target is None
-            assert then is None or name not in HOST_FUNCTIONS \
-                or not HOST_FUNCTIONS[name][1]
+            assert name not in HOST_FUNCTIONS or not HOST_FUNCTIONS[name][1]
+        assert width == len(replaced)
         return replaced
     if op == "region":
-        run, head, _blocks = arg
-        assert callable(run)
+        run, head, _blocks, source = arg
+        assert callable(run) and "while True:" in source
         return [("jump", head)]
     return [entry]
 
@@ -171,30 +178,28 @@ def test_fused_view_stands_for_the_instructions(program):
             replaced = unfuse(entry)
             assert code.instructions[pc:pc + len(replaced)] == replaced, \
                 (code.name, pc, entry)
-            if entry[0] == "call-global":
+            if entry[0] == "call-global" or entry[0] == "block":
                 # the loads, in order, with the depth of their own pc
-                assert [depth for kind, _, depth in entry[1][5]
+                assert [depth for kind, _, depth in entry[1][3]
                         if kind == "load"] \
                     == [depths.get(pc + i, 0)
                         for i, (op, _) in enumerate(replaced)
                         if op == "load"], (code.name, pc)
+            if entry[0] == "block" and entry[1][4][0] == "store":
+                # a setq tail assigns from its store's own depth
+                assert entry[1][4][2] == depths.get(pc + len(replaced) - 2, 0)
             if entry[0] == "region":
                 # the blocks tile the loop from its head to this jump,
-                # each the call-global the view holds at its own pc
-                _run, head, blocks = entry[1]
+                # each the block the view holds at its own pc
+                _run, head, blocks, _source = entry[1]
                 at = head
-                for block_pc, arg, width, depth in blocks:
-                    assert block_pc == at and view[at] == ("call-global", arg)
-                    assert width == len(unfuse(view[at]))
+                for block_pc, arg in blocks:
+                    assert block_pc == at and view[at] == ("block", arg)
                     then = arg[4]
-                    if then[0] == "store":
-                        assert depth == depths.get(at + width - 2, 0)
-                    elif then[0] == "pop":
-                        assert depth is None
-                    else:
-                        assert then[0] == "jump-if-false" and depth is None
-                        assert not head <= then[1] <= pc
-                    at += width
+                    assert then[0] in ("store", "pop") \
+                        or then[0] == "jump-if-false" \
+                        and not head <= then[1] <= pc
+                    at += arg[5]
                 assert at == pc, (code.name, pc)
             if entry[0] in FUSED:
                 # an entry inside a span is the original instruction or
@@ -244,8 +249,7 @@ def test_list_constants_are_never_fused():
     rt = make_runtime(deterministic=True)
     code = rt.compile(rt.read("(append '(1 2) x)"))
     assert fuse(code)[0][0] == "load-global"
-    assert fuse(rt.compile(rt.read("(+ 1 x)")))[0][0] \
-        == "call-global"
+    assert fuse(rt.compile(rt.read("(+ 1 x)")))[0][0] == "block"
 
 
 @pytest.mark.parametrize("program", _CORPUS, ids=lambda p: p.name)

@@ -89,6 +89,38 @@ class TestAtoms:
         assert read_string("1/3") == Fraction(1, 3)
 
 
+class TestHugeNumbers:
+    """A literal longer than Python's int-from-str digit limit (4,300
+    by default) reads as the number it spells, and the process-wide
+    limit is untouched."""
+
+    def test_what_print_form_printed_reads_back(self):
+        import sys
+        from fractions import Fraction
+
+        from repro.lang.printer import print_form
+
+        limit = sys.get_int_max_str_digits()
+        huge = (10 ** 5000 - 1) // 9 * 7  # 5,000 sevens
+        for value in (huge, -huge, Fraction(huge, 3 ** 4000),
+                      Fraction(-3, huge + 1)):
+            text = print_form(value)
+            assert len(text) >= 5000
+            read = read_string(text)
+            assert read == value and type(read) is type(value), text[:20]
+        assert read_string("+" + "1" * 5000) == (10 ** 5000 - 1) // 9
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_a_huge_literal_is_an_integer_in_arithmetic(self, rt):
+        result = rt.eval_string("(+ 1 " + "1" * 5000 + ")")
+        assert type(result) is int and result == (10 ** 5000 - 1) // 9 + 1
+
+    def test_a_long_token_that_is_no_integer(self):
+        assert read_string("1" * 5000 + "x") is S("1" * 5000 + "x")
+        assert read_string("1" * 3000 + "/" + "x" * 3000) \
+            is S("1" * 3000 + "/" + "x" * 3000)
+
+
 class TestLists:
     def test_empty_list(self):
         assert read_string("()") == []

@@ -155,6 +155,22 @@ class TestLists:
         assert rt.eval_string("(getf (list :a 1 :b 2) :b)") == 2
         assert rt.eval_string("(getf (list :a 1) :z 99)") == 99
 
+    def test_getf_edges(self, rt):
+        # an odd last key has no value: it is not found
+        assert rt.eval_string("(getf (list :a 1 :b) :b)") is None
+        assert rt.eval_string("(getf (list :a 1 :b) :b 7)") == 7
+        assert rt.eval_string("(getf (list :a 1 :b) :a)") == 1
+        # a key is looked for only where a key stands, never as a value
+        assert rt.eval_string("(getf (list :a :b :b 2) :b)") == 2
+        assert rt.eval_string("(getf nil :a)") is None
+        assert rt.eval_string("(getf nil :a 5)") == 5
+        assert rt.eval_string("(getf (list :a 1 :b 2) :z :none)") == K("none")
+        # a plist that is no list is converted, as before
+        from repro.lang.stdlib import _getf
+
+        assert _getf((K("a"), 1, K("b"), 2), K("b")) == 2
+        assert _getf(range(6), 4) == 5 and _getf(range(5), 4) is None
+
     def test_subseq(self, rt):
         assert rt.eval_string("(subseq (list 1 2 3 4) 1 3)") == [2, 3]
 

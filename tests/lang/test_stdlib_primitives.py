@@ -81,7 +81,7 @@ def test_fast_and_traced_loops_agree_on_every_pair(rt, name):
     float), the traced loop calls the function; the value or the
     condition and the instruction count agree."""
     code = rt.compile(rt.read(f"(list ({name} a b))"))
-    assert any(op == "call-global" and arg[4] == ("push", None)
+    assert any(op == "block" and arg[4] == ("push", None)
                for op, arg in fuse(code))
 
     def run(traced, a, b):
