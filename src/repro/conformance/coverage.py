@@ -50,6 +50,8 @@ CALL_GLOBAL_SHAPES = {
 #: the shapes of a ``region`` credited on their own ledger lines
 REGION_SHAPES = {
     "region/host": "a block calls a registered host function",
+    "region/store": "a block has a setq tail",
+    "region/deep-load": "a load starts one or more scopes up",
 }
 
 
@@ -61,9 +63,15 @@ def fused_forms(entry: Any) -> List[str]:
     if op not in FUSED:
         return []
     if op == "region":
-        hosts = any(kind == "host" for _pc, block in arg[2]
-                    for kind, _, _ in block[3])
-        return [op, "region/host"] if hosts else [op]
+        blocks = [block for _pc, block in arg[2]]
+        pushes = [push for block in blocks for push in block[3]]
+        shapes = {"region/host": any(kind == "host"
+                                     for kind, _, _ in pushes),
+                  "region/store": any(block[4][0] == "store"
+                                      for block in blocks),
+                  "region/deep-load": any(kind == "load" and depth
+                                          for kind, _, depth in pushes)}
+        return [op, *(shape for shape, taken in shapes.items() if taken)]
     if op == "store-pop":
         return [op]
     forms = [op]

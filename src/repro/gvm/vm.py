@@ -282,8 +282,9 @@ class VM:
         pushes, starting each load at the scope depth fusing proved, the
         calls and the tails, and returns the pc and count to go on at:
         past the block, a branch's target, an unbound ``setq``'s
-        ``store-pop``, the loop's exit, or the block in a region whose
-        guard failed.  A block's pushes are pure reads until its last
+        ``store-pop``, the loop's exit, the block in a region whose
+        guard failed, or a region's head when a name it reads is bound
+        nowhere at its entry.  A block's pushes are pure reads until its last
         guard, so when one cannot finish it returns None and the entry
         *deopts*: it pushes the callee and goes on at the next pc, on the
         entries that stand for the rest of its instructions, and

@@ -136,8 +136,10 @@ FUSED = {
               "one before ends (arg: (run, H, blocks, source): blocks "
               "are the (pc, arg) of each block from H; run(e0, gv, dyn, "
               "stack, count) runs the blocks' code in a loop from H and "
-              "returns the pc to go on at, an exit's, a failed block's or "
-              "an unbound setq's store-pop, with the count; w = 1)",
+              "returns the pc to go on at, an exit's, a failed block's, "
+              "an unbound setq's store-pop or, when a name is unbound or "
+              "a function bound dynamically at entry, H, with the count; "
+              "w = 1)",
 }
 
 

@@ -398,7 +398,11 @@ def parse_token(token: str, line: int | None = None, column: int | None = None) 
     """Classify a bare token as number, keyword, boolean, nil or symbol."""
     if token.startswith(":") and len(token) > 1:
         return Keyword(token[1:])
-    number = _try_parse_number(token)
+    try:
+        number = _try_parse_number(token)
+    except ZeroDivisionError:
+        raise ReaderError(f"ratio {token} has a zero denominator",
+                          line, column) from None
     if number is not None:
         return number
     if token == "t" or token == "true":
@@ -440,13 +444,17 @@ def _try_parse_number(token: str) -> Optional[object]:
 def _int_token(token: str) -> int:
     """``int(token)``, however many digits.  Python's ``int`` refuses a
     string longer than ``sys.get_int_max_str_digits()`` digits; such a
-    token of decimal digits (after an optional sign) is read in two
+    token of decimal digits (after an optional sign, with a single
+    ``_`` between two digits where ``int`` allows one) is read in two
     halves, each the same way, and the process-wide limit is left
     alone."""
     try:
         return int(token)
     except ValueError:
         digits = token[1:] if token[:1] in ("+", "-") else token
+        if digits[:1] == "_" or digits[-1:] == "_" or "__" in digits:
+            raise
+        digits = digits.replace("_", "")
         if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
             raise
     half = len(digits) // 2

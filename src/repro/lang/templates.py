@@ -20,13 +20,24 @@ made here:
   global;
 * a *region*: a loop whose entries are all blocks, run from the entry
   that replaces its backward ``jump``: the same blocks' code inside
-  ``while True``.  A guard that fails, or a host call that raises,
-  returns the pc of its block with the count the blocks before it
-  reach, and the block's own entry then deopts at its own pc, stack and
-  count.  Nothing in a region calls Gozer code or a ``vm_function``,
-  or yields, so no continuation is captured inside it; a host function
-  is failure-atomic and only a block's outer call may have an effect,
-  so a block that fails has changed nothing.
+  ``while True``.  Nothing in a region binds a name, so an entry part
+  before the loop resolves each name once a call — a load or a
+  ``setq`` target to the bindings dict that holds it, a
+  ``load-global`` to the innermost dynamic binding or the globals —
+  and checks there that no primitive or host function is bound
+  dynamically and that each constant operand is a number; a name bound
+  nowhere, or a function bound dynamically, returns the head's pc and
+  the count given, as the ``jump`` would.  Each iteration reads every
+  value again, with one subscript, and keeps the ``gv[name] is fn``,
+  type and future guards.  A guard that fails, or a host call that
+  raises, returns the pc of its block with the count the blocks before
+  it reach, and the block's own entry then deopts at its own pc, stack
+  and count.  Only a new binding another thread makes mid-loop, nearer
+  than where a name was found, is seen later than without the region:
+  at its next entry.  Nothing in a region calls Gozer code or a
+  ``vm_function``, or yields, so no continuation is captured inside
+  it; a host function is failure-atomic and only a block's outer call
+  may have an effect, so a block that fails has changed nothing.
 
 A push may itself call a primitive or a host function.  Each distinct
 *shape* (:func:`template_source`) is compiled once per process into a
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 import operator
 from types import FunctionType
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .symbols import Symbol
 
@@ -138,28 +149,46 @@ def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
 
 
 def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
-               fail: str) -> Tuple[List[str], List[str]]:
+               fail: str, entry: Optional[Tuple[List[str], str]] = None
+               ) -> Tuple[List[str], List[str]]:
     """Straight-line code for the pushes of ``shape`` (a
     :func:`push_shape`): ``(lines, values)``, ``values`` naming the
     argument values the pushes leave, in order.  ``param()`` names the
     factory's next parameter, ``value(i)`` the variable of the i-th
     push, and ``fail`` is the statement each failed guard runs, and
     each host call that raises.  A load at depth ``d`` reads ``b{d}``,
-    the bindings of ``e{d}``: the code around the lines binds both.  A
-    ``load-global`` reads the innermost dynamic binding, else the
-    global, as the fast loop's own ``load-global`` does."""
+    the bindings of ``e{d}``, and on a miss walks on from ``e{d}``'s
+    parent: the code around the lines binds both.  A ``load-global``
+    reads the innermost dynamic binding, else the global, as the fast
+    loop's own ``load-global`` does.
+
+    A region passes ``entry``, the ``(lines, fail)`` of the part of its
+    function that runs once per call, before the loop.  Nothing in a
+    region binds a name, so each name is resolved there: a load's to
+    the bindings dict that holds it (``h`` and the push's variable), a
+    ``load-global``'s to its innermost dynamic binding's stack and
+    ``-1``, or to ``gv`` and the name (``h`` and ``k``), and the lines
+    read it with one subscript.  The check that a primitive or a host
+    function is not bound dynamically (dynamic bindings belong to one
+    flow of control) and the type check of a constant operand go there
+    too.  A name nothing binds, or a function bound dynamically, runs
+    the entry's ``fail``.  The values themselves, each value's type and
+    future guard and each ``gv[name] is fn`` stay in the lines."""
     body: List[str] = []
     values: List[str] = []
     numeric = set()  # the values already known to be an int or a float
     plain = set()  # the values known not to be a future
+    constants = set()  # the constant operands, type-checked once
+    once, once_fail = (body, fail) if entry is None else entry
     for i, push in enumerate(shape):
         kind = push[0]
         if kind == "const":
             values.append(param())
             plain.add(values[-1])
+            constants.add(values[-1])
             continue
         c, v = param(), value(i)
-        if kind == "load":
+        if kind == "load" and entry is None:
             d = push[1]
             body += [f"if {c} in b{d}:",
                      f"    {v} = b{d}[{c}]",
@@ -170,13 +199,28 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
                      f"    {v} = p.lookup_or({c}, missing)",
                      f"    if {v} is missing:",
                      f"        {fail}"]
-        elif kind == "load-global":
+        elif kind == "load":
+            d = push[1]
+            once += [f"h{v} = b{d} if {c} in b{d} "
+                     f"else holder(e{d}.parent, {c})",
+                     f"if h{v} is None:",
+                     f"    {once_fail}"]
+            body.append(f"{v} = h{v}[{c}]")
+        elif kind == "load-global" and entry is None:
             body += [f"if dyn and {c} in dyn:",
                      f"    {v} = dyn[{c}][-1]",
                      f"elif {c} in gv:",
                      f"    {v} = gv[{c}]",
                      "else:",
                      f"    {fail}"]
+        elif kind == "load-global":
+            once += [f"if dyn and {c} in dyn:",
+                     f"    h{v}, k{v} = dyn[{c}], -1",
+                     f"elif {c} in gv:",
+                     f"    h{v}, k{v} = gv, {c}",
+                     "else:",
+                     f"    {once_fail}"]
+            body.append(f"{v} = h{v}[k{v}]")
         elif kind == "host":
             # the VM forces a future argument before a host call: leave
             # that to it
@@ -186,9 +230,9 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
             body += [line for operand in args if operand not in plain
                      for line in (f"if type({operand}) is future:",
                                   f"    {fail}")]
-            body += [f"if dyn and {c} in dyn:",
-                     f"    {fail}",
-                     "try:",
+            once += [f"if dyn and {c} in dyn:",
+                     f"    {once_fail}"]
+            body += ["try:",
                      f"    if gv[{c}] is not {fn}:",
                      f"        {fail}",
                      f"    {v} = {fn}({', '.join(args)})",
@@ -200,13 +244,17 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
             fn = param()
             b, a = values.pop(), values.pop()
             for operand in (a, b):
-                if operand not in numeric:
+                if operand in constants:
+                    once += [f"t = type({operand})",
+                             "if t is not int and t is not float:",
+                             f"    {once_fail}"]
+                elif operand not in numeric:
                     body += [f"t = type({operand})",
                              "if t is not int and t is not float:",
                              f"    {fail}"]
-            body += [f"if dyn and {c} in dyn:",
-                     f"    {fail}",
-                     "try:",
+            once += [f"if dyn and {c} in dyn:",
+                     f"    {once_fail}"]
+            body += ["try:",
                      f"    if gv[{c}] is not {fn}:",
                      f"        {fail}",
                      f"    {v} = {a} {token} {b}",
@@ -219,12 +267,24 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     return body, values
 
 
-def store_lines(c: str, depth: int, v: str, unbound: List[str]
-                ) -> List[str]:
+def store_lines(c: str, depth: int, v: str, unbound: List[str],
+                entry: Optional[List[str]] = None) -> List[str]:
     """Code that assigns ``v`` to the lexical binding of the name ``c``,
     looking from the scope ``depth`` up, else to its innermost dynamic
     binding, as a ``store`` does, and runs the ``unbound`` lines when
-    neither exists."""
+    neither exists.  With a region's ``entry`` lines, the binding is
+    found there, once (``h`` and ``k`` and the variable ``v``), and the
+    code is one subscript assignment, or the ``unbound`` lines when
+    there was none."""
+    if entry is not None:
+        entry += [f"h{v} = b{depth} if {c} in b{depth} "
+                  f"else holder(e{depth}.parent, {c})",
+                  f"k{v} = {c}",
+                  f"if h{v} is None and dyn and {c} in dyn:",
+                  f"    h{v}, k{v} = dyn[{c}], -1"]
+        return [f"if h{v} is None:",
+                *(f"    {line}" for line in unbound),
+                f"h{v}[k{v}] = {v}"]
     return [f"if {c} in b{depth}:",
             f"    b{depth}[{c}] = {v}",
             "else:",
@@ -234,6 +294,17 @@ def store_lines(c: str, depth: int, v: str, unbound: List[str]
             f"            dyn[{c}][-1] = {v}",
             "        else:",
             *(f"            {line}" for line in unbound)]
+
+
+def _holder(env, name):
+    """The bindings dict of the first scope from ``env`` up that binds
+    ``name``, or None: where ``Env.lookup_or`` would find it, and
+    ``Env.assign`` assign it."""
+    while env is not None:
+        if name in env.bindings:
+            return env.bindings
+        env = env.parent
+    return None
 
 
 def scope_lines(depths) -> List[str]:
@@ -255,15 +326,25 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
     after the other, and the scope depths it reads.  ``done`` is the
     count of the instructions before the block, from the ``count`` the
     function was given: that count includes a region's backward
-    ``jump``, or a lone block's own first instruction."""
+    ``jump``, or a lone block's own first instruction.
+
+    A region's code is its entry part (:func:`push_lines`), then the
+    blocks inside ``while True``.  An entry that fails returns the head
+    block's pc and the count it was given, which is what the ``jump``
+    does: the head's own entry then runs, and deopts where a guard
+    fails."""
     lines: List[str] = []
+    entry: List[str] = []
     depths: List[int] = []
     done = 0 if loop else -1
     for k, (pushes, tail, width) in enumerate(blocks):
         at = param("at")
+        if k == 0:
+            head = at
         fail = f"return {at}, {_count(done)}" if loop else "return None"
-        block, (value,) = push_lines(pushes, param, f"v{k}_{{}}".format,
-                                     fail)
+        block, (value,) = push_lines(
+            pushes, param, f"v{k}_{{}}".format, fail,
+            (entry, f"return {head}, count") if loop else None)
         if tail[0] == "push":
             block.append(f"stack.append({value})")
         elif tail[0] == "jump-if-false":
@@ -279,7 +360,8 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
             block += store_lines(param(), tail[1], value,
                                  [f"stack.append({value})",
                                   f"return {at} + {called}, "
-                                  f"{_count(done + called)}"])
+                                  f"{_count(done + called)}"],
+                                 entry if loop else None)
         # a pop tail drops the value
         lines += block
         depths += [push[1] for push in pushes + (tail,)
@@ -287,8 +369,8 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
         done += width
     if loop:
         # the backward jump ends each iteration
-        return (["while True:", *("    " + line for line in lines),
-                 f"    count += {done + 1}"], depths)
+        return (entry + ["while True:", *("    " + line for line in lines),
+                         f"    count += {done + 1}"], depths)
     return lines + [f"return {at} + {width}, {_count(done)}"], depths
 
 
@@ -338,9 +420,9 @@ def template_source(shape) -> str:
 
 
 #: what a generated function's source may use besides its parameters
-_NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "type": type,
-             "int": int, "float": float, "KeyError": KeyError,
-             "OverflowError": OverflowError, "Exception": Exception}
+_NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "holder": _holder,
+              "type": type, "int": int, "float": float, "KeyError": KeyError,
+              "OverflowError": OverflowError, "Exception": Exception}
 
 
 def template(shape):

@@ -21,6 +21,11 @@ generated function runs every iteration.  Here:
   rebound and with host calls that raise;
 * a host function rebound between two runs of a region, inside one
   call;
+* a region's entry part, which resolves each name once a call: a load
+  that misses its probed scope, a name unbound or a primitive bound
+  dynamically at entry, a value another flow of control assigns
+  mid-loop, a ``dotimes`` over specials and a binding made between two
+  entries;
 * the region's boundaries, one factory per shape, the churn rows' build
   loop as one region, and names and constants the generated source
   must never hold.
@@ -611,17 +616,23 @@ def test_a_non_number_mid_loop(source, iterations):
     assert results[0] == results[1] == results[2]
 
 
-def _in_three_modes(source):
-    """``source`` run in each mode on a fresh runtime: the results, and
-    what the regions of the region mode did."""
+def _in_three_modes(source, prelude="", regions_at_top=True):
+    """``source`` run in each mode on a fresh runtime that has evaluated
+    ``prelude``: the results, and what the regions of the region mode
+    did (at the top level, where they are counted)."""
     rt = make_runtime(deterministic=True)
+    rt.eval_string(prelude)
     compiled = pickle.dumps(rt.compile(rt.read(source)))
     rt.shutdown()
     results, seen = [], {"iterations": 0, "deopt": 0, "exit": 0}
     for mode in MODES:
         rt = make_runtime(deterministic=True)
+        rt.eval_string(prelude)
         code = pickle.loads(compiled)
-        assert any(op == "region" for op, _ in code.fuse())
+        assert any(op == "region" for nested in nested_code_objects(code)
+                   for op, _ in nested.fuse())
+        assert regions_at_top == any(op == "region"
+                                     for op, _ in code.fuse())
         results.append(run(rt, code, mode, seen if mode == "region"
                            else dict(seen)))
         rt.shutdown()
@@ -714,6 +725,139 @@ def test_a_setq_tail_assigns_from_its_proven_depth():
                                       loop=True)
     assert run(Env(Env(None, {}), {}), gv, {}, stack, 1) == (14, 5)
     assert stack == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# a region's entry part: names resolved once a call, values read each
+# iteration
+# ---------------------------------------------------------------------------
+
+X, Y, ACC = S("x"), S("y"), S("acc")
+
+
+def _counting_region():
+    """The region of ``(< x 4)`` leaving for pc 99, ``(setq acc (+ acc
+    y))`` and ``(setq x (+ x 1))``, from pc 0: 20 instructions an
+    iteration, its jump at pc 19, each load and setq from the frame's
+    own scope."""
+    blocks = [(0, (("load", X, 0), ("const", 4, None),
+                   ("primitive", S("<"), None)), ("jump-if-false", 99), 5),
+              (5, (("load", ACC, 0), ("load", Y, 0),
+                   ("primitive", S("+"), None)), ("store", ACC, 0), 7),
+              (12, (("load", X, 0), ("const", 1, None),
+                    ("primitive", S("+"), None)), ("store", X, 0), 7)]
+    run, _source = instantiate_blocks(blocks, loop=True)
+    return run
+
+
+def _primitives():
+    return {name: fn for name, (fn, _) in BINARY_PRIMITIVES.items()}
+
+
+def test_a_load_that_misses_its_probed_scope_reads_the_nearest_binding():
+    # a closure's captured names at the base depth: the probed scope
+    # (the frame's) binds none of them, its parent binds them all and
+    # the scope above that binds them again; the region resolves each
+    # to the parent's dict at entry, and reads and assigns it
+    captured, shadowed = {X: 0, ACC: 0.5, Y: 3}, {X: 9, ACC: 0, Y: 100}
+    base = Env(Env(Env(None, shadowed), captured), {})
+    stack = []
+    # four iterations, then the head's exit: 1 + 4 * 20 + 5
+    assert _counting_region()(base, _primitives(), {}, stack, 1) == (99, 86)
+    assert captured == {X: 4, ACC: 12.5, Y: 3}
+    assert shadowed == {X: 9, ACC: 0, Y: 100}
+    assert base.bindings == {} and stack == []
+    # the same loop as Gozer code: a closure's region over a captured
+    # name, in the three modes
+    (outcome, _signalled, _count), _seen = _in_three_modes("""
+        (let ((k 100))
+          (let ((f (let ((k 3))
+                     (lambda (n)
+                       (let ((acc 0.5))
+                         (dotimes (i n) (setq acc (+ acc k)))
+                         acc)))))
+            (funcall f 4)))""", regions_at_top=False)
+    assert outcome == ("value", ("float", "12.5"))
+
+
+def test_an_unbound_name_or_a_dynamic_primitive_returns_the_head():
+    # nothing runs: the region returns its head's pc and the count it
+    # was given, which is what its jump does, and the head's own entry
+    # then deopts where its guard fails
+    region = _counting_region()
+    bindings = {X: 0, ACC: 0}  # y is bound nowhere
+    stack = []
+    assert region(Env(None, bindings), _primitives(), {}, stack, 1) == (0, 1)
+    assert bindings == {X: 0, ACC: 0} and stack == []
+    bindings[Y] = 2
+    minus = BINARY_PRIMITIVES[S("-")][0]
+    for name in (S("<"), S("+")):
+        dyn = {name: [minus]}
+        assert region(Env(None, bindings), _primitives(), dyn, stack, 7) \
+            == (0, 7)
+        assert bindings == {X: 0, ACC: 0, Y: 2} and stack == []
+    # a special bound dynamically that the loop does not call is no
+    # reason to leave
+    assert region(Env(None, bindings), _primitives(), {S("*rk*"): [1]},
+                  stack, 1) == (99, 86)
+    assert bindings == {X: 4, ACC: 8, Y: 2}
+
+
+class _Bumping(dict):
+    """Bindings whose every read of ``x`` adds 1 to ``y``: another flow
+    of control assigning ``y`` while the loop runs, as a future's thread
+    may ``setq`` a name of a scope it shares with the loop."""
+
+    def __getitem__(self, key):
+        if key is X:
+            dict.__setitem__(self, Y, dict.__getitem__(self, Y) + 1)
+        return dict.__getitem__(self, key)
+
+
+def test_values_are_read_again_on_every_iteration():
+    # x is read twice an iteration, so acc adds y = 1, 3, 5, 7: a y
+    # read once at entry would add 0 each time
+    bindings = _Bumping({X: 0, ACC: 0, Y: 0})
+    assert _counting_region()(Env(None, bindings), _primitives(), {}, [],
+                              1) == (99, 86)
+    assert dict(bindings) == {X: 4, ACC: 16, Y: 9}
+
+
+def test_a_dotimes_over_a_special_is_one_region():
+    # the counter and the accumulator are specials: each load-global and
+    # setq reads or assigns the innermost dynamic binding, the outer
+    # binding and the global keep their values
+    (outcome, _signalled, _count), seen = _in_three_modes("""
+        (let ((*acc* 5))
+          (list (let ((*acc* 7))
+                  (dotimes (*i* 4) (setq *acc* (+ *acc* *i*)))
+                  *acc*)
+                *acc* *i*))""", "(defvar *i* 0) (defvar *acc* 0)")
+    assert outcome == ("value", [("int", "13"), ("int", "5"), ("int", "0")])
+    assert seen["iterations"] == 3 and seen["exit"] == 1 \
+        and seen["deopt"] == 0
+
+
+def test_a_region_sees_a_binding_made_between_its_entries():
+    # step's region reads *step*: the global on its first and last
+    # entries, a let's dynamic binding on the second
+    rt = make_runtime(deterministic=True)
+    rt.eval_string("(defvar *step* 1)")
+    rt.eval_string("(defun step (n) (let ((acc 0)) "
+                   "(dotimes (i n) (setq acc (+ acc *step*))) acc))")
+    step = rt.global_env.variables[S("step")]
+    assert any(op == "region" for op, _ in step.code.fuse())
+    results = []
+    for traced in (False, True):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        code = rt.compile(rt.read(
+            "(list (step 5) (let ((*step* 10)) (step 5)) (step 5))"))
+        results.append((vm.run_code(code).value, vm.instruction_count))
+    rt.shutdown()
+    assert results[0] == results[1]
+    assert results[0][0] == [5, 50, 5]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ class TestAtoms:
 
         assert read_string("1/3") == Fraction(1, 3)
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0", "(list 1/0)"])
+    def test_a_zero_denominator_is_a_reader_error(self, text):
+        with pytest.raises(ReaderError, match="zero denominator"):
+            read_string(text)
+
 
 class TestHugeNumbers:
     """A literal longer than Python's int-from-str digit limit (4,300
@@ -114,6 +119,19 @@ class TestHugeNumbers:
     def test_a_huge_literal_is_an_integer_in_arithmetic(self, rt):
         result = rt.eval_string("(+ 1 " + "1" * 5000 + ")")
         assert type(result) is int and result == (10 ** 5000 - 1) // 9 + 1
+
+    def test_a_huge_literal_with_underscores_is_the_integer(self):
+        # int() reads "1_000"; past the digit limit the same digits
+        # still read as that integer, not as float("1_0...0") = inf
+        assert read_string("1_000") == 1000
+        for sign in ("", "-", "+"):
+            text = sign + "1_" + "0" * 5000
+            read = read_string(text)
+            assert type(read) is int and read == read_string(
+                text.replace("_", "")), sign
+        # where int() refuses an underscore, so does a huge literal
+        for text in ("1__" + "0" * 5000, "1" + "0" * 5000 + "_"):
+            assert read_string(text) is S(text)
 
     def test_a_long_token_that_is_no_integer(self):
         assert read_string("1" * 5000 + "x") is S("1" * 5000 + "x")

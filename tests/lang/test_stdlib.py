@@ -3,10 +3,21 @@
 import pytest
 
 from repro.gvm.conditions import UnhandledConditionError
+from repro.gvm.frames import GozerFunction, vm_function
+from repro.gvm.vm import VM
 from repro.lang.symbols import Keyword, Symbol
 
 S = Symbol
 K = Keyword
+
+#: the VMs :func:`_vm_probe` was called with
+_PROBED = []
+
+
+@vm_function
+def _vm_probe(vm, x):
+    _PROBED.append(vm)
+    return x + 1
 
 
 class TestArithmetic:
@@ -201,6 +212,43 @@ class TestHigherOrder:
 
     def test_mapcar_two_lists(self, rt):
         assert rt.eval_string("(mapcar #'+ (list 1 2) (list 10 20))") == [11, 22]
+
+    def test_mapcar_calls_a_plain_host_function_directly(self, rt,
+                                                         monkeypatch):
+        called = []
+        plain_call = VM.call
+
+        def call(vm, fn, args):
+            called.append(fn)
+            return plain_call(vm, fn, args)
+
+        monkeypatch.setattr(VM, "call", call)
+        assert rt.eval_string(
+            "(mapcar #'second (list (list 1 2) (list 3 4)))") == [2, 4]
+        # a Gozer function still goes through VM.call, once an element
+        assert rt.eval_string(
+            "(mapcar (lambda (x) (* x x)) (list 1 2 3))") == [1, 4, 9]
+        assert len(called) == 3 and all(
+            isinstance(fn, GozerFunction) for fn in called)
+
+    def test_mapcar_forces_a_future_element(self, rt):
+        assert rt.eval_string(
+            "(mapcar #'second (list (future (list 1 2)) (list 3 4)))") \
+            == [2, 4]
+        assert rt.eval_string(
+            "(mapcar #'+ (list (future 1) 2) (list 10 (future 20)))") \
+            == [11, 22]
+
+    def test_mapcar_of_a_vm_function_passes_the_vm(self, rt):
+        rt.global_env.define(S("vm-probe"), _vm_probe)
+        _PROBED.clear()
+        assert rt.eval_string("(mapcar #'vm-probe (list 1 2))") == [2, 3]
+        assert len(_PROBED) == 2 and all(isinstance(vm, VM) for vm in _PROBED)
+
+    def test_mapcar_of_a_future_function(self, rt):
+        assert rt.eval_string(
+            "(mapcar (future #'second) (list (list 1 2) (list 3 4)))") \
+            == [2, 4]
 
     def test_mapcan(self, rt):
         assert rt.eval_string(
