@@ -37,13 +37,10 @@ class Env:
         self.parent = parent
 
     def lookup(self, name: Symbol) -> Any:
-        env: Optional[Env] = self
-        while env is not None:
-            value = env.bindings.get(name, _MISSING)
-            if value is not _MISSING:
-                return value
-            env = env.parent
-        raise UnboundVariableError(name)
+        value = self.lookup_or(name, _MISSING)
+        if value is _MISSING:
+            raise UnboundVariableError(name)
+        return value
 
     def lookup_or(self, name: Symbol, default: Any = None) -> Any:
         env: Optional[Env] = self
@@ -54,13 +51,19 @@ class Env:
             env = env.parent
         return default
 
-    def is_bound(self, name: Symbol) -> bool:
+    def holder(self, name: Symbol) -> Optional[Dict[Symbol, Any]]:
+        """The bindings of the first scope from this one up that binds
+        ``name``, or None: where :meth:`lookup_or` finds it and
+        :meth:`assign` assigns it."""
         env: Optional[Env] = self
         while env is not None:
             if name in env.bindings:
-                return True
+                return env.bindings
             env = env.parent
-        return False
+        return None
+
+    def is_bound(self, name: Symbol) -> bool:
+        return self.holder(name) is not None
 
     def bind(self, name: Symbol, value: Any) -> None:
         """Create (or shadow) a binding in this innermost scope."""
@@ -68,13 +71,11 @@ class Env:
 
     def assign(self, name: Symbol, value: Any) -> bool:
         """Assign to an *existing* binding; return False if none exists."""
-        env: Optional[Env] = self
-        while env is not None:
-            if name in env.bindings:
-                env.bindings[name] = value
-                return True
-            env = env.parent
-        return False
+        bindings = self.holder(name)
+        if bindings is None:
+            return False
+        bindings[name] = value
+        return True
 
     def child(self) -> "Env":
         return Env(parent=self)

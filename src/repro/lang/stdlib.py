@@ -32,8 +32,8 @@ from ..gvm.conditions import (
     define_condition_type,
     make_condition,
 )
-from ..gvm.frames import VM_FUNCTIONS, GozerFunction, vm_function
-from ..gvm.futures import GozerFuture, force, force_all, is_fiber_thread
+from ..gvm.frames import GozerFunction, vm_function
+from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
 from .printer import int_text, princ_form, print_form
 from .reader import Char
@@ -626,12 +626,11 @@ def _range(start, stop=None, step=1):
 # -- higher-order list functions (need the VM to call Gozer closures) ------
 
 def _callf(vm, fn, args):
-    """``fn`` called on ``args``: a plain host function (not a
-    ``vm_function``) directly, its arguments forced as ``VM.call``
-    forces them; anything else (a Gozer function, a ``vm_function``, a
-    future) through ``VM.call``."""
-    if type(fn) is FunctionType and fn not in VM_FUNCTIONS:
-        return fn(*force_all(args))
+    """``fn`` called on ``args``: a host function straight through the
+    VM's one host-call rule (``VM._call_host``), anything else (a Gozer
+    function, a future, another callable) through ``VM.call``."""
+    if type(fn) is FunctionType:
+        return vm._call_host(fn, list(args))
     return vm.call(fn, list(args))
 
 

@@ -20,10 +20,12 @@ made here:
   global;
 * a *region*: a loop whose entries are all blocks, run from the entry
   that replaces its backward ``jump``: the same blocks' code inside
-  ``while True``.  Nothing in a region binds a name, so an entry part
-  before the loop resolves each name once a call — a load or a
+  ``while True``.  Every fused entry resolves each name — a load or a
   ``setq`` target to the bindings dict that holds it, a
   ``load-global`` to the innermost dynamic binding or the globals —
+  and then reads or assigns it with one subscript; a call-global or a
+  lone block does so at each push.  Nothing in a region binds a name,
+  so an entry part before its loop resolves each name once a call,
   and checks there that no primitive or host function is bound
   dynamically and that each constant operand is a number; a name bound
   nowhere, or a function bound dynamically, returns the head's pc and
@@ -125,9 +127,6 @@ _OPERATOR_TOKENS = {operator.add: "+", operator.sub: "-",
 #: the tokens whose result, on two ints or floats, is an int or a float
 _ARITHMETIC = ("+", "-", "*")
 
-#: what a generated load gets from a scope chain that does not bind it
-_MISSING = object()
-
 #: shape -> factory, each compiled the first time a fused view needs it
 _TEMPLATES: dict = {}
 
@@ -156,24 +155,28 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     argument values the pushes leave, in order.  ``param()`` names the
     factory's next parameter, ``value(i)`` the variable of the i-th
     push, and ``fail`` is the statement each failed guard runs, and
-    each host call that raises.  A load at depth ``d`` reads ``b{d}``,
-    the bindings of ``e{d}``, and on a miss walks on from ``e{d}``'s
-    parent: the code around the lines binds both.  A ``load-global``
-    reads the innermost dynamic binding, else the global, as the fast
-    loop's own ``load-global`` does.
+    each host call that raises.
+
+    Each name is first resolved, then read with one subscript.  A load
+    at depth ``d`` is resolved to the bindings dict that holds it
+    (``h`` and the push's variable): ``b{d}``, the bindings of
+    ``e{d}``, else the first scope from ``e{d}`` up that binds it
+    (``Env.holder``); the code around the lines binds both.  A
+    ``load-global`` is resolved to its innermost dynamic binding's
+    stack and ``-1``, else to ``gv`` and the name (``h`` and ``k``), as
+    the fast loop's own ``load-global`` reads it.  The check that a
+    primitive or a host function is not bound dynamically (dynamic
+    bindings belong to one flow of control) and the type check of a
+    constant operand go with the resolving.  A name nothing binds, or a
+    function bound dynamically, runs ``fail``.
 
     A region passes ``entry``, the ``(lines, fail)`` of the part of its
-    function that runs once per call, before the loop.  Nothing in a
-    region binds a name, so each name is resolved there: a load's to
-    the bindings dict that holds it (``h`` and the push's variable), a
-    ``load-global``'s to its innermost dynamic binding's stack and
-    ``-1``, or to ``gv`` and the name (``h`` and ``k``), and the lines
-    read it with one subscript.  The check that a primitive or a host
-    function is not bound dynamically (dynamic bindings belong to one
-    flow of control) and the type check of a constant operand go there
-    too.  A name nothing binds, or a function bound dynamically, runs
-    the entry's ``fail``.  The values themselves, each value's type and
-    future guard and each ``gv[name] is fn`` stay in the lines."""
+    function that runs once per call, before the loop, and the resolving
+    and those checks go there, with that ``fail``: nothing in a region
+    binds a name.  A lone block or a ``call-global`` passes none, and
+    they go in the lines, at their push.  The values themselves, each
+    value's type and future guard and each ``gv[name] is fn`` are always
+    in the lines."""
     body: List[str] = []
     values: List[str] = []
     numeric = set()  # the values already known to be an int or a float
@@ -188,31 +191,12 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
             constants.add(values[-1])
             continue
         c, v = param(), value(i)
-        if kind == "load" and entry is None:
+        if kind == "load":
             d = push[1]
-            body += [f"if {c} in b{d}:",
-                     f"    {v} = b{d}[{c}]",
-                     "else:",
-                     f"    p = e{d}.parent",
-                     "    if p is None:",
-                     f"        {fail}",
-                     f"    {v} = p.lookup_or({c}, missing)",
-                     f"    if {v} is missing:",
-                     f"        {fail}"]
-        elif kind == "load":
-            d = push[1]
-            once += [f"h{v} = b{d} if {c} in b{d} "
-                     f"else holder(e{d}.parent, {c})",
+            once += [f"h{v} = b{d} if {c} in b{d} else e{d}.holder({c})",
                      f"if h{v} is None:",
                      f"    {once_fail}"]
             body.append(f"{v} = h{v}[{c}]")
-        elif kind == "load-global" and entry is None:
-            body += [f"if dyn and {c} in dyn:",
-                     f"    {v} = dyn[{c}][-1]",
-                     f"elif {c} in gv:",
-                     f"    {v} = gv[{c}]",
-                     "else:",
-                     f"    {fail}"]
         elif kind == "load-global":
             once += [f"if dyn and {c} in dyn:",
                      f"    h{v}, k{v} = dyn[{c}], -1",
@@ -268,43 +252,22 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
 
 
 def store_lines(c: str, depth: int, v: str, unbound: List[str],
-                entry: Optional[List[str]] = None) -> List[str]:
+                once: List[str]) -> List[str]:
     """Code that assigns ``v`` to the lexical binding of the name ``c``,
     looking from the scope ``depth`` up, else to its innermost dynamic
     binding, as a ``store`` does, and runs the ``unbound`` lines when
-    neither exists.  With a region's ``entry`` lines, the binding is
-    found there, once (``h`` and ``k`` and the variable ``v``), and the
-    code is one subscript assignment, or the ``unbound`` lines when
-    there was none."""
-    if entry is not None:
-        entry += [f"h{v} = b{depth} if {c} in b{depth} "
-                  f"else holder(e{depth}.parent, {c})",
-                  f"k{v} = {c}",
-                  f"if h{v} is None and dyn and {c} in dyn:",
-                  f"    h{v}, k{v} = dyn[{c}], -1"]
-        return [f"if h{v} is None:",
-                *(f"    {line}" for line in unbound),
-                f"h{v}[k{v}] = {v}"]
-    return [f"if {c} in b{depth}:",
-            f"    b{depth}[{c}] = {v}",
-            "else:",
-            f"    p = e{depth}.parent",
-            f"    if p is None or not p.assign({c}, {v}):",
-            f"        if dyn and {c} in dyn:",
-            f"            dyn[{c}][-1] = {v}",
-            "        else:",
-            *(f"            {line}" for line in unbound)]
-
-
-def _holder(env, name):
-    """The bindings dict of the first scope from ``env`` up that binds
-    ``name``, or None: where ``Env.lookup_or`` would find it, and
-    ``Env.assign`` assign it."""
-    while env is not None:
-        if name in env.bindings:
-            return env.bindings
-        env = env.parent
-    return None
+    neither exists.  The binding is found by lines added to ``once``
+    (``h`` and ``k`` and the variable ``v``; a region's entry part, or
+    the block's own lines), and the code returned is one subscript
+    assignment, or the ``unbound`` lines when there was none."""
+    once += [f"h{v} = b{depth} if {c} in b{depth} "
+             f"else e{depth}.holder({c})",
+             f"k{v} = {c}",
+             f"if h{v} is None and dyn and {c} in dyn:",
+             f"    h{v}, k{v} = dyn[{c}], -1"]
+    return [f"if h{v} is None:",
+            *(f"    {line}" for line in unbound),
+            f"h{v}[k{v}] = {v}"]
 
 
 def scope_lines(depths) -> List[str]:
@@ -357,11 +320,12 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
         elif tail[0] == "store":
             # unbound: the store-pop after the call creates the global
             called = width - 3
-            block += store_lines(param(), tail[1], value,
-                                 [f"stack.append({value})",
-                                  f"return {at} + {called}, "
-                                  f"{_count(done + called)}"],
-                                 entry if loop else None)
+            store = store_lines(param(), tail[1], value,
+                                [f"stack.append({value})",
+                                 f"return {at} + {called}, "
+                                 f"{_count(done + called)}"],
+                                entry if loop else block)
+            block += store
         # a pop tail drops the value
         lines += block
         depths += [push[1] for push in pushes + (tail,)
@@ -391,11 +355,11 @@ def template_source(shape) -> str:
     docstring describes it, over the frame's innermost scope ``e0``,
     the global variables and the dynamic binding stacks.  A load at
     depth ``d`` probes the one scope ``d`` parents up and, on a miss,
-    walks on from that scope's parent (``Env.lookup_or``); a ``setq``
-    from depth ``d`` assigns the same way.  Nothing of the program is
-    formatted into the text: only the parameter names, fixed
-    scaffolding, the operator tokens of :data:`_OPERATOR_TOKENS` and
-    the static counts of the shape.
+    walks on from there (``Env.holder``); a ``setq`` from depth ``d``
+    assigns the same way.  Nothing of the program is formatted into the
+    text: only the parameter names, fixed scaffolding, the operator
+    tokens of :data:`_OPERATOR_TOKENS` and the static counts of the
+    shape.
     """
     kind, body = shape
     params: List[str] = []
@@ -420,9 +384,9 @@ def template_source(shape) -> str:
 
 
 #: what a generated function's source may use besides its parameters
-_NAMESPACE = {"__builtins__": {}, "missing": _MISSING, "holder": _holder,
-              "type": type, "int": int, "float": float, "KeyError": KeyError,
-              "OverflowError": OverflowError, "Exception": Exception}
+_NAMESPACE = {"__builtins__": {}, "type": type, "int": int, "float": float,
+              "KeyError": KeyError, "OverflowError": OverflowError,
+              "Exception": Exception}
 
 
 def template(shape):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gvm.environment import Env
 from repro.gvm.vm import truthy
 from repro.lang.errors import (
     GozerRuntimeError,
@@ -251,3 +252,19 @@ class TestInstructionCounting:
         code = rt.compile(rt.read("(+ 1 2)"))
         vm.run_code(code)
         assert vm.instruction_count > 0
+
+
+class TestEnvWalk:
+    def test_holder_is_the_scope_lookup_and_assign_use(self):
+        root = Env(bindings={S("x"): 1})
+        mid = Env(root, {S("y"): 2})
+        inner = Env(mid, {S("x"): 3})
+        assert inner.holder(S("x")) is inner.bindings
+        assert mid.holder(S("x")) is root.bindings
+        assert inner.holder(S("y")) is mid.bindings
+        assert inner.holder(S("z")) is None
+        assert mid.assign(S("x"), 9) and root.bindings[S("x")] == 9
+        assert inner.lookup(S("x")) == 3 and mid.lookup(S("x")) == 9
+        assert not inner.assign(S("z"), 1) and not inner.is_bound(S("z"))
+        with pytest.raises(UnboundVariableError):
+            inner.lookup(S("z"))
