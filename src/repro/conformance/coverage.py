@@ -9,8 +9,8 @@ Three ledgers, three denominators:
 * **builtins** — both stdlib registries; credited from surface marks.
 * **opcodes** — :data:`repro.lang.bytecode.OPCODES`, the fast loop's
   superinstructions, :data:`~repro.lang.bytecode.FUSED`, and the
-  shapes of a ``call-global`` or ``block`` (:data:`CALL_GLOBAL_SHAPES`)
-  and of a ``region`` (:data:`REGION_SHAPES`); credited
+  shapes of a ``block`` (:data:`BLOCK_SHAPES`) and of a ``region``
+  (:data:`REGION_SHAPES`); credited
   by compiling each program and walking its (nested) code objects,
   the instructions for the first and the fused view
   (:func:`~repro.lang.bytecode.fuse`) for the others.
@@ -35,13 +35,13 @@ from .grammar import (EXCLUDED_BUILTINS, GenProgram, analyze,
 #: fused call must be reached by the generator)
 EXCLUDED_OPCODES: Dict[str, str] = {}
 
-#: the shapes of a fused ``call-global`` or ``block`` credited on their
-#: own ledger lines, beside the form itself: the first two are shapes
-#: of the pushes either one has, the others a block's tails
-CALL_GLOBAL_SHAPES = {
-    "call-global/nested": "a push is itself a primitive's or a "
-                          "registered host function's call",
-    "call-global/deep-load": "a load starts one or more scopes up",
+#: the shapes of a fused ``block`` credited on their own ledger lines,
+#: beside the form itself: a shape of its pushes, then its tails
+BLOCK_SHAPES = {
+    "block/nested": "a push is itself a primitive's or a registered "
+                    "host function's call",
+    "block/call": "a call the fast loop makes, a Gozer function's or "
+                  "an unregistered host function's",
     "block/jump-if-false": "carries the jump-if-false after it",
     "block/store": "carries the dup; store x; pop after it",
     "block/pop": "carries the pop after a host function's call",
@@ -51,14 +51,13 @@ CALL_GLOBAL_SHAPES = {
 REGION_SHAPES = {
     "region/host": "a block calls a registered host function",
     "region/store": "a block has a setq tail",
-    "region/deep-load": "a load starts one or more scopes up",
 }
 
 
 def fused_forms(entry: Any) -> List[str]:
     """The ledger lines one fused-view entry credits: its form, and for
-    a ``call-global``, a ``block`` or a ``region`` each of
-    :data:`CALL_GLOBAL_SHAPES` or :data:`REGION_SHAPES` it takes."""
+    a ``block`` or a ``region`` each of :data:`BLOCK_SHAPES` or
+    :data:`REGION_SHAPES` it takes."""
     op, arg = entry
     if op not in FUSED:
         return []
@@ -68,22 +67,18 @@ def fused_forms(entry: Any) -> List[str]:
         shapes = {"region/host": any(kind == "host"
                                      for kind, _, _ in pushes),
                   "region/store": any(block[4][0] == "store"
-                                      for block in blocks),
-                  "region/deep-load": any(kind == "load" and depth
-                                          for kind, _, depth in pushes)}
+                                      for block in blocks)}
         return [op, *(shape for shape, taken in shapes.items() if taken)]
     if op == "store-pop":
         return [op]
     forms = [op]
-    pushes = arg[3]
-    # a block's last call is its own, not a push
-    calls = sum(push in ("primitive", "host") for push, _, _ in pushes)
-    if calls > (op == "block"):
-        forms.append("call-global/nested")
-    if op == "block" and arg[4][0] != "push":
-        forms.append("block/" + arg[4][0])
-    if any(depth for push, _, depth in pushes if push == "load"):
-        forms.append("call-global/deep-load")
+    then = arg[4]
+    # a call made in place is the block's last call, not a push
+    calls = sum(push in ("primitive", "host") for push, _, _ in arg[3])
+    if calls > (then[0] != "call"):
+        forms.append("block/nested")
+    if then[0] != "push":
+        forms.append("block/" + then[0])
     return forms
 
 
@@ -188,7 +183,7 @@ class CoverageAccounter:
         self._all_sf = special_form_names()
         self._all_fn = builtin_names() - set(EXCLUDED_BUILTINS)
         self._all_op = (frozenset(OPCODES) | frozenset(FUSED)
-                        | frozenset(CALL_GLOBAL_SHAPES)
+                        | frozenset(BLOCK_SHAPES)
                         | frozenset(REGION_SHAPES)) \
             - set(EXCLUDED_OPCODES)
         self._all_macros = frozenset(

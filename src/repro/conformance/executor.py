@@ -8,15 +8,19 @@ compiling to bytecode) from *unclassified* divergences (real bugs).
 
 Oracle matrix (see docs/conformance.md):
 
-===========  =====  ==========  =======  ==============
-stratum      vm     vm-pickle   tree     vinz
-===========  =====  ==========  =======  ==============
-pure         base   yes         yes*     sampled
-suspend      base   yes         skip     skip (raw yield)
-dist         base   yes (seq)   yes*     yes (distributed)
-===========  =====  ==========  =======  ==============
+===========  =====  ==========  =======  ==================  ==========
+stratum      vm     vm-pickle   tree     vinz                stepwise
+===========  =====  ==========  =======  ==================  ==========
+pure         base   yes         yes*     sampled             sampled**
+suspend      base   yes         skip     skip (raw yield)    sampled**
+dist         base   yes (seq)   yes*     yes (distributed)   sampled**
+===========  =====  ==========  =======  ==================  ==========
 
 ``*`` unless the sequentialized form uses a tree-unsupported feature.
+``**`` every :data:`STEPWISE_EVERY`-th program that is
+:func:`~repro.conformance.oracles.stepwise_safe` (no futures): paused,
+pickled and restored every 7 instructions, it must reach the baseline's
+outcome with the instruction count of one uninterrupted run.
 """
 
 from __future__ import annotations
@@ -27,10 +31,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from .grammar import (DIST, SUSPEND, TREE_UNSUPPORTED, VINZ_UNSUPPORTED,
                       GenProgram)
 from .oracles import (ENGINE_ERROR, Outcome, run_tree, run_vinz, run_vm,
-                      run_vm_pickle)
+                      run_vm_pickle, stepwise_outcome, stepwise_safe)
 
 BASELINE = "vm"
-ORACLES = ("vm", "vm-pickle", "tree", "vinz")
+ORACLES = ("vm", "vm-pickle", "tree", "vinz", "stepwise")
+
+#: every Nth program (by index) that can be stepped runs the stepwise
+#: oracle, which cross-checks the fast loop's fused entries against the
+#: loop that runs one instruction at a time
+STEPWISE_EVERY = 5
 
 
 @dataclass
@@ -96,6 +105,10 @@ class DifferentialExecutor:
         elif program.stratum != DIST and \
                 (program.index or 0) % self.vinz_every != 0:
             skips["vinz"] = "vinz:not-sampled"
+        if not stepwise_safe(program):
+            skips["stepwise"] = "stepwise:futures"
+        elif (program.index or 0) % STEPWISE_EVERY != 0:
+            skips["stepwise"] = "stepwise:not-sampled"
         return skips
 
     # -- execution -----------------------------------------------------
@@ -134,6 +147,14 @@ class DifferentialExecutor:
             if not base.agrees_with(vinz, strict_ctype=False):
                 verdict.divergences.append(
                     Divergence("vinz", base, vinz, program))
+
+        if "stepwise" not in verdict.skips:
+            stepped = stepwise_outcome(program)
+            verdict.outcomes["stepwise"] = stepped
+            self._count("conformance.oracle.stepwise." + stepped.kind)
+            if not base.agrees_with(stepped, compare_yields=True):
+                verdict.divergences.append(
+                    Divergence("stepwise", base, stepped, program))
 
         if base.kind == ENGINE_ERROR:
             verdict.divergences.append(

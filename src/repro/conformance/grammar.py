@@ -1069,11 +1069,11 @@ class ProgramGenerator:
             return safe[(index // 2) % len(safe)](ctx)
         return unsafe[(index // 2) % len(unsafe)](ctx)
 
-    # -- lexical resolution: where a load finds its name.  The fused
-    # view starts a load at the first scope that can hold the name
-    # (lang.bytecode.load_depths); these put names where that rule has
-    # to be right: shadowed, bound after a closure reads them, several
-    # scopes out, assigned from inside, lexical and global at once.
+    # -- lexical resolution: where a load finds its name.  A fused
+    # entry resolves a load from the frame's innermost scope up
+    # (lang.templates); these put names where that has to be right:
+    # shadowed, bound after a closure reads them, several scopes out,
+    # assigned from inside, lexical and global at once.
 
     def _g_shadowing(self, ctx: _Ctx) -> Any:
         # the same name at two depths, read from inside both

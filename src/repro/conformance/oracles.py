@@ -360,6 +360,30 @@ def run_stepwise(program: GenProgram, stride: int = 1,
                           baseline_instructions=baseline_count)
 
 
+#: the stride the fuzz campaign steps a program at: short enough to
+#: pause inside most fused entries and loop regions, long enough to
+#: keep the campaign's time
+STEPWISE_STRIDE = 7
+
+
+def stepwise_outcome(program: GenProgram) -> Outcome:
+    """The stepwise oracle as the campaign runs it, at
+    :data:`STEPWISE_STRIDE`: what the stepped run observed, or an engine
+    error when its segments' instruction counts do not add up to one
+    uninterrupted run's.  A pause whose state does not pickle is an
+    engine error too, as a migration of that fiber would be."""
+    try:
+        stepped = run_stepwise(program, stride=STEPWISE_STRIDE)
+    except Exception as exc:  # noqa: BLE001 - outcomes, not crashes
+        return Outcome.of_exception(exc)
+    if not stepped.counts_agree:
+        return Outcome(kind=ENGINE_ERROR,
+                       detail=f"stepwise counted {stepped.instructions} "
+                              f"instructions, one run "
+                              f"{stepped.baseline_instructions}")
+    return stepped.outcome
+
+
 # ---------------------------------------------------------------------------
 # distributed Vinz oracle
 # ---------------------------------------------------------------------------

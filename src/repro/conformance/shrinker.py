@@ -33,7 +33,8 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..lang.symbols import Symbol
 from .executor import ORACLES, Divergence
 from .grammar import GenProgram
-from .oracles import ENGINE_ERROR, run_tree, run_vinz, run_vm, run_vm_pickle
+from .oracles import (ENGINE_ERROR, run_tree, run_vinz, run_vm, run_vm_pickle,
+                      stepwise_outcome)
 
 #: list heads whose element positions carry syntax, not expressions —
 #: dropping children there produces malformed programs, not smaller ones
@@ -62,6 +63,9 @@ def still_diverges(program: GenProgram, original: Divergence) -> bool:
         elif oracle == "tree":
             other = run_tree(program)
             diverges = not base.agrees_with(other)
+        elif oracle == "stepwise":
+            other = stepwise_outcome(program)
+            diverges = not base.agrees_with(other, compare_yields=True)
         else:
             seed = (program.seed or 0) * 7919 + (program.index or 0)
             other = run_vinz(program, seed=seed)

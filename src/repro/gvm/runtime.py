@@ -13,7 +13,7 @@ import time
 from typing import Any, Callable, List, Optional
 
 from ..lang.compiler import Compiler
-from ..lang.errors import CompileError, GozerRuntimeError
+from ..lang.errors import CompileError
 from ..lang.reader import ReadTable, Reader
 from ..lang.symbols import Symbol
 from .continuations import Continuation
@@ -161,14 +161,11 @@ class Runtime:
         return name
 
     def apply(self, fn: Any, args: List[Any]) -> Any:
-        """Call a Gozer or host function to completion on a fresh VM."""
-        if isinstance(fn, GozerFunction):
-            return self.new_vm().call(fn, list(args))
-        if callable(fn):
-            return fn(*args)
-        raise GozerRuntimeError(f"not callable: {fn!r}")
-
-    call_function = apply
+        """Call a Gozer or host function to completion on a fresh VM, by
+        the VM's one rule for a call (:meth:`VM.call`): a host function
+        that takes the VM gets it, and a plain one gets its future
+        arguments forced."""
+        return self.new_vm().call(fn, list(args))
 
     # ------------------------------------------------------------------
     # fiber-style execution (used directly and by Vinz)

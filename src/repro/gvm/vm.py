@@ -271,35 +271,34 @@ class VM:
         called in place; ``load``/``store`` walk the scope chain inline.
         The loop runs each code object's fused view
         (:func:`~repro.lang.bytecode.fuse`): the same pcs as
-        ``instructions``, with a ``store-pop``, ``call-global`` or
-        ``block`` superinstruction at the first pc of each sequence it
-        stands for, and a ``region`` at a loop's backward ``jump``.  A
+        ``instructions``, with a ``store-pop`` or ``block``
+        superinstruction at the first pc of each sequence it stands for,
+        and a ``region`` at a loop's backward ``jump``.  A
         superinstruction advances ``pc`` and ``count`` once for every
-        instruction it runs.  A ``block`` — a call of a stdlib primitive
-        or a registered host function, made in place, with its tail —
-        and a ``region`` — a loop of blocks — share one branch: their
+        instruction it runs.  A ``block`` — a call with its tail — and a
+        ``region`` — a loop of blocks — share one branch: their
         generated function (:mod:`~repro.lang.templates`) does the
-        pushes, starting each load at the scope depth fusing proved, the
+        pushes, each name resolved from the frame's innermost scope, the
         calls and the tails, and returns the pc and count to go on at:
         past the block, a branch's target, an unbound ``setq``'s
         ``store-pop``, the loop's exit, the block in a region whose
         guard failed, or a region's head when a name it reads is bound
-        nowhere at its entry.  A block's pushes are pure reads until its last
-        guard, so when one cannot finish it returns None and the entry
-        *deopts*: it pushes the callee and goes on at the next pc, on the
-        entries that stand for the rest of its instructions, and
-        whatever fails then fails at its own pc, stack and count.  A
-        ``call-global``'s function does only the pushes, deopting the
-        same way, and the loop makes the call.  The ``elif`` order is
-        the measured frequency of the ``perf/`` probe programs.
-        Everything else — condition system, ``push-block`` and
-        ``return-from``, continuations, and a ``return`` out of a frame
-        that has cleanups to run — goes through :meth:`_step`, the one
-        fallback.
+        nowhere at its entry.  A block whose call is not made in place
+        (a Gozer function's, an unregistered host function's) pushes the
+        callee and the arguments and returns the pc of its own ``call``
+        or ``tail-call``, which this loop then makes.  A block's pushes
+        are pure reads until its last guard, so when one cannot finish
+        it returns None and the entry *deopts*: it pushes the callee and
+        goes on at the next pc, on the entries that stand for the rest
+        of its instructions, and whatever fails then fails at its own
+        pc, stack and count.  The ``elif`` order is the measured
+        frequency of the ``perf/`` probe programs.  Everything else —
+        condition system, ``push-block`` and ``return-from``,
+        continuations, and a ``return`` out of a frame that has cleanups
+        to run — goes through :meth:`_step`, the one fallback.
 
-        Every call (``call``, ``tail-call``, ``call-global``) ends in
-        the one call block after the chain;
-        every other branch ``continue``s.
+        Every call (``call``, ``tail-call``) ends in the one call block
+        after the chain; every other branch ``continue``s.
         ``frame.pc`` is written back before anything that can observe
         or unwind the frame stack (every call but a plain host
         function's, which cannot reach the VM; every fallback) and on
@@ -323,8 +322,8 @@ class VM:
                 pc += 1
                 count += 1
                 if op == "block" or op == "region":
-                    # a call made in place, with its tail, or a loop of
-                    # them: run goes on to the pc it returns, with the
+                    # a call with its tail, or a loop of calls made in
+                    # place: run goes on to the pc it returns, with the
                     # count of what it ran; ``pc`` and ``count`` are
                     # past this entry's first instruction
                     moved = arg[0](frame.env, global_variables,
@@ -343,25 +342,6 @@ class VM:
                     else:
                         pc, count = moved
                     continue
-                elif op == "call-global":
-                    # ``run`` does the pushes, each a pure read (or pure
-                    # arithmetic, or a registered host call), deopting
-                    # as a block does; the call is made here
-                    run, name, tail, _, width, _ = arg
-                    args = run(frame.env, global_variables, dynamic_stacks)
-                    if args is None:
-                        stack.append(self._load_free(name))
-                        continue
-                    # the load-global f, then the call
-                    if dynamic_stacks and name in dynamic_stacks:
-                        callee = dynamic_stacks[name][-1]
-                    else:
-                        try:
-                            callee = global_variables[name]
-                        except KeyError:
-                            raise UnboundVariableError(name) from None
-                    pc += width - 1
-                    count += width - 1
                 elif op == "load":
                     env = frame.env
                     while env is not None:

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate,
-                        instantiate_blocks)
+from .templates import BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate_blocks
 
 # An instruction is an (opcode, argument) pair.  ``None`` argument for
 # nullary opcodes.  Opcodes are short strings: this is a readability
@@ -35,12 +34,11 @@ from .templates import (BINARY_PRIMITIVES, HOST_FUNCTIONS, instantiate,
 # sequences are one entry each: a whole statement such as Listing 1's
 # ``(setq acc (+ acc (* n n)))``, nested arithmetic and the ``setq``
 # included, is one ``block``, run as one generated Python function
-# (:mod:`repro.lang.templates`) with each load starting at the first
-# scope that can hold its name (:func:`load_depths`), and a loop made
-# only of blocks, like Listing 1's ``dotimes``, is one ``region``: the
-# same blocks' code inside one loop.  The view is the VM's alone: what
-# is emitted, validated, pickled and stepped through is
-# ``instructions``.
+# (:mod:`repro.lang.templates`), and a loop made only of blocks that
+# make their call in place, like Listing 1's ``dotimes``, is one
+# ``region``: the same blocks' code inside one loop.  The view is the
+# VM's alone: what is emitted, validated, pickled and stepped through
+# is ``instructions``.
 Instruction = Tuple[str, Any]
 
 #: The complete GVM instruction set: exactly what ``VM._step`` executes
@@ -94,7 +92,7 @@ OPCODES = {
 #: :attr:`CodeObject.fused`: ``emit`` and :func:`validate` refuse them.
 #: A fused entry at pc ``i`` stands for ``instructions[i:i + w]``.  Every
 #: entry inside that span stands for its own instructions (the original
-#: one, or a fused entry nested in the span: an inner ``call-global``, a
+#: one, or a fused entry nested in the span: an inner ``block``, a
 #: tail's ``store-pop``), so a jump into the span, or the VM resuming
 #: at ``i + 1``, runs exactly what the unfused code would.  A ``region``
 #: stands for its one ``jump``; the loop it runs is the entries from the
@@ -103,33 +101,29 @@ FUSED = {
     "store-pop": "dup; store x; pop — a setq in statement position "
                  "(arg: x; w = 3)",
     "block": "load-global f; k pushes; call k or tail-call k; and its "
-             "tail, f a primitive and k = 2 or f a registered host "
-             "function: a call made in place.  A push is a load, a "
-             "load-global, a const whose argument is not a list, or a "
-             "nested 'load-global p; 2 pushes; call 2' of a primitive "
-             "(templates.BINARY_PRIMITIVES) or 'load-global h; k pushes; "
-             "call k' of a host function without an effect "
-             "(templates.HOST_FUNCTIONS).  The tail is the value pushed, "
-             "the jump-if-false T after the call, the 'dup; store x; pop' "
-             "of a setq or, after a host call, a statement's pop, the one "
-             "place an effect (append!) may be (arg: (run, f, tail-call?, "
+             "tail.  A push is a load, a load-global, a const whose "
+             "argument is not a list, or a nested 'load-global p; 2 "
+             "pushes; call 2' of a primitive (templates.BINARY_PRIMITIVES) "
+             "or 'load-global h; k pushes; call k' of a host function "
+             "without an effect (templates.HOST_FUNCTIONS).  When f is a "
+             "primitive and k = 2, or f a registered host function, the "
+             "call is made in place and the tail is the value pushed, the "
+             "jump-if-false T after the call, the 'dup; store x; pop' of a "
+             "setq or, after a host call, a statement's pop, the one place "
+             "an effect (append!) may be.  Any other call has the call "
+             "tail: f's value and the k values are pushed and the fast "
+             "loop makes the call at its own pc (arg: (run, f, tail-call?, "
              "pushes, then, w, source): pushes in postfix order as (kind, "
-             "value, depth), a nested p as ('primitive', p, None) after "
-             "its two, a nested h as ('host', h, k) after its k, and f's "
-             "own call last the same way; a load's depth is the number of "
-             "scopes up its lookup starts (load_depths); then is ('push', "
-             "None), ('jump-if-false', T), ('store', x, d), d the setq's "
-             "depth, or ('pop', None); run(e0, gv, dyn, stack, count) "
-             "does the pushes, the call and the tail "
-             "(templates.instantiate_blocks) and returns the pc and "
-             "count to go on at, or None to deopt; source is its "
-             "template's)",
-    "call-global": "load-global f; k pushes; call k or tail-call k, any "
-                   "other call: the fast loop makes it (arg: (run, f, "
-                   "tail-call?, pushes, w, source), as a block's without "
-                   "then and f's own call; run(e0, gv, dyn) returns the "
-                   "argument values or None to deopt, "
-                   "templates.instantiate)",
+             "value, k), a nested p as ('primitive', p, 2) after its "
+             "two, a nested h as ('host', h, k) after its k, a load, "
+             "load-global or const as (kind, value, None); a call made in "
+             "place has f's own call last the same way, a call tail has "
+             "('load-global', f, None) first; then is ('push', None), "
+             "('jump-if-false', T), ('store', x), ('pop', None) or "
+             "('call', None); run(e0, gv, dyn, stack, count) does the "
+             "pushes, the call and the tail (templates.instantiate_blocks) "
+             "and returns the pc and count to go on at, or None to deopt; "
+             "source is its template's)",
     "region": "jump H closing a loop of blocks: from H up to the jump, "
               "each entry is a block whose tail is a jump-if-false that "
               "leaves the loop, a setq or a pop, each starting where the "
@@ -231,8 +225,7 @@ class CodeObject:
 
     def disassemble_fused(self) -> str:
         """The fused view the fast loop runs, one entry per pc: each
-        ``call-global`` and ``block`` with the depth each load (and a
-        ``setq`` tail's assignment) starts at and the source of its
+        ``block`` with its pushes, its tail and the source of its
         generated code, each ``region`` with its pc range, the
         instruction count of each block and the source of its loop, and
         each backward ``jump`` that is no region with the entry that
@@ -245,23 +238,16 @@ class CodeObject:
                                    for at, block in blocks)
                 lines.append(f"{pc:4d}  {op}  {head}..{pc}  blocks {counts}"
                              f", jump (1)")
-            elif op == "call-global" or op == "block":
-                if op == "block":
-                    _run, name, tail, pushes, then, width, source = arg
-                else:
-                    (_run, name, tail, pushes, width, source), then = arg, None
+            elif op == "block":
+                _run, name, tail, pushes, then, width, source = arg
                 lines.append(f"{pc:4d}  {op}  {name!r}  width {width}"
                              f"{'  tail' if tail else ''}")
-                for kind, value, depth in pushes:
-                    at = "" if depth is None else \
-                        f"  {'args' if kind == 'host' else 'depth'} {depth}"
-                    lines.append(f"        {kind}  {value!r}{at}")
-                if then is not None:
-                    # the tail: its target, and a setq's depth
-                    kind, target, *depth = then
-                    lines.append(f"        {kind}"
-                                 + ("" if target is None else f"  {target!r}")
-                                 + "".join(f"  depth {d}" for d in depth))
+                for kind, value, k in pushes:
+                    lines.append(f"        {kind}  {value!r}"
+                                 + ("" if k is None else f"  args {k}"))
+                kind, target = then
+                lines.append(f"        {kind}"
+                             + ("" if target is None else f"  {target!r}"))
             else:
                 lines.append(_listing_line(pc, op, arg))
                 if op == "jump" and type(arg) is int and arg < pc:
@@ -319,12 +305,8 @@ def validate(code: CodeObject) -> List[str]:
     return problems
 
 
-#: what a ``call-global`` may take as an argument push
+#: what a ``block`` may take as an argument push
 _SIMPLE_PUSHES = ("load", "load-global", "const")
-
-#: the instructions whose argument names a pc a transfer goes on at,
-#: with the frame's scopes restored to what they were at the instruction
-_EXITS = ("push-block", "push-restarts")
 
 
 def _pushes(instructions: Sequence[Instruction], pc: int, known: dict):
@@ -339,9 +321,9 @@ def _pushes(instructions: Sequence[Instruction], pc: int, known: dict):
 
 
 def _push(instructions: Sequence[Instruction], pc: int, known: dict):
-    """The ``call-global`` push that starts at ``pc``, as ``(postfix
-    items, end pc)``, or None; ``known`` holds those already found.  An
-    item is ``(kind, value, pc)``, a call's ``(kind, f, k)``.  A
+    """The ``block`` push that starts at ``pc``, as ``(postfix items,
+    end pc)``, or None; ``known`` holds those already found.  An item
+    is ``(kind, value, None)``, a call's ``(kind, f, k)``.  A
     ``load-global`` of a primitive followed by two pushes and ``call
     2``, or of a host function without an effect followed by k pushes
     and ``call k``, is one nested push: on a straight run of code the
@@ -353,7 +335,7 @@ def _push(instructions: Sequence[Instruction], pc: int, known: dict):
     if pc < len(instructions):
         op, arg = instructions[pc]
         if op in _SIMPLE_PUSHES and type(arg) is not list:
-            push = ((op, arg, pc),), pc + 1
+            push = ((op, arg, None),), pc + 1
         if op == "load-global" and (arg in BINARY_PRIMITIVES
                                     or arg in HOST_FUNCTIONS):
             items, end, k = _pushes(instructions, pc + 1, known)
@@ -375,86 +357,24 @@ def _call_kind(name, k: int):
     return None
 
 
-def load_depths(instructions: Sequence[Instruction]) -> dict:
-    """``{pc: d}`` for every ``load`` and ``store``: the number of
-    scopes above the first one, counting from the frame's innermost,
-    that can hold the name there.
-
-    One linear pass opens an *extent* at each ``push-scope`` and closes
-    it at its ``pop-scope``; the frame's base scope (its parameters, or
-    the scope it was started with) is the extent open from pc 0.  Each
-    extent records every name a ``bind`` inside it binds, wherever in
-    the extent that is.  Only ``bind`` (and, in the base scope,
-    parameter binding) puts a name into one of a frame's own scopes, so
-    the scopes of extents nearer than the innermost one that records
-    the name can never hold it; a ``store`` assigns the binding a
-    lookup there would find, so it starts at the same depth.  A name no
-    extent records starts at the base scope, which may hold anything.
-    When a jump, or the exit pc a ``block`` or ``restart-case`` goes on
-    at, would land with other extents open, or a ``pop-scope`` closes
-    the base scope, the pass proves nothing and every load and store
-    starts at depth 0 (``{}``).
-    """
-    names: List[set] = [set()]
-    extents: Tuple[int, ...] = (0,)
-    open_at = []
-    for op, arg in instructions:
-        open_at.append(extents)
-        if op == "push-scope":
-            names.append(set())
-            extents += (len(names) - 1,)
-        elif op == "pop-scope":
-            if len(extents) == 1:
-                return {}
-            extents = extents[:-1]
-        elif op == "bind":
-            names[extents[-1]].add(arg)
-    n = len(instructions)
-    for pc, (op, arg) in enumerate(instructions):
-        if op in _JUMPS:
-            target = arg
-        elif op in _EXITS:
-            target = arg[1] if type(arg) is tuple and len(arg) == 2 else None
-        else:
-            continue
-        if type(target) is not int or not 0 <= target <= n:
-            return {}
-        if target < n and open_at[target] != open_at[pc]:
-            return {}
-    depths = {}
-    for pc, (op, arg) in enumerate(instructions):
-        if op == "load" or op == "store":
-            extents = open_at[pc]
-            depth = len(extents) - 1
-            for nearer, extent in enumerate(reversed(extents)):
-                if arg in names[extent]:
-                    depth = nearer
-                    break
-            depths[pc] = depth
-    return depths
-
-
 def fuse(code: CodeObject) -> List[Instruction]:
     """The fused view: ``code.instructions`` with each :data:`FUSED`
     sequence replaced, at the pc of its first instruction, by one entry.
 
     The view has the same length and the same pcs as ``instructions``,
     so no jump target moves.  Each pc is fused on its own, so a span may
-    hold fused entries of its own (a nested push's ``call-global`` or
-    ``block``, a tail's ``store-pop``): each stands for its own
-    instructions.  A call of a primitive or a registered host function
-    is a ``block``, any other call a ``call-global``; either is one
-    generated function (:mod:`~repro.lang.templates`), its loads and a
-    ``setq`` tail's assignment starting at the depths
-    :func:`load_depths` proves.  Then each backward ``jump`` that closes
-    a loop of blocks (:func:`_region_blocks`) becomes a ``region``
-    entry.
+    hold fused entries of its own (a nested push's ``block``, a tail's
+    ``store-pop``): each stands for its own instructions.  Every call is
+    a ``block``, one generated function (:mod:`~repro.lang.templates`):
+    a call of a primitive or a registered host function is made in
+    place with its tail, any other call has the ``call`` tail and is
+    made by the fast loop.  Then each backward ``jump`` that closes a
+    loop of blocks (:func:`_region_blocks`) becomes a ``region`` entry.
     """
     instructions = code.instructions
     view = list(instructions)
     n = len(instructions)
     known: dict = {}
-    depths = None
     for pc, (op, arg) in enumerate(instructions):
         if op == "dup":
             if pc + 2 < n and instructions[pc + 1][0] == "store" \
@@ -471,25 +391,19 @@ def fuse(code: CodeObject) -> List[Instruction]:
             popped = kind == "host" and after[:1] == [("pop", None)]
             if kind == "host" and HOST_FUNCTIONS[arg][1] and not popped:
                 kind = None  # an effect is the last thing its statement does
-            if kind:
-                items += ((kind, arg, k),)
-            if depths is None:
-                depths = load_depths(instructions)
-            pushes = tuple((kind, value, depths.get(at, 0) if kind == "load"
-                            else at if kind == "host" else None)
-                           for kind, value, at in items)
             width = end + 1 - pc
             if not kind:
-                run, source = instantiate(pushes)
-                view[pc] = ("call-global", (run, arg, tail, pushes, width,
-                                            source))
-                continue
-            then = ("push", None)
-            if popped or after and after[0][0] == "jump-if-false":
-                then, width = after[0], width + 1
-            elif [name for name, _ in after] == ["dup", "store", "pop"]:
-                then = ("store", after[1][1], depths.get(end + 2, 0))
-                width += 3
+                # the fast loop makes the call
+                pushes = (("load-global", arg, None),) + items
+                then = ("call", None)
+            else:
+                pushes = items + ((kind, arg, k),)
+                then = ("push", None)
+                if popped or after and after[0][0] == "jump-if-false":
+                    then, width = after[0], width + 1
+                elif [name for name, _ in after] == ["dup", "store", "pop"]:
+                    then = ("store", after[1][1])
+                    width += 3
             run, source = instantiate_blocks([(pc, pushes, then, width)])
             view[pc] = ("block", (run, arg, tail, pushes, then, width,
                                   source))
@@ -516,13 +430,13 @@ def _region_blocks(view, head: int, end: int):
     pc = head
     while pc < end:
         op, arg = view[pc]
-        if op == "call-global":
-            return None, (f"pc {pc}: the call of {arg[1]!r} is not made "
-                          f"in place (not a primitive's two-argument call "
-                          f"or a registered host function's)")
         if op != "block":
             return None, f"pc {pc}: {op} is not a fused call"
         then = arg[4]
+        if then[0] == "call":
+            return None, (f"pc {pc}: the call of {arg[1]!r} is not made "
+                          f"in place (not a primitive's two-argument call "
+                          f"or a registered host function's)")
         if then[0] == "push":
             return None, f"pc {pc}: the value of {arg[1]!r} stays pushed"
         if then[0] == "jump-if-false" and head <= then[1] <= end:

@@ -85,8 +85,9 @@ def install(runtime) -> None:
 
 # The two-argument branches below are the variadic loops unrolled (same
 # operations in the same order): nearly every call site passes two.
-# The eight marked ``binary_primitive`` are also computed inline by the
-# GVM's fast loop when both arguments are an ``int`` or a ``float``
+# The eight marked ``binary_primitive`` are also computed inline, by
+# the code generated for the GVM's fused blocks and loop regions, when
+# both arguments are an ``int`` or a ``float``
 # (``repro.lang.templates.BINARY_PRIMITIVES``); for those the function
 # and ``op(a, b)`` agree.
 
@@ -1291,19 +1292,12 @@ def _compute_restarts(vm):
 def _install_intrinsics(runtime) -> None:
     env = runtime.global_env
 
-    def defvar_intrinsic(name, value, keep_existing):
-        env.declare_special(name)
-        if keep_existing and env.is_bound(name):
-            return name
-        env.define(name, value)
-        return name
-
-    env.define_intrinsic("defvar", defvar_intrinsic)
-
     # runtime-independent intrinsics live at module level (not as
     # closures) so continuations that hold a reference to them — e.g. a
     # fiber suspended between the ``load-global`` of ``sethash`` and
-    # its ``call`` — stay picklable for migration
+    # its ``call``, or inside a ``defvar``'s value form — stay
+    # picklable for migration
+    env.define_intrinsic("defvar", _defvar_intrinsic)
     env.define_intrinsic("dot", _dot_intrinsic)
     env.define_intrinsic("dot-field", _dot_field_intrinsic)
     env.define_intrinsic("dot-setf", _dot_setf_intrinsic)
@@ -1365,6 +1359,16 @@ def _install_intrinsics(runtime) -> None:
         return macroexpand(form, env, runtime.apply)
 
     env.define(_S("macroexpand"), macroexpand_fn)
+
+
+@vm_function
+def _defvar_intrinsic(vm, name, value, keep_existing):
+    env = vm.global_env
+    env.declare_special(name)
+    if keep_existing and env.is_bound(name):
+        return name
+    env.define(name, value)
+    return name
 
 
 def _dot_intrinsic(obj, member, *args):

@@ -1,45 +1,46 @@
 """Generated code for the GVM's fused calls: straight-line Python.
 
-The fast loop (:meth:`repro.gvm.vm.VM._run_fast`) runs three kinds of
+The fast loop (:meth:`repro.gvm.vm.VM._run_fast`) runs two kinds of
 fused entry (:func:`repro.lang.bytecode.fuse`) by calling one function
 made here:
 
-* a ``call-global`` of a function the fast loop calls itself (a Gozer
-  function, an unregistered host function): ``run(e0, gv, dyn)`` does
-  every push of the call and returns the argument values, or None when
-  a push cannot finish here and the entry deopts;
-* a *block*: a call of a stdlib primitive (:data:`BINARY_PRIMITIVES`,
-  computed by its operator) or of a registered host function
-  (:data:`HOST_FUNCTIONS`, called in place) with its tail — its value
-  pushed, a ``jump-if-false`` on it, a ``setq`` of it or, for a host
-  call, a statement's ``pop``.  ``run(e0, gv, dyn, stack, count)`` does
-  the pushes, the call and the tail, and returns ``(pc, count)``, where
-  the fast loop goes on, or None to deopt before any effect.  A
-  ``setq`` whose name has no lexical or dynamic binding pushes the
-  value and returns the pc of its ``store-pop``, which creates the
-  global;
-* a *region*: a loop whose entries are all blocks, run from the entry
-  that replaces its backward ``jump``: the same blocks' code inside
-  ``while True``.  Every fused entry resolves each name — a load or a
-  ``setq`` target to the bindings dict that holds it, a
-  ``load-global`` to the innermost dynamic binding or the globals —
-  and then reads or assigns it with one subscript; a call-global or a
-  lone block does so at each push.  Nothing in a region binds a name,
-  so an entry part before its loop resolves each name once a call,
-  and checks there that no primitive or host function is bound
-  dynamically and that each constant operand is a number; a name bound
-  nowhere, or a function bound dynamically, returns the head's pc and
-  the count given, as the ``jump`` would.  Each iteration reads every
-  value again, with one subscript, and keeps the ``gv[name] is fn``,
-  type and future guards.  A guard that fails, or a host call that
-  raises, returns the pc of its block with the count the blocks before
-  it reach, and the block's own entry then deopts at its own pc, stack
-  and count.  Only a new binding another thread makes mid-loop, nearer
-  than where a name was found, is seen later than without the region:
-  at its next entry.  Nothing in a region calls Gozer code or a
-  ``vm_function``, or yields, so no continuation is captured inside
-  it; a host function is failure-atomic and only a block's outer call
-  may have an effect, so a block that fails has changed nothing.
+* a *block*: a call with its tail.  ``run(e0, gv, dyn, stack, count)``
+  does the pushes, the call and the tail, and returns ``(pc, count)``,
+  where the fast loop goes on, or None to deopt before any effect.  A
+  call of a stdlib primitive (:data:`BINARY_PRIMITIVES`, computed by its
+  operator) or of a registered host function (:data:`HOST_FUNCTIONS`,
+  called in place) is made here, and its tail is its value pushed, a
+  ``jump-if-false`` on it, a ``setq`` of it or, for a host call, a
+  statement's ``pop``.  A ``setq`` whose name has no lexical or dynamic
+  binding pushes the value and returns the pc of its ``store-pop``,
+  which creates the global.  Any other call (a Gozer function, an
+  unregistered host function) has the ``call`` tail: the block pushes
+  the callee's value and the argument values and returns the pc of its
+  own ``call`` or ``tail-call``, which the fast loop then makes;
+* a *region*: a loop whose entries are all blocks that make their call
+  here, run from the entry that replaces its backward ``jump``: the
+  same blocks' code inside ``while True``.
+
+Every fused entry resolves each name — a load or a ``setq`` target to
+the bindings dict that holds it, from the frame's innermost scope
+``e0`` up (its own bindings, else ``Env.holder``), a ``load-global`` to
+the innermost dynamic binding or the globals — and then reads or
+assigns it with one subscript; a lone block does so at each push.
+Nothing in a region binds a name, so an entry part before its loop
+resolves each name once a call, and checks there that no primitive or
+host function is bound dynamically and that each constant operand is a
+number; a name bound nowhere, or a function bound dynamically, returns
+the head's pc and the count given, as the ``jump`` would.  Each
+iteration reads every value again, with one subscript, and keeps the
+``gv[name] is fn``, type and future guards.  A guard that fails, or a
+host call that raises, returns the pc of its block with the count the
+blocks before it reach, and the block's own entry then deopts at its
+own pc, stack and count.  Only a new binding another thread makes
+mid-loop, nearer than where a name was found, is seen later than
+without the region: at its next entry.  Nothing in a region calls Gozer
+code or a ``vm_function``, or yields, so no continuation is captured
+inside it; a host function is failure-atomic and only a block's outer
+call may have an effect, so a block that fails has changed nothing.
 
 A push may itself call a primitive or a host function.  Each distinct
 *shape* (:func:`template_source`) is compiled once per process into a
@@ -133,12 +134,12 @@ _TEMPLATES: dict = {}
 
 def push_shape(pushes) -> Tuple[Tuple[Any, ...], ...]:
     """The shape of a fused call's pushes: each push's kind, with its
-    depth for a ``load``, its operator for a ``primitive`` and its
-    argument count for a ``host`` call."""
+    operator for a ``primitive`` and its argument count for a ``host``
+    call."""
     shape = []
-    for kind, value, depth in pushes:
-        if kind == "load" or kind == "host":
-            shape.append((kind, depth))
+    for kind, value, k in pushes:
+        if kind == "host":
+            shape.append((kind, k))
         elif kind == "primitive":
             shape.append((kind,
                           _OPERATOR_TOKENS[BINARY_PRIMITIVES[value][1]]))
@@ -158,10 +159,10 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     each host call that raises.
 
     Each name is first resolved, then read with one subscript.  A load
-    at depth ``d`` is resolved to the bindings dict that holds it
-    (``h`` and the push's variable): ``b{d}``, the bindings of
-    ``e{d}``, else the first scope from ``e{d}`` up that binds it
-    (``Env.holder``); the code around the lines binds both.  A
+    is resolved to the bindings dict that holds it (``h`` and the push's
+    variable): ``b0``, the bindings of the innermost scope ``e0``, else
+    the first scope from ``e0`` up that binds it (``Env.holder``); the
+    code around the lines binds ``b0``.  A
     ``load-global`` is resolved to its innermost dynamic binding's
     stack and ``-1``, else to ``gv`` and the name (``h`` and ``k``), as
     the fast loop's own ``load-global`` reads it.  The check that a
@@ -173,8 +174,8 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     A region passes ``entry``, the ``(lines, fail)`` of the part of its
     function that runs once per call, before the loop, and the resolving
     and those checks go there, with that ``fail``: nothing in a region
-    binds a name.  A lone block or a ``call-global`` passes none, and
-    they go in the lines, at their push.  The values themselves, each
+    binds a name.  A lone block passes none, and they go in the lines,
+    at their push.  The values themselves, each
     value's type and future guard and each ``gv[name] is fn`` are always
     in the lines."""
     body: List[str] = []
@@ -192,8 +193,7 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
             continue
         c, v = param(), value(i)
         if kind == "load":
-            d = push[1]
-            once += [f"h{v} = b{d} if {c} in b{d} else e{d}.holder({c})",
+            once += [f"h{v} = b0 if {c} in b0 else e0.holder({c})",
                      f"if h{v} is None:",
                      f"    {once_fail}"]
             body.append(f"{v} = h{v}[{c}]")
@@ -251,17 +251,16 @@ def push_lines(shape, param: Callable[[], str], value: Callable[[int], str],
     return body, values
 
 
-def store_lines(c: str, depth: int, v: str, unbound: List[str],
+def store_lines(c: str, v: str, unbound: List[str],
                 once: List[str]) -> List[str]:
     """Code that assigns ``v`` to the lexical binding of the name ``c``,
-    looking from the scope ``depth`` up, else to its innermost dynamic
+    looking from the innermost scope up, else to its innermost dynamic
     binding, as a ``store`` does, and runs the ``unbound`` lines when
     neither exists.  The binding is found by lines added to ``once``
     (``h`` and ``k`` and the variable ``v``; a region's entry part, or
     the block's own lines), and the code returned is one subscript
     assignment, or the ``unbound`` lines when there was none."""
-    once += [f"h{v} = b{depth} if {c} in b{depth} "
-             f"else e{depth}.holder({c})",
+    once += [f"h{v} = b0 if {c} in b0 else e0.holder({c})",
              f"k{v} = {c}",
              f"if h{v} is None and dyn and {c} in dyn:",
              f"    h{v}, k{v} = dyn[{c}], -1"]
@@ -270,26 +269,17 @@ def store_lines(c: str, depth: int, v: str, unbound: List[str],
             f"h{v}[k{v}] = {v}"]
 
 
-def scope_lines(depths) -> List[str]:
-    """The lines that bind ``e{d}`` and ``b{d}`` for each depth in
-    ``depths`` (``e0``, the innermost scope, is the caller's)."""
-    hops = [f"e{d} = e{d - 1}.parent"
-            for d in range(1, max(depths, default=0) + 1)]
-    return hops + [f"b{d} = e{d}.bindings" for d in sorted(set(depths))]
-
-
 def _count(n: int) -> str:
     """``count`` advanced by the static ``n``."""
     return f"count + {n}" if n else "count"
 
 
-def block_lines(blocks, param: Callable[..., str], loop: bool
-                ) -> Tuple[List[str], List[int]]:
+def block_lines(blocks, param: Callable[..., str], loop: bool) -> List[str]:
     """The code of ``blocks``, each ``(pushes' shape, tail, width)``, one
-    after the other, and the scope depths it reads.  ``done`` is the
-    count of the instructions before the block, from the ``count`` the
-    function was given: that count includes a region's backward
-    ``jump``, or a lone block's own first instruction.
+    after the other.  ``done`` is the count of the instructions before
+    the block, from the ``count`` the function was given: that count
+    includes a region's backward ``jump``, or a lone block's own first
+    instruction.
 
     A region's code is its entry part (:func:`push_lines`), then the
     blocks inside ``while True``.  An entry that fails returns the head
@@ -298,17 +288,22 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
     fails."""
     lines: List[str] = []
     entry: List[str] = []
-    depths: List[int] = []
     done = 0 if loop else -1
     for k, (pushes, tail, width) in enumerate(blocks):
         at = param("at")
         if k == 0:
             head = at
         fail = f"return {at}, {_count(done)}" if loop else "return None"
-        block, (value,) = push_lines(
+        block, values = push_lines(
             pushes, param, f"v{k}_{{}}".format, fail,
             (entry, f"return {head}, count") if loop else None)
-        if tail[0] == "push":
+        value = values[-1]
+        if tail[0] == "call":
+            # the callee and its arguments, for the fast loop's own call
+            # instruction, the last of the block, to call
+            block.append(f"stack.extend(({', '.join(values)},))")
+            width -= 1
+        elif tail[0] == "push":
             block.append(f"stack.append({value})")
         elif tail[0] == "jump-if-false":
             # a primitive's value is never None, and False only as a
@@ -320,7 +315,7 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
         elif tail[0] == "store":
             # unbound: the store-pop after the call creates the global
             called = width - 3
-            store = store_lines(param(), tail[1], value,
+            store = store_lines(param(), value,
                                 [f"stack.append({value})",
                                  f"return {at} + {called}, "
                                  f"{_count(done + called)}"],
@@ -328,24 +323,22 @@ def block_lines(blocks, param: Callable[..., str], loop: bool
             block += store
         # a pop tail drops the value
         lines += block
-        depths += [push[1] for push in pushes + (tail,)
-                   if push[0] in ("load", "store")]
         done += width
     if loop:
         # the backward jump ends each iteration
-        return (entry + ["while True:", *("    " + line for line in lines),
-                         f"    count += {done + 1}"], depths)
-    return lines + [f"return {at} + {width}, {_count(done)}"], depths
+        return entry + ["while True:", *("    " + line for line in lines),
+                        f"    count += {done + 1}"]
+    return lines + [f"return {at} + {width}, {_count(done)}"]
 
 
 def template_source(shape) -> str:
-    """The Python source of the factory for ``shape``: ``("call",
-    pushes)`` for a ``call-global``, ``("block", (block,))`` for a lone
-    block and ``("region", blocks)`` for a region, a block being
-    ``(pushes, tail, width)``: its pushes' :func:`push_shape` (the last
-    push is the call itself), its tail — ``("push",)``,
-    ``("jump-if-false",)``, ``("store", d)`` or ``("pop",)`` — and the
-    instructions it stands for.
+    """The Python source of the factory for ``shape``: ``("block",
+    (block,))`` for a lone block and ``("region", blocks)`` for a
+    region, a block being ``(pushes, tail, width)``: its pushes'
+    :func:`push_shape` (the last push is the call itself, or, with the
+    ``call`` tail, the last argument), its tail — ``("push",)``,
+    ``("jump-if-false",)``, ``("store",)``, ``("pop",)`` or
+    ``("call",)`` — and the instructions it stands for.
 
     ``make(c0, c1, ...)`` takes, in order, each push's symbol or
     constant and, after a primitive's or a host function's symbol, the
@@ -353,33 +346,27 @@ def template_source(shape) -> str:
     start with its pc and end with its ``jump-if-false`` target or the
     symbol its ``setq`` assigns.  It returns ``run``, as the module
     docstring describes it, over the frame's innermost scope ``e0``,
-    the global variables and the dynamic binding stacks.  A load at
-    depth ``d`` probes the one scope ``d`` parents up and, on a miss,
-    walks on from there (``Env.holder``); a ``setq`` from depth ``d``
-    assigns the same way.  Nothing of the program is formatted into the
-    text: only the parameter names, fixed scaffolding, the operator
-    tokens of :data:`_OPERATOR_TOKENS` and the static counts of the
-    shape.
+    the global variables and the dynamic binding stacks.  A load probes
+    ``e0``'s own bindings and, on a miss, walks on up from there
+    (``Env.holder``); a ``setq`` assigns the same way.  Nothing of the
+    program is formatted into the text: only the parameter names, fixed
+    scaffolding, the operator tokens of :data:`_OPERATOR_TOKENS` and the
+    static counts of the shape.
     """
-    kind, body = shape
+    kind, blocks = shape
     params: List[str] = []
 
     def param(prefix: str = "c") -> str:
         params.append(f"{prefix}{len(params)}")
         return params[-1]
 
-    if kind == "call":
-        lines, values = push_lines(body, param, "v{}".format, "return None")
-        lines.append(f"return [{', '.join(values)}]")
-        depths = [push[1] for push in body if push[0] == "load"]
-        signature = "e0, gv, dyn"
-    else:
-        lines, depths = block_lines(body, param, kind == "region")
-        signature = "e0, gv, dyn, stack, count"
+    lines = block_lines(blocks, param, kind == "region")
+    if any(push[0] == "load" or tail[0] == "store"
+           for pushes, tail, _width in blocks for push in pushes):
+        lines.insert(0, "b0 = e0.bindings")
     return "\n".join([f"def make({', '.join(params)}):",
-                      f"    def run({signature}):",
-                      *("        " + line
-                        for line in scope_lines(depths) + lines),
+                      "    def run(e0, gv, dyn, stack, count):",
+                      *("        " + line for line in lines),
                       "    return run", ""])
 
 
@@ -406,23 +393,17 @@ def template(shape):
 
 
 def push_arguments(pushes) -> List[Any]:
-    """The factory arguments of ``pushes`` (``(kind, value, depth)`` in
+    """The factory arguments of ``pushes`` (``(kind, value, k)`` in
     postfix order, as :func:`~repro.lang.bytecode.fuse` makes them), in
     the order :func:`push_lines` names its parameters."""
     arguments = []
-    for kind, value, _depth in pushes:
+    for kind, value, _k in pushes:
         arguments.append(value)
         if kind == "primitive":
             arguments.append(BINARY_PRIMITIVES[value][0])
         elif kind == "host":
             arguments.append(HOST_FUNCTIONS[value][0])
     return arguments
-
-
-def instantiate(pushes):
-    """``(run, source)`` of a ``call-global`` with these pushes."""
-    make = template(("call", push_shape(pushes)))
-    return make(*push_arguments(pushes)), make.source
 
 
 def instantiate_blocks(blocks, loop: bool = False):
@@ -434,8 +415,7 @@ def instantiate_blocks(blocks, loop: bool = False):
     shape: List[Any] = []
     arguments: List[Any] = []
     for pc, pushes, then, width in blocks:
-        tail = ("store", then[2]) if then[0] == "store" else then[:1]
-        shape.append((push_shape(pushes), tail, width))
+        shape.append((push_shape(pushes), then[:1], width))
         arguments += [pc, *push_arguments(pushes)]
         if then[0] == "jump-if-false" or then[0] == "store":
             arguments.append(then[1])  # the exit pc or the setq's target

@@ -1,8 +1,14 @@
-"""Oracle tests: outcome algebra and the four execution backends."""
+"""Oracle tests: outcome algebra, the execution backends and the
+stepwise oracle's place in the campaign."""
 
-from repro.conformance import (Outcome, ProgramGenerator, run_tree,
+import pickle
+
+from repro.conformance import (DifferentialExecutor, Outcome,
+                               ProgramGenerator, oracles, run_tree,
                                run_vinz, run_vm, run_vm_pickle)
 from repro.conformance.corpus import loads
+from repro.conformance.oracles import StepwiseResult
+from repro.conformance.shrinker import still_diverges
 from repro.conformance.grammar import DIST, SUSPEND
 
 
@@ -105,3 +111,49 @@ class TestGeneratedAgreement:
             assert base.agrees_with(pickled, compare_yields=True), p.name
             checked += 1
         assert checked == 12
+
+
+class TestStepwiseOracle:
+    """The campaign runs the stepwise oracle on a sample of programs."""
+
+    def test_every_fifth_program_without_futures_is_stepped(self):
+        executor = DifferentialExecutor()
+        gen = ProgramGenerator(7)
+        skips = {index: executor.plan_skips(gen.generate(index))
+                 .get("stepwise") for index in range(40)}
+        stepped = [index for index, skip in skips.items() if skip is None]
+        assert stepped and all(index % 5 == 0 for index in stepped)
+        assert {skips[index] for index in range(40) if index % 5} \
+            <= {"stepwise:not-sampled", "stepwise:futures"}
+        futures = program("(touch (future (+ 1 2)))")
+        assert executor.plan_skips(futures)["stepwise"] == "stepwise:futures"
+        verdict = executor.run(program("(let ((a 0)) "
+                                       "(dotimes (i 9) (setq a (+ a i))) a)"))
+        assert verdict.ok and verdict.outcomes["stepwise"].value == 36
+
+    def test_a_count_that_does_not_add_up_is_a_divergence(self, monkeypatch):
+        plain = oracles.run_stepwise
+
+        def miscounted(p, stride=1):
+            result = plain(p, stride)
+            return StepwiseResult(result.outcome, result.segments,
+                                  result.instructions + 1,
+                                  result.baseline_instructions)
+
+        monkeypatch.setattr(oracles, "run_stepwise", miscounted)
+        p = program("(let ((a 0)) (dotimes (i 9) (setq a (+ a i))) a)")
+        divergence, = DifferentialExecutor().run(p).divergences
+        assert divergence.oracle == "stepwise"
+        assert divergence.observed.kind == "engine-error"
+        assert "stepwise counted" in divergence.observed.detail
+        assert still_diverges(p, divergence)
+
+    def test_a_pause_that_does_not_pickle_is_a_divergence(self, monkeypatch):
+        def unpicklable(p, stride=1):
+            raise pickle.PicklingError("a local closure on the stack")
+
+        monkeypatch.setattr(oracles, "run_stepwise", unpicklable)
+        divergence, = DifferentialExecutor().run(program("(+ 1 2)")) \
+            .divergences
+        assert divergence.oracle == "stepwise"
+        assert divergence.observed.kind == "engine-error"

@@ -1,28 +1,38 @@
-"""A fused ``call-global``'s pushes as generated straight-line Python.
+"""A fused call's pushes as generated straight-line Python.
 
-``lang.templates`` compiles each ``call-global``'s pushes, once per
-*shape* (push kinds, load depths, primitive operators), into a factory
-whose ``run(e0, gv, dyn)`` returns the argument values or None to deopt.
-Its loads start at the depth :func:`~repro.lang.bytecode.load_depths`
-proves.  Here:
+``lang.templates`` compiles each ``block``'s pushes, once per *shape*
+(push kinds, primitive operators, tail), into a factory.  A block whose
+call the fast loop makes — a Gozer function's, an unregistered host
+function's — has the ``call`` tail: its ``run(e0, gv, dyn, stack,
+count)`` pushes the callee and the argument values and returns the pc
+of its own ``call``, or None to deopt.  Every load is resolved from the
+frame's innermost scope ``e0``: its own bindings, else ``Env.holder``.
+Here:
 
-* over random shapes, ``run`` returns exactly what the push loop it
-  replaced returns (kept below as :func:`reference`), or both deopt;
-* the depth analysis on the cases that decide it;
+* over random shapes, the block pushes exactly what the push loop it
+  replaced computed (kept below as :func:`reference`), or both deopt;
+* where a load finds its name — nested scopes, a name bound later in
+  its scope, a name no scope of the frame binds, scopes a jump or an
+  exit leaves inconsistent, the ``fused-depth-*`` corpus — read by the
+  fused and the traced loop alike;
 * names and constants the generated source must never hold.
 """
 
 import math
+import os
 import random
+import sys
 
 import pytest
 
+from repro.conformance import load_dir
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.environment import Env
+from repro.gvm.runtime import make_runtime
 from repro.lang import stdlib
-from repro.lang.bytecode import CodeObject, load_depths, nested_code_objects
+from repro.lang.bytecode import CodeObject, nested_code_objects
 from repro.lang.symbols import Symbol
-from repro.lang.templates import (BINARY_PRIMITIVES, instantiate,
+from repro.lang.templates import (BINARY_PRIMITIVES, instantiate_blocks,
                                   push_shape, template)
 
 S = Symbol
@@ -41,7 +51,7 @@ def reference(pushes, scope, global_variables, dynamic_stacks):
     load walks the chain from the innermost scope.  The argument list,
     or None where the fused entry deopts."""
     args = []
-    for push, value, _depth in pushes:
+    for push, value, _k in pushes:
         if push == "load":
             env = scope
             while env is not None:
@@ -82,10 +92,39 @@ def observed(args):
     return [(type(value), repr(value)) for value in args]
 
 
-VALUES = (0, 3, -7, 2.5, 0.0, -0.0, 1e308, math.inf, True, False, "ab",
-          10 ** 400, -(2 ** 70))
+#: the callee of every block here: a function the fast loop calls
+F = S("f")
 #: a stdlib function that is not one of the eight
 MAX = stdlib._REGISTRY["max"]
+
+
+def call_block(pushes):
+    """A block at pc 10 that calls ``f`` on the values of ``pushes``:
+    ``(e0, gv, dyn)`` gives the values it leaves for the fast loop's
+    ``call`` — the callee first — or None where it deopts."""
+    # each simple push is one instruction, each nested call two more
+    # (its load-global and its call); then f's load-global and call
+    width = 2 + sum(1 if k is None else 2 for _, _, k in pushes)
+    run, _source = instantiate_blocks(
+        [(10, (("load-global", F, None),) + tuple(pushes), ("call", None),
+          width)])
+
+    def values(e0, gv, dyn):
+        stack = ["below"]
+        moved = run(e0, gv, dyn, stack, 1)
+        if moved is None:
+            assert stack == ["below"]  # nothing pushed
+            return None
+        # on at the call, counted up to it
+        assert moved == (10 + width - 1, width - 1)
+        assert stack[:2] == ["below", gv[F]]
+        return stack[2:]
+
+    return values
+
+
+VALUES = (0, 3, -7, 2.5, 0.0, -0.0, 1e308, math.inf, True, False, "ab",
+          10 ** 400, -(2 ** 70))
 LEXICALS = [S(f"lex{i}") for i in range(5)]
 GLOBALS = [S(f"glob{i}") for i in range(3)]
 #: the scopes a case builds: depths 0-3 of the frame, and one beyond
@@ -94,14 +133,11 @@ DEPTHS = 4
 
 
 class Case:
-    """One random shape over one random environment.  The loads of one
-    name in one span start at one depth d (the same scopes are open
-    there), which promises that no scope nearer than d holds the name,
-    so the name is only ever placed at or beyond d."""
+    """One random shape over one random environment: each loaded name
+    bound in any of the scopes, several of them or none."""
 
     def __init__(self, seed):
         rng = self.rng = random.Random(seed)
-        self.depth_of = {name: rng.randrange(DEPTHS) for name in LEXICALS}
         self.pushes = []
         for _ in range(rng.randint(1, 3)):
             self._expression(0)
@@ -110,17 +146,13 @@ class Case:
         self.loaded = {value for kind, value, _ in self.pushes
                        if kind == "load"}
         for name in self.loaded:
-            depth = self.depth_of[name]
-            where = rng.random()
-            if where < 0.1:
+            if rng.random() < 0.1:
                 continue  # bound nowhere: the entry deopts
-            if where < 0.3:
-                self.scopes[DEPTHS][name] = rng.choice(VALUES)
-            else:
-                for d in range(depth, DEPTHS + 1):
-                    if rng.random() < 0.5 or d == depth:
-                        self.scopes[d][name] = rng.choice(VALUES)
+            for d in range(DEPTHS + 1):
+                if rng.random() < 0.3:
+                    self.scopes[d][name] = rng.choice(VALUES)
         self.global_variables = dict(PRIMITIVE_FUNCTIONS)
+        self.global_variables[F] = MAX
         self.dynamic_stacks = {}
         for name in GLOBALS:
             # bound, unbound, dynamically bound over a global or not
@@ -146,12 +178,11 @@ class Case:
         if level < 2 and rng.random() < 0.45:
             self._expression(level + 1)
             self._expression(level + 1)
-            self.pushes.append(("primitive", rng.choice(PRIMITIVES), None))
+            self.pushes.append(("primitive", rng.choice(PRIMITIVES), 2))
             return
         roll = rng.random()
         if roll < 0.55:
-            name = rng.choice(LEXICALS)
-            self.pushes.append(("load", name, self.depth_of[name]))
+            self.pushes.append(("load", rng.choice(LEXICALS), None))
         elif roll < 0.8:
             self.pushes.append(("load-global", rng.choice(GLOBALS), None))
         else:
@@ -165,9 +196,8 @@ class Case:
 
     def both(self):
         env = self.innermost()
-        run, _source = instantiate(self.pushes)
-        return (observed(run(env, self.global_variables,
-                             self.dynamic_stacks)),
+        return (observed(call_block(self.pushes)(
+                    env, self.global_variables, self.dynamic_stacks)),
                 observed(reference(self.pushes, env, self.global_variables,
                                    self.dynamic_stacks)))
 
@@ -179,33 +209,36 @@ def test_generated_pushes_match_the_push_loop():
         generated, expected = case.both()
         assert generated == expected, (seed, case.pushes)
         seen["deopt" if expected is None else "value"] += 1
-        seen["depths"].update(depth for kind, _, depth in case.pushes
-                              if kind == "load")
-        # a name bound later in its region: the scope a load starts at
-        # gains the binding it did not hold on the first run
+        seen["depths"].update(
+            min(d for d, scope in enumerate(case.scopes) if name in scope)
+            for name in case.loaded
+            if any(name in scope for scope in case.scopes))
+        # a name bound later, nearer than it was: the block reads the
+        # new binding, as the walk from the innermost scope does
         for name in case.loaded:
-            depth = case.depth_of[name]
-            if name not in case.scopes[depth]:
-                case.scopes[depth][name] = case.rng.choice(VALUES)
+            d = case.rng.randrange(DEPTHS + 1)
+            if name not in case.scopes[d]:
+                case.scopes[d][name] = case.rng.choice(VALUES)
                 seen["later"] += 1
         generated, expected = case.both()
         assert generated == expected, (seed, "later", case.pushes)
-    assert seen["depths"] == set(range(DEPTHS))
+    assert seen["depths"] == set(range(DEPTHS + 1))
     assert seen["deopt"] > 100 and seen["value"] > 100 and seen["later"]
 
 
 def test_huge_ints_and_zeros_at_the_operator():
     plus, times = S("+"), S("*")
     gv = dict(PRIMITIVE_FUNCTIONS)
+    gv[F] = MAX
     env = Env(None, {S("a"): 10 ** 400, S("b"): 1.5, S("z"): -0.0})
+    a, b, z = (("load", S(name), None) for name in "abz")
     for pushes in [
-            (("load", S("a"), 0), ("load", S("b"), 0), ("primitive", plus, None)),
-            (("load", S("b"), 0), ("load", S("a"), 0), ("primitive", times, None)),
-            (("load", S("z"), 0), ("load", S("z"), 0), ("primitive", plus, None)),
-            (("load", S("z"), 0), ("const", 0, None), ("primitive", times, None)),
-            (("load", S("a"), 0), ("load", S("a"), 0), ("primitive", times, None),
-             ("load", S("b"), 0), ("primitive", S("-"), None))]:
-        assert observed(instantiate(pushes)[0](env, gv, {})) \
+            (a, b, ("primitive", plus, 2)),
+            (b, a, ("primitive", times, 2)),
+            (z, z, ("primitive", plus, 2)),
+            (z, ("const", 0, None), ("primitive", times, 2)),
+            (a, a, ("primitive", times, 2), b, ("primitive", S("-"), 2))]:
+        assert observed(call_block(pushes)(env, gv, {})) \
             == observed(reference(pushes, env, gv, {})), pushes
 
 
@@ -215,10 +248,11 @@ def test_a_primitive_bound_to_another_primitive_deopts(rt):
     # leaves any other binding to the call, which computes the same
     plus = S("+")
     pushes = (("const", 5, None), ("const", 3, None),
-              ("primitive", plus, None))
+              ("primitive", plus, 2))
     gv = dict(PRIMITIVE_FUNCTIONS)
+    gv[F] = MAX
     gv[plus] = PRIMITIVE_FUNCTIONS[S("-")]
-    assert instantiate(pushes)[0](Env(), gv, {}) is None
+    assert call_block(pushes)(Env(), gv, {}) is None
     assert reference(pushes, Env(), gv, {}) == [2]
     rt.eval_string("(defun sub (a) (let ((b 3)) (+ a b)))")
     rt.global_env.define(plus, PRIMITIVE_FUNCTIONS[S("-")])
@@ -231,73 +265,135 @@ def test_a_primitive_bound_to_another_primitive_deopts(rt):
 
 
 def test_one_template_per_shape():
-    a = (("load", S("x"), 2), ("const", 1, None), ("primitive", S("+"), None))
-    b = (("load", S("y"), 2), ("const", "s", None), ("primitive", S("+"), None))
-    assert push_shape(a) == push_shape(b) == (("load", 2), ("const",),
+    a = (("load", S("x"), None), ("const", 1, None), ("primitive", S("+"), 2))
+    b = (("load", S("y"), None), ("const", "s", None),
+         ("primitive", S("+"), 2))
+    assert push_shape(a) == push_shape(b) == (("load",), ("const",),
                                               ("primitive", "+"))
-    assert template(("call", push_shape(a))) \
-        is template(("call", push_shape(b)))
-    assert instantiate(a)[0] is not instantiate(b)[0]
+    callee = (("load-global", F, None),)
+    assert template(("block", ((push_shape(callee + a), ("call",), 6),))) \
+        is template(("block", ((push_shape(callee + b), ("call",), 6),)))
+    assert instantiate_blocks([(0, callee + a, ("call", None), 6)])[0] \
+        is not instantiate_blocks([(0, callee + b, ("call", None), 6)])[0]
 
 
 # ---------------------------------------------------------------------------
-# the depth analysis
+# where a load finds its name
 # ---------------------------------------------------------------------------
 
-def _load_depth_of(rt, source, name):
-    """The depths ``load name`` gets in the code ``source`` compiles to
-    (closures included), in pc order."""
-    found = []
-    for code in nested_code_objects(rt.compile(rt.read(source))):
-        depths = load_depths(code.instructions)
-        found += [depths[pc] for pc, (op, arg) in enumerate(code.instructions)
-                  if op == "load" and arg is S(name)]
-    return found
+@pytest.fixture
+def found(monkeypatch):
+    """Each name generated code resolves past the innermost scope, as
+    ``(name, d, file)``: found ``d`` scopes up, by a ``<block>`` or a
+    ``<region>``; ``d`` is None where nothing binds it."""
+    hits = []
+    holder = Env.holder
+
+    def recording(env, name):
+        bindings = holder(env, name)
+        caller = sys._getframe(1).f_code.co_filename
+        if caller in ("<block>", "<region>"):
+            depth = next((d for d, scope in enumerate(env.chain())
+                          if scope.bindings is bindings), None)
+            hits.append((name.name, depth, caller))
+        return bindings
+
+    monkeypatch.setattr(Env, "holder", recording)
+    return hits
 
 
-def test_depths_of_nested_scopes(rt):
-    source = """(let ((a 1)) (let ((b 2)) (let ((a 3) (c 4))
-                  (list (+ a b) (+ c b)))))"""
-    assert _load_depth_of(rt, source, "a") == [0]
-    assert _load_depth_of(rt, source, "b") == [1, 1]
+def _fast_and_traced(rt, code, env=None):
+    """The value and instruction count of ``code`` on the fast loop and
+    on the traced one, which must agree; the fast loop's value."""
+    results = []
+    for traced in (False, True):
+        vm = rt.new_vm()
+        if traced:
+            vm.instruction_hook = lambda frame, op, arg: None
+        results.append((vm.run_code(code, env).value, vm.instruction_count))
+    assert results[0] == results[1]
+    return results[0][0]
 
 
-def test_a_name_bound_later_in_its_scope_starts_there(rt):
-    # the bind of b comes after the load in the same let* scope
+def test_depths_of_nested_scopes(rt, found):
+    # a is the innermost binding: read without a walk; b is found one
+    # scope up, at each of its two loads
+    code = rt.compile(rt.read("""(let ((a 1)) (let ((b 2)) (let ((a 3) (c 4))
+                                   (list (+ a b) (+ c b)))))"""))
+    assert _fast_and_traced(rt, code) == [5, 6]
+    assert found == [("b", 1, "<block>")] * 2
+
+
+def test_a_name_bound_later_in_its_scope_starts_there(rt, found):
+    # the same load, before and after the innermost scope binds b: the
+    # outer b, found one scope up, then the one bound later, read there
+    # without a walk
+    b, plus = S("b"), S("+")
     code = CodeObject(name="t")
-    for op, arg in [("push-scope", None), ("load", S("b")), ("pop", None),
-                    ("const", 1), ("bind", S("b")), ("load", S("b")),
-                    ("pop-scope", None), ("return", None)]:
+    add = [("load-global", plus), ("load", b), ("const", 0), ("call", 2)]
+    for op, arg in [("push-scope", None), *add, ("bind", S("first")),
+                    ("const", 1), ("bind", b),
+                    ("load-global", S("list")), ("load", S("first")), *add,
+                    ("call", 2), ("pop-scope", None), ("return", None)]:
         code.emit(op, arg)
-    assert load_depths(code.instructions) == {1: 0, 5: 0}
+    assert _fast_and_traced(rt, code, Env(None, {b: 10})) == [10, 1]
+    assert found == [("b", 1, "<block>")]
 
 
-def test_a_name_no_scope_binds_starts_at_the_base(rt):
-    assert _load_depth_of(rt, "(let ((a 1)) (let ((b 2)) (+ a b x)))",
-                          "x") == []  # compiled as a load-global
-    code = rt.compiler.compile_toplevel(
-        rt.read("(let ((a 1)) (let ((b 2)) (+ a b x)))"), closed=False)
-    depths = load_depths(code.instructions)
-    loads = {arg.name: depths[pc] for pc, (op, arg)
-             in enumerate(code.instructions) if op == "load"}
-    # with an outer scope supplied, + is a lexical load too
-    assert loads == {"a": 1, "b": 0, "x": 2, "+": 2}
+def test_a_name_no_scope_binds_is_found_beyond_the_base(rt, found):
+    # in the closure's frame m is the innermost binding, n its base
+    # (parameter) scope's and k the scope it closed over's
+    code = rt.compile(rt.read("""
+        (let ((k 5))
+          (let ((f (lambda (n) (let ((m 1)) (+ n (* k m))))))
+            (funcall f 2)))"""))
+    assert _fast_and_traced(rt, code) == 7
+    assert found == [("n", 1, "<block>"), ("k", 2, "<block>")]
 
 
 @pytest.mark.parametrize("instructions", [
     # a jump into another scope
     [("push-scope", None), ("jump", 4), ("pop-scope", None),
-     ("push-scope", None), ("load", S("a")), ("pop-scope", None),
-     ("return", None)],
+     ("push-scope", None), ("load-global", S("+")), ("load", S("a")),
+     ("const", 1), ("call", 2), ("pop-scope", None), ("return", None)],
     # a block whose exit pc is inside a scope it was not made in
     [("push-block", (None, 3)), ("push-scope", None), ("const", 1),
-     ("load", S("a")), ("pop-scope", None), ("return", None)],
+     ("load-global", S("+")), ("load", S("a")), ("const", 1), ("call", 2),
+     ("pop-scope", None), ("return", None)],
     # a pop-scope of the base scope
-    [("pop-scope", None), ("push-scope", None), ("load", S("a")),
-     ("return", None)],
+    [("pop-scope", None), ("push-scope", None), ("load-global", S("+")),
+     ("load", S("a")), ("const", 1), ("call", 2), ("return", None)],
 ])
-def test_inconsistent_scopes_prove_nothing(instructions):
-    assert load_depths(instructions) == {}
+def test_inconsistent_scopes_prove_nothing(rt, instructions):
+    # the fused view assumes nothing of the scopes: each load is
+    # resolved from wherever the frame's innermost scope is when it runs
+    code = CodeObject(name="t")
+    for op, arg in instructions:
+        code.emit(op, arg)
+    assert any(op == "block" for op, _ in code.fuse())
+    start = Env(Env(None, {S("a"): 5}), {S("a"): 7})
+    popped = instructions[0][0] == "pop-scope"
+    assert _fast_and_traced(rt, code, start) == (6 if popped else 8)
+
+
+_FUSED_DEPTH = [program for program in load_dir(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "conformance", "corpus")) if program.name.startswith("fused-depth-")]
+
+
+def test_the_fused_depth_corpus_reads_past_the_innermost_scope(found):
+    # a lone block and a region each find a load's name past the
+    # innermost scope, and read what the traced loop reads
+    assert len(_FUSED_DEPTH) >= 5
+    for program in _FUSED_DEPTH:
+        rt = make_runtime(deterministic=True)
+        *definitions, body = rt.read_all(program.sequential_source)
+        for form in definitions:
+            rt.eval_form(form)
+        _fast_and_traced(rt, rt.compile(body))
+        rt.shutdown()
+    past = {caller for _name, depth, caller in found if depth}
+    assert past == {"<block>", "<region>"}, found
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +425,31 @@ def test_hostile_names_and_constants(rt, hostile, shape):
         results.append((vm.run_code(code).value, vm.instruction_count))
     assert results[0] == results[1]
     assert results[0][0] == [2, hostile, 3, 5, len(hostile)]
-    depths = set()
     for nested in nested_code_objects(code):
         for op, arg in nested.fused or nested.fuse():
-            if op != "call-global" and op != "block":
+            if op != "block":
                 continue
             pushes, source = arg[3], arg[-1]
-            depths.update(depth for kind, value, depth in pushes
-                          if kind == "load" and value is name)
-            for kind, value, _depth in pushes:
+            for kind, value, _k in pushes:
                 if kind == "primitive":
                     continue  # its operator token is the one text allowed
                 text = value.name if isinstance(value, Symbol) else value
                 if isinstance(text, str):
                     assert text not in source and repr(text) not in source
-    assert depths == {0 if shape == "at-0" else 2}
 
 
-def test_disassemble_fused_shows_depths_and_source(rt):
+def test_disassemble_fused_shows_pushes_and_source(rt):
     code = rt.compile(rt.read(
         "(let ((n 3)) (let ((acc 0)) (dotimes (i 4) (setq acc (+ acc (* n n)))) acc))"))
     listing = code.disassemble_fused()
     assert "block  +" in listing
-    assert "load  n  depth 2" in listing and "load  acc  depth 1" in listing
+    assert "        load  n\n" in listing and "        load  acc\n" in listing
+    assert "primitive  *  args 2" in listing
     assert "| def make(" in listing and "store-pop" not in listing.split(
         "block", 1)[0]
     assert len(listing.splitlines()) > len(code.instructions)
-    # a setq tail assigns from its proven depth too
-    assert "store  acc  depth 1" in listing and "store  i  depth 0" in listing
+    # a setq tail names what it assigns
+    assert "store  acc\n" in listing and "store  i\n" in listing
     # the dotimes is one region at its backward jump: its pc range, each
     # block's instruction count, and the source of its loop
     assert "33  region  11..33  blocks 11 (5), 16 (10), 26 (7), jump (1)" \
@@ -364,6 +457,11 @@ def test_disassemble_fused_shows_depths_and_source(rt):
     region = listing.split("  region  ", 1)[1]
     assert "| def make(at0, " in region and "|         while True:" in region
     assert "|             count += 23" in region
+    # a call the fast loop makes: its callee's load-global first, then
+    # the call tail
+    listing = rt.compile(rt.read("(let ((a 1)) (max a 2))")).disassemble_fused()
+    assert "block  max  width 4\n        load-global  max\n        load  a\n" \
+        "        const  2\n        call\n" in listing
 
 
 def test_a_redefined_primitive_still_computes_through_the_call(rt):

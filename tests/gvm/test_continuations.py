@@ -156,6 +156,14 @@ class TestSerialization:
         restored = pickle.loads(pickle.dumps(result.continuation))
         assert rt.resume(restored, None) == Done(9)
 
+    def test_pickle_inside_a_defvar_value(self, rt):
+        # the defvar intrinsic is on the operand stack while its value
+        # form suspends
+        result = start(rt, """
+            (let ((a 1)) (defvar *q* (yield :value)) (+ a *q*))""")
+        restored = pickle.loads(pickle.dumps(result.continuation))
+        assert rt.resume(restored, 5) == Done(6)
+
     def test_estimated_size_positive(self, rt):
         result = start(rt, "(yield)")
         assert result.continuation.estimated_size() > 0

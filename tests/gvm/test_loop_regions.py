@@ -15,7 +15,8 @@ generated function runs every iteration.  Here:
   condition with the pc and count it was signalled at — before and
   after a primitive or a host function is redefined under a view that
   already exists;
-* over random straight-line blocks outside any loop — every tail, a
+* over random straight-line blocks outside any loop — every tail, the
+  ``call`` tail of a call the fast loop makes among them, a
   ``load-global`` of a dynamically bound special — the fused and the
   traced loop agree the same way, as built, with a host function
   rebound and with host calls that raise;
@@ -76,6 +77,9 @@ HOSTS = [S(name) for name in ("length", "nth", "car", "second", "list",
                               "getf", "append!")]
 #: the three modes a case runs in
 MODES = ("region", "fused", "traced")
+#: a Gozer function a straight-line block calls: the fast loop makes
+#: the call
+GOZER_CALLEE = S("rg-swap")
 
 
 @vm_function
@@ -290,6 +294,7 @@ class Loop:
     def runtime(self):
         rt = make_runtime(deterministic=True)
         rt.global_env.define(S("snapshot"), snapshot)
+        rt.eval_string(f"(defun {GOZER_CALLEE.name} (a b) (list b a))")
         rt.global_env.define(SPECIAL, 5)
         rng = random.Random(self.seed)
         for name in GLOBALS:
@@ -464,12 +469,13 @@ class Straight(Loop):
     ``store-global``), a forward ``jump-if-false`` over some of the
     blocks after it, a ``setq`` of a lexical name, of a global nothing
     binds, or of the special bound dynamically (twice) around the
-    blocks, and a popped ``append!``.  The counter is that special when it is bound,
+    blocks, a popped ``append!``, and a call the fast loop makes (of
+    ``max`` or of a Gozer function) whose value is bound.  The counter is that special when it is bound,
     so its loads are ``load-global`` pushes of a dynamic binding."""
 
     #: the tails a block may carry, with the names that tell them apart
     TAILS = ("push", "jump-if-false", "lexical", "global", "special",
-             "append!")
+             "append!", "call")
 
     def _assemble(self):
         rng = self.rng
@@ -526,6 +532,12 @@ class Straight(Loop):
             return body + [("jump-if-false", rng.randrange(3))]
         if tail == "append!":
             return self._statement()
+        if tail == "call":
+            # max raises on a bool or a string; the Gozer function never
+            callee = rng.choice((S("max"), GOZER_CALLEE))
+            return [("load-global", callee), *self._expression(1),
+                    *self._expression(1), ("call", 2),
+                    ("bind", rng.choice(self.names[:-2]))]
         target = {"lexical": rng.choice(self.names), "global": FRESH,
                   "special": SPECIAL if self.special else FRESH}[tail]
         return self._block(outer, None, target)
@@ -642,8 +654,8 @@ def _in_three_modes(source, prelude="", regions_at_top=True):
 
 @pytest.mark.parametrize("source, iterations", [
     # (length 5) raises in the third iteration: the region has run the
-    # second, then its block's call-global deopts and the stdlib length
-    # raises at the call's own pc and count
+    # second, then its block deopts and the stdlib length raises at the
+    # call's own pc and count
     ("""(let ((items (list "ab" (list 1 2 3) 5)) (n 0))
           (dotimes (i 3) (setq n (+ n (length (nth i items)))))
           n)""", True),
@@ -674,7 +686,8 @@ def test_a_host_function_rebound_between_two_runs_of_a_region():
     # the inner dotimes is a region calling getf; after its first run,
     # the outer loop rebinds getf to a Gozer function, whose result the
     # region's next runs must see: their getf block fails its guard
-    # each iteration and calls the new getf through its own call-global
+    # each iteration and deopts, and the new getf is called at its own
+    # call instruction
     (outcome, _signalled, _count), seen = _in_three_modes("""
         (let ((total 0) (p (list :k 2)))
           (dotimes (j 3)
@@ -691,27 +704,29 @@ def test_a_host_function_rebound_between_two_runs_of_a_region():
 # a block's setq tail, alone and in a region
 # ---------------------------------------------------------------------------
 
-def test_a_setq_tail_assigns_from_its_proven_depth():
+def test_a_setq_tail_assigns_the_nearest_binding():
     x, plus = S("x"), S("+")
     gv = {name: fn for name, (fn, _) in BINARY_PRIMITIVES.items()}
     # the block at pc 10: load-global +; load x; const 1; call 2; dup;
     # store x; pop
-    pushes = (("load", x, 1), ("const", 1, None), ("primitive", plus, None))
-    run, _source = instantiate_blocks([(10, pushes, ("store", x, 1), 7)])
-    # at the scope the depth names: assigned there, and on past the
-    # block (the count the fast loop gives it is past its first
-    # instruction)
-    outer, inner, stack = {x: 4}, {}, []
+    pushes = (("load", x, None), ("const", 1, None), ("primitive", plus, 2))
+    run, _source = instantiate_blocks([(10, pushes, ("store", x), 7)])
+    # in the innermost scope: assigned there, and on past the block
+    # (the count the fast loop gives it is past its first instruction)
+    outer, inner, stack = {x: 4}, {x: 0.5}, []
+    assert run(Env(Env(None, outer), inner), gv, {}, stack, 1) == (17, 7)
+    assert outer == {x: 4} and inner == {x: 1.5} and stack == []
+    # one scope up, and beyond: the assignment walks on, as a store does
+    inner = {}
     assert run(Env(Env(None, outer), inner), gv, {}, stack, 1) == (17, 7)
     assert outer == {x: 5} and inner == {} and stack == []
-    # beyond it: the assignment walks on, as a store does
     beyond = {x: 1.5}
     assert run(Env(Env(Env(None, beyond), {}), {}), gv, {}, stack, 1) \
         == (17, 7)
     assert beyond == {x: 2.5}
     # bound dynamically: the innermost binding
     consts = pushes[1:2] * 2 + pushes[2:]
-    run, _source = instantiate_blocks([(10, consts, ("store", x, 1), 7)])
+    run, _source = instantiate_blocks([(10, consts, ("store", x), 7)])
     dyn = {x: [0, 0]}
     assert run(Env(Env(None, {}), {}), gv, dyn, stack, 1) == (17, 7)
     assert dyn == {x: [0, 2]} and stack == []
@@ -721,7 +736,7 @@ def test_a_setq_tail_assigns_from_its_proven_depth():
     assert stack == [2]
     # the same block as a region's only one: the count it is given
     # includes the region's backward jump
-    run, _source = instantiate_blocks([(10, consts, ("store", x, 1), 7)],
+    run, _source = instantiate_blocks([(10, consts, ("store", x), 7)],
                                       loop=True)
     assert run(Env(Env(None, {}), {}), gv, {}, stack, 1) == (14, 5)
     assert stack == [2, 2]
@@ -738,14 +753,13 @@ X, Y, ACC = S("x"), S("y"), S("acc")
 def _counting_region():
     """The region of ``(< x 4)`` leaving for pc 99, ``(setq acc (+ acc
     y))`` and ``(setq x (+ x 1))``, from pc 0: 20 instructions an
-    iteration, its jump at pc 19, each load and setq from the frame's
-    own scope."""
-    blocks = [(0, (("load", X, 0), ("const", 4, None),
-                   ("primitive", S("<"), None)), ("jump-if-false", 99), 5),
-              (5, (("load", ACC, 0), ("load", Y, 0),
-                   ("primitive", S("+"), None)), ("store", ACC, 0), 7),
-              (12, (("load", X, 0), ("const", 1, None),
-                    ("primitive", S("+"), None)), ("store", X, 0), 7)]
+    iteration, its jump at pc 19."""
+    blocks = [(0, (("load", X, None), ("const", 4, None),
+                   ("primitive", S("<"), 2)), ("jump-if-false", 99), 5),
+              (5, (("load", ACC, None), ("load", Y, None),
+                   ("primitive", S("+"), 2)), ("store", ACC), 7),
+              (12, (("load", X, None), ("const", 1, None),
+                    ("primitive", S("+"), 2)), ("store", X), 7)]
     run, _source = instantiate_blocks(blocks, loop=True)
     return run
 
@@ -755,8 +769,8 @@ def _primitives():
 
 
 def test_a_load_that_misses_its_probed_scope_reads_the_nearest_binding():
-    # a closure's captured names at the base depth: the probed scope
-    # (the frame's) binds none of them, its parent binds them all and
+    # a closure's captured names: the probed scope (the frame's
+    # innermost) binds none of them, its parent binds them all and
     # the scope above that binds them again; the region resolves each
     # to the parent's dict at entry, and reads and assigns it
     captured, shadowed = {X: 0, ACC: 0.5, Y: 3}, {X: 9, ACC: 0, Y: 100}
@@ -878,9 +892,10 @@ def test_listing_one_loop_is_one_region(rt):
             "(dotimes (i 2000) (setq acc (+ acc (* n n)))) acc))")
     assert [block[5] for _, block in blocks] == [5, 10, 7]
     assert pc == head + 22
-    # the head stores nothing; acc's setq starts one scope up, i's at
-    # the dotimes scope
-    assert [block[4][2:] for _, block in blocks] == [(), (1,), (0,)]
+    # the head leaves the loop; the body's setq and the step's
+    assert [block[4][0] for _, block in blocks] \
+        == ["jump-if-false", "store", "store"]
+    assert [block[4][1].name for _, block in blocks[1:]] == ["acc", "i"]
 
 
 #: the churn rows' ``main`` (``perf/workloads.py``'s
@@ -945,13 +960,14 @@ def test_one_factory_per_region_shape(rt):
                      "(setq q (+ q 3.5)))) q)")
     ((_, (run_a, _, _, source_a)),) = a
     ((_, (run_b, _, _, source_b)),) = b
-    # q is one scope further up than p is, so the shapes differ there
-    assert source_a != source_b
+    # q is one scope further up than p is, and a load is resolved from
+    # the innermost scope wherever its name is: one shape
+    assert source_a is source_b
     c = _regions(rt, "(let ((z 1.5)) (dotimes (m 4) (setq z (+ z 11))) z)")
     ((_, (run_c, _, _, source_c)),) = c
-    # one factory, whose source both entries carry
+    # one factory, whose source every entry carries
     assert source_a is source_c
-    assert run_a is not run_c
+    assert len({run_a, run_b, run_c}) == 3
 
 
 HOSTILE = ['x"y', "x'y", 'x\ny', "import os", '"""; import os #',

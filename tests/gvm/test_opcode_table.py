@@ -21,7 +21,7 @@ import re
 import pytest
 
 from repro.conformance import load_dir
-from repro.conformance.coverage import (CALL_GLOBAL_SHAPES, REGION_SHAPES,
+from repro.conformance.coverage import (BLOCK_SHAPES, REGION_SHAPES,
                                        fused_forms)
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.frames import is_vm_function
@@ -29,7 +29,7 @@ from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import VM
 from repro.lang import stdlib
 from repro.lang.bytecode import (FUSED, OPCODES, CodeObject, fuse,
-                                 load_depths, nested_code_objects, validate)
+                                 nested_code_objects, validate)
 from repro.lang.templates import BINARY_PRIMITIVES, HOST_FUNCTIONS
 
 
@@ -76,28 +76,22 @@ def test_fused_forms_are_refused_by_emit_and_validate():
 def _pushed(pushes):
     """The postfix pushes back to instructions: one run per value."""
     values = []
-    for push, value, depth in pushes:
+    for push, value, k in pushes:
         if push == "primitive":
-            assert value in BINARY_PRIMITIVES and depth is None
-            second, first = values.pop(), values.pop()
-            values.append([("load-global", value), *first, *second,
-                           ("call", 2)])
+            assert value in BINARY_PRIMITIVES and k == 2
         elif push == "host":
-            # a host call's depth is its argument count
-            assert value in HOST_FUNCTIONS and type(depth) is int
-            args = values[len(values) - depth:]
-            del values[len(values) - depth:]
-            values.append([("load-global", value),
-                           *(instruction for run in args
-                             for instruction in run),
-                           ("call", depth)])
+            assert value in HOST_FUNCTIONS and type(k) is int
         else:
+            # a simple push carries no count
             assert push in ("load", "load-global", "const") \
-                and type(value) is not list
-            # a load starts some scopes up; nothing else has a depth
-            assert (type(depth) is int and depth >= 0) \
-                if push == "load" else depth is None
+                and type(value) is not list and k is None
             values.append([(push, value)])
+            continue
+        args = values[len(values) - k:]
+        del values[len(values) - k:]
+        values.append([("load-global", value),
+                       *(instruction for run in args for instruction in run),
+                       ("call", k)])
     return values
 
 
@@ -107,34 +101,35 @@ def unfuse(entry):
     op, arg = entry
     if op == "store-pop":
         return [("dup", None), ("store", arg), ("pop", None)]
-    if op == "call-global":
-        run, name, tail, pushes, width, source = arg
-        assert callable(run) and "def make(" in source
-        values = _pushed(pushes)
-        # not a call made in place
-        assert not (name in BINARY_PRIMITIVES and len(values) == 2)
-        # an effect only as a popped statement's outer call
-        assert name not in HOST_FUNCTIONS or HOST_FUNCTIONS[name][1]
-        replaced = [("load-global", name),
-                    *(instruction for run in values for instruction in run),
-                    ("tail-call" if tail else "call", len(values))]
-        assert width == len(replaced)
-        return replaced
     if op == "block":
         run, name, tail, pushes, then, width, source = arg
         assert callable(run) and "def make(" in source
+        kind, target = then
+        if kind == "call":
+            # the load-global f and the k arguments; the loop makes the
+            # call, which is not one made in place
+            callee, *values = _pushed(pushes)
+            assert callee == [("load-global", name)] and target is None
+            assert not (name in BINARY_PRIMITIVES and len(values) == 2)
+            # an effect only as a popped statement's outer call
+            assert name not in HOST_FUNCTIONS or HOST_FUNCTIONS[name][1]
+            replaced = [*callee,
+                        *(instruction for run in values
+                          for instruction in run),
+                        ("tail-call" if tail else "call", len(values))]
+            assert width == len(replaced)
+            return replaced
         # f's own call is the last primitive or host call, so one value
         # is left
         (replaced,) = _pushed(pushes)
         assert replaced[0] == ("load-global", name)
         if tail:
             replaced[-1] = ("tail-call", replaced[-1][1])
-        kind, target = then[:2]
         if kind == "jump-if-false":
             assert not tail
             replaced.append(("jump-if-false", target))
         elif kind == "store":
-            assert not tail and len(then) == 3
+            assert not tail
             replaced += [("dup", None), ("store", target), ("pop", None)]
         elif kind == "pop":
             assert not tail and name in HOST_FUNCTIONS and target is None
@@ -172,22 +167,11 @@ def _corpus_code(program):
 def test_fused_view_stands_for_the_instructions(program):
     for code in _corpus_code(program):
         view = fuse(code)
-        depths = load_depths(code.instructions)
         assert len(view) == len(code.instructions)
         for pc, entry in enumerate(view):
             replaced = unfuse(entry)
             assert code.instructions[pc:pc + len(replaced)] == replaced, \
                 (code.name, pc, entry)
-            if entry[0] == "call-global" or entry[0] == "block":
-                # the loads, in order, with the depth of their own pc
-                assert [depth for kind, _, depth in entry[1][3]
-                        if kind == "load"] \
-                    == [depths.get(pc + i, 0)
-                        for i, (op, _) in enumerate(replaced)
-                        if op == "load"], (code.name, pc)
-            if entry[0] == "block" and entry[1][4][0] == "store":
-                # a setq tail assigns from its store's own depth
-                assert entry[1][4][2] == depths.get(pc + len(replaced) - 2, 0)
             if entry[0] == "region":
                 # the blocks tile the loop from its head to this jump,
                 # each the block the view holds at its own pc
@@ -196,6 +180,7 @@ def test_fused_view_stands_for_the_instructions(program):
                 for block_pc, arg in blocks:
                     assert block_pc == at and view[at] == ("block", arg)
                     then = arg[4]
+                    # no call the loop makes: the region makes each one
                     assert then[0] in ("store", "pop") \
                         or then[0] == "jump-if-false" \
                         and not head <= then[1] <= pc
@@ -217,13 +202,13 @@ def test_fused_view_stands_for_the_instructions(program):
 
 
 def test_corpus_reaches_both_fused_forms():
-    # every form, and every shape a call-global or a region takes
+    # every form, and every shape a block or a region takes
     seen = set()
     for program in _CORPUS:
         for code in _corpus_code(program):
             for entry in fuse(code):
                 seen.update(fused_forms(entry))
-    assert set(FUSED) | set(CALL_GLOBAL_SHAPES) | set(REGION_SHAPES) <= seen
+    assert set(FUSED) | set(BLOCK_SHAPES) | set(REGION_SHAPES) <= seen
 
 
 def test_primitive_names_are_the_registered_primitives():

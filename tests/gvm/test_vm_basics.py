@@ -268,3 +268,28 @@ class TestEnvWalk:
         assert not inner.assign(S("z"), 1) and not inner.is_bound(S("z"))
         with pytest.raises(UnboundVariableError):
             inner.lookup(S("z"))
+
+
+class TestRuntimeApply:
+    """``Runtime.apply`` calls a function by the VM's one rule."""
+
+    def test_a_builtin_that_takes_the_vm_gets_it(self, rt):
+        mapcar, car = (rt.global_env.variables[S(name)]
+                       for name in ("mapcar", "car"))
+        assert rt.apply(mapcar, [car, [[1, 2], [3, 4]]]) == [1, 3]
+
+    def test_a_plain_host_function_gets_its_futures_forced(self, rt):
+        length = rt.global_env.variables[S("length")]
+        assert rt.apply(length, [rt.eval_string("(future (list 1 2))")]) == 2
+
+    def test_a_gozer_function_and_a_non_function(self, rt):
+        rt.eval_string("(defun twice (x) (* 2 x))")
+        assert rt.apply(rt.global_env.variables[S("twice")], [4]) == 8
+        with pytest.raises(GozerRuntimeError, match="not callable"):
+            rt.apply(5, [])
+
+    def test_a_reader_macro_bound_to_a_builtin(self, rt):
+        # set-macro-character's adapter calls its function through apply
+        rt.eval_string("(set-macro-character #\\! #'list)")
+        value = rt.eval_string("(quote !)")
+        assert type(value) is list and len(value) == 2
