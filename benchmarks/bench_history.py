@@ -92,6 +92,13 @@ def test_history_replay_campaign(benchmark, bench_report):
     assert rebuilds > 0, "replay recovery never rebuilt a fiber"
     rec.replay_all()
 
+    # a finished task leaves no key behind but its history, except
+    # where a store fault vetoed its reclaim
+    orphans = [(len(report.orphaned_keys()),
+                report.env.metrics.get("store.reclaim-skipped"))
+               for report in (campaign, rec)]
+    assert all(orphaned <= skipped for orphaned, skipped in orphans), orphans
+
     # -- snapshot-interval elision: bytes persisted per suspension ----
     # wide fan-outs (items >> spawn limit) make the root fiber suspend
     # well past the interval, so the sparse run still takes snapshots
@@ -127,11 +134,15 @@ def test_history_replay_campaign(benchmark, bench_report):
         "windows_replayed": windows,
         "instructions_replayed": instructions,
         "partial_fibers": sum(len(r.partial_fibers) for r in replays),
+        "orphaned_keys": orphans[0][0],
+        "reclaim_skipped": orphans[0][1],
         "history": env.summary()["history"],
         "recovery_mode_campaign": {
             "stuck_fibers": len(stuck),
             "double_runs": len(violations),
             "rebuilds": rebuilds,
+            "orphaned_keys": orphans[1][0],
+            "reclaim_skipped": orphans[1][1],
         },
         "snapshot_interval": {
             "interval": SNAPSHOT_INTERVAL,

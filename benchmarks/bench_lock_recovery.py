@@ -28,8 +28,10 @@ shows the other side: live holders renew (``renewed > 0``) without the
 scanner ever running (``scans == 0``).
 
 The recovery report JSON (``benchmarks/out/recovery_report.json``) is
-the artifact CI uploads; its ``stuck_fibers`` count must be 0, and so
-must its ``healthy`` block's ``scans`` and ``stuck_fibers``.
+the artifact CI uploads; its ``stuck_fibers`` count must be 0, its
+``orphaned_keys`` no more than its ``reclaim_skipped``, and its
+``healthy`` block's ``scans``, ``stuck_fibers`` and ``orphaned_keys``
+must be 0.
 """
 
 import json
@@ -102,10 +104,18 @@ def test_lock_recovery_campaign(benchmark, bench_report):
     control = run([], lease_ttl=HEALTHY_LEASE_TTL)
     healthy = {"scans": control.env.recovery.scans,
                "renewed": control.env.locks.lease_stats()["renewed"],
-               "stuck_fibers": len(control.stuck_fibers())}
+               "stuck_fibers": len(control.stuck_fibers()),
+               "orphaned_keys": len(control.orphaned_keys())}
     assert control.all_completed, control.statuses
     assert healthy["scans"] == 0 and healthy["renewed"] > 0, healthy
     assert healthy["stuck_fibers"] == 0, healthy
+    assert healthy["orphaned_keys"] == 0, control.orphaned_keys()
+
+    # a finished task leaves no key behind, except where a store fault
+    # vetoed its reclaim
+    orphaned = campaign.orphaned_keys()
+    reclaim_skipped = env.metrics.get("store.reclaim-skipped")
+    assert len(orphaned) <= reclaim_skipped, orphaned
 
     payload = {
         "campaign": campaign.name,
@@ -116,6 +126,8 @@ def test_lock_recovery_campaign(benchmark, bench_report):
         "faults_injected": dict(campaign.injected),
         "stuck_fibers": len(stuck),
         "double_runs": len(violations),
+        "orphaned_keys": len(orphaned),
+        "reclaim_skipped": reclaim_skipped,
         "tasks_completed": campaign.completed,
         "committed_windows": len(env.runner_audit),
         "leases": lease_stats,

@@ -322,6 +322,7 @@ class Cluster:
         message = self.queue.make_message(service_name, operation, body,
                                           now=self.kernel.now)
         context = OperationContext(self, instance, message)
+        context.caller = parent_context
         self.metrics.incr(f"sync.{service_name}.{operation}")
         try:
             value = service.handle(context, operation, body)
@@ -329,7 +330,7 @@ class Cluster:
         except ServiceFault as fault:
             envelope = ResponseEnvelope(fault_qname=fault.qname,
                                         fault_message=fault.message)
-        context.commit()  # synchronous call: effects are immediate
+        context.commit()  # synchronous call: the reply is immediate
         envelope.duration = context.charged + 2 * self.delivery_latency
         if parent_context is not None:
             # the synchronous caller pays for the whole round trip

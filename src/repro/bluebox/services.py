@@ -76,9 +76,11 @@ class OperationContext:
         self.valid = True
         #: a *dirty* abort: a dead JVM unlinks no NFS lock file
         self.node_failed = False
-        #: whether the store's open window is this context's to commit
-        #: (an inline call runs inside its caller's, and joins it)
+        #: whether the store's open window is this context's to commit;
+        #: an inline call runs inside its ``caller``'s and joins it: that
+        #: window's commit sends its messages, its abort runs its undo log
         self.owns_window = False
+        self.caller = None
         #: the window's store writes, sealed when the handler returned
         self.batch = None
         #: ``(lock key, owner, token)`` of the fiber lock held; a
@@ -86,14 +88,11 @@ class OperationContext:
         self.fence = None
         #: history events recorded in this window, flushed by commit
         self.history_buffer = []
-        #: compensating undos of its chunk-refcount changes, run
-        #: newest-first on abort
-        self.snap_undos = []
         #: buffered outgoing messages, (extra_delay, send kwargs): sent
         #: by commit, so a window that dies sends nothing
         self.outbox = []
         #: hooks: store writers inside the commit's journal batch;
-        #: store-free work once it is on the log; rollbacks otherwise
+        #: store-free work once it is on the log; the undo log otherwise
         self.pre_commit_hooks = []
         self.completion_hooks = []
         self.abort_hooks = []
@@ -111,8 +110,9 @@ class OperationContext:
         self.completion_hooks.append(fn)
 
     def on_abort(self, fn: Callable[[], None]) -> None:
-        """Register a rollback for a window that dies — node failure,
-        store fault, broken lease, refused commit."""
+        """Log a rollback on the window's one undo log, which an abort
+        (node death, store fault, broken lease, refused commit) runs
+        newest-first."""
         self.abort_hooks.append(fn)
 
     def check_fence(self, counter: str) -> None:
@@ -156,8 +156,11 @@ class OperationContext:
         for hook in self.completion_hooks:
             hook()
         self._close_heartbeats()
-        self._drop_hooks()
         outbox, self.outbox = self.outbox, []
+        if self.caller is not None:
+            self.caller.abort_hooks += self.abort_hooks
+            outbox, self.caller.outbox = [], self.caller.outbox + outbox
+        self._drop_hooks()
         for delay, kwargs in outbox:
             if delay > 0:
                 self.cluster.kernel.schedule(
@@ -173,10 +176,8 @@ class OperationContext:
         self.valid = False
         self.node_failed = node_failed
         self.cluster.store.discard_batch(self.batch)
-        for hook in self.abort_hooks:
+        for hook in reversed(self.abort_hooks):
             hook()
-        for undo in reversed(self.snap_undos):
-            undo()
         self._close_heartbeats()
         self._drop_hooks()
         self.cluster.tracer.end(self.window_span, end=self.now,
@@ -214,31 +215,20 @@ class OperationContext:
              reply_to: Optional[ReplyTo] = None,
              max_attempts: int = 10,
              affinity: Optional[Affinity] = None,
-             parent_span: Optional[int] = None) -> None:
-        """Queue a message, to be placed on the queue when this
-        operation's simulated processing window ends.  The outgoing
-        message's causal parent is captured *now* (``parent_span``
-        defaulting to the context's current span), so causality is
-        preserved even though the send is deferred to window end."""
-        self.outbox.append((0.0, dict(service=service, operation=operation,
-                                      body=body, priority=priority,
-                                      reply_to=reply_to,
-                                      max_attempts=max_attempts,
-                                      affinity=affinity,
-                                      parent_span=(self.span_id
-                                                   if parent_span is None
-                                                   else parent_span))))
-
-    def send_later(self, delay: float, service: str, operation: str,
-                   body: Dict[str, Any],
-                   priority: int = PRIORITY_NORMAL,
-                   affinity: Optional[Affinity] = None) -> None:
-        """Like :meth:`send`, delayed a further ``delay`` seconds after
-        the window ends (used for timers like workflow-sleep)."""
+             parent_span: Optional[int] = None,
+             delay: float = 0.0) -> None:
+        """Queue a message for when this window commits, or ``delay``
+        seconds after (timers like workflow-sleep).  Its causal parent
+        is captured *now* (``parent_span``, default the current span),
+        so causality survives the deferral."""
         self.outbox.append((delay, dict(service=service, operation=operation,
                                         body=body, priority=priority,
+                                        reply_to=reply_to,
+                                        max_attempts=max_attempts,
                                         affinity=affinity,
-                                        parent_span=self.span_id)))
+                                        parent_span=(self.span_id
+                                                     if parent_span is None
+                                                     else parent_span))))
 
     def defer(self) -> Deferred:
         """Capture this message's reply for later resolution."""

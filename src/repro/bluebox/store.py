@@ -230,11 +230,9 @@ class SharedStore:
         else:
             self._put(key, value)
 
-    def rollback_value(self, key: str, value: Optional[bytes]) -> None:
-        """Abort-undo entry point: like :meth:`restore_value`, but a
-        journaled store also scrubs the key from its uncommitted batch
-        so rollback and journal replay compose (overridden there)."""
-        self.restore_value(key, value)
+    #: the abort-undo entry point: a journaled store also scrubs the key
+    #: from its uncommitted batch, so rollback and replay compose
+    rollback_value = restore_value
 
     def total_bytes(self) -> int:
         return sum(len(self._get(k) or b"") for k in self._key_list())

@@ -24,6 +24,7 @@ from ..bluebox.retry import RetryPolicy
 from ..bluebox.services import simple_service
 from ..lang.symbols import Keyword
 from ..vinz.api import VinzEnvironment
+from ..vinz.fiberstate import owned_keys
 from ..vinz.task import COMPLETED
 from .injector import FaultInjector
 from .plan import FaultPlan
@@ -172,6 +173,14 @@ class CampaignReport:
             if node is not None and not node.alive:
                 stuck.append(fiber_id)
         return stuck
+
+    def orphaned_keys(self) -> List[str]:
+        """Task-owned keys of finished tasks still in the store: each a
+        reclaim a store fault vetoed (``store.reclaim-skipped``) or a
+        leak.  Empty list == a finished task costs nothing."""
+        store = self.env.store
+        return [key for task in self.env.registry.tasks.values()
+                if task.finished for key in owned_keys(store, task)]
 
     def replay_all(self) -> List[Any]:
         """Replay every finished task from its recorded history

@@ -112,7 +112,7 @@ class Runtime:
         vm = VM(self.global_env,
                 future_submitter=self._submit_future,
                 allow_yield=allow_yield)
-        vm.clock = self.clock
+        vm.runtime = self
         return vm
 
     def eval_string(self, text: str) -> Any:

@@ -135,9 +135,9 @@ class VM:
         self.profile_sink: Optional[Callable] = None
         #: hook for Vinz: called with the VM before each yield capture
         self.pre_yield_hook: Optional[Callable] = None
-        #: the runtime's time source (``(get-universal-time)``/``(sleep)``
-        #: route through it); set by Runtime.new_vm, None for bare VMs
-        self.clock = None
+        #: the runtime, for its clock (``(get-universal-time)``,
+        #: ``(sleep)``) and ``eval``/``read``; None for bare VMs
+        self.runtime = None
         #: debugging: called as hook(frame, op, arg) before every
         #: instruction.  Setting it routes execution through a slower
         #: traced loop; the fast path stays hook-free.

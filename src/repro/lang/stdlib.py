@@ -24,7 +24,7 @@ import random as _host_random
 import sys
 import time
 from types import FunctionType
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from ..gvm.conditions import (
     GozerCondition,
@@ -35,6 +35,7 @@ from ..gvm.conditions import (
 from ..gvm.frames import GozerFunction, vm_function
 from ..gvm.futures import GozerFuture, force, is_fiber_thread
 from .errors import GozerRuntimeError
+from .macros import macroexpand
 from .printer import int_text, princ_form, print_form
 from .reader import Char
 from .symbols import Keyword, Symbol, gensym
@@ -1153,7 +1154,7 @@ def _get_universal_time(vm):
         # a clock read is nondeterminism the fiber observes: draw it
         # from the platform's virtual clock and record it for replay
         return execution.nondet("clock", execution.clock_now)
-    clock = getattr(vm, "clock", None)
+    clock = getattr(vm.runtime, "clock", None)
     if clock is not None:
         return clock.now()
     return time.time()  # bare VM with no runtime clock
@@ -1165,7 +1166,7 @@ def _sleep(vm, seconds):
     # (defun sleep ...), which yields to the platform timer; here the
     # runtime clock decides — a VirtualClock makes (sleep 3600) free
     # and deterministic instead of blocking the host for an hour.
-    clock = getattr(vm, "clock", None)
+    clock = getattr(vm.runtime, "clock", None)
     if clock is not None:
         clock.sleep(seconds)
         return None
@@ -1292,73 +1293,64 @@ def _compute_restarts(vm):
 def _install_intrinsics(runtime) -> None:
     env = runtime.global_env
 
-    # runtime-independent intrinsics live at module level (not as
-    # closures) so continuations that hold a reference to them — e.g. a
-    # fiber suspended between the ``load-global`` of ``sethash`` and
-    # its ``call``, or inside a ``defvar``'s value form — stay
-    # picklable for migration
+    # every intrinsic lives at module level (not as a closure) so a
+    # continuation that holds one — e.g. a fiber suspended inside
+    # ``(eval (yield))`` or a ``defvar``'s value form — stays picklable
+    # for migration; those that need the runtime reach it via the VM
     env.define_intrinsic("defvar", _defvar_intrinsic)
     env.define_intrinsic("dot", _dot_intrinsic)
     env.define_intrinsic("dot-field", _dot_field_intrinsic)
     env.define_intrinsic("dot-setf", _dot_setf_intrinsic)
     env.define_intrinsic("sethash", _sethash_intrinsic)
     env.define(_S("sethash"), _sethash_intrinsic)
-
-    env.define_intrinsic("is-fiber-thread", lambda: is_fiber_thread())
-
-    def get_task_var(name):
-        raise GozerRuntimeError(
-            f"task variable {name} accessed outside of a Vinz workflow"
-        )
-
-    def set_task_var(name, value):
-        raise GozerRuntimeError(
-            f"task variable {name} mutated outside of a Vinz workflow"
-        )
-
+    env.define_intrinsic("is-fiber-thread", is_fiber_thread)
     # Vinz overrides these two when it prepares a fiber's environment.
-    env.define_intrinsic("get-task-var", get_task_var)
-    env.define_intrinsic("set-task-var", set_task_var)
+    env.define_intrinsic("get-task-var", _task_var_outside_vinz)
+    env.define_intrinsic("set-task-var", _task_var_outside_vinz)
 
-    def set_macro_character(char, fn, non_terminating=None):
-        ch = char.value if isinstance(char, Char) else str(char)
 
-        def adapter(reader, stream, c):
-            return runtime.apply(fn, [stream, Char(c)])
+def _task_var_outside_vinz(name, *value):
+    raise GozerRuntimeError(f"task variable {name} "
+                            f"{'mutated' if value else 'accessed'} "
+                            "outside of a Vinz workflow")
 
-        runtime.readtable.set_macro_character(
-            ch, adapter, non_terminating=bool(non_terminating))
-        return True
 
-    env.define(_S("set-macro-character"), set_macro_character)
+@vm_builtin("set-macro-character")
+def _set_macro_character(vm, char, fn, non_terminating=None):
+    runtime = vm.runtime
+    ch = char.value if isinstance(char, Char) else str(char)
 
-    def read_fn(stream, *_ignored):
-        value = runtime.reader().read(stream)
-        return value
+    def adapter(reader, stream, c):
+        return runtime.apply(fn, [stream, Char(c)])
 
-    env.define(_S("read"), read_fn)
+    runtime.readtable.set_macro_character(
+        ch, adapter, non_terminating=bool(non_terminating))
+    return True
 
-    def read_from_string(text):
-        return runtime.reader().read_string(text)
 
-    env.define(_S("read-from-string"), read_from_string)
+@vm_builtin("read")
+def _read(vm, stream, *_ignored):
+    return vm.runtime.reader().read(stream)
 
-    def eval_fn(form):
-        return runtime.eval_form(form)
 
-    env.define(_S("eval"), eval_fn)
+@vm_builtin("read-from-string")
+def _read_from_string(vm, text):
+    return vm.runtime.reader().read_string(text)
 
-    def load_file(path):
-        return runtime.eval_file(str(path))
 
-    env.define(_S("load-file"), load_file)
+@vm_builtin("eval")
+def _eval(vm, form):
+    return vm.runtime.eval_form(form)
 
-    def macroexpand_fn(form):
-        from .macros import macroexpand
 
-        return macroexpand(form, env, runtime.apply)
+@vm_builtin("load-file")
+def _load_file(vm, path):
+    return vm.runtime.eval_file(str(path))
 
-    env.define(_S("macroexpand"), macroexpand_fn)
+
+@vm_builtin("macroexpand")
+def _macroexpand(vm, form):
+    return macroexpand(form, vm.global_env, vm.runtime.apply)
 
 
 @vm_function

@@ -33,10 +33,8 @@ from typing import Any, Generic, Hashable, Optional, Tuple, TypeVar
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
-#: cache-miss sentinel: distinguishes "not cached" from "cached None".
-#: A task whose immutable environment is legitimately ``None`` must be
-#: a cache *hit* — treating it as a miss re-fetches from the store on
-#: every delivery and skews the hit-rate statistics.
+#: cache-miss sentinel: distinguishes "not cached" from "cached None",
+#: which must count as a hit
 MISS = object()
 
 

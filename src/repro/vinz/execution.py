@@ -31,12 +31,7 @@ from ..lang.errors import GozerRuntimeError
 from ..lang.symbols import Keyword
 from ..sched.governor import AUTO_SPAWN_LIMIT
 from .distribution import VinzBreak, VinzTerminateTask
-from .fiberstate import task_var_key, thunk_key
 from .task import COMPLETED, ERROR, FiberRecord, TERMINATED, TaskRecord
-
-#: seconds a task-variable write pays for its lock round trip, on top
-#: of the store write
-TASKVAR_LOCK_OVERHEAD = 0.002
 
 #: simulated seconds each ``:chunk-size :auto`` chunk should take
 AUTO_CHUNK_TARGET = 4.0
@@ -173,27 +168,20 @@ class FiberExecution:
         The clone is effected by serializing the closure: each child
         gets an independent copy of everything ``fn`` captures, so
         "changes either fiber makes will not be visible to its clone".
-        An aborted window (store fault / node death) discards them: the
-        replayed parent re-forks, so no record or thunk blob may leak.
+        An aborted window discards them and their thunks: the replayed
+        parent re-forks, so no record or blob may leak.
         """
         vinz = self.service.vinz
         ctx = self.ctx
         tracer = ctx.cluster.tracer
         created: List[FiberRecord] = []
-        monitored = False
 
         def undo_create() -> None:
             for child in created:
-                if vinz.registry.discard_fiber(child.id) is not None:
-                    # take the thunk blob back out so backend state
-                    # stays equal to committed journal state
-                    # (crash-recovery contract)
-                    vinz.store.rollback_value(thunk_key(child.id), None)
-                    if monitored:
-                        vinz.monitor_fiber_discarded(child, ctx.now)
-                    if child.span_id:
-                        tracer.end(child.span_id, end=ctx.now,
-                                   status="discarded")
+                if vinz.registry.discard_fiber(child.id) is not None \
+                        and child.span_id:
+                    tracer.end(child.span_id, end=ctx.now,
+                               status="discarded")
 
         ctx.on_abort(undo_create)
         for args in arg_lists:
@@ -206,11 +194,11 @@ class FiberExecution:
                     parent_id=self.task.span_id or None, task=self.task.id,
                     fiber=child.id, parent_fiber=self.fiber.id)
             created.append(child)
-            blob = self.service.codec.dumps((fn, list(args)))
-            ctx.charge(vinz.store.write(thunk_key(child.id), blob))
+            self.service.state.write_thunk(ctx, child, fn, args)
         for child in created:
             vinz.monitor_fiber_started(child, ctx.now)
-        monitored = True
+            ctx.on_abort(lambda c=child: vinz.monitor_fiber_discarded(
+                c, ctx.now))
         return created
 
     def fork(self, fn: GozerFunction, args: List[Any],
@@ -436,61 +424,17 @@ class FiberExecution:
     # -- task variables (Section 3.6) ----------------------------------------
 
     def get_task_var(self, name: str) -> Any:
-        """Read-through to the store: "will always see the latest value"."""
-        vinz = self.service.vinz
-
-        def read():
-            key = task_var_key(self.task.id, name)
-            vinz.metrics.incr("taskvar.reads")
-            if vinz.store.exists(key):
-                blob = vinz.store.read(key)
-                self.ctx.charge(vinz.store.cost(len(blob)))
-                return self.service.codec.loads(blob, fiber_id=self.fiber.id)
-            if name not in self.service.task_var_defaults:
-                raise GozerRuntimeError(
-                    f"undeclared task variable ^{name}^")
-            return self.service.task_var_defaults[name]
-
-        return self.nondet(f"taskvar-get/{name}", read)
+        return self.nondet(f"taskvar-get/{name}", lambda: (
+            self.service.state.get_task_var(self.ctx, self.task, self.fiber,
+                                            name)))
 
     def set_task_var(self, name: str, value: Any) -> Any:
-        """Locked write: the paper's "very high synchronization
-        overhead for mutation"."""
         if name not in self.service.task_var_defaults:
             raise GozerRuntimeError(f"undeclared task variable ^{name}^")
-        self.effect(f"taskvar-set/{name}",
-                    lambda: self._write_task_var(name, value))
+        self.effect(f"taskvar-set/{name}", lambda: (
+            self.service.state.set_task_var(self.ctx, self.task, name,
+                                            value)))
         return value
-
-    def _write_task_var(self, name: str, value: Any) -> None:
-        vinz = self.service.vinz
-        key = task_var_key(self.task.id, name)
-        owner = self.ctx.owner
-        spins = 0
-        # the lock is named like the store key it guards
-        while not vinz.locks.try_acquire(key, owner):
-            # with NFS-style file locks, a just-released lock may still
-            # look held (attribute caching): model a blocking wait for
-            # the visibility window instead of spinning the host CPU
-            remaining = getattr(vinz.locks, "stale_visibility_remaining",
-                                lambda _k: 0.0)(key)
-            if remaining > 0:
-                self.ctx.charge(remaining)
-                vinz.locks.expire_visibility(key)
-                continue
-            spins += 1
-            self.ctx.charge(0.001)
-            if spins > 1000:  # pragma: no cover - defensive
-                raise GozerRuntimeError(
-                    f"task variable lock {key} appears stuck "
-                    f"(held by {vinz.locks.holder(key)})")
-        try:
-            blob = self.service.codec.dumps(value)
-            self.ctx.charge(vinz.store.write(key, blob)
-                            + TASKVAR_LOCK_OVERHEAD)
-            vinz.metrics.incr("taskvar.writes")
-        finally:
-            vinz.locks.release(key, owner)
 
     # -- service calls ----------------------------------------------------------
 

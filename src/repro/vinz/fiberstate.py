@@ -1,10 +1,12 @@
-"""Fiber state on the shared store: keys, persist, load, rollback.
+"""Every task-owned store key: names, writes, reads, rollback, reclaim.
 
-"Persist, resume anywhere" (paper Section 4.2).  Everything that knows
-where a fiber's state lives and how it gets there is here: the store
-keys, the fencing check guarding every state write, snapshot-interval
-elision, the abort-undo that rolls a window's writes back, reclamation,
-and the interplay with the per-node fiber cache.
+"Persist, resume anywhere" (paper Section 4.2).  A task owns its
+environment (``task-env/``), child fibers' start thunks
+(``fiber-thunk/``), fibers' continuations (``fiber-state/``) and task
+variables (``taskvar/``).  Only this module touches them, through one
+write path whose undos join the window's undo log; a finishing fiber
+drops its state and thunk, a finishing task its environment and the
+task variables it set.  The history stays, for ``replay_task``.
 
 There is one :meth:`FiberStateStore.persist` and one
 :meth:`FiberStateStore.load`.  The whole-blob format (v1) and the
@@ -14,14 +16,18 @@ the encode and decode steps.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from ..bluebox.services import OperationContext, ServiceFault
 from ..bluebox.store import StoreError
 from ..history import recorder as hist
+from ..lang.errors import GozerRuntimeError
 from ..persistsnap.manifest import is_manifest
 from .cache import FiberCache
 from .task import FiberRecord, TaskRecord
+
+#: seconds a task-variable write pays for its lock round trip
+TASKVAR_LOCK_OVERHEAD = 0.002
 
 
 def state_key(fiber_id: str) -> str:
@@ -40,11 +46,21 @@ def task_var_key(task_id: str, name: str) -> str:
     return f"taskvar/{task_id}/{name}"
 
 
+def owned_keys(store, task: TaskRecord) -> List[str]:
+    """The keys ``task`` owns that ``store`` still holds."""
+    keys = [task_env_key(task.id)] + [
+        key(fiber_id) for fiber_id in task.fiber_ids
+        for key in (state_key, thunk_key)]
+    return ([key for key in keys if store.exists(key)]
+            + store.keys(task_var_key(task.id, "")))
+
+
 #: what an operation window may change on the records it advances, and
 #: an aborted window must put back
 _FIBER_ROLLBACK = ("version", "last_persisted_version", "status",
                    "waiting_on", "finished_at", "result", "error",
                    "instructions_since_snapshot", "snapshot_read_cost")
+_TASK_ROLLBACK = ("status", "finished_at", "result")
 
 
 class _Encoded(NamedTuple):
@@ -55,7 +71,6 @@ class _Encoded(NamedTuple):
     span: str
     detail: dict
     read_cost: float        # one later read of the chunks (v2)
-_TASK_ROLLBACK = ("status", "finished_at", "result")
 
 
 class FiberStateStore:
@@ -77,23 +92,23 @@ class FiberStateStore:
     def touch_task_env(self, ctx: OperationContext,
                        cache: Optional[FiberCache],
                        task: TaskRecord) -> None:
-        """Load the task's immutable environment (cached per node)."""
+        """Read the task's immutable environment unless this node did
+        already (Section 4.2); nothing decodes it, so it caches a marker."""
         if cache is not None:
-            # MISS sentinel: a legitimately-None environment must count
-            # as a hit, not force a store re-read on every delivery
-            env = cache.get_task_env(task.id, FiberCache.MISS)
-            if env is not FiberCache.MISS:
+            if cache.get_task_env(task.id) is not None:
                 self.vinz.metrics.incr("cache.immutable.hit")
                 return
             self.vinz.metrics.incr("cache.immutable.miss")
         key = task_env_key(task.id)
-        if self.vinz.store.exists(key):
-            env = self._read(ctx, key, self.service.codec.loads,
-                             task=task.id, what="task-env")
-        else:  # pragma: no cover - Start always writes it
-            env = {"workflow": self.service.name, "params": task.params}
+        if self.vinz.store.exists(key):  # dropped once the task finished
+            self._read(ctx, key, len, task=task.id, what="task-env")
         if cache is not None:
-            cache.put_task_env(task.id, env)
+            cache.put_task_env(task.id, True)
+
+    def write_task_env(self, ctx: OperationContext, task: TaskRecord) -> None:
+        """Persist the task's immutable environment once, at Start."""
+        self._write(ctx, task_env_key(task.id), self.service.codec.dumps(
+            {"workflow": self.service.name, "params": task.params}))
 
     # -- reading ------------------------------------------------------------------
 
@@ -259,7 +274,8 @@ class FiberStateStore:
         key = state_key(fiber.id)
         encoded = self._encode(ctx, key, fiber, continuation)
         detail = encoded.detail
-        ctx.charge(encoded.cost + vinz.store.write(key, encoded.blob))
+        ctx.charge(encoded.cost)
+        self._write(ctx, key, encoded.blob)
         if tracer.enabled:
             span = tracer.begin(
                 encoded.span, kind="persistence", start=vstart,
@@ -306,8 +322,8 @@ class FiberStateStore:
         # commit, so the decrements ride its journal batch (compensated
         # if the append fails: a retry against the rolled-back manifest
         # still finds every chunk it names).
-        ctx.snap_undos.append(result.undo)
-        ctx.before_commit(lambda: ctx.snap_undos.append(result.release()))
+        ctx.on_abort(result.undo)
+        ctx.before_commit(lambda: ctx.on_abort(result.release()))
         blob = result.blob
         if injector is not None:
             # a torn-manifest fault truncates the blob we are about to
@@ -322,23 +338,104 @@ class FiberStateStore:
                         sum(store.cost(ref.stored_len)
                             for ref in result.manifest.chunks))
 
+    # -- the one write path -----------------------------------------------------
+
+    def _write(self, ctx: OperationContext, key: str,
+               blob: Optional[bytes]) -> None:
+        """Write ``blob`` at a task-owned key (None deletes), charged to
+        the window.  An abort puts back the value this replaced while the
+        key still holds ``blob`` (the very object), so a later window's
+        write stays; newest-first, a key written twice goes back through
+        each value.  ``rollback_value`` also scrubs the journal batch."""
+        store = self.vinz.store
+        prior = store.snapshot_value(key)
+        ctx.charge(store.write(key, blob) if blob is not None
+                   else store.delete(key))
+
+        def undo() -> None:
+            if store.snapshot_value(key) is blob:
+                store.rollback_value(key, prior)
+
+        ctx.on_abort(undo)
+
+    def _delete(self, ctx: OperationContext, key: str) -> None:
+        """Best-effort delete: a vetoed one (store fault) orphans the
+        blob and is counted, so a write-storm campaign degrades cleanup
+        but not the path that is sweeping (task finish, dead letters)."""
+        snapper = self.service.snapper
+        blob = self.vinz.store.snapshot_value(key)
+        if snapper is not None and blob is not None and is_manifest(blob):
+            # a v2 state key holds a manifest: its chunk references go
+            # inside the commit (GC rides the window's batch)
+            ctx.before_commit(lambda: ctx.on_abort(snapper.release_blob(blob)))
+        try:
+            self._write(ctx, key, None)
+        except StoreError:
+            if ctx.tracing:
+                ctx.trace("reclaim-skipped", key=key)
+            self.vinz.metrics.incr("store.reclaim-skipped")
+
+    # -- thunks and task variables ------------------------------------------------
+
+    def write_thunk(self, ctx: OperationContext, fiber: FiberRecord,
+                    fn, args: List[Any]) -> None:
+        """A child fiber's start thunk: serializing the closure clones
+        everything ``fn`` captures (Section 3.4)."""
+        self._write(ctx, thunk_key(fiber.id),
+                    self.service.codec.dumps((fn, list(args))))
+
+    def get_task_var(self, ctx: OperationContext, task: TaskRecord,
+                     fiber: FiberRecord, name: str) -> Any:
+        """Read-through to the store: every fiber "will always see the
+        latest value" (Section 3.6)."""
+        key = task_var_key(task.id, name)
+        self.vinz.metrics.incr("taskvar.reads")
+        if self.vinz.store.exists(key):
+            return self._read(
+                ctx, key,
+                lambda blob: self.service.codec.loads(blob, fiber_id=fiber.id),
+                fiber=fiber.id, what="taskvar")
+        if name not in self.service.task_var_defaults:
+            raise GozerRuntimeError(f"undeclared task variable ^{name}^")
+        return self.service.task_var_defaults[name]
+
+    def set_task_var(self, ctx: OperationContext, task: TaskRecord,
+                     name: str, value: Any) -> None:
+        """Locked write: the paper's "very high synchronization
+        overhead for mutation".  The lock is named like the key."""
+        locks = self.vinz.locks
+        key = task_var_key(task.id, name)
+        while not locks.try_acquire(key, ctx.owner):
+            # NFS attribute caching: a just-released file lock still
+            # looks held; nothing holds it longer (see the release below)
+            wait = getattr(locks, "stale_visibility_remaining",
+                           lambda _k: 0.0)(key)
+            if not wait:  # pragma: no cover - defensive
+                raise GozerRuntimeError(f"task variable lock {key} is "
+                                        f"held by {locks.holder(key)}")
+            ctx.charge(wait)
+            locks.expire_visibility(key)
+        try:
+            self._write(ctx, key, self.service.codec.dumps(value))
+            ctx.charge(TASKVAR_LOCK_OVERHEAD)
+            self.vinz.metrics.incr("taskvar.writes")
+        finally:
+            locks.release(key, ctx.owner)
+
     # -- rollback and reclamation -----------------------------------------------
 
     def abort_undo(self, ctx: OperationContext, task: TaskRecord,
                    fiber: FiberRecord) -> Callable[[], None]:
-        """Build the state-rollback hook for node death mid-window."""
-        store = self.vinz.store
+        """Build the record-rollback hook for node death mid-window (the
+        window's store writes log their own undos)."""
         fiber_was = {name: getattr(fiber, name) for name in _FIBER_ROLLBACK}
         task_was = {name: getattr(task, name) for name in _TASK_ROLLBACK}
-        blob = store.snapshot_value(state_key(fiber.id))
-        thunk = store.snapshot_value(thunk_key(fiber.id))
 
         def undo():
             # a version persisted inside the aborted window may sit in
-            # this node's fiber cache; neither a retry re-reaching the
-            # same version number nor a rebuild may start from the
-            # aborted state (the group-commit abort path aborts *after*
-            # the handler finished, so the cache insert has happened)
+            # this node's fiber cache (a group-commit abort comes after
+            # the handler ran): neither a retry re-reaching that version
+            # number nor a rebuild may start from it
             cache = self.node_cache(ctx)
             if cache is not None:
                 cache.evict_continuation(fiber.id, fiber_was["version"] + 1)
@@ -346,37 +443,20 @@ class FiberStateStore:
                 setattr(fiber, name, value)
             for name, value in task_was.items():
                 setattr(task, name, value)
-            # rollback_value (not restore_value): a journaled store
-            # also scrubs the key from its uncommitted batch, so the
-            # rolled-back write can never be replayed after a crash
-            store.rollback_value(state_key(fiber.id), blob)
-            store.rollback_value(thunk_key(fiber.id), thunk)
 
         return undo
 
-    def reclaim(self, ctx, *keys: str) -> None:
-        """Best-effort reclamation of persisted fiber state.
+    def drop_fiber(self, ctx: OperationContext, fiber: FiberRecord) -> None:
+        """A finished fiber (completed, failed or terminated) drops its
+        state and its start thunk."""
+        self._delete(ctx, state_key(fiber.id))
+        self._delete(ctx, thunk_key(fiber.id))
 
-        Deletes are real store IO: charged to the window, counted, and
-        subject to fault injection.  But a vetoed delete must not take
-        down the platform path that happens to be sweeping (finishing a
-        task, dead-letter handling) — the blob is merely orphaned, for
-        a later sweep to reclaim, so a write-storm campaign degrades
-        cleanup without costing liveness.
-        """
-        store = self.vinz.store
-        snapper = self.service.snapper
-        for key in keys:
-            if snapper is not None:
-                # a v2 state key holds a manifest: its chunk references
-                # go inside the commit (GC rides the window's batch)
-                blob = store.snapshot_value(key)
-                if blob is not None and is_manifest(blob):
-                    ctx.before_commit(lambda b=blob: ctx.snap_undos.append(
-                        snapper.release_blob(b)))
-            try:
-                ctx.charge(store.delete(key))
-            except StoreError:
-                if ctx.tracing:
-                    ctx.trace("reclaim-skipped", key=key)
-                self.vinz.metrics.incr("store.reclaim-skipped")
+    def drop_task(self, ctx: OperationContext, task: TaskRecord) -> None:
+        """A finished task drops its environment and every task
+        variable it set; its history stays for verification."""
+        self._delete(ctx, task_env_key(task.id))
+        for name in self.service.task_var_defaults:
+            key = task_var_key(task.id, name)
+            if self.vinz.store.exists(key):
+                self._delete(ctx, key)

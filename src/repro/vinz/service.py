@@ -62,7 +62,7 @@ from .execution import (
     WINDOW_FAILED,
     run_window,
 )
-from .fiberstate import FiberStateStore, state_key, task_env_key, thunk_key
+from .fiberstate import FiberStateStore
 from .persistence import FiberCodec
 from .task import (
     COMPLETED,
@@ -273,18 +273,10 @@ class WorkflowService(Service):
         # an aborted window (store fault, node death mid-window) must
         # not leak a half-created task: the retried Start makes a fresh
         # one, so discard these records and their monitoring effects
-        monitored = [False]
-
         def undo_create() -> None:
             if self._task_by_message.get(msg_id) == task.id:
                 del self._task_by_message[msg_id]
             if registry.discard_task(task.id) is not None:
-                # the retried Start makes a *fresh* task id, so this
-                # env blob would orphan in the backends while never
-                # reaching the journal — take it back out
-                self.vinz.store.rollback_value(task_env_key(task.id), None)
-                if monitored[0]:
-                    self.vinz.monitor_task_discarded(task, ctx.now)
                 if task.span_id:
                     tracer.end(fiber.span_id, end=ctx.now,
                                status="discarded")
@@ -292,14 +284,12 @@ class WorkflowService(Service):
                                status="discarded")
 
         ctx.on_abort(undo_create)
-        # persist the task's immutable environment once (Section 4.2's
-        # immutable data: parameters + workflow identity)
-        env_blob = self.codec.dumps({"workflow": self.name, "params": params})
-        ctx.charge(self.vinz.store.write(task_env_key(task.id), env_blob))
+        # Section 4.2's immutable data: parameters + workflow identity
+        self.state.write_task_env(ctx, task)
         if ctx.tracing:
             ctx.trace("task-start", task=task.id, fiber=fiber.id)
         self.vinz.monitor_task_started(task, ctx.now)
-        monitored[0] = True
+        ctx.on_abort(lambda: self.vinz.monitor_task_discarded(task, ctx.now))
         recorder = self.vinz.history
         if recorder is not None:
             # window-buffered: an aborted Start discards this with the
@@ -366,12 +356,11 @@ class WorkflowService(Service):
     def _finish_task(self, ctx: OperationContext, task: TaskRecord,
                      status: str, result: Any = None,
                      error: Optional[str] = None) -> None:
-        """Finish a task and sweep its unfinished fibers.
+        """Finish a task, sweep its unfinished fibers, drop its keys.
 
         Fibers still queued will notice ``task.finished`` when their
         message arrives; suspended fibers that would otherwise wait
-        forever (e.g. a parent awaiting AwakeFiber) are terminated here
-        and their persisted state reclaimed.
+        forever (e.g. a parent awaiting AwakeFiber) are terminated here.
         """
         registry = self.vinz.registry
         registry.finish_task(task, status, ctx.now, result=result, error=error)
@@ -379,10 +368,10 @@ class WorkflowService(Service):
         for fiber in registry.fibers_of(task.id):
             if not fiber.finished:
                 registry.finish_fiber(fiber, TERMINATED, ctx.now)
-                self.state.reclaim(ctx, state_key(fiber.id),
-                                   thunk_key(fiber.id))
+                self.state.drop_fiber(ctx, fiber)
                 self.vinz.monitor_fiber_finished(fiber, ctx.now)
                 self._notify_waiters(ctx, fiber)
+        self.state.drop_task(ctx, task)
         self._notify_waiters(ctx, task)
 
     # -- fiber advancement --------------------------------------------------
@@ -683,7 +672,6 @@ class WorkflowService(Service):
                             fiber=fiber.id, result=result)
         self.vinz.registry.finish_fiber(fiber, COMPLETED, ctx.now,
                                         result=result)
-        self.state.reclaim(ctx, state_key(fiber.id), thunk_key(fiber.id))
         if ctx.tracing:
             ctx.trace("fiber-complete", task=task.id, fiber=fiber.id)
         self._announce_finished(ctx, task, fiber)
@@ -700,7 +688,6 @@ class WorkflowService(Service):
             recorder.record(ctx, task.id, hist.FIBER_FAILED,
                             fiber=fiber.id, error=error)
         self.vinz.registry.finish_fiber(fiber, ERROR, ctx.now, error=error)
-        self.state.reclaim(ctx, state_key(fiber.id))
         if ctx.tracing:
             ctx.trace("fiber-error", task=task.id, fiber=fiber.id, error=error)
         self._announce_finished(ctx, task, fiber)
@@ -711,8 +698,9 @@ class WorkflowService(Service):
 
     def _announce_finished(self, ctx: OperationContext, task: TaskRecord,
                            fiber: FiberRecord) -> None:
-        """Tell everyone waiting on a fiber that just finished, either
-        way: joiners, the next chained sibling, the parent."""
+        """A fiber just finished, either way: drop its keys, tell its
+        joiners and the next chained sibling or the parent."""
+        self.state.drop_fiber(ctx, fiber)
         self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_waiters(ctx, fiber)
         if fiber.chain_group is not None:
@@ -780,10 +768,7 @@ class WorkflowService(Service):
                 # a message arrived while we were still running (its
                 # DeliverMessage found us locked): wake ourselves; the
                 # sentinel pops the mailbox under the lock
-                ctx.send(self.name, "JoinProcess",
-                         {"fiber": fiber.id, "result": self._MAILBOX},
-                         max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
-                         affinity=self._affinity_for(fiber))
+                self._send_join(ctx, fiber.id, result=self._MAILBOX)
             # otherwise the next DeliverMessage resumes us
         elif kind == "service-call":
             self._send_service_request(ctx, fiber, descriptor)
@@ -791,9 +776,9 @@ class WorkflowService(Service):
             self._register_join(ctx, fiber, descriptor["target"])
         elif kind == "sleep":
             seconds = float(descriptor.get("seconds", 0.0))
-            ctx.send_later(seconds, self.name, "JoinProcess",
-                           {"fiber": fiber.id, "result": None},
-                           affinity=self._affinity_for(fiber))
+            ctx.send(self.name, "JoinProcess",
+                     {"fiber": fiber.id, "result": None},
+                     affinity=self._affinity_for(fiber), delay=seconds)
         else:
             raise ServiceFault(self.wsdl.fault_qname("BadYield"),
                                f"unknown yield descriptor {kind!r}")
@@ -821,11 +806,8 @@ class WorkflowService(Service):
         if process is None:
             raise ServiceFault(self.wsdl.fault_qname("NoSuchProcess"), target)
         if process.finished:
-            ctx.send(self.name, "JoinProcess",
-                     {"fiber": fiber.id, "process": target,
-                      "result": process.result},
-                     max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
-                     affinity=self._affinity_for(fiber))
+            self._send_join(ctx, fiber.id, process=target,
+                            result=process.result)
         elif fiber.id not in process.join_waiters:
             # idempotent: an aborted-window replay must not register
             # the waiter twice
@@ -835,10 +817,13 @@ class WorkflowService(Service):
         """Resume every fiber joined on a finished fiber or task."""
         waiters, process.join_waiters = process.join_waiters, []
         for waiter in waiters:
-            waiting_fiber = self.vinz.registry.fibers.get(waiter)
-            ctx.send(self.name, "JoinProcess",
-                     {"fiber": waiter, "process": process.id,
-                      "result": process.result},
-                     max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
-                     affinity=(self._affinity_for(waiting_fiber)
-                               if waiting_fiber else None))
+            self._send_join(ctx, waiter, process=process.id,
+                            result=process.result)
+
+    def _send_join(self, ctx: OperationContext, fiber_id: str,
+                   **body: Any) -> None:
+        """The JoinProcess that resumes ``fiber_id`` with ``body``."""
+        fiber = self.vinz.registry.fibers.get(fiber_id)
+        ctx.send(self.name, "JoinProcess", {"fiber": fiber_id, **body},
+                 max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
+                 affinity=self._affinity_for(fiber) if fiber else None)
