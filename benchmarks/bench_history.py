@@ -22,7 +22,8 @@ optimization it unlocks:
   elided versions rebuilt from history on demand.
 
 The report JSON (``benchmarks/out/history_replay_report.json``) is the
-artifact CI uploads; its ``divergences`` count must be 0.
+artifact CI uploads; its ``divergences`` and, in both campaigns,
+``unfinished_tasks`` counts must be 0 and ``monitor_imbalance`` empty.
 """
 
 import json
@@ -88,6 +89,11 @@ def test_history_replay_campaign(benchmark, bench_report):
     violations = rec.single_runner_violations()
     assert stuck == [], f"stranded fibers: {stuck}"
     assert violations == [], f"single-runner violations: {violations}"
+    # no task unfinished behind finished fibers, every task and fiber
+    # counted once by the monitors, in both campaigns
+    gates = [(len(report.unfinished_tasks()), report.monitor_imbalance())
+             for report in (campaign, rec)]
+    assert gates == [(0, {}), (0, {})], gates
     rebuilds = rec.env.counters.get("history.rebuilds")
     assert rebuilds > 0, "replay recovery never rebuilt a fiber"
     rec.replay_all()
@@ -136,6 +142,8 @@ def test_history_replay_campaign(benchmark, bench_report):
         "partial_fibers": sum(len(r.partial_fibers) for r in replays),
         "orphaned_keys": orphans[0][0],
         "reclaim_skipped": orphans[0][1],
+        "unfinished_tasks": gates[0][0],
+        "monitor_imbalance": gates[0][1],
         "history": env.summary()["history"],
         "recovery_mode_campaign": {
             "stuck_fibers": len(stuck),
@@ -143,6 +151,8 @@ def test_history_replay_campaign(benchmark, bench_report):
             "rebuilds": rebuilds,
             "orphaned_keys": orphans[1][0],
             "reclaim_skipped": orphans[1][1],
+            "unfinished_tasks": gates[1][0],
+            "monitor_imbalance": gates[1][1],
         },
         "snapshot_interval": {
             "interval": SNAPSHOT_INTERVAL,

@@ -28,10 +28,11 @@ shows the other side: live holders renew (``renewed > 0``) without the
 scanner ever running (``scans == 0``).
 
 The recovery report JSON (``benchmarks/out/recovery_report.json``) is
-the artifact CI uploads; its ``stuck_fibers`` count must be 0, its
+the artifact CI uploads; its ``stuck_fibers`` and ``unfinished_tasks``
+counts must be 0, its ``monitor_imbalance`` empty, its
 ``orphaned_keys`` no more than its ``reclaim_skipped``, and its
-``healthy`` block's ``scans``, ``stuck_fibers`` and ``orphaned_keys``
-must be 0.
+``healthy`` block's ``scans``, ``stuck_fibers``, ``unfinished_tasks``
+and ``orphaned_keys`` must be 0, with no monitor imbalance either.
 """
 
 import json
@@ -87,6 +88,11 @@ def test_lock_recovery_campaign(benchmark, bench_report):
     assert stuck == [], f"stranded fibers: {stuck}"
     assert campaign.all_completed, campaign.statuses
     assert campaign.wrong_results() == []
+    # ... and no task is left unfinished behind finished fibers, and
+    # the monitors count every task and fiber exactly once
+    unfinished = campaign.unfinished_tasks()
+    imbalance = campaign.monitor_imbalance()
+    assert unfinished == [] and imbalance == {}, (unfinished, imbalance)
 
     # invariant 2: no fiber ever double-run
     violations = campaign.single_runner_violations()
@@ -105,10 +111,14 @@ def test_lock_recovery_campaign(benchmark, bench_report):
     healthy = {"scans": control.env.recovery.scans,
                "renewed": control.env.locks.lease_stats()["renewed"],
                "stuck_fibers": len(control.stuck_fibers()),
+               "unfinished_tasks": len(control.unfinished_tasks()),
+               "monitor_imbalance": control.monitor_imbalance(),
                "orphaned_keys": len(control.orphaned_keys())}
     assert control.all_completed, control.statuses
     assert healthy["scans"] == 0 and healthy["renewed"] > 0, healthy
     assert healthy["stuck_fibers"] == 0, healthy
+    assert healthy["unfinished_tasks"] == 0, healthy
+    assert healthy["monitor_imbalance"] == {}, healthy
     assert healthy["orphaned_keys"] == 0, control.orphaned_keys()
 
     # a finished task leaves no key behind, except where a store fault
@@ -126,6 +136,8 @@ def test_lock_recovery_campaign(benchmark, bench_report):
         "faults_injected": dict(campaign.injected),
         "stuck_fibers": len(stuck),
         "double_runs": len(violations),
+        "unfinished_tasks": len(unfinished),
+        "monitor_imbalance": imbalance,
         "orphaned_keys": len(orphaned),
         "reclaim_skipped": reclaim_skipped,
         "tasks_completed": campaign.completed,

@@ -45,7 +45,9 @@ class OperationContext:
       cache lookups are per-instance, Section 4.2).
     * :meth:`commit` / :meth:`abort` — every window ends through
       exactly one of them, once: store writes, history and chunk GC
-      share one journal append and the sends go out only after it.
+      share one journal append, and the sends and replies go out only
+      after it.  An abort runs the undo log each owner of a change
+      (store keys, task and fiber records, chunks, locks) wrote to.
 
     Platform work outside any message (dead-letter handling) runs on a
     context with no ``instance``/``message`` and commits it when done.

@@ -252,14 +252,15 @@ class DurableStore(ShardedStore):
             self.run_checkpoint()
 
     def run_checkpoint(self) -> float:
-        """Snapshot the key space into the journal and truncate the log.
+        """Snapshot the committed key space into the journal and
+        truncate the log.  The backends are not the source: they hold
+        the writes of sealed windows that may still abort.
 
         Background compaction: its IO cost is accounted on the store
         (``checkpoint_seconds``) but charged to no operation window —
         the paper-world filer does this off the critical path.
         """
-        state = {key: self._get(key) for key in self._key_list()}
-        frame_bytes = self.journal.checkpoint(state)
+        frame_bytes = self.journal.checkpoint()
         cost = self.cost(frame_bytes)
         self._account(cost)
         self.checkpoint_seconds += cost

@@ -14,8 +14,9 @@ committed batches always survive, uncommitted ones never do.  The
 history log and the v2 snapshot manifest use the same frame.
 
 Checkpoints bound replay time: every ``checkpoint_interval`` commits the
-journal owner snapshots the full key space into a checkpoint frame and
-truncates the log.
+journal snapshots the committed key space (the key map of the batches
+it appended, never a backend that may hold a sealed window's writes)
+into a checkpoint frame and truncates the log.
 """
 
 from __future__ import annotations
@@ -211,9 +212,13 @@ class WriteAheadJournal:
         self._good_offset = self.storage.size()
         #: a torn append left garbage after _good_offset
         self._dirty_tail = False
+        #: key -> value the appended batches committed (None: deleted)
+        self._committed: Dict[str, Optional[bytes]] = {}
         if self._good_offset == 0:
             self.storage.reset(JOURNAL_MAGIC)
             self._good_offset = len(JOURNAL_MAGIC)
+        else:  # reopened: take the key map from the log
+            self._committed = self.replay()["state"]
 
     # ------------------------------------------------------------------
     # appending
@@ -244,6 +249,8 @@ class WriteAheadJournal:
             self.flushes += 1
         self.records_committed += len(batch.records)
         self.bytes_appended += len(framed)
+        self._committed.update((key, value if op == OP_PUT else None)
+                               for op, key, value in batch.records)
 
     def _repair_tail(self) -> None:
         """Restart-style recovery after a torn append: truncate the
@@ -256,13 +263,18 @@ class WriteAheadJournal:
     # checkpoint / compaction
     # ------------------------------------------------------------------
 
-    def checkpoint(self, state: Dict[str, bytes]) -> int:
-        """Snapshot the full key space and truncate the log.
+    def checkpoint(self, state: Optional[Dict[str, bytes]] = None) -> int:
+        """Snapshot the committed key space (or ``state``, which then
+        becomes it) and truncate the log.
 
         Returns the checkpoint frame size.  Replay then starts from the
         snapshot instead of the beginning of time.
         """
-        frame = crc_frame(pickle.dumps(state, protocol=4), CHECKPOINT_MAGIC)
+        self._committed = {key: value for key, value in (
+            state if state is not None else self._committed).items()
+            if value is not None}
+        frame = crc_frame(pickle.dumps(self._committed, protocol=4),
+                          CHECKPOINT_MAGIC)
         self.storage.reset(JOURNAL_MAGIC + frame)
         self._good_offset = len(JOURNAL_MAGIC) + len(frame)
         self._dirty_tail = False
@@ -307,13 +319,11 @@ class WriteAheadJournal:
         batches = 0
         records = 0
         for payload in payloads:
-            for op, key, value in pickle.loads(payload):
-                if op == OP_PUT:
-                    state[key] = value
-                else:
-                    state[key] = None
+            batch = pickle.loads(payload)
+            for op, key, value in batch:
+                state[key] = value if op == OP_PUT else None
             batches += 1
-            records += len(pickle.loads(payload))
+            records += len(batch)
         return {
             "state": state,
             "checkpoint_keys": checkpoint_keys,
@@ -335,6 +345,7 @@ class WriteAheadJournal:
             self.storage.truncate(good)
             self._good_offset = good
             self._dirty_tail = False
+        self._committed = dict(replay["state"])
         return dropped
 
     def stats_snapshot(self) -> Dict[str, Any]:
@@ -355,10 +366,9 @@ def _frame_end(data: bytes, offset: int, magic: bytes) -> int:
     batch frames share one parser without ambiguity."""
     if data[offset:offset + len(magic)] != magic:
         return offset
-    import struct as _struct
-
-    header = data[offset + len(magic):offset + len(magic) + 8]
-    if len(header) < 8:
+    start = offset + len(magic) + _FRAME_HEADER.size
+    header = data[offset + len(magic):start]
+    if len(header) < _FRAME_HEADER.size:
         return len(data)
-    length, _crc = _struct.unpack("<II", header)
-    return min(len(data), offset + len(magic) + 8 + length)
+    length, _crc = _FRAME_HEADER.unpack(header)
+    return min(len(data), start + length)

@@ -25,7 +25,7 @@ from ..bluebox.services import simple_service
 from ..lang.symbols import Keyword
 from ..vinz.api import VinzEnvironment
 from ..vinz.fiberstate import owned_keys
-from ..vinz.task import COMPLETED
+from ..vinz.task import COMPLETED, ERROR, TERMINATED
 from .injector import FaultInjector
 from .plan import FaultPlan
 
@@ -173,6 +173,25 @@ class CampaignReport:
             if node is not None and not node.alive:
                 stuck.append(fiber_id)
         return stuck
+
+    def unfinished_tasks(self) -> List[str]:
+        """Unfinished tasks whose fibers all finished: nothing is left
+        to finish them.  Empty list == no task hangs."""
+        registry = self.env.registry
+        return [task_id for task_id, task in registry.tasks.items()
+                if not task.finished and all(
+                    fiber.finished for fiber in registry.fibers_of(task_id))]
+
+    def monitor_imbalance(self) -> Dict[str, int]:
+        """Monitors off at idle: an in-flight level not 0, finished-task
+        counters not summing to the task count.  Empty == balanced."""
+        env = self.env
+        finished = sum(env.metrics.get(f"tasks.{status}")
+                       for status in (COMPLETED, TERMINATED, ERROR))
+        off = {"tasks.in_flight": env.task_concurrency.level,
+               "fibers.in_flight": env.fiber_concurrency.level,
+               "tasks.finished - tasks": finished - len(env.registry.tasks)}
+        return {name: value for name, value in off.items() if value}
 
     def orphaned_keys(self) -> List[str]:
         """Task-owned keys of finished tasks still in the store: each a

@@ -123,6 +123,7 @@ class VinzEnvironment:
         #: start, end)`` — the raw material of the single-runner audit
         self.runner_audit: List[tuple] = []
         self.registry = ProcessRegistry()
+        self.registry.monitor = self
         # ------- event-sourced task history (docs/history_replay.md) --
         if history not in ("off", "on"):
             raise ValueError(f"unknown history mode {history!r}")
@@ -252,17 +253,20 @@ class VinzEnvironment:
 
     def wait_for_task(self, task_id: str,
                       deadline: Optional[float] = None) -> TaskRecord:
-        """Advance the simulation until the task finishes."""
+        """Advance the simulation until the task's finish committed."""
         task = self.registry.tasks[task_id]
-        while True:
-            if not self.cluster.run_until(lambda: task.finished,
+        if task.finished:
+            # its finish commits, or aborts and puts the task back
+            self._drain_in_flight()
+        if not task.finished:
+            done: List[TaskRecord] = []
+            task.completion_listeners.append(done.append)
+            if not self.cluster.run_until(lambda: bool(done),
                                           deadline=deadline):
                 raise TimeoutError(f"task {task_id} did not finish "
                                    f"(status {task.status})")
             self._drain_in_flight()
-            # a refused commit un-finishes the task until its retry
-            if task.finished:
-                return task
+        return task
 
     def replay_task(self, task_id: str, source: str = "log"):
         """Deterministically re-execute a finished task from its
@@ -370,45 +374,23 @@ class VinzEnvironment:
         self.cluster.restore_node(node_id)
 
     # ------------------------------------------------------------------
-    # monitoring hooks (called by WorkflowService)
+    # monitoring hooks (the ProcessRegistry's; ``sign=-1`` undoes one)
     # ------------------------------------------------------------------
 
-    def monitor_task_started(self, task: TaskRecord, now: float) -> None:
-        self.task_concurrency.change(now, +1)
-        self.fiber_concurrency.change(now, +1)  # the initial fiber
-        self.metrics.incr("tasks.started")
-        self.metrics.incr("fibers.started")
+    def monitor_started(self, record, now: float, sign: int = 1) -> None:
+        kind = "tasks" if isinstance(record, TaskRecord) else "fibers"
+        self.metrics.level(f"{kind}.in_flight").change(now, sign)
+        self.metrics.incr(f"{kind}.started", sign)
 
-    def monitor_task_finished(self, task: TaskRecord, now: float) -> None:
-        self.task_concurrency.change(now, -1)
-        self.metrics.incr(f"tasks.{task.status}")
-        if task.duration is not None:
-            self.metrics.add("tasks.total_duration", task.duration)
-        if task.span_id:
-            self.cluster.tracer.end(task.span_id, end=now,
-                                    status=task.status)
-
-    def monitor_fiber_started(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, +1)
-        self.metrics.incr("fibers.started")
-
-    def monitor_fiber_finished(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, -1)
-        self.metrics.incr(f"fibers.{fiber.status}")
-        if fiber.span_id:
-            self.cluster.tracer.end(fiber.span_id, end=now,
-                                    status=fiber.status)
-
-    def monitor_task_discarded(self, task: TaskRecord, now: float) -> None:
-        """Roll back :meth:`monitor_task_started` after an aborted
-        operation window discarded the freshly created task."""
-        self.task_concurrency.change(now, -1)
-        self.fiber_concurrency.change(now, -1)  # the initial fiber
-        self.metrics.incr("tasks.discarded")
-
-    def monitor_fiber_discarded(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, -1)
-        self.metrics.incr("fibers.discarded")
+    def monitor_finished(self, record, now: float, sign: int = 1) -> None:
+        kind = "tasks" if isinstance(record, TaskRecord) else "fibers"
+        self.metrics.level(f"{kind}.in_flight").change(now, -sign)
+        self.metrics.incr(f"{kind}.{record.status}", sign)
+        if kind == "tasks" and record.duration is not None:
+            self.metrics.add("tasks.total_duration", sign * record.duration)
+        if record.span_id and sign > 0:
+            self.cluster.tracer.end(record.span_id, end=now,
+                                    status=record.status)
 
     # ------------------------------------------------------------------
     # metrics summary

@@ -19,7 +19,7 @@ implemented once, here, for both consumers:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..bluebox.messagequeue import PRIORITY_LOW
 from ..bluebox.services import OperationContext, ServiceFault
@@ -162,7 +162,9 @@ class FiberExecution:
     # -- fiber management -----------------------------------------------------
 
     def _create_children(self, fn: GozerFunction, arg_lists: List[List[Any]],
-                         notify_parent: bool) -> List[FiberRecord]:
+                         notify_parent: bool,
+                         chain_group: Optional[str] = None
+                         ) -> List[FiberRecord]:
         """Create one child fiber per argument list (Section 3.4).
 
         The clone is effected by serializing the closure: each child
@@ -171,34 +173,15 @@ class FiberExecution:
         An aborted window discards them and their thunks: the replayed
         parent re-forks, so no record or blob may leak.
         """
-        vinz = self.service.vinz
         ctx = self.ctx
-        tracer = ctx.cluster.tracer
         created: List[FiberRecord] = []
-
-        def undo_create() -> None:
-            for child in created:
-                if vinz.registry.discard_fiber(child.id) is not None \
-                        and child.span_id:
-                    tracer.end(child.span_id, end=ctx.now,
-                               status="discarded")
-
-        ctx.on_abort(undo_create)
         for args in arg_lists:
-            child = vinz.registry.new_fiber(self.task, ctx.now,
-                                            parent_id=self.fiber.id,
-                                            notify_parent=notify_parent)
-            if tracer.enabled:
-                child.span_id = tracer.begin(
-                    f"fiber:{child.id}", kind="fiber", start=ctx.now,
-                    parent_id=self.task.span_id or None, task=self.task.id,
-                    fiber=child.id, parent_fiber=self.fiber.id)
+            child = self.service.vinz.registry.new_fiber(
+                self.task, ctx.now, parent_id=self.fiber.id,
+                notify_parent=notify_parent, ctx=ctx,
+                chain_group=chain_group)
             created.append(child)
             self.service.state.write_thunk(ctx, child, fn, args)
-        for child in created:
-            vinz.monitor_fiber_started(child, ctx.now)
-            ctx.on_abort(lambda c=child: vinz.monitor_fiber_discarded(
-                c, ctx.now))
         return created
 
     def fork(self, fn: GozerFunction, args: List[Any],
@@ -227,21 +210,19 @@ class FiberExecution:
         fan-out of N children costs one parent wake-up instead of N.
         Returns the chain group id; collect with ``%vinz-collect-chain``.
         """
-        created = self._create_children(fn, [[item] for item in items],
-                                        notify_parent=False)
-        children = [child.id for child in created]
         group_id = f"chain:{self.fiber.id}:{len(self.task.chain_groups)}"
-        self.ctx.on_abort(
-            lambda: self.task.chain_groups.pop(group_id, None))
+        created = self._create_children(fn, [[item] for item in items],
+                                        notify_parent=False,
+                                        chain_group=group_id)
+        children = [child.id for child in created]
         limit = max(1, self._spawn_limit_value())
-        self.task.chain_groups[group_id] = {
-            "parent": self.fiber.id,
-            "children": children,
-            "pending": children[limit:],
-            "remaining": len(children),
-        }
-        for child in created:
-            child.chain_group = group_id
+        self.service.vinz.registry.put(self.ctx, self.task.chain_groups,
+                                       group_id, {
+                                           "parent": self.fiber.id,
+                                           "children": children,
+                                           "pending": children[limit:],
+                                           "remaining": len(children),
+                                       })
         for child in created[:limit]:
             self.service.send_run_fiber(self.ctx, self.task, child)
         if self.ctx.tracing:
@@ -380,7 +361,8 @@ class FiberExecution:
         """Pop a pending mailbox message, or the no-message keyword."""
         def pop():
             if self.fiber.mailbox:
-                return self.fiber.mailbox.pop(0)
+                return self.service.vinz.registry.pop_front(
+                    self.ctx, self.fiber.mailbox)[1]
             return Keyword("%vinz-no-message")
 
         return self.nondet("try-receive", pop)
@@ -408,7 +390,8 @@ class FiberExecution:
         return self.nondet("spawn-limit", self._spawn_limit_value)
 
     def set_spawn_limit(self, n: int) -> int:
-        self.task.spawn_limit = max(1, n)
+        self.service.vinz.registry.set(self.ctx, self.task,
+                                       spawn_limit=max(1, n))
         return self.task.spawn_limit
 
     def auto_spawn_limit(self) -> int:
@@ -416,7 +399,8 @@ class FiberExecution:
         returns the currently governed limit."""
 
         def engage():
-            self.task.spawn_limit = AUTO_SPAWN_LIMIT
+            self.service.vinz.registry.set(self.ctx, self.task,
+                                           spawn_limit=AUTO_SPAWN_LIMIT)
             return self.service.vinz.governor.current_limit(self.ctx.now)
 
         return self.nondet("auto-spawn-limit", engage)

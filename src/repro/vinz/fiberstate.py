@@ -24,7 +24,7 @@ from ..history import recorder as hist
 from ..lang.errors import GozerRuntimeError
 from ..persistsnap.manifest import is_manifest
 from .cache import FiberCache
-from .task import FiberRecord, TaskRecord
+from .task import FiberRecord, TaskRecord, log_undo
 
 #: seconds a task-variable write pays for its lock round trip
 TASKVAR_LOCK_OVERHEAD = 0.002
@@ -53,14 +53,6 @@ def owned_keys(store, task: TaskRecord) -> List[str]:
         for key in (state_key, thunk_key)]
     return ([key for key in keys if store.exists(key)]
             + store.keys(task_var_key(task.id, "")))
-
-
-#: what an operation window may change on the records it advances, and
-#: an aborted window must put back
-_FIBER_ROLLBACK = ("version", "last_persisted_version", "status",
-                   "waiting_on", "finished_at", "result", "error",
-                   "instructions_since_snapshot", "snapshot_read_cost")
-_TASK_ROLLBACK = ("status", "finished_at", "result")
 
 
 class _Encoded(NamedTuple):
@@ -257,17 +249,23 @@ class FiberStateStore:
         # a zombie must not even bump the version: the raise tunnels
         # through the GVM, aborts the window and the message retries
         ctx.check_fence("persist.fence-rejected")
-        fiber.version += 1
-        if vinz.history is not None \
-                and fiber.version % vinz.snapshot_interval:
+        version = fiber.version + 1
+        if cache is not None:
+            # neither a retry re-reaching this version number nor a
+            # rebuild may start from what an aborted window cached
+            log_undo(ctx, lambda: cache.evict_continuation(fiber.id, version))
+        if vinz.history is not None and version % vinz.snapshot_interval:
             # snapshot-interval elision: with history on, only every
             # Nth suspension persists — the versions between snapshots
             # live in the node cache and are rebuilt by replay after a
             # crash or cache miss
             vinz.metrics.incr("persist.skipped")
-            fiber.instructions_since_snapshot += instructions
+            vinz.registry.set(ctx, fiber, version=version,
+                              instructions_since_snapshot=(
+                                  fiber.instructions_since_snapshot
+                                  + instructions))
             if cache is not None:
-                cache.put_continuation(fiber.id, fiber.version, continuation)
+                cache.put_continuation(fiber.id, version, continuation)
             return
         tracer = ctx.cluster.tracer
         vstart = ctx.now + ctx.charged
@@ -280,18 +278,21 @@ class FiberStateStore:
             span = tracer.begin(
                 encoded.span, kind="persistence", start=vstart,
                 parent_id=ctx.span_id or None, fiber=fiber.id,
-                version=fiber.version, **detail)
+                version=version, **detail)
             tracer.end(span, end=ctx.now + ctx.charged)
         vinz.metrics.incr("persist.writes")
         vinz.metrics.add("persist.bytes", detail["bytes"])
-        fiber.last_persisted_version = fiber.version
         if vinz.recovery_mode == "replay":
             # a cold node still rebuilds from the start
-            fiber.instructions_since_snapshot += instructions
+            since = fiber.instructions_since_snapshot + instructions
+            read_cost = fiber.snapshot_read_cost
         else:
-            fiber.instructions_since_snapshot = 0
-            fiber.snapshot_read_cost = (vinz.store.cost(len(encoded.blob))
-                                        + encoded.read_cost)
+            since = 0
+            read_cost = vinz.store.cost(len(encoded.blob)) + encoded.read_cost
+        vinz.registry.set(ctx, fiber, version=version,
+                          last_persisted_version=version,
+                          instructions_since_snapshot=since,
+                          snapshot_read_cost=read_cost)
         if vinz.history is not None:
             vinz.history.record(ctx, fiber.task_id, hist.SNAPSHOT_TAKEN,
                                 fiber=fiber.id, version=fiber.version)
@@ -356,7 +357,7 @@ class FiberStateStore:
             if store.snapshot_value(key) is blob:
                 store.rollback_value(key, prior)
 
-        ctx.on_abort(undo)
+        log_undo(ctx, undo)
 
     def _delete(self, ctx: OperationContext, key: str) -> None:
         """Best-effort delete: a vetoed one (store fault) orphans the
@@ -422,29 +423,7 @@ class FiberStateStore:
         finally:
             locks.release(key, ctx.owner)
 
-    # -- rollback and reclamation -----------------------------------------------
-
-    def abort_undo(self, ctx: OperationContext, task: TaskRecord,
-                   fiber: FiberRecord) -> Callable[[], None]:
-        """Build the record-rollback hook for node death mid-window (the
-        window's store writes log their own undos)."""
-        fiber_was = {name: getattr(fiber, name) for name in _FIBER_ROLLBACK}
-        task_was = {name: getattr(task, name) for name in _TASK_ROLLBACK}
-
-        def undo():
-            # a version persisted inside the aborted window may sit in
-            # this node's fiber cache (a group-commit abort comes after
-            # the handler ran): neither a retry re-reaching that version
-            # number nor a rebuild may start from it
-            cache = self.node_cache(ctx)
-            if cache is not None:
-                cache.evict_continuation(fiber.id, fiber_was["version"] + 1)
-            for name, value in fiber_was.items():
-                setattr(fiber, name, value)
-            for name, value in task_was.items():
-                setattr(task, name, value)
-
-        return undo
+    # -- reclamation ------------------------------------------------------------
 
     def drop_fiber(self, ctx: OperationContext, fiber: FiberRecord) -> None:
         """A finished fiber (completed, failed or terminated) drops its

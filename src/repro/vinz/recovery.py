@@ -201,9 +201,8 @@ class RecoveryScanner:
         if not cluster.store.window_open:
             cluster.store.begin_window()
             ctx.owns_window = True
-        # a refused commit puts fiber and task back, as an aborted
-        # advancement window does
-        ctx.on_abort(workflow.state.abort_undo(ctx, task, fiber))
+        # a refused commit puts fiber and task back through the
+        # registry's undo log, as an aborted advancement window does
         workflow._fiber_failed(ctx, task, fiber, error,
                                terminate_task=(fiber.parent_id is None))
         try:

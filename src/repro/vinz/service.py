@@ -254,42 +254,15 @@ class WorkflowService(Service):
                 ctx.trace("task-start-duplicate", task=existing.id,
                           msg=msg_id)
             return existing
-        task = registry.new_task(self.name, params, ctx.now)
-        task.deadline = body.get("deadline")
-        fiber = registry.new_fiber(task, ctx.now)
+        # an abort discards both: a stale dedup entry names no task
+        task = registry.new_task(self.name, params, ctx.now, ctx=ctx,
+                                 deadline=body.get("deadline"))
+        fiber = registry.new_fiber(task, ctx.now, ctx=ctx)
         self._task_by_message[msg_id] = task.id
-        tracer = ctx.cluster.tracer
-        if tracer.enabled:
-            # the roots of this task's causal tree: the task span hangs
-            # off whatever caused the Start (the creating op window),
-            # and the initial fiber span hangs off the task span
-            task.span_id = tracer.begin(
-                f"task:{task.id}", kind="task", start=ctx.now,
-                parent_id=ctx.span_id or None,
-                task=task.id, workflow=self.name)
-            fiber.span_id = tracer.begin(
-                f"fiber:{fiber.id}", kind="fiber", start=ctx.now,
-                parent_id=task.span_id, task=task.id, fiber=fiber.id)
-        # an aborted window (store fault, node death mid-window) must
-        # not leak a half-created task: the retried Start makes a fresh
-        # one, so discard these records and their monitoring effects
-        def undo_create() -> None:
-            if self._task_by_message.get(msg_id) == task.id:
-                del self._task_by_message[msg_id]
-            if registry.discard_task(task.id) is not None:
-                if task.span_id:
-                    tracer.end(fiber.span_id, end=ctx.now,
-                               status="discarded")
-                    tracer.end(task.span_id, end=ctx.now,
-                               status="discarded")
-
-        ctx.on_abort(undo_create)
         # Section 4.2's immutable data: parameters + workflow identity
         self.state.write_task_env(ctx, task)
         if ctx.tracing:
             ctx.trace("task-start", task=task.id, fiber=fiber.id)
-        self.vinz.monitor_task_started(task, ctx.now)
-        ctx.on_abort(lambda: self.vinz.monitor_task_discarded(task, ctx.now))
         recorder = self.vinz.history
         if recorder is not None:
             # window-buffered: an aborted Start discards this with the
@@ -317,7 +290,8 @@ class WorkflowService(Service):
         if task.finished:  # duplicate delivery after completion
             return {"task": task.id, "status": task.status}
         deferred = ctx.defer()
-        task.completion_listeners.append(
+        self.vinz.registry.append(
+            ctx, task.completion_listeners,
             lambda t: deferred.resolve({"task": t.id, "status": t.status}))
         return deferred
 
@@ -337,7 +311,7 @@ class WorkflowService(Service):
                 deferred.fail(self.wsdl.fault_qname("WorkflowFailed"),
                               t.error or t.status)
 
-        task.completion_listeners.append(finish)
+        self.vinz.registry.append(ctx, task.completion_listeners, finish)
         return deferred
 
     def op_terminate(self, ctx: OperationContext, body: Dict[str, Any]) -> Any:
@@ -363,13 +337,12 @@ class WorkflowService(Service):
         forever (e.g. a parent awaiting AwakeFiber) are terminated here.
         """
         registry = self.vinz.registry
-        registry.finish_task(task, status, ctx.now, result=result, error=error)
-        self.vinz.monitor_task_finished(task, ctx.now)
+        registry.finish_task(task, status, ctx.now, result=result,
+                             error=error, ctx=ctx)
         for fiber in registry.fibers_of(task.id):
             if not fiber.finished:
-                registry.finish_fiber(fiber, TERMINATED, ctx.now)
+                registry.finish_fiber(fiber, TERMINATED, ctx.now, ctx=ctx)
                 self.state.drop_fiber(ctx, fiber)
-                self.vinz.monitor_fiber_finished(fiber, ctx.now)
                 self._notify_waiters(ctx, fiber)
         self.state.drop_task(ctx, task)
         self._notify_waiters(ctx, task)
@@ -380,6 +353,11 @@ class WorkflowService(Service):
         return self._advance(ctx, body["fiber"], resume=False, value=None)
 
     def op_awake_fiber(self, ctx: OperationContext, body: Dict[str, Any]) -> Any:
+        registry = self.vinz.registry
+        child = registry.fibers.get(body.get("child"))
+        if child is not None and child.chain_group and registry.task_of(
+                child.id).chain_groups[child.chain_group]["remaining"] > 0:
+            return None  # counted a sibling's finish that aborted since
         return self._advance(ctx, body["fiber"], resume=True,
                              value={"child": body.get("child"),
                                     "result": body.get("result")})
@@ -413,9 +391,10 @@ class WorkflowService(Service):
             return None  # messages to dead fibers are dropped
         # idempotent append: a re-delivered message (receiver was
         # locked on the first attempt) must not duplicate the value
-        if ctx.message.id not in fiber.seen_deliveries:
-            fiber.seen_deliveries.add(ctx.message.id)
-            fiber.mailbox.append(body.get("value"))
+        registry = self.vinz.registry
+        if registry.add(ctx, fiber.seen_deliveries, ctx.message.id):
+            registry.append(ctx, fiber.mailbox,
+                            (ctx.message.id, body.get("value")))
             self.vinz.metrics.incr("mailbox.delivered")
             recorder = self.vinz.history
             if recorder is not None:
@@ -438,14 +417,12 @@ class WorkflowService(Service):
         fiber = registry.fibers.get(fiber_id)
         if fiber is None:
             raise ServiceFault(self.wsdl.fault_qname("NoSuchFiber"), fiber_id)
-        task = registry.task(fiber.task_id)
+        task = registry.tasks[fiber.task_id]
 
         # a terminated task's fibers "notice that the task has
         # terminated in short order and also terminate" (Section 3.7)
         if task.finished:
-            if not fiber.finished:
-                registry.finish_fiber(fiber, TERMINATED, ctx.now)
-                self.vinz.monitor_fiber_finished(fiber, ctx.now)
+            registry.finish_fiber(fiber, TERMINATED, ctx.now, ctx=ctx)
             if ctx.tracing:
                 ctx.trace("fiber-skip-terminated", task=task.id,
                           fiber=fiber.id)
@@ -454,8 +431,8 @@ class WorkflowService(Service):
             return None
         # idempotence under at-least-once delivery: a duplicated
         # message whose first delivery already advanced the fiber must
-        # not advance it again (aborted windows discard the marker, so
-        # crash redeliveries still replay)
+        # not advance it again (an aborted window takes its mark back,
+        # so crash redeliveries still replay)
         msg_id = ctx.message.id
         if msg_id in fiber.processed_deliveries:
             if ctx.tracing:
@@ -481,7 +458,7 @@ class WorkflowService(Service):
         #: this window's node dies holding the lock, the scanner
         #: re-enqueues exactly this Message (same id), so the
         #: processed_deliveries guard makes the re-awaken idempotent
-        fiber.last_message = ctx.message
+        registry.set(ctx, fiber, last_message=ctx.message)
 
         def release_or_abandon() -> None:
             if ctx.node_failed:
@@ -499,8 +476,7 @@ class WorkflowService(Service):
         # zombie whose lease was stolen mid-window fails fence_valid
         # and aborts instead of clobbering the new owner's state
         ctx.fence = (lock_key, owner, locks.fencing_token(lock_key))
-        fiber.processed_deliveries.add(msg_id)
-        ctx.on_abort(lambda: fiber.processed_deliveries.discard(msg_id))
+        registry.add(ctx, fiber.processed_deliveries, msg_id)
         # single-runner audit trail: every *committed* advancement
         # window, with its virtual-time extent — campaigns assert that
         # no fiber's windows ever overlap and no message commits twice
@@ -527,11 +503,11 @@ class WorkflowService(Service):
         # Crash atomicity: if the node dies before this operation's
         # simulated window ends, the redelivered message must replay
         # against the *pre-window* fiber state (real Vinz gets this from
-        # JMS transactions: state write + sends + ack commit together).
-        ctx.on_abort(self.state.abort_undo(ctx, task, fiber))
-        fiber.status = RUNNING
+        # JMS transactions: state write + sends + ack commit together)
+        registry = self.vinz.registry
+        registry.set(ctx, fiber, status=RUNNING, last_node=ctx.node.id)
         if task.status != RUNNING:
-            task.status = RUNNING
+            registry.set(ctx, task, status=RUNNING)
 
         metrics = ctx.cluster.metrics
         if metrics.enabled:
@@ -555,11 +531,10 @@ class WorkflowService(Service):
         cv_token = distribution.CURRENT_EXECUTION.set(execution)
         enter_fiber_thread()
 
-        fiber.last_node = ctx.node.id
         waited = fiber.waiting_on
         if resume and value == self._MAILBOX:
-            value = fiber.mailbox.pop(0)
-            fiber.waiting_on = None
+            _msg_id, value = registry.pop_front(ctx, fiber.mailbox)
+            registry.set(ctx, fiber, waiting_on=None)
         recorder = self.vinz.history
         if recorder is not None and resume:
             # what resumed the fiber, with the exact value fed back in:
@@ -616,7 +591,8 @@ class WorkflowService(Service):
             distribution.CURRENT_EXECUTION.reset(cv_token)
             ctx.charge((vm.instruction_count - instructions_before)
                        * self.instruction_cost)
-            fiber.total_charged += ctx.charged - charged_before
+            registry.set(ctx, fiber, total_charged=fiber.total_charged
+                         + ctx.charged - charged_before)
             if run_span:
                 ctx.span_id = prev_span
                 tracer.end(run_span, end=ctx.now + ctx.charged,
@@ -671,7 +647,7 @@ class WorkflowService(Service):
             recorder.record(ctx, task.id, hist.FIBER_COMPLETED,
                             fiber=fiber.id, result=result)
         self.vinz.registry.finish_fiber(fiber, COMPLETED, ctx.now,
-                                        result=result)
+                                        result=result, ctx=ctx)
         if ctx.tracing:
             ctx.trace("fiber-complete", task=task.id, fiber=fiber.id)
         self._announce_finished(ctx, task, fiber)
@@ -687,7 +663,8 @@ class WorkflowService(Service):
         if recorder is not None:
             recorder.record(ctx, task.id, hist.FIBER_FAILED,
                             fiber=fiber.id, error=error)
-        self.vinz.registry.finish_fiber(fiber, ERROR, ctx.now, error=error)
+        self.vinz.registry.finish_fiber(fiber, ERROR, ctx.now, error=error,
+                                        ctx=ctx)
         if ctx.tracing:
             ctx.trace("fiber-error", task=task.id, fiber=fiber.id, error=error)
         self._announce_finished(ctx, task, fiber)
@@ -701,7 +678,6 @@ class WorkflowService(Service):
         """A fiber just finished, either way: drop its keys, tell its
         joiners and the next chained sibling or the parent."""
         self.state.drop_fiber(ctx, fiber)
-        self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_waiters(ctx, fiber)
         if fiber.chain_group is not None:
             self._advance_chain(ctx, task, fiber)
@@ -728,14 +704,15 @@ class WorkflowService(Service):
         group = task.chain_groups.get(fiber.chain_group)
         if group is None:  # pragma: no cover - group swept with task
             return
+        registry = self.vinz.registry
         if group["pending"]:
-            next_child = self.vinz.registry.fibers[group["pending"].pop(0)]
+            next_child = registry.fibers[
+                registry.pop_front(ctx, group["pending"])]
             self.send_run_fiber(ctx, task, next_child)
             if ctx.tracing:
                 ctx.trace("chain-next", task=task.id, fiber=fiber.id,
                           child=next_child.id)
-        group["remaining"] -= 1
-        if group["remaining"] <= 0:
+        if registry.count_down(ctx, group, "remaining") <= 0:
             self._awake_parent(ctx, task, group["parent"], fiber)
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
@@ -744,7 +721,7 @@ class WorkflowService(Service):
         descriptor = outcome.value if isinstance(outcome.value, dict) else \
             {"kind": "await"}
         kind = descriptor.get("kind", "await")
-        fiber.waiting_on = kind
+        self.vinz.registry.set(ctx, fiber, waiting_on=kind)
         self.state.persist(ctx, cache, fiber, outcome.continuation,
                            instructions)
         if ctx.tracing:
@@ -811,12 +788,11 @@ class WorkflowService(Service):
         elif fiber.id not in process.join_waiters:
             # idempotent: an aborted-window replay must not register
             # the waiter twice
-            process.join_waiters.append(fiber.id)
+            registry.append(ctx, process.join_waiters, fiber.id)
 
     def _notify_waiters(self, ctx: OperationContext, process) -> None:
         """Resume every fiber joined on a finished fiber or task."""
-        waiters, process.join_waiters = process.join_waiters, []
-        for waiter in waiters:
+        for waiter in self.vinz.registry.take(ctx, process.join_waiters):
             self._send_join(ctx, waiter, process=process.id,
                             result=process.result)
 

@@ -8,7 +8,10 @@ somewhat analogous to an operating system process, while a fiber is
 analogous to a thread within that process."
 
 The registry below plays the role of BlueBox's "global process tracking
-service" (Section 4.2).
+service" (Section 4.2).  Inside an operation window it is the only code
+that changes a task or fiber record, and each change logs its inverse
+on the window's undo log (as :mod:`repro.vinz.fiberstate` does for
+store keys), so what an aborted window puts back is decided here.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ RUNNING = "running"
 COMPLETED = "completed"
 TERMINATED = "terminated"
 ERROR = "error"
-
-ACTIVE_STATUSES = (PENDING, RUNNING)
 
 
 @dataclass
@@ -46,7 +47,8 @@ class TaskRecord:
     spawn_limit: Optional[Any] = None
     #: absolute virtual-time deadline (EDF scheduling extension)
     deadline: Optional[float] = None
-    #: callbacks to fire on completion (deferred Run/Call replies)
+    #: callbacks to fire once the task's finish commits (deferred
+    #: Run/Call replies)
     completion_listeners: List[Callable[["TaskRecord"], None]] = \
         field(default_factory=list)
     #: fibers waiting in join-process for this whole task to finish
@@ -108,8 +110,9 @@ class FiberRecord:
     last_node: Optional[str] = None
     #: sibling-chain group this fiber belongs to, if any
     chain_group: Optional[str] = None
-    #: pending inter-fiber messages (the lightweight cross-process
-    #: communication mechanism of the Section 5 future-work list)
+    #: pending inter-fiber messages, ``(queue-message id, value)`` (the
+    #: lightweight cross-process communication mechanism of the
+    #: Section 5 future-work list)
     mailbox: List[Any] = field(default_factory=list)
     #: queue-message ids already appended to the mailbox — makes
     #: delivery idempotent across message re-deliveries
@@ -139,12 +142,27 @@ class FiberRecord:
         return self.status in (COMPLETED, TERMINATED, ERROR)
 
 
+#: fields an aborted window leaves as it set them, each with the reason
+SURVIVES_ABORT = {"last_message": "the lease scanner's re-awaken handle: "
+                  "it re-enqueues the message of a window whose node died"}
+
+
+def log_undo(ctx, undo: Callable[[], None]) -> None:
+    """Log ``undo`` on the window ``ctx``; a window that already aborted
+    (its node died under a running handler) undoes at once."""
+    if ctx is not None and ctx.valid:
+        ctx.on_abort(undo)
+    elif ctx is not None:
+        undo()
+
+
 class ProcessRegistry:
     """Task and fiber records, shared by every workflow-service instance.
 
     In the real system this is a BlueBox tracking service backed by the
     message queue; in the simulation, a plain shared object is an
-    equivalent (and deterministic) stand-in.
+    equivalent (and deterministic) stand-in.  ``ctx`` is the operation
+    window a change belongs to (None: outside any window).
     """
 
     def __init__(self):
@@ -152,32 +170,60 @@ class ProcessRegistry:
         self.fibers: Dict[str, FiberRecord] = {}
         self._task_seq = itertools.count(1)
         self._fiber_seq = itertools.count(1)
+        #: the environment's ``monitor_started``/``monitor_finished``
+        #: (levels, counters, spans), if any
+        self.monitor = None
 
     # -- creation --------------------------------------------------------
 
-    def new_task(self, workflow: str, params: Any, now: float) -> TaskRecord:
+    def new_task(self, workflow: str, params: Any, now: float, ctx=None,
+                 deadline: Optional[float] = None) -> TaskRecord:
         task = TaskRecord(id=f"task-{next(self._task_seq)}", workflow=workflow,
-                          params=params, created_at=now)
-        self.tasks[task.id] = task
+                          params=params, created_at=now, deadline=deadline)
+        self._created(ctx, "task", task, now, ctx and ctx.span_id,
+                      task=task.id, workflow=workflow)
         return task
 
     def new_fiber(self, task: TaskRecord, now: float,
                   parent_id: Optional[str] = None,
-                  notify_parent: bool = False) -> FiberRecord:
+                  notify_parent: bool = False, ctx=None,
+                  chain_group: Optional[str] = None) -> FiberRecord:
         fiber = FiberRecord(id=f"fiber-{next(self._fiber_seq)}",
                             task_id=task.id, parent_id=parent_id,
-                            notify_parent=notify_parent, created_at=now)
-        self.fibers[fiber.id] = fiber
-        task.fiber_ids.append(fiber.id)
+                            notify_parent=notify_parent, created_at=now,
+                            chain_group=chain_group)
+        self._created(ctx, "fiber", fiber, now, task.span_id, task=task.id,
+                      fiber=fiber.id,
+                      **({"parent_fiber": parent_id} if parent_id else {}))
+        self.append(ctx, task.fiber_ids, fiber.id)
         return fiber
 
+    def _created(self, ctx, kind: str, record, now: float, parent_span,
+                 **attrs: Any) -> None:
+        if ctx is not None and ctx.tracing:
+            record.span_id = ctx.cluster.tracer.begin(
+                f"{kind}:{record.id}", kind=kind, start=now,
+                parent_id=parent_span or None, **attrs)
+        table = self.tasks if kind == "task" else self.fibers
+        table[record.id] = record
+        self._monitor(ctx, "started", record, now)
+
+        def discard() -> None:
+            del table[record.id]
+            if record.span_id:
+                ctx.cluster.tracer.end(record.span_id, end=ctx.now,
+                                       status="discarded")
+
+        log_undo(ctx, discard)
+
+    def _monitor(self, ctx, event: str, record, now: float) -> None:
+        """Tell the monitor; an abort tells it the inverse."""
+        if self.monitor is not None:
+            hook = getattr(self.monitor, f"monitor_{event}")
+            hook(record, now)
+            log_undo(ctx, lambda: hook(record, ctx.now, -1))
+
     # -- lookup ------------------------------------------------------------
-
-    def task(self, task_id: str) -> TaskRecord:
-        return self.tasks[task_id]
-
-    def fiber(self, fiber_id: str) -> FiberRecord:
-        return self.fibers[fiber_id]
 
     def task_of(self, fiber_id: str) -> TaskRecord:
         return self.tasks[self.fibers[fiber_id].task_id]
@@ -185,52 +231,84 @@ class ProcessRegistry:
     def fibers_of(self, task_id: str) -> List[FiberRecord]:
         return [self.fibers[fid] for fid in self.tasks[task_id].fiber_ids]
 
-    # -- transitions ---------------------------------------------------------
+    # -- changes ---------------------------------------------------------------
 
     def finish_task(self, task: TaskRecord, status: str, now: float,
-                    result: Any = None, error: Optional[str] = None) -> None:
-        if task.finished:
-            return
-        task.status = status
-        task.result = result
-        task.error = error
-        task.finished_at = now
-        listeners, task.completion_listeners = task.completion_listeners, []
-        for listener in listeners:
-            listener(task)
+                    result: Any = None, error: Optional[str] = None,
+                    ctx=None) -> None:
+        """Finish ``task``; its completion listeners (Run/Call replies)
+        fire once the window that finished it commits."""
+        if self._finish(ctx, task, status, now, result, error):
+            def fire() -> None:
+                listeners, task.completion_listeners = \
+                    task.completion_listeners, []
+                for listener in listeners:
+                    listener(task)
+
+            if ctx is not None:
+                ctx.on_complete(fire)
+            else:
+                fire()
 
     def finish_fiber(self, fiber: FiberRecord, status: str, now: float,
-                     result: Any = None, error: Optional[str] = None) -> None:
-        if fiber.finished:
-            return
-        fiber.status = status
-        fiber.result = result
-        fiber.error = error
-        fiber.finished_at = now
+                     result: Any = None, error: Optional[str] = None,
+                     ctx=None) -> None:
+        self._finish(ctx, fiber, status, now, result, error)
 
-    # -- rollback (aborted operation windows) --------------------------------
+    def _finish(self, ctx, record, status, now, result, error) -> bool:
+        if record.finished:
+            return False
+        self.set(ctx, record, status=status, result=result, error=error,
+                 finished_at=now)
+        self._monitor(ctx, "finished", record, now)
+        return True
 
-    def discard_fiber(self, fiber_id: str) -> Optional[FiberRecord]:
-        """Remove a fiber record created inside an aborted operation
-        window: the window's effects never happened, so the record must
-        not survive (the replayed operation will recreate it)."""
-        fiber = self.fibers.pop(fiber_id, None)
-        if fiber is None:
-            return None
-        task = self.tasks.get(fiber.task_id)
-        if task is not None and fiber_id in task.fiber_ids:
-            task.fiber_ids.remove(fiber_id)
-        return fiber
+    def set(self, ctx, record, **fields: Any) -> None:
+        prior = {name: getattr(record, name) for name in fields
+                 if name not in SURVIVES_ABORT}
+        for name, value in fields.items():
+            setattr(record, name, value)
 
-    def discard_task(self, task_id: str) -> Optional[TaskRecord]:
-        """Remove a task (and its fibers) created inside an aborted
-        operation window — the retried Start will create a fresh one."""
-        task = self.tasks.pop(task_id, None)
-        if task is None:
-            return None
-        for fiber_id in list(task.fiber_ids):
-            self.fibers.pop(fiber_id, None)
-        return task
+        def undo() -> None:
+            for name, value in prior.items():
+                if getattr(record, name) is fields[name]:
+                    setattr(record, name, value)
+
+        if prior:
+            log_undo(ctx, undo)
+
+    def add(self, ctx, items: set, item: Any) -> bool:
+        """Add ``item`` to a set; False (and no change) if present."""
+        if item in items:
+            return False
+        items.add(item)
+        log_undo(ctx, lambda: items.discard(item))
+        return True
+
+    def append(self, ctx, items: List[Any], item: Any) -> None:
+        items.append(item)
+        log_undo(ctx, lambda: item in items and items.remove(item))
+
+    def pop_front(self, ctx, items: List[Any]) -> Any:
+        item = items.pop(0)
+        log_undo(ctx, lambda: items.insert(0, item))
+        return item
+
+    def take(self, ctx, items: List[Any]) -> List[Any]:
+        """Empty a list, returning what it held."""
+        taken = items[:]
+        items.clear()
+        log_undo(ctx, lambda: items.__setitem__(slice(0, 0), taken))
+        return taken
+
+    def put(self, ctx, table: Dict[str, Any], key: str, value: Any) -> None:
+        table[key] = value
+        log_undo(ctx, lambda: table.pop(key, None))
+
+    def count_down(self, ctx, counts: Dict[str, int], key: str) -> int:
+        counts[key] -= 1
+        log_undo(ctx, lambda: counts.__setitem__(key, counts[key] + 1))
+        return counts[key]
 
     # -- statistics -----------------------------------------------------------
 

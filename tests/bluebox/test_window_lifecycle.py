@@ -11,6 +11,8 @@ each to the same contract:
 
 * exactly one of commit/abort ran, once;
 * the outbox reached the queue iff the window committed;
+* a Run/Call reply reaches its caller iff the window that finished the
+  task committed: it leaves from inside that commit, after its append;
 * its history events are in the task's history iff it committed, and
   every task's ``seq`` is dense afterwards;
 * its store records are on the journal iff it committed, in ONE batch;
@@ -26,6 +28,7 @@ import pytest
 
 from repro.bluebox.cluster import Cluster
 from repro.bluebox.services import (
+    Deferred,
     OperationContext,
     Requeue,
     ServiceFault,
@@ -73,6 +76,8 @@ class Exit:
         self.how = how
         self.sends = [kwargs["body"] for _delay, kwargs in ctx.outbox]
         self.events = [payload for *_rest, payload in ctx.history_buffer]
+        self.kinds = [(kind, fiber)
+                      for _task, kind, fiber, _payload in ctx.history_buffer]
         self.sealed = list(ctx.batch.records) if ctx.batch else []
         self.appended = []      # journal batches appended during the exit
         self.lock_kept = None   # abort only: owner still holds the lock
@@ -89,6 +94,7 @@ class Harness:
         self.doomed = []        # records of store windows dropped open
         self.inline_records = []
         self.plane_checks = []  # references compared at each check
+        self.replies = []       # the exit in progress at each reply
         self.intervene = intervene
         self._exiting = None
         self._patch(monkeypatch)
@@ -128,6 +134,7 @@ class Harness:
         abort_window = DurableStore.abort_window
         send, process = Cluster.send, Cluster._process
         call_inline = Cluster.call_inline
+        reply = Deferred._send
 
         def observed_commit(ctx):
             record = Exit(ctx, "commit")
@@ -186,6 +193,11 @@ class Harness:
             finally:
                 harness.inline_records.extend(window[before:])
 
+        def observed_reply(deferred, envelope):
+            harness.replies.append(harness._exiting)
+            return reply(deferred, envelope)
+
+        monkeypatch.setattr(Deferred, "_send", observed_reply)
         monkeypatch.setattr(OperationContext, "commit", observed_commit)
         monkeypatch.setattr(OperationContext, "abort", observed_abort)
         monkeypatch.setattr(WriteAheadJournal, "append_batch",
@@ -206,6 +218,17 @@ class Harness:
         env.cluster.run_until_idle()
         return task
 
+    def call(self, op):
+        """``Run`` or ``Call`` the workflow: its task, and the value the
+        caller got."""
+        env = self.env
+        value = getattr(env, op.lower())(
+            "Window", [Keyword("rows"), ROWS, Keyword("mode"), None])
+        env.cluster.run_until_idle()
+        task, = [task for task in env.registry.tasks.values()
+                 if task.workflow == "Window"]
+        return task, value
+
     def exits_by(self, how):
         return [e for e in self.exits if e.how == how]
 
@@ -220,6 +243,10 @@ class Harness:
         per_context = Counter(id(e.ctx) for e in self.exits)
         assert set(per_context.values()) == {1}
         assert not env.cluster._in_flight
+        # a reply leaves from inside the commit of the window that
+        # finished its task, once that window's batch is on the journal
+        assert all(exit is not None and exit.appended
+                   for exit in self.replies)
         sent = {id(body) for body in self.sent}
         recorded = {id(event.payload)
                     for events in env.history.histories.values()
@@ -399,6 +426,37 @@ def test_every_ending_is_one_commit_or_one_abort(ending, monkeypatch):
             assert len(exit.appended) == 1
     if status == "completed":
         assert env.replay_task(task.id).fibers_replayed >= 4
+
+
+@pytest.mark.parametrize("op,torn", [("Run", False), ("Call", False),
+                                     ("Call", True)],
+                         ids=["run", "call", "call-torn-final-commit"])
+def test_a_reply_reaches_its_caller_iff_its_window_committed(op, torn,
+                                                            monkeypatch):
+    """The reply to a synchronous Run or Call leaves when the window
+    that finished the task commits.  When that commit tears, the caller
+    hears nothing until the retried window commits."""
+    plan = None
+    if torn:
+        # the journal append that finishes the task (it drops the task
+        # env), found on a fault-free run of the same environment
+        with monkeypatch.context() as patch:
+            probe = Harness(patch)
+            probe.call(op)
+        nth, = [n for n, records in enumerate(probe.batches, 1)
+                if ("del", "task-env/task-1", None) in records]
+        plan = FaultPlan([JournalFault(nth=nth)])
+    harness = Harness(monkeypatch, plan=plan)
+    task, value = harness.call(op)
+    assert task.status == "completed" and task.result == RIGHT
+    assert value == (RIGHT if op == "Call" else task.id)
+    assert len(harness.replies) == 1
+    if torn:
+        assert harness.env.store.journal.torn_appends == 1
+        assert any(("fiber-completed", "fiber-1") in exit.kinds
+                   for exit in harness.exits_by("abort")), \
+            "the torn commit was not the one finishing the task"
+    harness.check_contract()
 
 
 def test_a_lease_broken_inside_a_handler_frees_its_slot_after_it():

@@ -213,6 +213,28 @@ def test_checkpoint_interval_compacts_the_log():
     assert sum(1 for v in replay["state"].values() if v is not None) == 9
 
 
+def test_a_checkpoint_holds_only_committed_writes():
+    """Window Y writes ``k`` and seals; window X commits and the commit
+    takes a checkpoint; then Y is discarded and rolled back.  Y's value
+    was never committed, so neither the journal nor a recovery may
+    bring it back."""
+    store = DurableStore(shards=2)
+    store.checkpoint_interval = 1
+    store.write("k", b"before")  # out of window: committed at once
+    store.begin_window()
+    store.write("k", b"Y")
+    y = store.seal_window()
+    store.begin_window()
+    store.write("x", b"X")
+    store.commit_batch(store.seal_window())
+    assert store.journal.checkpoints == 2
+    store.discard_batch(y)
+    store.rollback_value("k", b"before")
+    assert store.journal.replay()["state"] == {"k": b"before", "x": b"X"}
+    store.recover()
+    assert store.read("k") == b"before" and store.read("x") == b"X"
+
+
 def test_recover_rebuilds_committed_state_only():
     store = DurableStore(shards=2)
     store.begin_window()
