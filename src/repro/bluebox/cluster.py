@@ -326,11 +326,21 @@ class Cluster:
         self.metrics.incr(f"sync.{service_name}.{operation}")
         try:
             value = service.handle(context, operation, body)
+            if isinstance(value, (Deferred, Requeue)):
+                # a reply that comes later (or a retry) cannot be waited
+                # for here: undo what the handler did and tell the caller
+                context.abort(f"{service_name}.{operation} cannot reply "
+                              f"to a synchronous call")
+                raise ServiceFault(
+                    "{urn:bluebox}NotSynchronous",
+                    f"{service_name}.{operation} cannot reply to a "
+                    f"synchronous call")
             envelope = ResponseEnvelope(value=value)
         except ServiceFault as fault:
             envelope = ResponseEnvelope(fault_qname=fault.qname,
                                         fault_message=fault.message)
-        context.commit()  # synchronous call: the reply is immediate
+        if context.valid:
+            context.commit()  # synchronous call: the reply is immediate
         envelope.duration = context.charged + 2 * self.delivery_latency
         if parent_context is not None:
             # the synchronous caller pays for the whole round trip

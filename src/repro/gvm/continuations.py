@@ -12,35 +12,30 @@ entire distribution story, so continuations must be:
   stack, sharing nothing mutable with the running fiber;
 * *future-free*: every future the pickle reaches is determined first
   (Section 4.1) — ``GozerFuture.__getstate__`` touches it;
-* *serializable*: the bytes plus ``refs``, the code objects and host
-  functions (:func:`is_program_object`) shared with the program.
+* *serializable*: the bytes plus ``refs``, the code objects
+  (:func:`~repro.gvm.frames.is_program_object`) shared with the program.
 
-Capture is one pickle and resume one unpickle, both in C: only objects
-that are not plain containers reach Python.  Every :func:`materialize`
-returns fresh objects, so a continuation can be resumed any number of
-times without an ownership rule.
+Capture is one pickle and resume one unpickle, both in C: only code
+objects reach Python.  Every :func:`materialize` returns fresh objects,
+so a continuation can be resumed any number of times without an
+ownership rule.
 
 All fiber state pickles through :func:`dump_state`/:func:`load_state`:
-capture keys program objects by index in ``refs``, the fiber codec
-(:mod:`repro.vinz.persistence`) by registry name.
+capture keys code objects by index in ``refs``, the fiber codec
+(:mod:`repro.vinz.persistence`) by registry name; a host function goes
+by its importable name.
 """
 
 from __future__ import annotations
 
+import copyreg
 import io
 import pickle
 from types import FunctionType
-from typing import Any, Callable, List
+from typing import Any, Callable, Dict, List
 
 from ..lang.bytecode import CodeObject
 from .frames import Frame
-
-
-def is_program_object(obj: Any) -> bool:
-    """Code objects and host functions are program: immutable and on every
-    node, so picklers keep them by reference.  Callable instances
-    (``constantly``'s result, a bound method) are state, pickled by value."""
-    return isinstance(obj, (CodeObject, FunctionType))
 
 
 def _ref(key: Any) -> Any:
@@ -51,21 +46,45 @@ def _ref(key: Any) -> Any:
 
 
 class _CapturePickler(pickle.Pickler):
-    """Pickles fiber state, turning each program object ``key_for``
-    names into a ``_ref`` call (``None`` leaves it to plain pickle).
+    """Pickles fiber state, turning each code object into a ``_ref``
+    call on the key ``key_for`` gives it (``None`` leaves it to plain
+    pickle, by value).
 
-    The C pickler consults ``reducer_override`` only for objects that
-    are not plain containers and not yet memoized, so each code object
-    or host function is named exactly once per pickle.
+    The reducer sits in a per-pickler ``dispatch_table`` (a copy of
+    :data:`copyreg.dispatch_table`), so the C pickler reaches Python only
+    for a code object, once per pickle: plain containers, ``Env``,
+    ``Frame`` and ``type`` objects never leave C.  A host function never
+    reaches the table either (the C pickler saves every function as a
+    global); a module-level one pickles by its importable name, and one
+    that has none makes :func:`dump_state` retry with
+    :class:`_FunctionPickler`.
     """
 
     def __init__(self, file, key_for: Callable[[Any], Any]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        # a plain callable: a bound method of self would be a cycle
+
+        # a plain closure: a bound method of self would be a cycle
+        def reduce_code(code):
+            key = key_for(code)
+            if key is None:
+                return code.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            return _ref, (key,)
+
+        self.dispatch_table = {**copyreg.dispatch_table,
+                               CodeObject: reduce_code}
+
+
+class _FunctionPickler(_CapturePickler):
+    """The retry for state holding a function that has no importable
+    name (a lambda, a per-runtime closure): every function ``key_for``
+    names becomes a ``_ref`` too, at one Python call per object."""
+
+    def __init__(self, file, key_for: Callable[[Any], Any]):
+        super().__init__(file, key_for)
         self._key_for = key_for
 
     def reducer_override(self, obj):
-        if is_program_object(obj) and obj is not _ref:
+        if type(obj) is FunctionType and obj is not _ref:
             key = self._key_for(obj)
             if key is not None:
                 return _ref, (key,)
@@ -89,9 +108,16 @@ class _MaterializeUnpickler(pickle.Unpickler):
 
 
 def dump_state(state: Any, key_for: Callable[[Any], Any]) -> bytes:
-    """Pickle ``state``, program objects by ``key_for``'s keys."""
+    """Pickle ``state``, code objects by ``key_for``'s keys and host
+    functions by importable name, else by ``key_for``'s keys."""
     buffer = io.BytesIO()
-    _CapturePickler(buffer, key_for).dump(state)
+    try:
+        _CapturePickler(buffer, key_for).dump(state)
+    except (pickle.PicklingError, AttributeError):
+        # a function with no importable name ("Can't pickle local
+        # object" is an AttributeError)
+        buffer = io.BytesIO()
+        _FunctionPickler(buffer, key_for).dump(state)
     return buffer.getvalue()
 
 
@@ -108,8 +134,9 @@ class Continuation:
     just *after* the capturing instruction and its operand stack
     expecting the resume value to be pushed; the condition-system
     handler and restart stacks; and the special-variable bindings.
-    ``refs`` holds the code objects and host functions ``raw`` points
-    at.  Immutable: :func:`materialize` builds the runnable state.
+    ``refs`` holds the code objects (and any host function without an
+    importable name) ``raw`` points at.  Immutable: :func:`materialize`
+    builds the runnable state.
     """
 
     __slots__ = ("label", "raw", "refs")
@@ -160,10 +187,15 @@ def capture(frames: List[Frame], handlers: list, restarts: list,
     completed" (Section 4.1); a failed future raises its error here.
     """
     refs: List[Any] = []
+    index: Dict[int, int] = {}
 
     def key_for(obj):
-        refs.append(obj)
-        return len(refs) - 1
+        # stable across dump_state's retry: one entry per object
+        key = index.get(id(obj))
+        if key is None:
+            key = index[id(obj)] = len(refs)
+            refs.append(obj)
+        return key
 
     # frames last: the hot mutation (the top frame's pc and operand
     # stack) stays at the tail of the bytes, so content-defined chunking

@@ -156,6 +156,11 @@ class GlobalEnvironment:
         self.intrinsics: Dict[str, Callable] = {}
         #: names declared special with ``defvar``/``deftaskvar``.
         self.special_names: set = set()
+        #: set for good by the first :meth:`define` of a value a fiber
+        #: could change (a list, a closure over bindings, ...): a fiber
+        #: of this program may then share state with the globals, so
+        #: Vinz keeps none of its state live across a suspension
+        self.holds_mutable = False
 
     def lookup(self, name: Symbol) -> Any:
         value = self.variables.get(name, _MISSING)
@@ -170,6 +175,10 @@ class GlobalEnvironment:
         return name in self.variables
 
     def define(self, name: Symbol, value: Any) -> None:
+        """Bind a global: the one write path of :attr:`variables`."""
+        if not self.holds_mutable:
+            from .frames import shares_nothing  # frames imports this module
+            self.holds_mutable = not shares_nothing(value)
         self.variables[name] = value
 
     def define_macro(self, name: Symbol, expander: Any) -> None:
@@ -181,7 +190,7 @@ class GlobalEnvironment:
     def define_intrinsic(self, name: str, fn: Callable) -> None:
         self.intrinsics[name] = fn
         # Intrinsics are also visible as ordinary %-prefixed functions.
-        self.variables[Symbol("%" + name)] = fn
+        self.define(Symbol("%" + name), fn)
 
     def declare_special(self, name: Symbol) -> None:
         self.special_names.add(name)

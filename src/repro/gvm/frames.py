@@ -11,7 +11,8 @@ those objects.  Everything here pickles, because a suspended fiber *is*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import FunctionType
+from fractions import Fraction
+from types import BuiltinFunctionType, FunctionType
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..lang.bytecode import CodeObject, ParamSpec
@@ -38,6 +39,33 @@ class GozerFunction:
         return self.code.doc
 
 
+#: the types of atoms: numbers, strings, symbols, keywords, nil and t.
+#: Nothing can change one, so an atom is never copied to keep state
+#: private.
+ATOM_TYPES = frozenset((int, float, Fraction, complex, bool, str, Symbol,
+                        Keyword, type(None)))
+
+
+def is_program_object(obj: Any) -> bool:
+    """Code objects and host functions are program: immutable and on every
+    node, so picklers keep them by reference.  Callable instances
+    (``constantly``'s result, a bound method) are state, pickled by value."""
+    return isinstance(obj, (CodeObject, FunctionType, BuiltinFunctionType))
+
+
+def shares_nothing(value: Any) -> bool:
+    """Whether ``value`` can be held by a fiber and by others without
+    either seeing the other's changes: an atom, a program object, or a
+    Gozer function that closes over no bindings."""
+    if type(value) in ATOM_TYPES or is_program_object(value):
+        return True
+    if type(value) is GozerFunction:
+        closure = value.closure
+        return closure is None or (not closure.bindings
+                                   and closure.parent is None)
+    return False
+
+
 #: The host functions that receive the running VM as their first
 #: argument.  A host function's kind is decided once, when
 #: :func:`vm_function` marks it, and the VM's call tests membership (an
@@ -49,7 +77,7 @@ def vm_function(fn: Callable) -> Callable:
     """Mark ``fn(vm, *args)`` as a host function that receives the VM.
 
     A marked function stays a plain module-level function: picklers keep
-    it by reference (:func:`~repro.gvm.continuations.is_program_object`),
+    it by reference, its importable name (:func:`is_program_object`),
     and the marker set, which holds it for good, keeps no runtime alive.
     """
     assert type(fn) is FunctionType and "<locals>" not in fn.__qualname__, \

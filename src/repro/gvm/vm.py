@@ -71,10 +71,14 @@ class Yielded:
 
     ``value`` is the operand of the ``yield`` form — Vinz uses it to
     carry request descriptors out of the workflow (Section 3.2).
+    ``live`` is the VM's own ``(frames, handlers, restarts, dynamics)``,
+    handed over when the VM was told to keep it (:attr:`VM.keep_live`),
+    else None.
     """
 
     continuation: Continuation
     value: Any
+    live: Optional[tuple] = None
 
 
 class YieldFromNestedContext(GozerRuntimeError):
@@ -99,10 +103,12 @@ class _Transfer(ControlFlowSignal):
 
 
 class _YieldSignal(ControlFlowSignal):
-    def __init__(self, continuation: Continuation, value: Any):
+    def __init__(self, continuation: Continuation, value: Any,
+                 live: Optional[tuple]):
         super().__init__("yield")
         self.continuation = continuation
         self.value = value
+        self.live = live
 
 
 class VM:
@@ -135,6 +141,10 @@ class VM:
         self.profile_sink: Optional[Callable] = None
         #: hook for Vinz: called with the VM before each yield capture
         self.pre_yield_hook: Optional[Callable] = None
+        #: set by Vinz when nothing outside the fiber reaches its state:
+        #: a ``yield`` then hands the state it stops using over in
+        #: :attr:`Yielded.live`, for :meth:`resume` to take back
+        self.keep_live = False
         #: the runtime, for its clock (``(get-universal-time)``,
         #: ``(sleep)``) and ``eval``/``read``; None for bare VMs
         self.runtime = None
@@ -161,15 +171,19 @@ class VM:
         frame = Frame(code, env if env is not None else Env())
         return self._run_top(frame=frame)
 
-    def resume(self, continuation: Continuation, value: Any = None):
+    def resume(self, continuation: Continuation, value: Any = None,
+               live: Optional[tuple] = None):
         """Resume a captured continuation, delivering ``value``.
 
         The continuation is not consumed: resuming it again replays from
         the same point (``fork-and-exec``'s cloning relies on this).
+        ``live`` is the :attr:`Yielded.live` of the capture that made
+        ``continuation``: it runs instead of a decode, and is used up.
         """
         if self.frames:
             raise GozerRuntimeError("VM is already running")
-        frames, handlers, restarts, dynamics = materialize(continuation)
+        frames, handlers, restarts, dynamics = (
+            live if live is not None else materialize(continuation))
         self.handlers = handlers
         self.restarts = restarts
         self.dynamics = DynamicBindings()
@@ -207,7 +221,7 @@ class VM:
                 value = self._execute_loop(None, base=0)
             return Done(value)
         except _YieldSignal as y:
-            return Yielded(y.continuation, y.value)
+            return Yielded(y.continuation, y.value, y.live)
         finally:
             if not self.frames:
                 self.handlers.clear()
@@ -839,12 +853,15 @@ class VM:
             )
         if self.pre_yield_hook is not None:
             self.pre_yield_hook(self)
+        dynamics = self.dynamics.snapshot()
         continuation = capture(self.frames, self.handlers, self.restarts,
-                               self.dynamics.snapshot(), label="yield")
+                               dynamics, label="yield")
+        live = ((self.frames, self.handlers, self.restarts, dynamics)
+                if self.keep_live else None)
         self.frames = []
         self.handlers = []
         self.restarts = []
-        raise _YieldSignal(continuation, value)
+        raise _YieldSignal(continuation, value, live)
 
     def _op_push_cc(self, frame: Frame) -> None:
         if self._depth != 1:

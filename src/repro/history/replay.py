@@ -375,17 +375,22 @@ class ReplayEngine:
                     cursor.next(FIBER_FAILED), "before it ran")
                 return "failed", error, instructions
             else:
+                # what the history holds crosses into the re-executed
+                # fiber as its own copy, as in the live run: a replay
+                # must not change the record it replays
+                copy = service.codec.copy_value
                 fn, args, is_root = self._start_of(task_events, fiber_id)
                 if is_root:
                     started = [e for e in task_events
                                if e.kind == TASK_STARTED]
-                    params = started[0].payload.get("params") \
+                    params = copy(started[0].payload.get("params")) \
                         if started else None
                     outcome = window(lambda vm: service.run_top_call(
                         vm, service.main_function(), [params]))
                 else:
+                    fn, args = copy((fn, args))
                     outcome = window(lambda vm: service.run_top_call(
-                        vm, fn, list(args)))
+                        vm, fn, args))
 
             while True:
                 if outcome is not None:
@@ -414,7 +419,8 @@ class ReplayEngine:
                                                       "while suspended")
                     return "failed", error, instructions
                 outcome = window(lambda vm: vm.resume(
-                    continuation, resume.payload.get("value")))
+                    continuation,
+                    service.codec.copy_value(resume.payload.get("value"))))
         finally:
             if report is not None:
                 report.events_consumed += cursor.pos

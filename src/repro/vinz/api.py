@@ -26,8 +26,9 @@ from ..bluebox.locks import (
 )
 from ..bluebox.store import SharedStore
 from ..sched.governor import SpawnGovernor
+from .cache import FiberCache
 from .recovery import RecoveryScanner
-from .service import WorkflowService
+from .service import LIVE_REFUSALS, WorkflowService
 from .task import ProcessRegistry, TaskRecord
 
 #: adaptive migration: migrate only when the expected service time
@@ -407,6 +408,22 @@ class VinzEnvironment:
             out[kind] = hits / total if total else 0.0
         return out
 
+    def cache_stats(self) -> Dict[str, Any]:
+        """The hit rates, and why a mutable hit did or did not skip the
+        decode: ``live`` hits resumed the state their suspension left
+        on the node, ``live_held`` live states the node caches hold now,
+        ``live_refused`` suspensions that kept none, by reason."""
+        caches = filter(None, map(FiberCache.of_node,
+                                  self.cluster.nodes.values()))
+        return {
+            **self.cache_hit_rates(),
+            "live": self.metrics.get("cache.mutable.live"),
+            "live_held": sum(cache.live_held() for cache in caches),
+            "live_refused": {
+                reason: self.metrics.get(f"cache.live_refused.{reason}")
+                for reason in LIVE_REFUSALS},
+        }
+
     def placement_stats(self) -> Dict[str, Any]:
         """Where resumes ran: messages parked for the node holding their
         fiber's elided version (``held``), and how each parking ended —
@@ -465,7 +482,7 @@ class VinzEnvironment:
                 "aged_promotions": getattr(self.cluster.queue.policy,
                                            "aged_promotions", 0),
             },
-            "cache": self.cache_hit_rates(),
+            "cache": self.cache_stats(),
             "placement": self.placement_stats(),
             "snapshots": self.snapshot_stats(),
             "history": (self.history.summary()

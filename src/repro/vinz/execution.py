@@ -194,9 +194,11 @@ class FiberExecution:
         self.service.send_run_fiber(self.ctx, self.task, child)
         recorder = self.service.vinz.history
         if recorder is not None:
+            # the history holds the clone, not the parent's own objects
+            fn, args = self.service.codec.copy_value((fn, list(args)))
             recorder.record(self.ctx, self.task.id, hist.FIBER_FORKED,
                             fiber=self.fiber.id, child=child.id, fn=fn,
-                            args=list(args), notify=notify_parent)
+                            args=args, notify=notify_parent)
         return child.id
 
     def fork_chain(self, fn: GozerFunction, items: List[Any]) -> str:
@@ -237,10 +239,10 @@ class FiberExecution:
                           max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS)
         recorder = self.service.vinz.history
         if recorder is not None:
+            fn, items = self.service.codec.copy_value((fn, list(items)))
             recorder.record(self.ctx, self.task.id, hist.FIBER_FORKED,
                             fiber=self.fiber.id, chain=group_id,
-                            children=list(children), fn=fn,
-                            items=list(items))
+                            children=list(children), fn=fn, items=items)
         return group_id
 
     def collect_chain(self, vm, group_id: str) -> List[Any]:
@@ -250,7 +252,8 @@ class FiberExecution:
         return self.collect_results(vm, group["children"])
 
     def collect_results(self, vm, child_ids: List[str]) -> List[Any]:
-        """Gather child results in order; signal on failed children."""
+        """Gather child results in order; signal on failed children.
+        Each result crosses into this fiber as its own copy."""
         registry = self.service.vinz.registry
 
         def gather():
@@ -263,8 +266,9 @@ class FiberExecution:
                 triples.append((child.status, child.result, child.error))
             return triples
 
-        return deliver_collected(vm, child_ids,
-                                 self.nondet("collect", gather))
+        copy = self.service.codec.copy_value
+        return [copy(result) for result in deliver_collected(
+            vm, child_ids, self.nondet("collect", gather))]
 
     def call_clone(self, vm, fn: GozerFunction) -> Any:
         """A ``for-each`` on a background thread (Section 3.5): the
@@ -298,14 +302,16 @@ class FiberExecution:
                 "join-process from a background thread on an unfinished "
                 "process: unsupported in discrete-event simulation mode")
 
-        return self.nondet("join-sync", probe)
+        return self.service.codec.copy_value(self.nondet("join-sync", probe))
 
     def awake(self, pid: str, payload: Any) -> None:
         def send():
             target = self.service.vinz.registry.fibers.get(pid)
             self.ctx.send(
                 self.service.name, "AwakeFiber",
-                {"fiber": pid, "result": payload}, priority=PRIORITY_LOW,
+                {"fiber": pid,
+                 "result": self.service.codec.copy_value(payload)},
+                priority=PRIORITY_LOW,
                 max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS,
                 affinity=(self.service._affinity_for(target)
                           if target is not None else None))
@@ -317,7 +323,8 @@ class FiberExecution:
         wish: cheaper than task variables for point-to-point data)."""
         def send():
             self.ctx.send(self.service.name, "DeliverMessage",
-                          {"fiber": pid, "value": value},
+                          {"fiber": pid,
+                           "value": self.service.codec.copy_value(value)},
                           max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS)
             self.service.vinz.metrics.incr("mailbox.sent")
 
@@ -365,7 +372,7 @@ class FiberExecution:
                     self.ctx, self.fiber.mailbox)[1]
             return Keyword("%vinz-no-message")
 
-        return self.nondet("try-receive", pop)
+        return self.service.codec.copy_value(self.nondet("try-receive", pop))
 
     # -- spawn limit ----------------------------------------------------------
 
@@ -408,9 +415,9 @@ class FiberExecution:
     # -- task variables (Section 3.6) ----------------------------------------
 
     def get_task_var(self, name: str) -> Any:
-        return self.nondet(f"taskvar-get/{name}", lambda: (
-            self.service.state.get_task_var(self.ctx, self.task, self.fiber,
-                                            name)))
+        return self.service.codec.copy_value(self.nondet(
+            f"taskvar-get/{name}", lambda: self.service.state.get_task_var(
+                self.ctx, self.task, self.fiber, name)))
 
     def set_task_var(self, name: str, value: Any) -> Any:
         if name not in self.service.task_var_defaults:
@@ -423,18 +430,21 @@ class FiberExecution:
     # -- service calls ----------------------------------------------------------
 
     def call_sync(self, soap_action: str, values: Dict[str, Any]) -> Dict[str, Any]:
+        copy = self.service.codec.copy_value
+
         def invoke():
             service_name, operation = self.service.vinz.resolve_soap_action(
                 soap_action)
-            envelope = self.ctx.cluster.call_inline(service_name, operation,
-                                                    dict(values),
-                                                    parent_context=self.ctx)
+            envelope = self.ctx.cluster.call_inline(
+                service_name, operation,
+                {name: copy(value) for name, value in values.items()},
+                parent_context=self.ctx)
             if envelope.duration is not None:
                 self.service.vinz.record_service_latency(soap_action,
                                                          envelope.duration)
             return envelope.to_body()
 
-        return self.nondet(f"call-sync/{soap_action}", invoke)
+        return copy(self.nondet(f"call-sync/{soap_action}", invoke))
 
     def should_migrate(self, soap_action: str) -> bool:
         """Should an asynchronous request to ``soap_action`` migrate

@@ -130,16 +130,22 @@ class FiberStateStore:
             fiber=fiber.id, what="thunk")
 
     def load(self, ctx: OperationContext, cache: Optional[FiberCache],
-             fiber: FiberRecord):
-        """The continuation at ``fiber.version``: from this node's
-        cache, from the persisted snapshot, or rebuilt by replay."""
+             fiber: FiberRecord) -> Tuple[Any, Optional[tuple]]:
+        """``(continuation, live)`` at ``fiber.version``: the
+        continuation from this node's cache, from the persisted snapshot,
+        or rebuilt by replay; ``live`` the state a suspension on this
+        node left beside a cached one, taken (so at most once), else
+        None."""
         vinz = self.vinz
         if cache is not None:
             cached = cache.get_continuation(fiber.id, fiber.version,
                                             FiberCache.MISS)
             if cached is not FiberCache.MISS:
                 vinz.metrics.incr("cache.mutable.hit")
-                return cached
+                live = cache.take_live(fiber.id, fiber.version)
+                if live is not None:
+                    vinz.metrics.incr("cache.mutable.live")
+                return cached, live
             vinz.metrics.incr("cache.mutable.miss")
         from_start = vinz.recovery_mode == "replay"
         if vinz.history is not None and (
@@ -168,7 +174,7 @@ class FiberStateStore:
             continuation = self._read_snapshot(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
-        return continuation
+        return continuation, None
 
     def _read_snapshot(self, ctx: OperationContext, fiber: FiberRecord):
         return self._read(
@@ -242,9 +248,11 @@ class FiberStateStore:
     # -- writing ------------------------------------------------------------------
 
     def persist(self, ctx: OperationContext, cache: Optional[FiberCache],
-                fiber: FiberRecord, continuation, instructions: int) -> None:
+                fiber: FiberRecord, continuation, instructions: int,
+                live: Optional[tuple] = None) -> None:
         """Persist the next version of ``fiber``'s continuation, reached
-        by a window that ran ``instructions``."""
+        by a window that ran ``instructions``; the node cache keeps
+        ``live``, the state the suspended VM stopped using, beside it."""
         vinz = self.vinz
         # a zombie must not even bump the version: the raise tunnels
         # through the GVM, aborts the window and the message retries
@@ -265,7 +273,7 @@ class FiberStateStore:
                                   fiber.instructions_since_snapshot
                                   + instructions))
             if cache is not None:
-                cache.put_continuation(fiber.id, version, continuation)
+                cache.put_continuation(fiber.id, version, continuation, live)
             return
         tracer = ctx.cluster.tracer
         vstart = ctx.now + ctx.charged
@@ -297,7 +305,8 @@ class FiberStateStore:
             vinz.history.record(ctx, fiber.task_id, hist.SNAPSHOT_TAKEN,
                                 fiber=fiber.id, version=fiber.version)
         if cache is not None:
-            cache.put_continuation(fiber.id, fiber.version, continuation)
+            cache.put_continuation(fiber.id, fiber.version, continuation,
+                                   live)
         if vinz.injector is not None:
             # crash-during-persistence faults fire here: the node dies
             # with the window open, the abort hooks roll the fiber (and
@@ -427,9 +436,20 @@ class FiberStateStore:
 
     def drop_fiber(self, ctx: OperationContext, fiber: FiberRecord) -> None:
         """A finished fiber (completed, failed or terminated) drops its
-        state and its start thunk."""
+        state, its start thunk and its live state."""
         self._delete(ctx, state_key(fiber.id))
         self._delete(ctx, thunk_key(fiber.id))
+        self.drop_live(ctx, fiber)
+
+    def drop_live(self, ctx: OperationContext, fiber: FiberRecord) -> None:
+        """The node that last ran ``fiber`` (``fiber.last_node``), the
+        only one a suspension can have left a live state on, forgets it:
+        the fiber finished or runs elsewhere now, so one live state per
+        unfinished fiber stays the most the cluster holds."""
+        node = ctx.cluster.nodes.get(fiber.last_node)
+        cache = FiberCache.of_node(node) if node is not None else None
+        if cache is not None:
+            cache.drop_live(fiber.id)
 
     def drop_task(self, ctx: OperationContext, task: TaskRecord) -> None:
         """A finished task drops its environment and every task

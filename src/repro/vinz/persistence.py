@@ -14,10 +14,12 @@ optimizations the paper reports, folded into one format:
 3. **A custom format for the most commonly serialized objects**: the
    dominant payload in a fiber snapshot is *program code* (CodeObjects)
    and host functions, which never change after load.  Capture's
-   pickler (:func:`~repro.gvm.continuations.dump_state`) writes them as
-   registry keys, ``("code", key)`` or ``("host", name)``, the way the
-   paper's custom format special-cases its hottest object types.  Older
-   blobs carry the keys as pickle persistent ids; those still load.
+   pickler (:func:`~repro.gvm.continuations.dump_state`) writes a code
+   object as its registry key, ``("code", key)``, and a host function
+   by its importable name (``("host", name)`` for one without), the way
+   the paper's custom format special-cases its hottest object types.
+   Older blobs carry the keys as pickle persistent ids; those still
+   load.
 
 ``benchmarks/bench_serialization.py`` measures the generic baselines
 (code by value, stored raw, gzip and deflate) against this format.
@@ -33,14 +35,19 @@ import struct
 import zlib
 from typing import Any, Dict, Optional
 
+from ..bluebox.services import ServiceFault
 from ..bluebox.store import StoreError
 from ..gvm.continuations import dump_state, load_state
+from ..gvm.frames import ATOM_TYPES
 from ..observe.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..lang.bytecode import CodeObject
 from ..persistsnap.manifest import is_manifest
 
 MAGIC = b"GZR1"
 CODEC_CUSTOM = b"C"
+
+#: the fault a value that cannot cross a fiber boundary raises
+UNSERIALIZABLE = "{urn:vinz}Unserializable"
 
 #: raw-deflate compression level: lighter than gzip's default 9-ish
 #: work factor; this is where the ~30% CPU savings come from.
@@ -124,7 +131,9 @@ class HostFunctionRegistry:
     and Vinz intrinsics (e.g. ``%parse-wsdl-response`` loaded before its
     argument is evaluated).  Those are part of the *program*, present on
     every node, so — like the paper's custom format for common objects —
-    they serialize as small name tokens rather than by value.
+    they serialize as small name tokens rather than by value: by their
+    importable name, or, for one without (a closure), by the name this
+    registry holds it under.
     """
 
     def __init__(self):
@@ -219,6 +228,26 @@ class FiberCodec:
     def _resolve(self, key: tuple) -> Any:
         kind, name = key
         return (self.registry if kind == "code" else self.hosts).lookup(name)
+
+    # -- crossing a fiber boundary ------------------------------------------
+
+    def copy_value(self, value: Any) -> Any:
+        """``value`` as a fiber on the other side of a boundary gets it:
+        an atom as it is, anything else as a copy that shares no mutable
+        object with ``value`` — what a suspension and a decode between
+        the two would have made of it.  A value that does not serialize
+        cannot cross, as it could not between nodes: a typed
+        :class:`~repro.bluebox.services.ServiceFault`, which a fiber
+        sees as a condition."""
+        if type(value) in ATOM_TYPES:
+            return value
+        try:
+            raw = self.serialize_state(value)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise ServiceFault(UNSERIALIZABLE,
+                               f"a value crossing a fiber boundary does "
+                               f"not serialize: {exc}") from exc
+        return self.deserialize_state(raw)
 
     # -- the raw (uncompressed, unframed) layer ---------------------------
 

@@ -78,6 +78,9 @@ _S = Symbol
 #: histogram buckets for per-advancement GVM instruction counts
 INSTRUCTION_BUCKETS = exponential_buckets(1, 2.0, 24)
 
+#: why a suspension kept no live state (:meth:`WorkflowService._live_refusal`)
+LIVE_REFUSALS = ("first-window", "mutable-global")
+
 #: re-delivery delay of an AwakeFiber that gave up waiting for the
 #: fiber's lock and put itself back on the queue (Section 5)
 REQUEUE_DELAY = 0.02
@@ -266,9 +269,11 @@ class WorkflowService(Service):
         recorder = self.vinz.history
         if recorder is not None:
             # window-buffered: an aborted Start discards this with the
-            # task record itself
+            # task record itself.  The history holds its own copy: the
+            # main fiber's first window binds (and may change) params
             recorder.record(ctx, task.id, hist.TASK_STARTED,
-                            root=fiber.id, params=params,
+                            root=fiber.id,
+                            params=self.codec.copy_value(params),
                             workflow=self.name)
         self.send_run_fiber(ctx, task, fiber)
         return task
@@ -505,6 +510,10 @@ class WorkflowService(Service):
         # against the *pre-window* fiber state (real Vinz gets this from
         # JMS transactions: state write + sends + ack commit together)
         registry = self.vinz.registry
+        if fiber.last_node != ctx.node.id:
+            # the fiber runs here now: a live state the node it last ran
+            # on still holds must never be resumed (at most one per fiber)
+            self.state.drop_live(ctx, fiber)
         registry.set(ctx, fiber, status=RUNNING, last_node=ctx.node.id)
         if task.status != RUNNING:
             registry.set(ctx, task, status=RUNNING)
@@ -560,10 +569,15 @@ class WorkflowService(Service):
             ctx.trace("fiber-run", task=task.id, fiber=fiber.id,
                       resume=resume, version=fiber.version)
 
+        # a suspension hands the node cache the state it stops using
+        vm.keep_live = cache is not None
+
         def window():
             if resume:
-                outcome = vm.resume(self.state.load(ctx, cache, fiber),
-                                    value)
+                continuation, live = self.state.load(ctx, cache, fiber)
+                # the value crosses into the fiber: its own copy
+                outcome = vm.resume(continuation,
+                                    self.codec.copy_value(value), live)
             else:
                 outcome = self._start_fresh(ctx, vm, task, fiber)
             if isinstance(outcome, Yielded):
@@ -573,7 +587,8 @@ class WorkflowService(Service):
                 # platform fault
                 self._fiber_suspended(
                     ctx, cache, task, fiber, outcome,
-                    vm.instruction_count - instructions_before)
+                    vm.instruction_count - instructions_before,
+                    self._live_refusal(fiber, resume))
             return outcome
 
         try:
@@ -598,6 +613,18 @@ class WorkflowService(Service):
                 tracer.end(run_span, end=ctx.now + ctx.charged,
                            instructions=(vm.instruction_count
                                          - instructions_before))
+
+    def _live_refusal(self, fiber: FiberRecord, resume: bool) -> Optional[str]:
+        """Why a suspension ending this window may keep no live state
+        (None: it may).  Live state must be private to the fiber.  A
+        main fiber's first window binds ``task.params``, which the task
+        record holds too; and once a global holds a value a fiber can
+        change, any fiber of the program may hold it."""
+        if self.runtime.global_env.holds_mutable:
+            return "mutable-global"
+        if not resume and fiber.parent_id is None:
+            return "first-window"
+        return None
 
     def _affinity_for(self, fiber: FiberRecord) -> Optional[Affinity]:
         """The owner park for a message that will run ``fiber`` next.
@@ -717,13 +744,17 @@ class WorkflowService(Service):
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
                          fiber: FiberRecord, outcome: Yielded,
-                         instructions: int) -> None:
+                         instructions: int, refusal: Optional[str]) -> None:
         descriptor = outcome.value if isinstance(outcome.value, dict) else \
             {"kind": "await"}
         kind = descriptor.get("kind", "await")
         self.vinz.registry.set(ctx, fiber, waiting_on=kind)
+        live = outcome.live
+        if live is not None and refusal is not None:
+            self.vinz.metrics.incr(f"cache.live_refused.{refusal}")
+            live = None
         self.state.persist(ctx, cache, fiber, outcome.continuation,
-                           instructions)
+                           instructions, live)
         if ctx.tracing:
             ctx.trace("fiber-suspend", task=task.id, fiber=fiber.id, why=kind,
                       version=fiber.version)
@@ -767,7 +798,10 @@ class WorkflowService(Service):
         if ctx.tracing:
             ctx.trace("service-request", task=fiber.task_id, fiber=fiber.id,
                       service=service_name, operation=operation)
-        ctx.send(service_name, operation, dict(descriptor.get("values") or {}),
+        copy = self.codec.copy_value
+        values = {name: copy(value) for name, value
+                  in (descriptor.get("values") or {}).items()}
+        ctx.send(service_name, operation, values,
                  reply_to=ReplyTo(service=self.name,
                                   operation="ResumeFromCall",
                                   extra={"fiber": fiber.id,

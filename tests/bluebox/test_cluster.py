@@ -298,6 +298,29 @@ class TestInlineCalls:
         cluster.run_until_idle()
         assert ran == ["complete", "note"]
 
+    @pytest.mark.parametrize("later", ["defer", "requeue"])
+    def test_call_inline_refuses_a_later_reply(self, later):
+        """A handler that would reply later (or be retried) cannot
+        answer inline: its context aborts, nothing it did or sent
+        survives, and the caller gets a typed fault, not the marker."""
+        cluster = Cluster(seed=0)
+        cluster.add_node()
+        ran = []
+
+        def op(ctx, body):
+            ctx.on_complete(lambda: ran.append("complete"))
+            ctx.on_abort(lambda: ran.append("abort"))
+            ctx.send("T", "Note", {})
+            return ctx.defer() if later == "defer" else Requeue(delay=0.01)
+
+        cluster.deploy(simple_service(
+            "T", {"Op": op, "Note": lambda ctx, body: ran.append("note")}))
+        envelope = cluster.call_inline("T", "Op", {})
+        assert envelope.fault_qname == "{urn:bluebox}NotSynchronous"
+        assert envelope.value is None
+        cluster.run_until_idle()
+        assert ran == ["abort"]
+
 
 class TestIntrospection:
     def test_utilization(self):

@@ -17,6 +17,7 @@ import pytest
 from repro.conformance import load_dir, run_stepwise, run_vm
 from repro.durastore import DurableStore
 from repro.gvm import continuations
+from repro.gvm import vm as vm_module
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.futures import ThreadPoolFutureExecutor
 from repro.gvm.runtime import Runtime
@@ -104,31 +105,35 @@ def test_stepwise_corpus_without_deepcopy(no_deepcopy, name):
     assert result.counts_agree
 
 
-def test_reducer_override_calls_bounded(monkeypatch):
-    """Only objects that are not plain containers reach Python: a
-    400-row state costs a few dozen calls, not one per row."""
-    calls = []
-    original = continuations._CapturePickler.reducer_override
+def test_capture_python_calls_bounded(monkeypatch):
+    """Only code objects reach Python: a 400-row state costs a few
+    dozen Python-level calls per persisted capture (the capture and
+    the codec's re-pickle of it), not one per row."""
+    captures = []
+    capture = vm_module.capture
 
-    def counting(self, obj):
-        calls.append(type(obj).__name__)
-        return original(self, obj)
+    def counted_capture(*args, **kwargs):
+        out = []
+        captures.append(python_calls(
+            lambda: out.append(capture(*args, **kwargs))))
+        return out[0]
 
-    monkeypatch.setattr(continuations._CapturePickler, "reducer_override",
-                        counting)
+    monkeypatch.setattr(vm_module, "capture", counted_capture)
     env = deploy_churn("paper")
-    persisted = []
     service = env.workflows["Churn"]
     encode = service.codec.dumps
+    per_capture = []
 
     def dumps(state):
-        persisted.append(len(calls))
-        return encode(state)
+        out = []
+        calls = python_calls(lambda: out.append(encode(state)))
+        if isinstance(state, continuations.Continuation):
+            per_capture.append(captures[-1] + calls)
+        return out[0]
 
     monkeypatch.setattr(service.codec, "dumps", dumps)
     task = env.wait_for_task(env.start("Churn", churn_params()))
     assert task.result == churn_expected()
-    per_capture = [b - a for a, b in zip([0] + persisted, persisted)]
     assert len(per_capture) >= CALLS
     assert max(per_capture) <= 64, per_capture
 
@@ -260,3 +265,16 @@ def test_failed_future_raises_at_the_yield(threaded_rt):
             (let ((f (future (error "inside the future"))))
               (yield :never-reached)
               :resumed)""")
+
+
+def test_a_host_function_without_an_importable_name_is_kept_by_reference():
+    """The C pickler writes a function by its importable name; a lambda
+    has none, so the capture retries keying functions, and the resume
+    calls the very same function."""
+    runtime = Runtime()
+    runtime.global_env.define(Symbol("twice"), lambda x: 2 * x)
+    yielded = runtime.start("(twice (yield 1))")
+    assert isinstance(yielded, Yielded)
+    assert yielded.continuation.refs.count(
+        runtime.global_env.lookup(Symbol("twice"))) == 1
+    assert runtime.resume(yielded.continuation, 21) == Done(42)

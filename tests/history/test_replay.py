@@ -243,6 +243,20 @@ class TestSnapshotInterval:
         report.replay_all()
 
 
+    def test_a_rebuild_from_the_start_sees_the_params_the_task_began_with(self):
+        """The main fiber's first window changes its params; a rebuild
+        of a later version re-executes from the params as started."""
+        env = VinzEnvironment(nodes=2, seed=1, history="on",
+                              snapshot_interval=8)
+        env.deploy_workflow("W", """
+            (defun main (params)
+              (setf (first params) (+ (first params) 1))
+              (workflow-sleep 0.1)
+              (first params))""", cache_capacity=0)
+        assert env.call("W", [1]) == 2
+        assert env.metrics.get("history.rebuilds") == 1
+
+
 class TestReplayRecovery:
     def test_replay_recovery_reads_no_continuation_snapshots(self):
         """Under ``recovery="replay"`` a crashed fiber's state comes

@@ -201,6 +201,26 @@ class TestSyncModes:
         assert env.cluster.metrics.get("op.W.ResumeFromCall") == 0
         assert env.cluster.metrics.get("sync.Cnt.Hit") == 1
 
+    @pytest.mark.parametrize("operation", ["Call", "Run"])
+    def test_sync_call_of_a_workflow_is_a_condition(self, env, operation):
+        """Another workflow's Call/Run replies only once its task ends,
+        which a synchronous request cannot wait for: the request fails
+        as a service-error condition, not with a wrong value, and the
+        child task it began is undone."""
+        env.deploy_workflow("Child", "(defun main (params) (* 2 params))")
+        env.deploy_workflow("W", f"""
+            (deflink CH :wsdl "urn:child-service" :sync t)
+            (defun main (params)
+              (handler-case (CH-{operation}-Method :params 21)
+                (service-error (c) (list :qname (condition-qname c)))))""")
+        assert env.call("W", None) == [K("qname"),
+                                       "{urn:bluebox}NotSynchronous"]
+        env.cluster.run_until_idle()
+        assert [task.workflow for task in env.registry.tasks.values()] \
+            == ["W"]
+        assert env.metrics.get("tasks.started") == 1
+        assert env.store.keys("task-env/") == []
+
 
 class TestRestartsFromDeflink:
     def test_retry_restart_bound(self, env):
