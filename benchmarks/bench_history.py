@@ -12,10 +12,12 @@ optimization it unlocks:
   durable log; any divergence between re-execution and the recorded
   history fails the bench.  Zero divergences is the event-sourcing
   contract.
-* **replay-based recovery** — the lock-recovery invariants (no stuck
-  fibers, no double runs, correct answers) must hold when crashed
-  fibers are rebuilt by replay with the continuation-snapshot plane
-  *never read*.
+* **recovery through replay** — the lock-recovery invariants (no stuck
+  fibers, no double runs, correct answers) must hold when a snapshot
+  is taken only every third suspension and a crashed fiber's elided
+  version is rebuilt by replay from the newest base (a cached version,
+  the last snapshot or the task start) — the durable row's recovery
+  path.
 * **snapshot-interval elision** — with histories durable, continuation
   snapshots become an optimization: persisting every Nth suspension
   must cut persisted bytes per suspension by >= 2x at N >= 8, with the
@@ -37,6 +39,9 @@ SEED = 42
 NODES = 4
 TASKS = 200
 SNAPSHOT_INTERVAL = 8
+#: the recovery campaign's interval: short enough that persists happen
+#: (its crash on persist 5 fires) and some rebuilds start from one
+RECOVERY_INTERVAL = 3
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -74,16 +79,20 @@ def test_history_replay_campaign(benchmark, bench_report):
     windows = sum(r.windows for r in replays)
     instructions = sum(r.instructions for r in replays)
 
-    # -- replay-based recovery under lock-holder crashes --------------
+    # -- recovery through replay under lock-holder crashes ------------
     recovery_plan = FaultPlan([
         NodeFault(CRASH, on_lock=2, restart_after=2.0),
         NodeFault(CRASH, on_lock=9, restart_after=2.0),
         NodeFault(CRASH, on_persist=5, restart_after=2.0),
     ], name="history-recovery")
     rec = run_campaign(recovery_plan, seed=SEED, tasks=8, nodes=NODES,
-                       history="on", recovery="replay",
+                       history="on", snapshot_interval=RECOVERY_INTERVAL,
                        locks="file", lease_ttl=1.0)
     assert rec.all_completed, rec.statuses
+    rec_crashes = {action: rec.injected.get(action, 0)
+                   for action in ("crash-on-lock", "crash-on-persist")}
+    assert rec_crashes == {"crash-on-lock": 2, "crash-on-persist": 1}, \
+        rec.injected
     assert rec.wrong_results() == []
     stuck = rec.stuck_fibers()
     violations = rec.single_runner_violations()
@@ -95,7 +104,10 @@ def test_history_replay_campaign(benchmark, bench_report):
              for report in (campaign, rec)]
     assert gates == [(0, {}), (0, {})], gates
     rebuilds = rec.env.counters.get("history.rebuilds")
-    assert rebuilds > 0, "replay recovery never rebuilt a fiber"
+    rebuild_base = rec.env.summary()["history"]["rebuild_base"]
+    assert rebuilds > 0, "recovery never rebuilt a fiber"
+    assert rebuild_base["snapshot"] > 0, \
+        f"no rebuild started from a snapshot: {rebuild_base}"
     rec.replay_all()
 
     # a finished task leaves no key behind but its history, except
@@ -145,10 +157,13 @@ def test_history_replay_campaign(benchmark, bench_report):
         "unfinished_tasks": gates[0][0],
         "monitor_imbalance": gates[0][1],
         "history": env.summary()["history"],
-        "recovery_mode_campaign": {
+        "recovery_campaign": {
+            "snapshot_interval": RECOVERY_INTERVAL,
+            "crashes": rec_crashes,
             "stuck_fibers": len(stuck),
             "double_runs": len(violations),
             "rebuilds": rebuilds,
+            "rebuild_base": rebuild_base,
             "orphaned_keys": orphans[1][0],
             "reclaim_skipped": orphans[1][1],
             "unfinished_tasks": gates[1][0],
@@ -177,9 +192,9 @@ def test_history_replay_campaign(benchmark, bench_report):
          ("windows re-executed", windows),
          ("instructions re-executed", instructions),
          ("faults injected", dict(campaign.injected)),
-         ("replay-recovery stuck fibers", len(stuck)),
-         ("replay-recovery double runs", len(violations)),
-         ("replay-recovery rebuilds", rebuilds),
+         ("recovery stuck fibers", len(stuck)),
+         ("recovery double runs", len(violations)),
+         ("recovery rebuilds by base", rebuild_base),
          (f"bytes/suspension @interval=1", round(per_every, 1)),
          (f"bytes/suspension @interval={SNAPSHOT_INTERVAL}",
           round(per_sparse, 1)),

@@ -14,7 +14,7 @@ resumed:
 * ``live_held`` — live states the node caches still hold once the run
   is idle: 0, since a finished fiber keeps none;
 * ``live_refused`` — suspensions that kept no live state, by reason
-  (a main fiber's first window binds the task's parameters).
+  (a program global that held a mutable value).
 
 The report JSON (``benchmarks/out/hot_resume_report.json``) is what
 CI's hot-resume smoke asserts on.

@@ -10,6 +10,7 @@ corpus entries.  All ``conformance.*`` metrics flow through
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -45,9 +46,12 @@ class FuzzReport:
     seed: int
     budget: int
     programs: int = 0
-    strata: Dict[str, int] = field(default_factory=dict)
-    oracle_runs: Dict[str, int] = field(default_factory=dict)
-    skips: Dict[str, int] = field(default_factory=dict)
+    strata: Dict[str, int] = field(default_factory=Counter)
+    oracle_runs: Dict[str, int] = field(default_factory=Counter)
+    skips: Dict[str, int] = field(default_factory=Counter)
+    #: the Vinz oracle's replay rebuilds, summed over its runs, by base
+    #: (``start`` / ``snapshot`` / ``cache``)
+    vinz_rebuilds: Dict[str, int] = field(default_factory=Counter)
     divergences: List[ShrunkDivergence] = field(default_factory=list)
     coverage: Optional[CoverageReport] = None
     metrics: Optional[MetricsRegistry] = None
@@ -68,6 +72,7 @@ class FuzzReport:
             "strata": dict(self.strata),
             "oracle_runs": dict(self.oracle_runs),
             "classified_skips": dict(self.skips),
+            "vinz_rebuilds": dict(self.vinz_rebuilds),
             "unclassified_divergences": self.unclassified_divergences,
             "divergences": [d.to_dict() for d in self.divergences],
             "coverage": self.coverage.to_dict() if self.coverage else None,
@@ -85,6 +90,10 @@ class FuzzReport:
                        for k, v in sorted(self.oracle_runs.items())),
             f"  classified skips: "
             + (" ".join(f"{k}={v}" for k, v in sorted(self.skips.items()))
+               or "none"),
+            f"  vinz rebuilds: "
+            + (" ".join(f"{k}={v}"
+                        for k, v in sorted(self.vinz_rebuilds.items()))
                or "none"),
             f"  unclassified divergences: {self.unclassified_divergences}",
         ]
@@ -129,13 +138,11 @@ def run_fuzz(seed: int, budget: int, vinz_every: int = 10,
         accounter.record(program)
         verdict = executor.run(program)
         report.programs += 1
-        report.strata[program.stratum] = \
-            report.strata.get(program.stratum, 0) + 1
-        for oracle in verdict.outcomes:
-            report.oracle_runs[oracle] = \
-                report.oracle_runs.get(oracle, 0) + 1
-        for reason in verdict.skips.values():
-            report.skips[reason] = report.skips.get(reason, 0) + 1
+        report.strata[program.stratum] += 1
+        report.oracle_runs.update(verdict.outcomes.keys())
+        report.skips.update(verdict.skips.values())
+        if "vinz" in verdict.outcomes:
+            report.vinz_rebuilds.update(verdict.outcomes["vinz"].rebuilds)
         for divergence in verdict.divergences:
             report.divergences.append(
                 _shrink_and_save(divergence, repro_dir, shrink_checks,

@@ -11,8 +11,9 @@
   at instruction boundaries (stride 1 == *every* boundary), asserting
   bit-equal results and conservation of the instruction count.
 * :func:`run_vinz`      — a distributed Vinz execution under a seeded
-  survivable chaos plan with event-sourced history and
-  ``recovery="replay"``, cross-checked by deterministic replay.
+  survivable chaos plan with event-sourced history and a snapshot
+  every third suspension (the versions between are rebuilt by replay),
+  cross-checked by deterministic replay.
 
 Every oracle returns an :class:`Outcome`; the executor compares them.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import pickle
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..gvm.conditions import (GozerCondition, UnhandledConditionError,
                               coerce_condition)
@@ -55,6 +56,8 @@ class Outcome:
     detail: str = ""
     #: printed yield values, in order (suspend-stratum comparisons)
     yields: Tuple[str, ...] = ()
+    #: Vinz replay rebuilds by base (``history.rebuild_base.<base>``)
+    rebuilds: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def of_value(cls, value: Any, yields: Tuple[str, ...] = ()) -> "Outcome":
@@ -419,42 +422,47 @@ def run_vinz(program: GenProgram, seed: int = 0, chaos: bool = True,
     """Run the program as a distributed Vinz workflow.
 
     The body becomes ``(defun main (params) ...)``; the task runs on a
-    3-node simulated cluster with event-sourced history, replay-based
-    crash recovery and (optionally) a seeded chaos plan drawn from the
-    survivable envelope.  A completed task is additionally re-verified
-    with :meth:`~repro.vinz.api.VinzEnvironment.replay_task` — a replay
-    divergence is an engine error even when the value agrees.
+    3-node simulated cluster with event-sourced history, a snapshot
+    every third suspension (a version between that no node caches is
+    rebuilt by replay) and (optionally) a seeded chaos plan drawn from
+    the survivable envelope.  A completed task is additionally
+    re-verified with :meth:`~repro.vinz.api.VinzEnvironment.replay_task`
+    — a replay divergence is an engine error even when the value
+    agrees.  The outcome carries the run's rebuilds by base.
     """
     from ..faults.injector import FaultInjector
     from ..history import ReplayDivergenceError
+    from ..history.recorder import REBUILD_BASES
     from ..vinz.api import VinzEnvironment, WorkflowError
     from ..vinz.task import COMPLETED
 
     rng = random.Random(seed ^ 0xC0FFEE)
+    env = VinzEnvironment(nodes=3, seed=seed, trace=True, history="on",
+                          snapshot_interval=3)
     try:
-        env = VinzEnvironment(nodes=3, seed=seed, trace=True,
-                              history="on", recovery="replay")
         env.deploy_workflow("Conformance", program.vinz_source,
                             spawn_limit=3)
         if chaos:
             FaultInjector(seed, survivable_plan(rng)).install(env)
         task_id = env.start("Conformance", params=[])
-        try:
-            task = env.wait_for_task(
-                task_id, deadline=env.cluster.kernel.now + deadline)
-        except TimeoutError as exc:
-            return Outcome(kind=HANG, detail=str(exc))
+        task = env.wait_for_task(
+            task_id, deadline=env.cluster.kernel.now + deadline)
         if task.status == COMPLETED:
-            try:
-                env.replay_task(task_id)
-            except ReplayDivergenceError as exc:
-                return Outcome(kind=ENGINE_ERROR,
-                               detail=f"replay divergence: {exc}")
-            return Outcome.of_value(task.result)
-        return Outcome(kind=CONDITION, ctype="error",
-                       detail=str(task.error or task.status))
+            env.replay_task(task_id)
+            outcome = Outcome.of_value(task.result)
+        else:
+            outcome = Outcome(kind=CONDITION, ctype="error",
+                              detail=str(task.error or task.status))
+    except TimeoutError as exc:
+        outcome = Outcome(kind=HANG, detail=str(exc))
+    except ReplayDivergenceError as exc:
+        outcome = Outcome(kind=ENGINE_ERROR,
+                          detail=f"replay divergence: {exc}")
     except WorkflowError as exc:
-        return Outcome(kind=CONDITION, ctype="error",
-                       detail=f"{exc.qname}: {exc.fault_message}")
+        outcome = Outcome(kind=CONDITION, ctype="error",
+                          detail=f"{exc.qname}: {exc.fault_message}")
     except Exception as exc:  # noqa: BLE001
-        return Outcome.of_exception(exc)
+        outcome = Outcome.of_exception(exc)
+    outcome.rebuilds = {base: env.metrics.get(f"history.rebuild_base.{base}")
+                        for base in REBUILD_BASES}
+    return outcome

@@ -14,7 +14,6 @@ becoming a cycle.
 """
 
 from .recorder import (
-    AUDIT_KINDS,
     FIBER_COMPLETED,
     FIBER_FAILED,
     FIBER_FORKED,
@@ -25,8 +24,6 @@ from .recorder import (
     RESUME_KINDS,
     SCHEMA_VERSION,
     SERVICE_COMPLETED,
-    SERVICE_REQUESTED,
-    SNAPSHOT_TAKEN,
     TASK_STARTED,
     TIMER_FIRED,
     HistoryEvent,
@@ -49,12 +46,11 @@ _LAZY = {
 }
 
 __all__ = [
-    "AUDIT_KINDS", "FIBER_COMPLETED", "FIBER_FAILED", "FIBER_FORKED",
-    "FIBER_JOINED", "FIBER_SUSPENDED", "MESSAGE_DELIVERED",
-    "NONDET_RECORDED", "RESUME_KINDS", "SCHEMA_VERSION",
-    "SERVICE_COMPLETED", "SERVICE_REQUESTED", "SNAPSHOT_TAKEN",
-    "TASK_STARTED", "TIMER_FIRED", "HistoryEvent", "HistoryRecorder",
-    "resume_kind_for", *sorted(_LAZY),
+    "FIBER_COMPLETED", "FIBER_FAILED", "FIBER_FORKED", "FIBER_JOINED",
+    "FIBER_SUSPENDED", "MESSAGE_DELIVERED", "NONDET_RECORDED",
+    "RESUME_KINDS", "SCHEMA_VERSION", "SERVICE_COMPLETED", "TASK_STARTED",
+    "TIMER_FIRED", "HistoryEvent", "HistoryRecorder", "resume_kind_for",
+    *sorted(_LAZY),
 ]
 
 

@@ -24,32 +24,27 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-#: bump when payloads or the batch encoding change (2: one codec blob)
-SCHEMA_VERSION = 2
+#: bump when payloads or the batch encoding change (2: one codec blob;
+#: 3: only what replay reads -- no audit records, the soap action on a
+#: service call's suspension)
+SCHEMA_VERSION = 3
 
 # -- event kinds ------------------------------------------------------------
 
 TASK_STARTED = "task-started"
 FIBER_FORKED = "fiber-forked"
 MESSAGE_DELIVERED = "message-delivered"
-SERVICE_REQUESTED = "service-requested"
 SERVICE_COMPLETED = "service-completed"
 TIMER_FIRED = "timer-fired"
 FIBER_JOINED = "fiber-joined"
 NONDET_RECORDED = "nondet"
 FIBER_SUSPENDED = "fiber-suspended"
-SNAPSHOT_TAKEN = "snapshot-taken"
 FIBER_COMPLETED = "fiber-completed"
 FIBER_FAILED = "fiber-failed"
 
 #: kinds that resume a suspended fiber (carry the resume value)
 RESUME_KINDS = (SERVICE_COMPLETED, TIMER_FIRED, FIBER_JOINED,
                 MESSAGE_DELIVERED)
-
-#: kinds the replay cursor skips: audit markers that carry no decision
-#: the re-executing bytecode consumes (mailbox appends are consumed via
-#: a later resume event; snapshot markers only locate rebuild bases)
-AUDIT_KINDS = (TASK_STARTED, SERVICE_REQUESTED, SNAPSHOT_TAKEN)
 
 #: where a replay rebuild starts: a version still in the node's fiber
 #: cache, the last persisted snapshot, or the task start; each counts

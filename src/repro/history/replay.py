@@ -12,13 +12,16 @@ overridden, so every intrinsic that would touch the outside world
 instead consumes the next recorded event and returns the recorded
 value.
 
+The history holds only what replay reads: its cursor consumes every
+event of a fiber, and every field is fed back into the fiber or checked.
+
 Two consumers:
 
-* **recovery** — :meth:`ReplayEngine.rebuild` reconstructs a crashed
-  fiber's continuation at its current version, either from the task's
-  start (``recovery="replay"``: no continuation snapshot is ever read)
-  or forward from the latest SnapshotTaken base (``snapshot_interval >
-  1``: the skipped versions between snapshots are recomputed);
+* **recovery** — :meth:`ReplayEngine.rebuild` reconstructs a fiber's
+  continuation at a version that was never persisted
+  (``snapshot_interval > 1``), forward from the newest base: a version
+  the node still caches, else the fiber's last persisted snapshot
+  (``FiberRecord.last_persisted_version``), else the task start;
 * **verification** — :meth:`ReplayEngine.replay_task` re-runs every
   fiber of a finished task against its durable log and checks each
   recorded suspension and terminal outcome, raising
@@ -48,15 +51,10 @@ from .recorder import (
     FIBER_FORKED,
     FIBER_SUSPENDED,
     HistoryEvent,
-    MESSAGE_DELIVERED,
     NONDET_RECORDED,
     RESUME_KINDS,
     TASK_STARTED,
 )
-
-#: kinds the per-fiber cursor consumes (everything else is audit)
-_CONSUMABLE = set((NONDET_RECORDED, FIBER_FORKED, FIBER_SUSPENDED,
-                   FIBER_COMPLETED, FIBER_FAILED) + RESUME_KINDS)
 
 
 class ReplayError(RuntimeError):
@@ -131,29 +129,34 @@ class _Cursor:
                                      expected, actual)
 
     def next(self, *kinds: str) -> HistoryEvent:
+        """The next event, which must be of one of ``kinds`` (of any
+        kind when none is named)."""
         if self.exhausted():
             raise ReplayDivergenceError(
                 self.task_id, self.fiber_id, None,
                 "<no further events>", f"attempt to consume {kinds}")
         event = self.events[self.pos]
-        if event.kind not in kinds:
+        if kinds and event.kind not in kinds:
             raise self.diverge(event.kind, f"attempt to consume {kinds}")
         self.pos += 1
         return event
 
     def check_suspension(self, yielded) -> Optional[int]:
         """The replayed fiber suspended: consume the recorded
-        suspension, which must be on the same thing; returns the
-        version it recorded."""
+        suspension, which must be on the same thing (for a service
+        call, the same soap action); returns the version it recorded."""
         descriptor = yielded.value if isinstance(yielded.value, dict) \
             else {"kind": "await"}
         event = self.next(FIBER_SUSPENDED)
-        recorded_why = event.payload.get("why")
-        if recorded_why != descriptor.get("kind", "await"):
+        why = descriptor.get("kind", "await")
+        replayed = (why, descriptor.get("soap_action")
+                    if why == "service-call" else None)
+        recorded = (event.payload.get("why"),
+                    event.payload.get("soap_action"))
+        if recorded != replayed:
             raise ReplayDivergenceError(
                 self.task_id, self.fiber_id, event.seq,
-                f"suspend on {recorded_why!r}",
-                f"suspend on {descriptor.get('kind')!r}")
+                f"suspend on {recorded!r}", f"suspend on {replayed!r}")
         return event.payload.get("version")
 
     def failed_by_platform(self, event: HistoryEvent, where: str) -> Any:
@@ -253,6 +256,11 @@ class ReplayExecution(FiberExecution):
         event = self.cursor.next(FIBER_FORKED)
         if "chain" in event.payload:
             raise self.cursor.diverge("fork-chain", "fork")
+        if event.payload.get("notify") != notify_parent:
+            raise ReplayDivergenceError(
+                self.cursor.task_id, self.cursor.fiber_id, event.seq,
+                f"fork notify={event.payload.get('notify')!r}",
+                f"fork notify={notify_parent!r}")
         return event.payload["child"]
 
     def fork_chain(self, fn, items) -> str:
@@ -283,21 +291,6 @@ class ReplayEngine:
         return service
 
     @staticmethod
-    def _fiber_stream(events: List[HistoryEvent],
-                      fiber_id: str) -> List[HistoryEvent]:
-        """The decision events one fiber consumes, in order.  Mailbox
-        *appends* (audit flavour of MessageDelivered) are skipped: the
-        value reaches the fiber via a later resume event."""
-        out = []
-        for event in events:
-            if event.fiber != fiber_id or event.kind not in _CONSUMABLE:
-                continue
-            if event.kind == MESSAGE_DELIVERED and event.payload.get("append"):
-                continue
-            out.append(event)
-        return out
-
-    @staticmethod
     def _start_of(events: List[HistoryEvent],
                   fiber_id: str) -> Tuple[Any, List[Any], bool]:
         """How ``fiber_id`` began: ``(fn_or_None, args, is_root)``.
@@ -317,6 +310,23 @@ class ReplayEngine:
                 return payload["fn"], [payload["items"][index]], False
         return None, [], True
 
+    @staticmethod
+    def _root_params(service, task_id: str, events: List[HistoryEvent],
+                     fiber_id: str) -> Any:
+        """The params the task started with, recorded by TaskStarted,
+        whose root fiber and workflow must be the ones replaying."""
+        started = next((e for e in events if e.kind == TASK_STARTED), None)
+        if started is None:
+            return None
+        recorded = (started.payload.get("root"),
+                    started.payload.get("workflow"))
+        if recorded != (fiber_id, service.name):
+            raise ReplayDivergenceError(
+                task_id, fiber_id, started.seq,
+                f"task started (root, workflow) {recorded!r}",
+                f"root {(fiber_id, service.name)!r}")
+        return started.payload.get("params")
+
     # -- one fiber --------------------------------------------------------
 
     def replay_fiber(self, service, task_id: str,
@@ -327,8 +337,8 @@ class ReplayEngine:
         """Re-execute one fiber against its recorded stream.
 
         * ``stop_version`` — return the live continuation the moment
-          the replayed fiber suspends at that version (recovery mode);
-          ``None`` replays to the stream's end (verification mode).
+          the replayed fiber suspends at that version (a rebuild);
+          ``None`` replays to the stream's end (verification).
         * ``base`` — ``(continuation, version)``: fast-forward the
           cursor to that suspension and resume from the given
           continuation instead of re-running from the task start.
@@ -338,8 +348,9 @@ class ReplayEngine:
         ``"partial"`` (stream ended suspended — fiber swept by task
         termination).
         """
-        cursor = _Cursor(task_id, fiber_id,
-                         self._fiber_stream(task_events, fiber_id))
+        # the fiber's cursor consumes every event of its own
+        cursor = _Cursor(task_id, fiber_id, [
+            event for event in task_events if event.fiber == fiber_id])
         execution = ReplayExecution(service, cursor)
         instructions = 0
 
@@ -363,7 +374,7 @@ class ReplayEngine:
                 # fast-forward: everything up to (and including) the
                 # base suspension already happened before the snapshot
                 while True:
-                    event = cursor.next(*_CONSUMABLE)
+                    event = cursor.next()
                     if event.kind == FIBER_SUSPENDED \
                             and event.payload.get("version") == base_version:
                         break
@@ -381,10 +392,8 @@ class ReplayEngine:
                 copy = service.codec.copy_value
                 fn, args, is_root = self._start_of(task_events, fiber_id)
                 if is_root:
-                    started = [e for e in task_events
-                               if e.kind == TASK_STARTED]
-                    params = copy(started[0].payload.get("params")) \
-                        if started else None
+                    params = copy(self._root_params(
+                        service, task_id, task_events, fiber_id))
                     outcome = window(lambda vm: service.run_top_call(
                         vm, service.main_function(), [params]))
                 else:

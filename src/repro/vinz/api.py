@@ -69,8 +69,7 @@ class VinzEnvironment:
                  scheduler: Any = None,
                  lease_ttl: float = 2.0,
                  history: str = "off",
-                 snapshot_interval: int = 1,
-                 recovery: str = "snapshot"):
+                 snapshot_interval: int = 1):
         #: ``scheduler`` picks the queue's message-ordering policy
         #: (None/"strict" = the paper's priority heap, "fair" = deficit
         #: round-robin with priority aging), defaulting to the paper's
@@ -128,19 +127,13 @@ class VinzEnvironment:
         # ------- event-sourced task history (docs/history_replay.md) --
         if history not in ("off", "on"):
             raise ValueError(f"unknown history mode {history!r}")
-        if recovery not in ("snapshot", "replay"):
-            raise ValueError(f"unknown recovery mode {recovery!r}")
-        if recovery == "replay" and history != "on":
-            raise ValueError('recovery="replay" requires history="on"')
         if snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        #: "snapshot" = rebuild crashed fibers from persisted
-        #: continuations; "replay" = re-execute from the history log
-        self.recovery_mode = recovery
+        if snapshot_interval > 1 and history != "on":
+            raise ValueError('snapshot_interval > 1 requires history="on"')
         #: persist a continuation snapshot only every Nth suspension
         #: (1 = the paper's every-step); the versions in between are
-        #: rebuilt by history replay, so N > 1 takes effect only with
-        #: ``history="on"``
+        #: rebuilt by history replay
         self.snapshot_interval = int(snapshot_interval)
         self.history = None
         self.history_log = None
@@ -487,8 +480,7 @@ class VinzEnvironment:
             "snapshots": self.snapshot_stats(),
             "history": (self.history.summary()
                         if self.history is not None else None),
-            "recovery": {"mode": self.recovery_mode,
-                         **self.recovery.summary(),
+            "recovery": {**self.recovery.summary(),
                          "leases": self.locks.lease_stats()},
             "utilization": self.cluster.utilization(),
             "peak_task_concurrency": self.task_concurrency.peak,

@@ -20,7 +20,6 @@ from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from ..bluebox.services import OperationContext, ServiceFault
 from ..bluebox.store import StoreError
-from ..history import recorder as hist
 from ..lang.errors import GozerRuntimeError
 from ..persistsnap.manifest import is_manifest
 from .cache import FiberCache
@@ -132,10 +131,10 @@ class FiberStateStore:
     def load(self, ctx: OperationContext, cache: Optional[FiberCache],
              fiber: FiberRecord) -> Tuple[Any, Optional[tuple]]:
         """``(continuation, live)`` at ``fiber.version``: the
-        continuation from this node's cache, from the persisted snapshot,
-        or rebuilt by replay; ``live`` the state a suspension on this
-        node left beside a cached one, taken (so at most once), else
-        None."""
+        continuation from this node's cache, else from that version's
+        own snapshot, else rebuilt by replay from the newest base;
+        ``live`` the state a suspension on this node left beside a
+        cached one, taken (so at most once), else None."""
         vinz = self.vinz
         if cache is not None:
             cached = cache.get_continuation(fiber.id, fiber.version,
@@ -147,19 +146,16 @@ class FiberStateStore:
                     vinz.metrics.incr("cache.mutable.live")
                 return cached, live
             vinz.metrics.incr("cache.mutable.miss")
-        from_start = vinz.recovery_mode == "replay"
-        if vinz.history is not None and (
-                from_start or fiber.last_persisted_version != fiber.version):
-            # either the platform recovers by replay (never reads
-            # continuation snapshots), or the wanted version was never
-            # persisted (snapshot-interval elision): re-execute the
-            # fiber against its recorded history, forward from the
-            # newest version this node holds when that is newer than
-            # the latest readable snapshot, else from that snapshot,
-            # else from the start.  A cached version below
-            # ``fiber.version`` is committed: every abort evicts what
-            # its window cached, and node death wipes the cache.
-            floor = 0 if from_start else fiber.last_persisted_version
+        if fiber.last_persisted_version != fiber.version:
+            # the wanted version was never persisted (snapshot-interval
+            # elision, so history is on): re-execute the fiber against
+            # its recorded history, forward from the newest version this
+            # node holds when that is newer than the last persisted one,
+            # else from that snapshot, else from the start.  A cached
+            # version below ``fiber.version`` is committed: every abort
+            # evicts what its window cached, and node death wipes the
+            # cache.
+            floor = fiber.last_persisted_version
             base = (cache.newest_before(fiber.id, fiber.version, floor)
                     if cache is not None else None)
             if base is not None:
@@ -239,7 +235,7 @@ class FiberStateStore:
         instruction cost.  0 when that version was persisted (every node
         reads it at the same cost) or no node caches it.  Both inputs
         are fixed when the suspension is persisted or elided."""
-        if self.vinz.history is None or not self.service.cache_enabled \
+        if not self.service.cache_enabled \
                 or fiber.last_persisted_version == fiber.version:
             return 0.0
         return (fiber.snapshot_read_cost + fiber.instructions_since_snapshot
@@ -262,8 +258,8 @@ class FiberStateStore:
             # neither a retry re-reaching this version number nor a
             # rebuild may start from what an aborted window cached
             log_undo(ctx, lambda: cache.evict_continuation(fiber.id, version))
-        if vinz.history is not None and version % vinz.snapshot_interval:
-            # snapshot-interval elision: with history on, only every
+        if version % vinz.snapshot_interval:
+            # snapshot-interval elision (history is on): only every
             # Nth suspension persists — the versions between snapshots
             # live in the node cache and are rebuilt by replay after a
             # crash or cache miss
@@ -290,20 +286,11 @@ class FiberStateStore:
             tracer.end(span, end=ctx.now + ctx.charged)
         vinz.metrics.incr("persist.writes")
         vinz.metrics.add("persist.bytes", detail["bytes"])
-        if vinz.recovery_mode == "replay":
-            # a cold node still rebuilds from the start
-            since = fiber.instructions_since_snapshot + instructions
-            read_cost = fiber.snapshot_read_cost
-        else:
-            since = 0
-            read_cost = vinz.store.cost(len(encoded.blob)) + encoded.read_cost
         vinz.registry.set(ctx, fiber, version=version,
                           last_persisted_version=version,
-                          instructions_since_snapshot=since,
-                          snapshot_read_cost=read_cost)
-        if vinz.history is not None:
-            vinz.history.record(ctx, fiber.task_id, hist.SNAPSHOT_TAKEN,
-                                fiber=fiber.id, version=fiber.version)
+                          instructions_since_snapshot=0,
+                          snapshot_read_cost=(vinz.store.cost(
+                              len(encoded.blob)) + encoded.read_cost))
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation,
                                    live)

@@ -78,8 +78,8 @@ _S = Symbol
 #: histogram buckets for per-advancement GVM instruction counts
 INSTRUCTION_BUCKETS = exponential_buckets(1, 2.0, 24)
 
-#: why a suspension kept no live state (:meth:`WorkflowService._live_refusal`)
-LIVE_REFUSALS = ("first-window", "mutable-global")
+#: why a suspension kept no live state (``_fiber_suspended``)
+LIVE_REFUSALS = ("mutable-global",)
 
 #: re-delivery delay of an AwakeFiber that gave up waiting for the
 #: fiber's lock and put itself back on the queue (Section 5)
@@ -257,8 +257,11 @@ class WorkflowService(Service):
                 ctx.trace("task-start-duplicate", task=existing.id,
                           msg=msg_id)
             return existing
-        # an abort discards both: a stale dedup entry names no task
-        task = registry.new_task(self.name, params, ctx.now, ctx=ctx,
+        # an abort discards both: a stale dedup entry names no task.
+        # The task owns its params: the main fiber binds and may change
+        # them, and the caller's objects stay the caller's
+        task = registry.new_task(self.name, self.codec.copy_value(params),
+                                 ctx.now, ctx=ctx,
                                  deadline=body.get("deadline"))
         fiber = registry.new_fiber(task, ctx.now, ctx=ctx)
         self._task_by_message[msg_id] = task.id
@@ -270,7 +273,7 @@ class WorkflowService(Service):
         if recorder is not None:
             # window-buffered: an aborted Start discards this with the
             # task record itself.  The history holds its own copy: the
-            # main fiber's first window binds (and may change) params
+            # main fiber binds (and may change) the task's
             recorder.record(ctx, task.id, hist.TASK_STARTED,
                             root=fiber.id,
                             params=self.codec.copy_value(params),
@@ -400,15 +403,9 @@ class WorkflowService(Service):
         if registry.add(ctx, fiber.seen_deliveries, ctx.message.id):
             registry.append(ctx, fiber.mailbox,
                             (ctx.message.id, body.get("value")))
+            # the history records nothing here: the fiber gets the value
+            # from the resume or try-receive event that hands it over
             self.vinz.metrics.incr("mailbox.delivered")
-            recorder = self.vinz.history
-            if recorder is not None:
-                # audit flavour: the fiber *consumes* the value via a
-                # later resume or try-receive event, so replay skips
-                # appends (the "append" key marks them)
-                recorder.record(ctx, fiber.task_id, hist.MESSAGE_DELIVERED,
-                                fiber=fiber.id, value=body.get("value"),
-                                append=True)
         if fiber.waiting_on == "receive":
             # wake the receiver; the value is popped under the lock so
             # a requeued wake-up cannot double-deliver
@@ -587,8 +584,7 @@ class WorkflowService(Service):
                 # platform fault
                 self._fiber_suspended(
                     ctx, cache, task, fiber, outcome,
-                    vm.instruction_count - instructions_before,
-                    self._live_refusal(fiber, resume))
+                    vm.instruction_count - instructions_before)
             return outcome
 
         try:
@@ -613,18 +609,6 @@ class WorkflowService(Service):
                 tracer.end(run_span, end=ctx.now + ctx.charged,
                            instructions=(vm.instruction_count
                                          - instructions_before))
-
-    def _live_refusal(self, fiber: FiberRecord, resume: bool) -> Optional[str]:
-        """Why a suspension ending this window may keep no live state
-        (None: it may).  Live state must be private to the fiber.  A
-        main fiber's first window binds ``task.params``, which the task
-        record holds too; and once a global holds a value a fiber can
-        change, any fiber of the program may hold it."""
-        if self.runtime.global_env.holds_mutable:
-            return "mutable-global"
-        if not resume and fiber.parent_id is None:
-            return "first-window"
-        return None
 
     def _affinity_for(self, fiber: FiberRecord) -> Optional[Affinity]:
         """The owner park for a message that will run ``fiber`` next.
@@ -744,14 +728,17 @@ class WorkflowService(Service):
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
                          fiber: FiberRecord, outcome: Yielded,
-                         instructions: int, refusal: Optional[str]) -> None:
+                         instructions: int) -> None:
         descriptor = outcome.value if isinstance(outcome.value, dict) else \
             {"kind": "await"}
         kind = descriptor.get("kind", "await")
         self.vinz.registry.set(ctx, fiber, waiting_on=kind)
         live = outcome.live
-        if live is not None and refusal is not None:
-            self.vinz.metrics.incr(f"cache.live_refused.{refusal}")
+        if live is not None and self.runtime.global_env.holds_mutable:
+            # live state must be private to the fiber: once a global
+            # holds a value a fiber can change, any fiber of the program
+            # may hold it (a main fiber's params are its task's own copy)
+            self.vinz.metrics.incr("cache.live_refused.mutable-global")
             live = None
         self.state.persist(ctx, cache, fiber, outcome.continuation,
                            instructions, live)
@@ -760,14 +747,12 @@ class WorkflowService(Service):
                       version=fiber.version)
         recorder = self.vinz.history
         if recorder is not None:
-            recorder.record(
-                ctx, task.id, hist.FIBER_SUSPENDED, fiber=fiber.id,
-                why=kind, version=fiber.version,
-                snapshot=(fiber.last_persisted_version == fiber.version))
-            if kind == "service-call":
-                recorder.record(ctx, task.id, hist.SERVICE_REQUESTED,
-                                fiber=fiber.id,
-                                soap_action=descriptor.get("soap_action"))
+            # a service call names what it calls: replay checks it
+            called = ({"soap_action": descriptor.get("soap_action")}
+                      if kind == "service-call" else {})
+            recorder.record(ctx, task.id, hist.FIBER_SUSPENDED,
+                            fiber=fiber.id, why=kind,
+                            version=fiber.version, **called)
 
         if kind == "await":
             pass  # an AwakeFiber from a child will resume us

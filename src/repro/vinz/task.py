@@ -99,11 +99,11 @@ class FiberRecord:
     #: history replay on a cache miss)
     last_persisted_version: int = 0
     #: instructions this fiber ran since its last snapshot (since its
-    #: start under ``recovery="replay"``): what a node holding no warm
-    #: base re-executes to rebuild an elided version
+    #: start before the first one): what a node holding no warm base
+    #: re-executes to rebuild an elided version
     instructions_since_snapshot: int = 0
     #: virtual seconds one read of the last snapshot costs (manifest
-    #: plus chunks); 0 before the first snapshot and under replay
+    #: plus chunks); 0 before the first snapshot
     snapshot_read_cost: float = 0.0
     #: the node that last advanced this fiber: its cache holds the
     #: version the fiber suspended at (placement hint)

@@ -67,7 +67,26 @@ class TestHistoryLog:
         store.write(HistoryLog._key("task-1", 0), crc_frame(
             pickle.dumps((1, rows), protocol=4), HISTORY_MAGIC))
         with pytest.raises(HistoryCorruptionError,
-                           match=r"schema version 1 \(expected 2\)"):
+                           match=r"schema version 1 \(expected 3\)"):
+            HistoryLog(store).read_task("task-1", codec)
+
+    def test_schema_2_batch_is_refused(self):
+        """Schema 2 had the same framing and encoding but wrote records
+        replay never read (``snapshot-taken``, ``service-requested``,
+        mailbox appends) and no soap action on a suspension: refused by
+        version, not misread."""
+        codec = FiberCodec()
+        store = SharedStore()
+        rows = [(0, "task-started", None, {"root": "fiber-1"}),
+                (1, "fiber-suspended", "fiber-1",
+                 {"why": "service-call", "version": 1, "snapshot": True}),
+                (2, "snapshot-taken", "fiber-1", {"version": 1}),
+                (3, "service-requested", "fiber-1",
+                 {"soap_action": "urn:s:Op"})]
+        store.write(HistoryLog._key("task-1", 0), crc_frame(
+            codec.dumps((2, rows)), HISTORY_MAGIC))
+        with pytest.raises(HistoryCorruptionError,
+                           match=r"schema version 2 \(expected 3\)"):
             HistoryLog(store).read_task("task-1", codec)
 
     def test_missing_task_is_empty(self):
@@ -216,7 +235,6 @@ class TestHistoryObservability:
         summary = report.env.summary()
         assert summary["history"]["tasks_recorded"] >= 2
         assert summary["history"]["events"] > 0
-        assert summary["recovery"]["mode"] == "snapshot"
         obs = report.env.observability_report()
         assert obs["history"]["batches_written"] > 0
 
@@ -229,8 +247,10 @@ class TestHistoryObservability:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            VinzEnvironment(nodes=2, recovery="replay")  # needs history
-        with pytest.raises(ValueError):
             VinzEnvironment(nodes=2, history="maybe")
+        with pytest.raises(ValueError, match="requires history"):
+            # elision is what history pays for: without it the
+            # setting would be silently ignored
+            VinzEnvironment(nodes=2, snapshot_interval=3)
         with pytest.raises(ValueError):
             VinzEnvironment(nodes=2, snapshot_interval=0)

@@ -1,10 +1,11 @@
 """Deterministic replay: verification sweeps, divergence detection,
-snapshot-interval elision and replay-based crash recovery."""
+snapshot-interval elision and crash recovery through replay."""
 
 import random
 
 import pytest
 
+from repro.bluebox.services import simple_service
 from repro.faults import FaultInjector, RetryPolicy
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import (
@@ -121,6 +122,86 @@ class TestVerificationReplay:
         assert err.seq == first.seq
         assert (err.expected, err.actual) == \
             ("nondet 'get-universal-time'", "nondet 'random'")
+
+
+#: a service call, a fork and a join: one recorded field of each kind
+#: replay checks rather than feeds back
+CHECKED_WORKFLOW = """
+(deflink E :wsdl "urn:echo")
+(defun main (params)
+  (let ((child (fork-and-exec (lambda (x) (* x 2)) :argument 3)))
+    (list (E-Echo-Method :x 1) (join-process child))))
+"""
+
+#: every field a history event may carry: each is fed back into the
+#: replayed fiber or checked against it
+FIELDS = {
+    "task-started": {"root", "params", "workflow"},
+    "fiber-forked": {"child", "fn", "args", "notify",
+                     "chain", "children", "items"},
+    "nondet": {"op", "value"},
+    "fiber-suspended": {"why", "version", "soap_action"},
+    "service-completed": {"value"},
+    "timer-fired": {"value"},
+    "fiber-joined": {"value"},
+    "message-delivered": {"value"},
+    "fiber-completed": {"result"},
+    "fiber-failed": {"error"},
+}
+
+
+class TestTheHistoryHoldsWhatReplayReads:
+    @staticmethod
+    def _checked_run():
+        env = VinzEnvironment(nodes=2, seed=3, history="on")
+        env.deploy_service(simple_service(
+            "Echo", {"Echo": lambda ctx, body: body.get("x")},
+            namespace="urn:echo", parameters={"Echo": ["x"]}))
+        env.deploy_workflow("W", CHECKED_WORKFLOW)
+        task_id = env.run("W", None)
+        assert env.registry.tasks[task_id].result == [1, 6]
+        env.replay_task(task_id)
+        return env, task_id
+
+    @pytest.mark.parametrize("kind, field, forged", [
+        ("fiber-suspended", "soap_action", "urn:echo:Other"),
+        ("fiber-suspended", "why", "sleep"),
+        ("fiber-forked", "notify", True),
+        ("task-started", "root", "fiber-999"),
+        ("task-started", "workflow", "V"),
+    ])
+    def test_a_tampered_checked_field_diverges_at_its_event(
+            self, kind, field, forged):
+        env, task_id = self._checked_run()
+        victim = next(e for e in env.history.events_of(task_id)
+                      if e.kind == kind and field in e.payload)
+        victim.payload = dict(victim.payload, **{field: forged})
+        with pytest.raises(ReplayDivergenceError) as info:
+            env.replayer.replay_task(task_id, source="memory")
+        assert info.value.seq == victim.seq
+        assert repr(forged) in info.value.expected
+
+    def test_every_recorded_event_and_field_is_read_by_replay(self):
+        """A chaos campaign's durable history holds one task-scoped
+        TaskStarted per task and otherwise only events the replay
+        cursor consumes, each carrying only fields replay reads."""
+        report = run_campaign(CHAOS, seed=17, tasks=6, history="on")
+        assert report.all_completed, report.statuses
+        env = report.env
+        replays = {replay.task: replay for replay in report.replay_all()}
+        assert len(replays) == 6
+        kinds = set()
+        for task_id, replay in replays.items():
+            codec = env.workflows["Campaign"].codec
+            events = env.history_log.read_task(task_id, codec)
+            task_scoped = [e.kind for e in events if e.fiber is None]
+            assert task_scoped == ["task-started"]
+            assert replay.events_consumed == len(events) - 1
+            for event in events:
+                kinds.add(event.kind)
+                assert set(event.payload) <= FIELDS[event.kind], event
+        assert {"fiber-suspended", "service-completed",
+                "fiber-forked"} <= kinds
 
 
 class TestFailedWhileSuspended:
@@ -258,12 +339,17 @@ class TestSnapshotInterval:
 
 
 class TestReplayRecovery:
-    def test_replay_recovery_reads_no_continuation_snapshots(self):
-        """Under ``recovery="replay"`` a crashed fiber's state comes
-        back by re-execution: the fiber-state plane is write-only."""
+    """Recovery on the durable row's path: a snapshot every third
+    suspension, and a crashed fiber's elided version rebuilt by replay
+    from the newest base."""
+
+    def test_replay_recovery_rebuilds_elided_versions_after_a_crash(self):
+        """A node dies holding the only copies of elided versions: each
+        comes back by replay, from a snapshot when one was persisted,
+        and a snapshot is read only as a version or a rebuild base."""
         env = VinzEnvironment(nodes=3, seed=7, locks="file",
                               lease_ttl=1.0, history="on",
-                              recovery="replay")
+                              snapshot_interval=3)
         state_reads = []
         original_read = env.store.read
 
@@ -282,7 +368,7 @@ class TestReplayRecovery:
         rng = random.Random(7)
         inputs = {}
         for i in range(3):
-            items = [rng.randint(1, 9) for _ in range(3)]
+            items = [rng.randint(1, 9) for _ in range(6)]
             inputs[i] = items
             env.cluster.send("Recovery", "Start",
                              {"params": [Keyword("id"), i,
@@ -290,20 +376,27 @@ class TestReplayRecovery:
         env.cluster.kernel.schedule_at(1.0,
                                        lambda: env.fail_node("node-1"))
         env.cluster.run_until_idle()
-        assert state_reads == []
+        bases = env.summary()["history"]["rebuild_base"]
         assert env.counters.get("history.rebuilds") > 0
+        assert bases["snapshot"] > 0, bases
+        # every snapshot read is a load of a persisted version (a cache
+        # miss) or the base of a rebuild
+        assert len(state_reads) == (env.counters.get("cache.mutable.miss")
+                                    - bases["start"] - bases["cache"])
         for task in env.registry.tasks.values():
             assert task.status == COMPLETED, (task.id, task.error)
             plist = {task.result[i].name: task.result[i + 1]
                      for i in range(0, len(task.result), 2)}
             assert plist["total"] == sum(x * 2
                                          for x in inputs[plist["id"]])
+            env.replay_task(task.id)
 
     def test_replay_recovery_lock_invariants(self):
-        """The lease-recovery campaign's verdict, under replay-based
-        recovery: nothing stuck, nothing double-run, answers right."""
+        """The lease-recovery campaign's verdict with elided versions
+        rebuilt by replay: nothing stuck, nothing double-run, answers
+        right."""
         report = run_campaign(CRASHY, seed=21, tasks=4, nodes=4,
-                              history="on", recovery="replay",
+                              history="on", snapshot_interval=3,
                               locks="file", lease_ttl=1.0)
         assert report.all_completed, report.statuses
         assert report.wrong_results() == []
@@ -312,10 +405,12 @@ class TestReplayRecovery:
         report.replay_all()
 
     def test_replay_recovery_matches_snapshot_recovery_results(self):
+        """A snapshot at every suspension and one every third give the
+        same answers under the same crashes."""
         snap = run_campaign(CRASHY, seed=33, tasks=4, history="on",
-                            recovery="snapshot")
+                            snapshot_interval=1)
         repl = run_campaign(CRASHY, seed=33, tasks=4, history="on",
-                            recovery="replay")
+                            snapshot_interval=3)
         def totals(report):
             out = {}
             for task in report.env.registry.tasks.values():
@@ -326,3 +421,4 @@ class TestReplayRecovery:
                 out[plist["id"]] = rlist["total"]
             return out
         assert totals(snap) == totals(repl)
+        assert repl.env.counters.get("persist.skipped") > 0

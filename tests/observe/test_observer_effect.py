@@ -41,8 +41,7 @@ def runs():
                           functools.partial(VinzEnvironment, spans=spans))
             out[mode] = campaign.run_campaign(
                 PLAN, seed=3, tasks=6, trace=trace, locks="file",
-                lease_ttl=1.0, history="on", snapshot_interval=3,
-                recovery="replay")
+                lease_ttl=1.0, history="on", snapshot_interval=3)
     return out
 
 

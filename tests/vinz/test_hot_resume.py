@@ -183,6 +183,22 @@ def one_node():
     return VinzEnvironment(nodes=1, seed=5)
 
 
+def test_a_task_owns_its_params():
+    """The caller's objects stay the caller's: the main fiber binds the
+    task's own copy of its params, so a change it makes reaches neither
+    the caller nor (with its first window live) anything else."""
+    env = one_node()
+    env.deploy_workflow("W", """
+        (defun main (params)
+          (setf (first params) (+ (first params) 1))
+          (workflow-sleep 0.1)
+          (first params))""")
+    params = [1]
+    assert env.call("W", params) == 2
+    assert params == [1]
+    assert env.cache_stats()["live"] == 1
+
+
 @pytest.mark.parametrize("case", sorted(PRIVACY_CASES))
 def test_a_hot_resume_sees_what_a_decode_sees(case):
     run = PRIVACY_CASES[case]
@@ -252,12 +268,13 @@ def test_a_value_that_does_not_serialize_cannot_cross():
 
 def test_the_cases_run_hot_where_the_rules_allow():
     """The privacy cases are not vacuous: without a mutable global,
-    resumes after the first window take the live state."""
+    every resume takes the live state, the first window's too (the
+    main fiber's params are its task's own copy)."""
     env = one_node()
     run_response_case(env)
     stats = env.cache_stats()
-    assert stats["live"] >= 2
-    assert stats["live_refused"] == {"first-window": 1, "mutable-global": 0}
+    assert stats["live"] == 3
+    assert stats["live_refused"] == {"mutable-global": 0}
     env = one_node()
     run_global_case(env)
     stats = env.cache_stats()
@@ -342,7 +359,7 @@ def test_a_second_resume_of_one_version_decodes():
 
     service.state.load = recording.__get__(service.state)
     assert env.call("W", None) == Keyword("done")
-    assert loads == [(1, False), (2, True), (2, False)]
+    assert loads == [(1, True), (1, False), (2, True), (2, False)]
 
 
 # -- faults -------------------------------------------------------------------
@@ -484,8 +501,9 @@ def test_a_fiber_swept_while_suspended_drops_its_live_state():
     task_id = env.start("W", None)
     kernel = env.cluster.kernel
     kernel.run_until(lambda: kernel.now > 0.3)
-    # the child's: the main fiber is still in its first window's sleep
-    assert live_held(env) == 1
+    # the child's, and the main fiber's: its first window, which ends
+    # in the sleep, keeps its live state too
+    assert live_held(env) == 2
     env.cluster.run_until_idle()
     assert env.registry.tasks[task_id].result == 42
     assert live_held(env) == 0

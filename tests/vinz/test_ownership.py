@@ -68,7 +68,7 @@ def owner(env, outcome):
     {},
     {"locks": "file"},
     {"history": "on"},
-    {"history": "on", "recovery": "replay"},
+    {"history": "on", "locks": "file"},
     {"history": "on", "snapshot_interval": 1},
 ])
 def test_the_paper_options_never_park_a_message(options):
@@ -141,8 +141,7 @@ def test_replay_lock_recovery_campaign_with_owners():
         NodeFault(CRASH, on_persist=5, restart_after=2.0),
     ], name="owned-recovery")
     report = run_campaign(plan, seed=42, tasks=8, nodes=4, history="on",
-                          recovery="replay", snapshot_interval=3,
-                          locks="file", lease_ttl=1.0)
+                          snapshot_interval=3, locks="file", lease_ttl=1.0)
     env = report.env
     assert report.all_completed, report.statuses
     assert report.wrong_results() == []

@@ -40,7 +40,7 @@ def _public(cls):
 
 def test_constructor_options_do_not_grow():
     assert len(_options(Cluster)) <= 5
-    assert len(_options(VinzEnvironment)) <= 13
+    assert len(_options(VinzEnvironment)) <= 12
     assert len(_options(WorkflowService)) <= 5
     assert len(_options(run_production_day)) <= 7
     assert len(_options(run_campaign)) <= 7
@@ -69,12 +69,11 @@ def test_run_campaign_passes_environment_options_through():
     one reaches ``VinzEnvironment`` as written, and a misspelt one is
     refused there rather than dropped."""
     env = run_campaign(FaultPlan(), seed=3, tasks=1, locks="file",
-                       lease_ttl=1.0, history="on", recovery="replay",
+                       lease_ttl=1.0, history="on",
                        snapshot_interval=3).env
     assert env.locks.lease_ttl == 1.0
     assert isinstance(env.locks, FileLockManager)
     assert env.history is not None
-    assert env.recovery_mode == "replay"
     assert env.snapshot_interval == 3
     with pytest.raises(TypeError, match="VinzEnvironment.*lease_tll"):
         run_campaign(FaultPlan(), seed=3, tasks=1, lease_tll=1.0)
