@@ -83,13 +83,10 @@ class Node:
 class ServiceInstance:
     """One service deployed on one node."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, node: Node, service: Service):
         self.id = f"{service.name}@{node.id}"
         self.node = node
         self.service = service
-        self.processed = 0
 
     def __repr__(self) -> str:
         return f"<Instance {self.id}>"
@@ -141,14 +138,12 @@ class Cluster:
         #: optional FaultInjector (repro.faults), wired by install()
         self.injector = None
         #: the distributed lock manager (repro.bluebox.locks), wired by
-        #: VinzEnvironment.  Every operation window registers its lease
-        #: heartbeats with it, and the cluster — as the lock manager's
-        #: ``lease_breaker`` — aborts a zombie holder's window before an
-        #: expiry/steal hands the lock to a new owner
+        #: VinzEnvironment: every window registers its lease heartbeats
+        #: with it, and the cluster, its ``lease_breaker``, aborts a
+        #: zombie holder's window before the lock changes hands
         self.lock_manager = None
-        #: the shared store (VinzEnvironment points this at its own):
-        #: every operation window is bracketed on it, and a journaled
-        #: one (repro.durastore) commits the window as one batch
+        #: the shared store (VinzEnvironment points this at its own); a
+        #: journaled one (repro.durastore) commits each window as a batch
         self.store = SharedStore()
         #: called with each dead-lettered Message (Vinz fails the
         #: owning task/fiber so nothing hangs silently)
@@ -308,7 +303,8 @@ class Cluster:
         This is the path the paper prescribes for requests from a
         future's background thread and for operations the programmer
         marks synchronous (Section 3.2): the sender blocks while the
-        operation runs, so the time is charged to the sender's own slot.
+        operation runs, so the time is charged to the sender's own slot,
+        and its context commits with the sender's (``parent_context``).
         """
         service = self.services.get(service_name)
         if service is None:
@@ -321,26 +317,34 @@ class Cluster:
         instance = node.services[service_name]
         message = self.queue.make_message(service_name, operation, body,
                                           now=self.kernel.now)
-        context = OperationContext(self, instance, message)
-        context.caller = parent_context
+        context = OperationContext(self, instance, message,
+                                   caller=parent_context)
         self.metrics.incr(f"sync.{service_name}.{operation}")
+
+        def undo(reason: str) -> None:
+            if parent_context is None:
+                self.store.abort_window()  # the window it owned
+            context.abort(reason)
+
         try:
             value = service.handle(context, operation, body)
             if isinstance(value, (Deferred, Requeue)):
                 # a reply that comes later (or a retry) cannot be waited
                 # for here: undo what the handler did and tell the caller
-                context.abort(f"{service_name}.{operation} cannot reply "
-                              f"to a synchronous call")
-                raise ServiceFault(
-                    "{urn:bluebox}NotSynchronous",
-                    f"{service_name}.{operation} cannot reply to a "
-                    f"synchronous call")
+                fault = ServiceFault("{urn:bluebox}NotSynchronous",
+                                     f"{service_name}.{operation} cannot "
+                                     f"reply to a synchronous call")
+                undo(fault.message)
+                raise fault
             envelope = ResponseEnvelope(value=value)
         except ServiceFault as fault:
             envelope = ResponseEnvelope(fault_qname=fault.qname,
                                         fault_message=fault.message)
+        except StoreError as err:
+            undo(f"store fault: {err}")
+            raise
         if context.valid:
-            context.commit()  # synchronous call: the reply is immediate
+            context.commit()  # to its caller, or its own window's append
         envelope.duration = context.charged + 2 * self.delivery_latency
         if parent_context is not None:
             # the synchronous caller pays for the whole round trip
@@ -482,8 +486,6 @@ class Cluster:
                               service=message.service,
                               operation=message.operation, msg=message.id,
                               node=node.id, **ids)
-        self.store.begin_window()
-        context.owns_window = True
         try:
             value = instance.service.handle(context, message.operation,
                                             message.body)
@@ -492,9 +494,8 @@ class Cluster:
             envelope = ResponseEnvelope(fault_qname=fault.qname,
                                         fault_message=fault.message)
         except StoreError as err:
-            # a store IO fault (or injected corruption) surfaced while
-            # processing: abort the window — roll back state, free the
-            # slot — and retry the message per its policy
+            # a store IO fault (or injected corruption) in the handler:
+            # roll back, free the slot, retry the message per its policy
             self.store.abort_window()
             self._abort_window(context, f"store fault: {err}")
             return
@@ -553,7 +554,6 @@ class Cluster:
         node = record.instance.node
         node.processed += 1
         node.busy_time += duration
-        record.instance.processed += 1
         message = record.message
         self.metrics.incr(f"op.{message.service}.{message.operation}")
         self.metrics.add("busy_time", duration)

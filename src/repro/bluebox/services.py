@@ -26,34 +26,31 @@ class ServiceFault(Exception):
     XML QName").
     """
 
-    def __init__(self, qname: str, message: str = "", data: Any = None):
+    def __init__(self, qname: str, message: str = ""):
         super().__init__(f"{qname}: {message}")
         self.qname = qname
         self.message = message
-        self.data = data
 
 
 class OperationContext:
     """One operation window: what a handler may do while processing one
     message, and the window's two exits.
 
-    * ``charge(seconds)`` — consume simulated processing time; the
-      instance slot stays busy for the total charged duration.
-    * ``send(...)`` — place a new message on the queue.
-    * ``now`` — current virtual time.
-    * ``node``/``instance`` — where this handler is running (fiber
-      cache lookups are per-instance, Section 4.2).
-    * :meth:`commit` / :meth:`abort` — every window ends through
-      exactly one of them, once: store writes, history and chunk GC
-      share one journal append, and the sends and replies go out only
-      after it.  An abort runs the undo log each owner of a change
-      (store keys, task and fiber records, chunks, locks) wrote to.
-
-    Platform work outside any message (dead-letter handling) runs on a
-    context with no ``instance``/``message`` and commits it when done.
+    A handler charges simulated time (``charge``: its slot stays busy
+    that long), buffers messages (``send``) and reads ``now`` and where
+    it runs (``node``/``instance``: fiber caches are per instance,
+    Section 4.2).  Every window ends through :meth:`commit` or
+    :meth:`abort`, exactly once: store writes, history and chunk GC
+    share one journal append, and the sends and replies go out only
+    after it; an abort runs the undo log each owner of a change (store
+    keys, task and fiber records, chunks, locks) wrote to.  A context
+    owns its window iff it has no ``caller``: an inline call's hands
+    its caller everything instead (:meth:`_hand_over`).  Dead-letter
+    handling runs on a context with no ``instance`` or ``message``, in
+    a window of its own.
     """
 
-    def __init__(self, cluster, instance=None, message=None):
+    def __init__(self, cluster, instance=None, message=None, caller=None):
         self.cluster = cluster
         self.instance = instance
         self.message = message
@@ -78,11 +75,10 @@ class OperationContext:
         self.valid = True
         #: a *dirty* abort: a dead JVM unlinks no NFS lock file
         self.node_failed = False
-        #: whether the store's open window is this context's to commit;
-        #: an inline call runs inside its ``caller``'s and joins it: that
-        #: window's commit sends its messages, its abort runs its undo log
-        self.owns_window = False
-        self.caller = None
+        #: an inline call's caller; without one, the window is its own
+        self.caller = caller
+        if caller is None:
+            cluster.store.begin_window()
         #: the window's store writes, sealed when the handler returned
         self.batch = None
         #: ``(lock key, owner, token)`` of the fiber lock held; a
@@ -99,10 +95,10 @@ class OperationContext:
         self.completion_hooks = []
         self.abort_hooks = []
 
-    def before_commit(self, fn: Callable[[], None]) -> None:
-        """Register a store writer for the commit itself (history
-        flush, chunk GC): its writes join the window's one journal
-        append, and it registers its own undo in case that fails."""
+    def before_commit(self, fn: Callable[[Any], None]) -> None:
+        """Register a store writer for the commit's one journal append
+        (history flush, chunk GC).  It gets the committing context (an
+        inline call's caller, or this one) to log its undo on."""
         self.pre_commit_hooks.append(fn)
 
     def on_complete(self, fn: Callable[[], None]) -> None:
@@ -130,38 +126,31 @@ class OperationContext:
                 f"stale fencing token {token} for {key} (owner {owner})")
 
     def commit(self) -> None:
-        """The success exit: fence check, pre-commit writers and ONE
-        journal append, then the post-commit hooks and buffered sends.
-        A window that cannot commit aborts instead and the
-        :class:`StoreError` saying why reaches the caller, who owns the
-        redelivery policy."""
+        """The success exit: pre-commit writers (a fenced window's
+        check first) and ONE journal append, then the post-commit hooks
+        and buffered sends.  A window that cannot commit aborts instead
+        and the :class:`StoreError` saying why reaches the caller, who
+        owns the redelivery policy."""
+        if self.caller is not None:
+            return self._hand_over()
         store = self.cluster.store
         try:
-            # normally the lease breaker aborted a superseded window at
-            # steal time; this is the last line of defense for expiries
-            # that bypassed it
-            self.check_fence("lease.fence-rejected")
-            if self.owns_window and not store.window_open:
+            if not store.window_open:
                 store.begin_window()  # sealed when the handler returned
             for hook in self.pre_commit_hooks:
-                hook()
-            if self.owns_window:
-                batch, self.batch = self.batch, None
-                store.commit_batch(batch)
+                hook(self)
+            batch, self.batch = self.batch, None
+            store.commit_batch(batch)
         except StoreError as err:
             # stale fence, failed pre-commit write or torn append (the
             # partial record is dropped by the next journal replay)
-            if self.owns_window:
-                store.abort_window()
+            store.abort_window()
             self.abort(f"commit refused: {err}")
             raise
         for hook in self.completion_hooks:
             hook()
         self._close_heartbeats()
         outbox, self.outbox = self.outbox, []
-        if self.caller is not None:
-            self.caller.abort_hooks += self.abort_hooks
-            outbox, self.caller.outbox = [], self.caller.outbox + outbox
         self._drop_hooks()
         for delay, kwargs in outbox:
             if delay > 0:
@@ -169,6 +158,21 @@ class OperationContext:
                     delay, lambda kw=kwargs: self.cluster.send(**kw))
             else:
                 self.cluster.send(**kwargs)
+
+    def _hand_over(self) -> None:
+        """An inline call's success exit: its pre-commit writers,
+        completion hooks, undo log and outbox become its caller's, so
+        they run, or are undone, with the caller's window.  A caller
+        that already aborted takes nothing: this one aborts."""
+        caller = self.caller
+        if not caller.valid:
+            return self.abort("its caller's window was aborted")
+        caller.pre_commit_hooks += self.pre_commit_hooks
+        caller.completion_hooks += self.completion_hooks
+        caller.abort_hooks += self.abort_hooks
+        caller.outbox += self.outbox
+        self.outbox = []
+        self._drop_hooks()
 
     def abort(self, reason: str, node_failed: bool = False) -> None:
         """The window's failure exit: the sealed batch never reaches
@@ -214,23 +218,19 @@ class OperationContext:
 
     def send(self, service: str, operation: str, body: Dict[str, Any],
              priority: int = PRIORITY_NORMAL,
-             reply_to: Optional[ReplyTo] = None,
-             max_attempts: int = 10,
+             reply_to: Optional[ReplyTo] = None, max_attempts: int = 10,
              affinity: Optional[Affinity] = None,
-             parent_span: Optional[int] = None,
-             delay: float = 0.0) -> None:
+             parent_span: Optional[int] = None, delay: float = 0.0) -> None:
         """Queue a message for when this window commits, or ``delay``
         seconds after (timers like workflow-sleep).  Its causal parent
         is captured *now* (``parent_span``, default the current span),
         so causality survives the deferral."""
-        self.outbox.append((delay, dict(service=service, operation=operation,
-                                        body=body, priority=priority,
-                                        reply_to=reply_to,
-                                        max_attempts=max_attempts,
-                                        affinity=affinity,
-                                        parent_span=(self.span_id
-                                                     if parent_span is None
-                                                     else parent_span))))
+        if parent_span is None:
+            parent_span = self.span_id
+        self.outbox.append((delay, dict(
+            service=service, operation=operation, body=body,
+            priority=priority, reply_to=reply_to, max_attempts=max_attempts,
+            affinity=affinity, parent_span=parent_span)))
 
     def defer(self) -> Deferred:
         """Capture this message's reply for later resolution."""

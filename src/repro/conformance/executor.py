@@ -140,13 +140,18 @@ class DifferentialExecutor:
             seed = vinz_seed if vinz_seed is not None else \
                 ((program.seed or 0) * 7919 + (program.index or 0))
             vinz = run_vinz(program, seed=seed, chaos=self.chaos)
-            verdict.outcomes["vinz"] = vinz
-            self._count("conformance.oracle.vinz." + vinz.kind)
-            # messages and qnames legitimately differ across the
-            # workflow boundary; value outcomes must agree exactly
-            if not base.agrees_with(vinz, strict_ctype=False):
-                verdict.divergences.append(
-                    Divergence("vinz", base, vinz, program))
+            if vinz.global_writes:
+                # a fiber writes no program global: Vinz refuses it a
+                # typed fault the sequential oracles have no reason for
+                verdict.skips["vinz"] = "vinz:global-write"
+            else:
+                verdict.outcomes["vinz"] = vinz
+                self._count("conformance.oracle.vinz." + vinz.kind)
+                # messages and qnames legitimately differ across the
+                # workflow boundary; value outcomes must agree exactly
+                if not base.agrees_with(vinz, strict_ctype=False):
+                    verdict.divergences.append(
+                        Divergence("vinz", base, vinz, program))
 
         if "stepwise" not in verdict.skips:
             stepped = stepwise_outcome(program)

@@ -58,6 +58,8 @@ class Outcome:
     yields: Tuple[str, ...] = ()
     #: Vinz replay rebuilds by base (``history.rebuild_base.<base>``)
     rebuilds: Dict[str, int] = field(default_factory=dict)
+    #: program-global writes Vinz refused its fibers
+    global_writes: int = 0
 
     @classmethod
     def of_value(cls, value: Any, yields: Tuple[str, ...] = ()) -> "Outcome":
@@ -428,7 +430,8 @@ def run_vinz(program: GenProgram, seed: int = 0, chaos: bool = True,
     the survivable envelope.  A completed task is additionally
     re-verified with :meth:`~repro.vinz.api.VinzEnvironment.replay_task`
     — a replay divergence is an engine error even when the value
-    agrees.  The outcome carries the run's rebuilds by base.
+    agrees.  The outcome carries the run's rebuilds by base and the
+    program-global writes its fibers were refused.
     """
     from ..faults.injector import FaultInjector
     from ..history import ReplayDivergenceError
@@ -465,4 +468,5 @@ def run_vinz(program: GenProgram, seed: int = 0, chaos: bool = True,
         outcome = Outcome.of_exception(exc)
     outcome.rebuilds = {base: env.metrics.get(f"history.rebuild_base.{base}")
                         for base in REBUILD_BASES}
+    outcome.global_writes = env.metrics.get("fiber.global-write-refused")
     return outcome

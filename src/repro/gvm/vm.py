@@ -148,6 +148,9 @@ class VM:
         #: the runtime, for its clock (``(get-universal-time)``,
         #: ``(sleep)``) and ``eval``/``read``; None for bare VMs
         self.runtime = None
+        #: set by Vinz while this VM runs a fiber, live or replaying:
+        #: the bridge every distribution intrinsic goes through
+        self.vinz = None
         #: debugging: called as hook(frame, op, arg) before every
         #: instruction.  Setting it routes execution through a slower
         #: traced loop; the fast path stays hook-free.
@@ -560,7 +563,7 @@ class VM:
         elif op == "store":
             self._store(frame, arg, frame.pop())
         elif op == "store-global":
-            self.global_env.define(arg, frame.pop())
+            self._define_global(arg, frame.pop())
         elif op == "bind":
             frame.env.bindings[arg] = frame.pop()
         elif op == "pop":
@@ -674,10 +677,17 @@ class VM:
             self._store_free(name, value)
 
     def _store_free(self, name: Symbol, value: Any) -> None:
-        if self.dynamics.set(name, value):
-            return
-        # Scripting-language behaviour: setq on an unbound name creates
-        # a global (Gozer is "a scripting language", paper Section 1).
+        if not self.dynamics.set(name, value):
+            self._define_global(name, value)
+
+    def _define_global(self, name: Symbol, value: Any) -> None:
+        """Scripting-language behaviour: ``setq`` on an unbound name
+        creates a global (Gozer is "a scripting language", paper
+        Section 1), as ``defun`` does.  A Vinz fiber may not write one:
+        globals are not in its history, so a rebuild would write again
+        (:meth:`~repro.vinz.execution.FiberExecution.refuse_global_write`)."""
+        if self.vinz is not None:
+            self.vinz.refuse_global_write(name)
         self.global_env.define(name, value)
 
     # -- calls -------------------------------------------------------------

@@ -106,13 +106,15 @@ class HistoryRecorder:
     def record(self, ctx, task_id: str, kind: str,
                fiber: Optional[str] = None, **payload: Any) -> None:
         if not ctx.history_buffer:
-            ctx.before_commit(lambda: self._flush(ctx))
+            ctx.before_commit(lambda window: self._flush(ctx, window))
         ctx.history_buffer.append((task_id, kind, fiber, payload))
 
-    def _flush(self, ctx) -> None:
-        """The window is committing: number its events, mirror them and
-        append one batch per task.  Its undo goes in first: if a later
-        write or the journal append fails, mirror and log go back."""
+    def _flush(self, ctx, window) -> None:
+        """``ctx``'s window is committing: number its events, mirror
+        them and append one batch per task.  Its undo goes in first, on
+        the committing ``window`` (``ctx``'s caller for an inline call):
+        if a later write or the journal append fails, mirror and log go
+        back."""
         before: Dict[str, int] = {}
         appended: List[str] = []
 
@@ -124,7 +126,7 @@ class HistoryRecorder:
                 if not count:
                     del self.histories[task_id]
 
-        ctx.on_abort(undo)
+        window.on_abort(undo)
         by_task: Dict[str, List[HistoryEvent]] = {}
         for task_id, kind, fiber, payload in ctx.history_buffer:
             events = self.histories.setdefault(task_id, [])

@@ -474,21 +474,14 @@ class ReplayEngine:
 
     # -- verification: replay a whole task -------------------------------
 
-    def replay_task(self, task_id: str,
-                    source: str = "log") -> ReplayReport:
-        """Replay every fiber of ``task_id`` against its history and
-        verify each recorded outcome; raises
-        :exc:`ReplayDivergenceError` at the first mismatch.
-
-        ``source`` selects the event stream: ``"log"`` reads (and
-        integrity-checks) the durable batches — the verification mode
-        CI uses — while ``"memory"`` uses the recorder's mirror.
-        """
+    def replay_task(self, task_id: str) -> ReplayReport:
+        """Replay every fiber of ``task_id`` against the history its
+        durable log holds (read and integrity-checked; the recorder's
+        mirror feeds live rebuilds only) and verify each recorded
+        outcome; raises :exc:`ReplayDivergenceError` at the first
+        mismatch."""
         service = self._service_for(task_id)
-        if source == "log":
-            events = self.env.history_log.read_task(task_id, service.codec)
-        else:
-            events = self.env.history.events_of(task_id)
+        events = self.env.history_log.read_task(task_id, service.codec)
         report = ReplayReport(task=task_id)
         fiber_ids = []
         seen = set()

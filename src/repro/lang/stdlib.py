@@ -1355,6 +1355,8 @@ def _macroexpand(vm, form):
 
 @vm_function
 def _defvar_intrinsic(vm, name, value, keep_existing):
+    if vm.vinz is not None:
+        vm.vinz.refuse_global_write(name)  # as VM._define_global does
     env = vm.global_env
     env.declare_special(name)
     if keep_existing and env.is_bound(name):

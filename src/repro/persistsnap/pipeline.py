@@ -83,9 +83,8 @@ class SnapshotPipeline:
         # statistics
         self.encodes = 0
         self.decodes = 0
-        self.raw_bytes = 0
+        self.raw_bytes = 0         # logical: what v1 would have rewritten
         self.written_bytes = 0     # physical: new chunks + manifests
-        self.logical_bytes = 0     # what v1 would have rewritten
         #: compressions attempted and stored raw (savings under the
         #: threshold); a chunk the plane already holds is not compressed
         #: again, so it is not counted again either
@@ -178,7 +177,6 @@ class SnapshotPipeline:
 
         self.encodes += 1
         self.raw_bytes += len(raw)
-        self.logical_bytes += len(raw)
         self.written_bytes += written + len(blob)
         self.chunks_new_total += chunks_new
         self.chunks_reused_total += chunks_reused
@@ -325,12 +323,12 @@ class SnapshotPipeline:
             self.chunks.bytes_stored)
         if self.written_bytes:
             self.metrics.gauge("snap.dedup_ratio").set(
-                self.logical_bytes / self.written_bytes)
+                self.raw_bytes / self.written_bytes)
 
     @property
     def dedup_ratio(self) -> float:
         """Logical (v1-equivalent) bytes over physical bytes written."""
-        return (self.logical_bytes / self.written_bytes
+        return (self.raw_bytes / self.written_bytes
                 if self.written_bytes else 1.0)
 
     def stats_snapshot(self) -> dict:

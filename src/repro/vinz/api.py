@@ -262,15 +262,15 @@ class VinzEnvironment:
             self._drain_in_flight()
         return task
 
-    def replay_task(self, task_id: str, source: str = "log"):
+    def replay_task(self, task_id: str):
         """Deterministically re-execute a finished task from its
-        recorded history and verify every recorded event matches —
+        durable history log and verify every recorded event matches —
         raises :class:`~repro.history.ReplayDivergenceError` on the
         first mismatch.  Requires ``history="on"``."""
         if self.replayer is None:
             raise RuntimeError(
                 'replay_task requires VinzEnvironment(history="on")')
-        return self.replayer.replay_task(task_id, source=source)
+        return self.replayer.replay_task(task_id)
 
     # ------------------------------------------------------------------
     # service resolution (deflink support)

@@ -47,7 +47,9 @@ MISS = object()
 
 
 class LruCache(Generic[K, V]):
-    """A small LRU cache with hit/miss statistics."""
+    """A small LRU cache.  It counts nothing: its readers count hits
+    and misses on the metrics registry (``cache.<kind>.hit``/``miss``,
+    read back by ``VinzEnvironment.cache_hit_rates``)."""
 
     #: class-level alias for callers: ``cache.get(k, LruCache.MISS)``
     MISS = MISS
@@ -55,8 +57,6 @@ class LruCache(Generic[K, V]):
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._data: "OrderedDict[K, V]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: K, default: Any = None) -> Optional[V]:
         """The cached value, or ``default`` on a miss.  Pass
@@ -64,21 +64,19 @@ class LruCache(Generic[K, V]):
         distinguishable from absence."""
         if key in self._data:
             self._data.move_to_end(key)
-            self.hits += 1
             return self._data[key]
-        self.misses += 1
         return default
 
     def values(self):
-        """The cached values, without touching LRU order or statistics."""
+        """The cached values, without touching LRU order."""
         return self._data.values()
 
     def __contains__(self, key: K) -> bool:
-        """Presence test; does not touch LRU order or statistics."""
+        """Presence test; does not touch LRU order."""
         return key in self._data
 
     def peek(self, key: K, default: Any = None) -> Optional[V]:
-        """The cached value without touching LRU order or statistics."""
+        """The cached value without touching LRU order."""
         return self._data.get(key, default)
 
     def put(self, key: K, value: V) -> None:
@@ -92,11 +90,6 @@ class LruCache(Generic[K, V]):
 
     def clear(self) -> None:
         self._data.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -127,9 +120,8 @@ class FiberCache:
         miss (the paper's mutable hit)."""
         entry = self.mutable.peek(fiber_id)
         if entry is None or entry[0] != version:
-            self.mutable.misses += 1
             return default
-        return self.mutable.get(fiber_id)[1]  # counts the hit
+        return self.mutable.get(fiber_id)[1]  # refreshes its LRU place
 
     def put_continuation(self, fiber_id: str, version: int, state: Any,
                          live: Optional[tuple] = None) -> None:

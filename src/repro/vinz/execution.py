@@ -36,6 +36,9 @@ from .task import COMPLETED, ERROR, FiberRecord, TERMINATED, TaskRecord
 #: simulated seconds each ``:chunk-size :auto`` chunk should take
 AUTO_CHUNK_TARGET = 4.0
 
+#: the fault a fiber's write of a program global raises
+GLOBAL_WRITE = "{urn:vinz}GlobalWrite"
+
 #: how a window can end (the ``state`` of a :class:`WindowOutcome`)
 WINDOW_COMPLETED, WINDOW_FAILED, WINDOW_SUSPENDED = \
     "completed", "failed", "suspended"
@@ -144,6 +147,16 @@ class FiberExecution:
         if recorder is not None:
             recorder.record(self.ctx, self.task.id, hist.NONDET_RECORDED,
                             fiber=self.fiber.id, op=op, value=value)
+
+    def refuse_global_write(self, name) -> None:
+        """A fiber writes no program global (``setq`` of an unbound
+        name, ``defun``, ``defvar``): the runtime's globals are not in
+        the history, so a rebuild would write again and replay to
+        another result.  Dynamic bindings and task variables are the
+        fiber's state."""
+        self.service.vinz.metrics.incr("fiber.global-write-refused")
+        raise ServiceFault(GLOBAL_WRITE,
+                           f"a fiber cannot write the program global {name}")
 
     def clock_now(self) -> float:
         """Virtual wall clock as seen by this operation window."""

@@ -320,7 +320,7 @@ class FiberStateStore:
         # if the append fails: a retry against the rolled-back manifest
         # still finds every chunk it names).
         ctx.on_abort(result.undo)
-        ctx.before_commit(lambda: ctx.on_abort(result.release()))
+        ctx.before_commit(lambda window: window.on_abort(result.release()))
         blob = result.blob
         if injector is not None:
             # a torn-manifest fault truncates the blob we are about to
@@ -364,7 +364,8 @@ class FiberStateStore:
         if snapper is not None and blob is not None and is_manifest(blob):
             # a v2 state key holds a manifest: its chunk references go
             # inside the commit (GC rides the window's batch)
-            ctx.before_commit(lambda: ctx.on_abort(snapper.release_blob(blob)))
+            ctx.before_commit(
+                lambda window: window.on_abort(snapper.release_blob(blob)))
         try:
             self._write(ctx, key, None)
         except StoreError:

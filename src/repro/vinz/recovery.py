@@ -179,6 +179,8 @@ class RecoveryScanner:
         ``child-fiber-error`` condition when collecting (its handlers
         get their say, Section 3.7), a main fiber fails the whole task
         (waking synchronous callers with a fault) — nothing hangs.
+        The handling is a window of its own, after any handler whose
+        window is open around it (a steal or crash inside one).
         """
         workflow = self.vinz.workflows.get(message.service)
         fiber_id = (message.body or {}).get("fiber")
@@ -191,16 +193,14 @@ class RecoveryScanner:
         task = registry.tasks.get(fiber.task_id)
         if task is None or task.finished:
             return
+        cluster = self.vinz.cluster
+        if cluster.store.window_open:
+            cluster.kernel.schedule(
+                0.0, lambda: self.on_message_dead_lettered(message))
+            return
         error = (f"{message.operation} message #{message.id} dead-lettered "
                  f"after {message.attempts} attempts")
-        # no message: a window of its own, unless a handler's is open
-        # around us (a steal or crash inside it dead-lettered this
-        # message) — then the writes join that one
-        cluster = self.vinz.cluster
         ctx = OperationContext(cluster)
-        if not cluster.store.window_open:
-            cluster.store.begin_window()
-            ctx.owns_window = True
         # a refused commit puts fiber and task back through the
         # registry's undo log, as an aborted advancement window does
         workflow._fiber_failed(ctx, task, fiber, error,
@@ -210,8 +210,7 @@ class RecoveryScanner:
         except StoreError:
             if ctx.valid:
                 raise  # from a post-commit hook: the window did commit
-            # nothing of it happened: no message to redeliver, so the
-            # handling itself is tried again
+            # nothing of it happened and no message redelivers: retry
             self.vinz.metrics.incr("recovery.dead-letter-retried")
             cluster.kernel.schedule(
                 REDELIVERY_DELAY,

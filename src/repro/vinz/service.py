@@ -476,8 +476,12 @@ class WorkflowService(Service):
         ctx.on_abort(release_or_abandon)
         # fencing: this window's writes carry the grant's token; a
         # zombie whose lease was stolen mid-window fails fence_valid
-        # and aborts instead of clobbering the new owner's state
+        # and aborts instead of clobbering the new owner's state.  The
+        # lease breaker normally aborted it at steal time; the check in
+        # the commit stops an expiry that bypassed the breaker
         ctx.fence = (lock_key, owner, locks.fencing_token(lock_key))
+        ctx.before_commit(
+            lambda _window: ctx.check_fence("lease.fence-rejected"))
         registry.add(ctx, fiber.processed_deliveries, msg_id)
         # single-runner audit trail: every *committed* advancement
         # window, with its virtual-time extent — campaigns assert that

@@ -5,6 +5,8 @@ import pytest
 from repro.bluebox.cluster import Cluster
 from repro.bluebox.messagequeue import PRIORITY_LOW, ReplyTo
 from repro.bluebox.services import Deferred, Requeue, ServiceFault, simple_service
+from repro.bluebox.store import SharedStore, StoreWriteError
+from repro.durastore import DurableStore
 
 
 def echo_service(charge=0.1):
@@ -279,8 +281,9 @@ class TestInlineCalls:
 
 
     def test_call_inline_commits_its_context(self):
-        """An inline handler's hooks and sends are not dropped: its
-        context commits — once — when the handler returns."""
+        """Without a caller, an inline call owns its window: its hooks
+        and sends are not dropped, it commits — once — when the handler
+        returns."""
         cluster = Cluster(seed=0)
         cluster.add_node()
         ran = []
@@ -297,6 +300,68 @@ class TestInlineCalls:
         assert ran == ["complete"]
         cluster.run_until_idle()
         assert ran == ["complete", "note"]
+
+    @pytest.mark.parametrize("make_store", [
+        SharedStore, lambda: DurableStore(shards=2)],
+        ids=["shared", "durable"])
+    def test_an_inline_call_commits_with_its_caller(self, make_store):
+        """An inline call has no commit of its own: its completion
+        hooks and sends happen with its caller's commit, and a refused
+        caller commit runs its undo instead."""
+        cluster = Cluster(seed=0)
+        cluster.store = make_store()
+        cluster.add_node()
+        ran, refusals = [], [1]
+
+        def refuse(*_window):
+            if refusals:
+                refusals.pop()
+                raise StoreWriteError("the caller's commit is refused")
+
+        def outer(ctx, body):
+            cluster.call_inline("T", "Inner", {}, parent_context=ctx)
+            ctx.before_commit(refuse)
+            return "outer"
+
+        def inner(ctx, body):
+            ctx.on_complete(lambda: ran.append("inner-complete"))
+            ctx.on_abort(lambda: ran.append("inner-abort"))
+            ctx.send("T", "Note", {})
+            return "inner"
+
+        cluster.deploy(simple_service("T", {
+            "Outer": outer, "Inner": inner,
+            "Note": lambda ctx, body: ran.append("note")}))
+        assert cluster.call("T", "Outer", {}).value == "outer"
+        cluster.run_until_idle()
+        assert ran == ["inner-abort", "inner-complete", "note"]
+
+    def test_an_inline_call_in_an_aborted_window_is_undone(self):
+        """A caller whose window died while its handler ran (its node
+        failed, say) takes nothing from an inline call: the inline
+        context aborts at its success exit instead."""
+        cluster = Cluster(seed=0)
+        cluster.add_node()
+        ran = []
+
+        def outer(ctx, body):
+            ctx.abort("the caller's window died")
+            envelope = cluster.call_inline("T", "Inner", {},
+                                           parent_context=ctx)
+            ran.append(envelope.value)
+
+        def inner(ctx, body):
+            ctx.on_complete(lambda: ran.append("inner-complete"))
+            ctx.on_abort(lambda: ran.append("inner-abort"))
+            ctx.send("T", "Note", {})
+            return "inner"
+
+        cluster.deploy(simple_service("T", {
+            "Outer": outer, "Inner": inner,
+            "Note": lambda ctx, body: ran.append("note")}))
+        cluster.send("T", "Outer", {})
+        cluster.run_until_idle()
+        assert ran == ["inner-abort", "inner"]
 
     @pytest.mark.parametrize("later", ["defer", "requeue"])
     def test_call_inline_refuses_a_later_reply(self, later):

@@ -5,12 +5,16 @@ through ``commit()`` or through ``abort()``, exactly once.  One table
 drives every ending the platform knows — a handler returning, backing
 off, faulting; store faults in the handler and in the commit; node
 death before and after the handler finished; a stolen lease; a stale
-fence; a torn journal append; an inline call; dead-letter handling —
-over a journaled store with history and chunked snapshots on, and holds
-each to the same contract:
+fence; a torn journal append; an inline call, with its caller's commit
+going through or refused; dead-letter handling — over a journaled store
+with history and chunked snapshots on, and holds each to the same
+contract:
 
 * exactly one of commit/abort ran, once;
-* the outbox reached the queue iff the window committed;
+* the outbox reached the queue iff the window committed, and its
+  completion hooks ran iff it committed;
+* an inline call's sends, history and completion hooks happen iff its
+  caller's window committed: its commit hands them to the caller;
 * a Run/Call reply reaches its caller iff the window that finished the
   task committed: it leaves from inside that commit, after its append;
 * its history events are in the task's history iff it committed, and
@@ -27,6 +31,7 @@ from collections import Counter
 import pytest
 
 from repro.bluebox.cluster import Cluster
+from repro.bluebox.messagequeue import ReplyTo
 from repro.bluebox.services import (
     Deferred,
     OperationContext,
@@ -81,6 +86,20 @@ class Exit:
         self.sealed = list(ctx.batch.records) if ctx.batch else []
         self.appended = []      # journal batches appended during the exit
         self.lock_kept = None   # abort only: owner still holds the lock
+        self.hooks = 0          # commit only: completion hooks it held
+        self.hooks_ran = 0      # ... and how many of them ran
+
+    def observe_hooks(self):
+        """Count the completion hooks held now as they run."""
+        def counted(hook):
+            def run():
+                self.hooks_ran += 1
+                hook()
+            return run
+
+        hooks = self.ctx.completion_hooks
+        self.hooks = len(hooks)
+        hooks[:] = [counted(hook) for hook in hooks]
 
 
 class Harness:
@@ -138,6 +157,7 @@ class Harness:
 
         def observed_commit(ctx):
             record = Exit(ctx, "commit")
+            record.observe_hooks()
             auto = ctx.cluster.store.auto_commits
             outer, harness._exiting = harness._exiting, record
             try:
@@ -237,6 +257,15 @@ class Harness:
     def in_journal(self, record):
         return sum(any(r is record for r in batch) for batch in self.batches)
 
+    def committed(self, exit):
+        """Whether what ``exit`` left behind happened: an inline call's
+        commit hands it to its caller, whose window decides."""
+        how = {id(e.ctx): e.how for e in self.exits}
+        ctx = exit.ctx
+        while how[id(ctx)] == "commit" and ctx.caller is not None:
+            ctx = ctx.caller
+        return how[id(ctx)] == "commit"
+
     def check_contract(self):
         env, store = self.env, self.env.store
         # exactly one exit per window, once
@@ -252,22 +281,25 @@ class Harness:
                     for events in env.history.histories.values()
                     for event in events}
         for exit in self.exits:
-            committed = exit.how == "commit"
+            committed = self.committed(exit)
+            inline = exit.ctx.caller is not None
             # outbox flushed iff committed
             assert all((id(body) in sent) == committed
                        for body in exit.sends), exit.how
             # history present iff committed
             assert all((id(payload) in recorded) == committed
                        for payload in exit.events), exit.how
+            # completion hooks ran iff committed
+            assert exit.hooks_ran == (exit.hooks if committed else 0)
             # journal records iff committed, in exactly one batch
             if committed:
                 assert len(exit.appended) <= 1
-                if exit.ctx.owns_window:
+                if not inline:
                     assert len(exit.appended) == bool(
                         exit.sealed or exit.events)
                 for record in exit.sealed:
                     assert any(r is record for r in exit.appended[0])
-                if exit.events and exit.ctx.owns_window:
+                if exit.events and not inline:
                     assert any(key.startswith("history//")
                                for _op, key, _value in exit.appended[0])
             else:
@@ -369,6 +401,11 @@ ENDINGS = {
         {"plan": FaultPlan([StoreFault(FAIL_WRITE, key_prefix="history//",
                                        nth=3)])}, {}, "completed", True),
     "inline-call": ({}, {"inline": True}, "completed", False),
+    # the inline Start's history write is the caller's commit's to make
+    "inline-call-caller-commit-refused": (
+        {"plan": FaultPlan([StoreFault(FAIL_WRITE,
+                                       key_prefix="history//task-2/")])},
+        {"inline": True}, "completed", True),
     "dead-letter-context": (
         {"plan": FaultPlan([MessageFault("drop", operation="RunFiber",
                                          nth=2, count=50)]),
@@ -407,17 +444,30 @@ def test_every_ending_is_one_commit_or_one_abort(ending, monkeypatch):
         # the commit itself refused: the window aborted from inside it
         assert env.metrics.get("operation.faults") == 1
         assert env.metrics.get("fault.injected") == 1
+    if ending.startswith("inline-call"):
+        inline = [e for e in harness.exits if e.ctx.caller is not None]
+        # every inline context handed its effects to its caller
+        assert all(e.how == "commit" and e.events for e in inline)
+        child, = [t for t in env.registry.tasks.values()
+                  if t.workflow == "WindowChild"]
+        assert child.status == "completed" and child.result == 42
+        assert env.history.events_of(child.id)[0].kind == "task-started"
+        assert env.replay_task(child.id).fibers_replayed == 1
     if ending == "inline-call":
-        inline, = [e for e in harness.exits
-                   if e.ctx.message is not None and not e.ctx.owns_window]
-        assert inline.how == "commit" and inline.events
+        assert len(inline) == 1 and harness.committed(inline[0])
         # its writes rode the caller's window: one batch holds them all
         assert harness.inline_records
         assert {harness.in_journal(r) for r in harness.inline_records} == {1}
-        child, = [t for t in env.registry.tasks.values()
-                  if t.workflow == "WindowChild"]
-        assert env.history.events_of(child.id)[0].kind == "task-started"
-        assert env.replay_task(child.id).fibers_replayed == 1
+    if ending == "inline-call-caller-commit-refused":
+        # the first inline Start was undone with its caller's refused
+        # commit; the retried window started the child again
+        first, second = inline
+        assert not harness.committed(first) and harness.committed(second)
+        refused, = harness.exits_by("abort")
+        assert refused.ctx is first.ctx.caller
+        assert env.metrics.get("operation.faults") == 1
+        assert "task-2" not in env.registry.tasks
+        assert child.id != "task-2"
     if ending == "dead-letter-context":
         out_of_band = [e for e in harness.exits if e.ctx.message is None]
         assert len(out_of_band) == env.cluster.queue.dead_lettered >= 1
@@ -525,3 +575,105 @@ def test_a_refused_dead_letter_commit_is_retried(monkeypatch):
     kinds = [e.kind for e in env.history_log.read_task(
         task_id, env.workflows["Lost"].codec)]
     assert kinds.count("fiber-failed") == 1
+
+
+def test_a_dead_letter_inside_a_window_is_handled_in_one_of_its_own(
+        monkeypatch):
+    """A fiber's message dead-letters while another handler's window
+    is open (a steal or crash inside it).  The handling waits until
+    that handler has returned and commits in a batch of its own, so
+    the handler's abort takes none of it back."""
+    store = DurableStore(shards=2)
+    env = VinzEnvironment(nodes=2, seed=2, store=store, history="on")
+    env.deploy_workflow("Lost", """
+        (defun main (params) (workflow-sleep 5.0) params)""")
+    batches = []
+    append = WriteAheadJournal.append_batch
+
+    def observed_append(journal, batch):
+        append(journal, batch)
+        batches.append(batch.records)
+
+    monkeypatch.setattr(WriteAheadJournal, "append_batch", observed_append)
+    attempts = []
+
+    def probe(ctx, body):
+        if attempts:
+            attempts.append("retried")
+            return None
+        attempts.append("first")
+        fiber = env.registry.fibers["fiber-1"]
+        env.recovery.on_message_dead_lettered(fiber.last_message)
+        attempts.append(fiber.finished)  # False: not inside this window
+        prior = store.snapshot_value("probe/key")
+        store.write("probe/key", b"probe")
+        ctx.on_abort(lambda: store.rollback_value("probe/key", prior))
+        raise StoreWriteError("the probe's window aborts")
+
+    env.deploy_service(simple_service("Probe", {"Go": probe}))
+    task_id = env.start("Lost", 7)
+    env.cluster.kernel.schedule(
+        1.0, lambda: env.cluster.send("Probe", "Go", {}))
+    env.cluster.run_until_idle()
+    task = env.registry.tasks[task_id]
+    assert task.status == "error" and "dead-lettered" in task.error
+    failed = [records for records in batches
+              if ("del", f"task-env/{task_id}", None) in records]
+    assert len(failed) == 1
+    assert not any(key.startswith("probe/") for _op, key, _v in failed[0])
+    assert not any(key.startswith("probe/")
+                   for records in batches for _op, key, _v in records)
+    kinds = [e.kind for e in env.history_log.read_task(
+        task_id, env.workflows["Lost"].codec)]
+    assert kinds.count("fiber-failed") == 1
+    replayed = {key: value for key, value
+                in store.journal.replay()["state"].items()
+                if value is not None}
+    assert replayed == {key: store.snapshot_value(key)
+                        for key in store.keys()}
+    # the handling waited for the probe, which then retried
+    assert attempts == ["first", False, "retried"]
+
+
+def test_an_inline_terminate_replies_with_its_callers_commit(monkeypatch):
+    """A fiber terminates another task through a ``:sync t`` call.
+    The terminated task's Call reply is a completion hook of the
+    inline context, so it leaves with the caller's commit: when that
+    commit is refused, the termination is undone and nobody has heard
+    of it; the retried window terminates the task and replies once."""
+    env = VinzEnvironment(nodes=2, seed=4, store=DurableStore(shards=2))
+    env.deploy_workflow("Victim", """
+        (defun main (params) (workflow-sleep 50) :done)""")
+    env.deploy_workflow("Killer", """
+        (deflink V :wsdl "urn:victim-service" :sync t)
+        (defun main (params) (V-Terminate-Method :task params) :killed)""")
+    cluster = env.cluster
+    replies = []
+    cluster.send("Victim", "Call", {"params": None}, reply_to=ReplyTo(
+        callback=lambda body: replies.append((cluster.kernel.now, body))))
+    cluster.run_until(lambda: bool(env.registry.tasks))
+    victim, = env.registry.tasks
+    refused = []
+    commit = OperationContext.commit
+
+    def refuse(*_window):
+        if not refused:
+            refused.append(cluster.kernel.now)
+            raise StoreWriteError("the killer's commit is refused")
+
+    def refuse_the_killers_first_run(ctx):
+        if ctx.caller is None and ctx.message is not None \
+                and ctx.message.service == "Killer" \
+                and ctx.message.operation == "RunFiber":
+            ctx.before_commit(refuse)
+        return commit(ctx)
+
+    monkeypatch.setattr(OperationContext, "commit",
+                        refuse_the_killers_first_run)
+    assert env.call("Killer", victim) == Keyword("killed")
+    cluster.run_until_idle()
+    assert len(refused) == 1 and env.metrics.get("operation.faults") == 1
+    (when, body), = replies
+    assert when > refused[0]
+    assert "terminated" in body["message"]
+    assert env.registry.tasks[victim].status == "terminated"

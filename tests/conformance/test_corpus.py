@@ -16,6 +16,8 @@ from repro.conformance import DifferentialExecutor, load_dir
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = load_dir(CORPUS_DIR)
+#: entries whose fiber writes a program global, which Vinz refuses
+GLOBAL_WRITERS = {"fused-setq-special", "fused-setq-tail-special"}
 
 
 def test_corpus_is_populated():
@@ -42,3 +44,6 @@ def test_corpus_entry_conforms(program):
     assert "vm-pickle" in verdict.outcomes
     if "vinz" not in verdict.skips:
         assert "vinz" in verdict.outcomes
+    # only the entries that write a global from their fiber lose Vinz
+    assert (verdict.skips.get("vinz") == "vinz:global-write") == \
+        (program.name in GLOBAL_WRITERS)

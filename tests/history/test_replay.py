@@ -15,9 +15,13 @@ from repro.faults.plan import (
     NodeFault,
     StoreFault,
 )
+from repro.durastore.journal import crc_frame, parse_crc_frames
 from repro.history import HistoryEvent, ReplayDivergenceError
-from repro.lang.symbols import Keyword
+from repro.history.log import HISTORY_MAGIC
+from repro.history.recorder import SCHEMA_VERSION
+from repro.lang.symbols import Keyword, Symbol
 from repro.vinz.api import VinzEnvironment
+from repro.vinz.execution import GLOBAL_WRITE
 from repro.vinz.task import COMPLETED, ERROR
 
 CHAOS = FaultPlan([
@@ -46,6 +50,43 @@ NONDET_WORKFLOW = """
           :started (< t0 (get-universal-time))
           :tag (if tag 1 0))))
 """
+
+
+def forge_history(env, task_id, edit):
+    """Rewrite the durable history of ``task_id`` as a damaged log
+    would hold it: ``edit`` changes the decoded events in place (an
+    event it appends joins the last batch), and every batch is framed
+    and written back under its own key.  Returns the edited events."""
+    log, store = env.history_log, env.store
+    codec = env.workflows[env.registry.tasks[task_id].workflow].codec
+    batches = []
+    while store.exists(log._key(task_id, len(batches))):
+        (payload,), _, _ = parse_crc_frames(
+            store.read(log._key(task_id, len(batches))), HISTORY_MAGIC)
+        _version, rows = codec.loads(payload)
+        batches.append([HistoryEvent(*row) for row in rows])
+    events = [event for batch in batches for event in batch]
+    edit(events)
+    batches[-1].extend(events[sum(map(len, batches)):])
+    for index, batch in enumerate(batches):
+        rows = [(e.seq, e.kind, e.fiber, e.payload) for e in batch]
+        store.write(log._key(task_id, index), crc_frame(
+            codec.dumps((SCHEMA_VERSION, rows)), HISTORY_MAGIC))
+    return events
+
+
+def forge_payload(env, task_id, matches, **fields):
+    """Forge ``fields`` into the first stored event ``matches``
+    accepts; returns that event."""
+    forged = []
+
+    def edit(events):
+        victim = next(e for e in events if matches(e))
+        victim.payload = dict(victim.payload, **fields)
+        forged.append(victim)
+
+    forge_history(env, task_id, edit)
+    return forged[0]
 
 
 class TestVerificationReplay:
@@ -77,14 +118,12 @@ class TestVerificationReplay:
         env = VinzEnvironment(nodes=3, seed=23, history="on")
         env.deploy_workflow("Nondet", NONDET_WORKFLOW, spawn_limit=2)
         task_id = env.run("Nondet", [Keyword("items"), [1, 2]])
-        events = env.history.events_of(task_id)
-        victim = next(e for e in events
-                      if e.kind == "nondet"
-                      and e.payload.get("op") == "collect")
-        victim.payload = dict(victim.payload,
-                              value=[("completed", 999, None)] * 2)
+        victim = forge_payload(
+            env, task_id, lambda e: e.kind == "nondet"
+            and e.payload.get("op") == "collect",
+            value=[("completed", 999, None)] * 2)
         with pytest.raises(ReplayDivergenceError) as info:
-            env.replayer.replay_task(task_id, source="memory")
+            env.replay_task(task_id)
         err = info.value
         assert err.task == task_id
         assert err.fiber == victim.fiber
@@ -94,12 +133,11 @@ class TestVerificationReplay:
         env = VinzEnvironment(nodes=3, seed=23, history="on")
         env.deploy_workflow("Nondet", NONDET_WORKFLOW, spawn_limit=2)
         task_id = env.run("Nondet", [Keyword("items"), [1, 2]])
-        events = env.history.events_of(task_id)
-        terminal = next(e for e in events if e.kind == "fiber-completed"
-                        and e.fiber == env.registry.tasks[task_id].fiber_ids[0])
-        terminal.payload = dict(terminal.payload, result="forged")
+        root = env.registry.tasks[task_id].fiber_ids[0]
+        forge_payload(env, task_id, lambda e: e.kind == "fiber-completed"
+                      and e.fiber == root, result="forged")
         with pytest.raises(ReplayDivergenceError):
-            env.replayer.replay_task(task_id, source="memory")
+            env.replay_task(task_id)
 
     @pytest.mark.parametrize("body", [
         "(list (random 100) (random 100))",
@@ -113,11 +151,10 @@ class TestVerificationReplay:
         env = VinzEnvironment(nodes=2, seed=1, history="on")
         env.deploy_workflow("W", f"(defun main (params) {body})")
         task_id = env.run("W", None)
-        first = next(e for e in env.history.events_of(task_id)
-                     if e.kind == "nondet")
-        first.payload = dict(first.payload, op="get-universal-time")
+        first = forge_payload(env, task_id, lambda e: e.kind == "nondet",
+                              op="get-universal-time")
         with pytest.raises(ReplayDivergenceError) as info:
-            env.replayer.replay_task(task_id, source="memory")
+            env.replay_task(task_id)
         err = info.value
         assert err.seq == first.seq
         assert (err.expected, err.actual) == \
@@ -173,11 +210,10 @@ class TestTheHistoryHoldsWhatReplayReads:
     def test_a_tampered_checked_field_diverges_at_its_event(
             self, kind, field, forged):
         env, task_id = self._checked_run()
-        victim = next(e for e in env.history.events_of(task_id)
-                      if e.kind == kind and field in e.payload)
-        victim.payload = dict(victim.payload, **{field: forged})
+        victim = forge_payload(env, task_id, lambda e: e.kind == kind
+                               and field in e.payload, **{field: forged})
         with pytest.raises(ReplayDivergenceError) as info:
-            env.replayer.replay_task(task_id, source="memory")
+            env.replay_task(task_id)
         assert info.value.seq == victim.seq
         assert repr(forged) in info.value.expected
 
@@ -283,12 +319,11 @@ class TestFailedWhileSuspended:
         env = VinzEnvironment(nodes=2, seed=5, history="on")
         env.deploy_workflow("W", '(defun main (p) (join-process "nobody"))')
         task_id = env.run("W", None)
-        events = env.history.events_of(task_id)
-        failed = events[-1]
-        env.history.histories[task_id].append(HistoryEvent(
-            failed.seq + 1, failed.kind, failed.fiber, failed.payload))
+        failed = forge_history(env, task_id, lambda events: events.append(
+            HistoryEvent(events[-1].seq + 1, events[-1].kind,
+                         events[-1].fiber, events[-1].payload)))[-2]
         with pytest.raises(ReplayDivergenceError) as info:
-            env.replayer.replay_task(task_id, source="memory")
+            env.replay_task(task_id)
         assert info.value.seq == failed.seq + 1
 
 
@@ -422,3 +457,60 @@ class TestReplayRecovery:
             return out
         assert totals(snap) == totals(repl)
         assert repl.env.counters.get("persist.skipped") > 0
+
+
+class TestAFiberWritesNoGlobal:
+    """A program's globals live in its runtime, not in a fiber's
+    history: a rebuild that re-executed a global write would write it
+    again (``*n*`` read 3 instead of 1 once two rebuilds replayed it).
+    A fiber's write of a global is refused with a typed fault instead,
+    the same whether the fiber resumes from the cache or by rebuild."""
+
+    COUNTER = """
+        (defvar *n* 0)
+        (defun main (params)
+          (setq *n* (+ *n* 1))
+          (workflow-sleep 0.1)
+          (workflow-sleep 0.1)
+          *n*)"""
+
+    KEPT = """
+        (defvar *n* 0)
+        (defun bump () (setq *n* (+ *n* 1)))
+        (defun main (params)
+          (let ((*n* 10))
+            (bump)
+            (workflow-sleep 0.1)
+            (bump)
+            (workflow-sleep 0.1)
+            (list *n* (handler-case (setq *m* 1)
+                        (error (c) (condition-message c))))))"""
+
+    @staticmethod
+    def _run(source, capacity):
+        env = VinzEnvironment(history="on", snapshot_interval=8)
+        env.deploy_workflow("W", source, cache_capacity=capacity)
+        task = env.wait_for_task(env.start("W", None))
+        env.replay_task(task.id)
+        return env, task
+
+    @pytest.mark.parametrize("capacity", [256, 0])
+    def test_the_write_is_refused_with_a_typed_fault(self, capacity):
+        env, task = self._run(self.COUNTER, capacity)
+        assert task.status == ERROR
+        assert task.error == (f"{GLOBAL_WRITE}: a fiber cannot write "
+                              f"the program global *n*")
+        runtime = env.workflows["W"].runtime
+        assert runtime.global_env.lookup(Symbol("*n*")) == 0
+        assert env.metrics.get("fiber.global-write-refused") == 1
+
+    @pytest.mark.parametrize("capacity", [256, 0])
+    def test_a_dynamic_binding_keeps_the_state(self, capacity):
+        """A binding the fiber made is its state and survives the
+        suspensions; the refusal is a condition it can handle."""
+        env, task = self._run(self.KEPT, capacity)
+        assert task.status == COMPLETED
+        assert task.result[0] == 12
+        assert task.result[1].startswith(GLOBAL_WRITE)
+        if capacity == 0:
+            assert env.metrics.get("history.rebuilds") == 2

@@ -240,7 +240,7 @@ def test_a_hot_resume_leaves_the_recorded_history_alone(case):
                             cache_capacity=capacity)
         task_id = env.start("W", None)
         results.append(env.wait_for_task(task_id).result)
-        env.replay_task(task_id, source="memory")
+        env.replay_task(task_id)
     assert results[0] == results[1]
     assert env.cache_stats()["live"] > 0
 
@@ -289,15 +289,16 @@ def test_a_global_write_of_a_list_is_sticky():
     assert not global_env.holds_mutable
     env.deploy_workflow("V", "(defvar *n* 3) (defun main (params) *n*)")
     assert not env.workflows["V"].runtime.global_env.holds_mutable
+    # a fiber writes no global: the program's top level does it here
     env.deploy_workflow("U", """
+        (setq *made-here* (list 1))
+        (setq *made-here* nil)
         (defun main (params)
-          (setq *made-here* (list 1))
           (workflow-sleep 0.1)
-          (setq *made-here* nil)
           (workflow-sleep 0.1)
           :done)""")
-    assert env.call("U", None) == Keyword("done")
     assert env.workflows["U"].runtime.global_env.holds_mutable
+    assert env.call("U", None) == Keyword("done")
     assert env.cache_stats()["live_refused"]["mutable-global"] == 2
 
 

@@ -106,8 +106,6 @@ def test_an_abort_keeps_a_later_committed_write():
         ctx = OperationContext(
             cluster, cluster.nodes[node_id].services["W"],
             cluster.queue.make_message("W", "Probe", {}))
-        store.begin_window()
-        ctx.owns_window = True
         FiberExecution(service, ctx, task, fiber).set_task_var("box", value)
         ctx.batch = store.seal_window()
         return ctx

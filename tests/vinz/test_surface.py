@@ -16,7 +16,7 @@ from repro.durastore import DurableStore
 from repro.faults.campaign import run_campaign
 from repro.faults.plan import FaultPlan
 from repro.gvm.runtime import Runtime
-from repro.history.replay import ReplayExecution
+from repro.history.replay import ReplayEngine, ReplayExecution
 from repro.persistsnap import SnapshotPipeline
 from repro.sched import DeficitRoundRobinPolicy, SpawnGovernor
 from repro.vinz.api import VinzEnvironment
@@ -62,6 +62,9 @@ def test_tuning_constants_stay_constants():
     assert _options(Runtime) == ["executor", "clock"]
     assert _options(SimKernel) == []
     assert "GovernorConfig" not in repro.sched.__all__
+    # verification reads the durable log; there is no other source
+    assert _options(VinzEnvironment.replay_task) == []
+    assert _options(ReplayEngine.replay_task) == []
 
 
 def test_run_campaign_passes_environment_options_through():
