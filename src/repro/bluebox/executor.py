@@ -19,7 +19,6 @@ from ..gvm.futures import (
     FutureExecutor,
     GozerFuture,
     ThreadPoolFutureExecutor,
-    exit_fiber_thread,
 )
 
 
@@ -67,7 +66,6 @@ class LoadBalancingExecutor(FutureExecutor):
 
     def _launch(self, thunk: Callable[[], Any], future: GozerFuture) -> None:
         def run():
-            exit_fiber_thread()
             future._mark_running()
             try:
                 future._determine(thunk())

@@ -585,17 +585,14 @@ class CoordinatorLockManager(LockManager):
     def __init__(self):
         super().__init__()
         self._locks: Dict[str, str] = {}  # key -> session owner
-        self._sessions: Dict[str, Set[str]] = {}  # owner -> keys held
+        #: owner -> keys held; a session ends with its last lock
+        self._sessions: Dict[str, Set[str]] = {}
         # statistics
         self.acquisitions = 0
         self.contentions = 0
         self.expired_sessions = 0
 
-    def ensure_session(self, owner: str) -> None:
-        self._sessions.setdefault(owner, set())
-
     def try_acquire(self, key: str, owner: str) -> bool:
-        self.ensure_session(owner)
         current = self._locks.get(key)
         if current is not None and current != owner \
                 and self.lease_expired(key):
@@ -604,7 +601,7 @@ class CoordinatorLockManager(LockManager):
             current = None
         if current is None:
             self._locks[key] = owner
-            self._sessions[owner].add(key)
+            self._sessions.setdefault(owner, set()).add(key)
             self.acquisitions += 1
             self._grant(key, owner)
             return True
@@ -617,8 +614,7 @@ class CoordinatorLockManager(LockManager):
     def release(self, key: str, owner: str) -> bool:
         if self._locks.get(key) != owner:
             return False
-        del self._locks[key]
-        self._sessions.get(owner, set()).discard(key)
+        self._remove_entry(key, owner)
         self._drop_lease(key)
         return True
 
@@ -628,7 +624,11 @@ class CoordinatorLockManager(LockManager):
     def _remove_entry(self, key: str, owner: str) -> None:
         if self._locks.get(key) == owner:
             del self._locks[key]
-        self._sessions.get(owner, set()).discard(key)
+        keys = self._sessions.get(owner)
+        if keys is not None:
+            keys.discard(key)
+            if not keys:
+                del self._sessions[owner]
 
     def expire_session(self, owner: str) -> List[str]:
         """Session death: release every lock the owner held.

@@ -9,7 +9,6 @@ from .futures import (
     SynchronousFutureExecutor,
     ThreadPoolFutureExecutor,
     force,
-    is_fiber_thread,
 )
 from .conditions import (
     GozerCondition,
@@ -25,7 +24,7 @@ __all__ = [
     "VM", "Done", "Yielded", "YieldFromNestedContext", "truthy",
     "Runtime", "make_runtime", "Continuation", "capture", "materialize",
     "FutureExecutor", "GozerFuture", "SynchronousFutureExecutor",
-    "ThreadPoolFutureExecutor", "force", "is_fiber_thread",
+    "ThreadPoolFutureExecutor", "force",
     "GozerCondition", "UnhandledConditionError", "coerce_condition",
     "matches", "DynamicBindings", "Env", "GlobalEnvironment",
     "Frame", "GozerFunction", "GozerMacro",

@@ -35,27 +35,6 @@ _RUNNING = "running"
 _DETERMINED = "determined"
 _FAILED = "failed"
 
-#: Per-thread flag: is this thread advancing a fiber (as opposed to a
-#: future's background processing thread)?  Vinz consults this to decide
-#: whether a service request may migrate the fiber (paper Section 3.2:
-#: "If a service request is attempted from a future's background
-#: processing thread ... Vinz detects this and automatically makes a
-#: standard synchronous request").
-_thread_state = threading.local()
-
-
-def enter_fiber_thread() -> None:
-    _thread_state.is_fiber = True
-
-
-def exit_fiber_thread() -> None:
-    _thread_state.is_fiber = False
-
-
-def is_fiber_thread() -> bool:
-    return getattr(_thread_state, "is_fiber", False)
-
-
 class GozerFuture:
     """A promise for the value of a different flow of control.
 
@@ -170,7 +149,6 @@ class ThreadPoolFutureExecutor(FutureExecutor):
         future = GozerFuture(label)
 
         def run():
-            exit_fiber_thread()  # background threads are not fiber threads
             future._mark_running()
             try:
                 future._determine(thunk())
@@ -205,15 +183,8 @@ class SynchronousFutureExecutor(FutureExecutor):
         self.submitted += 1
         future = GozerFuture(label)
         future._mark_running()
-        # While the thunk runs it must observe background-thread
-        # semantics (is-fiber-thread false), even though it runs inline.
-        was_fiber = is_fiber_thread()
-        exit_fiber_thread()
         try:
             future._determine(thunk())
         except BaseException as exc:  # noqa: BLE001
             future._fail(exc)
-        finally:
-            if was_fiber:
-                enter_fiber_thread()
         return future

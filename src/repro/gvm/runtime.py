@@ -23,7 +23,6 @@ from .futures import (
     FutureExecutor,
     SynchronousFutureExecutor,
     ThreadPoolFutureExecutor,
-    enter_fiber_thread,
 )
 from .vm import VM, Done, Yielded
 
@@ -108,30 +107,37 @@ class Runtime:
     # evaluation
     # ------------------------------------------------------------------
 
-    def new_vm(self, allow_yield: bool = False) -> VM:
+    def new_vm(self, parent: Optional[VM] = None,
+               allow_yield: bool = False) -> VM:
+        """A VM for this program.  One started from ``parent`` (a
+        future's body, ``eval``, ``load-file``) runs for the fiber
+        ``parent`` runs for, if any: it carries its ``vinz``."""
         vm = VM(self.global_env,
                 future_submitter=self._submit_future,
                 allow_yield=allow_yield)
         vm.runtime = self
+        if parent is not None:
+            vm.vinz = parent.vinz
         return vm
 
-    def eval_string(self, text: str) -> Any:
+    def eval_string(self, text: str, parent: Optional[VM] = None) -> Any:
         """Evaluate every form in ``text``; return the last value."""
         value = None
         for form in self.read_all(text):
-            value = self.eval_form(form)
+            value = self.eval_form(form, parent)
         return value
 
     #: alias matching Lisp naming
     load = eval_string
 
-    def eval_file(self, path: str) -> Any:
+    def eval_file(self, path: str, parent: Optional[VM] = None) -> Any:
         """Load a Gozer source file (conventionally ``*.gozer``)."""
         with open(path, "r", encoding="utf-8") as fh:
-            return self.eval_string(fh.read())
+            return self.eval_string(fh.read(), parent)
 
-    def eval_form(self, form: Any) -> Any:
-        """Evaluate one top-level form.
+    def eval_form(self, form: Any, parent: Optional[VM] = None) -> Any:
+        """Evaluate one top-level form, on a VM started from
+        ``parent`` (:meth:`new_vm`).
 
         ``defmacro`` and top-level ``progn`` get special treatment so a
         macro defined earlier in a file is available to later forms —
@@ -140,21 +146,23 @@ class Runtime:
         if isinstance(form, list) and form and isinstance(form[0], Symbol):
             head = form[0].name
             if head == "defmacro":
-                return self._eval_defmacro(form)
+                return self._eval_defmacro(form, parent)
             if head == "progn":
                 value = None
                 for sub in form[1:]:
-                    value = self.eval_form(sub)
+                    value = self.eval_form(sub, parent)
                 return value
         code = self.compile(form)
-        result = self.new_vm().run_code(code)
+        result = self.new_vm(parent).run_code(code)
         assert isinstance(result, Done)
         return result.value
 
-    def _eval_defmacro(self, form: List[Any]) -> Any:
+    def _eval_defmacro(self, form: List[Any], parent: Optional[VM]) -> Any:
         if len(form) < 3 or not isinstance(form[1], Symbol):
             raise CompileError("defmacro needs (defmacro name (args) body...)", form)
         name = form[1]
+        if parent is not None and parent.vinz is not None:
+            parent.vinz.refuse_global_write(name)  # as VM._define_global does
         code = self.compiler.compile_function(f"macro:{name.name}", form[2], form[3:])
         expander = GozerFunction(code, None, name=f"macro:{name.name}")
         self.global_env.define_macro(name, GozerMacro(expander, name.name))
@@ -189,13 +197,11 @@ class Runtime:
                                                   closed=env is None)
         else:
             code = code_or_text
-        enter_fiber_thread()
         vm = self.new_vm(allow_yield=True)
         return vm.run_code(code, env=env)
 
     def resume(self, continuation: Continuation, value: Any = None):
         """Resume a fiber continuation on a fresh VM."""
-        enter_fiber_thread()
         vm = self.new_vm(allow_yield=True)
         return vm.resume(continuation, value)
 
@@ -205,7 +211,8 @@ class Runtime:
 
     def _submit_future(self, thunk: GozerFunction, parent_vm: VM):
         label = f"future:{thunk.code.name}"
-        return self.executor.submit(lambda: self.apply(thunk, []), label=label)
+        return self.executor.submit(
+            lambda: self.new_vm(parent_vm).call(thunk, []), label=label)
 
     def shutdown(self) -> None:
         self.executor.shutdown()

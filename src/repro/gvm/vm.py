@@ -85,9 +85,10 @@ class YieldFromNestedContext(GozerRuntimeError):
     """``yield`` attempted where the frame stack is not fully capturable.
 
     Raised when Gozer code yields from inside a nested evaluation (a
-    future's thread, a handler call, a cleanup thunk).  Vinz-generated
-    service stubs avoid this by checking ``(% is-fiber-thread)`` first
-    and making a synchronous request instead (paper Section 3.2).
+    future's VM, an ``eval``'s, a handler call, a cleanup thunk).
+    Vinz-generated service stubs avoid this by checking ``(%
+    is-fiber-thread)`` (may this VM yield) first and making a
+    synchronous request instead (paper Section 3.2).
     """
 
 
@@ -148,8 +149,11 @@ class VM:
         #: the runtime, for its clock (``(get-universal-time)``,
         #: ``(sleep)``) and ``eval``/``read``; None for bare VMs
         self.runtime = None
-        #: set by Vinz while this VM runs a fiber, live or replaying:
-        #: the bridge every distribution intrinsic goes through
+        #: the fiber this VM runs for, live or replaying: set by Vinz on
+        #: the fiber's own VM and copied to every VM started from it (a
+        #: future's, an ``eval``'s: :meth:`Runtime.new_vm`).  The one
+        #: channel from a VM to its fiber, and the bridge every
+        #: distribution intrinsic goes through
         self.vinz = None
         #: debugging: called as hook(frame, op, arg) before every
         #: instruction.  Setting it routes execution through a slower

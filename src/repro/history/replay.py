@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..gvm.futures import enter_fiber_thread
-from ..vinz import distribution
 from ..vinz.execution import (
     FiberExecution,
     WINDOW_COMPLETED,
@@ -162,7 +160,13 @@ class _Cursor:
     def failed_by_platform(self, event: HistoryEvent, where: str) -> Any:
         """The platform failed the fiber ``where`` nothing ran it (a
         dead-lettered delivery, a join on a missing process): the
-        recorded error ends the fiber, and nothing may follow it."""
+        recorded error, not marked ``by_code``, ends the fiber, and
+        nothing may follow it."""
+        if event.payload.get("by_code"):
+            raise ReplayDivergenceError(
+                self.task_id, self.fiber_id, event.seq,
+                f"{FIBER_FAILED} by the fiber's code",
+                f"{FIBER_FAILED} {where}")
         if not self.exhausted():
             raise self.diverge("<further events>",
                                f"{FIBER_FAILED} {where} already reached")
@@ -366,8 +370,6 @@ class ReplayEngine:
                 report.windows += 1
             return outcome
 
-        cv_token = distribution.CURRENT_EXECUTION.set(execution)
-        enter_fiber_thread()
         try:
             if base is not None:
                 continuation, base_version = base
@@ -380,8 +382,10 @@ class ReplayEngine:
                         break
                 outcome = None  # suspended at the base, nothing to check
             elif not cursor.exhausted() \
-                    and cursor.events[0].kind == FIBER_FAILED:
-                # its first delivery dead-lettered: it never ran
+                    and cursor.events[0].kind == FIBER_FAILED \
+                    and not cursor.events[0].payload.get("by_code"):
+                # its first delivery dead-lettered: it never ran (one
+                # its code failed in its first window is re-executed)
                 error = cursor.failed_by_platform(
                     cursor.next(FIBER_FAILED), "before it ran")
                 return "failed", error, instructions
@@ -434,7 +438,6 @@ class ReplayEngine:
             if report is not None:
                 report.events_consumed += cursor.pos
                 report.instructions += instructions
-            distribution.CURRENT_EXECUTION.reset(cv_token)
 
     # -- recovery: rebuild a live continuation ---------------------------
 

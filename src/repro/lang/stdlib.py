@@ -33,7 +33,8 @@ from ..gvm.conditions import (
     make_condition,
 )
 from ..gvm.frames import GozerFunction, vm_function
-from ..gvm.futures import GozerFuture, force, is_fiber_thread
+from ..gvm.futures import GozerFuture, force
+from ..gvm.vm import YieldFromNestedContext
 from .errors import GozerRuntimeError
 from .macros import macroexpand
 from .printer import int_text, princ_form, print_form
@@ -1166,6 +1167,11 @@ def _sleep(vm, seconds):
     # (defun sleep ...), which yields to the platform timer; here the
     # runtime clock decides — a VirtualClock makes (sleep 3600) free
     # and deterministic instead of blocking the host for an hour.
+    if vm.vinz is not None:
+        # a fiber waits only by suspending, which a future's or an
+        # eval's flow of control cannot do for it
+        raise YieldFromNestedContext(
+            "a fiber sleeps only on its own flow of control")
     clock = getattr(vm.runtime, "clock", None)
     if clock is not None:
         clock.sleep(seconds)
@@ -1303,10 +1309,18 @@ def _install_intrinsics(runtime) -> None:
     env.define_intrinsic("dot-setf", _dot_setf_intrinsic)
     env.define_intrinsic("sethash", _sethash_intrinsic)
     env.define(_S("sethash"), _sethash_intrinsic)
-    env.define_intrinsic("is-fiber-thread", is_fiber_thread)
+    env.define_intrinsic("is-fiber-thread", _may_yield)
     # Vinz overrides these two when it prepares a fiber's environment.
     env.define_intrinsic("get-task-var", _task_var_outside_vinz)
     env.define_intrinsic("set-task-var", _task_var_outside_vinz)
+
+
+@vm_function
+def _may_yield(vm):
+    """``(% is-fiber-thread)``: may this flow of control yield -- a
+    fiber's own VM, not a future's or an ``eval``'s (which run for the
+    same fiber, through ``vm.vinz``, but cannot suspend it)."""
+    return vm.allow_yield
 
 
 def _task_var_outside_vinz(name, *value):
@@ -1340,12 +1354,12 @@ def _read_from_string(vm, text):
 
 @vm_builtin("eval")
 def _eval(vm, form):
-    return vm.runtime.eval_form(form)
+    return vm.runtime.eval_form(form, vm)
 
 
 @vm_builtin("load-file")
 def _load_file(vm, path):
-    return vm.runtime.eval_file(str(path))
+    return vm.runtime.eval_file(str(path), vm)
 
 
 @vm_builtin("macroexpand")

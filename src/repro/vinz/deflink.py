@@ -11,9 +11,9 @@ For every operation ``Op`` of a linked service ``SM``, deflink defines
 
 * ``SM-Op-Method`` — the high-level entry taking ``&key`` arguments,
   building the message and delegating to:
-* ``SM-Op`` — the invoker: on a fiber thread it sends the request
+* ``SM-Op`` — the invoker: on the fiber's own VM it sends the request
   asynchronously and ``yield``s (the fiber migrates away while the
-  service works); on a future's background thread — or when forced
+  service works); in a future or an ``eval`` — or when forced
   synchronous, statically via ``:sync t`` or dynamically via
   ``*vinz-force-sync*`` — it makes a standard synchronous request.
   Restarts ``ignore`` and ``retry`` are bound around the call for the
@@ -114,24 +114,17 @@ def call_async(vm, soap_action, message):
 
 @vm_function
 def call_sync(vm, soap_action, message):
-    from .distribution import CURRENT_EXECUTION
-
-    execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
-    if execution is None:
+    if vm.vinz is None:
         raise GozerRuntimeError(
             "synchronous service call outside a Vinz workflow")
-    return execution.call_sync(str(soap_action),
-                               _message_values(message))
+    return vm.vinz.call_sync(str(soap_action), _message_values(message))
 
 
 @vm_function
 def should_migrate(vm, soap_action):
-    from .distribution import CURRENT_EXECUTION
-
-    execution = getattr(vm, "vinz", None) or CURRENT_EXECUTION.get()
-    if execution is None:
+    if vm.vinz is None:
         return True
-    return execution.should_migrate(str(soap_action))
+    return vm.vinz.should_migrate(str(soap_action))
 
 
 @vm_function

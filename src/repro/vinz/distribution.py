@@ -42,27 +42,15 @@ class VinzTerminateTask(ControlFlowSignal):
         self.reason = reason
 
 
-import contextvars
-
-#: The fiber execution currently advancing on this thread of control.
-#: Future bodies run on their own VM (and possibly their own thread),
-#: but still belong to the fiber — the contextvar lets Vinz intrinsics
-#: reach the execution from there (Section 3.2's automatic synchronous
-#: fallback depends on it).
-CURRENT_EXECUTION: contextvars.ContextVar = contextvars.ContextVar(
-    "vinz-current-execution", default=None)
-
-
 def current_execution(vm):
-    execution = getattr(vm, "vinz", None)
-    if execution is None:
-        execution = CURRENT_EXECUTION.get()
-    if execution is None:
+    """The fiber ``vm`` runs for (a future's and an ``eval``'s VM carry
+    their fiber's, :meth:`~repro.gvm.runtime.Runtime.new_vm`)."""
+    if vm.vinz is None:
         from ..lang.errors import GozerRuntimeError
 
         raise GozerRuntimeError(
             "distribution primitive used outside a Vinz workflow fiber")
-    return execution
+    return vm.vinz
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ..bluebox.messagequeue import PRIORITY_LOW
 from ..bluebox.services import OperationContext, ServiceFault
 from ..gvm.conditions import GozerCondition, UnhandledConditionError
 from ..gvm.frames import GozerFunction
-from ..gvm.vm import Done, Yielded
+from ..gvm.vm import Done, Yielded, YieldFromNestedContext
 from ..history import recorder as hist
 from ..lang.errors import GozerRuntimeError
 from ..lang.symbols import Keyword
@@ -78,6 +78,10 @@ def run_window(thunk: Callable[[], Any]) -> WindowOutcome:
         # collects results — giving the parent's handlers a chance
         # (Section 3.7).
         return WindowOutcome(WINDOW_FAILED, str(exc.condition))
+    except YieldFromNestedContext as exc:
+        # a wait from a flow of control that cannot suspend the fiber
+        # (a callback, a future, an eval) fails the fiber
+        return WindowOutcome(WINDOW_FAILED, f"YieldFromNestedContext: {exc}")
     except ServiceFault as fault:
         # a platform-level problem surfaced while advancing the fiber
         # (no main function, bad join target, a diverged rebuild, ...):

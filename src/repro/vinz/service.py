@@ -47,7 +47,7 @@ from ..bluebox.services import (
     ServiceFault,
 )
 from ..gvm.frames import GozerFunction
-from ..gvm.futures import SynchronousFutureExecutor, enter_fiber_thread
+from ..gvm.futures import SynchronousFutureExecutor
 from ..gvm.runtime import Runtime, VirtualClock
 from ..gvm.vm import Yielded
 from ..history import recorder as hist
@@ -530,16 +530,11 @@ class WorkflowService(Service):
         self.state.touch_task_env(ctx, cache, task)
 
         vm = self.runtime.new_vm(allow_yield=True)
-        execution = FiberExecution(self, ctx, task, fiber)
-        vm.vinz = execution
+        vm.vinz = FiberExecution(self, ctx, task, fiber)
         if metrics.enabled:
             vm.profile_sink = lambda n: metrics.histogram(
                 "gvm.run_instructions",
                 buckets=INSTRUCTION_BUCKETS).observe(n)
-        # make the execution reachable from future bodies too (they run
-        # on their own VM): Section 3.2's sync fallback needs it
-        cv_token = distribution.CURRENT_EXECUTION.set(execution)
-        enter_fiber_thread()
 
         waited = fiber.waiting_on
         if resume and value == self._MAILBOX:
@@ -572,8 +567,10 @@ class WorkflowService(Service):
 
         # a suspension hands the node cache the state it stops using
         vm.keep_live = cache is not None
+        suspended = False
 
         def window():
+            nonlocal suspended
             if resume:
                 continuation, live = self.state.load(ctx, cache, fiber)
                 # the value crosses into the fiber: its own copy
@@ -586,6 +583,7 @@ class WorkflowService(Service):
                 # part of the window: a bad yield descriptor or join
                 # target faults here and fails the fiber like any other
                 # platform fault
+                suspended = True
                 self._fiber_suspended(
                     ctx, cache, task, fiber, outcome,
                     vm.instruction_count - instructions_before)
@@ -599,11 +597,11 @@ class WorkflowService(Service):
                 # an unhandled error in the *main* fiber fails the task
                 self._fiber_failed(
                     ctx, task, fiber, result,
-                    terminate_task=terminate_task or fiber.parent_id is None)
+                    terminate_task=terminate_task or fiber.parent_id is None,
+                    by_code=not suspended)
             return None
         finally:
             vm.vinz = None
-            distribution.CURRENT_EXECUTION.reset(cv_token)
             ctx.charge((vm.instruction_count - instructions_before)
                        * self.instruction_cost)
             registry.set(ctx, fiber, total_charged=fiber.total_charged
@@ -672,12 +670,16 @@ class WorkflowService(Service):
                 ctx.trace("task-complete", task=task.id)
 
     def _fiber_failed(self, ctx: OperationContext, task: TaskRecord,
-                      fiber: FiberRecord, error: str,
-                      terminate_task: bool) -> None:
+                      fiber: FiberRecord, error: str, terminate_task: bool,
+                      by_code: bool = False) -> None:
+        """``by_code``: the fiber's own code failed it while it ran,
+        so replay re-executes the failure; the platform's failures (a
+        dead letter, a bad join target) it takes as recorded."""
         recorder = self.vinz.history
         if recorder is not None:
+            marked = {"by_code": True} if by_code else {}
             recorder.record(ctx, task.id, hist.FIBER_FAILED,
-                            fiber=fiber.id, error=error)
+                            fiber=fiber.id, error=error, **marked)
         self.vinz.registry.finish_fiber(fiber, ERROR, ctx.now, error=error,
                                         ctx=ctx)
         if ctx.tracing:

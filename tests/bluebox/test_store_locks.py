@@ -157,6 +157,41 @@ class TestCoordinatorLockManager:
         assert locks.holder("f3") == "s2"
         assert locks.expired_sessions == 1
 
+    def test_a_session_ends_with_its_last_lock(self):
+        """A window's owner (``instance#message-id``) takes locks once:
+        a session kept after its last release would never be used or
+        dropped again."""
+        locks = CoordinatorLockManager()
+        locks.try_acquire("a", "s1")
+        locks.try_acquire("b", "s1")
+        assert not locks.try_acquire("a", "s2")  # contention opens none
+        locks.release("a", "s1")
+        assert locks._sessions == {"s1": {"b"}}
+        locks.expire_lock("b")
+        assert locks._sessions == {}
+        assert locks.expire_session("s1") == []
+        assert locks.expired_sessions == 0
+
+    def test_a_drive_keeps_only_the_sessions_of_lock_holders(self):
+        from repro.vinz.api import VinzEnvironment
+
+        env = VinzEnvironment(nodes=3, seed=7)
+        env.deploy_workflow("W", """
+            (defun main (p) (for-each (x in p) (compute 0.1) (* x 2)))""")
+        results = []
+        for _ in range(3):
+            task_id = env.start("W", [1, 2, 3])
+            # part-way through the drive some windows hold locks
+            env.cluster.run_until(lambda: env.locks._locks)
+            held = {}
+            for key, owner in env.locks._locks.items():
+                held.setdefault(owner, set()).add(key)
+            assert env.locks._sessions == held
+            results.append(env.wait_for_task(task_id).result)
+        assert results == [[2, 4, 6]] * 3
+        assert env.locks.acquisitions > 3
+        assert env.locks._sessions == {} and env.locks._locks == {}
+
     def test_session_locks_listing(self):
         locks = CoordinatorLockManager()
         locks.try_acquire("b", "s")

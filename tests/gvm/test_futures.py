@@ -9,7 +9,6 @@ from repro.gvm.futures import (
     SynchronousFutureExecutor,
     ThreadPoolFutureExecutor,
     force,
-    is_fiber_thread,
 )
 from repro.lang.errors import GozerRuntimeError
 from repro.gvm.conditions import UnhandledConditionError
@@ -104,9 +103,9 @@ class TestLanguageLevelFutures:
         assert rt.eval_string(
             "(touch (touch (future (future 5))))") == 5
 
-    def test_is_fiber_thread_false_inside_future(self, rt):
+    def test_a_future_is_not_a_fiber_thread(self, rt):
         """Futures run with background-thread semantics even on the
-        synchronous executor."""
+        synchronous executor: a future's VM may not yield."""
         assert rt.eval_string("(touch (future (% is-fiber-thread)))") is False
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.conformance import load_dir
 from repro.gvm.conditions import UnhandledConditionError
 from repro.gvm.frames import GozerFunction
-from repro.gvm.futures import enter_fiber_thread
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import Done, Yielded
 from repro.lang.printer import print_form
@@ -288,7 +287,6 @@ def _observe(source, feeds, traced):
         vms.append(vm)
         return vm
 
-    enter_fiber_thread()
     try:
         result = hooked_vm().run_code(code)
         while isinstance(result, Yielded) and len(vms) <= 64:

@@ -245,7 +245,9 @@ class TestFailedWhileSuspended:
     FiberSuspended, then FiberFailed where a resume would be.  Replay
     ends the fiber there with the recorded error.  A fiber whose first
     delivery dead-lettered never ran: its stream is that FiberFailed
-    alone, and replay ends it without running it."""
+    alone, and replay ends it without running it.  Neither FiberFailed
+    is marked ``by_code``, which only a failure the fiber's own code
+    raised is."""
 
     def _replay(self, env, task_id):
         task = env.registry.tasks[task_id]
@@ -314,6 +316,17 @@ class TestFailedWhileSuspended:
                     if e.fiber == child.id] == ["fiber-failed"]
         report = env.replay_task(task_id)
         assert report.fibers_replayed == 3 and not report.partial_fibers
+
+    def test_a_code_failure_where_a_resume_would_be_diverges(self):
+        env = VinzEnvironment(nodes=2, seed=5, history="on")
+        env.deploy_workflow("W", '(defun main (p) (join-process "nobody"))')
+        task_id = env.run("W", None)
+        failed = forge_payload(env, task_id,
+                               lambda e: e.kind == "fiber-failed",
+                               by_code=True)
+        with pytest.raises(ReplayDivergenceError) as info:
+            env.replay_task(task_id)
+        assert info.value.seq == failed.seq
 
     def test_events_after_the_failure_diverge(self):
         env = VinzEnvironment(nodes=2, seed=5, history="on")
@@ -491,7 +504,6 @@ class TestAFiberWritesNoGlobal:
         env = VinzEnvironment(history="on", snapshot_interval=8)
         env.deploy_workflow("W", source, cache_capacity=capacity)
         task = env.wait_for_task(env.start("W", None))
-        env.replay_task(task.id)
         return env, task
 
     @pytest.mark.parametrize("capacity", [256, 0])
@@ -504,11 +516,39 @@ class TestAFiberWritesNoGlobal:
         assert runtime.global_env.lookup(Symbol("*n*")) == 0
         assert env.metrics.get("fiber.global-write-refused") == 1
 
+    def test_replay_re_executes_a_fiber_that_failed_in_its_first_window(self):
+        """The refused fiber recorded nothing but its failure, which
+        its own code raised (not the platform, as by a dead letter), so
+        the replay runs the fiber again, is refused again and checks
+        the error."""
+        env, task = self._run(self.COUNTER, 256)
+        failed = env.history.events_of(task.id)[-1]
+        assert (failed.kind, failed.payload.get("by_code")) == \
+            ("fiber-failed", True)
+        report = env.replay_task(task.id)
+        assert report.windows >= 1 and report.instructions > 0
+        assert env.metrics.get("fiber.global-write-refused") == 2
+
+    def test_a_forged_error_is_a_divergence(self):
+        env, task = self._run(self.COUNTER, 256)
+        forge_payload(env, task.id, lambda e: e.kind == "fiber-failed",
+                      error="something else")
+        with pytest.raises(ReplayDivergenceError, match="GlobalWrite"):
+            env.replay_task(task.id)
+
+    def test_an_unmarked_failure_is_the_platforms_and_not_re_executed(self):
+        env, task = self._run(self.COUNTER, 256)
+        forge_payload(env, task.id, lambda e: e.kind == "fiber-failed",
+                      by_code=False)
+        assert env.replay_task(task.id).windows == 0
+        assert env.metrics.get("fiber.global-write-refused") == 1
+
     @pytest.mark.parametrize("capacity", [256, 0])
     def test_a_dynamic_binding_keeps_the_state(self, capacity):
         """A binding the fiber made is its state and survives the
         suspensions; the refusal is a condition it can handle."""
         env, task = self._run(self.KEPT, capacity)
+        env.replay_task(task.id)
         assert task.status == COMPLETED
         assert task.result[0] == 12
         assert task.result[1].startswith(GLOBAL_WRITE)

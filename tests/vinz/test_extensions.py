@@ -342,27 +342,26 @@ class TestFiberMailboxes:
                       (receive-message))))""")
         assert env.call("W", None) == [0, 1, 2, 3, 4]
 
-    def test_duplicate_wake_up_leaves_no_execution_behind(self):
+    def test_duplicate_wake_up_leaves_the_fiber_suspended(self):
         """A mailbox wake-up that finds the mailbox empty (it raced an
         earlier consumption) returns before the fiber is set up to run:
-        no FiberExecution stays current, and the fiber still resumes on
-        the next real delivery."""
-        from repro.vinz import distribution
+        the fiber stays suspended at the same version, and still resumes
+        on the next real delivery."""
         from repro.vinz.service import WorkflowService
 
         env = VinzEnvironment(nodes=1, seed=21)
         env.deploy_workflow("W", "(defun main (params) (receive-message))")
         task_id = env.start("W", None)
         env.cluster.run_until_idle()
-        fiber_id = env.registry.tasks[task_id].fiber_ids[0]
-        before = distribution.CURRENT_EXECUTION.get()
+        fiber = env.registry.fibers[env.registry.tasks[task_id].fiber_ids[0]]
+        before = (fiber.status, fiber.version, fiber.waiting_on)
         env.cluster.send("W", "JoinProcess",
-                         {"fiber": fiber_id,
+                         {"fiber": fiber.id,
                           "result": WorkflowService._MAILBOX})
         env.cluster.run_until_idle()
-        assert distribution.CURRENT_EXECUTION.get() is before
+        assert (fiber.status, fiber.version, fiber.waiting_on) == before
         env.cluster.send("W", "DeliverMessage",
-                         {"fiber": fiber_id, "value": 5})
+                         {"fiber": fiber.id, "value": 5})
         assert env.wait_for_task(task_id).result == 5
 
     def test_mailbox_cheaper_than_task_variables(self):

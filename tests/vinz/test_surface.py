@@ -97,6 +97,24 @@ def test_replay_overrides_only_the_primitives():
     assert overridden == {"nondet", "effect", "fork", "fork_chain", "charge"}
 
 
+def test_a_vm_reaches_its_fiber_only_through_vm_vinz():
+    """A future's and an ``eval``'s VM carry their fiber's ``vinz``
+    (``Runtime.new_vm``); no thread-local flag or context variable
+    says which fiber, or whether one, a thread runs for."""
+    import contextvars
+    import threading
+
+    import repro.gvm.futures as futures
+    import repro.vinz.distribution as distribution
+
+    for module in (futures, distribution):
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, (contextvars.ContextVar,
+                                          threading.local))], module
+        assert not [name for name in vars(module)
+                    if "fiber_thread" in name], module
+
+
 def test_names_the_benchmark_wraps_stay_where_they_are():
     """``perf/trace.py`` wraps these entry points on the class that
     defines them, and ``perf/probes.py`` drives a bare ``DurableStore``
