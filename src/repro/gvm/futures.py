@@ -29,6 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
 from ..lang.errors import GozerRuntimeError
+from .conditions import UnhandledConditionError
 
 _PENDING = "pending"
 _RUNNING = "running"
@@ -40,7 +41,9 @@ class GozerFuture:
 
     Until determined the future is *undetermined*; ``touch`` blocks the
     toucher until determination.  Failure is propagated at touch time:
-    the stored exception is re-raised in the touching thread.
+    the stored exception is re-raised in the touching thread, and a
+    condition the future's VM found no handler for is raised as that
+    condition, so the touching VM signals it to its own handlers.
     """
 
     __slots__ = ("_state", "_value", "_error", "_event", "label")
@@ -78,6 +81,8 @@ class GozerFuture:
         if not self._event.wait(timeout):
             raise GozerRuntimeError(f"touch: timed out awaiting {self.label}")
         if self._state == _FAILED:
+            if isinstance(self._error, UnhandledConditionError):
+                raise self._error.condition
             raise self._error
         return self._value
 

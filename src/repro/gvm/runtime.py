@@ -10,6 +10,7 @@ the future executor.  Fibers executing the program each get their own
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..lang.compiler import Compiler
@@ -103,6 +104,15 @@ class Runtime:
     def compile(self, form: Any, name: str = "top-level"):
         return self.compiler.compile_toplevel(form, name=name)
 
+    def compiler_for(self, parent: Optional[VM]) -> Compiler:
+        """The compiler for a form evaluated from ``parent``: its macro
+        expanders run on a VM started from ``parent``, so in a fiber
+        they run as that fiber."""
+        if parent is None:
+            return self.compiler
+        return Compiler(self.global_env,
+                        apply_fn=partial(self.apply, parent=parent))
+
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
@@ -152,7 +162,7 @@ class Runtime:
                 for sub in form[1:]:
                     value = self.eval_form(sub, parent)
                 return value
-        code = self.compile(form)
+        code = self.compiler_for(parent).compile_toplevel(form)
         result = self.new_vm(parent).run_code(code)
         assert isinstance(result, Done)
         return result.value
@@ -163,17 +173,19 @@ class Runtime:
         name = form[1]
         if parent is not None and parent.vinz is not None:
             parent.vinz.refuse_global_write(name)  # as VM._define_global does
-        code = self.compiler.compile_function(f"macro:{name.name}", form[2], form[3:])
+        code = self.compiler_for(parent).compile_function(
+            f"macro:{name.name}", form[2], form[3:])
         expander = GozerFunction(code, None, name=f"macro:{name.name}")
         self.global_env.define_macro(name, GozerMacro(expander, name.name))
         return name
 
-    def apply(self, fn: Any, args: List[Any]) -> Any:
-        """Call a Gozer or host function to completion on a fresh VM, by
-        the VM's one rule for a call (:meth:`VM.call`): a host function
-        that takes the VM gets it, and a plain one gets its future
-        arguments forced."""
-        return self.new_vm().call(fn, list(args))
+    def apply(self, fn: Any, args: List[Any],
+              parent: Optional[VM] = None) -> Any:
+        """Call a Gozer or host function to completion on a fresh VM
+        started from ``parent`` (:meth:`new_vm`), by the VM's one rule
+        for a call (:meth:`VM.call`): a host function that takes the VM
+        gets it, and a plain one gets its future arguments forced."""
+        return self.new_vm(parent).call(fn, list(args))
 
     # ------------------------------------------------------------------
     # fiber-style execution (used directly and by Vinz)

@@ -1364,7 +1364,8 @@ def _load_file(vm, path):
 
 @vm_builtin("macroexpand")
 def _macroexpand(vm, form):
-    return macroexpand(form, vm.global_env, vm.runtime.apply)
+    return macroexpand(form, vm.global_env,
+                       lambda fn, args: vm.runtime.apply(fn, args, vm))
 
 
 @vm_function

@@ -248,7 +248,14 @@ class FiberStateStore:
                 live: Optional[tuple] = None) -> None:
         """Persist the next version of ``fiber``'s continuation, reached
         by a window that ran ``instructions``; the node cache keeps
-        ``live``, the state the suspended VM stopped using, beside it."""
+        ``live``, the state the suspended VM stopped using, beside it.
+
+        With history on, the write is elided while fewer than
+        ``snapshot_interval`` versions have passed since the fiber's
+        last snapshot and replaying the work since that snapshot costs
+        no more than one store write of the capture's bytes: a window
+        that would replay for longer is snapshotted where it ends.  With
+        the default interval of 1 every suspension is written."""
         vinz = self.vinz
         # a zombie must not even bump the version: the raise tunnels
         # through the GVM, aborts the window and the message retries
@@ -258,16 +265,16 @@ class FiberStateStore:
             # neither a retry re-reaching this version number nor a
             # rebuild may start from what an aborted window cached
             log_undo(ctx, lambda: cache.evict_continuation(fiber.id, version))
-        if version % vinz.snapshot_interval:
-            # snapshot-interval elision (history is on): only every
-            # Nth suspension persists — the versions between snapshots
-            # live in the node cache and are rebuilt by replay after a
-            # crash or cache miss
+        replay_since = fiber.instructions_since_snapshot + instructions
+        if (version - fiber.last_persisted_version < vinz.snapshot_interval
+                and replay_since * self.service.instruction_cost
+                <= vinz.store.cost(len(continuation.raw))):
+            # elided (history is on): the version lives only in the
+            # node cache and is rebuilt by replay after a crash or a
+            # cache miss
             vinz.metrics.incr("persist.skipped")
             vinz.registry.set(ctx, fiber, version=version,
-                              instructions_since_snapshot=(
-                                  fiber.instructions_since_snapshot
-                                  + instructions))
+                              instructions_since_snapshot=replay_since)
             if cache is not None:
                 cache.put_continuation(fiber.id, version, continuation, live)
             return

@@ -94,13 +94,15 @@ class FiberRecord:
     #: version of the persisted continuation (bumps on every persist)
     version: int = 0
     #: highest version whose continuation actually reached the store —
-    #: with ``snapshot_interval > 1`` persists are skipped between
-    #: snapshots, so this can trail ``version`` (the gap is rebuilt by
+    #: with ``snapshot_interval > 1`` a suspension whose replay costs
+    #: no more than a write is skipped, at most ``snapshot_interval - 1``
+    #: in a row, so this can trail ``version`` (the gap is rebuilt by
     #: history replay on a cache miss)
     last_persisted_version: int = 0
     #: instructions this fiber ran since its last snapshot (since its
     #: start before the first one): what a node holding no warm base
-    #: re-executes to rebuild an elided version
+    #: re-executes to rebuild an elided version, and what ``persist``
+    #: weighs against one write of the state
     instructions_since_snapshot: int = 0
     #: virtual seconds one read of the last snapshot costs (manifest
     #: plus chunks); 0 before the first snapshot

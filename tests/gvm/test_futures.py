@@ -10,6 +10,7 @@ from repro.gvm.futures import (
     ThreadPoolFutureExecutor,
     force,
 )
+from repro.gvm.runtime import Runtime
 from repro.lang.errors import GozerRuntimeError
 from repro.gvm.conditions import UnhandledConditionError
 from repro.lang.symbols import Keyword
@@ -98,6 +99,21 @@ class TestLanguageLevelFutures:
     def test_future_error_propagates_at_touch(self, rt):
         with pytest.raises(UnhandledConditionError):
             rt.eval_string('(touch (future (error "inside")))')
+
+    @pytest.mark.parametrize("executor", [SynchronousFutureExecutor,
+                                          ThreadPoolFutureExecutor])
+    def test_a_futures_failure_is_handled_where_it_is_touched(self,
+                                                              executor):
+        """``touch`` signals the condition the future's VM found no
+        handler for in the touching VM, whose handlers see it."""
+        with Runtime(executor=executor()) as rt:
+            assert rt.eval_string("""
+                (handler-case (touch (future (error "x")))
+                  (error (c) (list :caught (condition-message c))))""") \
+                == [Keyword("caught"), "x"]
+            assert rt.eval_string("""
+                (handler-case (+ 1 (future (error "y")))
+                  (error (c) (condition-message c)))""") == "y"
 
     def test_nested_futures(self, rt):
         assert rt.eval_string(

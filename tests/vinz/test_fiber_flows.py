@@ -14,7 +14,7 @@ from repro.bluebox.services import simple_service
 from repro.gvm.futures import ThreadPoolFutureExecutor
 from repro.gvm.runtime import make_runtime
 from repro.gvm.vm import Done
-from repro.lang.symbols import Symbol
+from repro.lang.symbols import Keyword, Symbol
 from repro.vinz.api import VinzEnvironment
 from repro.vinz.execution import GLOBAL_WRITE
 from repro.vinz.task import COMPLETED, ERROR
@@ -81,6 +81,21 @@ class TestAGlobalWriteIsRefused:
         assert not global_env.is_bound(Symbol("m"))
 
 
+    @pytest.mark.parametrize("capacity", [256, 0])
+    @pytest.mark.parametrize("body", ["(list (eval '(bump)) *n*)",
+                                      "(list (macroexpand '(bump)) *n*)"])
+    def test_by_a_macro_expander_run_from_the_fiber(self, body, capacity):
+        """The expander ``eval`` (or ``macroexpand``) runs while it
+        expands a form in a fiber runs on a VM started from the fiber's,
+        so it writes no global either."""
+        env = deploy(body, capacity, defs="(defvar *n* 0)"
+                     " (defmacro bump () (setq *n* (+ *n* 1)) *n*)")
+        task = run(env)
+        assert (task.status, task.error) == (ERROR, REFUSED)
+        runtime = env.workflows["W"].runtime
+        assert runtime.global_env.lookup(Symbol("*n*")) == 0
+
+
 class TestRecordedNondeterminism:
     @pytest.mark.parametrize("body", [
         "(touch (future (list (random 1000000) (get-universal-time))))",
@@ -126,6 +141,22 @@ class TestWhatAFutureOrAnEvalMayDo:
                      "       ^hits^)", capacity, defs="(deftaskvar hits 0)")
         task = run(env)
         assert (task.status, task.result) == (COMPLETED, 2)
+
+    @pytest.mark.parametrize("capacity", [256, 0])
+    @pytest.mark.parametrize("body, result", [
+        ('(touch (future (error "x")))', "x"),
+        ("(touch (future (setq *n* 1)))", REFUSED),
+    ])
+    def test_a_futures_failure_is_handled_where_it_is_touched(
+            self, body, result, capacity):
+        """``touch`` signals the future's condition in the fiber's VM,
+        whose ``handler-case`` catches it."""
+        env = deploy(f"(handler-case {body}"
+                     "   (error (c) (list :caught (condition-message c))))",
+                     capacity)
+        task = run(env)
+        assert (task.status, task.result) == (COMPLETED,
+                                              [Keyword("caught"), result])
 
     @pytest.mark.parametrize("body", ["(touch (future (workflow-sleep 1)))",
                                       "(eval '(workflow-sleep 1))",

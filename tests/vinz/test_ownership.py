@@ -1,7 +1,8 @@
 """Fiber ownership: a resume of an elided version waits for its node.
 
-With history on and a snapshot interval above 1, most suspensions are
-never persisted: the version lives only in the cache of the node that
+With history on and a snapshot interval above 1, a suspension whose
+replay from the last snapshot costs less than one write of its state
+is not persisted: the version lives only in the cache of the node that
 ran the fiber.  A message that resumes such a version is parked for
 that node for at most what a cold node would be charged to rebuild the
 version (the last snapshot's read plus the instructions run since), and
@@ -20,21 +21,25 @@ WORKFLOW = """
 (deflink DS :wsdl "urn:owned-data")
 
 (defun main (params)
-  (let ((acc (apply #'+ (loop for i from 0 below 300 collect (* i i)))))
+  (let ((rows (loop for i from 0 below 1000 collect (list i (* i i))))
+        (acc 0))
     (dolist (k params)
+      (dotimes (i 200) (setq acc (+ acc (second (nth i rows)))))
       (setq acc (+ acc (DS-Fetch-Method :Key k))))
     acc))
 """
 
-#: what the loop before the first suspension adds up: it makes a cold
-#: rebuild cost enough virtual time to be worth waiting for
-PROLOGUE = sum(i * i for i in range(300))
+#: what each window adds up before its fetch.  The 1000 rows make the
+#: state large, so a window's replay costs less than writing it (the
+#: version is elided) while a cold node's snapshot read plus that
+#: replay is still worth waiting for
+WINDOW_SUM = sum(i * i for i in range(200))
 
 INPUTS = [[k, k + 1, k + 2, k + 3, k + 4, k + 5, k + 6] for k in range(6)]
 
 
 def expected(keys):
-    return PROLOGUE + sum(10 * k for k in keys)
+    return len(keys) * WINDOW_SUM + sum(10 * k for k in keys)
 
 
 def make_env(deploy_options=None, **options):
